@@ -375,9 +375,6 @@ func (cl *Cluster) Node(i int) *Node { return cl.nodes[i] }
 // the multi-process node runtime).
 func (cl *Cluster) Fabric() Fabric { return cl.fab }
 
-// ResolverShards returns the per-node resolver bank count in effect.
-func (cl *Cluster) ResolverShards() int { return cl.shards }
-
 // RegisterAM implements rt.System. Handlers must be registered before
 // the first Step.
 func (cl *Cluster) RegisterAM(h rt.AMHandler) uint8 {
@@ -387,9 +384,6 @@ func (cl *Cluster) RegisterAM(h rt.AMHandler) uint8 {
 	cl.handlers = append(cl.handlers, h)
 	return uint8(len(cl.handlers) - 1)
 }
-
-// Handler returns a registered handler (for the baseline models).
-func (cl *Cluster) Handler(h uint8) rt.AMHandler { return cl.handlers[h] }
 
 // Step implements rt.System: launch the kernel everywhere, quiesce,
 // record the phase with overlapped composition (§3.4: Gravel overlaps
@@ -600,7 +594,12 @@ func (cl *Cluster) Stats() rt.Stats {
 		Nodes:     cl.cfg.Nodes,
 		VirtualNs: cl.totalNs,
 	}
-	cur := cl.totals()
+	// After the first step, report the last phase boundary's snapshot (what
+	// the step deltas sum to): idle aggregators keep the live counters moving.
+	cur := cl.prevTotals
+	if len(cl.steps) == 0 {
+		cur = cl.totals()
+	}
 	st.Queue = rt.QueueStats{
 		LocalOps:     cur.localOps,
 		RemoteOps:    cur.remoteOps,

@@ -49,9 +49,17 @@ func (e *RangeError) Error() string {
 
 // Space is one cluster-wide address space.
 type Space struct {
-	nodes  int
-	mu     sync.Mutex
-	arrays []*Array
+	nodes int
+	// mu serializes the allocators and guards sig. Lookups never take
+	// it: they read the table the last allocator published.
+	mu sync.Mutex
+	// arrays is the ID-indexed array table, read lock-free by Array and
+	// Lookup (the receive side translates every message's array ID, so
+	// the translation must be a table read, never a lock). An allocator
+	// appends under mu and publishes the longer slice header; a reader
+	// holding an older header never indexes past its own length, so
+	// sharing the backing store between versions is safe.
+	arrays atomic.Pointer[[]*Array]
 	// sig is the running allocation-order signature: a chained FNV-1a
 	// hash over every allocation's (kind, shape). Two processes of a
 	// distributed run perform the same allocation sequence iff their
@@ -137,14 +145,31 @@ func (s *Space) SymAlloc(perNode int) *Array {
 	return a
 }
 
+// table returns the published array table (nil before the first
+// allocation).
+func (s *Space) table() []*Array {
+	if t := s.arrays.Load(); t != nil {
+		return *t
+	}
+	return nil
+}
+
+// publishLocked appends a to the array table and publishes it; s.mu
+// must be held and a.id must be the table's current length.
+func (s *Space) publishLocked(a *Array) {
+	t := append(s.table(), a)
+	s.arrays.Store(&t)
+}
+
 // allocLocked builds a block-partitioned array of n cells with stride
 // part; s.mu must be held.
 func (s *Space) allocLocked(n, part int, sym bool) *Array {
-	if len(s.arrays) > math.MaxUint16 {
+	id := len(s.table())
+	if id > math.MaxUint16 {
 		panic(&AllocError{Kind: "Alloc", Detail: "too many arrays"})
 	}
 	a := &Array{
-		id:    uint16(len(s.arrays)),
+		id:    uint16(id),
 		space: s,
 		len:   n,
 		part:  part,
@@ -162,7 +187,7 @@ func (s *Space) allocLocked(n, part int, sym bool) *Array {
 		}
 		a.local[node] = make([]uint64, hi-lo)
 	}
-	s.arrays = append(s.arrays, a)
+	s.publishLocked(a)
 	return a
 }
 
@@ -202,11 +227,12 @@ func (s *Space) AllocRanges(bounds []int) *Array {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.arrays) > math.MaxUint16 {
+	id := len(s.table())
+	if id > math.MaxUint16 {
 		panic(&AllocError{Kind: "AllocRanges", Detail: "too many arrays"})
 	}
 	a := &Array{
-		id:     uint16(len(s.arrays)),
+		id:     uint16(id),
 		space:  s,
 		len:    n,
 		bounds: append([]int(nil), bounds...),
@@ -215,7 +241,7 @@ func (s *Space) AllocRanges(bounds []int) *Array {
 	for node := 0; node < s.nodes; node++ {
 		a.local[node] = make([]uint64, bounds[node+1]-bounds[node])
 	}
-	s.arrays = append(s.arrays, a)
+	s.publishLocked(a)
 	s.mixSig(2, uint64(len(bounds)))
 	for _, b := range bounds {
 		s.mixSig(uint64(b))
@@ -223,14 +249,23 @@ func (s *Space) AllocRanges(bounds []int) *Array {
 	return a
 }
 
-// Array returns the array with the given ID.
+// Lookup returns the array with the given ID, or nil if no such array
+// has been allocated. It takes no lock.
+func (s *Space) Lookup(id uint16) *Array {
+	if t := s.table(); int(id) < len(t) {
+		return t[id]
+	}
+	return nil
+}
+
+// Array returns the array with the given ID; an unallocated ID is a
+// programming error and panics. It takes no lock.
 func (s *Space) Array(id uint16) *Array {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(id) >= len(s.arrays) {
+	a := s.Lookup(id)
+	if a == nil {
 		panic(fmt.Sprintf("pgas: unknown array id %d", id))
 	}
-	return s.arrays[id]
+	return a
 }
 
 // ID returns the array's identifier (used in message command words).
@@ -304,6 +339,16 @@ func (a *Array) LocalRange(node int) (lo, hi int) {
 // Local returns node's local slice. Elements must be accessed with the
 // atomic helpers below when the cluster is running.
 func (a *Array) Local(node int) []uint64 { return a.local[node] }
+
+// LocalWindow returns node's local slice together with the global index
+// of its first cell: global index idx is local[idx-lo] exactly when
+// idx-lo < len(local). Neither value changes after allocation, so a
+// resolver can cache the pair and turn a run of records for one array
+// into slice indexing, with no Owner division and no LocalRange call.
+func (a *Array) LocalWindow(node int) (local []uint64, lo uint64) {
+	l, _ := a.LocalRange(node)
+	return a.local[node], uint64(l)
+}
 
 func (a *Array) cell(idx uint64) *uint64 {
 	node := a.Owner(idx)

@@ -27,6 +27,34 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// FuzzRecordWalk: the closure-free walk the receive path uses
+// (RecordCount + RecordAt) and Decode must agree on every buffer — the
+// same records in the same order, or the same error.
+func FuzzRecordWalk(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, MsgWireBytes-1))
+	two := AppendRecord(wireBuf(OpInc, 7, 42, 1), PackSigCmd(3, 4, 5), 6, 7)
+	f.Add(two)
+	f.Add(two[:len(two)-1])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var viaDecode [][3]uint64
+		derr := Decode(data, func(cmd, a, v uint64) { viaDecode = append(viaDecode, [3]uint64{cmd, a, v}) })
+		n, werr := RecordCount(data)
+		if (derr == nil) != (werr == nil) || (derr != nil && derr.Error() != werr.Error()) {
+			t.Fatalf("Decode error %v, RecordCount error %v", derr, werr)
+		}
+		if n != len(viaDecode) {
+			t.Fatalf("RecordCount = %d, Decode visited %d", n, len(viaDecode))
+		}
+		for i, want := range viaDecode {
+			cmd, a, v := RecordAt(data, i)
+			if got := [3]uint64{cmd, a, v}; got != want {
+				t.Fatalf("record %d: RecordAt %v, Decode %v", i, got, want)
+			}
+		}
+	})
+}
+
 // FuzzDecodeRouted does the same for routed (per-group) buffers, whose
 // records carry final destinations that must be bounds-checked before
 // they reach the gateway's re-aggregation path.

@@ -272,17 +272,35 @@ func (b *Builder) Take() (buf []byte, msgs int) {
 	return buf, msgs
 }
 
+// RecordCount validates an encoded per-node queue buffer and returns the
+// number of messages in it. It returns an error if the buffer is not a
+// whole number of messages.
+func RecordCount(buf []byte) (int, error) {
+	if len(buf)%MsgWireBytes != 0 {
+		return 0, fmt.Errorf("wire: buffer length %d not a multiple of %d", len(buf), MsgWireBytes)
+	}
+	return len(buf) / MsgWireBytes, nil
+}
+
+// RecordAt returns message i of an encoded per-node queue buffer; i must
+// be below the buffer's RecordCount. Together they are the closure-free
+// form of Decode, for a receive path that walks records in a plain loop.
+func RecordAt(buf []byte, i int) (cmd, a, v uint64) {
+	rec := buf[i*MsgWireBytes : i*MsgWireBytes+MsgWireBytes]
+	return binary.LittleEndian.Uint64(rec[0:8]),
+		binary.LittleEndian.Uint64(rec[8:16]),
+		binary.LittleEndian.Uint64(rec[16:24])
+}
+
 // Decode iterates over the messages in an encoded per-node queue buffer.
 // It returns an error if the buffer is not a whole number of messages.
 func Decode(buf []byte, fn func(cmd, a, v uint64)) error {
-	if len(buf)%MsgWireBytes != 0 {
-		return fmt.Errorf("wire: buffer length %d not a multiple of %d", len(buf), MsgWireBytes)
+	n, err := RecordCount(buf)
+	if err != nil {
+		return err
 	}
-	for off := 0; off < len(buf); off += MsgWireBytes {
-		cmd := binary.LittleEndian.Uint64(buf[off : off+8])
-		a := binary.LittleEndian.Uint64(buf[off+8 : off+16])
-		v := binary.LittleEndian.Uint64(buf[off+16 : off+24])
-		fn(cmd, a, v)
+	for i := 0; i < n; i++ {
+		fn(RecordAt(buf, i))
 	}
 	return nil
 }
