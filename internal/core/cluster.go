@@ -131,7 +131,8 @@ type Node struct {
 	// Waits counts WaitUntil verb calls by this node's work-groups.
 	Waits stats.Counter
 
-	cl *Cluster
+	cl   *Cluster
+	ctxs sync.Pool // idle *ctx, reused across work-groups and steps
 }
 
 // Cluster implements rt.System for Gravel (and, with AggPerMessage, the
@@ -142,6 +143,7 @@ type Cluster struct {
 	space  *pgas.Space
 	fab    fabric.Fabric
 	nodes  []*Node
+	pcq    []Offloader // per node: the producer/consumer queue send path
 
 	handlers []rt.AMHandler
 
@@ -299,6 +301,8 @@ func New(cfg Config) *Cluster {
 	cl.nodes = make([]*Node, cfg.Nodes)
 	for i := range cl.nodes {
 		n := &Node{ID: i, Clocks: clocks[i], cl: cl}
+		n.ctxs.New = func() any { return newCtx(n) }
+		cl.pcq = append(cl.pcq, pcqWriter{n})
 		n.GPU = simt.NewDevice(arch)
 		n.GPU.Mode = cfg.DivMode
 		n.GPU.Clock = n.Clocks
@@ -389,9 +393,7 @@ func (cl *Cluster) RegisterAM(h rt.AMHandler) uint8 {
 // record the phase with overlapped composition (§3.4: Gravel overlaps
 // communication and computation).
 func (cl *Cluster) Step(name string, grid []int, scratchPerWG int, k rt.Kernel) {
-	cl.LaunchAll(grid, scratchPerWG, func(n *Node, grp *simt.Group) rt.Ctx {
-		return &ctx{n: n, g: grp}
-	}, k)
+	cl.LaunchAll(grid, scratchPerWG, cl.pcq, k)
 	cl.Quiesce()
 	cl.StepBarrier()
 	cl.EndPhaseOverlapped(name)
@@ -410,11 +412,11 @@ func (cl *Cluster) StepBarrier() {
 	}
 }
 
-// LaunchAll launches kernel k with grid[i] work-items on node i, using
-// mkCtx to build each work-group's context. It blocks until all devices
-// finish (but does not quiesce or record a phase). Baseline models build
-// their Steps from this.
-func (cl *Cluster) LaunchAll(grid []int, scratchPerWG int, mkCtx func(*Node, *simt.Group) rt.Ctx, k rt.Kernel) {
+// LaunchAll launches kernel k with grid[i] work-items on node i, whose
+// verbs send through off[i]. It blocks until all devices finish (but
+// does not quiesce or record a phase). Baseline models build their
+// Steps from this.
+func (cl *Cluster) LaunchAll(grid []int, scratchPerWG int, off []Offloader, k rt.Kernel) {
 	if len(grid) != cl.cfg.Nodes {
 		panic(fmt.Sprintf("core: launch grid has %d entries for %d nodes", len(grid), cl.cfg.Nodes))
 	}
@@ -434,9 +436,7 @@ func (cl *Cluster) LaunchAll(grid []int, scratchPerWG int, mkCtx func(*Node, *si
 		wg.Add(1)
 		go func(n *Node, g int) {
 			defer wg.Done()
-			n.GPU.Launch(g, cl.cfg.WGSize, scratchPerWG, func(grp *simt.Group) {
-				k(mkCtx(n, grp))
-			})
+			n.GPU.Launch(g, cl.cfg.WGSize, scratchPerWG, n.Kernel(off[n.ID], k))
 		}(n, grid[i])
 	}
 	wg.Wait()

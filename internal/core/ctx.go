@@ -1,6 +1,7 @@
 package core
 
 import (
+	"gravel/internal/obs"
 	"gravel/internal/pgas"
 	"gravel/internal/queue"
 	"gravel/internal/rt"
@@ -8,18 +9,94 @@ import (
 	"gravel/internal/wire"
 )
 
-// ctx is the per-work-group kernel context: it turns lane-level PGAS
-// operations into WG-granularity offloads through the node's
-// producer/consumer queue (§4.1): one prefix-sum to pack active lanes,
-// one leader reservation (two atomics), one vectorized payload write,
-// one commit.
-type ctx struct {
-	n *Node
-	g *simt.Group
+// Offloader is one model's send path: what happens to a work-group's
+// messages once the verb front-end (ctx) has decided which lanes send
+// what, and where. It is all that Figure 15 varies. An implementation
+// charges the group what its path costs (Charge*, VectorMasked,
+// Barrier); the front-end charges only the verbs' own local work.
+type Offloader interface {
+	// Offload sends the batch's active lanes' messages for work-group
+	// g. It is called even when no lane is active (b.N == 0): some paths
+	// charge a WG-level operation before they can know. Destinations are
+	// already resolved and range-checked, so nothing panics between
+	// reserving queue space and committing it.
+	Offload(g *simt.Group, b Batch)
+	// Progress runs on every spin of a WaitUntil: a path that stages
+	// messages on the device side pushes them toward the wire, so a
+	// waiter cannot block what it waits for.
+	Progress()
+}
 
-	// scratch, lazily sized to the WG
-	allOn  []bool
-	remote []bool
+// Batch is one verb call's messages, lane-indexed: lane l sends
+// (CmdAt(l), A[l], V[l]) to node Dests[l] if Active[l].
+type Batch struct {
+	// Cmd is the command word of every lane, unless Cmds is non-nil
+	// (PUT_SIGNAL carries the lane's signal cell in its command).
+	Cmd  uint64
+	Cmds []uint64
+	// Dests is valid for active lanes only.
+	Dests []int
+	A, V  []uint64
+	// Active is WG-sized; N counts its true entries.
+	Active []bool
+	N      int
+	// Lanes and Mask are WG-sized scratch for a path that regroups the
+	// lanes; their contents mean nothing on entry.
+	Lanes []int
+	Mask  []bool
+}
+
+// CmdAt returns lane l's command word.
+func (b *Batch) CmdAt(l int) uint64 {
+	if b.Cmds != nil {
+		return b.Cmds[l]
+	}
+	return b.Cmd
+}
+
+// ctx is the verb front-end, the tree's only rt.Ctx: it turns
+// lane-level PGAS operations into batches for the model's Offloader. It
+// owns what the models share — the lane-mask convention, destination
+// resolution, the local fast paths, signal addressing checks, command
+// packing, locality counts and the wait.
+//
+// Every sending verb resolves all of its active lanes' destinations
+// first, uncharged, before the offloader reserves anything: an
+// out-of-range index (*pgas.RangeError), a misplaced signal cell
+// (*SignalError) or an AM to a node that does not exist (*DestError)
+// panics on the kernel's goroutine with no queue slot half-written, so
+// a kernel that recovers leaves the step able to quiesce.
+type ctx struct {
+	n   *Node
+	g   *simt.Group
+	off Offloader
+
+	// WG-sized scratch. A ctx serves one work-group at a time and is
+	// recycled through Node.ctxs, so none of it is allocated per WG.
+	allOn, remote, mask []bool
+	dests, lanes        []int
+	cmds                []uint64
+}
+
+func newCtx(n *Node) *ctx {
+	wg := n.cl.cfg.WGSize
+	c := &ctx{n: n, allOn: make([]bool, wg), remote: make([]bool, wg), mask: make([]bool, wg),
+		dests: make([]int, wg), lanes: make([]int, wg), cmds: make([]uint64, wg)}
+	for i := range c.allOn {
+		c.allOn[i] = true
+	}
+	return c
+}
+
+// Kernel adapts k to a device kernel for n.GPU.Launch/LaunchAt — the one
+// place contexts are made: each work-group runs k sending through off.
+func (n *Node) Kernel(off Offloader, k rt.Kernel) func(*simt.Group) {
+	return func(g *simt.Group) {
+		c := n.ctxs.Get().(*ctx)
+		c.g, c.off = g, off
+		k(c)
+		n.ctxs.Put(c)
+	}
 }
 
 // Node implements rt.Ctx.
@@ -31,67 +108,68 @@ func (c *ctx) Nodes() int { return c.n.cl.cfg.Nodes }
 // Group implements rt.Ctx.
 func (c *ctx) Group() *simt.Group { return c.g }
 
-func (c *ctx) allActive() []bool {
-	if len(c.allOn) < c.g.Size {
-		c.allOn = make([]bool, c.g.Size)
-		for i := range c.allOn {
-			c.allOn[i] = true
-		}
-	}
-	return c.allOn[:c.g.Size]
-}
-
-// mask applies the rt.Ctx lane-mask convention: nil means all lanes,
-// anything else must be exactly WG-sized (typed *MaskError otherwise).
-func (c *ctx) mask(verb string, active []bool) []bool {
+// laneMask applies the rt.Ctx lane-mask convention: nil means all
+// lanes, anything else must be exactly WG-sized.
+func (c *ctx) laneMask(verb string, active []bool) []bool {
 	if active == nil {
-		return c.allActive()
+		return c.allOn[:c.g.Size]
 	}
-	CheckMask(verb, active, c.g.Size)
+	if len(active) != c.g.Size {
+		panic(&MaskError{Verb: verb, Got: len(active), Want: c.g.Size})
+	}
 	return active
 }
 
-// offload performs one WG-granularity enqueue of the active lanes'
-// messages under a single command word. destOf must be cheap and pure.
-func (c *ctx) offload(cmd uint64, destOf func(lane int) int, a, b []uint64, active []bool) {
-	c.offloadCmds(func(int) uint64 { return cmd }, destOf, a, b, active)
+// owners resolves each active lane's destination as arr[idx[l]]'s owner.
+func (c *ctx) owners(arr *pgas.Array, idx []uint64, active []bool) {
+	for l, on := range active {
+		if on {
+			c.dests[l] = arr.Owner(idx[l])
+		}
+	}
 }
 
-// offloadCmds is offload with a per-lane command word (PUT_SIGNAL
-// carries the lane's signal cell in its command; everything else is
-// uniform). cmdOf, like destOf, must be cheap and pure.
-func (c *ctx) offloadCmds(cmdOf func(lane int) uint64, destOf func(lane int) int, a, b []uint64, active []bool) {
-	g := c.g
-	offs, count := g.PrefixSumMask(active)
-	if count == 0 {
-		return
+// send counts the active lanes by locality and hands them to the
+// offloader; their destinations are already in c.dests.
+func (c *ctx) send(cmd uint64, cmds, a, v []uint64, active []bool) {
+	n, local := 0, 0
+	for l, on := range active {
+		if on {
+			n++
+			if c.dests[l] == c.n.ID {
+				local++
+			}
+		}
 	}
-	// Leader reservation: the only global synchronization for up to
-	// WGSize messages.
-	g.ChargeAtomics(queue.ProducerAtomicsPerReserve)
-	s := c.n.PCQ.Reserve(count)
-	rowCmd := s.Row(wire.RowCmd)
-	rowDest := s.Row(wire.RowDest)
-	rowA := s.Row(wire.RowA)
-	rowB := s.Row(wire.RowB)
-	local, rem := 0, 0
-	g.VectorMasked(wire.SlotRows, active, func(l int) {
-		m := offs[l]
-		d := destOf(l)
-		rowCmd[m] = cmdOf(l)
-		rowDest[m] = uint64(d)
-		rowA[m] = a[l]
-		rowB[m] = b[l]
-		if d == c.n.ID {
+	c.n.LocalOps.Add(int64(local))
+	c.n.RemoteOps.Add(int64(n - local))
+	size := c.g.Size
+	c.off.Offload(c.g, Batch{Cmd: cmd, Cmds: cmds, Dests: c.dests[:size], A: a, V: v,
+		Active: active, N: n, Lanes: c.lanes[:size], Mask: c.mask[:size]})
+}
+
+// direct executes the local lanes' accesses on the device itself —
+// op(l), under one instr-instruction vector operation that computes
+// the owner and either accesses memory or marks the lane for offload —
+// and sends only the remote lanes. It returns the local lane count.
+func (c *ctx) direct(instr int, op func(l int), cmd uint64, a, v []uint64, active []bool) (local int) {
+	remote := c.remote[:c.g.Size]
+	anyRemote := false
+	for l, on := range active {
+		remote[l] = on && c.dests[l] != c.n.ID
+		anyRemote = anyRemote || remote[l]
+	}
+	c.g.VectorMasked(instr, active, func(l int) {
+		if !remote[l] {
+			op(l)
 			local++
-		} else {
-			rem++
 		}
 	})
-	s.Commit()
-	g.ChargeMessages(count)
 	c.n.LocalOps.Add(int64(local))
-	c.n.RemoteOps.Add(int64(rem))
+	if anyRemote {
+		c.send(cmd, nil, a, v, remote)
+	}
+	return local
 }
 
 // Inc implements rt.Ctx: atomic increments always travel through the
@@ -99,86 +177,146 @@ func (c *ctx) offloadCmds(cmdOf func(lane int) uint64, destOf func(lane int) int
 // built with LocalAtomicsDirect, in which case local increments execute
 // as concurrent GPU read-modify-writes (the design the paper rejected).
 func (c *ctx) Inc(arr *pgas.Array, idx, delta []uint64, active []bool) {
-	active = c.mask("Inc", active)
+	active = c.laneMask("Inc", active)
+	c.owners(arr, idx, active)
 	cmd := wire.PackCmd(wire.OpInc, 0, arr.ID())
 	if !c.n.cl.cfg.LocalAtomicsDirect {
-		c.offload(cmd, func(l int) int { return arr.Owner(idx[l]) }, idx, delta, active)
+		c.send(cmd, nil, idx, delta, active)
 		return
 	}
-	g := c.g
-	if len(c.remote) < g.Size {
-		c.remote = make([]bool, g.Size)
-	}
-	remote := c.remote[:g.Size]
-	me := c.n.ID
-	anyRemote := false
-	local := 0
-	g.VectorMasked(1, active, func(l int) {
-		if arr.Owner(idx[l]) == me {
-			arr.Add(idx[l], delta[l])
-			remote[l] = false
-			local++
-		} else {
-			remote[l] = true
-			anyRemote = true
-		}
-	})
 	// Each local RMW is a contended global atomic, serialized at the
 	// memory system.
-	g.ChargeAtomics(local)
-	c.n.LocalOps.Add(int64(local))
-	if anyRemote {
-		c.offload(cmd, func(l int) int { return arr.Owner(idx[l]) }, idx, delta, remote)
-	}
-	for l := 0; l < g.Size; l++ {
-		remote[l] = false
-	}
+	c.g.ChargeAtomics(c.direct(1, func(l int) { arr.Add(idx[l], delta[l]) }, cmd, idx, delta, active))
 }
 
 // Put implements rt.Ctx: local PUTs execute directly as GPU stores;
 // remote PUTs are offloaded (§7.1).
 func (c *ctx) Put(arr *pgas.Array, idx, val []uint64, active []bool) {
-	active = c.mask("Put", active)
-	g := c.g
-	if len(c.remote) < g.Size {
-		c.remote = make([]bool, g.Size)
-	}
-	remote := c.remote[:g.Size]
-	me := c.n.ID
-	anyRemote := false
-	local := 0
-	// One vector instruction: compute owner, store locally or mark for
-	// offload.
-	g.VectorMasked(2, active, func(l int) {
-		if arr.Owner(idx[l]) == me {
-			arr.Store(idx[l], val[l])
-			remote[l] = false
-			local++
-		} else {
-			remote[l] = true
-			anyRemote = true
-		}
-	})
-	c.n.LocalOps.Add(int64(local))
-	if anyRemote {
-		cmd := wire.PackCmd(wire.OpPut, 0, arr.ID())
-		c.offload(cmd, func(l int) int { return arr.Owner(idx[l]) }, idx, val, remote)
-		// offload counted the remote lanes as local=0, remote=count.
-	}
-	// Restore the all-false invariant on the scratch mask: a lane that
-	// was active-remote in this call must not leak into the next one
-	// (where it may be inactive and would resend a stale message).
-	for l := 0; l < g.Size; l++ {
-		remote[l] = false
-	}
+	active = c.laneMask("Put", active)
+	c.owners(arr, idx, active)
+	cmd := wire.PackCmd(wire.OpPut, 0, arr.ID())
+	c.direct(2, func(l int) { arr.Store(idx[l], val[l]) }, cmd, idx, val, active)
 }
 
 // AM implements rt.Ctx: active messages are atomics and always travel
 // through the destination's network thread (§6).
 func (c *ctx) AM(h uint8, dest []int, a, b []uint64, active []bool) {
-	active = c.mask("AM", active)
-	cmd := wire.PackCmd(wire.OpAM, h, 0)
-	c.offload(cmd, func(l int) int { return dest[l] }, a, b, active)
+	active = c.laneMask("AM", active)
+	nodes := c.n.cl.cfg.Nodes
+	for l, on := range active {
+		if !on {
+			continue
+		}
+		if d := dest[l]; d < 0 || d >= nodes {
+			panic(&DestError{Verb: "AM", Node: c.n.ID, Lane: l, Dest: d, Nodes: nodes})
+		}
+		c.dests[l] = dest[l]
+	}
+	c.send(wire.PackCmd(wire.OpAM, h, 0), nil, a, b, active)
 }
 
-var _ rt.Ctx = (*ctx)(nil)
+// PutSignal implements rt.Ctx: each active lane's data put and signal
+// increment travel as one PUT_SIGNAL wire command (wire.PackSigCmd),
+// resolved at the data cell's owner under that owner's bank lock — the
+// store happens-before the increment on the same serialized bank, so
+// any observer of the signal also observes the data. Like Inc, the
+// operation always routes through the owner's resolver, even when
+// local: the signal increment is an atomic (§6). Every send path
+// transmits PUT_SIGNAL eagerly (the aggregator at the end of each
+// drained batch, the staging queues and archives per signal) so a
+// remote waiter is never left spinning on a signal parked in a
+// partially-filled per-node queue until end of step.
+func (c *ctx) PutSignal(arr *pgas.Array, idx, val []uint64, sig *pgas.Array, sigIdx []uint64, active []bool) {
+	active = c.laneMask("PutSignal", active)
+	dataID, sigID := arr.ID(), sig.ID()
+	for l, on := range active {
+		if !on {
+			continue
+		}
+		d, s := arr.Owner(idx[l]), sig.Owner(sigIdx[l])
+		if d != s {
+			panic(&SignalError{Verb: "PutSignal", Node: c.n.ID,
+				DataArr: dataID, DataIdx: idx[l], DataOwner: d,
+				SigArr: sigID, SigIdx: sigIdx[l], SigOwner: s})
+		}
+		c.dests[l] = d
+		// Panics if sigIdx overflows the command word.
+		c.cmds[l] = wire.PackSigCmd(dataID, sigID, uint32(sigIdx[l]))
+	}
+	c.send(0, c.cmds[:c.g.Size], idx, val, active)
+}
+
+// WaitUntil implements rt.Ctx: the work-group blocks until every
+// active lane's local signal cell has reached its threshold
+// (sig[sigIdx[l]] >= until[l]). The wait parks cooperatively
+// (simt.Group.Park): not-yet-scheduled work-groups of the same launch
+// keep executing and the aggregator/resolver goroutines keep
+// delivering, so a waiter cannot wedge the launch or trip quiescence —
+// the host never enters Quiesce while a kernel is still running. Each
+// spin calls the offloader's Progress. The charge is the fixed,
+// deterministic Params.WaitUntilNs, not the scheduler-dependent
+// wall-clock spin time.
+func (c *ctx) WaitUntil(sig *pgas.Array, sigIdx, until []uint64, active []bool) {
+	active = c.laneMask("WaitUntil", active)
+	g, me := c.g, c.n.ID
+	lanes := 0
+	for l, on := range active {
+		if !on {
+			continue
+		}
+		lanes++
+		if o := sig.Owner(sigIdx[l]); o != me {
+			panic(&SignalError{Verb: "WaitUntil", Node: me, SigArr: sig.ID(), SigIdx: sigIdx[l], SigOwner: o})
+		}
+	}
+	if lanes == 0 {
+		return
+	}
+	g.ChargeCycles(g.Device().NsToCycles(c.n.cl.params.WaitUntilNs))
+	c.n.Waits.Inc()
+	if obs.Enabled() {
+		obs.Emit(obs.KWait, me, int64(g.ID), int64(lanes), "")
+	}
+	g.Park(func() bool {
+		for l, on := range active {
+			if on && sig.Load(sigIdx[l]) < until[l] {
+				return false
+			}
+		}
+		return true
+	}, c.off.Progress)
+}
+
+// pcqWriter is the Gravel send path (§4.1), shared by the gravel,
+// msg-per-lane and cpu-only models: one prefix-sum to pack active
+// lanes, one leader reservation (two atomics) in the node's
+// producer/consumer queue, one vectorized payload write, one commit.
+type pcqWriter struct{ n *Node }
+
+// Offload implements Offloader.
+func (w pcqWriter) Offload(g *simt.Group, b Batch) {
+	offs, count := g.PrefixSumMask(b.Active)
+	if count == 0 {
+		return
+	}
+	// Leader reservation: the only global synchronization for up to
+	// WGSize messages.
+	g.ChargeAtomics(queue.ProducerAtomicsPerReserve)
+	s := w.n.PCQ.Reserve(count)
+	rowCmd := s.Row(wire.RowCmd)
+	rowDest := s.Row(wire.RowDest)
+	rowA := s.Row(wire.RowA)
+	rowB := s.Row(wire.RowB)
+	g.VectorMasked(wire.SlotRows, b.Active, func(l int) {
+		m := offs[l]
+		rowCmd[m] = b.CmdAt(l)
+		rowDest[m] = uint64(b.Dests[l])
+		rowA[m] = b.A[l]
+		rowB[m] = b.V[l]
+	})
+	s.Commit()
+	g.ChargeMessages(count)
+}
+
+// Progress implements Offloader: the aggregator drains the queue itself.
+func (pcqWriter) Progress() {}

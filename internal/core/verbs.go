@@ -1,19 +1,10 @@
 package core
 
-import (
-	"fmt"
-
-	"gravel/internal/obs"
-	"gravel/internal/pgas"
-	"gravel/internal/simt"
-	"gravel/internal/timemodel"
-	"gravel/internal/wire"
-)
+import "fmt"
 
 // MaskError reports a lane mask that violates the rt.Ctx convention: a
-// non-nil active mask must be exactly as long as the work-group. Every
-// model's verb implementations funnel mask validation through CheckMask
-// so a bad mask fails the same way everywhere.
+// non-nil active mask must be exactly as long as the work-group (nil
+// means all lanes).
 type MaskError struct {
 	// Verb is the rt.Ctx verb that received the mask.
 	Verb string
@@ -23,16 +14,6 @@ type MaskError struct {
 
 func (e *MaskError) Error() string {
 	return fmt.Sprintf("core: %s: active mask has %d entries for a %d-lane work-group (nil means all lanes)", e.Verb, e.Got, e.Want)
-}
-
-// CheckMask validates a verb's non-nil lane mask against the
-// work-group size, panicking with a *MaskError on mismatch. A nil mask
-// (all lanes) is always valid; callers substitute their all-true
-// scratch mask after the check.
-func CheckMask(verb string, active []bool, wgSize int) {
-	if active != nil && len(active) != wgSize {
-		panic(&MaskError{Verb: verb, Got: len(active), Want: wgSize})
-	}
 }
 
 // SignalError reports a PutSignal whose signal cell is not co-owned
@@ -64,94 +45,19 @@ func (e *SignalError) Error() string {
 		e.Verb, e.Node, e.DataIdx, e.DataArr, e.DataOwner, e.SigIdx, e.SigArr, e.SigOwner)
 }
 
-// CheckSignalPairs validates a PutSignal's lane addressing — each
-// active lane's data and signal cells co-owned, each signal index
-// within the command word's range — before any queue slot is reserved.
-// Every model calls it ahead of its offload, so an addressing panic
-// unwinds cleanly instead of stranding a reserved-but-uncommitted slot
-// that would wedge quiescence. active must already be WG-sized (run
-// CheckMask first).
-func CheckSignalPairs(node int, arr *pgas.Array, idx []uint64, sig *pgas.Array, sigIdx []uint64, active []bool) {
-	dataID, sigID := arr.ID(), sig.ID()
-	for l := range active {
-		if !active[l] {
-			continue
-		}
-		if d, s := arr.Owner(idx[l]), sig.Owner(sigIdx[l]); d != s {
-			panic(&SignalError{Verb: "PutSignal", Node: node,
-				DataArr: dataID, DataIdx: idx[l], DataOwner: d,
-				SigArr: sigID, SigIdx: sigIdx[l], SigOwner: s})
-		}
-		wire.PackSigCmd(dataID, sigID, uint32(sigIdx[l])) // panics if sigIdx overflows the command word
-	}
+// DestError reports an active message addressed to a node outside
+// [0, Nodes). The verb front-end raises it on the kernel's goroutine
+// before anything is enqueued; downstream it would index past a
+// per-destination table on an aggregator goroutine.
+type DestError struct {
+	// Verb is the rt.Ctx verb that received the destination.
+	Verb string
+	// Node is the node executing the verb; Lane the offending lane.
+	Node, Lane int
+	// Dest is the destination named; Nodes the cluster size.
+	Dest, Nodes int
 }
 
-// PutSignal implements rt.Ctx: each active lane's data put and signal
-// increment travel as one PUT_SIGNAL wire command (wire.PackSigCmd),
-// resolved at the data cell's owner under that owner's bank lock — the
-// store happens-before the increment on the same serialized bank, so
-// any observer of the signal also observes the data. Like Inc, the
-// operation always routes through the owner's resolver, even when
-// local: the signal increment is an atomic (§6). The aggregator
-// transmits PUT_SIGNAL queues eagerly (flushed at the end of each
-// drained batch) so a remote waiter is never left spinning on a signal
-// parked in a partially-filled per-node queue until end of step.
-func (c *ctx) PutSignal(arr *pgas.Array, idx, val []uint64, sig *pgas.Array, sigIdx []uint64, active []bool) {
-	active = c.mask("PutSignal", active)
-	CheckSignalPairs(c.n.ID, arr, idx, sig, sigIdx, active)
-	dataID, sigID := arr.ID(), sig.ID()
-	c.offloadCmds(func(l int) uint64 {
-		return wire.PackSigCmd(dataID, sigID, uint32(sigIdx[l]))
-	}, func(l int) int { return arr.Owner(idx[l]) }, idx, val, active)
-}
-
-// WaitUntil implements rt.Ctx: the work-group blocks until every
-// active lane's local signal cell has reached its threshold
-// (sig[sigIdx[l]] >= until[l]). The wait parks cooperatively
-// (simt.Group.Park): not-yet-scheduled work-groups of the same launch
-// keep executing and the aggregator/resolver goroutines keep
-// delivering, so a waiter cannot wedge the launch or trip quiescence —
-// the host never enters Quiesce while a kernel is still running. The
-// charge is the fixed, deterministic Params.WaitUntilNs, not the
-// scheduler-dependent wall-clock spin time.
-func (c *ctx) WaitUntil(sig *pgas.Array, sigIdx, until []uint64, active []bool) {
-	active = c.mask("WaitUntil", active)
-	WaitUntilOn(c.n.cl.params, c.n, c.g, sig, sigIdx, until, active, nil)
-}
-
-// WaitUntilOn is the WaitUntil verb body shared by every model backed
-// by a Cluster (the Gravel ctx above, and the coprocessor and
-// coalesced contexts in package models): validate that each awaited
-// cell is local, charge the fixed deterministic cost, and park until
-// the condition holds. active must already be WG-sized (run CheckMask
-// first); progress, if non-nil, is invoked on every spin iteration so
-// a model with GPU-side staging can keep its own buffers draining.
-func WaitUntilOn(params *timemodel.Params, n *Node, g *simt.Group, sig *pgas.Array, sigIdx, until []uint64, active []bool, progress func()) {
-	me := n.ID
-	lanes := 0
-	for l := 0; l < g.Size; l++ {
-		if !active[l] {
-			continue
-		}
-		lanes++
-		if o := sig.Owner(sigIdx[l]); o != me {
-			panic(&SignalError{Verb: "WaitUntil", Node: me, SigArr: sig.ID(), SigIdx: sigIdx[l], SigOwner: o})
-		}
-	}
-	if lanes == 0 {
-		return
-	}
-	g.ChargeCycles(g.Device().NsToCycles(params.WaitUntilNs))
-	n.Waits.Inc()
-	if obs.Enabled() {
-		obs.Emit(obs.KWait, me, int64(g.ID), int64(lanes), "")
-	}
-	g.Park(func() bool {
-		for l := 0; l < g.Size; l++ {
-			if active[l] && sig.Load(sigIdx[l]) < until[l] {
-				return false
-			}
-		}
-		return true
-	}, progress)
+func (e *DestError) Error() string {
+	return fmt.Sprintf("core: %s on node %d: lane %d addresses node %d of a %d-node cluster", e.Verb, e.Node, e.Lane, e.Dest, e.Nodes)
 }

@@ -3,10 +3,8 @@ package models
 import (
 	"gravel/internal/agg"
 	"gravel/internal/core"
-	"gravel/internal/pgas"
 	"gravel/internal/rt"
 	"gravel/internal/simt"
-	"gravel/internal/wire"
 )
 
 // GravelArchive is the grape-style rival aggregation design run as a
@@ -27,6 +25,7 @@ import (
 // wavefront — cheaper under skew, more expensive under uniform spray.
 type GravelArchive struct {
 	*core.Cluster
+	off []core.Offloader
 }
 
 // NewArchive builds the archive-aggregation model over cfg's fabric
@@ -35,149 +34,43 @@ func NewArchive(cfg Config) *GravelArchive {
 	c := cfg.coreConfig("gravel-archive")
 	c.AggStrategy = core.AggArchive
 	c.ArchiveFuse = true
-	return &GravelArchive{Cluster: core.New(c)}
+	m := &GravelArchive{Cluster: core.New(c), off: make([]core.Offloader, cfg.Nodes)}
+	for i := range m.off {
+		m.off[i] = archAppender{m.Node(i).Agg.(*agg.Archive)}
+	}
+	return m
 }
 
-// Step implements rt.System: like gravel's Step, but with the archive
-// offload context.
+// Step implements rt.System: like gravel's Step, but sending through
+// the archive appender.
 func (m *GravelArchive) Step(name string, grid []int, scratchPerWG int, k rt.Kernel) {
-	m.LaunchAll(grid, scratchPerWG, func(n *core.Node, g *simt.Group) rt.Ctx {
-		return &archCtx{n: n, g: g, m: m, ar: n.Agg.(*agg.Archive)}
-	}, k)
+	m.LaunchAll(grid, scratchPerWG, m.off, k)
 	m.Quiesce()
 	m.StepBarrier()
 	m.EndPhaseOverlapped(name)
 }
 
-// archCtx is the per-work-group kernel context for the archive model:
-// lane-level PGAS operations become WF-aggregated appends straight into
-// the node's per-destination archives, bypassing the producer/consumer
-// queue and the CPU repack entirely.
-type archCtx struct {
-	n  *core.Node
-	g  *simt.Group
-	m  *GravelArchive
-	ar *agg.Archive
+// archAppender is the archive send path: the work-group's messages
+// become WF-aggregated appends straight into the node's
+// per-destination archives — one reservation per (wavefront, distinct
+// destination) — bypassing the producer/consumer queue and the CPU
+// repack entirely.
+type archAppender struct{ ar *agg.Archive }
 
-	// scratch, lazily sized to the WG
-	allOn []bool
-	rem   []bool
-}
-
-// Node implements rt.Ctx.
-func (c *archCtx) Node() int { return c.n.ID }
-
-// Nodes implements rt.Ctx.
-func (c *archCtx) Nodes() int { return c.m.Nodes() }
-
-// Group implements rt.Ctx.
-func (c *archCtx) Group() *simt.Group { return c.g }
-
-func (c *archCtx) mask(verb string, active []bool) []bool {
-	if len(c.allOn) < c.g.Size {
-		c.allOn = make([]bool, c.g.Size)
-		for i := range c.allOn {
-			c.allOn[i] = true
-		}
-		c.rem = make([]bool, c.g.Size)
-	}
-	if active == nil {
-		return c.allOn[:c.g.Size]
-	}
-	core.CheckMask(verb, active, c.g.Size)
-	return active
-}
-
-// offload appends the active lanes' messages into the archives, one
-// WF-aggregated reservation per (wavefront, distinct destination).
-// cmdOf and destOf must be cheap and pure.
-func (c *archCtx) offload(cmdOf func(lane int) uint64, destOf func(lane int) int, a, v []uint64, active []bool) {
-	local, rem, count := 0, 0, 0
-	me := c.n.ID
-	c.g.WFAggregate(active, destOf, func(dest int, lanes []int) {
-		c.ar.AppendWF(dest, lanes, cmdOf, a, v)
-		if dest == me {
-			local += len(lanes)
-		} else {
-			rem += len(lanes)
-		}
-		count += len(lanes)
-	})
-	if count == 0 {
-		return
-	}
-	c.g.ChargeMessages(count)
-	c.n.LocalOps.Add(int64(local))
-	c.n.RemoteOps.Add(int64(rem))
-}
-
-// Inc implements rt.Ctx: atomics route through the owner's network
-// thread even when local (§6), as in gravel.
-func (c *archCtx) Inc(arr *pgas.Array, idx, delta []uint64, active []bool) {
-	active = c.mask("Inc", active)
-	cmd := wire.PackCmd(wire.OpInc, 0, arr.ID())
-	c.offload(func(int) uint64 { return cmd }, func(l int) int { return arr.Owner(idx[l]) }, idx, delta, active)
-}
-
-// Put implements rt.Ctx: local PUTs execute directly as GPU stores;
-// remote PUTs append into the archives.
-func (c *archCtx) Put(arr *pgas.Array, idx, val []uint64, active []bool) {
-	active = c.mask("Put", active)
-	g := c.g
-	remote := c.rem[:g.Size]
-	me := c.n.ID
-	anyRemote := false
-	local := 0
-	g.VectorMasked(2, active, func(l int) {
-		if arr.Owner(idx[l]) == me {
-			arr.Store(idx[l], val[l])
-			remote[l] = false
-			local++
-		} else {
-			remote[l] = true
-			anyRemote = true
-		}
-	})
-	c.n.LocalOps.Add(int64(local))
-	if anyRemote {
-		cmd := wire.PackCmd(wire.OpPut, 0, arr.ID())
-		c.offload(func(int) uint64 { return cmd }, func(l int) int { return arr.Owner(idx[l]) }, idx, val, remote)
-	}
-	for l := 0; l < g.Size; l++ {
-		remote[l] = false
-	}
-}
-
-// AM implements rt.Ctx.
-func (c *archCtx) AM(h uint8, dest []int, a, b []uint64, active []bool) {
-	active = c.mask("AM", active)
-	cmd := wire.PackCmd(wire.OpAM, h, 0)
-	c.offload(func(int) uint64 { return cmd }, func(l int) int { return dest[l] }, a, b, active)
-}
-
-// PutSignal implements rt.Ctx: each lane's PUT_SIGNAL command stages
-// its destination's whole archive immediately (agg.Archive's signal
+// Offload implements core.Offloader. A PUT_SIGNAL command stages its
+// destination's whole archive immediately (agg.Archive's signal
 // liveness rule), so a remote waiter never spins on a parked signal.
-func (c *archCtx) PutSignal(arr *pgas.Array, idx, val []uint64, sig *pgas.Array, sigIdx []uint64, active []bool) {
-	active = c.mask("PutSignal", active)
-	core.CheckSignalPairs(c.n.ID, arr, idx, sig, sigIdx, active)
-	dataID, sigID := arr.ID(), sig.ID()
-	c.offload(func(l int) uint64 {
-		return wire.PackSigCmd(dataID, sigID, uint32(sigIdx[l]))
-	}, func(l int) int { return arr.Owner(idx[l]) }, idx, val, active)
+func (o archAppender) Offload(g *simt.Group, b core.Batch) {
+	g.WFAggregate(b.Active, func(l int) int { return b.Dests[l] }, func(dest int, lanes []int) {
+		o.ar.AppendWF(dest, lanes, b.CmdAt, b.A, b.V)
+	})
+	g.ChargeMessages(b.N)
 }
 
-// WaitUntil implements rt.Ctx. Progress flushes this node's archives:
-// a waiter may depend transitively on plain puts still parked in a
+// Progress implements core.Offloader by flushing the node's archives: a
+// waiter may depend transitively on plain puts still parked in a
 // half-filled open segment (only signals stage eagerly), so each spin
-// pushes staged work toward the wire, like the coalesced model's
-// buffer-flushing progress hook.
-func (c *archCtx) WaitUntil(sig *pgas.Array, sigIdx, until []uint64, active []bool) {
-	active = c.mask("WaitUntil", active)
-	core.WaitUntilOn(c.m.Params(), c.n, c.g, sig, sigIdx, until, active, c.ar.Flush)
-}
+// pushes staged work toward the wire.
+func (o archAppender) Progress() { o.ar.Flush() }
 
-var (
-	_ rt.System = (*GravelArchive)(nil)
-	_ rt.Ctx    = (*archCtx)(nil)
-)
+var _ rt.System = (*GravelArchive)(nil)

@@ -2,7 +2,6 @@ package models
 
 import (
 	"gravel/internal/core"
-	"gravel/internal/pgas"
 	"gravel/internal/rt"
 	"gravel/internal/simt"
 	"gravel/internal/timemodel"
@@ -21,8 +20,7 @@ const scratchPerLane = 16
 // per-WG lists are repacked into 64 kB per-node queues by the CPU.
 type Coalesced struct {
 	*core.Cluster
-	gpuWide bool
-	sb      []*sendBuffers
+	off []core.Offloader // per hosted node
 }
 
 // NewCoalesced builds the model over cfg's fabric; gpuWide enables
@@ -39,15 +37,17 @@ func NewCoalesced(cfg Config, gpuWide bool) *Coalesced {
 		name = "coalesced+agg"
 	}
 	cl := core.New(cfg.coreConfig(name))
-	co := &Coalesced{Cluster: cl, gpuWide: gpuWide}
-	if gpuWide {
-		co.sb = make([]*sendBuffers, cfg.Nodes)
-		for i := range co.sb {
-			if !cl.Fabric().Hosts(i) {
-				continue
-			}
-			co.sb[i] = newSendBuffers(cl, cl.Node(i), cfg.Params.PerNodeQueueBytes, true)
+	co := &Coalesced{Cluster: cl, off: make([]core.Offloader, cfg.Nodes)}
+	for i := range co.off {
+		if !cl.Fabric().Hosts(i) {
+			continue
 		}
+		n := cl.Node(i)
+		o := &coalSender{n: n, fab: cl.Fabric(), sendCycles: n.GPU.NsToCycles(cfg.Params.AlphaNs / 2)}
+		if gpuWide {
+			o.sb = newSendBuffers(cl, n, cfg.Params.PerNodeQueueBytes, true)
+		}
+		co.off[i] = o
 	}
 	return co
 }
@@ -57,15 +57,10 @@ func NewCoalesced(cfg Config, gpuWide bool) *Coalesced {
 // synchronous. The counting sort's scratchpad demand lowers occupancy.
 func (co *Coalesced) Step(name string, grid []int, scratchPerWG int, k rt.Kernel) {
 	scratch := scratchPerWG + scratchPerLane*co.WGSize()
-	co.LaunchAll(grid, scratch, func(n *core.Node, g *simt.Group) rt.Ctx {
-		cc := &coalCtx{n: n, g: g, co: co}
-		return cc
-	}, k)
-	if co.gpuWide {
-		for _, sb := range co.sb {
-			if sb != nil {
-				sb.flushAll()
-			}
+	co.LaunchAll(grid, scratch, co.off, k)
+	for _, o := range co.off {
+		if o != nil {
+			o.Progress()
 		}
 	}
 	co.Quiesce()
@@ -73,86 +68,26 @@ func (co *Coalesced) Step(name string, grid []int, scratchPerWG int, k rt.Kernel
 	co.EndPhaseOverlapped(name)
 }
 
-// Close implements rt.System; it also flushes any straggling buffers.
-func (co *Coalesced) Close() {
-	co.Cluster.Close()
+// coalSender is the coalesced send path for one node: the work-group
+// counting-sorts its messages by destination (Figure 4c lines 18-25)
+// and issues one coalesced send per destination.
+type coalSender struct {
+	n   *core.Node
+	fab core.Fabric
+	// sendCycles is what a work-group blocks for per synchronous send
+	// (the NIC round trip).
+	sendCycles int64
+	// sb is the node's staging queues with GPU-wide aggregation, nil
+	// without.
+	sb *sendBuffers
 }
 
-// coalCtx implements the coalesced send path for one work-group.
-type coalCtx struct {
-	n  *core.Node
-	g  *simt.Group
-	co *Coalesced
-
-	allOn []bool
-	mask  []bool
-	dests []int
-	rem   []bool
-	aBuf  []uint64
-	vBuf  []uint64
-	cBuf  []uint64
-}
-
-// Node implements rt.Ctx.
-func (c *coalCtx) Node() int { return c.n.ID }
-
-// Nodes implements rt.Ctx.
-func (c *coalCtx) Nodes() int { return c.co.Nodes() }
-
-// Group implements rt.Ctx.
-func (c *coalCtx) Group() *simt.Group { return c.g }
-
-func (c *coalCtx) ensure() {
-	if len(c.mask) < c.g.Size {
-		c.mask = make([]bool, c.g.Size)
-		c.dests = make([]int, c.g.Size)
-		c.rem = make([]bool, c.g.Size)
-		c.aBuf = make([]uint64, c.g.Size)
-		c.vBuf = make([]uint64, c.g.Size)
-		c.cBuf = make([]uint64, c.g.Size)
-		c.allOn = make([]bool, c.g.Size)
-		for i := range c.allOn {
-			c.allOn[i] = true
-		}
-	}
-}
-
-// maskOf applies the rt.Ctx lane-mask convention (nil = all lanes,
-// else exactly WG-sized), funneling violations through core.CheckMask.
-func (c *coalCtx) maskOf(verb string, active []bool) []bool {
-	c.ensure()
-	if active == nil {
-		return c.allOn[:c.g.Size]
-	}
-	core.CheckMask(verb, active, c.g.Size)
-	return active
-}
-
-// offload counting-sorts the WG's messages by destination (Figure 4c
-// lines 18-25) and issues one coalesced send per destination.
-func (c *coalCtx) offload(cmd uint64, destOf func(lane int) int, a, v []uint64, active []bool) {
-	g := c.g
-	c.ensure()
-	nodes := c.co.Nodes()
-	p := c.co.Params()
-
-	any := false
-	local, rem := 0, 0
-	g.VectorMasked(1, active, func(l int) {
-		c.dests[l] = destOf(l)
-		any = true
-		if c.dests[l] == c.n.ID {
-			local++
-		} else {
-			rem++
-		}
-	})
-	if !any {
+// Offload implements core.Offloader.
+func (o *coalSender) Offload(g *simt.Group, b core.Batch) {
+	g.VectorMasked(1, b.Active, func(int) {}) // each lane computes its destination
+	if b.N == 0 {
 		return
 	}
-	c.n.LocalOps.Add(int64(local))
-	c.n.RemoteOps.Add(int64(rem))
-
 	// Counting sort in scratchpad: a handful of WG-wide passes.
 	g.ChargeInstr(6)
 	g.Barrier()
@@ -160,164 +95,33 @@ func (c *coalCtx) offload(cmd uint64, destOf func(lane int) int, a, v []uint64, 
 
 	// One sync_inc_list per destination (Figure 4c lines 27-29): SIMT
 	// utilization degrades with the destination count.
-	for d := 0; d < nodes; d++ {
-		count := 0
-		for l := 0; l < g.Size; l++ {
-			if active[l] && c.dests[l] == d {
-				c.aBuf[count] = a[l]
-				c.vBuf[count] = v[l]
-				count++
-			}
-		}
-		if count == 0 {
-			continue
-		}
+	byDest(&b, o.fab.Nodes(), func(d int, lanes []int, _ []bool) {
 		g.ChargeAtomics(1)
 		g.ChargeInstr(2)
-		g.ChargeMessages(count)
-		if c.co.gpuWide {
+		g.ChargeMessages(len(lanes))
+		if o.sb != nil {
 			// Lists are handed to the CPU aggregator for repacking into
 			// large per-node queues.
-			c.co.sb[c.n.ID].appendList(d, cmd, c.aBuf, c.vBuf, count)
-			continue
+			o.sb.appendList(d, lanes, &b)
+			return
 		}
-		// Synchronous send of this WG's list as its own packet; the WG
-		// blocks for the NIC round trip.
-		b := wire.NewBuilder(d, count*wire.MsgWireBytes)
-		for m := 0; m < count; m++ {
-			b.Append(cmd, c.aBuf[m], c.vBuf[m])
+		// Synchronous send of this WG's list as its own packet — eager,
+		// signals included; the WG blocks for the NIC round trip.
+		pkt := wire.NewBuilder(d, len(lanes)*wire.MsgWireBytes)
+		for _, l := range lanes {
+			pkt.Append(b.CmdAt(l), b.A[l], b.V[l])
 		}
-		buf, msgs := b.Take()
-		c.co.Fabric().Send(c.n.ID, d, buf, msgs)
-		g.ChargeCycles(c.n.GPU.NsToCycles(p.AlphaNs / 2))
-	}
-}
-
-// offloadCmds is offload with a per-lane command word (PUT_SIGNAL
-// carries the lane's signal cell in its command).
-func (c *coalCtx) offloadCmds(cmdOf func(lane int) uint64, destOf func(lane int) int, a, v []uint64, active []bool) {
-	g := c.g
-	c.ensure()
-	nodes := c.co.Nodes()
-	p := c.co.Params()
-
-	any := false
-	local, rem := 0, 0
-	g.VectorMasked(1, active, func(l int) {
-		c.dests[l] = destOf(l)
-		any = true
-		if c.dests[l] == c.n.ID {
-			local++
-		} else {
-			rem++
-		}
+		buf, msgs := pkt.Take()
+		o.fab.Send(o.n.ID, d, buf, msgs)
+		g.ChargeCycles(o.sendCycles)
 	})
-	if !any {
-		return
-	}
-	c.n.LocalOps.Add(int64(local))
-	c.n.RemoteOps.Add(int64(rem))
+}
 
-	g.ChargeInstr(6)
-	g.Barrier()
-	g.Barrier()
-
-	for d := 0; d < nodes; d++ {
-		count := 0
-		for l := 0; l < g.Size; l++ {
-			if active[l] && c.dests[l] == d {
-				c.cBuf[count] = cmdOf(l)
-				c.aBuf[count] = a[l]
-				c.vBuf[count] = v[l]
-				count++
-			}
-		}
-		if count == 0 {
-			continue
-		}
-		g.ChargeAtomics(1)
-		g.ChargeInstr(2)
-		g.ChargeMessages(count)
-		if c.co.gpuWide {
-			c.co.sb[c.n.ID].appendListCmds(d, c.cBuf, c.aBuf, c.vBuf, count)
-			continue
-		}
-		// Per-WG synchronous send — already eager, signals included.
-		b := wire.NewBuilder(d, count*wire.MsgWireBytes)
-		for m := 0; m < count; m++ {
-			b.Append(c.cBuf[m], c.aBuf[m], c.vBuf[m])
-		}
-		buf, msgs := b.Take()
-		c.co.Fabric().Send(c.n.ID, d, buf, msgs)
-		g.ChargeCycles(c.n.GPU.NsToCycles(p.AlphaNs / 2))
+// Progress implements core.Offloader: flush the staging queues, if any.
+func (o *coalSender) Progress() {
+	if o.sb != nil {
+		o.sb.flushAll()
 	}
 }
 
-// Inc implements rt.Ctx.
-func (c *coalCtx) Inc(arr *pgas.Array, idx, delta []uint64, active []bool) {
-	active = c.maskOf("Inc", active)
-	cmd := wire.PackCmd(wire.OpInc, 0, arr.ID())
-	c.offload(cmd, func(l int) int { return arr.Owner(idx[l]) }, idx, delta, active)
-}
-
-// Put implements rt.Ctx: local PUTs store directly, as in Gravel.
-func (c *coalCtx) Put(arr *pgas.Array, idx, val []uint64, active []bool) {
-	active = c.maskOf("Put", active)
-	g := c.g
-	me := c.n.ID
-	local := 0
-	anyRemote := false
-	g.VectorMasked(2, active, func(l int) {
-		if arr.Owner(idx[l]) == me {
-			arr.Store(idx[l], val[l])
-			c.rem[l] = false
-			local++
-		} else {
-			c.rem[l] = true
-			anyRemote = true
-		}
-	})
-	c.n.LocalOps.Add(int64(local))
-	if anyRemote {
-		cmd := wire.PackCmd(wire.OpPut, 0, arr.ID())
-		c.offload(cmd, func(l int) int { return arr.Owner(idx[l]) }, idx, val, c.rem)
-	}
-	for l := 0; l < g.Size; l++ {
-		c.rem[l] = false
-	}
-}
-
-// AM implements rt.Ctx.
-func (c *coalCtx) AM(h uint8, dest []int, a, b []uint64, active []bool) {
-	active = c.maskOf("AM", active)
-	cmd := wire.PackCmd(wire.OpAM, h, 0)
-	c.offload(cmd, func(l int) int { return dest[l] }, a, b, active)
-}
-
-// PutSignal implements rt.Ctx: one ordered PUT_SIGNAL command per
-// lane, resolved at the data cell's owner. Without GPU-wide
-// aggregation the per-WG synchronous send is already eager; with it,
-// the staging queue flushes per signal (sendBuffers.appendListCmds).
-func (c *coalCtx) PutSignal(arr *pgas.Array, idx, val []uint64, sig *pgas.Array, sigIdx []uint64, active []bool) {
-	active = c.maskOf("PutSignal", active)
-	core.CheckSignalPairs(c.n.ID, arr, idx, sig, sigIdx, active)
-	dataID, sigID := arr.ID(), sig.ID()
-	c.offloadCmds(func(l int) uint64 {
-		return wire.PackSigCmd(dataID, sigID, uint32(sigIdx[l]))
-	}, func(l int) int { return arr.Owner(idx[l]) }, idx, val, active)
-}
-
-// WaitUntil implements rt.Ctx.
-func (c *coalCtx) WaitUntil(sig *pgas.Array, sigIdx, until []uint64, active []bool) {
-	active = c.maskOf("WaitUntil", active)
-	var progress func()
-	if c.co.gpuWide {
-		progress = c.co.sb[c.n.ID].flushAll
-	}
-	core.WaitUntilOn(c.co.Params(), c.n, c.g, sig, sigIdx, until, active, progress)
-}
-
-var (
-	_ rt.System = (*Coalesced)(nil)
-	_ rt.Ctx    = (*coalCtx)(nil)
-)
+var _ rt.System = (*Coalesced)(nil)

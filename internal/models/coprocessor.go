@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"gravel/internal/core"
-	"gravel/internal/pgas"
 	"gravel/internal/rt"
 	"gravel/internal/simt"
 	"gravel/internal/timemodel"
@@ -98,9 +97,7 @@ func (cp *Coprocessor) Step(name string, grid []int, scratchPerWG int, k rt.Kern
 					sz = chunk
 				}
 				n.Clocks.AddHost(p.KernelLaunchNs)
-				ns := n.GPU.LaunchAt(sz, start, wgSize, scratchPerWG, func(grp *simt.Group) {
-					k(&copCtx{n: n, g: grp, sb: sb, nodes: cp.Nodes(), p: p})
-				})
+				ns := n.GPU.LaunchAt(sz, start, wgSize, scratchPerWG, n.Kernel(copQueues{sb}, k))
 				// GPU starvation: a chunk below the full-throughput
 				// width leaves the device idle while queues round-trip.
 				if sz < fullWIs {
@@ -131,217 +128,32 @@ func (cp *Coprocessor) Step(name string, grid []int, scratchPerWG int, k rt.Kern
 	cp.EndPhaseSequential(name)
 }
 
-// copCtx routes kernel network operations into the node's GPU-side
-// per-node queues. WG-level synchronization happens once per distinct
-// destination (§3.1), costing divergence.
-type copCtx struct {
-	n     *core.Node
-	g     *simt.Group
-	sb    *sendBuffers
-	nodes int
-	p     *timemodel.Params
+// copQueues is the coprocessor send path (§3.1): the work-group fills
+// the node's GPU-side per-node queues directly, synchronizing once per
+// distinct destination, which costs divergence.
+type copQueues struct{ *sendBuffers }
 
-	allOn  []bool
-	mask   []bool
-	dests  []int
-	remote []bool
-	aBuf   []uint64
-	vBuf   []uint64
-	cBuf   []uint64
-}
-
-// Node implements rt.Ctx.
-func (c *copCtx) Node() int { return c.n.ID }
-
-// Nodes implements rt.Ctx.
-func (c *copCtx) Nodes() int { return c.nodes }
-
-// Group implements rt.Ctx.
-func (c *copCtx) Group() *simt.Group { return c.g }
-
-func (c *copCtx) ensure() {
-	if len(c.mask) < c.g.Size {
-		c.mask = make([]bool, c.g.Size)
-		c.dests = make([]int, c.g.Size)
-		c.remote = make([]bool, c.g.Size)
-		c.aBuf = make([]uint64, c.g.Size)
-		c.vBuf = make([]uint64, c.g.Size)
-		c.cBuf = make([]uint64, c.g.Size)
-		c.allOn = make([]bool, c.g.Size)
-		for i := range c.allOn {
-			c.allOn[i] = true
-		}
-	}
-}
-
-// maskOf applies the rt.Ctx lane-mask convention (nil = all lanes,
-// else exactly WG-sized), funneling violations through core.CheckMask.
-func (c *copCtx) maskOf(verb string, active []bool) []bool {
-	c.ensure()
-	if active == nil {
-		return c.allOn[:c.g.Size]
-	}
-	core.CheckMask(verb, active, c.g.Size)
-	return active
-}
-
-// offload groups the active lanes' messages by destination and appends
-// each group to the matching per-node queue.
-func (c *copCtx) offload(cmd uint64, destOf func(lane int) int, a, v []uint64, active []bool) {
-	g := c.g
-	c.ensure()
-	any := false
-	local, rem := 0, 0
-	g.VectorMasked(1, active, func(l int) {
-		c.dests[l] = destOf(l)
-		any = true
-		if c.dests[l] == c.n.ID {
-			local++
-		} else {
-			rem++
-		}
-	})
-	if !any {
+// Offload implements core.Offloader.
+func (q copQueues) Offload(g *simt.Group, b core.Batch) {
+	g.VectorMasked(1, b.Active, func(int) {}) // each lane computes its queue
+	if b.N == 0 {
 		return
 	}
-	c.n.LocalOps.Add(int64(local))
-	c.n.RemoteOps.Add(int64(rem))
 	// One WG-level reservation per destination present in the WG
 	// (Figure 4a lines 2-4): branch and memory divergence.
-	for d := 0; d < c.nodes; d++ {
-		count := 0
-		for l := 0; l < g.Size; l++ {
-			if active[l] && c.dests[l] == d {
-				c.mask[l] = true
-				c.aBuf[count] = a[l]
-				c.vBuf[count] = v[l]
-				count++
-			} else {
-				c.mask[l] = false
-			}
-		}
-		if count == 0 {
-			continue
-		}
-		_, _ = g.PrefixSumMask(c.mask) // WG-level reserve for this queue
+	byDest(&b, len(q.b), func(d int, lanes []int, mask []bool) {
+		g.PrefixSumMask(mask) // WG-level reserve for this queue
 		g.ChargeAtomics(1)
-		g.VectorMasked(wire.SlotRows, c.mask, func(int) {})
-		g.ChargeMemDivergence(count) // different queue per destination
-		g.ChargeMessages(count)
-		c.sb.appendList(d, cmd, c.aBuf, c.vBuf, count)
-	}
-}
-
-// offloadCmds is offload with a per-lane command word (PUT_SIGNAL
-// carries the lane's signal cell in its command).
-func (c *copCtx) offloadCmds(cmdOf func(lane int) uint64, destOf func(lane int) int, a, v []uint64, active []bool) {
-	g := c.g
-	c.ensure()
-	any := false
-	local, rem := 0, 0
-	g.VectorMasked(1, active, func(l int) {
-		c.dests[l] = destOf(l)
-		any = true
-		if c.dests[l] == c.n.ID {
-			local++
-		} else {
-			rem++
-		}
+		g.VectorMasked(wire.SlotRows, mask, func(int) {})
+		g.ChargeMemDivergence(len(lanes)) // different queue per destination
+		g.ChargeMessages(len(lanes))
+		q.appendList(d, lanes, &b)
 	})
-	if !any {
-		return
-	}
-	c.n.LocalOps.Add(int64(local))
-	c.n.RemoteOps.Add(int64(rem))
-	for d := 0; d < c.nodes; d++ {
-		count := 0
-		for l := 0; l < g.Size; l++ {
-			if active[l] && c.dests[l] == d {
-				c.mask[l] = true
-				c.cBuf[count] = cmdOf(l)
-				c.aBuf[count] = a[l]
-				c.vBuf[count] = v[l]
-				count++
-			} else {
-				c.mask[l] = false
-			}
-		}
-		if count == 0 {
-			continue
-		}
-		_, _ = g.PrefixSumMask(c.mask)
-		g.ChargeAtomics(1)
-		g.VectorMasked(wire.SlotRows, c.mask, func(int) {})
-		g.ChargeMemDivergence(count)
-		g.ChargeMessages(count)
-		c.sb.appendListCmds(d, c.cBuf, c.aBuf, c.vBuf, count)
-	}
 }
 
-// Inc implements rt.Ctx.
-func (c *copCtx) Inc(arr *pgas.Array, idx, delta []uint64, active []bool) {
-	active = c.maskOf("Inc", active)
-	cmd := wire.PackCmd(wire.OpInc, 0, arr.ID())
-	c.offload(cmd, func(l int) int { return arr.Owner(idx[l]) }, idx, delta, active)
-}
+// Progress implements core.Offloader: flush the staged queues, so
+// messages the waiter's chunk already produced keep moving while it
+// blocks.
+func (q copQueues) Progress() { q.flushAll() }
 
-// Put implements rt.Ctx: local PUTs store directly, as in Gravel.
-func (c *copCtx) Put(arr *pgas.Array, idx, val []uint64, active []bool) {
-	active = c.maskOf("Put", active)
-	g := c.g
-	me := c.n.ID
-	local := 0
-	anyRemote := false
-	g.VectorMasked(2, active, func(l int) {
-		if arr.Owner(idx[l]) == me {
-			arr.Store(idx[l], val[l])
-			c.remote[l] = false
-			local++
-		} else {
-			c.remote[l] = true
-			anyRemote = true
-		}
-	})
-	c.n.LocalOps.Add(int64(local))
-	if anyRemote {
-		cmd := wire.PackCmd(wire.OpPut, 0, arr.ID())
-		c.offload(cmd, func(l int) int { return arr.Owner(idx[l]) }, idx, val, c.remote)
-	}
-	// Restore the all-false invariant on the scratch mask.
-	for l := 0; l < g.Size; l++ {
-		c.remote[l] = false
-	}
-}
-
-// AM implements rt.Ctx.
-func (c *copCtx) AM(h uint8, dest []int, a, b []uint64, active []bool) {
-	active = c.maskOf("AM", active)
-	cmd := wire.PackCmd(wire.OpAM, h, 0)
-	c.offload(cmd, func(l int) int { return dest[l] }, a, b, active)
-}
-
-// PutSignal implements rt.Ctx: like Gravel's, the data put and signal
-// increment travel as one PUT_SIGNAL command resolved at the data
-// cell's owner; the staging queue is flushed eagerly per signal (see
-// sendBuffers.appendListCmds).
-func (c *copCtx) PutSignal(arr *pgas.Array, idx, val []uint64, sig *pgas.Array, sigIdx []uint64, active []bool) {
-	active = c.maskOf("PutSignal", active)
-	core.CheckSignalPairs(c.n.ID, arr, idx, sig, sigIdx, active)
-	dataID, sigID := arr.ID(), sig.ID()
-	c.offloadCmds(func(l int) uint64 {
-		return wire.PackSigCmd(dataID, sigID, uint32(sigIdx[l]))
-	}, func(l int) int { return arr.Owner(idx[l]) }, idx, val, active)
-}
-
-// WaitUntil implements rt.Ctx. The spin's progress hook flushes this
-// node's staged queues so messages the waiter's chunk already produced
-// keep moving while it blocks.
-func (c *copCtx) WaitUntil(sig *pgas.Array, sigIdx, until []uint64, active []bool) {
-	active = c.maskOf("WaitUntil", active)
-	core.WaitUntilOn(c.p, c.n, c.g, sig, sigIdx, until, active, c.sb.flushAll)
-}
-
-var (
-	_ rt.System = (*Coprocessor)(nil)
-	_ rt.Ctx    = (*copCtx)(nil)
-)
+var _ rt.System = (*Coprocessor)(nil)

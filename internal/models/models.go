@@ -18,7 +18,10 @@
 //     no GPU involved.
 //
 // All models implement rt.System, so every application runs unmodified
-// under every model.
+// under every model. The PGAS verbs are not reimplemented here: a model
+// is a core.Offloader (its send path and what that costs the
+// work-group) behind core's verb front-end, plus the Step that composes
+// its phase time.
 package models
 
 import (
@@ -76,21 +79,6 @@ func (cfg Config) coreConfig(name string) core.Config {
 // the New factory.
 func Gravel(nodes int, p *timemodel.Params) rt.System {
 	return NewSystem("gravel", Config{Nodes: nodes, Params: p})
-}
-
-// MsgPerLane returns the message-per-lane baseline: Gravel's
-// producer/consumer queue (which hides SIMT issues, as the paper assumes
-// for this model) but no message combining.
-func MsgPerLane(nodes int, p *timemodel.Params) rt.System {
-	return NewSystem("msg-per-lane", Config{Nodes: nodes, Params: p})
-}
-
-// CPUOnly returns the Figure 13 baseline: a CPU-based distributed system
-// in the style of Grappa/UPC. The "device" is the node's 4 hardware
-// threads (one lane each); offload batches model per-thread aggregation
-// buffers.
-func CPUOnly(nodes int, p *timemodel.Params) rt.System {
-	return NewSystem("cpu-only", Config{Nodes: nodes, Params: p})
 }
 
 // Names lists the systems Figure 15 compares, in the paper's bar order.

@@ -34,49 +34,50 @@ func newSendBuffers(cl *core.Cluster, node *core.Node, capBytes int, chargeAgg b
 	return nb
 }
 
-// appendList adds msgs messages bound for dest, flushing whenever a
-// queue fills. Arguments are parallel slices of length count.
-func (s *sendBuffers) appendList(dest int, cmd uint64, a, v []uint64, count int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.b[dest]
-	for m := 0; m < count; m++ {
-		if b.Full() {
-			s.overflows++
-			s.flushLocked(dest)
+// byDest groups a batch's active lanes by destination: f runs once per
+// destination present, in ascending node order, with that
+// destination's lanes in lane order and as a WG-sized mask (both in
+// the batch's scratch, reused across invocations).
+func byDest(b *core.Batch, nodes int, f func(dest int, lanes []int, mask []bool)) {
+	for d := 0; d < nodes; d++ {
+		lanes := b.Lanes[:0]
+		for l, on := range b.Active {
+			on = on && b.Dests[l] == d
+			b.Mask[l] = on
+			if on {
+				lanes = append(lanes, l)
+			}
 		}
-		b.Append(cmd, a[m], v[m])
-	}
-	if s.chargeAgg {
-		s.node.Clocks.AddAgg(s.p.AggPerSlotNs + float64(count)*s.p.AggPerMsgNs)
-		s.node.Clocks.CountAggSlot(count)
+		if len(lanes) > 0 {
+			f(d, lanes, b.Mask)
+		}
 	}
 }
 
-// appendListCmds is appendList with a per-record command word
-// (PUT_SIGNAL carries the lane's signal cell in its command). Signal
-// records flush their queue eagerly: a remote waiter spins on the
-// signal until it arrives, and the coprocessor/coalesced staging
-// buffers would otherwise hold it to the next chunk or step boundary —
-// which the waiter's spin prevents from ever coming. One flush per
-// signal keeps flush counts deterministic.
-func (s *sendBuffers) appendListCmds(dest int, cmds, a, v []uint64, count int) {
+// appendList adds the given lanes' messages, all bound for dest,
+// flushing whenever the queue fills. Signal records also flush it,
+// eagerly: a remote waiter spins on the signal until it arrives, and
+// the staging buffers would otherwise hold it to the next chunk or step
+// boundary — which the waiter's spin prevents from ever coming. One
+// flush per signal keeps flush counts deterministic.
+func (s *sendBuffers) appendList(dest int, lanes []int, b *core.Batch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := s.b[dest]
-	for m := 0; m < count; m++ {
-		if b.Full() {
+	q := s.b[dest]
+	for _, l := range lanes {
+		if q.Full() {
 			s.overflows++
 			s.flushLocked(dest)
 		}
-		b.Append(cmds[m], a[m], v[m])
-		if wire.Op(cmds[m]&0xff) == wire.OpPutSignal {
+		cmd := b.CmdAt(l)
+		q.Append(cmd, b.A[l], b.V[l])
+		if wire.Op(cmd&0xff) == wire.OpPutSignal {
 			s.flushLocked(dest)
 		}
 	}
 	if s.chargeAgg {
-		s.node.Clocks.AddAgg(s.p.AggPerSlotNs + float64(count)*s.p.AggPerMsgNs)
-		s.node.Clocks.CountAggSlot(count)
+		s.node.Clocks.AddAgg(s.p.AggPerSlotNs + float64(len(lanes))*s.p.AggPerMsgNs)
+		s.node.Clocks.CountAggSlot(len(lanes))
 	}
 }
 

@@ -174,14 +174,14 @@ func (e *CollectiveError) Error() string {
 }
 
 // Collectives is the host-side collective surface of a distributed
-// run, replacing the single-op Collective func type. Implementations
-// are node-bound: the value a process holds knows which node it speaks
-// for. Keys must be unique per collective and issued in the same order
-// by every member (tag them with a step or phase counter — the
-// deterministic app structure guarantees agreement). In a
-// single-process run there is nothing to coordinate across, so a nil
-// Collectives means "identity"; use the AllReduce/Broadcast/Barrier
-// package helpers, which encode that convention.
+// run. Implementations are node-bound: the value a process holds knows
+// which node it speaks for. Keys must be unique per collective and
+// issued in the same order by every member (tag them with a step or
+// phase counter — the deterministic app structure guarantees
+// agreement). In a single-process run there is nothing to coordinate
+// across, so a nil Collectives means "identity"; use the
+// AllReduce/Broadcast/Barrier package helpers, which encode that
+// convention.
 type Collectives interface {
 	// AllReduce folds every member's val under op and returns the
 	// result to all members.

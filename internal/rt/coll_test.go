@@ -1,7 +1,6 @@
 package rt_test
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -92,67 +91,5 @@ func TestNilCollectivesIdentity(t *testing.T) {
 	}
 	if err := rt.Barrier(nil, "k", rt.WorldTeam); err != nil {
 		t.Fatalf("nil Barrier = %v", err)
-	}
-}
-
-// TestLegacyCollectiveAdapter pins the migration contract: a bare
-// sum-reduce func adapted through Collective.Collectives must produce
-// exactly the legacy key/value exchange for what the old type could
-// express, and typed errors for what it could not.
-func TestLegacyCollectiveAdapter(t *testing.T) {
-	type call struct {
-		key string
-		val uint64
-	}
-	var calls []call
-	legacy := rt.Collective(func(key string, val uint64) (uint64, error) {
-		calls = append(calls, call{key, val})
-		return val + 100, nil
-	})
-	c := legacy.Collectives()
-
-	// World-team sum: same key, same value, bit-for-bit the old wire
-	// exchange.
-	v, err := c.AllReduce("sssp:front:3", rt.WorldTeam, rt.OpSum, 7)
-	if err != nil || v != 107 {
-		t.Fatalf("world sum = %d, %v", v, err)
-	}
-	if len(calls) != 1 || calls[0] != (call{"sssp:front:3", 7}) {
-		t.Fatalf("legacy func saw %v", calls)
-	}
-
-	// Barrier uses the transport's derived-key encoding.
-	if err := c.Barrier("step9", rt.WorldTeam); err != nil {
-		t.Fatalf("barrier: %v", err)
-	}
-	if calls[1] != (call{"barrier:step9", 0}) {
-		t.Fatalf("barrier exchanged %v", calls[1])
-	}
-
-	// Everything a bare sum func cannot express is a typed error, not a
-	// silent wrong answer.
-	var ce *rt.CollectiveError
-	if _, err := c.AllReduce("k", rt.WorldTeam, rt.OpMin, 1); !errors.As(err, &ce) {
-		t.Fatalf("min via legacy adapter: err = %v, want *CollectiveError", err)
-	}
-	if _, err := c.AllReduce("k", rt.TeamOf(0, 1), rt.OpSum, 1); !errors.As(err, &ce) {
-		t.Fatalf("team via legacy adapter: err = %v, want *CollectiveError", err)
-	}
-	if _, err := c.Broadcast("k", rt.WorldTeam, 0, 1); !errors.As(err, &ce) {
-		t.Fatalf("broadcast via legacy adapter: err = %v, want *CollectiveError", err)
-	}
-	if err := c.Barrier("k", rt.TeamOf(0, 1)); !errors.As(err, &ce) {
-		t.Fatalf("team barrier via legacy adapter: err = %v, want *CollectiveError", err)
-	}
-	if len(calls) != 2 {
-		t.Fatalf("unsupported ops reached the legacy func: %v", calls)
-	}
-
-	// Deprecated entry points keep their nil-identity conventions.
-	if v, err := rt.Collective(nil).Reduce("k", 4); v != 4 || err != nil {
-		t.Fatalf("nil Collective.Reduce = %d, %v", v, err)
-	}
-	if rt.Collective(nil).Collectives() != nil {
-		t.Fatal("nil Collective converted to non-nil Collectives")
 	}
 }

@@ -9,8 +9,6 @@
 package rt
 
 import (
-	"fmt"
-
 	"gravel/internal/pgas"
 	"gravel/internal/simt"
 	"gravel/internal/timemodel"
@@ -79,78 +77,6 @@ type Ctx interface {
 // Kernel is GPU code launched across a grid of work-items; it is invoked
 // once per work-group.
 type Kernel func(c Ctx)
-
-// Collective is a cluster-wide sum reduction available to host code
-// between steps: every participating process contributes val under the
-// same key and receives the global sum.
-//
-// Deprecated: Collective is the single-op precursor of the Collectives
-// interface, which adds min/max reductions, broadcast, barrier and node
-// teams. Use Collectives (and the AllReduce/Broadcast/Barrier package
-// helpers, which treat a nil Collectives as the single-process
-// identity); Collective.Collectives converts, bit-for-bit compatible
-// for the world-team sum reductions this type could express.
-type Collective func(key string, val uint64) (uint64, error)
-
-// Reduce applies the collective, treating nil as the identity
-// reduction of a single-process run.
-//
-// Deprecated: see Collective.
-func (c Collective) Reduce(key string, val uint64) (uint64, error) {
-	if c == nil {
-		return val, nil
-	}
-	return c(key, val)
-}
-
-// Collectives converts the bare sum-reduce func into the Collectives
-// interface: world-team sum reductions call the func with the same key
-// and value (bit-for-bit the old wire exchange), Barrier and Broadcast
-// use the same derived-key encodings as the transport implementation,
-// and min/max or team-scoped operations — which a bare sum func cannot
-// express — report a typed error. A nil Collective converts to a nil
-// Collectives (the single-process identity).
-//
-// Deprecated: producers should hand out a real Collectives (e.g.
-// transport.TCP.Collectives); this adapter exists so legacy holders of
-// a Collective keep working during migration, mirroring the NetStats
-// compatibility adapter.
-func (c Collective) Collectives() Collectives {
-	if c == nil {
-		return nil
-	}
-	return legacyCollectives{c}
-}
-
-// legacyCollectives adapts a bare sum-reduce func; see
-// Collective.Collectives.
-type legacyCollectives struct {
-	fn Collective
-}
-
-func (l legacyCollectives) AllReduce(key string, t Team, op ReduceOp, val uint64) (uint64, error) {
-	if !t.World() {
-		return 0, &CollectiveError{Op: "allreduce", Key: key, Detail: "team reductions need a full Collectives implementation"}
-	}
-	if op != OpSum {
-		return 0, &CollectiveError{Op: "allreduce", Key: key, Detail: fmt.Sprintf("%v reduction needs a full Collectives implementation", op)}
-	}
-	return l.fn(key, val)
-}
-
-func (l legacyCollectives) Broadcast(key string, t Team, root int, val uint64) (uint64, error) {
-	// A bare sum func is not node-bound, so it cannot tell whether the
-	// caller is the root; broadcast needs a real implementation.
-	return 0, &CollectiveError{Op: "broadcast", Key: key, Detail: "broadcast needs a full Collectives implementation"}
-}
-
-func (l legacyCollectives) Barrier(key string, t Team) error {
-	if !t.World() {
-		return &CollectiveError{Op: "barrier", Key: key, Detail: "team barriers need a full Collectives implementation"}
-	}
-	_, err := l.fn("barrier:"+key, 0)
-	return err
-}
 
 // NetStats summarizes a system's communication behaviour (Table 5).
 //

@@ -11,7 +11,7 @@ import (
 // the rt.Collectives surface. Every collective is encoded as one
 // coordinator reduction whose key carries the team tag (empty for the
 // world team — a world-team sum AllReduce therefore produces the exact
-// wire bytes the legacy rt.Collective sum produced) and whose required
+// wire bytes a bare TCP.Reduce produces) and whose required
 // contribution count is the team size, so non-members neither block the
 // collective nor are blocked by it.
 type tcpCollectives struct {
