@@ -161,7 +161,7 @@ func TestChaosScheduleBitExact(t *testing.T) {
 
 // TestChaosCorruptionCountedAndRecovered injects aggressive payload
 // corruption: the frame CRC must catch every flip, the receiver must
-// count each in NetStats.CorruptFrames, and retransmission must keep
+// count each in Stats.Transport.CorruptFrames, and retransmission must keep
 // the result bit-exact.
 func TestChaosCorruptionCountedAndRecovered(t *testing.T) {
 	if testing.Short() {
@@ -182,7 +182,7 @@ func TestChaosCorruptionCountedAndRecovered(t *testing.T) {
 			t.Fatalf("node %d reduced sum %d, want %d", i, r.total, want)
 		}
 		sum += r.local
-		s := r.sys.NetStats()
+		s := r.sys.Stats().Transport
 		corrupt += s.CorruptFrames
 		reconnects += s.Reconnects
 	}

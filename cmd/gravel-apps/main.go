@@ -93,12 +93,11 @@ func main() {
 	wall := time.Since(start)
 
 	st := sys.Stats()
-	net := st.NetStats()
 	fmt.Printf("app=%s model=%s nodes=%d scale=%g\n", *app, *model, *nodes, *scale)
 	fmt.Printf("  %s\n", res.Summary)
 	fmt.Printf("  virtual time: %.3f ms   (simulated in %v)\n", sys.VirtualTimeNs()/1e6, wall.Round(time.Millisecond))
 	fmt.Printf("  remote accesses: %.1f%%   avg wire packet: %.0f B   agg busy: %.0f%%\n",
-		100*net.RemoteFrac(), net.AvgPacketBytes, 100*net.AggBusyFrac)
+		100*st.Queue.RemoteFrac(), st.Transport.AvgPacketBytes, 100*st.Agg.BusyFrac)
 	if *phases {
 		harness.PhaseReport(os.Stdout, sys)
 	}

@@ -49,7 +49,7 @@ func TestLoopbackMatchesChan(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			lb := gravel.New(gravel.Config{Nodes: 4, Transport: "loopback", ResolverShards: shards})
 			got := gups.Run(lb, distGUPS).Sum
-			stats := lb.NetStats()
+			stats := lb.Stats().Transport
 			lb.Close()
 
 			if got != want {

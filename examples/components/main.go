@@ -39,9 +39,9 @@ func main() {
 	fmt.Printf("%v on %d nodes\n", g, nodes)
 	fmt.Printf("components: %d (converged in %d rounds)\n", len(sizes), rounds)
 	fmt.Printf("largest: %v...\n", order[:min(5, len(order))])
-	st := sys.NetStats()
+	st := sys.Stats()
 	fmt.Printf("virtual time %.3f ms, remote PUTs %.1f%%, avg packet %.0f B\n",
-		sys.VirtualTimeNs()/1e6, 100*st.RemoteFrac(), st.AvgPacketBytes)
+		sys.VirtualTimeNs()/1e6, 100*st.Queue.RemoteFrac(), st.Transport.AvgPacketBytes)
 }
 
 func min(a, b int) int {

@@ -129,7 +129,7 @@ func main() {
 	for i := 0; i < 5 && i < len(all); i++ {
 		fmt.Printf("  token %4d: %6d occurrences\n", all[i].key, all[i].n)
 	}
-	st := sys.NetStats()
+	st := sys.Stats()
 	fmt.Printf("virtual time %.3f ms, remote %.1f%%, avg packet %.0f B\n",
-		sys.VirtualTimeNs()/1e6, 100*st.RemoteFrac(), st.AvgPacketBytes)
+		sys.VirtualTimeNs()/1e6, 100*st.Queue.RemoteFrac(), st.Transport.AvgPacketBytes)
 }

@@ -114,7 +114,7 @@ func main() {
 			float64(cent[c*dims])/fx, float64(cent[c*dims+1])/fx,
 			float64(2*c+1)/(2*k), float64(2*c+1)/(2*k))
 	}
-	st := sys.NetStats()
+	st := sys.Stats()
 	fmt.Printf("virtual time %.3f ms, remote %.1f%% (want ≈ %.1f%%)\n",
-		sys.VirtualTimeNs()/1e6, 100*st.RemoteFrac(), 100*float64(k-1)/float64(k))
+		sys.VirtualTimeNs()/1e6, 100*st.Queue.RemoteFrac(), 100*float64(k-1)/float64(k))
 }

@@ -98,7 +98,7 @@ func main() {
 	// exactly uniform — a strong end-to-end correctness check.
 	fmt.Printf("rank range: [%.4f, %.4f] (uniform = correct)\n", float64(min)/scale, float64(max)/scale)
 	fmt.Printf("virtual time: %.3f ms, remote %.1f%%\n",
-		sys.VirtualTimeNs()/1e6, 100*sys.NetStats().RemoteFrac())
+		sys.VirtualTimeNs()/1e6, 100*sys.Stats().Queue.RemoteFrac())
 }
 
 // mulScale multiplies two Q.32 fixed-point values.

@@ -49,10 +49,10 @@ func main() {
 		c.Inc(table, idx, one, nil)
 	})
 
-	st := sys.NetStats()
+	st := sys.Stats()
 	fmt.Printf("table sum:        %d (want %d)\n", table.Sum(), nodes*updates)
 	fmt.Printf("virtual time:     %.3f ms\n", sys.VirtualTimeNs()/1e6)
-	fmt.Printf("remote accesses:  %.1f%%\n", 100*st.RemoteFrac())
-	fmt.Printf("avg wire packet:  %.0f B\n", st.AvgPacketBytes)
+	fmt.Printf("remote accesses:  %.1f%%\n", 100*st.Queue.RemoteFrac())
+	fmt.Printf("avg wire packet:  %.0f B\n", st.Transport.AvgPacketBytes)
 	fmt.Printf("updates/s (virt): %.1f M\n", float64(nodes*updates)/sys.VirtualTimeNs()*1e3)
 }

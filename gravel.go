@@ -86,14 +86,6 @@ type (
 	StepStats      = rt.StepStats
 )
 
-// NetStats summarizes communication behaviour (remote-access frequency,
-// wire packet sizes, aggregator utilization).
-//
-// Deprecated: NetStats is the flat pre-observability snapshot; use
-// Stats. System.NetStats() is now derived from Stats, so the shared
-// fields match bit-for-bit.
-type NetStats = rt.NetStats
-
 // Array is a symmetric distributed array in the global address space.
 type Array = pgas.Array
 

@@ -36,7 +36,7 @@ func TestGUPSRemoteFraction(t *testing.T) {
 	cl := core.New(core.Config{Nodes: 4})
 	defer cl.Close()
 	gups.Run(cl, gups.Config{TableSize: 1 << 14, UpdatesPerNode: 1 << 13, Seed: 1})
-	f := cl.NetStats().RemoteFrac()
+	f := cl.Stats().Queue.RemoteFrac()
 	if f < 0.72 || f > 0.78 {
 		t.Errorf("remote frac = %.3f, want ≈ 0.75", f)
 	}

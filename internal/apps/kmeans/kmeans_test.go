@@ -52,7 +52,7 @@ func TestKmeansRemoteFraction(t *testing.T) {
 	cl := core.New(core.Config{Nodes: 8})
 	defer cl.Close()
 	kmeans.Run(cl, kmeans.Config{PointsPerNode: 1000, K: 8, Iters: 2, Seed: 3})
-	f := cl.NetStats().RemoteFrac()
+	f := cl.Stats().Queue.RemoteFrac()
 	if f < 0.82 || f > 0.93 {
 		t.Errorf("remote frac = %.3f, want ≈ 0.875", f)
 	}

@@ -58,7 +58,7 @@ func TestMerRemoteFraction(t *testing.T) {
 	cl := core.New(core.Config{Nodes: 8})
 	defer cl.Close()
 	mer.Run(cl, mer.Config{GenomeLen: 20000, ReadsPerNode: 200, ReadLen: 60, K: 15, Seed: 8})
-	f := cl.NetStats().RemoteFrac()
+	f := cl.Stats().Queue.RemoteFrac()
 	if f < 0.82 || f > 0.93 {
 		t.Errorf("remote frac = %.3f, want ≈ 0.875", f)
 	}

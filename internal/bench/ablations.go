@@ -93,7 +93,7 @@ func Ablations(scale float64, params *timemodel.Params) *Table {
 		}
 		cl := core.New(core.Config{Nodes: 8, Params: p})
 		res := gups.Run(cl, cfg)
-		st := cl.NetStats()
+		busy := cl.Stats().Agg.BusyFrac
 		var joules float64
 		for i := 0; i < 8; i++ {
 			snap := cl.Node(i).Clocks.Snapshot()
@@ -103,7 +103,7 @@ func Ablations(scale float64, params *timemodel.Params) *Table {
 		}
 		cl.Close()
 		t.AddRow("aggregator", label,
-			fmt.Sprintf("GUPS time %s ms, CPU busy aggregating %.0f%%, energy %.2g J", F(res.Ns/1e6), 100*st.AggBusyFrac, joules))
+			fmt.Sprintf("GUPS time %s ms, CPU busy aggregating %.0f%%, energy %.2g J", F(res.Ns/1e6), 100*busy, joules))
 	}
 
 	// 4. Padding (false sharing) on the CPU MPMC protocol, 8 B messages.

@@ -41,12 +41,12 @@ func Hier(scale float64, params *timemodel.Params) *Table {
 
 		flat := core.New(core.Config{Nodes: nodes, Params: cloneParams(params)})
 		rf := gups.Run(flat, cfg)
-		fPkt := flat.NetStats().AvgPacketBytes
+		fPkt := flat.Stats().Transport.AvgPacketBytes
 		flat.Close()
 
 		hier := core.New(core.Config{Nodes: nodes, Params: cloneParams(params), GroupSize: group})
 		rh := gups.Run(hier, cfg)
-		hPkt := hier.NetStats().AvgPacketBytes
+		hPkt := hier.Stats().Transport.AvgPacketBytes
 		if rh.Sum != uint64(rh.Updates) || rf.Sum != uint64(rf.Updates) {
 			panic("hier: functional mismatch")
 		}

@@ -90,7 +90,7 @@ func PGAS(scale float64, params *timemodel.Params) *Table {
 			sys.Step(label+"-wait", []int{0, 1}, 0, func(c rt.Ctx) { consume(c, want) })
 		}
 		ns := sys.VirtualTimeNs() - t0
-		st := sys.NetStats()
+		st := sys.Stats().Transport
 		t.AddRow(label,
 			F(ns/1e6),
 			itoa(int(st.WirePackets)),
@@ -130,7 +130,7 @@ func PGAS(scale float64, params *timemodel.Params) *Table {
 				out.Store(out.SymIndex(c.Node(), 0), acc)
 			})
 			ns := sys.VirtualTimeNs() - t0
-			st := sys.NetStats()
+			st := sys.Stats().Transport
 			want := uint64(rounds) * uint64(nodes) * uint64(nodes+1) / 2
 			if out.Load(out.SymIndex(0, 0)) != want {
 				panic("bench: device all-reduce folded wrong")

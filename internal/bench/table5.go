@@ -18,12 +18,12 @@ func Table5(scale float64, params *timemodel.Params) *Table {
 	for _, wl := range Workloads(scale) {
 		sys := models.Gravel(8, cloneParams(params))
 		wl.Run(sys)
-		st := sys.NetStats()
+		st := sys.Stats()
 		sys.Close()
 		t.AddRow(wl.Name,
-			fmt.Sprintf("%.1f%%", 100*st.RemoteFrac()),
-			F(st.AvgPacketBytes),
-			fmt.Sprintf("%.0f%%", 100*st.AggBusyFrac))
+			fmt.Sprintf("%.1f%%", 100*st.Queue.RemoteFrac()),
+			F(st.Transport.AvgPacketBytes),
+			fmt.Sprintf("%.0f%%", 100*st.Agg.BusyFrac))
 	}
 	t.Note("paper remote freq: GUPS/kmeans/mer 87.5%%, PR-1 37.7%%, PR-2 16.5%%, SSSP-1 30.0%%, SSSP-2 16.2%%, color-1 36.7%%, color-2 16.5%%")
 	t.Note("paper avg msg size: GUPS 65440, PR-1 64611, PR-2 15700, SSSP-1 1563, SSSP-2 57916, color-1 27258, color-2 9463, kmeans 5656, mer 64822")

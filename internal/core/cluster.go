@@ -450,7 +450,11 @@ func (cl *Cluster) Quiesce() {
 	for stable < 2 {
 		cl.checkDecodeErr()
 		for _, n := range cl.nodes {
-			for !n.PCQ.Empty() {
+			// Empty is already true while an aggregator thread holds a
+			// claimed slot it has not repacked; flushing then would send
+			// the partial per-node queue and split it in two. Busy, read
+			// after Empty, covers that claim.
+			for !n.PCQ.Empty() || n.Agg.Busy() {
 				runtime.Gosched()
 			}
 		}
@@ -677,15 +681,6 @@ func (cl *Cluster) Stats() rt.Stats {
 
 	st.Steps = append([]rt.StepStats(nil), cl.steps...)
 	return st
-}
-
-// NetStats implements rt.System.
-//
-// Deprecated: NetStats is the pre-observability flat snapshot; use
-// Stats. It is derived from Stats, so the shared fields match the new
-// sections bit-for-bit.
-func (cl *Cluster) NetStats() rt.NetStats {
-	return cl.Stats().NetStats()
 }
 
 // Close implements rt.System.

@@ -130,7 +130,7 @@ func TestHierarchicalPacketsAreBigger(t *testing.T) {
 				c.Inc(arr, idx, one, nil)
 			})
 		}
-		return cl.NetStats().AvgPacketBytes
+		return cl.Stats().Transport.AvgPacketBytes
 	}
 	flat := run(0)
 	hier := run(4)
@@ -154,7 +154,7 @@ func TestLocalAtomicsDirect(t *testing.T) {
 			c.Inc(arr, idx, one, nil)
 		})
 		sum := arr.Sum()
-		st := cl.NetStats()
+		st := cl.Stats().Queue
 		cl.Close()
 		if sum != 2048 {
 			t.Fatalf("direct=%v: sum=%d", direct, sum)
@@ -183,8 +183,8 @@ func TestPutLocalFastPath(t *testing.T) {
 		})
 		c.Put(arr, idx, val, nil)
 	})
-	st := cl.NetStats()
-	if st.RemoteOps != 0 || st.WirePackets != 0 {
+	st := cl.Stats()
+	if st.Queue.RemoteOps != 0 || st.Transport.WirePackets != 0 {
 		t.Fatalf("local PUTs hit the wire: %+v", st)
 	}
 	if arr.Sum() != 4096*7 {
@@ -216,7 +216,7 @@ func TestPutStaleMaskRegression(t *testing.T) {
 	if got := arr.Sum(); got != 4 {
 		t.Fatalf("cells written sum = %d, want 4 (stale-mask resend?)", got)
 	}
-	st := cl.NetStats()
+	st := cl.Stats().Queue
 	if st.RemoteOps != 4 {
 		t.Fatalf("remote ops = %d, want 4", st.RemoteOps)
 	}

@@ -1,0 +1,54 @@
+package core
+
+import (
+	"testing"
+
+	"gravel/internal/rt"
+)
+
+// TestQuiesceFlushesEachQueueOnce: a step whose messages all go to one
+// remote node and fit one per-node queue must leave as exactly one
+// timeout-flushed packet, every rep, at the same modeled time. Quiesce
+// used to flush as soon as the producer/consumer queue read empty,
+// which is already true while an aggregator thread holds a claimed slot
+// it has not repacked yet; the flush then sent the partial queue and the
+// next round a second one (one extra per-packet charge).
+func TestQuiesceFlushesEachQueueOnce(t *testing.T) {
+	const (
+		reps = 400
+		size = 1 << 10
+		half = size / 2
+	)
+	cl := New(Config{Nodes: 2})
+	defer cl.Close()
+	arr := cl.Space().Alloc(size) // node 1 owns [half, size)
+	seed := uint64(13)
+	var wantNs float64
+	for rep := 0; rep < reps; rep++ {
+		_, before := cl.nodes[0].Agg.FlushCounts()
+		cl.Step("one-dest", []int{512, 0}, 0, func(c rt.Ctx) {
+			g := c.Group()
+			idx := make([]uint64, g.Size)
+			one := make([]uint64, g.Size)
+			g.Vector(func(l int) {
+				x := (seed + uint64(g.GlobalID(l))) * 0x9e3779b97f4a7c15
+				idx[l] = half + (x>>40)%half
+				one[l] = 1
+			})
+			c.Inc(arr, idx, one, nil)
+		})
+		_, after := cl.nodes[0].Agg.FlushCounts()
+		if after-before != 1 {
+			t.Fatalf("rep %d: %d timeout flushes, want 1 (a per-node queue was split)", rep, after-before)
+		}
+		ns := cl.Phases()[rep].PhaseNs
+		if rep == 0 {
+			wantNs = ns
+		} else if ns != wantNs {
+			t.Fatalf("rep %d: modeled %v ns, rep 0 took %v", rep, ns, wantNs)
+		}
+	}
+	if got := arr.Sum(); got != reps*512 {
+		t.Fatalf("sum = %d, want %d", got, reps*512)
+	}
+}

@@ -90,8 +90,8 @@ func TestSmokeIncPutAM(t *testing.T) {
 	if cl.VirtualTimeNs() <= 0 {
 		t.Fatalf("virtual time not accumulated")
 	}
-	ns := cl.NetStats()
-	if ns.LocalOps+ns.RemoteOps == 0 || ns.WirePackets == 0 {
+	ns := cl.Stats()
+	if ns.Queue.LocalOps+ns.Queue.RemoteOps == 0 || ns.Transport.WirePackets == 0 {
 		t.Fatalf("stats not accumulated: %+v", ns)
 	}
 	if len(cl.Phases()) != 3 {

@@ -119,45 +119,6 @@ func testStatsStepDeltas(t *testing.T, shards int) {
 	}
 }
 
-// TestNetStatsAdapterBitForBit pins the deprecation contract: the old
-// flat NetStats is now derived from Stats, and every shared field must
-// match its sectioned counterpart exactly — no recomputation, no
-// rounding.
-func TestNetStatsAdapterBitForBit(t *testing.T) {
-	cl := New(Config{Nodes: 4})
-	defer cl.Close()
-	incWorkload(t, cl, 2)
-
-	st := cl.Stats()
-	ns := cl.NetStats()
-	if ns.LocalOps != st.Queue.LocalOps || ns.RemoteOps != st.Queue.RemoteOps {
-		t.Errorf("ops: NetStats (%d,%d) != Stats.Queue (%d,%d)",
-			ns.LocalOps, ns.RemoteOps, st.Queue.LocalOps, st.Queue.RemoteOps)
-	}
-	if ns.WirePackets != st.Transport.WirePackets || ns.WireBytes != st.Transport.WireBytes {
-		t.Errorf("wire: NetStats (%d,%d) != Stats.Transport (%d,%d)",
-			ns.WirePackets, ns.WireBytes, st.Transport.WirePackets, st.Transport.WireBytes)
-	}
-	if ns.AvgPacketBytes != st.Transport.AvgPacketBytes {
-		t.Errorf("AvgPacketBytes: %v != %v", ns.AvgPacketBytes, st.Transport.AvgPacketBytes)
-	}
-	if ns.AggBusyFrac != st.Agg.BusyFrac {
-		t.Errorf("AggBusyFrac: %v != %v", ns.AggBusyFrac, st.Agg.BusyFrac)
-	}
-	if ns.Reconnects != st.Transport.Reconnects || ns.Retries != st.Transport.Retries ||
-		ns.Malformed != st.Transport.Malformed || ns.CorruptFrames != st.Transport.CorruptFrames {
-		t.Errorf("reliability counters diverge: NetStats %+v vs Stats.Transport %+v", ns, st.Transport)
-	}
-	if len(ns.PerDest) != len(st.Transport.PerDest) {
-		t.Fatalf("PerDest length %d != %d", len(ns.PerDest), len(st.Transport.PerDest))
-	}
-	for d := range ns.PerDest {
-		if ns.PerDest[d] != st.Transport.PerDest[d] {
-			t.Errorf("PerDest[%d]: %+v != %+v", d, ns.PerDest[d], st.Transport.PerDest[d])
-		}
-	}
-}
-
 // TestAggBusyFracCapacityWeighted is the regression test for the
 // multi-thread utilization bug: busy time accrues on every drain
 // thread, so with T aggregator threads the busy fraction must divide by

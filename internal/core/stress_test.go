@@ -53,7 +53,7 @@ func TestTinyPerNodeQueues(t *testing.T) {
 	if got := arr.Sum(); got != 3*2048 {
 		t.Fatalf("sum = %d", got)
 	}
-	if pkts := cl.NetStats().WirePackets; pkts < 1000 {
+	if pkts := cl.Stats().Transport.WirePackets; pkts < 1000 {
 		t.Fatalf("expected a packet storm, got %d packets", pkts)
 	}
 }

@@ -3,7 +3,6 @@ package fabric
 import (
 	"testing"
 
-	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
 
@@ -108,95 +107,5 @@ func TestScatterBanksPartition(t *testing.T) {
 			t.Fatalf("bank %d record %d = %+v, want %+v (reordered?)", bk, cursor[bk], got[bk][cursor[bk]], r)
 		}
 		cursor[bk]++
-	}
-}
-
-// TestChanBankedDemux: a banked channel fabric carves a multi-record
-// packet into per-bank sub-packets, all counted in flight until each
-// bank's Done.
-func TestChanBankedDemux(t *testing.T) {
-	clocks := []*timemodel.Clocks{{}, {}}
-	f := NewBanked(timemodel.Default(), clocks, 4)
-	b := wire.NewBuilder(1, 1<<12)
-	// Addresses 1, 3, 5: banks 1, 3, 1.
-	for _, a := range []uint64{1, 3, 5} {
-		b.Append(wire.PackCmd(wire.OpInc, 0, 0), a, 1)
-	}
-	buf, msgs := b.Take()
-	f.Send(0, 1, buf, msgs)
-
-	p1 := <-f.BankInbox(1, 1)
-	if !p1.Sub || p1.Bank != 1 || p1.Msgs != 2 {
-		t.Fatalf("bank-1 sub-packet wrong: %+v", p1)
-	}
-	p3 := <-f.BankInbox(1, 3)
-	if !p3.Sub || p3.Bank != 3 || p3.Msgs != 1 {
-		t.Fatalf("bank-3 sub-packet wrong: %+v", p3)
-	}
-	if f.Quiet() {
-		t.Fatal("Quiet with sub-packets still out")
-	}
-	f.Done(p1)
-	if f.Quiet() {
-		t.Fatal("Quiet after one of two sub-packets")
-	}
-	f.Done(p3)
-	if !f.Quiet() {
-		t.Fatal("not Quiet after all sub-packets Done")
-	}
-	select {
-	case p := <-f.BankInbox(1, 0):
-		t.Fatalf("unexpected bank-0 packet %+v", p)
-	default:
-	}
-}
-
-// TestChanSelfSendBypass pins the node-local fast path: with a local
-// applier registered, a from == to Send resolves synchronously on the
-// sending goroutine — applied before Send returns, never in flight,
-// still counted as a self packet and never as a wire packet.
-func TestChanSelfSendBypass(t *testing.T) {
-	clocks := []*timemodel.Clocks{{}, {}}
-	f := NewBanked(timemodel.Default(), clocks, 4)
-	var applied []uint64
-	f.SetLocalApply(func(p Packet) {
-		if p.From != 1 || p.To != 1 {
-			t.Fatalf("bypass packet endpoints wrong: %+v", p)
-		}
-		if err := wire.Decode(p.Buf, func(cmd, a, v uint64) {
-			applied = append(applied, a)
-		}); err != nil {
-			t.Fatalf("bypass payload undecodable: %v", err)
-		}
-	})
-
-	b := wire.NewBuilder(1, 1<<12)
-	b.Append(wire.PackCmd(wire.OpInc, 0, 0), 7, 1)
-	b.Append(wire.PackCmd(wire.OpInc, 0, 0), 9, 1)
-	buf, msgs := b.Take()
-	f.Send(1, 1, buf, msgs)
-
-	// Synchronous: fully applied when Send returns, nothing in flight.
-	if len(applied) != 2 || applied[0] != 7 || applied[1] != 9 {
-		t.Fatalf("bypass applied %v, want [7 9] before Send returned", applied)
-	}
-	if !f.Quiet() {
-		t.Fatal("self-send bypass left the fabric non-quiet")
-	}
-	for bank := 0; bank < 4; bank++ {
-		select {
-		case p := <-f.BankInbox(1, bank):
-			t.Fatalf("bypassed packet reached bank %d inbox: %+v", bank, p)
-		default:
-		}
-	}
-	if f.SelfPkts[1].Load() != 1 {
-		t.Fatalf("SelfPkts = %d, want 1", f.SelfPkts[1].Load())
-	}
-	if f.PktSizes[1].Count() != 0 {
-		t.Fatal("self packet counted as a wire packet")
-	}
-	if clocks[1].Snapshot().WireSend != 0 {
-		t.Fatal("self-send charged wire time")
 	}
 }

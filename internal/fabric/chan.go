@@ -2,10 +2,8 @@ package fabric
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"gravel/internal/timemodel"
-	"gravel/internal/wire"
 )
 
 // Chan is the default in-process transport: delivery is real — packets
@@ -26,17 +24,9 @@ import (
 // network thread, delivered through the identical single-channel path.
 type Chan struct {
 	*Metrics
+	*Endpoint
 	params *timemodel.Params
 	clocks []*timemodel.Clocks
-	banks  int
-	inbox  [][]chan Packet // [node][bank]
-
-	// localApply, when set (SetLocalApply, before the first Send),
-	// resolves from == to packets synchronously instead of
-	// round-tripping them through an inbox.
-	localApply func(Packet)
-
-	inflight atomic.Int64
 }
 
 // New creates a channel fabric over the given per-node clocks with a
@@ -53,134 +43,61 @@ func NewBanked(params *timemodel.Params, clocks []*timemodel.Clocks, banks int) 
 	if n == 0 {
 		panic("fabric: no nodes")
 	}
-	if banks == 0 {
-		banks = 1
+	// The paper's bounded number of in-flight per-node queues per
+	// destination, from every sender.
+	ep, err := NewEndpoint(n, AllNodes, banks, max(4, params.QueuesPerDest*n))
+	if err != nil {
+		panic(err)
 	}
-	if !ValidBanks(banks) {
-		panic(fmt.Sprintf("fabric: resolver banks %d must be a power of two in [1, %d]", banks, MaxResolverBanks))
-	}
-	f := &Chan{
-		Metrics: NewMetrics(n),
-		params:  params,
-		clocks:  clocks,
-		banks:   banks,
-		inbox:   make([][]chan Packet, n),
-	}
-	depth := params.QueuesPerDest * n
-	if depth < 4 {
-		depth = 4
-	}
-	for i := range f.inbox {
-		f.inbox[i] = make([]chan Packet, banks)
-		for b := range f.inbox[i] {
-			f.inbox[i][b] = make(chan Packet, depth)
-		}
-	}
-	return f
+	return &Chan{Metrics: NewMetrics(n), Endpoint: ep, params: params, clocks: clocks}
 }
-
-// Nodes returns the node count.
-func (f *Chan) Nodes() int { return len(f.inbox) }
-
-// Hosts implements Fabric: every node lives in this process.
-func (f *Chan) Hosts(int) bool { return true }
-
-// Banks implements Banked.
-func (f *Chan) Banks() int { return f.banks }
-
-// BankInbox implements Banked.
-func (f *Chan) BankInbox(node, bank int) <-chan Packet { return f.inbox[node][bank] }
-
-// SetLocalApply implements LocalApplier. It must be called before the
-// first Send.
-func (f *Chan) SetLocalApply(fn func(Packet)) { f.localApply = fn }
 
 // Send transmits one per-node queue from node `from` to node `to`,
 // charging wire time to both endpoints. It blocks if the receiver's
 // inbox is full (finite in-flight queue credit, §6).
 func (f *Chan) Send(from, to int, buf []byte, msgs int) {
-	f.send(from, to, buf, msgs, false)
+	f.send(Packet{From: from, To: to, Buf: buf, Msgs: msgs})
 }
 
 // SendRouted transmits a per-group queue (records carry their final
 // destinations) to a group gateway for re-aggregation (§10).
 func (f *Chan) SendRouted(from, gateway int, buf []byte, msgs int) {
-	f.send(from, gateway, buf, msgs, true)
+	f.send(Packet{From: from, To: gateway, Buf: buf, Msgs: msgs, Routed: true})
 }
 
-func (f *Chan) send(from, to int, buf []byte, msgs int, routed bool) {
-	if to < 0 || to >= len(f.inbox) {
-		panic(fmt.Sprintf("fabric: send to invalid node %d", to))
-	}
-	if from == to {
-		// Local atomics are routed through the local network thread but
-		// never touch the wire (§6).
-		f.SelfPkts[from].Inc()
-		if la := f.localApply; la != nil && !routed {
-			// Bypass: resolve directly against the banks on this
-			// goroutine. No inbox hop, no in-flight accounting — the
-			// packet is fully applied when Send returns, which is
-			// strictly earlier than the quiescence protocol could have
-			// observed it.
-			la(Packet{From: from, To: to, Buf: buf, Msgs: msgs})
-			wire.PutBuf(buf)
-			return
-		}
-	} else {
-		ns := f.params.WireNs(len(buf))
-		f.clocks[from].AddWireSend(ns)
-		f.clocks[to].AddWireRecv(ns)
-		f.clocks[from].CountPacket(len(buf))
-		f.ObserveWire(from, to, len(buf))
-	}
-	if f.banks > 1 && !routed && len(buf)%wire.MsgWireBytes == 0 {
-		// (A misaligned buffer skips the demux and lands whole on bank
-		// 0, whose resolver reports it as a typed decode failure.)
-		// Count every sub-packet in flight before pushing the first:
-		// otherwise a fast bank could apply and Done its share while a
-		// sibling is still unpushed, dipping the in-flight count to
-		// zero mid-delivery.
-		var subs [MaxResolverBanks]Packet
-		nsub := 0
-		ScatterBanks(buf, f.banks, func(bank int, sub []byte, m int) {
-			subs[nsub] = Packet{From: from, To: to, Buf: sub, Msgs: m, Bank: bank, Sub: true}
-			nsub++
-		})
-		wire.PutBuf(buf)
-		f.inflight.Add(int64(nsub))
-		for i := 0; i < nsub; i++ {
-			f.inbox[to][subs[i].Bank] <- subs[i]
-		}
+func (f *Chan) send(p Packet) {
+	if f.Depart(p) {
 		return
 	}
-	f.inflight.Add(1)
-	f.inbox[to][0] <- Packet{From: from, To: to, Buf: buf, Msgs: msgs, Routed: routed}
+	if _, ok := f.Deliver(p); !ok {
+		panic("fabric: send on a closed fabric")
+	}
 }
 
-// Inbox returns node's bank-0 receive channel; with one bank this is
-// the node's whole traffic and the network thread ranges over it.
-func (f *Chan) Inbox(node int) <-chan Packet { return f.inbox[node][0] }
-
-// Done must be called by the network thread after fully applying a
-// packet; quiescence detection depends on it. It recycles the packet's
-// buffer into the wire pool — the packet travels zero-copy from the
-// sender's builder, so this completes the pooled buffer lifecycle.
-func (f *Chan) Done(p Packet) {
-	f.inflight.Add(-1)
-	wire.PutBuf(p.Buf)
+// Depart is the virtual wire's send side, which the loopback transport
+// (this fabric with a frame codec spliced in) shares: it checks the
+// destination, then either counts a node-local packet — local atomics
+// are routed through the local network thread but never touch the wire
+// (§6) — or charges a remote one's LogGP occupancy (Alpha + bytes/Beta)
+// to both clocks. It reports whether the bypass already applied p.
+func (f *Chan) Depart(p Packet) (applied bool) {
+	if p.To < 0 || p.To >= f.Nodes() {
+		panic(fmt.Sprintf("fabric: send to invalid node %d", p.To))
+	}
+	if p.From == p.To {
+		f.SelfPkts[p.From].Inc()
+		return f.Bypass(p)
+	}
+	ns := f.params.WireNs(len(p.Buf))
+	f.clocks[p.From].AddWireSend(ns)
+	f.clocks[p.To].AddWireRecv(ns)
+	f.clocks[p.From].CountPacket(len(p.Buf))
+	f.ObserveWire(p.From, p.To, len(p.Buf))
+	return false
 }
 
 // Quiet reports whether no packets are in flight or being applied.
-func (f *Chan) Quiet() bool { return f.inflight.Load() == 0 }
-
-// Close closes all inboxes; network threads drain and exit.
-func (f *Chan) Close() {
-	for _, node := range f.inbox {
-		for _, ch := range node {
-			close(ch)
-		}
-	}
-}
+func (f *Chan) Quiet() bool { return f.Idle() }
 
 var (
 	_ Fabric       = (*Chan)(nil)

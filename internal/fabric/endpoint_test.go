@@ -1,0 +1,138 @@
+package fabric
+
+import (
+	"runtime/debug"
+	"sync"
+	"testing"
+	"time"
+
+	"gravel/internal/wire"
+)
+
+// incPacket builds a direct packet for node 1 with one OpInc record per
+// address.
+func incPacket(addrs ...uint64) Packet {
+	b := wire.NewBuilder(1, 1<<16)
+	for _, a := range addrs {
+		b.Append(wire.PackCmd(wire.OpInc, 0, 0), a, 1)
+	}
+	buf, msgs := b.Take()
+	return Packet{From: 0, To: 1, Buf: buf, Msgs: msgs}
+}
+
+func recvWithin(t *testing.T, ch <-chan Packet) Packet {
+	t.Helper()
+	select {
+	case p := <-ch:
+		return p
+	case <-time.After(5 * time.Second):
+		t.Fatal("no packet")
+		return Packet{}
+	}
+}
+
+// TestDeliverCountsThenPushesAscending holds every bank's inbox full so
+// Deliver must block bank by bank: freeing them in ascending order lets
+// it through (any other push order would hang), and a sub-packet that is
+// applied and Done while its siblings are still unpushed never makes the
+// endpoint look idle.
+func TestDeliverCountsThenPushesAscending(t *testing.T) {
+	const banks = 4
+	wantMsgs := [banks]int{1, 2, 1, 1} // addresses 0, 1 and 5, 2, 3
+	e, err := NewEndpoint(2, AllNodes, banks, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < banks; b++ {
+		e.inbox[1][b] <- Packet{Bank: -1} // filler, never counted
+	}
+	done := make(chan bool)
+	go func() {
+		_, ok := e.Deliver(incPacket(0, 1, 2, 3, 5))
+		done <- ok
+	}()
+	for b := 0; b < banks; b++ {
+		if p := recvWithin(t, e.BankInbox(1, b)); p.Bank != -1 {
+			t.Fatalf("bank %d: got %+v before its filler", b, p)
+		}
+		p := recvWithin(t, e.BankInbox(1, b))
+		if !p.Sub || p.Bank != b || p.Msgs != wantMsgs[b] {
+			t.Fatalf("bank %d sub-packet wrong: %+v", b, p)
+		}
+		e.Done(p)
+		if b < banks-1 && e.Idle() {
+			t.Fatalf("idle after bank %d with banks above it unpushed", b)
+		}
+	}
+	if !<-done {
+		t.Fatal("Deliver reported closed inboxes")
+	}
+	if !e.Idle() {
+		t.Fatal("not idle after every sub-packet's Done")
+	}
+}
+
+// TestDeliverRetiresUnpushedOnClose: a packet delivered into closed
+// inboxes is reported, and what it counted in flight is retired.
+func TestDeliverRetiresUnpushedOnClose(t *testing.T) {
+	for _, banks := range []int{1, 4} {
+		e, err := NewEndpoint(2, AllNodes, banks, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		if _, ok := e.Deliver(incPacket(1, 3)); ok {
+			t.Fatalf("banks=%d: Deliver reported success into closed inboxes", banks)
+		}
+		if !e.Idle() {
+			t.Fatalf("banks=%d: unpushed packets still counted in flight", banks)
+		}
+	}
+}
+
+// TestDeliverZeroAllocs pins the demux of a full 64 kB packet into four
+// banks at zero heap allocations: the scratch table and both closures
+// stay on Deliver's stack and every buffer cycles through the wire pool.
+func TestDeliverZeroAllocs(t *testing.T) {
+	if poolDrops() {
+		t.Skip("sync.Pool drops a quarter of what is put under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection clears the pool
+	const banks = 4
+	e, err := NewEndpoint(2, AllNodes, banks, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]uint64, (64<<10)/wire.MsgWireBytes)
+	for i := range addrs {
+		addrs[i] = uint64(i)
+	}
+	tmpl := incPacket(addrs...)
+	allocs := testing.AllocsPerRun(50, func() {
+		p := tmpl
+		p.Buf = append(wire.GetBuf(len(tmpl.Buf)), tmpl.Buf...)
+		e.Deliver(p)
+		for b := 0; b < banks; b++ {
+			e.Done(<-e.BankInbox(1, b))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("delivering a %d-byte packet to %d banks allocated %.2f times, want 0", len(tmpl.Buf), banks, allocs)
+	}
+	if !e.Idle() {
+		t.Fatal("not idle")
+	}
+}
+
+// poolDrops reports whether sync.Pool is discarding puts at random, as
+// it does under the race detector.
+func poolDrops() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}

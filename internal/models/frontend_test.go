@@ -96,7 +96,7 @@ func TestBadAddressUnwindsCleanly(t *testing.T) {
 				case <-time.After(10 * time.Second):
 					t.Fatal("steps did not quiesce after a recovered verb panic")
 				}
-				ns := sys.NetStats()
+				ns := sys.Stats().Queue
 				sys.Close()
 				select {
 				case r := <-untyped:

@@ -28,7 +28,7 @@ func TestAllModelsAgreeOnGUPS(t *testing.T) {
 	for _, name := range allSystems() {
 		sys := models.New(name, nodes, nil)
 		res := gups.Run(sys, cfg)
-		ns := sys.NetStats()
+		ns := sys.Stats().Queue
 		sys.Close()
 		if res.Sum != uint64(res.Updates) {
 			t.Errorf("%s: sum=%d updates=%d", name, res.Sum, res.Updates)
@@ -144,12 +144,12 @@ func TestModelOrderingGUPS(t *testing.T) {
 	}
 }
 
-// TestSystemsReportStats ensures every model fills in NetStats.
+// TestSystemsReportStats ensures every model fills in Stats.
 func TestSystemsReportStats(t *testing.T) {
 	for _, name := range allSystems() {
 		sys := models.New(name, 2, nil)
 		gups.Run(sys, gups.Config{TableSize: 1 << 10, UpdatesPerNode: 1 << 10, Seed: 1})
-		st := sys.NetStats()
+		st := sys.Stats().Transport
 		if st.WirePackets == 0 && name != "cpu-only" {
 			t.Errorf("%s: no wire packets recorded", name)
 		}

@@ -172,7 +172,7 @@ func RunWorker(cfg WorkerConfig) (res WorkerResult, err error) {
 			return res, err
 		}
 	}
-	stats := sys.NetStats()
+	stats := sys.Stats().Transport
 	var pkts int64
 	for _, d := range stats.PerDest {
 		pkts += d.Packets
@@ -197,7 +197,7 @@ func RunWorker(cfg WorkerConfig) (res WorkerResult, err error) {
 func dumpDiagnostics(w io.Writer, node int, sys gravel.System, tcp *transport.TCP) {
 	fmt.Fprintf(w, "gravel-node: diagnostic dump (node %d)\n", node)
 	if sys != nil {
-		s := sys.NetStats()
+		s := sys.Stats().Transport
 		fmt.Fprintf(w, "  wire: %d pkts, %d bytes; reconnects=%d retries=%d malformed=%d corrupt=%d\n",
 			s.WirePackets, s.WireBytes, s.Reconnects, s.Retries, s.Malformed, s.CorruptFrames)
 		for d, pd := range s.PerDest {

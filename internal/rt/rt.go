@@ -78,50 +78,9 @@ type Ctx interface {
 // once per work-group.
 type Kernel func(c Ctx)
 
-// NetStats summarizes a system's communication behaviour (Table 5).
-//
-// Deprecated: NetStats is the flat, pre-observability snapshot. Use
-// Stats, which organizes the same counters into Queue/Agg/Transport/
-// Faults sections and adds per-step deltas; Stats.NetStats converts
-// back, matching these fields bit-for-bit.
-type NetStats struct {
-	// LocalOps and RemoteOps count fine-grain data accesses by
-	// destination locality; RemoteFrac is their ratio.
-	LocalOps, RemoteOps int64
-	// WirePackets and WireBytes count aggregated per-node queues that
-	// crossed the wire; AvgPacketBytes is the Table 5 "average message
-	// size".
-	WirePackets, WireBytes int64
-	AvgPacketBytes         float64
-	// AggBusyFrac is the fraction of aggregator CPU time spent doing
-	// useful work (1 - poll fraction, §8.1).
-	AggBusyFrac float64
-	// PerDest, indexed by destination node, breaks the wire totals down
-	// by destination. In a multi-process cluster each process reports
-	// the traffic its hosted node originated.
-	PerDest []DestCount
-	// Reconnects counts transport connections re-established after a
-	// drop; Retries counts failed dial attempts. Both are 0 for
-	// in-process fabrics.
-	Reconnects, Retries int64
-	// Malformed counts received frames dropped as invalid;
-	// CorruptFrames counts frames whose payload failed the CRC (wire
-	// corruption) and were recovered by retransmission.
-	Malformed, CorruptFrames int64
-}
-
 // DestCount is one destination's share of the wire traffic.
 type DestCount struct {
 	Packets, Bytes int64
-}
-
-// RemoteFrac returns the fraction of accesses that were remote.
-func (s NetStats) RemoteFrac() float64 {
-	t := s.LocalOps + s.RemoteOps
-	if t == 0 {
-		return 0
-	}
-	return float64(s.RemoteOps) / float64(t)
 }
 
 // System is one networking model instantiated over a simulated cluster.
@@ -157,10 +116,6 @@ type System interface {
 	// Stats returns the versioned statistics snapshot: cumulative
 	// totals by subsystem plus per-step deltas.
 	Stats() Stats
-	// NetStats returns cumulative communication statistics.
-	//
-	// Deprecated: use Stats; this is Stats().NetStats().
-	NetStats() NetStats
 
 	// Close releases background goroutines. The system is unusable
 	// afterwards.

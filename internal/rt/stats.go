@@ -7,8 +7,7 @@ const StatsVersion = 1
 
 // Stats is a versioned snapshot of a system's communication behaviour,
 // organized by subsystem: the producer/consumer queue, the aggregator,
-// the transport, and the fault injector. It replaces the flat NetStats
-// grab-bag; NetStats remains as a thin adapter (see Stats.NetStats).
+// the transport, and the fault injector.
 //
 // Cumulative totals and the per-step deltas in Steps are drawn from
 // the same counters at the same phase boundaries, so summing any
@@ -187,23 +186,4 @@ type StepStats struct {
 
 	// Signals and Waits mirror the cumulative PGASStats fields.
 	Signals, Waits int64
-}
-
-// NetStats converts the snapshot to the deprecated flat form. Values
-// are copied bit-for-bit from the section fields they moved to, so
-// code migrating from NetStats sees identical numbers either way.
-func (s Stats) NetStats() NetStats {
-	return NetStats{
-		LocalOps:       s.Queue.LocalOps,
-		RemoteOps:      s.Queue.RemoteOps,
-		WirePackets:    s.Transport.WirePackets,
-		WireBytes:      s.Transport.WireBytes,
-		AvgPacketBytes: s.Transport.AvgPacketBytes,
-		AggBusyFrac:    s.Agg.BusyFrac,
-		PerDest:        s.Transport.PerDest,
-		Reconnects:     s.Transport.Reconnects,
-		Retries:        s.Transport.Retries,
-		Malformed:      s.Transport.Malformed,
-		CorruptFrames:  s.Transport.CorruptFrames,
-	}
 }

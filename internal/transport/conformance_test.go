@@ -1,0 +1,294 @@
+package transport
+
+import (
+	"bytes"
+	"fmt"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"gravel/internal/fabric"
+	"gravel/internal/timemodel"
+	"gravel/internal/wire"
+)
+
+// endFabric is what the runtime uses of a fabric's receive side.
+type endFabric interface {
+	fabric.Fabric
+	fabric.Banked
+	fabric.LocalApplier
+}
+
+// rig is one fabric under the conformance table: a 2-node cluster seen
+// node by node, so the in-process fabrics (one object hosting both
+// nodes) and the TCP pair (one object per node) read the same.
+type rig struct {
+	at    func(node int) endFabric
+	quiet func() bool
+	// A payload that is not a whole number of records cannot cross a
+	// validating wire: loopback's decoder drops and counts it, and on
+	// TCP it would poison the stream forever, so there the row is a
+	// self-send — the one way such a buffer reaches TCP's endpoint.
+	misFrom    int
+	misDropped bool
+}
+
+var rigs = []struct {
+	name  string
+	build func(t *testing.T, banks int) rig
+}{
+	{"chan", func(t *testing.T, banks int) rig {
+		f := fabric.NewBanked(timemodel.Default(), newClocks(2), banks)
+		t.Cleanup(f.Close)
+		return rig{at: func(int) endFabric { return f }, quiet: f.Quiet}
+	}},
+	{"loopback", func(t *testing.T, banks int) rig {
+		l := NewLoopbackBanked(timemodel.Default(), newClocks(2), banks)
+		t.Cleanup(l.Close)
+		return rig{at: func(int) endFabric { return l }, quiet: l.Quiet, misDropped: true}
+	}},
+	{"tcp", func(t *testing.T, banks int) rig {
+		fabs := newTCPClusterBanked(t, 2, banks)
+		t.Cleanup(func() { closeAll(fabs) })
+		return rig{at: func(n int) endFabric { return fabs[n] }, quiet: func() bool { return allQuiet(fabs) }, misFrom: 1}
+	}},
+}
+
+// mixedBuf is a direct per-node queue whose records touch banks 1, 3, 0
+// (an active message), 1 and 0 of four, in that order.
+func mixedBuf() ([]byte, int) {
+	b := wire.NewBuilder(1, 1<<12)
+	inc := wire.PackCmd(wire.OpInc, 0, 0)
+	b.Append(inc, 1, 1)
+	b.Append(inc, 3, 1)
+	b.Append(wire.PackCmd(wire.OpAM, 2, 0), 7, 1)
+	b.Append(inc, 5, 1)
+	b.Append(inc, 8, 1)
+	return b.Take()
+}
+
+func routedBuf() ([]byte, int) {
+	b := wire.NewRoutedBuilder(1, 1<<12)
+	inc := wire.PackCmd(wire.OpInc, 0, 0)
+	b.AppendRouted(inc, 1, 1, 0)
+	b.AppendRouted(inc, 2, 1, 1)
+	b.AppendRouted(inc, 3, 1, 0)
+	return b.Take()
+}
+
+// wantPackets is the contract: a whole packet on bank 0, or exactly
+// ScatterBanks' partition as Sub packets in its (ascending) bank order.
+func wantPackets(from, to int, buf []byte, msgs, banks int, routed bool) []fabric.Packet {
+	if banks == 1 || routed || len(buf)%wire.MsgWireBytes != 0 {
+		return []fabric.Packet{{From: from, To: to, Buf: buf, Msgs: msgs, Routed: routed}}
+	}
+	var want []fabric.Packet
+	fabric.ScatterBanks(buf, banks, func(bank int, sub []byte, m int) {
+		want = append(want, fabric.Packet{From: from, To: to, Buf: bytes.Clone(sub), Msgs: m, Bank: bank, Sub: true})
+		wire.PutBuf(sub)
+	})
+	return want
+}
+
+func samePacket(got, want fabric.Packet) bool {
+	return got.From == want.From && got.To == want.To && got.Msgs == want.Msgs && got.Routed == want.Routed &&
+		got.Bank == want.Bank && got.Sub == want.Sub && bytes.Equal(got.Buf, want.Buf)
+}
+
+// TestFabricConformance drives the one receive endpoint through every
+// fabric that embeds it.
+func TestFabricConformance(t *testing.T) {
+	mixed, mixedMsgs := mixedBuf()
+	routedPayload, routedMsgs := routedBuf()
+	misaligned := append(bytes.Clone(mixed), 0xff)
+	type row struct {
+		name     string
+		from, to int
+		buf      []byte
+		msgs     int
+		routed   bool
+		hook     bool
+	}
+	for _, rg := range rigs {
+		for _, banks := range []int{1, 4} {
+			rows := []row{
+				{name: "direct", from: 0, to: 1, buf: mixed, msgs: mixedMsgs},
+				{name: "routed", from: 0, to: 1, buf: routedPayload, msgs: routedMsgs, routed: true},
+				{name: "self-hook", from: 1, to: 1, buf: mixed, msgs: mixedMsgs, hook: true},
+				{name: "self-no-hook", from: 1, to: 1, buf: mixed, msgs: mixedMsgs},
+				{name: "zero-records", from: 0, to: 1},
+			}
+			for _, r := range rows {
+				t.Run(fmt.Sprintf("%s/banks=%d/%s", rg.name, banks, r.name), func(t *testing.T) {
+					rig := rg.build(t, banks)
+					want := wantPackets(r.from, r.to, r.buf, r.msgs, banks, r.routed)
+					var bypassed []fabric.Packet
+					if r.hook {
+						rig.at(r.to).SetLocalApply(func(p fabric.Packet) {
+							p.Buf = bytes.Clone(p.Buf)
+							bypassed = append(bypassed, p)
+						})
+						want = nil
+					}
+					deliver(t, rig, r.from, r.to, r.buf, r.msgs, r.routed, want)
+					m := rig.at(r.from).NetMetrics()
+					if r.from == r.to {
+						if got := m.SelfPkts[r.from].Load(); got != 1 {
+							t.Errorf("SelfPkts = %d, want 1", got)
+						}
+						if m.PktSizes[r.from].Count() != 0 {
+							t.Error("self packet counted as a wire packet")
+						}
+					} else if got := m.PerDest.Packets(r.to); got != 1 {
+						t.Errorf("PerDest.Packets(%d) = %d, want 1", r.to, got)
+					}
+					if !r.hook {
+						return
+					}
+					// Synchronous: applied, whole, before Send returned.
+					whole := fabric.Packet{From: r.from, To: r.to, Buf: r.buf, Msgs: r.msgs}
+					if len(bypassed) != 1 || !samePacket(bypassed[0], whole) {
+						t.Fatalf("bypass applied %+v, want one whole packet", bypassed)
+					}
+				})
+			}
+			t.Run(fmt.Sprintf("%s/banks=%d/misaligned", rg.name, banks), func(t *testing.T) {
+				rig := rg.build(t, banks)
+				var want []fabric.Packet
+				if !rig.misDropped {
+					want = wantPackets(rig.misFrom, 1, misaligned, mixedMsgs, banks, false)
+				}
+				deliver(t, rig, rig.misFrom, 1, misaligned, mixedMsgs, false, want)
+				if got := rig.at(1).NetMetrics().Malformed.Load(); (got == 1) != rig.misDropped {
+					t.Errorf("Malformed = %d, dropped = %v", got, rig.misDropped)
+				}
+			})
+			t.Run(fmt.Sprintf("%s/banks=%d/recycles", rg.name, banks), func(t *testing.T) {
+				recycles(t, rg.build(t, banks), banks)
+			})
+		}
+	}
+}
+
+// deliver sends one packet and checks that it arrives as exactly want,
+// that the cluster is never quiet between Send returning and the last
+// Done — sampled from a second goroutine while the last bank holds its
+// share — and that it quiesces afterwards.
+func deliver(t *testing.T, rig rig, from, to int, buf []byte, msgs int, routed bool, want []fabric.Packet) {
+	t.Helper()
+	own := append(wire.GetBuf(len(buf)), buf...) // Send takes ownership
+	if routed {
+		rig.at(from).SendRouted(from, to, own, msgs)
+	} else {
+		rig.at(from).Send(from, to, own, msgs)
+	}
+	recv := rig.at(to)
+	if len(want) > 0 {
+		var samples, quiet atomic.Int64
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(stopped)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if rig.quiet() {
+					quiet.Add(1)
+				}
+				samples.Add(1)
+			}
+		}()
+		sampling := true
+		halt := func() {
+			if sampling {
+				sampling = false
+				close(stop)
+				<-stopped
+			}
+		}
+		defer halt() // not left polling a closed fabric if a check below is fatal
+		got := make([]fabric.Packet, len(want))
+		for i, w := range want {
+			select {
+			case got[i] = <-recv.BankInbox(to, w.Bank):
+			case <-time.After(5 * time.Second):
+				t.Fatalf("bank %d never received its packet", w.Bank)
+			}
+			if !samePacket(got[i], w) {
+				t.Errorf("bank %d got %+v, want %+v", w.Bank, got[i], w)
+			}
+		}
+		last := len(got) - 1
+		for _, p := range got[:last] {
+			recv.Done(p)
+		}
+		for s0 := samples.Load(); samples.Load() < s0+3; {
+			time.Sleep(100 * time.Microsecond)
+		}
+		halt()
+		if n := quiet.Load(); n != 0 {
+			t.Errorf("Quiet was true %d of %d times between Send and the last Done", n, samples.Load())
+		}
+		recv.Done(got[last])
+	}
+	waitQuiet(t, "fabric", rig.quiet)
+	for bank := 0; bank < recv.Banks(); bank++ {
+		select {
+		case p := <-recv.BankInbox(to, bank):
+			t.Errorf("unexpected packet on bank %d: %+v", bank, p)
+		default:
+		}
+	}
+}
+
+// recycles checks that every buffer a fabric draws from the wire pool
+// on the way to an inbox goes back to it: over many packets the sender
+// and the inboxes must keep seeing the same few backing arrays, far
+// fewer than one fresh one per packet. (With the collector off no
+// address is reused, so buffers that were not recycled are all
+// distinct.)
+func recycles(t *testing.T, rig rig, banks int) {
+	if poolDrops() {
+		t.Skip("sync.Pool drops a quarter of what is put under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b := wire.NewBuilder(1, 1<<12)
+	for a := uint64(0); a < 64; a++ { // 1.5 kB: above the pool's floor
+		b.Append(wire.PackCmd(wire.OpInc, 0, 0), a, 1)
+	}
+	tmpl, msgs := b.Take()
+	seen := map[*byte]bool{}
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		own := append(wire.GetBuf(len(tmpl)), tmpl...)
+		seen[unsafe.SliceData(own)] = true
+		rig.at(0).Send(0, 1, own, msgs)
+		for bank := 0; bank < banks; bank++ {
+			p := <-rig.at(1).BankInbox(1, bank)
+			seen[unsafe.SliceData(p.Buf)] = true
+			rig.at(1).Done(p)
+		}
+	}
+	waitQuiet(t, "fabric", rig.quiet)
+	if len(seen) > rounds/4 {
+		t.Errorf("%d packets used %d distinct buffers: not recycled", rounds, len(seen))
+	}
+}
+
+// poolDrops reports whether sync.Pool is discarding puts at random, as
+// it does under the race detector.
+func poolDrops() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}

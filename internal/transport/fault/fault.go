@@ -49,7 +49,7 @@ type Config struct {
 	Reorder float64
 	// Corrupt is the probability one payload byte is flipped. The
 	// frame CRC must catch it: the receiver counts it in
-	// NetStats.CorruptFrames and forces a retransmit.
+	// Stats.Transport.CorruptFrames and forces a retransmit.
 	Corrupt float64
 	// Delay is the probability a frame's write sleeps for a uniform
 	// duration in (0, DelayMax].

@@ -15,7 +15,7 @@ import (
 
 // errCorruptPayload marks a frame whose header parsed but whose payload
 // failed the CRC — in-flight corruption rather than a protocol
-// violation. Receivers count these (NetStats.CorruptFrames) and force a
+// violation. Receivers count these (Stats.Transport.CorruptFrames) and force a
 // retransmit instead of dropping the loss silently.
 var errCorruptPayload = errors.New("transport: frame CRC mismatch")
 

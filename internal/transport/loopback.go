@@ -20,19 +20,14 @@ import (
 // are deterministic — it exists to test the codec and the
 // frame-validation path under the full runtime without sockets.
 type Loopback struct {
-	*fabric.Metrics
-	params *timemodel.Params
-	clocks []*timemodel.Clocks
-	banks  int
+	// Timing, metrics and the receive endpoint are the channel fabric's.
+	*fabric.Chan
 
-	wires []chan []byte          // encoded frames, one bounded queue per destination
-	inbox [][]chan fabric.Packet // [node][bank]
+	wires []chan []byte // encoded frames, one bounded queue per destination
 
-	// localApply, when set, resolves from == to packets synchronously
-	// (no framing round trip, no in-flight accounting).
-	localApply func(fabric.Packet)
-
-	inflight atomic.Int64
+	// onWire counts frames between Send and the decoder's Deliver (or
+	// drop): the credit a frame holds while no packet exists for it yet.
+	onWire   atomic.Int64
 	decoders sync.WaitGroup
 	closed   atomic.Bool
 }
@@ -47,97 +42,46 @@ func NewLoopback(params *timemodel.Params, clocks []*timemodel.Clocks) *Loopback
 // each validated frame into per-bank sub-packets (0 means 1 bank; must
 // be a power of two, max fabric.MaxResolverBanks).
 func NewLoopbackBanked(params *timemodel.Params, clocks []*timemodel.Clocks, banks int) *Loopback {
-	n := len(clocks)
-	if n == 0 {
-		panic("transport: no nodes")
-	}
-	if banks == 0 {
-		banks = 1
-	}
-	if !fabric.ValidBanks(banks) {
-		panic(fmt.Sprintf("transport: resolver banks %d must be a power of two in [1, %d]", banks, fabric.MaxResolverBanks))
-	}
-	l := &Loopback{
-		Metrics: fabric.NewMetrics(n),
-		params:  params,
-		clocks:  clocks,
-		banks:   banks,
-		wires:   make([]chan []byte, n),
-		inbox:   make([][]chan fabric.Packet, n),
-	}
-	depth := params.QueuesPerDest * n
-	if depth < 4 {
-		depth = 4
-	}
+	l := &Loopback{Chan: fabric.NewBanked(params, clocks, banks)}
+	l.wires = make([]chan []byte, l.Nodes())
 	for i := range l.wires {
-		l.wires[i] = make(chan []byte, depth)
-		l.inbox[i] = make([]chan fabric.Packet, banks)
-		for b := range l.inbox[i] {
-			l.inbox[i][b] = make(chan fabric.Packet, depth)
-		}
+		l.wires[i] = make(chan []byte, cap(l.Inbox(i))) // as deep as the inboxes behind it
 	}
-	l.decoders.Add(n)
-	for i := 0; i < n; i++ {
+	l.decoders.Add(len(l.wires))
+	for i := range l.wires {
 		go l.decode(i)
 	}
 	return l
 }
 
-// Banks implements fabric.Banked.
-func (l *Loopback) Banks() int { return l.banks }
-
-// BankInbox implements fabric.Banked.
-func (l *Loopback) BankInbox(node, bank int) <-chan fabric.Packet { return l.inbox[node][bank] }
-
-// SetLocalApply implements fabric.LocalApplier. It must be called
-// before the first Send.
-func (l *Loopback) SetLocalApply(fn func(fabric.Packet)) { l.localApply = fn }
-
-// Nodes returns the node count.
-func (l *Loopback) Nodes() int { return len(l.inbox) }
-
-// Hosts implements fabric.Fabric: every node lives in this process.
-func (l *Loopback) Hosts(int) bool { return true }
-
 // Send implements fabric.Fabric.
 func (l *Loopback) Send(from, to int, buf []byte, msgs int) {
-	l.send(&frame{typ: frameData, from: from, to: to, msgs: msgs, payload: buf})
+	l.send(fabric.Packet{From: from, To: to, Buf: buf, Msgs: msgs})
 }
 
 // SendRouted implements fabric.Fabric.
 func (l *Loopback) SendRouted(from, gateway int, buf []byte, msgs int) {
-	l.send(&frame{typ: frameRouted, from: from, to: gateway, msgs: msgs, payload: buf})
+	l.send(fabric.Packet{From: from, To: gateway, Buf: buf, Msgs: msgs, Routed: true})
 }
 
-func (l *Loopback) send(f *frame) {
-	if f.to < 0 || f.to >= len(l.wires) {
-		panic(fmt.Sprintf("transport: send to invalid node %d", f.to))
+func (l *Loopback) send(p fabric.Packet) {
+	// A bypassed node-local packet skips the framing round trip
+	// entirely. The loopback codec is faithful (encode/decode
+	// round-trips bit-exactly), so skipping it for self traffic cannot
+	// change results — only wall time.
+	if l.Depart(p) {
+		return
 	}
-	if f.from == f.to {
-		l.SelfPkts[f.from].Inc()
-		if la := l.localApply; la != nil && f.typ != frameRouted {
-			// Bypass: a node-local packet skips the framing round trip
-			// entirely and resolves synchronously on this goroutine.
-			// The loopback codec is faithful (encode/decode round-trips
-			// bit-exactly), so skipping it for self traffic cannot
-			// change results — only wall time.
-			la(fabric.Packet{From: f.from, To: f.to, Buf: f.payload, Msgs: f.msgs})
-			wire.PutBuf(f.payload)
-			return
-		}
-	} else {
-		ns := l.params.WireNs(len(f.payload))
-		l.clocks[f.from].AddWireSend(ns)
-		l.clocks[f.to].AddWireRecv(ns)
-		l.clocks[f.from].CountPacket(len(f.payload))
-		l.ObserveWire(f.from, f.to, len(f.payload))
+	l.onWire.Add(1)
+	f := frame{typ: frameData, from: p.From, to: p.To, msgs: p.Msgs, payload: p.Buf}
+	if p.Routed {
+		f.typ = frameRouted
 	}
-	l.inflight.Add(1)
 	// Encode into a pooled wire buffer; the encode copies the payload,
 	// so the caller's buffer recycles immediately (Send owns it).
-	raw := appendFrame(wire.GetBuf(headerBytes+len(f.payload)), f)
-	wire.PutBuf(f.payload)
-	l.wires[f.to] <- raw
+	raw := appendFrame(wire.GetBuf(headerBytes+len(p.Buf)), &f)
+	wire.PutBuf(p.Buf)
+	l.wires[p.To] <- raw
 }
 
 // decode is node's wire-side decoder: it turns validated frames into
@@ -147,11 +91,6 @@ func (l *Loopback) send(f *frame) {
 // parsed), so one buffer never backs two packets.
 func (l *Loopback) decode(node int) {
 	defer l.decoders.Done()
-	defer func() {
-		for _, ch := range l.inbox[node] {
-			close(ch)
-		}
-	}()
 	var (
 		f  frame
 		rd bytes.Reader
@@ -165,56 +104,27 @@ func (l *Loopback) decode(node int) {
 			err = fmt.Errorf("transport: %d trailing bytes after frame", br.Buffered())
 		}
 		wire.PutBuf(raw)
-		if err != nil {
-			if errors.Is(err, errCorruptPayload) {
-				l.CorruptFrames.Inc()
-			} else {
-				l.Malformed.Inc()
-			}
-			l.inflight.Add(-1)
-			continue
-		}
 		routed := f.typ == frameRouted
-		if err := wire.CheckBuf(f.payload, routed, len(l.inbox)); err != nil {
+		switch {
+		case errors.Is(err, errCorruptPayload):
+			l.CorruptFrames.Inc()
+		case err != nil, wire.CheckBuf(f.payload, routed, l.Nodes()) != nil:
 			l.Malformed.Inc()
-			l.inflight.Add(-1)
-			continue
+		default:
+			// The endpoint counts the packets in flight before the frame
+			// gives up its wire credit below, so at every instant Quiet
+			// sees one or the other. (Inboxes close only after every
+			// decoder has exited, so the push cannot fail.)
+			l.Deliver(fabric.Packet{From: f.from, To: node, Buf: f.payload, Msgs: f.msgs, Routed: routed})
 		}
-		if l.banks > 1 && !routed {
-			// Demux into per-bank sub-packets, counting every one in
-			// flight before pushing the first (a fast bank finishing
-			// early must not dip the count to zero mid-delivery). The
-			// frame itself already holds one in-flight credit; adjust
-			// by the difference.
-			var subs [fabric.MaxResolverBanks]fabric.Packet
-			nsub := 0
-			fabric.ScatterBanks(f.payload, l.banks, func(bank int, sub []byte, m int) {
-				subs[nsub] = fabric.Packet{From: f.from, To: node, Buf: sub, Msgs: m, Bank: bank, Sub: true}
-				nsub++
-			})
-			wire.PutBuf(f.payload)
-			l.inflight.Add(int64(nsub) - 1)
-			for i := 0; i < nsub; i++ {
-				l.inbox[node][subs[i].Bank] <- subs[i]
-			}
-			continue
-		}
-		l.inbox[node][0] <- fabric.Packet{From: f.from, To: node, Buf: f.payload, Msgs: f.msgs, Routed: routed}
+		l.onWire.Add(-1)
 	}
 }
 
-// Inbox implements fabric.Fabric: the node's bank-0 receive channel.
-func (l *Loopback) Inbox(node int) <-chan fabric.Packet { return l.inbox[node][0] }
-
-// Done implements fabric.Fabric: it recycles the packet's buffer and
-// retires it from quiescence accounting.
-func (l *Loopback) Done(p fabric.Packet) {
-	l.inflight.Add(-1)
-	wire.PutBuf(p.Buf)
-}
-
-// Quiet implements fabric.Fabric.
-func (l *Loopback) Quiet() bool { return l.inflight.Load() == 0 }
+// Quiet implements fabric.Fabric. The wire credit is read first: a
+// frame moves from the wire to the endpoint, never back, so one that is
+// in flight across both reads is seen by at least one of them.
+func (l *Loopback) Quiet() bool { return l.onWire.Load() == 0 && l.Idle() }
 
 // Close drains the decoders and closes every inbox.
 func (l *Loopback) Close() {
@@ -225,6 +135,7 @@ func (l *Loopback) Close() {
 		close(w)
 	}
 	l.decoders.Wait()
+	l.Chan.Close()
 }
 
 var (

@@ -74,6 +74,9 @@ const (
 // sender-side and receiver-side as in the in-process fabrics.
 type TCP struct {
 	*fabric.Metrics
+	// The hosted node's inboxes: self-sends and received frames.
+	*fabric.Endpoint
+
 	params *timemodel.Params
 	clocks []*timemodel.Clocks
 	n      int
@@ -113,13 +116,9 @@ type TCP struct {
 	hbStop chan struct{} // stops the coordinator heartbeat loop
 	hbDone chan struct{}
 
-	banks         int
-	inbox         [][]chan fabric.Packet // [node][bank]
-	localInflight atomic.Int64           // self→self packets between Send and Done
-	recvInflight  atomic.Int64           // wire packets between inbox enqueue and Done
-	sentWire      atomic.Int64           // data frames originated (monotonic)
-	appliedWire   atomic.Int64           // data frames fully applied (monotonic)
-	epoch         atomic.Int64           // step barriers passed
+	sentWire    atomic.Int64 // data frames originated (monotonic)
+	appliedWire atomic.Int64 // data frames fully applied (monotonic)
+	epoch       atomic.Int64 // step barriers passed
 
 	recv []*peerRecv // per-peer receive state (dedup seq + active conn)
 
@@ -138,11 +137,6 @@ type TCP struct {
 	// process polling the quiet protocol or the step barrier keeps
 	// cascades flowing instead of letting them stall invisibly.
 	hostDrain atomic.Value
-
-	// localApply, when set (fabric.LocalApplier, before the first
-	// Send), resolves self→self packets synchronously instead of
-	// round-tripping them through the inbox.
-	localApply func(fabric.Packet)
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -168,12 +162,9 @@ func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Opt
 	if n > 1 && opt.Coord == "" {
 		return nil, fmt.Errorf("transport: %d nodes but no coordinator: cross-process quiescence requires Options.Coord", n)
 	}
-	banks := opt.ResolverBanks
-	if banks == 0 {
-		banks = 1
-	}
-	if !fabric.ValidBanks(banks) {
-		return nil, fmt.Errorf("transport: resolver banks %d must be a power of two in [1, %d]", banks, fabric.MaxResolverBanks)
+	ep, err := fabric.NewEndpoint(n, func(node int) bool { return node == opt.Self }, opt.ResolverBanks, recvQueueFrames)
+	if err != nil {
+		return nil, err
 	}
 	listen := opt.Listen
 	if listen == "" {
@@ -204,6 +195,7 @@ func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Opt
 	}
 	t := &TCP{
 		Metrics:   fabric.NewMetrics(n),
+		Endpoint:  ep,
 		params:    params,
 		clocks:    clocks,
 		n:         n,
@@ -214,18 +206,12 @@ func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Opt
 		inj:       inj,
 		suspect:   suspect,
 		heartbeat: heartbeat,
-		banks:     banks,
-		inbox:     make([][]chan fabric.Packet, n),
 		recv:      make([]*peerRecv, n),
 		conns:     make(map[net.Conn]struct{}),
 		failedCh:  make(chan struct{}),
 		killed:    make(chan struct{}),
 	}
-	for i := range t.inbox {
-		t.inbox[i] = make([]chan fabric.Packet, banks)
-		for b := range t.inbox[i] {
-			t.inbox[i][b] = make(chan fabric.Packet, recvQueueFrames)
-		}
+	for i := range t.recv {
 		t.recv[i] = &peerRecv{}
 	}
 
@@ -366,14 +352,8 @@ func (t *TCP) Kill() {
 	})
 }
 
-// Nodes implements fabric.Fabric.
-func (t *TCP) Nodes() int { return t.n }
-
 // Self returns the node this process hosts.
 func (t *TCP) Self() int { return t.self }
-
-// Hosts implements fabric.Fabric: one node per process.
-func (t *TCP) Hosts(node int) bool { return node == t.self }
 
 // Addr returns the transport's listen address.
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
@@ -396,32 +376,13 @@ func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 		panic(fmt.Sprintf("transport: send to invalid node %d", to))
 	}
 	if to == t.self {
+		// A self-send never becomes a frame: the endpoint alone counts
+		// it, and sentWire/appliedWire never see it.
 		t.SelfPkts[t.self].Inc()
-		if la := t.localApply; la != nil && !routed {
-			// Bypass: resolve directly against the banks on this
-			// goroutine; the packet never enters the inbox and is fully
-			// applied when Send returns, so the quiescence counters
-			// never see it.
-			la(fabric.Packet{From: from, To: to, Buf: buf, Msgs: msgs})
-			wire.PutBuf(buf)
-			return
+		p := fabric.Packet{From: from, To: to, Buf: buf, Msgs: msgs, Routed: routed}
+		if !t.Bypass(p) {
+			t.Deliver(p)
 		}
-		if t.banks > 1 && !routed {
-			var subs [fabric.MaxResolverBanks]fabric.Packet
-			nsub := 0
-			fabric.ScatterBanks(buf, t.banks, func(bank int, sub []byte, m int) {
-				subs[nsub] = fabric.Packet{From: from, To: to, Buf: sub, Msgs: m, Bank: bank, Sub: true}
-				nsub++
-			})
-			wire.PutBuf(buf)
-			t.localInflight.Add(int64(nsub))
-			for i := 0; i < nsub; i++ {
-				t.inbox[t.self][subs[i].Bank] <- subs[i]
-			}
-			return
-		}
-		t.localInflight.Add(1)
-		t.inbox[t.self][0] <- fabric.Packet{From: from, To: to, Buf: buf, Msgs: msgs, Routed: routed}
 		return
 	}
 	if len(buf) > maxFramePayload {
@@ -463,38 +424,17 @@ func (t *TCP) enqueue(to int, f *frame) {
 	}
 }
 
-// Inbox implements fabric.Fabric: the node's bank-0 receive channel.
-// Only the hosted node's inbox ever receives; the rest exist so the
-// runtime's shape is node-symmetric.
-func (t *TCP) Inbox(node int) <-chan fabric.Packet { return t.inbox[node][0] }
-
-// Banks implements fabric.Banked.
-func (t *TCP) Banks() int { return t.banks }
-
-// BankInbox implements fabric.Banked.
-func (t *TCP) BankInbox(node, bank int) <-chan fabric.Packet { return t.inbox[node][bank] }
-
-// SetLocalApply implements fabric.LocalApplier. It must be called
-// before the first Send.
-func (t *TCP) SetLocalApply(fn func(fabric.Packet)) { t.localApply = fn }
-
 // Done implements fabric.Fabric. It recycles the packet's buffer:
 // self-packets still carry the sender's builder buffer, wire packets a
 // pooled payload drawn by the frame reader.
 func (t *TCP) Done(p fabric.Packet) {
-	if p.From == t.self && p.To == t.self {
-		t.localInflight.Add(-1)
-		wire.PutBuf(p.Buf)
-		return
-	}
-	t.recvInflight.Add(-1)
-	if !p.Sub {
-		// A demuxed bank sub-packet is one of several carved from a
-		// single wire frame; deliver counted the frame applied once at
-		// demux time, so only whole packets bump the counter here.
+	t.Endpoint.Done(p)
+	if p.From != t.self && !p.Sub {
+		// A whole packet that came off the wire is its frame. A demuxed
+		// bank sub-packet is one of several carved from a single frame;
+		// deliver counted that frame applied once at demux time.
 		t.appliedWire.Add(1)
 	}
-	wire.PutBuf(p.Buf)
 }
 
 // SetHostDrain implements fabric.HostDrainer.
@@ -512,7 +452,7 @@ func (t *TCP) localIdle() bool {
 			return false
 		}
 	}
-	if t.localInflight.Load() != 0 || t.recvInflight.Load() != 0 {
+	if !t.Idle() {
 		return false
 	}
 	for _, s := range t.senders {
@@ -722,11 +662,7 @@ func (t *TCP) Close() {
 			<-handlersDone
 		}
 
-		for _, node := range t.inbox {
-			for _, ch := range node {
-				close(ch)
-			}
-		}
+		t.Endpoint.Close()
 		if t.coord != nil {
 			t.coord.bye(t.self)
 			t.coord.close()
@@ -927,66 +863,31 @@ func (t *TCP) serveConn(conn net.Conn) {
 	}
 }
 
-// deliver hands one validated data frame to the hosted node's inbox,
-// charging receive-side wire time. It reports false if the transport
-// closed underneath it (stray post-drain frame).
+// deliver hands one validated data frame to the endpoint, charging
+// receive-side wire time. Counter order matters when the endpoint
+// demuxes it: the endpoint's in-flight count covers every sub-packet
+// before appliedWire counts the frame applied, so the coordinator's
+// sent/applied comparison can never balance while a sub-packet is still
+// pending, and each sub-packet's Done retires it from the endpoint only
+// (see Done). It reports false if the inboxes closed underneath it
+// during shutdown: the frame is unacked, so a surviving peer would
+// retransmit — by protocol it is post-quiescence and carries nothing
+// the run still needs.
 func (t *TCP) deliver(f *frame, routed bool) bool {
+	p := fabric.Packet{From: f.from, To: t.self, Buf: f.payload, Msgs: f.msgs, Routed: routed}
+	var scattered, ok bool
 	if t.wall {
 		t0 := time.Now()
-		ok := t.pushFrame(f, routed)
+		scattered, ok = t.Deliver(p)
 		t.clocks[t.self].AddWireRecv(float64(time.Since(t0).Nanoseconds()))
-		return ok
+	} else {
+		t.clocks[t.self].AddWireRecv(t.params.WireNs(len(f.payload)))
+		scattered, ok = t.Deliver(p)
 	}
-	t.clocks[t.self].AddWireRecv(t.params.WireNs(len(f.payload)))
-	return t.pushFrame(f, routed)
-}
-
-// pushFrame enqueues one validated frame's packet(s), demuxing into
-// per-bank sub-packets when banked resolution is on. Counter order
-// matters for the demuxed path: recvInflight covers every sub-packet
-// before appliedWire counts the frame applied, so the coordinator's
-// sent/applied comparison can never balance while a sub-packet is
-// still pending, and each sub-packet's Done decrements recvInflight
-// only (see Done).
-func (t *TCP) pushFrame(f *frame, routed bool) (ok bool) {
-	if t.banks == 1 || routed {
-		defer func() {
-			if recover() != nil {
-				// Inbox closed during shutdown; the frame is unacked, so a
-				// surviving peer would retransmit — by protocol this frame is
-				// post-quiescence and carries nothing the run still needs.
-				t.recvInflight.Add(-1)
-				ok = false
-			}
-		}()
-		t.recvInflight.Add(1)
-		t.inbox[t.self][0] <- fabric.Packet{From: f.from, To: t.self, Buf: f.payload, Msgs: f.msgs, Routed: routed}
-		return true
+	if scattered {
+		t.appliedWire.Add(1)
 	}
-	var subs [fabric.MaxResolverBanks]fabric.Packet
-	nsub := 0
-	fabric.ScatterBanks(f.payload, t.banks, func(bank int, sub []byte, m int) {
-		subs[nsub] = fabric.Packet{From: f.from, To: t.self, Buf: sub, Msgs: m, Bank: bank, Sub: true}
-		nsub++
-	})
-	wire.PutBuf(f.payload)
-	t.recvInflight.Add(int64(nsub))
-	t.appliedWire.Add(1)
-	pushed := 0
-	defer func() {
-		if recover() != nil {
-			// Inboxes closed during shutdown mid-demux: retire the
-			// sub-packets that never reached an inbox (post-quiescence
-			// by protocol, same as the unbanked path above).
-			t.recvInflight.Add(int64(pushed - nsub))
-			ok = false
-		}
-	}()
-	for i := 0; i < nsub; i++ {
-		t.inbox[t.self][subs[i].Bank] <- subs[i]
-		pushed++
-	}
-	return true
+	return ok
 }
 
 var _ fabric.Fabric = (*TCP)(nil)

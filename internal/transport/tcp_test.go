@@ -17,6 +17,13 @@ import (
 // cluster has assembled, so construction is concurrent.
 func newTCPCluster(t *testing.T, n int) []*TCP {
 	t.Helper()
+	return newTCPClusterBanked(t, n, 1)
+}
+
+// newTCPClusterBanked is newTCPCluster with the given number of
+// resolver banks per node.
+func newTCPClusterBanked(t *testing.T, n, banks int) []*TCP {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +40,9 @@ func newTCPCluster(t *testing.T, n int) []*TCP {
 		go func(i int) {
 			defer wg.Done()
 			fabs[i], errs[i] = NewTCP(timemodel.Default(), newClocks(n), fabric.Options{
-				Self:  i,
-				Coord: ln.Addr().String(),
+				Self:          i,
+				Coord:         ln.Addr().String(),
+				ResolverBanks: banks,
 			})
 		}(i)
 	}
@@ -277,22 +285,24 @@ func newRecvOnlyTCP(t *testing.T, n, self int, gen uint32) *TCP {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &TCP{
-		Metrics: fabric.NewMetrics(n),
-		params:  timemodel.Default(),
-		clocks:  newClocks(n),
-		n:       n,
-		self:    self,
-		gen:     gen,
-		banks:   1,
-		ln:      ln,
-		inbox:   make([][]chan fabric.Packet, n),
-		recv:    make([]*peerRecv, n),
-		conns:   make(map[net.Conn]struct{}),
-		senders: make([]*sender, n),
+	ep, err := fabric.NewEndpoint(n, func(node int) bool { return node == self }, 1, recvQueueFrames)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range tr.inbox {
-		tr.inbox[i] = []chan fabric.Packet{make(chan fabric.Packet, recvQueueFrames)}
+	tr := &TCP{
+		Metrics:  fabric.NewMetrics(n),
+		Endpoint: ep,
+		params:   timemodel.Default(),
+		clocks:   newClocks(n),
+		n:        n,
+		self:     self,
+		gen:      gen,
+		ln:       ln,
+		recv:     make([]*peerRecv, n),
+		conns:    make(map[net.Conn]struct{}),
+		senders:  make([]*sender, n),
+	}
+	for i := range tr.recv {
 		tr.recv[i] = &peerRecv{}
 	}
 	go tr.acceptLoop()
