@@ -11,42 +11,24 @@
 package agg
 
 import (
-	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"gravel/internal/fabric"
-	"gravel/internal/obs"
 	"gravel/internal/queue"
-	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
 
-// readyPkt is a flushed per-node (or per-group) queue waiting to be put
-// on the wire. Flush decisions happen under a shard mutex, but
-// transmission — which can block on receiver backpressure — happens
-// outside it (see pump), so network threads can always stage follow-up
-// messages without risking a send/receive deadlock.
-type readyPkt struct {
-	dest   int
-	buf    []byte
-	msgs   int
-	routed bool
-}
-
-// shard is one drain thread's private aggregation state: its own
-// builder set and ready list under its own mutex. With one aggregator
-// thread (the paper's best configuration, and the default) there is a
-// single shard and behavior is identical to a global lock; with more,
-// threads repack without contending on one mutex and packet streams
-// merge at pump/flush boundaries.
+// shard is one drain thread's private staging: its own builder set
+// under its own mutex. With one aggregator thread (the paper's best
+// configuration, and the default) there is a single shard and behavior
+// is identical to a global lock; with more, threads repack without
+// contending on one mutex and packet streams merge in the outbox.
 type shard struct {
-	mu       sync.Mutex      // guards builders, grouped, ready; never held across Send
+	mu       sync.Mutex      // guards builders, grouped and the signal marks
 	builders []*wire.Builder // per in-group destination (or all, when flat)
 	grouped  []*wire.Builder // per remote group, routed records
-	ready    []readyPkt      // flushed queues awaiting transmission
-	spare    []readyPkt      // drained batch recycled for the next swap
 
 	// Destinations that took a PUT_SIGNAL during the batch being
 	// repacked. Signals must not sit in a part-filled builder until the
@@ -59,24 +41,16 @@ type shard struct {
 	sigGroups    []int
 	sigNodeMark  []bool
 	sigGroupMark []bool
-
-	// repackFn is the shard-bound queue consumer, built once so the hot
-	// TryConsume path passes a preallocated closure.
-	repackFn func(payload []uint64, rows, cols, count int)
 }
 
-// Aggregator drains one node's producer/consumer queue.
+// Aggregator is the paper's ticket strategy: the driver's threads
+// repack drained queue slots into fixed-capacity per-node builders.
 type Aggregator struct {
-	node   int
-	params *timemodel.Params
-	q      *queue.Gravel
-	fab    fabric.Fabric
-	clock  *timemodel.Clocks
+	*driver
 
-	// PerMessage, when set before Start, disables message combining:
-	// every message becomes its own wire packet (the message-per-lane
-	// baseline, §3.2). Set at construction time only.
-	PerMessage bool
+	// perMessage disables message combining: every message becomes its
+	// own wire packet (the message-per-lane baseline, §3.2).
+	perMessage bool
 
 	// groupSize > 1 enables two-level hierarchical aggregation (§10):
 	// messages to a node outside the sender's group travel in per-GROUP
@@ -84,26 +58,13 @@ type Aggregator struct {
 	// re-aggregates them into per-node queues for its group.
 	groupSize int
 
-	// shards holds one aggregation shard per drain thread
-	// (params.AggregatorThreads, minimum one). Host-context staging
-	// (AppendDirect, Flush's final drain) uses shard 0.
-	shards   []*shard
-	inFlight atomic.Int64 // drain attempts in progress (quiescence)
-
-	// Flush-reason counters (§3.4): full-queue flushes go immediately,
-	// stragglers are forced out by the end-of-step timeout flush. One
-	// atomic add per flush (~thousands of messages), so always on.
-	flushFull    stats.Counter
-	flushTimeout stats.Counter
-
-	stop chan struct{}
-	done chan struct{}
+	// shards holds one staging shard per drain thread. Host-context
+	// staging (AppendDirect, Flush's final drain) uses shard 0.
+	shards []*shard
 }
 
-// New creates an aggregator for the given node. The thread count is
-// taken from params.AggregatorThreads (the paper found one thread
-// performs best on its 4-thread CPU). With perMessage set, combining is
-// disabled and every message becomes its own packet (the
+// New creates an aggregator for the given node. With perMessage set,
+// combining is disabled and every message becomes its own packet (the
 // message-per-lane baseline).
 func New(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.Fabric, clock *timemodel.Clocks, perMessage bool) *Aggregator {
 	return NewHierarchical(node, params, q, fab, clock, perMessage, 0)
@@ -117,25 +78,15 @@ func NewHierarchical(node int, params *timemodel.Params, q *queue.Gravel, fab fa
 		groupSize = 0
 	}
 	a := &Aggregator{
-		node:       node,
-		params:     params,
-		q:          q,
-		fab:        fab,
-		clock:      clock,
-		PerMessage: perMessage,
+		driver:     newDriver(node, params, q, fab, clock),
+		perMessage: perMessage,
 		groupSize:  groupSize,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
 	capBytes := params.PerNodeQueueBytes
 	if perMessage {
 		capBytes = wire.MsgWireBytes
 	}
-	threads := params.AggregatorThreads
-	if threads < 1 {
-		threads = 1
-	}
-	a.shards = make([]*shard, threads)
+	a.shards = make([]*shard, len(a.consume))
 	for i := range a.shards {
 		sh := &shard{builders: make([]*wire.Builder, n), sigNodeMark: make([]bool, n)}
 		for d := 0; d < n; d++ {
@@ -150,8 +101,8 @@ func NewHierarchical(node int, params *timemodel.Params, q *queue.Gravel, fab fa
 				sh.grouped[g] = wire.NewRoutedBuilder(gw, capBytes)
 			}
 		}
-		sh.repackFn = func(payload []uint64, rows, cols, count int) {
-			a.repack(sh, payload, rows, cols, count)
+		a.consume[i] = func(payload []uint64, rows, cols, count int) {
+			a.repack(sh, payload, cols, count)
 		}
 		a.shards[i] = sh
 	}
@@ -172,136 +123,13 @@ func (a *Aggregator) gatewayOf(g int) int {
 // GroupSize returns the hierarchical group size (0 = flat).
 func (a *Aggregator) GroupSize() int { return a.groupSize }
 
-// Start launches the aggregator thread(s), one per shard.
-func (a *Aggregator) Start() {
-	var wg sync.WaitGroup
-	wg.Add(len(a.shards))
-	for _, sh := range a.shards {
-		go func(sh *shard) {
-			defer wg.Done()
-			a.run(sh)
-		}(sh)
-	}
-	go func() {
-		wg.Wait()
-		close(a.done)
-	}()
-}
-
-// Stop terminates the aggregator after the queue is fully drained.
-func (a *Aggregator) Stop() {
-	close(a.stop)
-	<-a.done
-}
-
-func (a *Aggregator) run(sh *shard) {
-	idlePollNs := 40.0 // cost of one empty poll of the queue head
-	for {
-		worked := a.drainSome(sh, 64)
-		if a.pump() {
-			worked = true
-		}
-		if !worked {
-			a.clock.AddAggIdle(idlePollNs)
-			select {
-			case <-a.stop:
-				// Final drain: the queue must already be quiescent when
-				// Stop is called, but be safe.
-				for a.drainSome(sh, 64) {
-				}
-				a.pump()
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}
-}
-
-// pump transmits every staged queue on every shard; it reports whether
-// any were sent. Send can block on receiver backpressure, so pump must
-// only be called from an aggregator thread or a host thread — never a
-// network thread.
-func (a *Aggregator) pump() bool {
-	// The inFlight guard keeps quiescence from declaring the node idle
-	// while a popped packet is between the ready list and fab.Send.
-	a.inFlight.Add(1)
-	defer a.inFlight.Add(-1)
-	any := false
-	for _, sh := range a.shards {
-		if a.pumpShard(sh) {
-			any = true
-		}
-	}
-	return any
-}
-
-// pumpShard drains one shard's ready list. It swaps the whole list out
-// under the lock (ping-ponging between two reusable backing arrays, so
-// the steady state stages and drains without allocating) and sends
-// outside it.
-func (a *Aggregator) pumpShard(sh *shard) bool {
-	any := false
-	for {
-		sh.mu.Lock()
-		if len(sh.ready) == 0 {
-			sh.mu.Unlock()
-			return any
-		}
-		batch := sh.ready
-		sh.ready = sh.spare[:0]
-		sh.spare = nil
-		sh.mu.Unlock()
-		for i := range batch {
-			pkt := &batch[i]
-			if pkt.routed {
-				a.fab.SendRouted(a.node, pkt.dest, pkt.buf, pkt.msgs)
-			} else {
-				a.fab.Send(a.node, pkt.dest, pkt.buf, pkt.msgs)
-			}
-			batch[i] = readyPkt{} // the fabric owns the buffer now
-		}
-		sh.mu.Lock()
-		if sh.spare == nil {
-			sh.spare = batch[:0]
-		}
-		sh.mu.Unlock()
-		any = true
-	}
-}
-
-// drainSome consumes up to max slots into sh; reports whether any were
-// consumed.
-func (a *Aggregator) drainSome(sh *shard, max int) bool {
-	a.inFlight.Add(1)
-	defer a.inFlight.Add(-1)
-	any := false
-	for i := 0; i < max; i++ {
-		if !a.q.TryConsume(sh.repackFn) {
-			break
-		}
-		any = true
-	}
-	return any
-}
-
-// Busy reports whether a drain attempt is in progress; quiescence
-// detection needs this to close the window between a slot being claimed
-// and its messages reaching a builder.
-func (a *Aggregator) Busy() bool { return a.inFlight.Load() != 0 }
-
 // repack moves one slot's messages into sh's per-destination builders,
 // flushing any builder that fills (§3.4: per-node queues are sent as
 // soon as they become full).
-func (a *Aggregator) repack(sh *shard, payload []uint64, rows, cols, count int) {
+func (a *Aggregator) repack(sh *shard, payload []uint64, cols, count int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	a.clock.AddAgg(a.params.AggPerSlotNs + float64(count)*a.params.AggPerMsgNs)
-	a.clock.CountAggSlot(count)
-	cmdRow := payload[wire.RowCmd*cols:]
-	destRow := payload[wire.RowDest*cols:]
-	aRow := payload[wire.RowA*cols:]
-	bRow := payload[wire.RowB*cols:]
+	cmdRow, destRow, aRow, bRow := a.slotRows(payload, cols, count)
 	for m := 0; m < count; m++ {
 		a.appendLocked(sh, int(destRow[m]), cmdRow[m], aRow[m], bRow[m])
 	}
@@ -315,12 +143,12 @@ func (a *Aggregator) repack(sh *shard, payload []uint64, rows, cols, count int) 
 func (a *Aggregator) flushSignalsLocked(sh *shard) {
 	for _, g := range sh.sigGroups {
 		sh.sigGroupMark[g] = false
-		a.flushGroupLocked(sh, g, false)
+		a.flushLocked(sh.grouped[g], false)
 	}
 	sh.sigGroups = sh.sigGroups[:0]
 	for _, d := range sh.sigNodes {
 		sh.sigNodeMark[d] = false
-		a.flushLocked(sh, d, false)
+		a.flushLocked(sh.builders[d], false)
 	}
 	sh.sigNodes = sh.sigNodes[:0]
 }
@@ -332,7 +160,7 @@ func (a *Aggregator) appendLocked(sh *shard, dest int, cmd, av, vv uint64) {
 		g := dest / a.groupSize
 		b := sh.grouped[g]
 		if b.Full() {
-			a.flushGroupLocked(sh, g, false)
+			a.flushLocked(b, false)
 		}
 		b.AppendRouted(cmd, av, vv, dest)
 		if wire.Op(cmd&0xff) == wire.OpPutSignal && !sh.sigGroupMark[g] {
@@ -343,27 +171,16 @@ func (a *Aggregator) appendLocked(sh *shard, dest int, cmd, av, vv uint64) {
 	}
 	b := sh.builders[dest]
 	if b.Full() {
-		a.flushLocked(sh, dest, false)
+		a.flushLocked(b, false)
 	}
 	b.Append(cmd, av, vv)
-	if a.PerMessage {
+	if a.perMessage {
 		// Message-per-lane: no combining; one packet per message.
-		a.flushLocked(sh, dest, false)
+		a.flushLocked(b, false)
 	} else if wire.Op(cmd&0xff) == wire.OpPutSignal && !sh.sigNodeMark[dest] {
 		sh.sigNodeMark[dest] = true
 		sh.sigNodes = append(sh.sigNodes, dest)
 	}
-}
-
-func (a *Aggregator) flushGroupLocked(sh *shard, g int, timeout bool) {
-	b := sh.grouped[g]
-	if b.Empty() {
-		return
-	}
-	buf, msgs := b.Take()
-	a.clock.AddAgg(a.params.AggPerFlushNs)
-	a.recordFlush(len(buf), msgs, timeout)
-	sh.ready = append(sh.ready, readyPkt{dest: b.Dest(), buf: buf, msgs: msgs, routed: true})
 }
 
 // AppendDirect stages one message from host context (an AM handler
@@ -379,39 +196,13 @@ func (a *Aggregator) AppendDirect(dest int, cmd, av, vv uint64, chargeNs float64
 	a.flushSignalsLocked(sh)
 }
 
-func (a *Aggregator) flushLocked(sh *shard, dest int, timeout bool) {
-	b := sh.builders[dest]
-	if b.Empty() {
-		return
+// flushLocked hands b's queue, per-node or per-group, to the outbox;
+// the mutex of the shard that owns b must be held.
+func (a *Aggregator) flushLocked(b *wire.Builder, timeout bool) {
+	if !b.Empty() {
+		buf, msgs := b.Take()
+		a.stage(b.Dest(), buf, msgs, b.Routed(), timeout)
 	}
-	buf, msgs := b.Take()
-	a.clock.AddAgg(a.params.AggPerFlushNs)
-	a.recordFlush(len(buf), msgs, timeout)
-	sh.ready = append(sh.ready, readyPkt{dest: dest, buf: buf, msgs: msgs})
-}
-
-// recordFlush attributes one flush to its reason — the per-node queue
-// filled, or the end-of-step timeout flush forced it out — and emits
-// the matching trace event when the flight recorder is on.
-func (a *Aggregator) recordFlush(bytes, msgs int, timeout bool) {
-	if timeout {
-		a.flushTimeout.Inc()
-	} else {
-		a.flushFull.Inc()
-	}
-	if obs.Enabled() {
-		k := obs.KAggFlushFull
-		if timeout {
-			k = obs.KAggFlushTimeout
-		}
-		obs.Emit(k, a.node, int64(bytes), int64(msgs), "")
-	}
-}
-
-// FlushCounts returns how many flushes were triggered by a full
-// per-node queue and how many by the end-of-step timeout flush.
-func (a *Aggregator) FlushCounts() (full, timeout int64) {
-	return a.flushFull.Load(), a.flushTimeout.Load()
 }
 
 // Flush sends every non-empty per-node queue (end-of-superstep /
@@ -419,45 +210,31 @@ func (a *Aggregator) FlushCounts() (full, timeout int64) {
 // empty first, or freshly repacked messages may miss the flush. Flush
 // must be called from a host thread (it transmits, which can block).
 func (a *Aggregator) Flush() {
-	// Drain anything still in the queue on the caller's thread first.
-	for a.q.TryConsume(a.shards[0].repackFn) {
-	}
+	a.drainQueue()
 	for _, sh := range a.shards {
 		sh.mu.Lock()
 		for d := range sh.builders {
-			a.flushLocked(sh, d, true)
+			a.flushLocked(sh.builders[d], true)
 		}
 		for g := range sh.grouped {
-			a.flushGroupLocked(sh, g, true)
+			a.flushLocked(sh.grouped[g], true)
 		}
 		sh.mu.Unlock()
 	}
 	a.pump()
 }
 
-// Pending reports whether any shard holds unflushed or unsent messages.
+// Pending reports whether any shard holds unflushed messages or the
+// outbox unsent ones.
 func (a *Aggregator) Pending() bool {
+	staged := func(b *wire.Builder) bool { return !b.Empty() }
 	for _, sh := range a.shards {
 		sh.mu.Lock()
-		pending := len(sh.ready) > 0
-		for _, b := range sh.builders {
-			if !b.Empty() {
-				pending = true
-				break
-			}
-		}
-		if !pending {
-			for _, b := range sh.grouped {
-				if !b.Empty() {
-					pending = true
-					break
-				}
-			}
-		}
+		pending := slices.ContainsFunc(sh.builders, staged) || slices.ContainsFunc(sh.grouped, staged)
 		sh.mu.Unlock()
 		if pending {
 			return true
 		}
 	}
-	return false
+	return a.unsent()
 }

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"gravel/internal/fabric"
@@ -86,12 +87,74 @@ func TestAllocsPerRunRepackDrain(t *testing.T) {
 			s.Row(wire.RowB)[m] = 1
 		}
 		s.Commit()
-		for q.TryConsume(a.shards[0].repackFn) {
+		for q.TryConsume(a.consume[0]) {
 		}
 		a.Flush()
 		drain()
 	})
 	if allocs != 0 {
 		t.Fatalf("repack/drain round trip allocated %.2f times per op, want 0", allocs)
+	}
+}
+
+// poolDrops reports whether sync.Pool discards what is Put into it, as
+// it does at random under the race detector; a guard on a pooled buffer
+// lifecycle cannot hold then.
+func poolDrops() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// archiveRoundTrip returns one op of the archive strategy's hot path —
+// a full per-node queue appended a wavefront at a time, which stages it;
+// Flush, which transmits it; Done, which recycles its buffer — and the
+// op's wire bytes.
+func archiveRoundTrip() (op func(), bytes int) {
+	p := timemodel.Default()
+	clocks := []*timemodel.Clocks{{}, {}}
+	fab := fabric.New(p, clocks)
+	ar := NewArchive(0, p, queue.NewGravel(64, wire.SlotRows, 4), fab, clocks[0], true)
+
+	const wf = 64
+	wfs := p.PerNodeQueueBytes / wire.MsgWireBytes / wf
+	lanes, a, v := make([]int, wf), make([]uint64, wf), make([]uint64, wf)
+	for l := range lanes {
+		lanes[l], a[l], v[l] = l, uint64(l), 1
+	}
+	cmd := wire.PackCmd(wire.OpInc, 0, 1)
+	cmdOf := func(int) uint64 { return cmd }
+	return func() {
+		for w := 0; w < wfs; w++ {
+			ar.AppendWF(1, lanes, cmdOf, a, v)
+		}
+		ar.Flush()
+		for {
+			select {
+			case pkt := <-fab.Inbox(1):
+				fab.Done(pkt)
+			default:
+				return
+			}
+		}
+	}, wfs * wf * wire.MsgWireBytes
+}
+
+// TestAllocsPerRunArchiveRoundTrip is the same guard over the archive
+// strategy: segments come from the packet pool and go straight into the
+// driver's outbox, so a steady-state round trip allocates nothing.
+func TestAllocsPerRunArchiveRoundTrip(t *testing.T) {
+	if poolDrops() {
+		t.Skip("sync.Pool is dropping buffers (race detector)")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	op, _ := archiveRoundTrip()
+	if allocs := testing.AllocsPerRun(50, op); allocs != 0 {
+		t.Fatalf("archive round trip allocated %.2f times per op, want 0", allocs)
 	}
 }

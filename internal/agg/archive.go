@@ -1,14 +1,11 @@
 package agg
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"gravel/internal/fabric"
 	"gravel/internal/obs"
 	"gravel/internal/queue"
-	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
@@ -35,37 +32,14 @@ import (
 // end-of-step timeout flush, and a PUT_SIGNAL stages its destination's
 // whole archive at once so a remote waiter cannot spin on a signal
 // parked in a half-filled buffer. Appends and flush decisions only
-// stage; transmission always happens on the pump goroutine or a host
-// thread, so network threads staging follow-ups can never deadlock
-// against receiver backpressure.
+// stage; the driver transmits.
 type Archive struct {
-	node   int
-	params *timemodel.Params
-	q      *queue.Gravel
-	fab    fabric.Fabric
-	clock  *timemodel.Clocks
-	fuse   bool
+	*driver
+	fuse bool
 
 	maxBytes int // per-destination staged-byte bound (flush when reached)
 
 	dests []*destArchive
-
-	mu    sync.Mutex // guards ready/spare; never held across Send
-	ready []readyPkt
-	spare []readyPkt
-
-	inFlight atomic.Int64 // drain attempts in progress (quiescence)
-
-	flushFull    stats.Counter
-	flushTimeout stats.Counter
-
-	// repackFn drains producer/consumer queue slots staged by host
-	// paths that do not know the strategy (plain core contexts); the
-	// archive model's device path bypasses the queue entirely.
-	repackFn func(payload []uint64, rows, cols, count int)
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // seg is one sealed archive segment: an encoded run of wire records.
@@ -74,9 +48,7 @@ type seg struct {
 	msgs int
 }
 
-// destArchive is one destination's growable archive. Its mutex orders
-// strictly before Archive.mu (stageLocked acquires the latter while
-// holding the former; nothing acquires them in the other order).
+// destArchive is one destination's growable archive.
 type destArchive struct {
 	mu     sync.Mutex
 	dest   int
@@ -102,107 +74,36 @@ func NewArchive(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.
 		initCap = params.PerNodeQueueBytes
 	}
 	ar := &Archive{
-		node:     node,
-		params:   params,
-		q:        q,
-		fab:      fab,
-		clock:    clock,
+		driver:   newDriver(node, params, q, fab, clock),
 		fuse:     fuse,
 		maxBytes: params.PerNodeQueueBytes,
 		dests:    make([]*destArchive, n),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	for d := 0; d < n; d++ {
 		ar.dests[d] = &destArchive{dest: d, segCap: initCap}
 	}
-	ar.repackFn = ar.repack
+	for i := range ar.consume {
+		ar.consume[i] = ar.repack
+	}
 	return ar
 }
-
-// Fused reports whether same-destination segments merge at flush time.
-func (ar *Archive) Fused() bool { return ar.fuse }
 
 // Name implements Strategy.
 func (ar *Archive) Name() string { return "archive" }
 
-// GroupSize implements Strategy: archives are flat (hierarchical
-// aggregation is a ticket-strategy feature).
-func (ar *Archive) GroupSize() int { return 0 }
-
-// Start implements Strategy: one background goroutine drains the
-// producer/consumer queue safety net and pumps staged packets.
-func (ar *Archive) Start() {
-	go func() {
-		defer close(ar.done)
-		ar.run()
-	}()
-}
-
-// Stop implements Strategy.
-func (ar *Archive) Stop() {
-	close(ar.stop)
-	<-ar.done
-}
-
-func (ar *Archive) run() {
-	idlePollNs := 40.0 // cost of one empty poll, same as the ticket strategy
-	for {
-		worked := ar.drainSome(64)
-		if ar.pump() {
-			worked = true
-		}
-		if !worked {
-			ar.clock.AddAggIdle(idlePollNs)
-			select {
-			case <-ar.stop:
-				for ar.drainSome(64) {
-				}
-				ar.pump()
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}
-}
-
-// drainSome consumes up to max producer/consumer queue slots; the
-// archive model's device path appends directly, so this is a safety net
-// for host paths that enqueue through the queue.
-func (ar *Archive) drainSome(max int) bool {
-	ar.inFlight.Add(1)
-	defer ar.inFlight.Add(-1)
-	any := false
-	for i := 0; i < max; i++ {
-		if !ar.q.TryConsume(ar.repackFn) {
-			break
-		}
-		any = true
-	}
-	return any
-}
-
-// repack moves one queue slot's messages into the archives, charged
-// like the ticket strategy's repack so queue-staged traffic costs the
-// same under either strategy.
+// repack moves one queue slot's messages into the archives. The
+// archive model's device path appends directly (AppendWF); this serves
+// whatever else writes the producer/consumer queue, at the same charge
+// as under the ticket strategy.
 func (ar *Archive) repack(payload []uint64, rows, cols, count int) {
-	ar.clock.AddAgg(ar.params.AggPerSlotNs + float64(count)*ar.params.AggPerMsgNs)
-	ar.clock.CountAggSlot(count)
-	cmdRow := payload[wire.RowCmd*cols:]
-	destRow := payload[wire.RowDest*cols:]
-	aRow := payload[wire.RowA*cols:]
-	bRow := payload[wire.RowB*cols:]
+	cmdRow, destRow, aRow, bRow := ar.slotRows(payload, cols, count)
 	for m := 0; m < count; m++ {
 		ar.append(int(destRow[m]), cmdRow[m], aRow[m], bRow[m])
 	}
 }
 
-// Busy implements Strategy.
-func (ar *Archive) Busy() bool { return ar.inFlight.Load() != 0 }
-
 // AppendDirect implements Strategy: host-context staging (AM handler
-// follow-ups). It stages only — the pump goroutine transmits.
+// follow-ups). It stages only — the driver transmits.
 func (ar *Archive) AppendDirect(dest int, cmd, av, vv uint64, chargeNs float64) {
 	ar.clock.AddAgg(chargeNs)
 	ar.append(dest, cmd, av, vv)
@@ -275,8 +176,8 @@ func (ar *Archive) sealLocked(da *destArchive) {
 }
 
 // stageLocked seals da's open segment and moves the whole archive to
-// the ready list (fused into one contiguous packet per destination, or
-// one packet per segment). da.mu must be held; it acquires Archive.mu.
+// the outbox (fused into one contiguous packet per destination, or one
+// packet per segment); da.mu must be held.
 func (ar *Archive) stageLocked(da *destArchive, timeout bool) {
 	if da.open != nil && da.openMs > 0 {
 		ar.sealLocked(da)
@@ -284,92 +185,28 @@ func (ar *Archive) stageLocked(da *destArchive, timeout bool) {
 	if len(da.sealed) == 0 {
 		return
 	}
-	var pkts []readyPkt
 	if ar.fuse && len(da.sealed) > 1 {
 		merged := wire.GetBuf(da.bytes)
-		msgs := 0
 		for _, s := range da.sealed {
 			merged = append(merged, s.buf...)
-			msgs += s.msgs
 			wire.PutBuf(s.buf)
 		}
-		pkts = []readyPkt{{dest: da.dest, buf: merged, msgs: msgs}}
+		ar.stage(da.dest, merged, da.msgs, false, timeout)
 	} else {
-		pkts = make([]readyPkt, len(da.sealed))
-		for i, s := range da.sealed {
-			pkts[i] = readyPkt{dest: da.dest, buf: s.buf, msgs: s.msgs}
+		for _, s := range da.sealed {
+			ar.stage(da.dest, s.buf, s.msgs, false, timeout)
 		}
 	}
 	da.sealed = da.sealed[:0]
 	da.bytes = 0
 	da.msgs = 0
-	for _, p := range pkts {
-		ar.recordFlush(len(p.buf), p.msgs, timeout)
-	}
-	ar.mu.Lock()
-	ar.ready = append(ar.ready, pkts...)
-	ar.mu.Unlock()
-}
-
-// recordFlush mirrors the ticket strategy's flush accounting: one
-// AggPerFlushNs charge and a reason-attributed counter + trace event
-// per packet handed to the wire.
-func (ar *Archive) recordFlush(bytes, msgs int, timeout bool) {
-	ar.clock.AddAgg(ar.params.AggPerFlushNs)
-	if timeout {
-		ar.flushTimeout.Inc()
-	} else {
-		ar.flushFull.Inc()
-	}
-	if obs.Enabled() {
-		k := obs.KAggFlushFull
-		if timeout {
-			k = obs.KAggFlushTimeout
-		}
-		obs.Emit(k, ar.node, int64(bytes), int64(msgs), "")
-	}
-}
-
-// FlushCounts implements Strategy.
-func (ar *Archive) FlushCounts() (full, timeout int64) {
-	return ar.flushFull.Load(), ar.flushTimeout.Load()
-}
-
-// pump transmits every staged packet; host/aggregator threads only.
-func (ar *Archive) pump() bool {
-	ar.inFlight.Add(1)
-	defer ar.inFlight.Add(-1)
-	any := false
-	for {
-		ar.mu.Lock()
-		if len(ar.ready) == 0 {
-			ar.mu.Unlock()
-			return any
-		}
-		batch := ar.ready
-		ar.ready = ar.spare[:0]
-		ar.spare = nil
-		ar.mu.Unlock()
-		for i := range batch {
-			pkt := &batch[i]
-			ar.fab.Send(ar.node, pkt.dest, pkt.buf, pkt.msgs)
-			batch[i] = readyPkt{} // the fabric owns the buffer now
-		}
-		ar.mu.Lock()
-		if ar.spare == nil {
-			ar.spare = batch[:0]
-		}
-		ar.mu.Unlock()
-		any = true
-	}
 }
 
 // Flush implements Strategy: the end-of-step timeout flush. It drains
-// the queue safety net on the caller's thread, stages every archive in
-// destination order, and transmits.
+// the queue on the caller's thread, stages every archive in destination
+// order, and transmits.
 func (ar *Archive) Flush() {
-	for ar.q.TryConsume(ar.repackFn) {
-	}
+	ar.drainQueue()
 	for _, da := range ar.dests {
 		da.mu.Lock()
 		ar.stageLocked(da, true)
@@ -380,23 +217,15 @@ func (ar *Archive) Flush() {
 
 // Pending implements Strategy.
 func (ar *Archive) Pending() bool {
-	ar.mu.Lock()
-	pending := len(ar.ready) > 0
-	ar.mu.Unlock()
-	if pending {
-		return true
-	}
 	for _, da := range ar.dests {
 		da.mu.Lock()
-		if da.msgs > 0 {
-			pending = true
-		}
+		pending := da.msgs > 0
 		da.mu.Unlock()
 		if pending {
 			return true
 		}
 	}
-	return false
+	return ar.unsent()
 }
 
 var _ Strategy = (*Archive)(nil)

@@ -81,9 +81,22 @@ func BenchmarkRepackDrain(b *testing.B) {
 			s.Row(wire.RowB)[m] = 1
 		}
 		s.Commit()
-		for q.TryConsume(a.shards[0].repackFn) {
+		for q.TryConsume(a.consume[0]) {
 		}
 		a.Flush()
 		drain()
+	}
+}
+
+// BenchmarkArchiveRoundTrip measures the archive strategy's hot path:
+// one op appends a full per-node queue at wavefront granularity,
+// flushes it onto the fabric, applies it and recycles the buffer.
+func BenchmarkArchiveRoundTrip(b *testing.B) {
+	op, bytes := archiveRoundTrip()
+	b.SetBytes(int64(bytes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }

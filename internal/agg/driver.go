@@ -1,0 +1,245 @@
+package agg
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"gravel/internal/fabric"
+	"gravel/internal/obs"
+	"gravel/internal/queue"
+	"gravel/internal/stats"
+	"gravel/internal/timemodel"
+	"gravel/internal/wire"
+)
+
+// readyPkt is a flushed queue waiting in the outbox to be put on the
+// wire.
+type readyPkt struct {
+	dest   int
+	buf    []byte
+	msgs   int
+	routed bool
+}
+
+// consumer stages one drained queue slot (queue.Gravel.TryConsume's
+// callback).
+type consumer = func(payload []uint64, rows, cols, count int)
+
+// driver is the aggregator thread itself (§3.4), the part every
+// strategy shares: it polls the producer/consumer queue, hands each
+// drained slot to the strategy's staging, and transmits whatever the
+// staging has flushed into the outbox. A strategy embeds it and adds
+// only how messages are staged between those two ends.
+//
+// Flush decisions happen under the strategy's staging locks, but
+// transmission — which can block on receiver backpressure — happens
+// outside every lock (see pump), so network threads can always stage
+// follow-up messages without risking a send/receive deadlock.
+type driver struct {
+	node   int
+	params *timemodel.Params
+	q      *queue.Gravel
+	fab    fabric.Fabric
+	clock  *timemodel.Clocks
+
+	// consume holds one queue consumer per drain thread
+	// (params.AggregatorThreads, minimum one; the paper found one thread
+	// performs best on its 4-thread CPU). The embedding strategy's
+	// constructor fills it in. Built once, so the hot TryConsume path
+	// passes a preallocated closure.
+	consume []consumer
+
+	// The outbox. A staging lock may be held while mu is taken, never
+	// the reverse, and mu is never held across Send.
+	mu    sync.Mutex
+	ready []readyPkt // flushed queues awaiting transmission
+	spare []readyPkt // drained batch recycled for the next swap
+
+	// inFlight counts drain and pump attempts in progress: it keeps
+	// quiescence from declaring the node idle while a claimed slot has
+	// not reached staging, or a popped packet has not reached fab.Send.
+	inFlight atomic.Int64
+
+	// Flush-reason counters (§3.4): full-queue flushes go immediately,
+	// stragglers are forced out by the end-of-step timeout flush. One
+	// atomic add per flush (~thousands of messages), so always on.
+	flushFull    stats.Counter
+	flushTimeout stats.Counter
+
+	stop chan struct{}
+	done chan struct{}
+}
+
+func newDriver(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.Fabric, clock *timemodel.Clocks) *driver {
+	return &driver{
+		node:    node,
+		params:  params,
+		q:       q,
+		fab:     fab,
+		clock:   clock,
+		consume: make([]consumer, max(1, params.AggregatorThreads)),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+	}
+}
+
+// Start launches the aggregator thread(s), one per consumer.
+func (d *driver) Start() {
+	var wg sync.WaitGroup
+	wg.Add(len(d.consume))
+	for _, consume := range d.consume {
+		go func() {
+			defer wg.Done()
+			d.run(consume)
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(d.done)
+	}()
+}
+
+// Stop terminates the aggregator after the queue is fully drained.
+func (d *driver) Stop() {
+	close(d.stop)
+	<-d.done
+}
+
+func (d *driver) run(consume consumer) {
+	idlePollNs := 40.0 // cost of one empty poll of the queue head
+	for {
+		worked := d.drainSome(consume)
+		if d.pump() {
+			worked = true
+		}
+		if !worked {
+			d.clock.AddAggIdle(idlePollNs)
+			select {
+			case <-d.stop:
+				// Final drain: the queue must already be quiescent when
+				// Stop is called, but be safe.
+				for d.drainSome(consume) {
+				}
+				d.pump()
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+}
+
+// drainSome consumes up to 64 slots, so a busy queue cannot keep the
+// thread from pumping; it reports whether any were consumed.
+func (d *driver) drainSome(consume consumer) bool {
+	d.inFlight.Add(1)
+	defer d.inFlight.Add(-1)
+	any := false
+	for i := 0; i < 64; i++ {
+		if !d.q.TryConsume(consume) {
+			break
+		}
+		any = true
+	}
+	return any
+}
+
+// drainQueue empties the producer/consumer queue on the caller's
+// thread; the head of every strategy's Flush.
+func (d *driver) drainQueue() {
+	for d.q.TryConsume(d.consume[0]) {
+	}
+}
+
+// slotRows charges the repack of one drained slot of count messages and
+// splits its payload into the command, destination and operand rows.
+func (d *driver) slotRows(payload []uint64, cols, count int) (cmd, dest, a, b []uint64) {
+	d.clock.AddAgg(d.params.AggPerSlotNs + float64(count)*d.params.AggPerMsgNs)
+	d.clock.CountAggSlot(count)
+	return payload[wire.RowCmd*cols:], payload[wire.RowDest*cols:], payload[wire.RowA*cols:], payload[wire.RowB*cols:]
+}
+
+// stage accounts one flushed queue — the AggPerFlushNs charge, and its
+// reason: the queue filled, or the end-of-step timeout flush forced it
+// out — and puts it in the outbox. It never transmits, so it is safe
+// under a staging lock and on a network thread.
+func (d *driver) stage(dest int, buf []byte, msgs int, routed, timeout bool) {
+	d.clock.AddAgg(d.params.AggPerFlushNs)
+	k := obs.KAggFlushFull
+	if timeout {
+		k = obs.KAggFlushTimeout
+		d.flushTimeout.Inc()
+	} else {
+		d.flushFull.Inc()
+	}
+	if obs.Enabled() {
+		obs.Emit(k, d.node, int64(len(buf)), int64(msgs), "")
+	}
+	d.mu.Lock()
+	d.ready = append(d.ready, readyPkt{dest: dest, buf: buf, msgs: msgs, routed: routed})
+	d.mu.Unlock()
+}
+
+// FlushCounts returns how many flushes were triggered by a full
+// per-node queue and how many by the end-of-step timeout flush.
+func (d *driver) FlushCounts() (full, timeout int64) {
+	return d.flushFull.Load(), d.flushTimeout.Load()
+}
+
+// pump transmits the outbox; it reports whether anything was sent. It
+// swaps the whole list out under the lock (ping-ponging between two
+// reusable backing arrays, so the steady state stages and drains without
+// allocating) and sends outside it. Send can block on receiver
+// backpressure, so pump must only be called from an aggregator thread
+// or a host thread — never a network thread.
+func (d *driver) pump() bool {
+	d.inFlight.Add(1)
+	defer d.inFlight.Add(-1)
+	any := false
+	for {
+		d.mu.Lock()
+		if len(d.ready) == 0 {
+			d.mu.Unlock()
+			return any
+		}
+		batch := d.ready
+		d.ready = d.spare[:0]
+		d.spare = nil
+		d.mu.Unlock()
+		for i := range batch {
+			pkt := &batch[i]
+			if pkt.routed {
+				d.fab.SendRouted(d.node, pkt.dest, pkt.buf, pkt.msgs)
+			} else {
+				d.fab.Send(d.node, pkt.dest, pkt.buf, pkt.msgs)
+			}
+			batch[i] = readyPkt{} // the fabric owns the buffer now
+		}
+		d.mu.Lock()
+		if d.spare == nil {
+			d.spare = batch[:0]
+		} else if cap(d.ready) == 0 {
+			// A concurrent pump took the spare and has returned its own
+			// batch already; without this the second array is lost and
+			// the next stage allocates.
+			d.ready = batch[:0]
+		}
+		d.mu.Unlock()
+		any = true
+	}
+}
+
+// Busy reports whether a drain or pump attempt is in progress;
+// quiescence detection needs this to close the window between a slot
+// being claimed and its messages reaching staging.
+func (d *driver) Busy() bool { return d.inFlight.Load() != 0 }
+
+// unsent reports whether the outbox holds packets. A strategy's Pending
+// checks its staging first and the outbox second — the direction
+// messages move — so one in transit between them is never missed.
+func (d *driver) unsent() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.ready) > 0
+}

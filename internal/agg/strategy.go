@@ -2,11 +2,13 @@ package agg
 
 // Strategy is the send-path aggregation seam: everything the runtime
 // needs from the component that turns fine-grain messages into wire
-// packets. Two implementations exist:
+// packets. Both implementations embed the same driver (the aggregator
+// thread, the outbox, flush accounting) and differ only in staging:
 //
-//   - *Aggregator ("ticket"): the paper's design — drain threads repack
-//     producer/consumer queue slots into fixed-capacity per-destination
-//     builders, flushed when full or at the end-of-step timeout flush.
+//   - *Aggregator ("ticket"): the paper's design — drained
+//     producer/consumer queue slots are repacked into fixed-capacity
+//     per-destination builders, flushed when full or at the end-of-step
+//     timeout flush.
 //   - *Archive ("archive"): a grape-style rival — per-destination
 //     growable archives appended directly by the device at WF
 //     granularity, sealed into segments and bulk-handed to the fabric
@@ -44,9 +46,6 @@ type Strategy interface {
 	AppendDirect(dest int, cmd, av, vv uint64, chargeNs float64)
 	// FlushCounts returns the full-queue and timeout flush totals.
 	FlushCounts() (full, timeout int64)
-	// GroupSize returns the hierarchical group size (0 = flat; only the
-	// ticket strategy supports groups).
-	GroupSize() int
 	// Name identifies the strategy ("ticket", "archive") for Stats.
 	Name() string
 }

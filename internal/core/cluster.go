@@ -63,15 +63,13 @@ type Config struct {
 	// AggStrategy selects the send-path aggregation strategy: "" or
 	// AggTicket (the paper's sharded ticket-slot builders), or
 	// AggArchive (grape-style per-destination growable archives,
-	// appended by the device at WF granularity — see agg.Archive).
-	// The archive strategy is flat and always combines, so it rejects
-	// GroupSize > 1 and AggPerMessage.
+	// appended by the device at WF granularity and fused into one
+	// packet per destination at flush time — see agg.Archive). The
+	// strategy also decides the kernels' send path: the producer/consumer
+	// queue for ticket, direct archive appends for archive. The archive
+	// strategy is flat and always combines, so it rejects GroupSize > 1
+	// and AggPerMessage.
 	AggStrategy string
-	// ArchiveFuse, with AggStrategy == AggArchive, merges a
-	// destination's sealed archive segments into one contiguous packet
-	// at flush time (the grape default); without it each segment ships
-	// as its own packet.
-	ArchiveFuse bool
 	// Arch overrides the device architecture (nil = the paper's GPU);
 	// used by the Figure 13 CPU-only baseline.
 	Arch *simt.Arch
@@ -143,7 +141,7 @@ type Cluster struct {
 	space  *pgas.Space
 	fab    fabric.Fabric
 	nodes  []*Node
-	pcq    []Offloader // per node: the producer/consumer queue send path
+	off    []Offloader // per node: the aggregation strategy's send path
 
 	handlers []rt.AMHandler
 
@@ -302,16 +300,18 @@ func New(cfg Config) *Cluster {
 	for i := range cl.nodes {
 		n := &Node{ID: i, Clocks: clocks[i], cl: cl}
 		n.ctxs.New = func() any { return newCtx(n) }
-		cl.pcq = append(cl.pcq, pcqWriter{n})
 		n.GPU = simt.NewDevice(arch)
 		n.GPU.Mode = cfg.DivMode
 		n.GPU.Clock = n.Clocks
 		n.PCQ = queue.NewGravel(numSlots, wire.SlotRows, cfg.WGSize)
 		n.PCQ.Owner = i
 		if cfg.AggStrategy == AggArchive {
-			n.Agg = agg.NewArchive(i, p, n.PCQ, cl.fab, n.Clocks, cfg.ArchiveFuse)
+			ar := agg.NewArchive(i, p, n.PCQ, cl.fab, n.Clocks, true)
+			n.Agg = ar
+			cl.off = append(cl.off, archAppender{ar})
 		} else {
 			n.Agg = agg.NewHierarchical(i, p, n.PCQ, cl.fab, n.Clocks, cfg.AggMode == AggPerMessage, cfg.GroupSize)
+			cl.off = append(cl.off, pcqWriter{n})
 		}
 		cl.nodes[i] = n
 	}
@@ -350,12 +350,21 @@ func (cl *Cluster) drainHosted() bool {
 			continue
 		}
 		n.Agg.Flush()
-		if !n.PCQ.Empty() || n.Agg.Busy() || n.Agg.Pending() {
-			idle = false
-		}
+		idle = idle && !n.sending()
 	}
 	return idle
 }
+
+// draining reports whether the node holds messages that have not
+// reached staging: in the producer/consumer queue, or claimed by an
+// aggregator thread. Empty is already true while a thread holds a
+// claimed slot it has not repacked; Busy, read after Empty, covers
+// that claim.
+func (n *Node) draining() bool { return !n.PCQ.Empty() || n.Agg.Busy() }
+
+// sending reports whether the node holds messages anywhere short of
+// the fabric: draining, staged, or in the outbox.
+func (n *Node) sending() bool { return n.draining() || n.Agg.Pending() }
 
 // Name implements rt.System.
 func (cl *Cluster) Name() string { return cl.cfg.Name }
@@ -393,7 +402,7 @@ func (cl *Cluster) RegisterAM(h rt.AMHandler) uint8 {
 // record the phase with overlapped composition (§3.4: Gravel overlaps
 // communication and computation).
 func (cl *Cluster) Step(name string, grid []int, scratchPerWG int, k rt.Kernel) {
-	cl.LaunchAll(grid, scratchPerWG, cl.pcq, k)
+	cl.LaunchAll(grid, scratchPerWG, cl.off, k)
 	cl.Quiesce()
 	cl.StepBarrier()
 	cl.EndPhaseOverlapped(name)
@@ -450,11 +459,9 @@ func (cl *Cluster) Quiesce() {
 	for stable < 2 {
 		cl.checkDecodeErr()
 		for _, n := range cl.nodes {
-			// Empty is already true while an aggregator thread holds a
-			// claimed slot it has not repacked; flushing then would send
-			// the partial per-node queue and split it in two. Busy, read
-			// after Empty, covers that claim.
-			for !n.PCQ.Empty() || n.Agg.Busy() {
+			// Flushing while an aggregator thread holds a claimed slot
+			// would send the partial per-node queue and split it in two.
+			for n.draining() {
 				runtime.Gosched()
 			}
 		}
@@ -466,10 +473,7 @@ func (cl *Cluster) Quiesce() {
 		}
 		quiet := true
 		for _, n := range cl.nodes {
-			if !n.PCQ.Empty() || n.Agg.Busy() || n.Agg.Pending() {
-				quiet = false
-				break
-			}
+			quiet = quiet && !n.sending()
 		}
 		if quiet && cl.fab.Quiet() {
 			stable++

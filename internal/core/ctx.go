@@ -1,6 +1,7 @@
 package core
 
 import (
+	"gravel/internal/agg"
 	"gravel/internal/obs"
 	"gravel/internal/pgas"
 	"gravel/internal/queue"
@@ -320,3 +321,26 @@ func (w pcqWriter) Offload(g *simt.Group, b Batch) {
 
 // Progress implements Offloader: the aggregator drains the queue itself.
 func (pcqWriter) Progress() {}
+
+// archAppender is the archive strategy's send path (the gravel-archive
+// model): the work-group's messages become WF-aggregated appends
+// straight into the node's per-destination archives — one reservation
+// per (wavefront, distinct destination) — bypassing the
+// producer/consumer queue and the CPU repack entirely. Against
+// pcqWriter's two atomics per work-group plus per-message repack time,
+// that is cheaper under skew and dearer under uniform spray.
+type archAppender struct{ ar *agg.Archive }
+
+// Offload implements Offloader. A PUT_SIGNAL stages its destination's
+// whole archive at once (agg.Archive's signal liveness rule).
+func (o archAppender) Offload(g *simt.Group, b Batch) {
+	g.WFAggregate(b.Active, func(l int) int { return b.Dests[l] }, func(dest int, lanes []int) {
+		o.ar.AppendWF(dest, lanes, b.CmdAt, b.A, b.V)
+	})
+	g.ChargeMessages(b.N)
+}
+
+// Progress implements Offloader by flushing the node's archives: a
+// waiter may depend transitively on plain puts still parked in a
+// half-filled open segment (only signals stage eagerly).
+func (o archAppender) Progress() { o.ar.Flush() }

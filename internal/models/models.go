@@ -13,6 +13,9 @@
 //     destination in scratchpad and synchronously send one list per
 //     destination. A variant adds Gravel-style GPU-wide aggregation of
 //     those lists ("coalesced APIs + Gravel aggregation").
+//   - gravel-archive: Gravel's runtime with the grape-style archive
+//     aggregation strategy (core.AggArchive) in place of the ticket
+//     aggregator; the aggstrategy experiment's subject.
 //   - CPU-only (Figure 13): the same applications executed by the host
 //     CPU's four threads with Grappa/UPC-style per-thread aggregation —
 //     no GPU involved.
@@ -115,7 +118,9 @@ func NewSystem(name string, cfg Config) rt.System {
 	case "gravel":
 		return core.New(cfg.coreConfig("gravel"))
 	case "gravel-archive":
-		return NewArchive(cfg)
+		c := cfg.coreConfig("gravel-archive")
+		c.AggStrategy = core.AggArchive
+		return core.New(c)
 	case "msg-per-lane":
 		c := cfg.coreConfig("msg-per-lane")
 		c.AggMode = core.AggPerMessage
