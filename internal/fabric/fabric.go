@@ -181,13 +181,9 @@ type Options struct {
 	// Listen is the address to accept peer connections on; an explicit
 	// port 0 picks a free port, published through the coordinator.
 	Listen string
-	// Peers maps node ID to address when known up front. With a
-	// coordinator it may be left nil; addresses are exchanged at join.
-	// A peers list alone cannot provide cross-process quiescence, so
-	// the TCP transport rejects multi-node clusters without Coord.
-	Peers []string
 	// Coord is the rendezvous coordinator address (join, quiescence,
-	// reductions).
+	// reductions). Peer addresses are exchanged at join; the TCP
+	// transport rejects multi-node clusters without it.
 	Coord string
 	// WallClock charges measured wall-clock time for wire transfers
 	// instead of the virtual LogGP model.
@@ -219,11 +215,11 @@ type Options struct {
 	// Zero means 15s; negative disables the deadline.
 	CoordRPCTimeout time.Duration
 
-	// Generation is the membership generation this process belongs to
-	// (elastic clusters stamp it on coordinator RPCs and peer stream
-	// handshakes; a newer-generation receiver rejects the message with
-	// a typed StaleGenerationError instead of misdelivering it). Zero
-	// means unstamped — the fixed-membership default.
+	// Generation is the membership generation this process belongs to.
+	// It is stamped on every coordinator RPC, peer handshake and frame;
+	// a receiver on another generation rejects the message with a typed
+	// StaleGenerationError instead of misdelivering it. Zero means the
+	// coordinator's generation at the time this process joins.
 	Generation uint32
 }
 

@@ -30,8 +30,8 @@ type WorkerConfig struct {
 	// Spec is the run this worker takes part in. Fabric is ignored: a
 	// worker always joins over the TCP transport.
 	Spec Spec
-	// Gen is the membership generation this worker belongs to (elastic
-	// runs; 0 = unstamped fixed membership). Stamped on every
+	// Gen is the membership generation this worker belongs to (0 = the
+	// coordinator's when the worker joins). Stamped on every
 	// coordinator RPC and peer handshake — a stale-generation worker is
 	// rejected with a typed error instead of polluting the new epoch.
 	Gen uint32

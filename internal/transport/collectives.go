@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"time"
 
 	"gravel/internal/obs"
 	"gravel/internal/rt"
@@ -10,20 +11,25 @@ import (
 // tcpCollectives adapts the coordinator's polled reduction protocol to
 // the rt.Collectives surface. Every collective is encoded as one
 // coordinator reduction whose key carries the team tag (empty for the
-// world team — a world-team sum AllReduce therefore produces the exact
-// wire bytes a bare TCP.Reduce produces) and whose required
-// contribution count is the team size, so non-members neither block the
-// collective nor are blocked by it.
+// world team) and whose required contribution count is the team size,
+// so non-members neither block the collective nor are blocked by it.
 type tcpCollectives struct {
 	t *TCP
 }
 
 // Collectives returns the transport's host-side collective surface,
 // bound to this process's node. Without a coordinator (a standalone
-// worker) the collectives degrade to the single-process identity, the
-// same convention TCP.Reduce uses.
+// worker) the collectives degrade to the single-process identity.
 func (t *TCP) Collectives() rt.Collectives {
 	return tcpCollectives{t: t}
+}
+
+// Reduce folds val into the named cluster-wide sum, blocking until
+// every node has contributed: the world-team sum of the collectives
+// below, on the same coordinator entry as AllReduce(key, rt.WorldTeam,
+// rt.OpSum, val).
+func (t *TCP) Reduce(key string, val uint64) (uint64, error) {
+	return tcpCollectives{t: t}.reduce(key, rt.WorldTeam, "", val)
 }
 
 func (c tcpCollectives) member(op, key string, team rt.Team) error {
@@ -34,28 +40,23 @@ func (c tcpCollectives) member(op, key string, team rt.Team) error {
 	return nil
 }
 
-// reduce runs one coordinator reduction for a team collective. rop and
-// count are omitted from the wire message for a world-team sum, keeping
-// legacy byte-compatibility; teams always carry an explicit count so
-// the coordinator completes at team-size contributions.
+// reduce runs one coordinator reduction: contribute val, then poll
+// until every required worker has (the contribution is idempotent). A
+// count of 0 means every node; teams carry their size so the
+// coordinator completes at team-size contributions.
 func (c tcpCollectives) reduce(key string, team rt.Team, rop string, val uint64) (uint64, error) {
-	t := c.t
-	if t.coord == nil {
-		return val, nil
-	}
-	if err := t.Err(); err != nil {
-		return 0, err
-	}
 	count := 0
 	if !team.World() {
-		count = team.Size(t.n)
+		count = team.Size(c.t.n)
 	}
-	total, err := t.coord.reduce(t.self, key, val, rop, count, t.suspect)
+	resp, err := c.t.poll(time.Millisecond, &coordMsg{Op: "reduce", Key: key, Val: val, ROp: rop, Count: count}, nil)
 	if err != nil {
-		t.fail(err)
 		return 0, err
 	}
-	return total, nil
+	if resp == nil {
+		return val, nil // standalone worker: the single-process identity
+	}
+	return resp.Total, nil
 }
 
 func (c tcpCollectives) emit(tag string, team rt.Team, val uint64) {
@@ -108,10 +109,8 @@ func (c tcpCollectives) Broadcast(key string, team rt.Team, root int, val uint64
 	return total, nil
 }
 
-// Barrier implements rt.Collectives. The world-team barrier reuses the
-// legacy "barrier:"+key sum-of-zeros encoding byte for byte, so mixed
-// fleets (old Barrier callers, new Collectives callers) rendezvous on
-// the same coordinator entry.
+// Barrier implements rt.Collectives: a sum of zeros under a
+// "barrier:"-prefixed key.
 func (c tcpCollectives) Barrier(key string, team rt.Team) error {
 	if err := c.member("barrier", key, team); err != nil {
 		return err

@@ -187,10 +187,9 @@ func TestTCPCollectives(t *testing.T) {
 	}
 }
 
-// TestTCPCollectivesLegacyInterop pins mixed-fleet compatibility: a
-// world-team sum through the new surface and a legacy Reduce call under
-// the same key must rendezvous on the same coordinator entry, as must a
-// new-surface world Barrier and the legacy TCP.Barrier.
+// TestTCPCollectivesLegacyInterop pins that TCP.Reduce is the world-team
+// sum: an AllReduce through the collectives surface and a Reduce call
+// under the same key must rendezvous on the same coordinator entry.
 func TestTCPCollectivesLegacyInterop(t *testing.T) {
 	fabs := newTCPCluster(t, 2)
 	defer closeAll(fabs)
@@ -205,7 +204,7 @@ func TestTCPCollectivesLegacyInterop(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		tot1, err1 = fabs[1].Reduce("mix", 4) // legacy caller, same key
+		tot1, err1 = fabs[1].Reduce("mix", 4) // same key
 	}()
 	wg.Wait()
 	if err0 != nil || err1 != nil {
@@ -213,21 +212,6 @@ func TestTCPCollectivesLegacyInterop(t *testing.T) {
 	}
 	if tot0 != 7 || tot1 != 7 {
 		t.Fatalf("mixed reduce totals %d / %d, want 7", tot0, tot1)
-	}
-
-	wg.Add(2)
-	var berr0, berr1 error
-	go func() {
-		defer wg.Done()
-		berr0 = fabs[0].Collectives().Barrier("gate", rt.WorldTeam)
-	}()
-	go func() {
-		defer wg.Done()
-		berr1 = fabs[1].Barrier("gate") // legacy barrier, same derived key
-	}()
-	wg.Wait()
-	if berr0 != nil || berr1 != nil {
-		t.Fatalf("mixed barrier: %v / %v", berr0, berr1)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -25,14 +24,13 @@ import (
 //
 // Quiescence uses the classic sum-matching argument over monotonic
 // counters: every worker reports (wire frames sent, wire frames
-// applied, locally idle). The cluster is quiet when every worker has
-// reported, every worker is idle, the sums match, and the previous
-// evaluation — also a candidate — saw identical sums. Counters only
-// grow, so two consecutive matching candidates imply no frame was in
-// flight between them.
+// applied, locally idle), and the quiescence type below states the rule
+// once, for the quiet op and for every step barrier.
+//
 // Membership is epoch-based: the coordinator stamps every epoch with a
 // generation (starting at 1) and every worker RPC carries its
-// generation. A worker from a dead epoch — one the launcher has moved
+// generation; a join stamped 0 asks for the current one and is answered
+// with it. A worker from a dead epoch — one the launcher has moved
 // past with BeginEpoch — gets a typed stale-generation rejection
 // instead of silently polluting the new epoch's collectives. The
 // coordinator also doubles as the cluster's checkpoint store: workers
@@ -55,13 +53,12 @@ type Coordinator struct {
 	lastSeen  map[int]time.Time
 	left      map[int]bool
 	reports   map[int]quietReport
-	prevS     int64
-	prevA     int64
-	prevOK    bool
+	quiet     quiescence
 
 	reduces  map[string]*reduceState
 	barriers map[string]*barrierState
 	done     chan struct{}
+	doneOnce sync.Once // every epoch can end with everyone gone; done closes once
 
 	// ckpts accumulates the running epoch's per-step checkpoints;
 	// restore is the point frozen at the last BeginEpoch (the newest
@@ -98,18 +95,41 @@ type barrierState struct {
 	released bool
 	observed map[int]bool // nodes that have seen the release
 
-	// Release requires two consecutive quiescent evaluations with
-	// unchanged counter sums (same rule as quietEvalLocked): a single
-	// balanced observation can be a transient artifact of reports taken
-	// at different instants while a message is between a handler and
-	// the wire.
-	prevS, prevA int64
-	prevOK       bool
+	// quiet counts observations from the last arrival on, so a release
+	// needs two matching candidates taken while everyone was waiting.
+	quiet quiescence
 }
 
 type quietReport struct {
 	sent, applied int64
 	idle          bool
+}
+
+// quiescence is the sum-matching detector. One observation of the
+// workers' latest reports is a candidate when every worker is idle and
+// Σsent == Σapplied. A single candidate can be an artifact of reports
+// taken at different instants while a message is between a handler and
+// the wire; but the counters only grow, so two consecutive candidates
+// with identical sums mean no frame was in flight between them. The
+// struct is the previous observation.
+type quiescence struct {
+	sent, applied int64
+	candidate     bool
+}
+
+// observe folds the reports into one observation and reports whether it
+// is the second of two consecutive matching candidates.
+func (q *quiescence) observe(reports map[int]quietReport) bool {
+	now := quiescence{candidate: true}
+	for _, r := range reports {
+		now.sent += r.sent
+		now.applied += r.applied
+		now.candidate = now.candidate && r.idle
+	}
+	now.candidate = now.candidate && now.sent == now.applied
+	quiet := now.candidate && now == *q
+	*q = now
+	return quiet
 }
 
 type reduceState struct {
@@ -126,15 +146,15 @@ type reduceState struct {
 type coordMsg struct {
 	Op      string   `json:"op,omitempty"`
 	Node    int      `json:"node"`
-	Gen     uint32   `json:"gen,omitempty"` // sender's membership generation (0 = unstamped)
+	Gen     uint32   `json:"gen,omitempty"` // request: sender's generation (0 only on a first join); join reply: the coordinator's
 	Addr    string   `json:"addr,omitempty"`
 	Sent    int64    `json:"sent,omitempty"`
 	Applied int64    `json:"applied,omitempty"`
 	Idle    bool     `json:"idle,omitempty"`
 	Key     string   `json:"key,omitempty"`
 	Val     uint64   `json:"val,omitempty"`
-	ROp     string   `json:"rop,omitempty"`   // reduction operator ("" = sum, "min", "max")
-	Count   int      `json:"count,omitempty"` // contributions required (0 = every node)
+	ROp     string   `json:"rop,omitempty"`     // reduction operator ("" = sum, "min", "max")
+	Count   int      `json:"count,omitempty"`   // contributions required (0 = every node)
 	Step    uint64   `json:"step,omitempty"`    // checkpoint step ("ckpt"/"restore")
 	Data    []byte   `json:"data,omitempty"`    // checkpoint shard payload
 	Suspect int64    `json:"suspect,omitempty"` // joiner's suspect timeout, ns
@@ -144,7 +164,7 @@ type coordMsg struct {
 	Rescale int      `json:"rescale,omitempty"` // planned next-epoch node count
 	RGen    uint32   `json:"rgen,omitempty"`    // generation the rescaled epoch will get
 	Quiet   bool     `json:"quiet,omitempty"`
-	Ready   bool     `json:"ready,omitempty"` // polled op (join/reduce) completed
+	Ready   bool     `json:"ready,omitempty"` // polled op (join/reduce/barrier) completed; restore: a point exists
 	Total   uint64   `json:"total,omitempty"`
 	Nodes   int      `json:"nodes,omitempty"`  // restore point's saving node count
 	Shards  [][]byte `json:"shards,omitempty"` // restore point's per-node payloads
@@ -170,7 +190,8 @@ func NewCoordinator(nodes int) *Coordinator {
 	}
 }
 
-// Done is closed once every worker has said goodbye.
+// Done is closed the first time every worker of an epoch has said
+// goodbye, and stays closed through later epochs.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
 // Generation is the current epoch's generation stamp.
@@ -207,7 +228,7 @@ func (c *Coordinator) BeginEpoch(nodes int) uint32 {
 	c.lastSeen = make(map[int]time.Time)
 	c.left = make(map[int]bool)
 	c.reports = make(map[int]quietReport)
-	c.prevS, c.prevA, c.prevOK = 0, 0, false
+	c.quiet = quiescence{}
 	c.reduces = make(map[string]*reduceState)
 	c.barriers = make(map[string]*barrierState)
 	c.pendingRescale = 0
@@ -224,14 +245,6 @@ func (c *Coordinator) Rescale(nodes int) uint32 {
 	defer c.mu.Unlock()
 	c.pendingRescale = nodes
 	return c.gen + 1
-}
-
-// Restore returns the current restore point (nil before any complete
-// checkpoint has been frozen by BeginEpoch).
-func (c *Coordinator) Restore() *RestorePoint {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.restore
 }
 
 // latestCompleteLocked picks the newest step for which every node of
@@ -308,16 +321,19 @@ func (c *Coordinator) handle(conn net.Conn) {
 func (c *Coordinator) dispatch(req *coordMsg) *coordMsg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Generation gate: an op stamped with a dead epoch's generation is
+	// Generation gate: an op stamped with another epoch's generation is
 	// rejected before it can touch membership or collective state (a
 	// stale worker must not refresh a new-epoch node's liveness, arrive
-	// at its barriers, or pollute its reductions). Unstamped ops (gen 0)
-	// pass — single-epoch clusters never stamp.
-	if req.Gen != 0 && req.Gen != c.gen {
+	// at its barriers, or pollute its reductions). Only a join may come
+	// unstamped: its reply tells the worker which generation it joined.
+	if req.Gen != c.gen && !(req.Op == "join" && req.Gen == 0) {
 		return &coordMsg{Stale: c.gen}
 	}
 	if req.Node < 0 || req.Node >= c.nodes {
 		return &coordMsg{Err: fmt.Sprintf("node %d out of range [0,%d)", req.Node, c.nodes)}
+	}
+	if req.Count < 0 {
+		return &coordMsg{Err: fmt.Sprintf("negative contribution count %d", req.Count)}
 	}
 	c.lastSeen[req.Node] = time.Now()
 	switch req.Op {
@@ -326,7 +342,7 @@ func (c *Coordinator) dispatch(req *coordMsg) *coordMsg {
 		if err != nil {
 			return &coordMsg{Err: err.Error()}
 		}
-		return &coordMsg{OK: true, Ready: ready, Peers: peers}
+		return &coordMsg{OK: true, Ready: ready, Peers: peers, Gen: c.gen}
 	case "quiet":
 		q := c.quietEvalLocked(req.Node, quietReport{sent: req.Sent, applied: req.Applied, idle: req.Idle})
 		return c.annotateLocked(&coordMsg{OK: true, Quiet: q, Down: c.downLocked()})
@@ -335,7 +351,7 @@ func (c *Coordinator) dispatch(req *coordMsg) *coordMsg {
 		return c.annotateLocked(&coordMsg{OK: true, Ready: ready, Total: total, Down: c.downLocked()})
 	case "barrier":
 		rel := c.barrierLocked(req.Node, req.Key, quietReport{sent: req.Sent, applied: req.Applied, idle: req.Idle})
-		return c.annotateLocked(&coordMsg{OK: true, Quiet: rel, Down: c.downLocked()})
+		return c.annotateLocked(&coordMsg{OK: true, Ready: rel, Down: c.downLocked()})
 	case "ping":
 		return c.annotateLocked(&coordMsg{OK: true, Down: c.downLocked()})
 	case "ckpt":
@@ -457,20 +473,7 @@ func (c *Coordinator) downLocked() []int {
 // reports whether the cluster is provably quiescent.
 func (c *Coordinator) quietEvalLocked(node int, r quietReport) bool {
 	c.reports[node] = r
-	if len(c.reports) < c.nodes {
-		return false
-	}
-	var s, a int64
-	allIdle := true
-	for _, rep := range c.reports {
-		s += rep.sent
-		a += rep.applied
-		allIdle = allIdle && rep.idle
-	}
-	candidate := allIdle && s == a
-	quiet := candidate && c.prevOK && s == c.prevS && a == c.prevA
-	c.prevS, c.prevA, c.prevOK = s, a, candidate
-	return quiet
+	return len(c.reports) == c.nodes && c.quiet.observe(c.reports)
 }
 
 // barrierLocked registers node's arrival at the named step barrier and
@@ -491,18 +494,7 @@ func (c *Coordinator) barrierLocked(node int, key string, r quietReport) bool {
 	}
 	st.arrived[node] = true
 	if !st.released && len(st.arrived) == c.nodes {
-		var s, a int64
-		allIdle := true
-		for _, rep := range c.reports {
-			s += rep.sent
-			a += rep.applied
-			allIdle = allIdle && rep.idle
-		}
-		candidate := allIdle && s == a
-		if candidate && st.prevOK && s == st.prevS && a == st.prevA {
-			st.released = true
-		}
-		st.prevS, st.prevA, st.prevOK = s, a, candidate
+		st.released = st.quiet.observe(c.reports)
 	}
 	if !st.released {
 		return false
@@ -564,237 +556,12 @@ func (c *Coordinator) reduceLocked(node int, key string, val uint64, rop string,
 	return st.total, true
 }
 
-// ReduceTotal returns a completed reduction's sum. A reduction is
-// reclaimed once every node has collected it, so this only reports
-// ones still in flight or awaiting stragglers.
-func (c *Coordinator) ReduceTotal(key string) (uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.reduces[key]
-	if st == nil || !st.done {
-		return 0, false
-	}
-	return st.total, true
-}
-
 func (c *Coordinator) byeLocked(node int) {
 	if c.left[node] {
 		return
 	}
 	c.left[node] = true
 	if len(c.left) == c.nodes {
-		close(c.done)
+		c.doneOnce.Do(func() { close(c.done) })
 	}
-}
-
-// coordDialOpts shapes dialCoord's retry loop and the client's per-RPC
-// deadline; zero fields take the listed defaults.
-type coordDialOpts struct {
-	timeout    time.Duration // total dial budget (default 30s)
-	backoff    time.Duration // initial retry backoff (default 10ms)
-	backoffMax time.Duration // backoff ceiling (default 1s)
-	rpcTimeout time.Duration // per-exchange deadline (default 15s; <0 none)
-}
-
-func (o coordDialOpts) withDefaults() coordDialOpts {
-	if o.timeout == 0 {
-		o.timeout = 30 * time.Second
-	}
-	if o.backoff == 0 {
-		o.backoff = 10 * time.Millisecond
-	}
-	if o.backoffMax == 0 {
-		o.backoffMax = time.Second
-	}
-	if o.rpcTimeout == 0 {
-		o.rpcTimeout = 15 * time.Second
-	}
-	return o
-}
-
-// coordClient is a worker's connection to the coordinator. All calls
-// are serialized request/response exchanges, each bounded by the RPC
-// deadline; any failure is a *CoordDownError.
-type coordClient struct {
-	addr       string
-	rpcTimeout time.Duration
-	gen        uint32 // stamped onto every request (0 = unstamped)
-
-	mu   sync.Mutex
-	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
-}
-
-// dialCoord connects with retries: workers routinely start before the
-// coordinator is listening. Timeout and backoff come from the
-// transport options (fabric.Options.CoordDial*).
-func dialCoord(addr string, o coordDialOpts) (*coordClient, error) {
-	o = o.withDefaults()
-	deadline := time.Now().Add(o.timeout)
-	backoff := o.backoff
-	for {
-		conn, err := net.Dial("tcp", addr)
-		if err == nil {
-			return &coordClient{
-				addr:       addr,
-				rpcTimeout: o.rpcTimeout,
-				conn:       conn,
-				dec:        json.NewDecoder(bufio.NewReader(conn)),
-				enc:        json.NewEncoder(conn),
-			}, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, &CoordDownError{Addr: addr, Cause: fmt.Errorf("unreachable after %v: %w", o.timeout, err)}
-		}
-		time.Sleep(backoff + time.Duration(rand.Int63n(int64(backoff))))
-		if backoff < o.backoffMax {
-			backoff *= 2
-		}
-	}
-}
-
-func (c *coordClient) call(req *coordMsg) (*coordMsg, error) {
-	req.Gen = c.gen
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rpcTimeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.rpcTimeout))
-	}
-	if err := c.enc.Encode(req); err != nil {
-		return nil, &CoordDownError{Addr: c.addr, Cause: fmt.Errorf("request: %w", err)}
-	}
-	var resp coordMsg
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, &CoordDownError{Addr: c.addr, Cause: fmt.Errorf("response: %w", err)}
-	}
-	if c.rpcTimeout > 0 {
-		c.conn.SetDeadline(time.Time{})
-	}
-	if resp.Stale != 0 {
-		return nil, &StaleGenerationError{Have: c.gen, Want: resp.Stale, Source: "coordinator"}
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("transport: coordinator: %s", resp.Err)
-	}
-	return &resp, nil
-}
-
-// peerDown converts a response's Down list into the typed error, or
-// nil. Any down peer dooms the run; the first is reported. A planned
-// rescale outranks it — if the coordinator is rescaling, unwinding
-// cooperatively is the point, whether or not a peer also died.
-func (c *coordClient) peerDown(resp *coordMsg, suspect time.Duration) error {
-	if resp.Rescale != 0 {
-		return &RescaleError{Nodes: resp.Rescale, Gen: resp.RGen}
-	}
-	if len(resp.Down) == 0 {
-		return nil
-	}
-	return &PeerDownError{Node: resp.Down[0], Detector: "coordinator", Silence: suspect}
-}
-
-// join registers this worker and polls until the whole cluster has
-// assembled. Assembly can legitimately take as long as the slowest
-// worker's start, so only coordinator failure — not elapsed time —
-// aborts the wait.
-func (c *coordClient) join(node int, addr string, suspect time.Duration) ([]string, error) {
-	registered := addr
-	for {
-		resp, err := c.call(&coordMsg{Op: "join", Node: node, Addr: registered, Suspect: int64(suspect)})
-		if err != nil {
-			return nil, err
-		}
-		if resp.Ready {
-			return resp.Peers, nil
-		}
-		registered = "" // already recorded; further polls just wait
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func (c *coordClient) quiet(node int, sent, applied int64, idle bool, suspect time.Duration) (bool, error) {
-	resp, err := c.call(&coordMsg{Op: "quiet", Node: node, Sent: sent, Applied: applied, Idle: idle})
-	if err != nil {
-		return false, err
-	}
-	if err := c.peerDown(resp, suspect); err != nil {
-		return false, err
-	}
-	return resp.Quiet, nil
-}
-
-// reduce contributes val and polls until every required worker has
-// contributed. rop and count extend the wire message only when set
-// (omitempty), so plain sum-over-all-nodes reductions are byte-for-byte
-// what pre-collective clients sent.
-func (c *coordClient) reduce(node int, key string, val uint64, rop string, count int, suspect time.Duration) (uint64, error) {
-	for {
-		resp, err := c.call(&coordMsg{Op: "reduce", Node: node, Key: key, Val: val, ROp: rop, Count: count})
-		if err != nil {
-			return 0, err
-		}
-		if err := c.peerDown(resp, suspect); err != nil {
-			return 0, err
-		}
-		if resp.Ready {
-			return resp.Total, nil
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func (c *coordClient) barrier(node int, key string, sent, applied int64, idle bool, suspect time.Duration) (bool, error) {
-	resp, err := c.call(&coordMsg{Op: "barrier", Node: node, Key: key, Sent: sent, Applied: applied, Idle: idle})
-	if err != nil {
-		return false, err
-	}
-	if err := c.peerDown(resp, suspect); err != nil {
-		return false, err
-	}
-	return resp.Quiet, nil
-}
-
-// ping is the worker heartbeat: it keeps this worker's lastSeen fresh
-// at the coordinator (even during long compute phases) and brings back
-// the coordinator's view of dead peers.
-func (c *coordClient) ping(node int, suspect time.Duration) error {
-	resp, err := c.call(&coordMsg{Op: "ping", Node: node})
-	if err != nil {
-		return err
-	}
-	return c.peerDown(resp, suspect)
-}
-
-// saveCkpt stores this node's shard of the step checkpoint at the
-// coordinator. Called at a step barrier (a quiescent instant), so the
-// saved cluster state is consistent by construction.
-func (c *coordClient) saveCkpt(node int, step uint64, data []byte, suspect time.Duration) error {
-	resp, err := c.call(&coordMsg{Op: "ckpt", Node: node, Step: step, Data: data})
-	if err != nil {
-		return err
-	}
-	return c.peerDown(resp, suspect)
-}
-
-// fetchCkpt retrieves the epoch's restore point; ok is false when no
-// complete checkpoint predates this epoch (a cold start).
-func (c *coordClient) fetchCkpt(node int) (*RestorePoint, bool, error) {
-	resp, err := c.call(&coordMsg{Op: "restore", Node: node})
-	if err != nil {
-		return nil, false, err
-	}
-	if !resp.Ready {
-		return nil, false, nil
-	}
-	return &RestorePoint{Step: resp.Step, Nodes: resp.Nodes, Shards: resp.Shards}, true, nil
-}
-
-func (c *coordClient) bye(node int) error {
-	_, err := c.call(&coordMsg{Op: "bye", Node: node})
-	return err
-}
-
-func (c *coordClient) close() {
-	c.conn.Close()
 }

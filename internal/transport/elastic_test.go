@@ -15,8 +15,9 @@ import (
 // TestTCPEvictsStaleHello pins the receive side of the membership
 // generation gate: a HELLO stamped with a dead epoch's generation must
 // be answered with frameEvict carrying the receiver's generation and
-// the connection cut, while matching and unstamped (compat) hellos
-// complete the handshake normally. Without the gate a stale worker's
+// the connection cut — an unstamped hello included, every transport
+// stamps — while a matching hello completes the handshake. Without the
+// gate a stale worker's
 // frames would be silently applied into the new epoch's replicas.
 func TestTCPEvictsStaleHello(t *testing.T) {
 	tr := newRecvOnlyTCP(t, 2, 1, 3)
@@ -61,10 +62,10 @@ func TestTCPEvictsStaleHello(t *testing.T) {
 	}
 	c.Close()
 
-	// Unstamped hello (fixed-membership compat) also passes.
+	// An unstamped hello is from no generation this cluster ever had.
 	c, f, err = dial(0)
-	if err != nil || f.typ != frameAck {
-		t.Fatalf("unstamped hello: frame %+v err %v, want ack", f, err)
+	if err != nil || f.typ != frameEvict {
+		t.Fatalf("unstamped hello: frame %+v err %v, want evict", f, err)
 	}
 	c.Close()
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,7 +25,7 @@ var errCorruptPayload = errors.New("transport: frame CRC mismatch")
 //	0       4     magic "GRVL"
 //	4       1     version (1)
 //	5       1     type
-//	6       2     membership generation (0 = not generation-stamped)
+//	6       2     membership generation (low 16 bits)
 //	8       4     from node
 //	12      4     to node
 //	16      4     message count
@@ -84,7 +83,7 @@ type frame struct {
 	from, to int
 	msgs     int
 	seq      uint64
-	gen      uint16 // membership generation stamp (0 = unstamped)
+	gen      uint16 // membership generation stamp
 	payload  []byte
 
 	// sentAt is the flight recorder's timestamp of the frame's first
@@ -140,10 +139,15 @@ func getFrame() *frame {
 
 // putFrame recycles a frame and its payload buffer. The caller must be
 // the frame's sole owner (for window frames: only after the cumulative
-// ack proves no retransmit can ever replay it).
+// ack proves no retransmit can ever replay it). A recycled frame has no
+// type until getFrame's caller gives it one, so recycling one twice —
+// which would hand one struct to two senders — panics here instead.
 func putFrame(f *frame) {
+	if f.typ == 0 {
+		panic("transport: frame recycled twice")
+	}
 	wire.PutBuf(f.payload)
-	f.payload = nil
+	f.typ, f.payload = 0, nil
 	framePool.Put(f)
 }
 
@@ -201,20 +205,6 @@ func readFrame(r *bufio.Reader) (*frame, error) {
 	f := new(frame)
 	if err := readFrameInto(r, f); err != nil {
 		return nil, err
-	}
-	return f, nil
-}
-
-// parseFrame decodes a frame from a complete in-memory buffer (the
-// loopback transport's path).
-func parseFrame(b []byte) (*frame, error) {
-	br := bufio.NewReader(bytes.NewReader(b))
-	f, err := readFrame(br)
-	if err != nil {
-		return nil, err
-	}
-	if br.Buffered() > 0 {
-		return nil, fmt.Errorf("transport: %d trailing bytes after frame", br.Buffered())
 	}
 	return f, nil
 }

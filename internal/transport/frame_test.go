@@ -3,19 +3,58 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"testing"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	cases := []*frame{
-		{typ: frameData, from: 0, to: 3, msgs: 7, seq: 1, payload: []byte("hello wire")},
-		{typ: frameRouted, from: 2, to: 1, msgs: 1, seq: 1 << 40, payload: bytes.Repeat([]byte{0xAB}, 4096)},
-		{typ: frameHello, from: 1, to: 0, seq: 99},
-		{typ: frameAck, from: 0, to: 1, seq: 12345},
-		{typ: frameFin, from: 3, to: 0},
-		{typ: frameFinAck, from: 0, to: 3},
+// parseFrame decodes a frame from a complete in-memory buffer,
+// rejecting trailing bytes.
+func parseFrame(b []byte) (*frame, error) {
+	br := bufio.NewReader(bytes.NewReader(b))
+	f, err := readFrame(br)
+	if err != nil {
+		return nil, err
 	}
-	for _, want := range cases {
+	if br.Buffered() > 0 {
+		return nil, fmt.Errorf("transport: %d trailing bytes after frame", br.Buffered())
+	}
+	return f, nil
+}
+
+// frameCases is one well-formed frame of each shape; malformedFrames
+// is one of each way a frame can be broken. The tests below and
+// FuzzReadFrame's seed corpus both draw on them.
+var frameCases = []*frame{
+	{typ: frameData, from: 0, to: 3, msgs: 7, seq: 1, payload: []byte("hello wire")},
+	{typ: frameRouted, from: 2, to: 1, msgs: 1, seq: 1 << 40, payload: bytes.Repeat([]byte{0xAB}, 4096)},
+	{typ: frameHello, from: 1, to: 0, seq: 99},
+	{typ: frameAck, from: 0, to: 1, seq: 12345},
+	{typ: frameFin, from: 3, to: 0},
+	{typ: frameFinAck, from: 0, to: 3},
+}
+
+func malformedFrames() map[string][]byte {
+	good := appendFrame(nil, &frame{typ: frameData, from: 0, to: 1, msgs: 1, seq: 1, payload: []byte("payload")})
+	corrupt := func(mutate func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		mutate(b)
+		return b
+	}
+	return map[string][]byte{
+		"bad magic":      corrupt(func(b []byte) { b[0] = 'X' }),
+		"bad version":    corrupt(func(b []byte) { b[4] = 99 }),
+		"bad type":       corrupt(func(b []byte) { b[5] = 200 }),
+		"huge paylen":    corrupt(func(b []byte) { b[20], b[21], b[22], b[23] = 0xFF, 0xFF, 0xFF, 0xFF }),
+		"flipped crc":    corrupt(func(b []byte) { b[32] ^= 0x01 }),
+		"flipped body":   corrupt(func(b []byte) { b[headerBytes] ^= 0x01 }),
+		"truncated":      good[:len(good)-3],
+		"header only":    good[:headerBytes-4],
+		"trailing bytes": append(append([]byte(nil), good...), 0xEE),
+	}
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	for _, want := range frameCases {
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, want); err != nil {
 			t.Fatalf("writeFrame(%d): %v", want.typ, err)
@@ -47,24 +86,7 @@ func TestAppendFrameRejectsOversizedPayload(t *testing.T) {
 }
 
 func TestFrameRejectsMalformed(t *testing.T) {
-	good := appendFrame(nil, &frame{typ: frameData, from: 0, to: 1, msgs: 1, seq: 1, payload: []byte("payload")})
-
-	corrupt := func(mutate func(b []byte)) []byte {
-		b := append([]byte(nil), good...)
-		mutate(b)
-		return b
-	}
-	cases := map[string][]byte{
-		"bad magic":      corrupt(func(b []byte) { b[0] = 'X' }),
-		"bad version":    corrupt(func(b []byte) { b[4] = 99 }),
-		"bad type":       corrupt(func(b []byte) { b[5] = 200 }),
-		"huge paylen":    corrupt(func(b []byte) { b[20], b[21], b[22], b[23] = 0xFF, 0xFF, 0xFF, 0xFF }),
-		"flipped crc":    corrupt(func(b []byte) { b[32] ^= 0x01 }),
-		"flipped body":   corrupt(func(b []byte) { b[headerBytes] ^= 0x01 }),
-		"truncated":      good[:len(good)-3],
-		"header only":    good[:headerBytes-4],
-		"trailing bytes": append(append([]byte(nil), good...), 0xEE),
-	}
+	cases := malformedFrames()
 	for name, raw := range cases {
 		if _, err := parseFrame(raw); err == nil {
 			t.Errorf("parseFrame accepted %s", name)

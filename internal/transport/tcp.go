@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -11,10 +9,8 @@ import (
 	"time"
 
 	"gravel/internal/fabric"
-	"gravel/internal/obs"
 	"gravel/internal/timemodel"
 	"gravel/internal/transport/fault"
-	"gravel/internal/wire"
 )
 
 // Tunables of the TCP transport. Frames are whole per-node queues
@@ -33,10 +29,7 @@ const (
 
 	// rexmitInterval bounds how long the oldest unacknowledged frame may
 	// sit without ack progress before the writer reconnects and replays
-	// the window. A receiver detects mid-stream loss as a sequence gap
-	// and poisons the connection, but a frame lost at the *tail* of the
-	// stream has no successor to expose the gap — only this timer
-	// recovers it.
+	// the window (sendStream.stalled).
 	rexmitInterval = 100 * time.Millisecond
 
 	// Write coalescing: the writer drains its staged-frame queue in
@@ -59,15 +52,16 @@ const (
 // per node, and per-node queues travel as CRC-framed, sequence-numbered
 // messages over per-destination TCP connections.
 //
-// Reliability: each sender→destination stream numbers its data frames;
-// the receiver acknowledges cumulatively and deduplicates, and the
-// sender keeps a bounded window of unacknowledged frames that it
-// retransmits after reconnecting (exponential backoff with jitter), so
-// a dropped connection delays but never loses or duplicates messages.
-//
-// Quiescence: Quiet extends the runtime's Step barrier across
-// processes through the rendezvous coordinator (see Coordinator) using
-// monotonic sent/applied frame counters.
+// It is cut along three seams. Reliability (stream.go): each
+// sender→destination stream numbers its data frames, the receiver
+// acknowledges cumulatively and deduplicates, and the sender replays a
+// bounded window of unacknowledged frames after reconnecting, so a
+// dropped connection delays but never loses or duplicates messages.
+// Connection lifecycle (tcp_sender.go, tcp_recv.go): sender.run and
+// serveConn are the only code that touches a peer net.Conn.
+// Membership (coord_client.go): every coordinator exchange — join,
+// quiescence, step barrier, reductions, checkpoints, heartbeats — goes
+// through TCP.exchange, which owns the failure rule.
 //
 // Timing: with Options.WallClock the clocks charge measured wall time
 // for wire activity; otherwise the virtual LogGP model is charged
@@ -82,7 +76,7 @@ type TCP struct {
 	n      int
 	self   int
 	wall   bool
-	gen    uint32 // membership generation (0 = fixed-membership, unstamped)
+	gen    uint32 // membership generation: Options.Generation, or adopted at join
 
 	ln      net.Listener
 	coord   *coordClient
@@ -120,7 +114,7 @@ type TCP struct {
 	appliedWire atomic.Int64 // data frames fully applied (monotonic)
 	epoch       atomic.Int64 // step barriers passed
 
-	recv []*peerRecv // per-peer receive state (dedup seq + active conn)
+	recv []recvStream // per-peer receive half (dedup seq + live conn)
 
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{} // live inbound connections
@@ -148,9 +142,7 @@ type TCP struct {
 // (blocking until the whole cluster has joined), and starts the
 // per-destination connection pools. Multi-node clusters require
 // opt.Coord: the Quiet() quiescence guarantee the runtime's Step
-// barrier relies on cannot be established from a static peers list
-// alone, so a peers-only configuration is rejected rather than
-// silently weakening the contract.
+// barrier relies on cannot be established between peers alone.
 func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Options) (*TCP, error) {
 	n := len(clocks)
 	if n == 0 {
@@ -206,42 +198,23 @@ func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Opt
 		inj:       inj,
 		suspect:   suspect,
 		heartbeat: heartbeat,
-		recv:      make([]*peerRecv, n),
+		recv:      make([]recvStream, n),
 		conns:     make(map[net.Conn]struct{}),
 		failedCh:  make(chan struct{}),
 		killed:    make(chan struct{}),
 	}
-	for i := range t.recv {
-		t.recv[i] = &peerRecv{}
-	}
 
-	peers := opt.Peers
+	var peers []string
 	if opt.Coord != "" {
-		coord, err := dialCoord(opt.Coord, coordDialOpts{
-			timeout:    opt.CoordDialTimeout,
-			backoff:    opt.CoordDialBackoff,
-			backoffMax: opt.CoordDialBackoffMax,
-			rpcTimeout: opt.CoordRPCTimeout,
-		})
-		if err != nil {
+		if t.coord, err = dialCoord(opt); err != nil {
 			ln.Close()
 			return nil, err
 		}
-		coord.gen = opt.Generation
-		t.coord = coord
-		peers, err = coord.join(t.self, ln.Addr().String(), suspect)
-		if err != nil {
-			coord.close()
-			ln.Close()
-			return nil, err
-		}
-	}
-	if n > 1 && len(peers) != n {
-		if t.coord != nil {
+		if peers, err = t.join(); err != nil {
 			t.coord.close()
+			ln.Close()
+			return nil, err
 		}
-		ln.Close()
-		return nil, fmt.Errorf("transport: have %d peer addresses for %d nodes", len(peers), n)
 	}
 
 	t.senders = make([]*sender, n)
@@ -268,31 +241,6 @@ func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Opt
 		go t.heartbeatLoop()
 	}
 	return t, nil
-}
-
-// heartbeatLoop pings the coordinator every heartbeat interval: the
-// ping keeps this worker's lastSeen fresh (so long compute phases are
-// not mistaken for death) and brings back the coordinator's view of
-// dead peers, failing the transport if any worker has gone silent.
-func (t *TCP) heartbeatLoop() {
-	defer close(t.hbDone)
-	tick := time.NewTicker(t.heartbeat)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			if err := t.coord.ping(t.self, t.suspect); err != nil {
-				t.fail(err)
-				return
-			}
-		case <-t.hbStop:
-			return
-		case <-t.failedCh:
-			return
-		case <-t.killed:
-			return
-		}
-	}
 }
 
 // fail records the first fatal transport error and unblocks everything
@@ -336,16 +284,7 @@ func (t *TCP) Kill() {
 		if t.hbStop != nil {
 			<-t.hbDone
 		}
-		for _, s := range t.senders {
-			if s != nil {
-				s.dropConn()
-			}
-		}
-		t.connsMu.Lock()
-		for c := range t.conns {
-			c.Close()
-		}
-		t.connsMu.Unlock()
+		t.DropConnections()
 		if t.coord != nil {
 			t.coord.close()
 		}
@@ -500,127 +439,31 @@ func (t *TCP) Quiet() bool {
 	if t.n == 1 {
 		return true
 	}
-	// n > 1 implies a coordinator: NewTCP rejects peers-only clusters.
+	// n > 1 implies a coordinator: NewTCP rejects clusters without one.
 	t.quietMu.Lock()
 	defer t.quietMu.Unlock()
 	if t.quietCached && sent == t.quietSent && applied == t.quietApplied {
 		return true
 	}
-	quiet, err := t.coord.quiet(t.self, sent, applied, true, t.suspect)
+	resp, err := t.exchange(&coordMsg{Op: "quiet", Sent: sent, Applied: applied, Idle: true})
 	if err != nil {
-		t.fail(err)
 		panic(err)
 	}
 	// Only cache if the counters did not move while we asked.
-	if quiet && sent == t.sentWire.Load() && applied == t.appliedWire.Load() {
+	if resp.Quiet && sent == t.sentWire.Load() && applied == t.appliedWire.Load() {
 		t.quietCached, t.quietSent, t.quietApplied = true, sent, applied
 		return true
 	}
 	return false
 }
 
-// StepBarrier aligns step boundaries across the cluster (the runtime
-// calls it after every Step's quiescence, via interface assertion).
-// Each process polls the coordinator's epoch barrier, refreshing its
-// counter report on every poll; the coordinator releases the barrier
-// only when all processes have arrived at the same epoch at a globally
-// quiescent instant. Without this, a fast process could read results
-// or start the next step before a skewed peer's messages landed.
-func (t *TCP) StepBarrier() {
-	if t.coord == nil || t.n == 1 {
-		return
-	}
-	key := fmt.Sprintf("step:%d", t.epoch.Add(1))
-	for {
-		if err := t.Err(); err != nil {
-			panic(err)
-		}
-		sent, applied, idle := t.quietSnapshot()
-		released, err := t.coord.barrier(t.self, key, sent, applied, idle, t.suspect)
-		if err != nil {
-			t.fail(err)
-			panic(err)
-		}
-		if released {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// Reduce folds val into the named cluster-wide sum through the
-// coordinator, blocking until every node has contributed. Without a
-// coordinator it returns val.
-func (t *TCP) Reduce(key string, val uint64) (uint64, error) {
-	if t.coord == nil {
-		return val, nil
-	}
-	if err := t.Err(); err != nil {
-		return 0, err
-	}
-	total, err := t.coord.reduce(t.self, key, val, "", 0, t.suspect)
-	if err != nil {
-		t.fail(err)
-		return 0, err
-	}
-	return total, nil
-}
-
-// Barrier blocks until every node has reached the named barrier.
-func (t *TCP) Barrier(key string) error {
-	_, err := t.Reduce("barrier:"+key, 0)
-	return err
-}
-
-// Generation is the membership generation this transport was built
-// with (0 when the cluster is not elastic).
+// Generation is the membership generation this transport stamps: the
+// one it was built with, or the coordinator's at the time it joined.
 func (t *TCP) Generation() uint32 { return t.gen }
 
 // wireGen is the generation stamp for frame headers (the header has 16
 // bits; the launcher's epoch counter never approaches that).
 func (t *TCP) wireGen() uint16 { return uint16(t.gen) }
-
-// SaveCheckpoint stores this process's shard of the step checkpoint at
-// the coordinator's checkpoint store. Call it at a step barrier — a
-// proven quiescent instant — so the assembled cluster checkpoint is
-// consistent. A no-op without a coordinator.
-func (t *TCP) SaveCheckpoint(step uint64, data []byte) error {
-	if t.coord == nil {
-		return nil
-	}
-	if err := t.Err(); err != nil {
-		return err
-	}
-	if err := t.coord.saveCkpt(t.self, step, data, t.suspect); err != nil {
-		t.fail(err)
-		return err
-	}
-	if obs.Enabled() {
-		obs.Emit(obs.KCheckpoint, t.self, int64(step), int64(len(data)), "")
-	}
-	return nil
-}
-
-// FetchCheckpoint retrieves the epoch's restore point from the
-// coordinator; ok is false on a cold start (no complete checkpoint
-// predates this epoch) or without a coordinator.
-func (t *TCP) FetchCheckpoint() (rp *RestorePoint, ok bool, err error) {
-	if t.coord == nil {
-		return nil, false, nil
-	}
-	if err := t.Err(); err != nil {
-		return nil, false, err
-	}
-	rp, ok, err = t.coord.fetchCkpt(t.self)
-	if err != nil {
-		t.fail(err)
-		return nil, false, err
-	}
-	if ok && obs.Enabled() {
-		obs.Emit(obs.KRestore, t.self, int64(rp.Step), int64(rp.Nodes), "")
-	}
-	return rp, ok, nil
-}
 
 // Close runs the drain/close handshake: every sender flushes its queue
 // and window, FINs its stream, and awaits the FIN-ACK; inbound streams
@@ -654,26 +497,23 @@ func (t *TCP) Close() {
 		select {
 		case <-handlersDone:
 		case <-time.After(drainTimeout):
-			t.connsMu.Lock()
-			for c := range t.conns {
-				c.Close()
-			}
-			t.connsMu.Unlock()
+			t.DropConnections()
 			<-handlersDone
 		}
 
 		t.Endpoint.Close()
 		if t.coord != nil {
-			t.coord.bye(t.self)
+			t.exchange(&coordMsg{Op: "bye"}) // best effort: the run is over either way
 			t.coord.close()
 		}
 	})
 }
 
 // DropConnections forcibly closes every established connection, inbound
-// and outbound, without touching queued or unacknowledged frames — a
-// fault-injection hook: senders must reconnect (with backoff) and
-// retransmit, and no message may be lost or duplicated.
+// and outbound, without touching queued or unacknowledged frames: live
+// senders reconnect (with backoff) and retransmit, and no message may
+// be lost or duplicated. A fault-injection hook, and the one
+// close-every-conn loop Kill and Close's drain timeout share.
 func (t *TCP) DropConnections() {
 	for _, s := range t.senders {
 		if s != nil {
@@ -685,209 +525,6 @@ func (t *TCP) DropConnections() {
 		c.Close()
 	}
 	t.connsMu.Unlock()
-}
-
-// peerRecv serializes the receive side of one peer. mu is held across
-// the whole dedup-check / deliver / record sequence, and conn tracks
-// the connection currently allowed to deliver: a reconnecting peer's
-// new HELLO supersedes (closes) the old connection under mu, so two
-// handlers for the same peer can never both pass the dedup test and
-// enqueue one frame twice — even while the old handler drains frames
-// still buffered in its reader.
-type peerRecv struct {
-	mu   sync.Mutex
-	seq  uint64   // highest data seq handed to the inbox
-	conn net.Conn // connection allowed to deliver for this peer
-}
-
-// acceptLoop admits peer connections until the listener closes.
-func (t *TCP) acceptLoop() {
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return
-		}
-		t.connsMu.Lock()
-		t.conns[conn] = struct{}{}
-		t.connsMu.Unlock()
-		t.handlers.Add(1)
-		go t.serveConn(conn)
-	}
-}
-
-// serveConn is the receive side of one peer stream: HELLO, then data
-// frames — validated, deduplicated, delivered, acknowledged — until FIN
-// or error. Any malformed frame poisons the connection; the peer
-// reconnects and retransmits from the last acknowledged frame.
-func (t *TCP) serveConn(conn net.Conn) {
-	defer t.handlers.Done()
-	defer func() {
-		t.connsMu.Lock()
-		delete(t.conns, conn)
-		t.connsMu.Unlock()
-		conn.Close()
-	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	hello, err := readFrame(br)
-	if err != nil || hello.typ != frameHello || hello.to != t.self ||
-		hello.from < 0 || hello.from >= t.n || hello.from == t.self {
-		t.Malformed.Inc()
-		return
-	}
-	// Generation gate: a hello stamped with another membership
-	// generation is from an evicted (or not-yet-evicted stale) peer.
-	// Reply frameEvict carrying our generation so the sender fails with
-	// a typed StaleGenerationError instead of retrying forever, and
-	// never let its frames near the dedup/deliver path. Unstamped
-	// hellos (gen 0 on either side) pass: fixed-membership clusters
-	// never stamp.
-	if hello.gen != t.wireGen() && hello.gen != 0 && t.gen != 0 {
-		writeFrame(conn, &frame{typ: frameEvict, from: t.self, to: hello.from, seq: uint64(t.gen), gen: t.wireGen()})
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	from := hello.from
-	peerGen := hello.gen
-	pr := t.recv[from]
-	// Supersede any previous connection from this peer before acking
-	// the resume point: the old handler may still be draining frames
-	// buffered in its reader, and the retransmitted window must not be
-	// able to race it past the dedup check.
-	pr.mu.Lock()
-	if pr.conn != nil {
-		pr.conn.Close()
-	}
-	pr.conn = conn
-	resume := pr.seq
-	pr.mu.Unlock()
-	defer func() {
-		pr.mu.Lock()
-		if pr.conn == conn {
-			pr.conn = nil
-		}
-		pr.mu.Unlock()
-	}()
-	// Control replies (acks, fin-ack) reuse one encode scratch instead
-	// of allocating per frame; one goroutine owns this connection's
-	// writes, so no lock is needed.
-	var ctlBuf []byte
-	writeCtl := func(typ frameType, seq uint64) error {
-		ctlBuf = appendFrame(ctlBuf[:0], &frame{typ: typ, from: t.self, to: from, seq: seq})
-		_, err := conn.Write(ctlBuf)
-		return err
-	}
-	if err := writeCtl(frameAck, resume); err != nil {
-		return
-	}
-
-	// The frame struct is reused across reads; its payload is a fresh
-	// pooled buffer per data frame, owned by the inbox packet once
-	// delivered (Done recycles it) and recycled here on the drop paths
-	// that keep the connection alive.
-	var f frame
-	for {
-		if err := readFrameInto(br, &f); err != nil {
-			if errors.Is(err, errCorruptPayload) {
-				// In-flight corruption, caught by the frame CRC. Count it,
-				// re-acknowledge the resume point as an explicit retransmit
-				// request, and poison the connection: the sender reconnects
-				// and replays everything after the ack, so corruption costs
-				// a round trip, never data.
-				t.CorruptFrames.Inc()
-				pr.mu.Lock()
-				resume := pr.seq
-				pr.mu.Unlock()
-				writeCtl(frameAck, resume)
-			}
-			return
-		}
-		switch f.typ {
-		case frameFin:
-			writeCtl(frameFinAck, 0)
-			return
-		case framePing:
-			// Peer heartbeat: answer with the cumulative ack so liveness
-			// and ack progress share one signal.
-			pr.mu.Lock()
-			cum := pr.seq
-			pr.mu.Unlock()
-			if writeCtl(frameAck, cum) != nil {
-				return
-			}
-		case frameData, frameRouted:
-			routed := f.typ == frameRouted
-			pr.mu.Lock()
-			if pr.conn != conn {
-				// Superseded by a reconnect while this frame sat in the
-				// reader; the new stream retransmits everything unacked.
-				pr.mu.Unlock()
-				return
-			}
-			last := pr.seq
-			switch {
-			case f.from != from || f.to != t.self,
-				f.gen != peerGen, // generation drift mid-stream: reject, not misdeliver
-				f.seq > last+1,   // gap: protocol violation
-				wire.CheckBuf(f.payload, routed, t.n) != nil:
-				pr.mu.Unlock()
-				t.Malformed.Inc()
-				return
-			case f.seq <= last:
-				// Duplicate after a reconnect: re-acknowledge, drop (and
-				// recycle the payload nothing will ever apply).
-				pr.mu.Unlock()
-				wire.PutBuf(f.payload)
-				f.payload = nil
-				if writeCtl(frameAck, f.seq) != nil {
-					return
-				}
-				continue
-			}
-			ok := t.deliver(&f, routed)
-			if ok {
-				pr.seq = f.seq
-			}
-			pr.mu.Unlock()
-			if !ok {
-				return
-			}
-			if writeCtl(frameAck, f.seq) != nil {
-				return
-			}
-		default:
-			t.Malformed.Inc()
-			return
-		}
-	}
-}
-
-// deliver hands one validated data frame to the endpoint, charging
-// receive-side wire time. Counter order matters when the endpoint
-// demuxes it: the endpoint's in-flight count covers every sub-packet
-// before appliedWire counts the frame applied, so the coordinator's
-// sent/applied comparison can never balance while a sub-packet is still
-// pending, and each sub-packet's Done retires it from the endpoint only
-// (see Done). It reports false if the inboxes closed underneath it
-// during shutdown: the frame is unacked, so a surviving peer would
-// retransmit — by protocol it is post-quiescence and carries nothing
-// the run still needs.
-func (t *TCP) deliver(f *frame, routed bool) bool {
-	p := fabric.Packet{From: f.from, To: t.self, Buf: f.payload, Msgs: f.msgs, Routed: routed}
-	var scattered, ok bool
-	if t.wall {
-		t0 := time.Now()
-		scattered, ok = t.Deliver(p)
-		t.clocks[t.self].AddWireRecv(float64(time.Since(t0).Nanoseconds()))
-	} else {
-		t.clocks[t.self].AddWireRecv(t.params.WireNs(len(f.payload)))
-		scattered, ok = t.Deliver(p)
-	}
-	if scattered {
-		t.appliedWire.Add(1)
-	}
-	return ok
 }
 
 var _ fabric.Fabric = (*TCP)(nil)

@@ -12,10 +12,11 @@ import (
 	"gravel/internal/obs"
 )
 
-// sender is one outbound stream: a bounded queue of staged frames, a
-// bounded window of unacknowledged frames, and a writer goroutine that
-// owns the connection — dialing, handshaking, retransmitting the window
-// after reconnects, and FINing on shutdown.
+// sender is the connection lifecycle of one outbound stream: a bounded
+// queue of staged frames and a writer goroutine that owns the
+// connection — dialing, handshaking, replaying the stream's window
+// after reconnects, and FINing on shutdown. What is owed to the peer is
+// the sendStream's business; this type only moves its frames.
 type sender struct {
 	t    *TCP
 	dest int
@@ -25,14 +26,12 @@ type sender struct {
 	stop  chan struct{}
 	done  chan struct{}
 
-	// Writer-goroutine-only state for write coalescing: enc is the
-	// frame-encode scratch, bw batches encoded frames into one socket
-	// write (reset onto each new connection), and winScratch is reused
-	// across handshake retransmits so replaying the window allocates
-	// nothing.
-	enc        []byte
-	bw         *bufio.Writer
-	winScratch []*frame
+	// Writer-goroutine-only state: the reliability half, the
+	// frame-encode scratch, and the writer that batches encoded frames
+	// into one socket write (reset onto each new connection).
+	str sendStream
+	enc []byte
+	bw  *bufio.Writer
 
 	// lastAck is the unix-nano time of the last proof the peer is alive:
 	// construction, a completed handshake, or any received ack (data
@@ -40,19 +39,12 @@ type sender struct {
 	// check compares silence against it.
 	lastAck atomic.Int64
 
-	mu      sync.Mutex
-	window  []*frame
-	nextSeq uint64
-	conn    net.Conn // current connection, for fault injection
+	mu   sync.Mutex
+	conn net.Conn // current connection, for dropConn
 }
 
 // progress marks the peer alive now.
 func (s *sender) progress() { s.lastAck.Store(time.Now().UnixNano()) }
-
-// silence returns how long the peer has shown no sign of life.
-func (s *sender) silence() time.Duration {
-	return time.Duration(time.Now().UnixNano() - s.lastAck.Load())
-}
 
 // suspectCheck declares the peer down — failing the whole transport —
 // if it has been silent past the suspect timeout. Heartbeat pings keep
@@ -64,7 +56,7 @@ func (s *sender) suspectCheck() bool {
 	if suspect <= 0 || s.t.closed.Load() {
 		return false
 	}
-	if sil := s.silence(); sil > suspect {
+	if sil := time.Duration(time.Now().UnixNano() - s.lastAck.Load()); sil > suspect {
 		s.t.fail(&PeerDownError{Node: s.dest, Detector: "sender", Silence: sil})
 		return true
 	}
@@ -72,97 +64,17 @@ func (s *sender) suspectCheck() bool {
 }
 
 // idle reports whether nothing is staged or awaiting acknowledgment.
-func (s *sender) idle() bool {
-	if len(s.queue) != 0 {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.window) == 0
-}
+func (s *sender) idle() bool { return len(s.queue) == 0 && s.str.idle() }
 
-// trim drops acknowledged frames (seq ≤ acked) from the window and
-// recycles them: the cumulative ack is the proof no retransmit can ever
-// replay a trimmed frame, so this is the one safe recycle point on the
-// send side.
-func (s *sender) trim(acked uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := 0
-	for i < len(s.window) && s.window[i].seq <= acked {
-		if f := s.window[i]; f.sentAt != 0 && obs.Enabled() {
-			rtt := obs.Now() - f.sentAt
-			obs.ObserveFlushRTT(rtt)
-			obs.Emit(obs.KAck, s.t.self, int64(f.seq), rtt, "")
-		}
-		putFrame(s.window[i])
-		s.window[i] = nil
-		i++
-	}
-	if i == len(s.window) {
-		s.window = s.window[:0]
-	} else {
-		s.window = s.window[i:]
-	}
-}
-
-// windowHead returns the seq of the oldest unacknowledged frame, or 0
-// (sequences start at 1) when the window is empty.
-func (s *sender) windowHead() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.window) == 0 {
-		return 0
-	}
-	return s.window[0].seq
-}
-
-// appendWindow appends the unacknowledged window onto dst (a reusable
-// scratch), replacing the per-call snapshot copy the handshake used to
-// allocate on every reconnect.
-func (s *sender) appendWindow(dst []*frame) []*frame {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append(dst, s.window...)
-}
-
-// writeCoalesced encodes f into the sender's scratch and appends it to
-// the connection's batching writer. Bytes are copied out of the frame,
-// so the caller's ownership (window, pool) is unaffected. The caller is
-// responsible for flushing: data frames ride the 125µs flush deadline
-// (mirroring the aggregator's flush timeout), control frames flush
-// immediately.
-func (s *sender) writeCoalesced(f *frame) error {
+// write encodes f into the sender's scratch and appends it to the
+// connection's batching writer. Bytes are copied out of the frame, so
+// the window's ownership is unaffected. The caller is responsible for
+// flushing: data frames ride the 125µs flush deadline (mirroring the
+// aggregator's flush timeout), control frames flush immediately.
+func (s *sender) write(f *frame) error {
 	s.enc = appendFrame(s.enc[:0], f)
 	_, err := s.bw.Write(s.enc)
 	return err
-}
-
-// writeData assigns a sequence number (first transmission only), pushes
-// f onto the retransmit window, and stages its bytes on the batching
-// writer.
-func (s *sender) writeData(f *frame) error {
-	if f.seq == 0 {
-		s.nextSeq++
-		f.seq = s.nextSeq
-		if obs.Enabled() {
-			f.sentAt = obs.Now()
-		}
-	}
-	s.push(f)
-	return s.writeCoalesced(f)
-}
-
-func (s *sender) windowFull() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.window) >= sendWindowFrames
-}
-
-func (s *sender) push(f *frame) {
-	s.mu.Lock()
-	s.window = append(s.window, f)
-	s.mu.Unlock()
 }
 
 func (s *sender) setConn(c net.Conn) {
@@ -171,7 +83,7 @@ func (s *sender) setConn(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// dropConn force-closes the current connection (fault injection).
+// dropConn force-closes the current connection (Kill, fault injection).
 func (s *sender) dropConn() {
 	s.mu.Lock()
 	c := s.conn
@@ -187,19 +99,46 @@ func (s *sender) shutdown() {
 	<-s.done
 }
 
-// connect dials with exponential backoff and jitter until it succeeds,
-// shutdown begins (stop closes — stopped=true so the caller can start
-// its bounded drain), or the drain deadline fires. On success it
-// handshakes, retransmits the unacknowledged window, and returns the
-// established conn with its ack reader channels.
-func (s *sender) connect(stop <-chan struct{}, abort <-chan time.Time, attempted *bool) (conn net.Conn, acks chan uint64, errs chan error, stopped bool) {
-	backoff := backoffInitial
-	for {
+// redial is the one dial-retry loop (peer streams and the coordinator):
+// it calls try until try reports that it is finished — connected, or
+// out of reasons to keep trying — sleeping between attempts for a
+// backoff that doubles from initial until it passes max, plus up to as
+// much again in jitter. sleep reports true to abandon the loop.
+// Nonpositive bounds take the transport's defaults.
+func redial(initial, max time.Duration, try func() bool, sleep func(time.Duration) (abandon bool)) {
+	if initial <= 0 {
+		initial = backoffInitial
+	}
+	if max <= 0 {
+		max = backoffMax
+	}
+	for backoff := initial; !try(); {
+		if sleep(backoff + time.Duration(rand.Int63n(int64(backoff)))) {
+			return
+		}
+		if backoff < max {
+			backoff *= 2
+		}
+	}
+}
+
+// link is one established connection of the stream: the conn and the
+// channels its ack reader feeds.
+type link struct {
+	conn net.Conn
+	acks chan uint64
+	errs chan error
+}
+
+// connect redials until a handshake succeeds, the transport fails (the
+// peer is suspect, or evicted us), shutdown begins (stop closes —
+// stopped=true so the caller can start its bounded drain), or the drain
+// deadline fires. A nil link with stopped=false means give up.
+func (s *sender) connect(stop <-chan struct{}, abort <-chan time.Time, attempted *bool) (l *link, stopped bool) {
+	redial(backoffInitial, backoffMax, func() bool {
 		if !s.t.inj.LinkBlocked(s.t.self, s.dest) { // cut links fail fast into backoff
-			conn, err := net.DialTimeout("tcp", s.addr, dialTimeout)
-			if err == nil {
-				conn = s.t.inj.WrapConn(conn, s.t.self, s.dest)
-				if c, acks, errs := s.handshake(conn); c != nil {
+			if conn, err := net.DialTimeout("tcp", s.addr, dialTimeout); err == nil {
+				if l = s.handshake(s.t.inj.WrapConn(conn, s.t.self, s.dest)); l != nil {
 					if *attempted {
 						s.t.Reconnects.Inc()
 						if obs.Enabled() {
@@ -207,91 +146,76 @@ func (s *sender) connect(stop <-chan struct{}, abort <-chan time.Time, attempted
 						}
 					}
 					*attempted = true
-					return c, acks, errs, false
+					return true
 				}
 			}
 		}
 		s.t.Retries.Inc()
-		if s.suspectCheck() {
-			return nil, nil, nil, false
-		}
-		if s.t.Err() != nil {
-			// The transport failed while we were (re)dialing — e.g. the
-			// handshake above was refused with a stale-generation evict.
-			// Redialing cannot help; let the writer loop exit.
-			return nil, nil, nil, false
-		}
-		sleep := backoff + time.Duration(rand.Int63n(int64(backoff)))
-		if backoff < backoffMax {
-			backoff *= 2
-		}
+		return s.suspectCheck() || s.t.Err() != nil
+	}, func(d time.Duration) bool {
 		select {
-		case <-time.After(sleep):
+		case <-time.After(d):
+			return false
 		case <-stop:
-			return nil, nil, nil, true
+			stopped = true
 		case <-abort:
-			return nil, nil, nil, false
 		case <-s.t.killed:
-			return nil, nil, nil, false
 		}
-	}
+		return true
+	})
+	return l, stopped
 }
 
-// handshake sends HELLO, consumes the receiver's cumulative ack (which
-// trims the window after a reconnect), retransmits whatever remains,
-// and starts the ack reader.
-func (s *sender) handshake(conn net.Conn) (net.Conn, chan uint64, chan error) {
-	if err := writeFrame(conn, &frame{typ: frameHello, from: s.t.self, to: s.dest, gen: s.t.wireGen()}); err != nil {
+// handshake sends HELLO, consumes the receiver's resume point (which
+// trims the window like any cumulative ack), replays whatever remains,
+// and starts the ack reader. It closes conn and returns nil on failure.
+func (s *sender) handshake(conn net.Conn) *link {
+	t := s.t
+	if err := writeFrame(conn, &frame{typ: frameHello, from: t.self, to: s.dest, gen: t.wireGen()}); err != nil {
 		conn.Close()
-		return nil, nil, nil
+		return nil
 	}
 	br := bufio.NewReaderSize(conn, 16<<10)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	ack, err := readFrame(br)
 	if err == nil && ack.typ == frameEvict {
-		// The receiver is on a newer membership generation: this process
+		// The receiver is on another membership generation: this process
 		// was evicted. Fail the whole transport with the typed error —
 		// retrying the handshake could never succeed.
 		conn.Close()
-		s.t.fail(&StaleGenerationError{Have: s.t.gen, Want: uint32(ack.seq), Source: "peer"})
-		return nil, nil, nil
+		t.fail(&StaleGenerationError{Have: t.gen, Want: uint32(ack.seq), Source: "peer"})
+		return nil
 	}
 	if err != nil || ack.typ != frameAck {
 		conn.Close()
-		return nil, nil, nil
+		return nil
 	}
 	conn.SetReadDeadline(time.Time{})
-	s.trim(ack.seq)
+	s.str.ack(ack.seq)
 	if s.bw == nil {
 		s.bw = bufio.NewWriterSize(conn, coalesceBufBytes)
 	} else {
 		s.bw.Reset(conn)
 	}
-	s.winScratch = s.appendWindow(s.winScratch[:0])
-	if len(s.winScratch) > 0 && obs.Enabled() {
-		obs.Emit(obs.KRetransmit, s.t.self, int64(s.dest), int64(len(s.winScratch)), "")
+	replay := s.str.replay()
+	if len(replay) > 0 && obs.Enabled() {
+		obs.Emit(obs.KRetransmit, t.self, int64(s.dest), int64(len(replay)), "")
 	}
-	retransmitErr := false
-	for _, f := range s.winScratch {
-		if err := s.writeCoalesced(f); err != nil {
-			retransmitErr = true
+	for _, f := range replay {
+		if err = s.write(f); err != nil {
 			break
 		}
 	}
-	for i := range s.winScratch {
-		s.winScratch[i] = nil // scratch must not pin recycled frames
-	}
-	if retransmitErr || s.bw.Flush() != nil {
+	if err != nil || s.bw.Flush() != nil {
 		conn.Close()
-		return nil, nil, nil
+		return nil
 	}
-	acks := make(chan uint64, sendWindowFrames)
-	errs := make(chan error, 1)
+	l := &link{conn: conn, acks: make(chan uint64, sendWindowFrames), errs: make(chan error, 1)}
 	go func() {
 		var f frame // reused: acks carry no payload
 		for {
 			if err := readFrameInto(br, &f); err != nil {
-				errs <- err
+				l.errs <- err
 				return
 			}
 			switch f.typ {
@@ -300,38 +224,36 @@ func (s *sender) handshake(conn net.Conn) (net.Conn, chan uint64, chan error) {
 				// drains the channel: an injected stall blocks the writer,
 				// and acks landing meanwhile must still prove liveness.
 				s.progress()
-				acks <- f.seq
+				l.acks <- f.seq
 			case frameFinAck:
-				acks <- finAckMark
+				l.acks <- finAckMark
 				return
 			default:
-				errs <- fmt.Errorf("transport: unexpected %d frame on ack stream", f.typ)
+				l.errs <- fmt.Errorf("transport: unexpected %d frame on ack stream", f.typ)
 				return
 			}
 		}
 	}()
 	s.setConn(conn)
 	s.progress()
-	return conn, acks, errs
+	return l
 }
 
 // run is the writer loop.
 func (s *sender) run() {
 	defer close(s.done)
 	var (
-		conn      net.Conn
-		acks      chan uint64
-		errs      chan error
+		l         *link
 		attempted bool
 		draining  bool
 		deadline  <-chan time.Time
 		stop      = s.stop
 	)
 	disconnect := func() {
-		if conn != nil {
-			conn.Close()
+		if l != nil {
+			l.conn.Close()
 			s.setConn(nil)
-			conn = nil
+			l = nil
 		}
 	}
 	defer disconnect()
@@ -357,12 +279,9 @@ func (s *sender) run() {
 		defer hb.Stop()
 		heartbeat = hb.C
 	}
-	// Retransmit watchdog: if the oldest unacked frame is the same one
-	// it was a full interval ago, the stream tail was lost in flight;
-	// reconnecting replays the window (the receiver deduplicates).
+	// Tail-loss watchdog: see sendStream.stalled.
 	rx := time.NewTicker(rexmitInterval)
 	defer rx.Stop()
-	var rexmitHead uint64
 	// Flush deadline for coalesced writes: armed after staging data
 	// frames, it bounds how long encoded bytes may sit in s.bw. Created
 	// stopped; hand-built test senders that never connect never arm it.
@@ -373,60 +292,53 @@ func (s *sender) run() {
 	defer flushTimer.Stop()
 	flushArmed := false
 	for {
-		if draining && len(s.queue) == 0 {
-			s.mu.Lock()
-			empty := len(s.window) == 0
-			s.mu.Unlock()
-			if empty {
-				if conn != nil {
-					s.fin(conn, acks)
-				}
-				return
+		if draining && s.idle() {
+			if l != nil {
+				s.fin(l)
 			}
+			return
 		}
-		if conn == nil {
-			// Nothing to transmit and shutting down: don't redial.
-			if draining && len(s.queue) == 0 && s.idle() {
-				continue // loops into the exit branch above
-			}
+		if l == nil {
 			var stopped bool
-			conn, acks, errs, stopped = s.connect(stop, deadline, &attempted)
+			l, stopped = s.connect(stop, deadline, &attempted)
 			if stopped {
 				// Shutdown arrived mid-reconnect: switch to the bounded
 				// drain so an unreachable peer cannot hang Close.
 				beginDrain()
 				continue
 			}
-			if conn == nil {
-				return // drain deadline fired while reconnecting
+			if l == nil {
+				return // the transport failed, or the drain deadline fired
 			}
 			continue
 		}
 		// With a full window, only acks (or failure/shutdown) can
 		// make progress.
 		queue := s.queue
-		if s.windowFull() {
+		if s.str.full() {
 			queue = nil
 		}
 		select {
-		case seq := <-acks:
+		case seq := <-l.acks:
 			if seq == finAckMark {
 				disconnect()
 				continue
 			}
-			s.trim(seq)
-		case <-errs:
+			s.str.ack(seq)
+		case <-l.errs:
 			disconnect()
 		case f := <-queue:
 			// Burst-drain: pull every frame already staged (up to the
 			// window limit) into one buffered write, then arm the flush
 			// deadline instead of paying a syscall per frame.
-			err := s.writeData(f)
+			s.str.admit(f)
+			err := s.write(f)
 		burst:
-			for err == nil && !s.windowFull() {
+			for err == nil && !s.str.full() {
 				select {
-				case f2 := <-s.queue:
-					err = s.writeData(f2)
+				case f = <-s.queue:
+					s.str.admit(f)
+					err = s.write(f)
 				default:
 					break burst
 				}
@@ -439,7 +351,7 @@ func (s *sender) run() {
 			}
 		case <-flushTimer.C:
 			flushArmed = false
-			if conn != nil && s.bw.Flush() != nil {
+			if s.bw.Flush() != nil {
 				disconnect()
 			}
 		case <-heartbeat:
@@ -447,22 +359,18 @@ func (s *sender) run() {
 				return
 			}
 			ping := frame{typ: framePing, from: s.t.self, to: s.dest, gen: s.t.wireGen()}
-			if s.writeCoalesced(&ping) != nil || s.bw.Flush() != nil {
+			if s.write(&ping) != nil || s.bw.Flush() != nil {
 				disconnect()
 			}
 		case <-rx.C:
-			head := s.windowHead()
-			if head != 0 && head == rexmitHead {
+			if s.str.stalled() {
 				disconnect()
-				head = 0 // fresh grace period after the reconnect replays
 			}
-			rexmitHead = head
 		case <-stop:
 			beginDrain()
 		case <-deadline:
 			return
 		case <-s.t.killed:
-			disconnect()
 			return
 		}
 	}
@@ -472,17 +380,17 @@ func (s *sender) run() {
 // empty (every data frame acked, which implies flushed), so the
 // batching writer holds no bytes; flush anyway to make FIN ordering
 // independent of that invariant.
-func (s *sender) fin(conn net.Conn, acks chan uint64) {
-	if s.bw != nil && s.bw.Flush() != nil {
+func (s *sender) fin(l *link) {
+	if s.bw.Flush() != nil {
 		return
 	}
-	if err := writeFrame(conn, &frame{typ: frameFin, from: s.t.self, to: s.dest, gen: s.t.wireGen()}); err != nil {
+	if err := writeFrame(l.conn, &frame{typ: frameFin, from: s.t.self, to: s.dest, gen: s.t.wireGen()}); err != nil {
 		return
 	}
 	timeout := time.After(finAckTimeout)
 	for {
 		select {
-		case seq := <-acks:
+		case seq := <-l.acks:
 			if seq == finAckMark {
 				return
 			}

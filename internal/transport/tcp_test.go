@@ -232,11 +232,9 @@ func TestTCPRecoversFromConnectionDrop(t *testing.T) {
 }
 
 func TestTCPRejectsPeersWithoutCoordinator(t *testing.T) {
-	_, err := NewTCP(timemodel.Default(), newClocks(2), fabric.Options{
-		Peers: []string{"127.0.0.1:1", "127.0.0.1:2"},
-	})
+	_, err := NewTCP(timemodel.Default(), newClocks(2), fabric.Options{})
 	if err == nil {
-		t.Fatal("NewTCP accepted a multi-node peers list without a coordinator")
+		t.Fatal("NewTCP accepted a multi-node cluster without a coordinator")
 	}
 }
 
@@ -277,8 +275,7 @@ func TestTCPCloseInterruptsReconnect(t *testing.T) {
 
 // newRecvOnlyTCP assembles the receive side of a TCP fabric without
 // senders or a coordinator, so tests can drive its wire protocol with
-// hand-rolled connections. gen is the membership generation (0 =
-// fixed-membership, unstamped).
+// hand-rolled connections. gen is the membership generation.
 func newRecvOnlyTCP(t *testing.T, n, self int, gen uint32) *TCP {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -298,12 +295,9 @@ func newRecvOnlyTCP(t *testing.T, n, self int, gen uint32) *TCP {
 		self:     self,
 		gen:      gen,
 		ln:       ln,
-		recv:     make([]*peerRecv, n),
+		recv:     make([]recvStream, n),
 		conns:    make(map[net.Conn]struct{}),
 		senders:  make([]*sender, n),
-	}
-	for i := range tr.recv {
-		tr.recv[i] = &peerRecv{}
 	}
 	go tr.acceptLoop()
 	return tr
