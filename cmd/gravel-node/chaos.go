@@ -137,8 +137,28 @@ func killSpec() noderun.Spec {
 	s.Heartbeat = 250 * time.Millisecond
 	s.CoordTimeout = 5 * time.Second
 	s.CoordRPCTimeout = 2 * time.Second
-	s.Params.Steps = 20 // long enough that the kill lands mid-run
+	s.Params.Steps = 400 // ~3 ms a step: long enough that the kill lands mid-run
 	return s
+}
+
+// errRunTooShort marks an iteration whose run finished before its kill
+// landed: nothing was tested.
+var errRunTooShort = errors.New("run too short")
+
+// landKill draws the iteration's kill delay (0.2–0.9 s into the run)
+// from the seeded generator and runs attempt with it. How far a run
+// gets in that time depends on the app and the machine, so when the run
+// beats the kill the delay is halved and the iteration repeated; it
+// gives up once the delay is shorter than a worker takes to start.
+func landKill(rng *rand.Rand, attempt func(killAfter time.Duration) error) error {
+	killAfter := 200*time.Millisecond + time.Duration(rng.Int63n(int64(700*time.Millisecond)))
+	for {
+		err := attempt(killAfter)
+		if !errors.Is(err, errRunTooShort) || killAfter < 25*time.Millisecond {
+			return err
+		}
+		killAfter /= 2
+	}
 }
 
 // chaosKillWorker SIGKILLs one worker mid-run; every survivor must
@@ -227,7 +247,10 @@ func chaosHealRef() (uint64, error) {
 // reduced sum bit-identical to the undisturbed in-process reference.
 func chaosHealWorker(iterSeed uint64, rng *rand.Rand) error {
 	victim := rng.Intn(*nodes)
-	killAfter := 200*time.Millisecond + time.Duration(rng.Int63n(int64(700*time.Millisecond)))
+	return landKill(rng, func(killAfter time.Duration) error { return healWorker(victim, killAfter) })
+}
+
+func healWorker(victim int, killAfter time.Duration) error {
 	var once sync.Once
 	l := noderun.Launcher{Hooks: noderun.Hooks{
 		WorkerStarted: func(node int, kill func()) {
@@ -256,8 +279,8 @@ func chaosHealWorker(iterSeed uint64, rng *rand.Rand) error {
 			res.Check, want, victim, killAfter)
 	}
 	if res.Recovered < 1 {
-		return fmt.Errorf("kill of worker %d at %v landed after the run finished (epochs=%d); run too short",
-			victim, killAfter, res.Epochs)
+		return fmt.Errorf("kill of worker %d at %v landed after the run finished (epochs=%d): %w",
+			victim, killAfter, res.Epochs, errRunTooShort)
 	}
 	return nil
 }
@@ -266,7 +289,10 @@ func chaosHealWorker(iterSeed uint64, rng *rand.Rand) error {
 // closes its listener); every worker must exit nonzero with a typed
 // CoordDownError diagnosis.
 func chaosKillCoord(iterSeed uint64, rng *rand.Rand) error {
-	killAfter := 200*time.Millisecond + time.Duration(rng.Int63n(int64(700*time.Millisecond)))
+	return landKill(rng, killCoord)
+}
+
+func killCoord(killAfter time.Duration) error {
 	l := noderun.Launcher{Hooks: noderun.Hooks{
 		CoordStarted: func(c *noderun.Coord) {
 			go func() {
@@ -296,7 +322,7 @@ func chaosKillCoord(iterSeed uint64, rng *rand.Rand) error {
 		}
 	}
 	if finished == *nodes {
-		return fmt.Errorf("all workers finished before the coordinator kill at %v landed; run too short", killAfter)
+		return fmt.Errorf("all workers finished before the coordinator kill at %v landed: %w", killAfter, errRunTooShort)
 	}
 	if bound := killAfter + 2*chaosSuspect + 20*time.Second; elapsed > bound {
 		return fmt.Errorf("workers took %v to fail, over the %v bound", elapsed, bound)

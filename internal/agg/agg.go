@@ -5,9 +5,10 @@
 //
 // The paper flushes on a 125 µs timeout as well; in this bulk-
 // synchronous reproduction the end-of-superstep flush subsumes the
-// timeout (see DESIGN.md). Poll time is accounted separately so the
-// §8.1 observation (the aggregator core spends most of its time
-// polling) can be reproduced.
+// timeout (see DESIGN.md). The time the aggregator core is not busy —
+// §8.1's observation that it spends most of its time polling — is
+// derived on the virtual clock at each phase boundary (core.RecordPhase);
+// the thread itself parks when idle instead of polling.
 package agg
 
 import (

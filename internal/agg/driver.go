@@ -1,12 +1,12 @@
 package agg
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"gravel/internal/fabric"
 	"gravel/internal/obs"
+	"gravel/internal/park"
 	"gravel/internal/queue"
 	"gravel/internal/stats"
 	"gravel/internal/timemodel"
@@ -27,10 +27,14 @@ type readyPkt struct {
 type consumer = func(payload []uint64, rows, cols, count int)
 
 // driver is the aggregator thread itself (§3.4), the part every
-// strategy shares: it polls the producer/consumer queue, hands each
+// strategy shares: it drains the producer/consumer queue, hands each
 // drained slot to the strategy's staging, and transmits whatever the
 // staging has flushed into the outbox. A strategy embeds it and adds
-// only how messages are staged between those two ends.
+// only how messages are staged between those two ends. The paper's
+// thread polls on a core of its own; this one shares its processors
+// with the threads it serves, so with nothing to drain or transmit it
+// parks on work (after park's bounded spin) until a Commit or a stage
+// wakes it.
 //
 // Flush decisions happen under the strategy's staging locks, but
 // transmission — which can block on receiver backpressure — happens
@@ -56,10 +60,20 @@ type driver struct {
 	ready []readyPkt // flushed queues awaiting transmission
 	spare []readyPkt // drained batch recycled for the next swap
 
-	// inFlight counts drain and pump attempts in progress: it keeps
+	// inFlight counts the drains and pumps that hold messages: it keeps
 	// quiescence from declaring the node idle while a claimed slot has
 	// not reached staging, or a popped packet has not reached fab.Send.
+	// It is raised only where there is something to hold (a committed
+	// slot, a non-empty outbox), so Busy never reports an aggregator
+	// that is merely looking, and whoever lowers it to zero wakes idle,
+	// where Quiesce waits.
 	inFlight atomic.Int64
+	idle     *park.Event // the fabric's Progress event
+
+	// work is what an idle aggregator thread parks on: the queue's
+	// Commit and stage wake it, and Stop.
+	work    park.Event
+	stopped atomic.Bool
 
 	// Flush-reason counters (§3.4): full-queue flushes go immediately,
 	// stragglers are forced out by the end-of-step timeout flush. One
@@ -67,21 +81,22 @@ type driver struct {
 	flushFull    stats.Counter
 	flushTimeout stats.Counter
 
-	stop chan struct{}
 	done chan struct{}
 }
 
 func newDriver(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.Fabric, clock *timemodel.Clocks) *driver {
-	return &driver{
+	d := &driver{
 		node:    node,
 		params:  params,
 		q:       q,
 		fab:     fab,
 		clock:   clock,
 		consume: make([]consumer, max(1, params.AggregatorThreads)),
-		stop:    make(chan struct{}),
+		idle:    fab.Progress(),
 		done:    make(chan struct{}),
 	}
+	q.WakeOnCommit(&d.work)
+	return d
 }
 
 // Start launches the aggregator thread(s), one per consumer.
@@ -102,39 +117,57 @@ func (d *driver) Start() {
 
 // Stop terminates the aggregator after the queue is fully drained.
 func (d *driver) Stop() {
-	close(d.stop)
+	d.stopped.Store(true)
+	d.work.Wake()
 	<-d.done
 }
 
 func (d *driver) run(consume consumer) {
-	idlePollNs := 40.0 // cost of one empty poll of the queue head
 	for {
 		worked := d.drainSome(consume)
 		if d.pump() {
 			worked = true
 		}
-		if !worked {
-			d.clock.AddAggIdle(idlePollNs)
-			select {
-			case <-d.stop:
-				// Final drain: the queue must already be quiescent when
-				// Stop is called, but be safe.
-				for d.drainSome(consume) {
-				}
-				d.pump()
-				return
-			default:
-				runtime.Gosched()
-			}
+		if worked {
+			continue
 		}
+		if d.stopped.Load() {
+			// Final drain: the queue must already be quiescent when
+			// Stop is called, but be safe.
+			for d.drainSome(consume) {
+			}
+			d.pump()
+			return
+		}
+		d.work.Wait(d.hasWork)
+	}
+}
+
+// hasWork is what an idle aggregator thread waits for: a committed
+// slot, a staged packet, or Stop.
+func (d *driver) hasWork() bool {
+	return d.q.Ready() || d.unsent() || d.stopped.Load()
+}
+
+// hold and release bracket a drain or a pump that has messages in hand.
+func (d *driver) hold() { d.inFlight.Add(1) }
+
+func (d *driver) release() {
+	if d.inFlight.Add(-1) == 0 {
+		d.idle.Wake()
 	}
 }
 
 // drainSome consumes up to 64 slots, so a busy queue cannot keep the
-// thread from pumping; it reports whether any were consumed.
+// thread from pumping; it reports whether any were consumed. The hold
+// is taken before the first claim: a queue this thread's claim empties
+// is Busy from before Empty turns true until the slot is staged.
 func (d *driver) drainSome(consume consumer) bool {
-	d.inFlight.Add(1)
-	defer d.inFlight.Add(-1)
+	if !d.q.Ready() {
+		return false
+	}
+	d.hold()
+	defer d.release()
 	any := false
 	for i := 0; i < 64; i++ {
 		if !d.q.TryConsume(consume) {
@@ -179,6 +212,7 @@ func (d *driver) stage(dest int, buf []byte, msgs int, routed, timeout bool) {
 	d.mu.Lock()
 	d.ready = append(d.ready, readyPkt{dest: dest, buf: buf, msgs: msgs, routed: routed})
 	d.mu.Unlock()
+	d.work.Wake()
 }
 
 // FlushCounts returns how many flushes were triggered by a full
@@ -194,8 +228,6 @@ func (d *driver) FlushCounts() (full, timeout int64) {
 // backpressure, so pump must only be called from an aggregator thread
 // or a host thread — never a network thread.
 func (d *driver) pump() bool {
-	d.inFlight.Add(1)
-	defer d.inFlight.Add(-1)
 	any := false
 	for {
 		d.mu.Lock()
@@ -203,6 +235,9 @@ func (d *driver) pump() bool {
 			d.mu.Unlock()
 			return any
 		}
+		// Held from before the batch leaves the outbox: the packets are
+		// unsent or in flight at every instant until the fabric has them.
+		d.hold()
 		batch := d.ready
 		d.ready = d.spare[:0]
 		d.spare = nil
@@ -226,11 +261,12 @@ func (d *driver) pump() bool {
 			d.ready = batch[:0]
 		}
 		d.mu.Unlock()
+		d.release()
 		any = true
 	}
 }
 
-// Busy reports whether a drain or pump attempt is in progress;
+// Busy reports whether a drain or a pump has messages in hand;
 // quiescence detection needs this to close the window between a slot
 // being claimed and its messages reaching staging.
 func (d *driver) Busy() bool { return d.inFlight.Load() != 0 }

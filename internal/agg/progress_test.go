@@ -1,0 +1,106 @@
+package agg
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"gravel/internal/queue"
+	"gravel/internal/timemodel"
+	"gravel/internal/wire"
+)
+
+// startStrategy builds and starts one strategy over a recording fabric
+// with the given number of aggregator threads.
+func startStrategy(t *testing.T, archive bool, threads int) (Strategy, *driver, *queue.Gravel, *recFabric) {
+	t.Helper()
+	p := timemodel.Default()
+	p.AggregatorThreads = threads
+	fab := &recFabric{nodes: 3}
+	q := queue.NewGravel(512, wire.SlotRows, 4)
+	var (
+		s Strategy
+		d *driver
+	)
+	if archive {
+		ar := NewArchive(0, p, q, fab, &timemodel.Clocks{}, true)
+		s, d = ar, ar.driver
+	} else {
+		a := New(0, p, q, fab, &timemodel.Clocks{}, false)
+		s, d = a, a.driver
+	}
+	s.Start()
+	t.Cleanup(s.Stop)
+	return s, d, q, fab
+}
+
+// waitParked blocks until every aggregator thread is parked.
+func waitParked(t *testing.T, d *driver) {
+	t.Helper()
+	for t0 := time.Now(); d.work.Parked() < len(d.consume); runtime.Gosched() {
+		if time.Since(t0) > 10*time.Second {
+			t.Fatalf("%d of %d aggregator threads parked after 10 s idle", d.work.Parked(), len(d.consume))
+		}
+	}
+}
+
+// TestIdleAggregatorIsNotBusy: an aggregator with nothing in hand must
+// never read Busy — a waiter that parks on that reading has nobody to
+// wake it. (Every empty poll used to raise the counter.)
+func TestIdleAggregatorIsNotBusy(t *testing.T) {
+	for _, archive := range []bool{false, true} {
+		s, d, _, _ := startStrategy(t, archive, 2)
+		// While the threads spin, and after they have parked.
+		for i := 0; i < 20000; i++ {
+			if s.Busy() {
+				t.Fatalf("%s: idle aggregator reads Busy (sample %d)", s.Name(), i)
+			}
+			runtime.Gosched()
+		}
+		waitParked(t, d)
+		if s.Busy() {
+			t.Fatalf("%s: parked aggregator reads Busy", s.Name())
+		}
+	}
+}
+
+// TestQueueWakesAggregator hammers the two edges that wake an idle
+// aggregator thread — a Commit on the producer/consumer queue and a
+// packet staged from host context — with one and two threads, against
+// threads that are spinning, about to park, or (every 64th message)
+// known to be parked. Every message is a PUT_SIGNAL, which must reach
+// the wire without a Flush; one that does not within the deadline is a
+// lost wake-up.
+func TestQueueWakesAggregator(t *testing.T) {
+	msgs := 100_000
+	if testing.Short() {
+		msgs = 10_000
+	}
+	sig := wire.PackSigCmd(1, 2, 0)
+	for _, threads := range []int{1, 2} {
+		for _, archive := range []bool{false, true} {
+			s, d, q, fab := startStrategy(t, archive, threads)
+			r := rand.New(rand.NewSource(int64(threads)))
+			for i := 0; i < msgs; i++ {
+				if i%64 == 0 {
+					waitParked(t, d)
+				}
+				for n := r.Intn(3); n > 0; n-- {
+					runtime.Gosched()
+				}
+				if i%2 == 0 {
+					enqueue(q, sig, []int{1}, []uint64{uint64(i)})
+				} else {
+					s.AppendDirect(2, sig, uint64(i), 1, 0)
+				}
+				for t0 := time.Now(); fab.count() <= i; runtime.Gosched() {
+					if time.Since(t0) > 10*time.Second {
+						t.Fatalf("%s, %d thread(s): message %d never reached the wire (%d parked)",
+							s.Name(), threads, i, d.work.Parked())
+					}
+				}
+			}
+		}
+	}
+}

@@ -9,14 +9,15 @@ import (
 	"time"
 
 	"gravel/internal/fabric"
+	"gravel/internal/park"
 	"gravel/internal/queue"
 	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
 
 // recFabric records every packet a strategy hands to the wire. The
-// strategies reach only Nodes, Send and SendRouted; anything else hits
-// the nil embedded interface and panics.
+// strategies reach only Nodes, Progress, Send and SendRouted; anything
+// else hits the nil embedded interface and panics.
 type recFabric struct {
 	fabric.Fabric
 	nodes int
@@ -32,6 +33,8 @@ type recPkt struct {
 }
 
 func (f *recFabric) Nodes() int { return f.nodes }
+
+func (f *recFabric) Progress() *park.Event { return nil }
 
 func (f *recFabric) Send(from, to int, buf []byte, msgs int) {
 	p := recPkt{dest: to}
@@ -55,6 +58,12 @@ func (f *recFabric) sent() []recPkt {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]recPkt(nil), f.pkts...)
+}
+
+func (f *recFabric) count() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.pkts)
 }
 
 // waitSent blocks until n packets have reached the wire.

@@ -96,10 +96,7 @@ func Ablations(scale float64, params *timemodel.Params) *Table {
 		busy := cl.Stats().Agg.BusyFrac
 		var joules float64
 		for i := 0; i < 8; i++ {
-			snap := cl.Node(i).Clocks.Snapshot()
-			// Poll time spans the whole run on the dedicated core.
-			snap.AggIdle = res.Ns - snap.Agg
-			joules += timemodel.EnergyJ(snap, hw)
+			joules += timemodel.EnergyJ(cl.Node(i).Clocks.Snapshot(), hw)
 		}
 		cl.Close()
 		t.AddRow("aggregator", label,

@@ -15,7 +15,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,8 +155,14 @@ type Cluster struct {
 	bypass    []bankCounters
 	decodeErr atomic.Pointer[WireDecodeError]
 
+	// fabErr reports the fabric's fatal error, if it is one that can
+	// fail (nil func otherwise). Quiet panics that error on the Step
+	// goroutine; a kernel blocked in WaitUntil has to be let go first.
+	fabErr func() error
+
 	phases  []timemodel.PhaseRecord
 	prev    []timemodel.Snapshot
+	aggAt   []float64 // per node: aggregator busy time at the last phase record
 	totalNs float64
 
 	// Per-step delta capture: steps accumulates one rt.StepStats per
@@ -166,8 +172,9 @@ type Cluster struct {
 	prevTotals runningTotals
 	stepStart  time.Time
 
-	netWG  sync.WaitGroup
-	closed bool
+	netWG    sync.WaitGroup
+	launched bool // the first LaunchAll has passed its start barrier
+	closed   bool
 }
 
 // runningTotals is the cumulative counter set the per-step deltas are
@@ -317,6 +324,7 @@ func New(cfg Config) *Cluster {
 	}
 
 	cl.prev = make([]timemodel.Snapshot, cfg.Nodes)
+	cl.aggAt = make([]float64, cfg.Nodes)
 	// Resolvers (and the local bypass registration) come up before the
 	// aggregators so the bypass hook happens-before the first Send.
 	cl.startResolvers()
@@ -330,6 +338,9 @@ func New(cfg Config) *Cluster {
 	}
 	if hd, ok := cl.fab.(fabric.HostDrainer); ok {
 		hd.SetHostDrain(cl.drainHosted)
+	}
+	if f, ok := cl.fab.(interface{ Err() error }); ok {
+		cl.fabErr = f.Err
 	}
 	return cl
 }
@@ -365,6 +376,12 @@ func (n *Node) draining() bool { return !n.PCQ.Empty() || n.Agg.Busy() }
 // sending reports whether the node holds messages anywhere short of
 // the fabric: draining, staged, or in the outbox.
 func (n *Node) sending() bool { return n.draining() || n.Agg.Pending() }
+
+// drained reports whether every node's messages have reached staging.
+func (cl *Cluster) drained() bool { return !slices.ContainsFunc(cl.nodes, (*Node).draining) }
+
+// sent reports whether every node's messages have reached the fabric.
+func (cl *Cluster) sent() bool { return !slices.ContainsFunc(cl.nodes, (*Node).sending) }
 
 // Name implements rt.System.
 func (cl *Cluster) Name() string { return cl.cfg.Name }
@@ -429,6 +446,14 @@ func (cl *Cluster) LaunchAll(grid []int, scratchPerWG int, off []Offloader, k rt
 	if len(grid) != cl.cfg.Nodes {
 		panic(fmt.Sprintf("core: launch grid has %d entries for %d nodes", len(grid), cl.cfg.Nodes))
 	}
+	if !cl.launched {
+		// Across processes, nothing orders one worker's first messages
+		// after a slower peer's array allocations; a step barrier before
+		// the first launch does (allocations precede the first Step). It
+		// charges no virtual time and is a no-op in-process.
+		cl.launched = true
+		cl.StepBarrier()
+	}
 	cl.stepStart = time.Now()
 	if obs.Enabled() {
 		obs.Emit(obs.KStepBegin, -1, int64(len(cl.steps)), 0, "")
@@ -453,29 +478,22 @@ func (cl *Cluster) LaunchAll(grid []int, scratchPerWG int, off []Offloader, k rt
 
 // Quiesce blocks until every initiated message has been applied: all
 // producer/consumer queues drained, all per-node queues flushed, the
-// wire empty, and the network threads idle.
+// wire empty, and the network threads idle. Where it has to wait it
+// parks on the fabric's Progress event, which every counter it reads
+// wakes on the transition that matters (DESIGN.md, "Progress").
 func (cl *Cluster) Quiesce() {
+	progress := cl.fab.Progress()
 	stable := 0
 	for stable < 2 {
 		cl.checkDecodeErr()
-		for _, n := range cl.nodes {
-			// Flushing while an aggregator thread holds a claimed slot
-			// would send the partial per-node queue and split it in two.
-			for n.draining() {
-				runtime.Gosched()
-			}
-		}
+		// Flushing while an aggregator thread holds a claimed slot
+		// would send the partial per-node queue and split it in two.
+		progress.Wait(cl.drained)
 		for _, n := range cl.nodes {
 			n.Agg.Flush()
 		}
-		for !cl.fab.Quiet() {
-			runtime.Gosched()
-		}
-		quiet := true
-		for _, n := range cl.nodes {
-			quiet = quiet && !n.sending()
-		}
-		if quiet && cl.fab.Quiet() {
+		progress.Wait(cl.fab.Quiet)
+		if cl.sent() && cl.fab.Quiet() {
 			stable++
 		} else {
 			stable = 0
@@ -510,8 +528,9 @@ func (cl *Cluster) EndPhaseSequential(name string) {
 
 // RecordPhase appends a phase record: cluster phase time is the slowest
 // node plus one barrier. It is the funnel every model's Step ends in,
-// so it also captures the per-step counter deltas for Stats and closes
-// the flight recorder's step span.
+// so it also charges the aggregator cores' idle time, captures the
+// per-step counter deltas for Stats and closes the flight recorder's
+// step span.
 func (cl *Cluster) RecordPhase(name string, nodeNs []float64) {
 	m := 0.0
 	for _, v := range nodeNs {
@@ -522,6 +541,19 @@ func (cl *Cluster) RecordPhase(name string, nodeNs []float64) {
 	phase := m + cl.params.BarrierNs
 	cl.phases = append(cl.phases, timemodel.PhaseRecord{Name: name, NodeNs: nodeNs, PhaseNs: phase})
 	cl.totalNs += phase
+
+	// §8.1: an aggregator core that is not repacking is polling, for as
+	// long as the phase lasts on the virtual clock — whatever the Go
+	// scheduler did with the thread that plays it.
+	cores := float64(max(1, cl.params.AggregatorThreads))
+	for i, n := range cl.nodes {
+		if !cl.fab.Hosts(i) {
+			continue
+		}
+		busy := n.Clocks.AggBusy()
+		n.Clocks.AddAggIdle(max(0, cores*phase-(busy-cl.aggAt[i])))
+		cl.aggAt[i] = busy
+	}
 
 	var wall int64
 	if !cl.stepStart.IsZero() {
@@ -602,12 +634,7 @@ func (cl *Cluster) Stats() rt.Stats {
 		Nodes:     cl.cfg.Nodes,
 		VirtualNs: cl.totalNs,
 	}
-	// After the first step, report the last phase boundary's snapshot (what
-	// the step deltas sum to): idle aggregators keep the live counters moving.
-	cur := cl.prevTotals
-	if len(cl.steps) == 0 {
-		cur = cl.totals()
-	}
+	cur := cl.totals()
 	st.Queue = rt.QueueStats{
 		LocalOps:     cur.localOps,
 		RemoteOps:    cur.remoteOps,

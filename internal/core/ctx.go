@@ -256,7 +256,9 @@ func (c *ctx) PutSignal(arr *pgas.Array, idx, val []uint64, sig *pgas.Array, sig
 // the host never enters Quiesce while a kernel is still running. Each
 // spin calls the offloader's Progress. The charge is the fixed,
 // deterministic Params.WaitUntilNs, not the scheduler-dependent
-// wall-clock spin time.
+// wall-clock spin time. On a failed fabric the signal may never come
+// (its sender's process is gone), so the wait gives up and the launch
+// ends; the Quiesce that follows unwinds Step with the fabric's error.
 func (c *ctx) WaitUntil(sig *pgas.Array, sigIdx, until []uint64, active []bool) {
 	active = c.laneMask("WaitUntil", active)
 	g, me := c.g, c.n.ID
@@ -278,10 +280,11 @@ func (c *ctx) WaitUntil(sig *pgas.Array, sigIdx, until []uint64, active []bool) 
 	if obs.Enabled() {
 		obs.Emit(obs.KWait, me, int64(g.ID), int64(lanes), "")
 	}
+	fabErr := c.n.cl.fabErr
 	g.Park(func() bool {
 		for l, on := range active {
 			if on && sig.Load(sigIdx[l]) < until[l] {
-				return false
+				return fabErr != nil && fabErr() != nil
 			}
 		}
 		return true

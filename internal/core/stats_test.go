@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"gravel/internal/obs"
@@ -96,6 +97,14 @@ func testStatsStepDeltas(t *testing.T, shards int) {
 	if sum.AggBusyNs != st.Agg.BusyNs || sum.AggIdleNs != st.Agg.IdleNs {
 		t.Errorf("agg deltas sum to (%g,%g), cumulative (%g,%g)",
 			sum.AggBusyNs, sum.AggIdleNs, st.Agg.BusyNs, st.Agg.IdleNs)
+	}
+	// Idle is what is left of the aggregator cores' phase time: busy and
+	// idle together are nodes x threads x the run's virtual time (to the
+	// clock's 1/16 ns tick per node and step), which is also what
+	// BusyFrac divides by.
+	if cores := st.VirtualNs * 4 * float64(st.Agg.Threads); math.Abs(st.Agg.BusyNs+st.Agg.IdleNs-cores) > 1 {
+		t.Errorf("agg busy %g + idle %g = %g, want the cores' phase time %g",
+			st.Agg.BusyNs, st.Agg.IdleNs, st.Agg.BusyNs+st.Agg.IdleNs, cores)
 	}
 	if sum.ResolvedPackets != st.Resolver.Packets || sum.ResolvedMsgs != st.Resolver.Msgs ||
 		sum.ResolvedAMs != st.Resolver.AMs {

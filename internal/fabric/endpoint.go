@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"gravel/internal/park"
 	"gravel/internal/wire"
 )
 
@@ -26,6 +27,10 @@ type Endpoint struct {
 	localApply func(Packet)
 
 	inflight atomic.Int64
+
+	// progress is what a thread waiting for the fabric to go quiet parks
+	// on (Fabric.Progress); Done wakes it when inflight reaches zero.
+	progress park.Event
 }
 
 // NewEndpoint creates the inboxes, each depth packets deep, of the
@@ -139,12 +144,23 @@ func (e *Endpoint) Deliver(p Packet) (scattered, ok bool) {
 // buffer into the wire pool: a whole packet travels zero-copy from the
 // sender's builder, so this completes the pooled buffer lifecycle.
 func (e *Endpoint) Done(p Packet) {
-	e.inflight.Add(-1)
+	if e.inflight.Add(-1) == 0 {
+		e.progress.Wake()
+	}
 	wire.PutBuf(p.Buf)
 }
 
 // Idle reports whether no packet is between Deliver and Done.
 func (e *Endpoint) Idle() bool { return e.inflight.Load() == 0 }
+
+// Progress implements Fabric. A fabric assembled without an endpoint
+// (the transport tests' hand-built send sides) has no waiters: nil.
+func (e *Endpoint) Progress() *park.Event {
+	if e == nil {
+		return nil
+	}
+	return &e.progress
+}
 
 // Close closes all inboxes; network threads drain and exit.
 func (e *Endpoint) Close() {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"gravel/internal/obs"
+	"gravel/internal/park"
 	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 	"gravel/internal/transport/fault"
@@ -74,6 +75,13 @@ type Fabric interface {
 	// Quiet reports whether no packets are staged, in flight, or being
 	// applied anywhere in the cluster.
 	Quiet() bool
+	// Progress returns the event a host thread parks on while it waits
+	// for Quiet. The fabric wakes it after every change that can turn
+	// Quiet true; what feeds the fabric (an aggregator going idle) wakes
+	// it too, so one wait covers a node's whole send side. It is a
+	// method of the interface, not an optional extension, so that a
+	// Fabric wrapping another by embedding passes it through.
+	Progress() *park.Event
 	// Close tears the fabric down: all inboxes are closed after any
 	// drain/close handshake completes. Network threads drain and exit.
 	Close()

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"gravel/internal/obs"
+	"gravel/internal/park"
 )
 
 type pad64 struct{ _ [64]byte }
@@ -74,6 +75,9 @@ type Gravel struct {
 	committed atomic.Uint64 // slots committed; bounds consumer claims
 	_         pad64
 	closed    atomic.Bool
+
+	// consumer, when set, is woken by every Commit (WakeOnCommit).
+	consumer *park.Event
 }
 
 // NewGravel creates a queue with numSlots slots (rounded up to a power
@@ -95,6 +99,11 @@ func NewGravel(numSlots, rows, cols int) *Gravel {
 	}
 	return q
 }
+
+// WakeOnCommit names the event a consumer that parks when the queue is
+// empty waits on; every Commit wakes it. It must be called before the
+// first Reserve.
+func (q *Gravel) WakeOnCommit(e *park.Event) { q.consumer = e }
 
 // NumSlots returns the slot count.
 func (q *Gravel) NumSlots() int { return len(q.headers) }
@@ -157,6 +166,7 @@ func (q *Gravel) Reserve(count int) Slot {
 func (s Slot) Commit() {
 	s.hdr.full.Store(1)
 	s.q.committed.Add(1)
+	s.q.consumer.Wake()
 }
 
 // TryConsume attempts to claim one full slot; if successful it invokes
@@ -237,6 +247,13 @@ func backoff(spin int) {
 	if spin >= spinBudget {
 		runtime.Gosched()
 	}
+}
+
+// Ready reports whether a committed slot is waiting to be claimed: a
+// TryConsume begun now would find one, unless another consumer takes it
+// first.
+func (q *Gravel) Ready() bool {
+	return q.readIdx.Load() < q.committed.Load()
 }
 
 // Empty reports whether every reservation has been consumed.

@@ -41,7 +41,12 @@ func (c *Clocks) AddGPU(ns float64) { c.gpu.Add(toTicks(ns)) }
 // AddAgg charges ns of useful work to the aggregator clock.
 func (c *Clocks) AddAgg(ns float64) { c.agg.Add(toTicks(ns)) }
 
-// AddAggIdle charges ns of polling to the aggregator idle clock.
+// AggBusy returns the aggregator's busy time so far, in nanoseconds.
+func (c *Clocks) AggBusy() float64 { return float64(c.agg.Load()) / ClockScale }
+
+// AddAggIdle charges ns of polling to the aggregator idle clock. The
+// runtime charges it once per phase, as the part of the phase the
+// aggregator cores were not busy (core.Cluster.RecordPhase).
 func (c *Clocks) AddAggIdle(ns float64) { c.aggIdle.Add(toTicks(ns)) }
 
 // AddNet charges ns to the network thread clock.

@@ -117,7 +117,12 @@ func (l *Loopback) decode(node int) {
 			// decoder has exited, so the push cannot fail.)
 			l.Deliver(fabric.Packet{From: f.from, To: node, Buf: f.payload, Msgs: f.msgs, Routed: routed})
 		}
-		l.onWire.Add(-1)
+		// The last frame off the wire may be what a Quiet waiter is
+		// waiting for: a dropped one has no Done to wake it, and a
+		// delivered one's Done can come before this line.
+		if l.onWire.Add(-1) == 0 {
+			l.Progress().Wake()
+		}
 	}
 }
 

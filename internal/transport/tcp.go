@@ -45,6 +45,14 @@ const (
 	// declared down. Options.SuspectTimeout overrides; negative disables.
 	defaultSuspectTimeout = 30 * time.Second
 
+	// quietReaskInitial..Max is the delay before a waiter parked on
+	// "locally idle, cluster not yet quiet" asks the coordinator again.
+	// An ask is one loopback round trip (tens of microseconds) and a yes
+	// takes two consecutive matching reports, so the first re-ask comes
+	// quickly; the ceiling is the step barrier's own poll interval.
+	quietReaskInitial = 50 * time.Microsecond
+	quietReaskMax     = time.Millisecond
+
 	finAckMark = math.MaxUint64 // in-band marker on the ack channel
 )
 
@@ -119,10 +127,15 @@ type TCP struct {
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{} // live inbound connections
 
+	// The last quiet exchange (under quietMu): the counters it reported
+	// and whether the answer was yes, which stands until they move; and
+	// the timer that re-wakes a waiter parked on a no, with its delay.
 	quietMu      sync.Mutex
 	quietCached  bool
 	quietSent    int64
 	quietApplied int64
+	reask        *time.Timer
+	reaskIn      time.Duration
 
 	// hostDrain holds the runtime's fabric.HostDrainer hook (a
 	// func() bool): it flushes host-side staged messages — AM handler
@@ -251,6 +264,7 @@ func (t *TCP) fail(err error) {
 	t.failOnce.Do(func() {
 		t.failErr = err
 		close(t.failedCh)
+		t.Progress().Wake() // a parked Quiesce re-asks Quiet, which panics err
 	})
 }
 
@@ -365,15 +379,17 @@ func (t *TCP) enqueue(to int, f *frame) {
 
 // Done implements fabric.Fabric. It recycles the packet's buffer:
 // self-packets still carry the sender's builder buffer, wire packets a
-// pooled payload drawn by the frame reader.
+// pooled payload drawn by the frame reader. The frame is counted
+// applied before the endpoint retires the packet, so the wake the
+// endpoint gives on going idle finds the count already there.
 func (t *TCP) Done(p fabric.Packet) {
-	t.Endpoint.Done(p)
 	if p.From != t.self && !p.Sub {
 		// A whole packet that came off the wire is its frame. A demuxed
 		// bank sub-packet is one of several carved from a single frame;
 		// deliver counted that frame applied once at demux time.
 		t.appliedWire.Add(1)
 	}
+	t.Endpoint.Done(p)
 }
 
 // SetHostDrain implements fabric.HostDrainer.
@@ -442,7 +458,8 @@ func (t *TCP) Quiet() bool {
 	// n > 1 implies a coordinator: NewTCP rejects clusters without one.
 	t.quietMu.Lock()
 	defer t.quietMu.Unlock()
-	if t.quietCached && sent == t.quietSent && applied == t.quietApplied {
+	same := sent == t.quietSent && applied == t.quietApplied
+	if t.quietCached && same {
 		return true
 	}
 	resp, err := t.exchange(&coordMsg{Op: "quiet", Sent: sent, Applied: applied, Idle: true})
@@ -450,9 +467,23 @@ func (t *TCP) Quiet() bool {
 		panic(err)
 	}
 	// Only cache if the counters did not move while we asked.
-	if resp.Quiet && sent == t.sentWire.Load() && applied == t.appliedWire.Load() {
-		t.quietCached, t.quietSent, t.quietApplied = true, sent, applied
+	t.quietSent, t.quietApplied = sent, applied
+	t.quietCached = resp.Quiet && sent == t.sentWire.Load() && applied == t.appliedWire.Load()
+	if t.quietCached {
 		return true
+	}
+	// Locally idle, cluster not yet quiet: what is missing is a peer's
+	// report, so no local change need ever wake a parked waiter. Wake
+	// it on a timer to ask again — sooner while this process's counters
+	// are still moving, backing off while they stand still.
+	if !same {
+		t.reaskIn = 0
+	}
+	t.reaskIn = min(max(2*t.reaskIn, quietReaskInitial), quietReaskMax)
+	if t.reask == nil {
+		t.reask = time.AfterFunc(t.reaskIn, t.Progress().Wake)
+	} else {
+		t.reask.Reset(t.reaskIn)
 	}
 	return false
 }

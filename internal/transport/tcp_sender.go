@@ -66,6 +66,15 @@ func (s *sender) suspectCheck() bool {
 // idle reports whether nothing is staged or awaiting acknowledgment.
 func (s *sender) idle() bool { return len(s.queue) == 0 && s.str.idle() }
 
+// acked trims the window up to the peer's cumulative ack; the ack that
+// empties it may be what a Quiet waiter is waiting for.
+func (s *sender) acked(seq uint64) {
+	s.str.ack(seq)
+	if s.str.idle() {
+		s.t.Progress().Wake()
+	}
+}
+
 // write encodes f into the sender's scratch and appends it to the
 // connection's batching writer. Bytes are copied out of the frame, so
 // the window's ownership is unaffected. The caller is responsible for
@@ -191,7 +200,7 @@ func (s *sender) handshake(conn net.Conn) *link {
 		return nil
 	}
 	conn.SetReadDeadline(time.Time{})
-	s.str.ack(ack.seq)
+	s.acked(ack.seq)
 	if s.bw == nil {
 		s.bw = bufio.NewWriterSize(conn, coalesceBufBytes)
 	} else {
@@ -324,7 +333,7 @@ func (s *sender) run() {
 				disconnect()
 				continue
 			}
-			s.str.ack(seq)
+			s.acked(seq)
 		case <-l.errs:
 			disconnect()
 		case f := <-queue:
