@@ -73,6 +73,9 @@ func NewArchive(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.
 	if initCap > params.PerNodeQueueBytes {
 		initCap = params.PerNodeQueueBytes
 	}
+	if initCap < wire.MsgWireBytes {
+		initCap = wire.MsgWireBytes // a segment holds at least one record
+	}
 	ar := &Archive{
 		driver:   newDriver(node, params, q, fab, clock),
 		fuse:     fuse,
@@ -124,17 +127,24 @@ func (ar *Archive) append(dest int, cmd, av, vv uint64) {
 // one warp-aggregated reservation (the device-side ballot/prefix and
 // leader atomic are charged by simt.Group.WFAggregate; the archive
 // itself does no per-message CPU repack work — that is the strategy's
-// whole point). cmdOf must be cheap and pure. Stages only.
+// whole point): the lane list takes one span of the open segment, split
+// only where the segment fills, and each lane's record is stored
+// straight into it. cmdOf must be cheap and pure. Stages only.
 func (ar *Archive) AppendWF(dest int, lanes []int, cmdOf func(lane int) uint64, a, v []uint64) {
 	da := ar.dests[dest]
 	da.mu.Lock()
 	sig := false
-	for _, l := range lanes {
-		cmd := cmdOf(l)
-		ar.appendLocked(da, cmd, a[l], v[l])
-		if wire.Op(cmd&0xff) == wire.OpPutSignal {
-			sig = true
+	for len(lanes) > 0 {
+		span := ar.reserveLocked(da, len(lanes))
+		n := len(span) / wire.MsgWireBytes
+		for i, l := range lanes[:n] {
+			cmd := cmdOf(l)
+			wire.PutRecord(span[i*wire.MsgWireBytes:], cmd, a[l], v[l])
+			if wire.Op(cmd&0xff) == wire.OpPutSignal {
+				sig = true
+			}
 		}
+		lanes = lanes[n:]
 	}
 	if sig || da.bytes >= ar.maxBytes {
 		ar.stageLocked(da, false)
@@ -142,19 +152,31 @@ func (ar *Archive) AppendWF(dest int, lanes []int, cmdOf func(lane int) uint64, 
 	da.mu.Unlock()
 }
 
-// appendLocked writes one record into da's open segment, sealing and
-// growing when it fills; da.mu must be held.
+// appendLocked writes one record into da's open segment; da.mu must be
+// held.
 func (ar *Archive) appendLocked(da *destArchive, cmd, av, vv uint64) {
+	wire.PutRecord(ar.reserveLocked(da, 1), cmd, av, vv)
+}
+
+// reserveLocked extends da's open segment by up to want (>= 1) records
+// and returns the new span for the caller to fill, already counted as
+// staged. The span is shorter than asked when the segment has less room
+// and never empty: a full segment is sealed first and the next one,
+// grown, opened. da.mu must be held.
+func (ar *Archive) reserveLocked(da *destArchive, want int) []byte {
 	if da.open == nil {
 		da.open = wire.GetBuf(da.segCap)
 	} else if len(da.open)+wire.MsgWireBytes > da.segCap {
 		ar.sealLocked(da)
 		da.open = wire.GetBuf(da.segCap)
 	}
-	da.open = wire.AppendRecord(da.open, cmd, av, vv)
-	da.openMs++
-	da.bytes += wire.MsgWireBytes
-	da.msgs++
+	off := len(da.open)
+	n := min(want, (da.segCap-off)/wire.MsgWireBytes)
+	da.open = da.open[:off+n*wire.MsgWireBytes]
+	da.openMs += n
+	da.bytes += n * wire.MsgWireBytes
+	da.msgs += n
+	return da.open[off:]
 }
 
 // sealLocked closes da's open segment onto the sealed chain and doubles

@@ -173,7 +173,7 @@ type Cluster struct {
 	stepStart  time.Time
 
 	netWG    sync.WaitGroup
-	launched bool // the first LaunchAll has passed its start barrier
+	launched bool // the first launch has passed its start barrier
 	closed   bool
 }
 
@@ -438,6 +438,19 @@ func (cl *Cluster) StepBarrier() {
 	}
 }
 
+// StartBarrier is a step barrier before the cluster's first launch and
+// nothing after it. Across processes, nothing else orders one worker's
+// first messages after a slower peer's array allocations (allocations
+// precede the first Step). It charges no virtual time and is a no-op
+// in-process. LaunchAll passes it; a baseline model that launches on
+// its own calls it first.
+func (cl *Cluster) StartBarrier() {
+	if !cl.launched {
+		cl.launched = true
+		cl.StepBarrier()
+	}
+}
+
 // LaunchAll launches kernel k with grid[i] work-items on node i, whose
 // verbs send through off[i]. It blocks until all devices finish (but
 // does not quiesce or record a phase). Baseline models build their
@@ -446,14 +459,7 @@ func (cl *Cluster) LaunchAll(grid []int, scratchPerWG int, off []Offloader, k rt
 	if len(grid) != cl.cfg.Nodes {
 		panic(fmt.Sprintf("core: launch grid has %d entries for %d nodes", len(grid), cl.cfg.Nodes))
 	}
-	if !cl.launched {
-		// Across processes, nothing orders one worker's first messages
-		// after a slower peer's array allocations; a step barrier before
-		// the first launch does (allocations precede the first Step). It
-		// charges no virtual time and is a no-op in-process.
-		cl.launched = true
-		cl.StepBarrier()
-	}
+	cl.StartBarrier()
 	cl.stepStart = time.Now()
 	if obs.Enabled() {
 		obs.Emit(obs.KStepBegin, -1, int64(len(cl.steps)), 0, "")

@@ -337,7 +337,7 @@ type archAppender struct{ ar *agg.Archive }
 // Offload implements Offloader. A PUT_SIGNAL stages its destination's
 // whole archive at once (agg.Archive's signal liveness rule).
 func (o archAppender) Offload(g *simt.Group, b Batch) {
-	g.WFAggregate(b.Active, func(l int) int { return b.Dests[l] }, func(dest int, lanes []int) {
+	g.WFAggregateDests(b.Active, b.Dests, func(dest int, lanes []int) {
 		o.ar.AppendWF(dest, lanes, b.CmdAt, b.A, b.V)
 	})
 	g.ChargeMessages(b.N)

@@ -73,13 +73,20 @@ func ScatterBanks(buf []byte, banks int, emit func(bank int, buf []byte, msgs in
 	var out [MaxResolverBanks][]byte
 	var msgs [MaxResolverBanks]int
 	for off := 0; off < len(buf); off += wire.MsgWireBytes {
-		cmd := binary.LittleEndian.Uint64(buf[off : off+8])
-		a := binary.LittleEndian.Uint64(buf[off+8 : off+16])
+		rec := buf[off : off+wire.MsgWireBytes]
+		cmd := binary.LittleEndian.Uint64(rec[0:8])
+		a := binary.LittleEndian.Uint64(rec[8:16])
 		b := BankOfRecord(cmd, a, banks)
-		if out[b] == nil {
-			out[b] = wire.GetBuf(len(buf))
+		o := out[b]
+		if o == nil {
+			o = wire.GetBuf(len(buf))
 		}
-		out[b] = append(out[b], buf[off:off+wire.MsgWireBytes]...)
+		// Every bank's buffer has room for the whole input, so the
+		// record is stored in place (wire.PutRecord), never appended.
+		n := len(o)
+		o = o[:n+wire.MsgWireBytes]
+		wire.PutRecord(o[n:], cmd, a, binary.LittleEndian.Uint64(rec[16:24]))
+		out[b] = o
 		msgs[b]++
 	}
 	for b := 0; b < banks; b++ {

@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"gravel/internal/wire"
@@ -108,4 +111,84 @@ func TestScatterBanksPartition(t *testing.T) {
 		}
 		cursor[bk]++
 	}
+}
+
+// scatterBanksRef is the demux as it was before wire.PutRecord: each
+// record's 24 bytes appended to its bank's buffer.
+func scatterBanksRef(buf []byte, banks int) (out [MaxResolverBanks][]byte) {
+	for off := 0; off < len(buf); off += wire.MsgWireBytes {
+		cmd := binary.LittleEndian.Uint64(buf[off : off+8])
+		a := binary.LittleEndian.Uint64(buf[off+8 : off+16])
+		b := BankOfRecord(cmd, a, banks)
+		out[b] = append(out[b], buf[off:off+wire.MsgWireBytes]...)
+	}
+	return out
+}
+
+// mixedPacket builds a per-node queue of msgs records with random
+// arguments and every op, AMs included (they bank on 0 whatever their
+// argument says).
+func mixedPacket(r *rand.Rand, msgs int) []byte {
+	ops := []wire.Op{wire.OpPut, wire.OpInc, wire.OpAM, wire.OpPutSignal}
+	buf := wire.GetBuf(msgs * wire.MsgWireBytes)
+	for i := 0; i < msgs; i++ {
+		cmd := uint64(ops[r.Intn(len(ops))]) | r.Uint64()<<8
+		buf = wire.AppendRecord(buf, cmd, r.Uint64(), r.Uint64())
+	}
+	return buf
+}
+
+// TestScatterBanksByteExact: per bank, the bytes are the reference's,
+// and the input is untouched. (A bank buffer cannot outgrow what the
+// pool handed out: records are stored by reslicing, which panics where
+// append would reallocate.)
+func TestScatterBanksByteExact(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, banks := range []int{2, 4, 64} {
+		for _, msgs := range []int{0, 1, 63, 2730} {
+			buf := mixedPacket(r, msgs)
+			orig := bytes.Clone(buf)
+			want := scatterBanksRef(buf, banks)
+			emitted := 0
+			ScatterBanks(buf, banks, func(bank int, sub []byte, m int) {
+				if !bytes.Equal(sub, want[bank]) || m*wire.MsgWireBytes != len(sub) {
+					t.Fatalf("banks=%d msgs=%d: bank %d differs from the reference", banks, msgs, bank)
+				}
+				emitted++
+				want[bank] = nil
+				wire.PutBuf(sub)
+			})
+			for b, w := range want {
+				if w != nil {
+					t.Fatalf("banks=%d msgs=%d: bank %d never emitted", banks, msgs, b)
+				}
+			}
+			if !bytes.Equal(buf, orig) {
+				t.Fatalf("banks=%d msgs=%d: input modified", banks, msgs)
+			}
+			wire.PutBuf(buf)
+		}
+	}
+}
+
+// BenchmarkScatterBanks demuxes one full per-node queue of uniform Inc
+// records over 2 banks, recycling the bank buffers as the resolver's
+// Done does.
+func BenchmarkScatterBanks(b *testing.B) {
+	r := rand.New(rand.NewSource(2))
+	cmd := wire.PackCmd(wire.OpInc, 0, 0)
+	const msgs = (64 << 10) / wire.MsgWireBytes
+	buf := make([]byte, 0, msgs*wire.MsgWireBytes)
+	for i := 0; i < msgs; i++ {
+		buf = wire.AppendRecord(buf, cmd, uint64(r.Intn(1<<18)), 1)
+	}
+	emit := func(_ int, sub []byte, _ int) { wire.PutBuf(sub) }
+	ScatterBanks(buf, 2, emit) // warm the pool
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ScatterBanks(buf, 2, emit)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*msgs), "ns/msg")
 }

@@ -77,6 +77,7 @@ func (cp *Coprocessor) Step(name string, grid []int, scratchPerWG int, k rt.Kern
 	// occupancy that hides memory latency.
 	fullWIs := p.CUs * p.OccupancyForFullThroughput * wgSize
 
+	cp.StartBarrier()
 	var wg sync.WaitGroup
 	for i := 0; i < cp.Nodes(); i++ {
 		if grid[i] <= 0 {

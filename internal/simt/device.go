@@ -161,12 +161,44 @@ type Device struct {
 	Parallelism int
 
 	Counters Counters
+
+	// groups holds the idle Groups, scratch included: workers draw from
+	// it and hand back, so a device allocates as many groups as it ever
+	// had workers (Park's replacements included) in flight at once, not
+	// one per worker per launch.
+	groupMu sync.Mutex
+	groups  []*Group
 }
 
 // NewDevice returns a device with the given architecture using software
 // predication.
 func NewDevice(a Arch) *Device {
 	return &Device{Arch: a, Parallelism: a.CUs}
+}
+
+// getGroup draws an idle group with room for wgSize lanes, or makes
+// one. Its state is whatever its last work-group left: callers reset it
+// for every WG they run.
+func (d *Device) getGroup(wgSize int) *Group {
+	d.groupMu.Lock()
+	var g *Group
+	if n := len(d.groups); n > 0 {
+		g, d.groups = d.groups[n-1], d.groups[:n-1]
+	}
+	d.groupMu.Unlock()
+	if g == nil || cap(g.offs) < wgSize {
+		g = newGroup(d, wgSize)
+	}
+	return g
+}
+
+// putGroup hands a worker's group back when its launch has no
+// work-group left for it.
+func (d *Device) putGroup(g *Group) {
+	g.ls = nil
+	d.groupMu.Lock()
+	d.groups = append(d.groups, g)
+	d.groupMu.Unlock()
 }
 
 // Occupancy reports the number of resident WGs per CU for a kernel using
@@ -223,11 +255,12 @@ type launchState struct {
 // been incremented for it before it starts.
 func (ls *launchState) runWorker() {
 	defer ls.wg.Done()
-	g := newGroup(ls.d, ls.wgSize)
+	g := ls.d.getGroup(ls.wgSize)
 	g.ls = ls
 	for {
 		i := int(ls.next.Add(1)) - 1
 		if i >= ls.numWGs {
+			ls.d.putGroup(g)
 			return
 		}
 		size := ls.wgSize

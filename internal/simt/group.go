@@ -8,7 +8,9 @@ import (
 // Group is one work-group executing a kernel. All lane-level state lives
 // in slices indexed by lane ID; lanes advance in lockstep through the
 // vector operations below. A Group is only ever used by the single
-// goroutine executing its kernel.
+// goroutine executing its kernel. Groups belong to their device and
+// outlive launches (Device.getGroup): a worker draws one, resets it
+// for every WG it runs, and hands it back with its scratch.
 type Group struct {
 	dev *Device
 
@@ -30,7 +32,8 @@ type Group struct {
 
 	// scratch buffers reused across operations
 	offs    []int
-	wfLanes []int // WFAggregate's per-destination lane list
+	wfDests []int     // WFAggregate's per-lane destinations
+	wf      wfScratch // WFAggregate's per-wavefront grouping
 
 	// ls is the launch this group is running under (nil for groups
 	// constructed outside a launch, e.g. in tests); see Park.
@@ -61,6 +64,7 @@ func (g *Group) reset(id, global0, size int) {
 	g.barriers = 0
 	g.divergedOps = 0
 	g.messages = 0
+	g.activeLanes = 0
 }
 
 func (g *Group) flushCounters() {

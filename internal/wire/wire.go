@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Op is a network operation code (§6: Gravel supports PUT, atomic
@@ -153,12 +154,10 @@ func (b *Builder) AppendRouted(cmd, a, v uint64, finalDest int) {
 	if b.Full() {
 		panic("wire: Append on full builder")
 	}
-	var rec [RoutedMsgBytes]byte
-	binary.LittleEndian.PutUint64(rec[0:8], cmd)
-	binary.LittleEndian.PutUint64(rec[8:16], a)
-	binary.LittleEndian.PutUint64(rec[16:24], v)
-	binary.LittleEndian.PutUint64(rec[24:32], uint64(finalDest))
-	b.buf = append(b.buf, rec[:]...)
+	n := len(b.buf)
+	b.buf = b.buf[:n+RoutedMsgBytes]
+	PutRecord(b.buf[n:], cmd, a, v)
+	binary.LittleEndian.PutUint64(b.buf[n+MsgWireBytes:], uint64(finalDest))
 	b.msgs++
 }
 
@@ -239,25 +238,35 @@ func (b *Builder) Append(cmd, a, v uint64) {
 	if b.Full() {
 		panic("wire: Append on full builder")
 	}
-	var rec [MsgWireBytes]byte
-	binary.LittleEndian.PutUint64(rec[0:8], cmd)
-	binary.LittleEndian.PutUint64(rec[8:16], a)
-	binary.LittleEndian.PutUint64(rec[16:24], v)
-	b.buf = append(b.buf, rec[:]...)
+	n := len(b.buf)
+	b.buf = b.buf[:n+MsgWireBytes]
+	PutRecord(b.buf[n:], cmd, a, v)
 	b.msgs++
 }
 
+// PutRecord encodes one direct-queue message record into dst[:MsgWireBytes].
+// It is the tree's only record encoder: every writer (the builders,
+// AppendRecord, the archive's span writes, the receive-side bank
+// scatter) first extends its own buffer inside its capacity — once per
+// record or once per run of records — and then stores the three words
+// in place. It inlines, so a record costs its caller three stores and
+// no call.
+func PutRecord(dst []byte, cmd, a, v uint64) {
+	_ = dst[MsgWireBytes-1]
+	binary.LittleEndian.PutUint64(dst[0:8], cmd)
+	binary.LittleEndian.PutUint64(dst[8:16], a)
+	binary.LittleEndian.PutUint64(dst[16:24], v)
+}
+
 // AppendRecord appends one encoded direct-queue message record to buf
-// and returns the extended slice. It is the raw encoding behind
-// Builder.Append for callers that manage their own buffers (the archive
-// aggregation strategy grows per-destination segments instead of using
-// fixed-capacity builders); the caller is responsible for capacity.
+// and returns the extended slice, for callers that manage their own
+// buffers. A buffer with room is extended in place; one without (nil
+// included) grows like append.
 func AppendRecord(buf []byte, cmd, a, v uint64) []byte {
-	var rec [MsgWireBytes]byte
-	binary.LittleEndian.PutUint64(rec[0:8], cmd)
-	binary.LittleEndian.PutUint64(rec[8:16], a)
-	binary.LittleEndian.PutUint64(rec[16:24], v)
-	return append(buf, rec[:]...)
+	n := len(buf)
+	buf = slices.Grow(buf, MsgWireBytes)[:n+MsgWireBytes]
+	PutRecord(buf[n:], cmd, a, v)
+	return buf
 }
 
 // Take returns the current buffer and message count and resets the
