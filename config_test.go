@@ -2,10 +2,17 @@ package gravel_test
 
 import (
 	"errors"
+	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"gravel"
+	"gravel/internal/core"
+	"gravel/internal/models"
+	"gravel/internal/transport"
 )
 
 // TestConfigValidate exercises the single validation funnel: each bad
@@ -14,7 +21,7 @@ import (
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name  string
-		cfg   gravel.Config
+		cfg   interface{ Validate() error }
 		field string // "" means valid
 	}{
 		{"ok-minimal", gravel.Config{Nodes: 1}, ""},
@@ -30,6 +37,16 @@ func TestConfigValidate(t *testing.T) {
 		{"resolver-shards-not-pow2", gravel.Config{Nodes: 2, ResolverShards: 3}, "ResolverShards"},
 		{"resolver-shards-too-many", gravel.Config{Nodes: 2, ResolverShards: 128}, "ResolverShards"},
 		{"resolver-shards-negative", gravel.Config{Nodes: 2, ResolverShards: -2}, "ResolverShards"},
+		{"groupsize-rival-model", gravel.Config{Nodes: 4, Model: gravel.ModelCoalesced, GroupSize: 2}, "GroupSize"},
+		{"groupsize-archive", gravel.Config{Nodes: 4, Model: gravel.ModelGravelArchive, GroupSize: 2}, "GroupSize"},
+		{"unknown-model", gravel.Config{Nodes: 2, Model: "warp-drive"}, "Model"},
+		{"tcp-no-coordinator", gravel.Config{Nodes: 2, Transport: "tcp"}, "TransportOpts.Coord"},
+		{"tcp-self-out-of-range", gravel.Config{Nodes: 1, Transport: "tcp", TransportOpts: gravel.TransportOptions{Self: 1}}, "TransportOpts.Self"},
+		{"tcp-single-node-ok", gravel.Config{Nodes: 1, Transport: "tcp"}, ""},
+		// What the public Config cannot express, on the struct it maps onto.
+		{"archive-hierarchical", core.Config{Nodes: 4, AggStrategy: core.AggArchive, GroupSize: 2}, "GroupSize"},
+		{"archive-per-message", core.Config{Nodes: 2, AggStrategy: core.AggArchive, AggMode: core.AggPerMessage}, "AggMode"},
+		{"unknown-strategy", core.Config{Nodes: 2, AggStrategy: "heap"}, "AggStrategy"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,6 +67,107 @@ func TestConfigValidate(t *testing.T) {
 			if !strings.Contains(ce.Error(), "invalid "+tc.field) {
 				t.Errorf("Error() = %q, want it to name the field", ce.Error())
 			}
+		})
+	}
+}
+
+// TestEveryConstructorPanicsTheSameError: the three ways in share one
+// rule set, so an empty description fails identically through each.
+func TestEveryConstructorPanicsTheSameError(t *testing.T) {
+	want := core.Config{}.Validate()
+	for name, construct := range map[string]func(){
+		"core.New":         func() { core.New(core.Config{}) },
+		"models.NewSystem": func() { models.NewSystem(gravel.ModelCoprocessor, core.Config{}) },
+		"gravel.New":       func() { gravel.New(gravel.Config{}) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); !reflect.DeepEqual(r, want) {
+					t.Errorf("%s panicked %v (%T), want %v (%T)", name, r, r, want, want)
+				}
+			}()
+			construct()
+		}()
+	}
+}
+
+// TestModelTable: every public model constant is a row of the one
+// table, in its order, and every row builds over both in-process
+// fabrics as the system it says it is.
+func TestModelTable(t *testing.T) {
+	consts := []string{
+		gravel.ModelCoprocessor, gravel.ModelCoprocessorBuf, gravel.ModelMsgPerLane, gravel.ModelCoalesced,
+		gravel.ModelCoalescedAgg, gravel.ModelGravel, gravel.ModelGravelArchive, gravel.ModelCPUOnly,
+	}
+	if got := gravel.Models(); !reflect.DeepEqual(got, consts) {
+		t.Fatalf("gravel.Models() = %v, want the Model* constants %v", got, consts)
+	}
+	if got, want := models.Names(), consts[:len(consts)-1]; !reflect.DeepEqual(got, want) {
+		t.Errorf("models.Names() = %v, want the Figure 15 bars %v", got, want)
+	}
+	for _, m := range models.Table {
+		for _, fab := range []string{"chan", "loopback"} {
+			sys, err := m.New(core.Config{Nodes: 2, Transport: fab})
+			if err != nil {
+				t.Errorf("%s over %s: %v", m.Name, fab, err)
+				continue
+			}
+			if sys.Name() != m.Name || sys.Stats().Model != m.Name {
+				t.Errorf("%s over %s is Name() %q, Stats().Model %q", m.Name, fab, sys.Name(), sys.Stats().Model)
+			}
+			sys.Close()
+		}
+	}
+}
+
+// TestNewCheckedNeverPanics: a construction failure — the description
+// alone being wrong, or the fabric failing to come up — is NewChecked's
+// error and New's panic value, and leaves nothing running.
+func TestNewCheckedNeverPanics(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Close() // nothing listens here any more
+
+	for _, tc := range []struct {
+		name string
+		cfg  gravel.Config
+		is   func(error) bool
+	}{
+		{"tcp-no-coordinator", gravel.Config{Nodes: 2, Transport: "tcp"},
+			func(err error) bool { var e *gravel.ConfigError; return errors.As(err, &e) }},
+		{"tcp-unreachable-coordinator", gravel.Config{Nodes: 2, Transport: "tcp", TransportOpts: gravel.TransportOptions{
+			Coord: gone.Addr().String(), CoordDialTimeout: 50 * time.Millisecond}},
+			func(err error) bool { var e *transport.CoordDownError; return errors.As(err, &e) }},
+		{"tcp-unbindable-listen", gravel.Config{Nodes: 1, Transport: "tcp", TransportOpts: gravel.TransportOptions{
+			Listen: held.Addr().String()}},
+			func(err error) bool { var e *net.OpError; return errors.As(err, &e) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			sys, err := gravel.NewChecked(tc.cfg)
+			if err == nil || sys != nil {
+				t.Fatalf("NewChecked() = %v, %v; want no system and an error", sys, err)
+			}
+			if !tc.is(err) {
+				t.Errorf("NewChecked() error = %v (%T), not the expected type", err, err)
+			}
+			func() {
+				defer func() {
+					r, _ := recover().(error)
+					if r == nil || reflect.TypeOf(r) != reflect.TypeOf(err) || r.Error() != err.Error() {
+						t.Errorf("New panicked %v, want NewChecked's %v", r, err)
+					}
+				}()
+				gravel.New(tc.cfg)
+			}()
+			waitGoroutines(t, base)
 		})
 	}
 }

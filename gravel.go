@@ -41,8 +41,7 @@
 package gravel
 
 import (
-	"fmt"
-
+	"gravel/internal/core"
 	"gravel/internal/fabric"
 	"gravel/internal/models"
 	"gravel/internal/pgas"
@@ -177,91 +176,15 @@ func Transports() []string { return fabric.Names() }
 // field is wrong and why. It is the error type behind Validate,
 // NewChecked, and NewModelChecked, and the panic value of New/NewModel
 // on bad input.
-type ConfigError struct {
-	Field  string // the offending Config field ("Nodes", "WGSize", ...)
-	Reason string
-}
+type ConfigError = core.ConfigError
 
-func (e *ConfigError) Error() string {
-	return "gravel: invalid " + e.Field + ": " + e.Reason
-}
-
-// Validate checks the configuration and returns a *ConfigError
-// describing the first problem found, or nil. It is the single place
-// configuration rules live: New, NewChecked, and cmd binaries all go
-// through it.
-func (cfg Config) Validate() error {
-	if cfg.Nodes <= 0 {
-		return &ConfigError{Field: "Nodes", Reason: fmt.Sprintf("cluster size %d, need at least 1", cfg.Nodes)}
-	}
-	if cfg.Model != "" && cfg.Model != ModelGravel {
-		known := false
-		for _, n := range Models() {
-			if n == cfg.Model {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return &ConfigError{Field: "Model", Reason: fmt.Sprintf("unknown model %q (have %v)", cfg.Model, Models())}
-		}
-		if cfg.GroupSize > 1 {
-			return &ConfigError{Field: "GroupSize", Reason: fmt.Sprintf("hierarchical aggregation requires the gravel model, not %q", cfg.Model)}
-		}
-	}
-	p := cfg.Params
-	if p == nil {
-		p = DefaultParams()
-	}
-	if cfg.WGSize < 0 || (cfg.WGSize > 0 && cfg.WGSize%p.WFWidth != 0) {
-		return &ConfigError{Field: "WGSize", Reason: fmt.Sprintf("work-group size %d must be a positive multiple of the wavefront width %d", cfg.WGSize, p.WFWidth)}
-	}
-	if cfg.GroupSize < 0 {
-		return &ConfigError{Field: "GroupSize", Reason: fmt.Sprintf("negative group size %d", cfg.GroupSize)}
-	}
-	if cfg.ResolverShards != 0 && !fabric.ValidBanks(cfg.ResolverShards) {
-		return &ConfigError{Field: "ResolverShards", Reason: fmt.Sprintf("resolver shard count %d must be a power of two in [1, %d]", cfg.ResolverShards, fabric.MaxResolverBanks)}
-	}
-	if cfg.Transport != "" && cfg.Transport != "chan" {
-		known := false
-		for _, n := range fabric.Names() {
-			if n == cfg.Transport {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return &ConfigError{Field: "Transport", Reason: fmt.Sprintf("unknown transport %q (have %v)", cfg.Transport, fabric.Names())}
-		}
-	}
-	return nil
-}
-
-// New creates a Gravel cluster. Callers must Close it. It panics with a
-// *ConfigError on invalid configuration; NewChecked returns the error
-// instead.
-func New(cfg Config) System {
-	sys, err := NewChecked(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return sys
-}
-
-// NewChecked is New returning configuration errors (always a
-// *ConfigError) instead of panicking.
-func NewChecked(cfg Config) (System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// cluster is cfg as the runtime's one description of a cluster.
+func (cfg Config) cluster() core.Config {
 	if cfg.Faults != nil && cfg.TransportOpts.Faults == nil {
 		cfg.TransportOpts.Faults = cfg.Faults
 	}
-	model := cfg.Model
-	if model == "" {
-		model = ModelGravel
-	}
-	return models.NewSystem(model, models.Config{
+	return core.Config{
+		Name:           cfg.Model,
 		Nodes:          cfg.Nodes,
 		Params:         cfg.Params,
 		WGSize:         cfg.WGSize,
@@ -270,7 +193,41 @@ func NewChecked(cfg Config) (System, error) {
 		ResolverShards: cfg.ResolverShards,
 		Transport:      cfg.Transport,
 		TransportOpts:  cfg.TransportOpts,
-	}), nil
+	}
+}
+
+// Validate checks the configuration and returns a *ConfigError
+// describing the first problem found, or nil. The model must be a row
+// of the model table; every other rule is core.Config.Validate's, the
+// single place configuration rules live, which New, NewChecked, and the
+// cmd binaries all go through.
+func (cfg Config) Validate() error {
+	if _, err := models.Lookup(cfg.Model); err != nil {
+		return err
+	}
+	return cfg.cluster().Validate()
+}
+
+// New creates a Gravel cluster. Callers must Close it. It panics the
+// error NewChecked would return.
+func New(cfg Config) System {
+	sys, err := NewChecked(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return sys
+}
+
+// NewChecked is New returning its failure instead of panicking: a
+// *ConfigError for an invalid configuration, the transport's own error
+// if the fabric cannot be brought up (an unbindable listen address, an
+// unreachable coordinator).
+func NewChecked(cfg Config) (System, error) {
+	m, err := models.Lookup(cfg.Model)
+	if err != nil {
+		return nil, err
+	}
+	return m.New(cfg.cluster())
 }
 
 // Model names accepted by NewModel, in the paper's Figure 15 order plus
@@ -287,9 +244,7 @@ const (
 )
 
 // Models lists every available networking model.
-func Models() []string {
-	return append(models.Names(), ModelCPUOnly)
-}
+func Models() []string { return models.AllNames() }
 
 // NewModel creates a cluster running one of the paper's GPU networking
 // models; applications written against this package run unmodified

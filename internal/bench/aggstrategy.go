@@ -111,7 +111,7 @@ func AggStrategy(scale float64, params *timemodel.Params) *Table {
 		zeroA := make([]uint64, wgSize) // AM "a" argument; unused by the handler
 
 		for _, model := range []string{"gravel", "gravel-archive"} {
-			sys := models.NewSystem(model, models.Config{Nodes: nodes, WGSize: wgSize, Params: cloneParams(params)})
+			sys := models.NewSystem(model, core.Config{Nodes: nodes, WGSize: wgSize, Params: cloneParams(params)})
 			sums := make([]uint64, nodes)
 			h := sys.RegisterAM(func(node int, a, b uint64) {
 				sums[node] += b // handlers are serialized per node

@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"gravel/internal/models"
+	"gravel/internal/core"
 	"gravel/internal/rt"
 	"gravel/internal/timemodel"
 )
@@ -37,7 +37,7 @@ func PGAS(scale float64, params *timemodel.Params) *Table {
 	// (quiescence + relaunch) before the consumer may proceed, which is
 	// exactly the host round trip the verb pair removes.
 	transfer := func(label string, signalled bool, elems, steps int) {
-		sys := models.NewSystem("gravel", models.Config{Nodes: 2, Params: cloneParams(params)})
+		sys := core.New(core.Config{Nodes: 2, Params: cloneParams(params)})
 		defer sys.Close()
 		sp := sys.Space()
 		data := sp.SymAlloc(elems)
@@ -114,7 +114,7 @@ func PGAS(scale float64, params *timemodel.Params) *Table {
 	const rounds = 8
 	for _, sched := range []rt.DCSchedule{rt.DCLinear, rt.DCRecDouble} {
 		for _, nodes := range []int{2, 4, 8} {
-			sys := models.NewSystem("gravel", models.Config{Nodes: nodes, Params: cloneParams(params)})
+			sys := core.New(core.Config{Nodes: nodes, Params: cloneParams(params)})
 			dc := rt.NewDeviceCollSched(sys.Space(), nodes, rt.WorldTeam, sched)
 			out := sys.Space().SymAlloc(1)
 			grid := make([]int, nodes)

@@ -3,9 +3,9 @@ package bench
 import (
 	"time"
 
+	"gravel/internal/core"
 	"gravel/internal/fabric"
 	"gravel/internal/harness"
-	"gravel/internal/models"
 	"gravel/internal/rt"
 	"gravel/internal/timemodel"
 )
@@ -47,7 +47,7 @@ func Resolver(scale float64, params *timemodel.Params, extraShards int) *Table {
 		panic(err)
 	}
 	run := func(label string, shards int, scale float64, base float64) float64 {
-		sys := models.NewSystem("gravel", models.Config{
+		sys := core.New(core.Config{
 			Nodes:          4,
 			Params:         cloneParams(params),
 			ResolverShards: shards,

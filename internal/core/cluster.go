@@ -30,7 +30,6 @@ import (
 	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 	_ "gravel/internal/transport" // registers the "loopback" and "tcp" transports
-	"gravel/internal/transport/fault"
 	"gravel/internal/wire"
 )
 
@@ -155,10 +154,11 @@ type Cluster struct {
 	bypass    []bankCounters
 	decodeErr atomic.Pointer[WireDecodeError]
 
-	// fabErr reports the fabric's fatal error, if it is one that can
-	// fail (nil func otherwise). Quiet panics that error on the Step
-	// goroutine; a kernel blocked in WaitUntil has to be let go first.
-	fabErr func() error
+	// dist is fab's multi-process side, nil on an in-process fabric:
+	// the step barrier, the fatal error (Quiet panics it on the Step
+	// goroutine; a kernel blocked in WaitUntil has to be let go first),
+	// the host-drain hook and the fault injector's counters.
+	dist fabric.Distributed
 
 	phases  []timemodel.PhaseRecord
 	prev    []timemodel.Snapshot
@@ -169,7 +169,7 @@ type Cluster struct {
 	// recorded phase, prevTotals the cumulative counters at the last
 	// phase boundary, stepStart the wall clock of the last LaunchAll.
 	steps      []rt.StepStats
-	prevTotals runningTotals
+	prevTotals rt.StepStats
 	stepStart  time.Time
 
 	netWG    sync.WaitGroup
@@ -177,53 +177,122 @@ type Cluster struct {
 	closed   bool
 }
 
-// runningTotals is the cumulative counter set the per-step deltas are
-// computed from. Every field is drawn from the same sources Stats uses
-// for its cumulative sections, so deltas sum back to the totals.
-type runningTotals struct {
-	localOps, remoteOps         int64
-	slotsDrained, msgsDrained   int64
-	wirePkts, wireBytes         int64
-	selfPkts                    int64
-	aggBusy, aggIdle            float64
-	resvPkts, resvMsgs, resvAMs int64
-	bypassPkts, bypassMsgs      int64
-	signals, waits              int64
-}
-
-func (cl *Cluster) totals() runningTotals {
-	var t runningTotals
+// totals is the cumulative counter set the per-step deltas are computed
+// from and Stats fills its cumulative sections with, so deltas sum back
+// to the totals.
+func (cl *Cluster) totals() rt.StepStats {
+	var t rt.StepStats
 	m := cl.fab.NetMetrics()
 	for i, n := range cl.nodes {
-		t.localOps += n.LocalOps.Load()
-		t.remoteOps += n.RemoteOps.Load()
+		t.LocalOps += n.LocalOps.Load()
+		t.RemoteOps += n.RemoteOps.Load()
 		snap := n.Clocks.Snapshot()
-		t.slotsDrained += snap.AggSlots
-		t.msgsDrained += snap.AggMsgs
-		t.wirePkts += snap.PktsSent
-		t.wireBytes += snap.BytesSent
-		t.aggBusy += snap.Agg
-		t.aggIdle += snap.AggIdle
-		t.selfPkts += m.SelfPkts[i].Load()
+		t.SlotsDrained += snap.AggSlots
+		t.MsgsDrained += snap.AggMsgs
+		t.WirePackets += snap.PktsSent
+		t.WireBytes += snap.BytesSent
+		t.AggBusyNs += snap.Agg
+		t.AggIdleNs += snap.AggIdle
+		t.SelfPackets += m.SelfPkts[i].Load()
 		for b := range cl.resv[i] {
 			ctr := &cl.resv[i][b]
-			t.resvPkts += ctr.pkts.Load()
-			t.resvMsgs += ctr.msgs.Load()
-			t.resvAMs += ctr.ams.Load()
-			t.signals += ctr.sigs.Load()
+			t.ResolvedPackets += ctr.pkts.Load()
+			t.ResolvedMsgs += ctr.msgs.Load()
+			t.ResolvedAMs += ctr.ams.Load()
+			t.Signals += ctr.sigs.Load()
 		}
-		t.bypassPkts += cl.bypass[i].pkts.Load()
-		t.bypassMsgs += cl.bypass[i].msgs.Load()
-		t.signals += cl.bypass[i].sigs.Load()
-		t.waits += n.Waits.Load()
+		t.BypassPackets += cl.bypass[i].pkts.Load()
+		t.BypassMsgs += cl.bypass[i].msgs.Load()
+		t.Signals += cl.bypass[i].sigs.Load()
+		t.Waits += n.Waits.Load()
 	}
 	return t
 }
 
-// New builds and starts a cluster.
-func New(cfg Config) *Cluster {
+// ConfigError reports an invalid Config: which field is wrong and why.
+// It is the error Validate and NewChecked return and the value New
+// panics; the public gravel.ConfigError is this type.
+type ConfigError struct {
+	Field  string // the offending Config field ("Nodes", "WGSize", ...)
+	Reason string
+}
+
+func (e *ConfigError) Error() string {
+	return "gravel: invalid " + e.Field + ": " + e.Reason
+}
+
+func invalid(field, format string, args ...any) error {
+	return &ConfigError{Field: field, Reason: fmt.Sprintf(format, args...)}
+}
+
+// Validate checks the configuration and returns a *ConfigError
+// describing the first problem found, or nil. It is the only place
+// configuration rules live: every constructor above it (models,
+// gravel, the cmd binaries) goes through it.
+func (cfg Config) Validate() error {
 	if cfg.Nodes <= 0 {
-		panic("core: non-positive node count")
+		return invalid("Nodes", "cluster size %d, need at least 1", cfg.Nodes)
+	}
+	wf := timemodel.Default().WFWidth
+	if cfg.Params != nil {
+		wf = cfg.Params.WFWidth
+	}
+	if cfg.WGSize < 0 || cfg.WGSize%wf != 0 {
+		return invalid("WGSize", "work-group size %d must be a positive multiple of the wavefront width %d", cfg.WGSize, wf)
+	}
+	switch {
+	case cfg.GroupSize < 0:
+		return invalid("GroupSize", "negative group size %d", cfg.GroupSize)
+	case cfg.GroupSize > 1 && cfg.Name != "" && cfg.Name != "gravel":
+		return invalid("GroupSize", "hierarchical aggregation requires the gravel model, not %q", cfg.Name)
+	case cfg.GroupSize > 1 && cfg.AggStrategy == AggArchive:
+		return invalid("GroupSize", "the archive aggregation strategy is flat (hierarchical aggregation requires the ticket strategy)")
+	}
+	switch cfg.AggStrategy {
+	case "", AggTicket:
+	case AggArchive:
+		if cfg.AggMode == AggPerMessage {
+			return invalid("AggMode", "the archive aggregation strategy always combines (AggPerMessage requires the ticket strategy)")
+		}
+	default:
+		return invalid("AggStrategy", "unknown strategy %q (have %q, %q)", cfg.AggStrategy, AggTicket, AggArchive)
+	}
+	if cfg.ResolverShards != 0 && !fabric.ValidBanks(cfg.ResolverShards) {
+		return invalid("ResolverShards", "resolver shard count %d must be a power of two in [1, %d]", cfg.ResolverShards, fabric.MaxResolverBanks)
+	}
+	if cfg.Transport != "" && !slices.Contains(fabric.Names(), cfg.Transport) {
+		return invalid("Transport", "unknown transport %q (have %v)", cfg.Transport, fabric.Names())
+	}
+	if cfg.Transport == "tcp" {
+		// One process per node: which one this is, and where the others
+		// rendezvous, are not optional.
+		if self := cfg.TransportOpts.Self; self < 0 || self >= cfg.Nodes {
+			return invalid("TransportOpts.Self", "hosted node %d out of range [0, %d)", self, cfg.Nodes)
+		}
+		if cfg.Nodes > 1 && cfg.TransportOpts.Coord == "" {
+			return invalid("TransportOpts.Coord", "%d nodes but no coordinator: cross-process quiescence requires one", cfg.Nodes)
+		}
+	}
+	return nil
+}
+
+// New builds and starts a cluster. It panics the error NewChecked
+// would return.
+func New(cfg Config) *Cluster {
+	cl, err := NewChecked(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return cl
+}
+
+// NewChecked builds and starts a cluster, returning a *ConfigError for
+// an invalid configuration and the transport's own error if the fabric
+// cannot be brought up (an unbindable address, an unreachable
+// coordinator).
+func NewChecked(cfg Config) (*Cluster, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Params == nil {
 		cfg.Params = timemodel.Default()
@@ -231,37 +300,10 @@ func New(cfg Config) *Cluster {
 	if cfg.WGSize == 0 {
 		cfg.WGSize = 4 * cfg.Params.WFWidth
 	}
-	if cfg.WGSize < 0 || cfg.WGSize%cfg.Params.WFWidth != 0 {
-		panic(fmt.Sprintf("core: WGSize %d must be a positive multiple of the wavefront width %d",
-			cfg.WGSize, cfg.Params.WFWidth))
-	}
-	if cfg.GroupSize < 0 {
-		panic("core: negative GroupSize")
-	}
 	if cfg.Name == "" {
 		cfg.Name = "gravel"
 	}
-	switch cfg.AggStrategy {
-	case "", AggTicket, AggArchive:
-	default:
-		panic(fmt.Sprintf("core: unknown AggStrategy %q (have %q, %q)", cfg.AggStrategy, AggTicket, AggArchive))
-	}
-	if cfg.AggStrategy == AggArchive {
-		if cfg.GroupSize > 1 {
-			panic("core: the archive aggregation strategy is flat (GroupSize > 1 requires the ticket strategy)")
-		}
-		if cfg.AggMode == AggPerMessage {
-			panic("core: the archive aggregation strategy always combines (AggPerMessage requires the ticket strategy)")
-		}
-	}
-	shards := cfg.ResolverShards
-	if shards == 0 {
-		shards = 1
-	}
-	if !fabric.ValidBanks(shards) {
-		panic(fmt.Sprintf("core: ResolverShards %d must be a power of two in [1, %d]",
-			shards, fabric.MaxResolverBanks))
-	}
+	shards := max(1, cfg.ResolverShards)
 	p := cfg.Params
 
 	cl := &Cluster{cfg: cfg, params: p, space: pgas.NewSpace(cfg.Nodes), shards: shards}
@@ -273,17 +315,17 @@ func New(cfg Config) *Cluster {
 			clocks[i].ConfigureNetBanks(shards)
 		}
 	}
-	if cfg.Transport == "" || cfg.Transport == "chan" {
-		cl.fab = fabric.NewBanked(p, clocks, shards)
-	} else {
-		opts := cfg.TransportOpts
-		opts.ResolverBanks = shards
-		fab, err := fabric.NewByName(cfg.Transport, p, clocks, opts)
-		if err != nil {
-			panic(err)
-		}
-		cl.fab = fab
+	transport := cfg.Transport
+	if transport == "" {
+		transport = "chan"
 	}
+	opts := cfg.TransportOpts
+	opts.ResolverBanks = shards
+	var err error
+	if cl.fab, err = fabric.NewByName(transport, p, clocks, opts); err != nil {
+		return nil, err
+	}
+	cl.dist, _ = cl.fab.(fabric.Distributed)
 	cl.bankMu = make([][]sync.Mutex, cfg.Nodes)
 	cl.resv = make([][]bankCounters, cfg.Nodes)
 	cl.bypass = make([]bankCounters, cfg.Nodes)
@@ -336,18 +378,15 @@ func New(cfg Config) *Cluster {
 		}
 		n.Agg.Start()
 	}
-	if hd, ok := cl.fab.(fabric.HostDrainer); ok {
-		hd.SetHostDrain(cl.drainHosted)
+	if cl.dist != nil {
+		cl.dist.SetHostDrain(cl.drainHosted)
 	}
-	if f, ok := cl.fab.(interface{ Err() error }); ok {
-		cl.fabErr = f.Err
-	}
-	return cl
+	return cl, nil
 }
 
 // drainHosted flushes every hosted node's staged messages toward the
 // wire and reports whether host-side work remains. A multi-process
-// fabric calls it (via fabric.HostDrainer) on every local-idleness
+// fabric calls it (fabric.Distributed's hook) on every local-idleness
 // check: once this process has left Quiesce and is polling the quiet
 // protocol or the step barrier, an incoming active message's follow-up
 // (HostAM from a handler, staged via Agg.AppendDirect) would otherwise
@@ -433,8 +472,8 @@ func (cl *Cluster) Step(name string, grid []int, scratchPerWG int, k rt.Kernel) 
 // call it at the end of their own Steps, after Quiesce and before the
 // phase record.
 func (cl *Cluster) StepBarrier() {
-	if b, ok := cl.fab.(interface{ StepBarrier() }); ok {
-		b.StepBarrier()
+	if cl.dist != nil {
+		cl.dist.StepBarrier()
 	}
 }
 
@@ -511,22 +550,20 @@ func (cl *Cluster) Quiesce() {
 // EndPhaseOverlapped snapshots per-node clocks since the previous phase
 // and records a phase whose per-node time is the busiest-resource bound.
 func (cl *Cluster) EndPhaseOverlapped(name string) {
-	nodeNs := make([]float64, cl.cfg.Nodes)
-	for i, n := range cl.nodes {
-		snap := n.Clocks.Snapshot()
-		nodeNs[i] = snap.Sub(cl.prev[i]).Overlapped()
-		cl.prev[i] = snap
-	}
-	cl.RecordPhase(name, nodeNs)
+	cl.endPhase(name, timemodel.Snapshot.Overlapped)
 }
 
 // EndPhaseSequential is EndPhaseOverlapped with bulk-synchronous
 // composition (used by the coprocessor baseline).
 func (cl *Cluster) EndPhaseSequential(name string) {
+	cl.endPhase(name, timemodel.Snapshot.Sequential)
+}
+
+func (cl *Cluster) endPhase(name string, compose func(timemodel.Snapshot) float64) {
 	nodeNs := make([]float64, cl.cfg.Nodes)
 	for i, n := range cl.nodes {
 		snap := n.Clocks.Snapshot()
-		nodeNs[i] = snap.Sub(cl.prev[i]).Sequential()
+		nodeNs[i] = compose(snap.Sub(cl.prev[i]))
 		cl.prev[i] = snap
 	}
 	cl.RecordPhase(name, nodeNs)
@@ -567,31 +604,10 @@ func (cl *Cluster) RecordPhase(name string, nodeNs []float64) {
 		cl.stepStart = time.Time{}
 	}
 	cur := cl.totals()
-	prev := cl.prevTotals
+	step := cur.Sub(cl.prevTotals)
 	cl.prevTotals = cur
-	cl.steps = append(cl.steps, rt.StepStats{
-		Index:        len(cl.steps),
-		Name:         name,
-		VirtualNs:    phase,
-		WallNs:       wall,
-		LocalOps:     cur.localOps - prev.localOps,
-		RemoteOps:    cur.remoteOps - prev.remoteOps,
-		SlotsDrained: cur.slotsDrained - prev.slotsDrained,
-		MsgsDrained:  cur.msgsDrained - prev.msgsDrained,
-		WirePackets:  cur.wirePkts - prev.wirePkts,
-		WireBytes:    cur.wireBytes - prev.wireBytes,
-		SelfPackets:  cur.selfPkts - prev.selfPkts,
-		AggBusyNs:    cur.aggBusy - prev.aggBusy,
-		AggIdleNs:    cur.aggIdle - prev.aggIdle,
-
-		ResolvedPackets: cur.resvPkts - prev.resvPkts,
-		ResolvedMsgs:    cur.resvMsgs - prev.resvMsgs,
-		ResolvedAMs:     cur.resvAMs - prev.resvAMs,
-		BypassPackets:   cur.bypassPkts - prev.bypassPkts,
-		BypassMsgs:      cur.bypassMsgs - prev.bypassMsgs,
-		Signals:         cur.signals - prev.signals,
-		Waits:           cur.waits - prev.waits,
-	})
+	step.Index, step.Name, step.VirtualNs, step.WallNs = len(cl.steps), name, phase, wall
+	cl.steps = append(cl.steps, step)
 	if obs.Enabled() {
 		obs.Emit(obs.KStepEnd, -1, wall, int64(phase), name)
 		obs.ObserveStepWall(wall)
@@ -607,8 +623,8 @@ func (cl *Cluster) HostAM(from int, h uint8, dest int, a, b uint64) {
 	n := cl.nodes[from]
 	// Charge the initiation to the bank that will resolve the message —
 	// always bank 0 for AMs (fabric.BankOfRecord) — so banked NetBound
-	// (max over banks) still sees it; at one shard this is exactly
-	// AddNet.
+	// (max over banks) still sees it; at one shard this is the serial
+	// network thread's clock.
 	n.Clocks.AddNetBank(0, cl.params.NetThreadPerMsgNs)
 	if dest == from {
 		n.LocalOps.Inc()
@@ -642,10 +658,10 @@ func (cl *Cluster) Stats() rt.Stats {
 	}
 	cur := cl.totals()
 	st.Queue = rt.QueueStats{
-		LocalOps:     cur.localOps,
-		RemoteOps:    cur.remoteOps,
-		SlotsDrained: cur.slotsDrained,
-		MsgsDrained:  cur.msgsDrained,
+		LocalOps:     cur.LocalOps,
+		RemoteOps:    cur.RemoteOps,
+		SlotsDrained: cur.SlotsDrained,
+		MsgsDrained:  cur.MsgsDrained,
 	}
 
 	threads := cl.params.AggregatorThreads
@@ -654,8 +670,8 @@ func (cl *Cluster) Stats() rt.Stats {
 	}
 	st.Agg = rt.AggStats{
 		Strategy: cl.nodes[0].Agg.Name(),
-		BusyNs:   cur.aggBusy,
-		IdleNs:   cur.aggIdle,
+		BusyNs:   cur.AggBusyNs,
+		IdleNs:   cur.AggIdleNs,
 		Threads:  threads,
 	}
 	// Busy fraction of the aggregator cores over the run's virtual time
@@ -663,7 +679,7 @@ func (cl *Cluster) Stats() rt.Stats {
 	// weighted by drain capacity: busy time accrues on every drain
 	// thread, so the denominator scales with nodes × threads.
 	if cl.totalNs > 0 {
-		st.Agg.BusyFrac = cur.aggBusy / (cl.totalNs * float64(len(cl.nodes)) * float64(threads))
+		st.Agg.BusyFrac = cur.AggBusyNs / (cl.totalNs * float64(len(cl.nodes)) * float64(threads))
 	}
 	for _, n := range cl.nodes {
 		full, timeout := n.Agg.FlushCounts()
@@ -673,14 +689,14 @@ func (cl *Cluster) Stats() rt.Stats {
 
 	st.Resolver = rt.ResolverStats{
 		Shards:        cl.shards,
-		Packets:       cur.resvPkts,
-		Msgs:          cur.resvMsgs,
-		AMs:           cur.resvAMs,
-		BypassPackets: cur.bypassPkts,
-		BypassMsgs:    cur.bypassMsgs,
+		Packets:       cur.ResolvedPackets,
+		Msgs:          cur.ResolvedMsgs,
+		AMs:           cur.ResolvedAMs,
+		BypassPackets: cur.BypassPackets,
+		BypassMsgs:    cur.BypassMsgs,
 		PerBank:       make([]rt.BankCount, cl.shards),
 	}
-	st.PGAS = rt.PGASStats{Signals: cur.signals, Waits: cur.waits}
+	st.PGAS = rt.PGASStats{Signals: cur.Signals, Waits: cur.Waits}
 	for i := range cl.resv {
 		for b := range cl.resv[i] {
 			ctr := &cl.resv[i][b]
@@ -692,10 +708,10 @@ func (cl *Cluster) Stats() rt.Stats {
 
 	m := cl.fab.NetMetrics()
 	st.Transport = rt.TransportStats{
-		WirePackets:    cur.wirePkts,
-		WireBytes:      cur.wireBytes,
+		WirePackets:    cur.WirePackets,
+		WireBytes:      cur.WireBytes,
 		AvgPacketBytes: m.TotalAvgPacketBytes(),
-		SelfPackets:    cur.selfPkts,
+		SelfPackets:    cur.SelfPackets,
 		PerDest:        make([]rt.DestCount, cl.cfg.Nodes),
 		Reconnects:     m.Reconnects.Load(),
 		Retries:        m.Retries.Load(),
@@ -706,8 +722,8 @@ func (cl *Cluster) Stats() rt.Stats {
 		st.Transport.PerDest[d] = rt.DestCount{Packets: m.PerDest.Packets(d), Bytes: m.PerDest.Bytes(d)}
 	}
 
-	if fi, ok := cl.fab.(interface{ FaultInjector() *fault.Injector }); ok {
-		if in := fi.FaultInjector(); in.Enabled() {
+	if cl.dist != nil {
+		if in := cl.dist.FaultInjector(); in.Enabled() {
 			st.Faults.Enabled = true
 			st.Faults.Seed = in.Config().Seed
 			c := in.Counters()

@@ -280,11 +280,11 @@ func (c *ctx) WaitUntil(sig *pgas.Array, sigIdx, until []uint64, active []bool) 
 	if obs.Enabled() {
 		obs.Emit(obs.KWait, me, int64(g.ID), int64(lanes), "")
 	}
-	fabErr := c.n.cl.fabErr
+	dist := c.n.cl.dist
 	g.Park(func() bool {
 		for l, on := range active {
 			if on && sig.Load(sigIdx[l]) < until[l] {
-				return fabErr != nil && fabErr() != nil
+				return dist != nil && dist.Err() != nil
 			}
 		}
 		return true

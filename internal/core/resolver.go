@@ -78,24 +78,14 @@ func (cl *Cluster) checkDecodeErr() {
 // resolver goroutines for every hosted node. It must run before the
 // aggregators start: SetLocalApply must happen-before the first Send.
 func (cl *Cluster) startResolvers() {
-	if la, ok := cl.fab.(fabric.LocalApplier); ok {
-		la.SetLocalApply(cl.applyLocal)
-	}
-	banked, _ := cl.fab.(fabric.Banked)
-	if cl.shards > 1 && (banked == nil || banked.Banks() != cl.shards) {
-		panic(fmt.Sprintf("core: transport %q cannot shard resolution %d ways", cl.cfg.Transport, cl.shards))
-	}
+	cl.fab.SetLocalApply(cl.applyLocal)
 	for _, n := range cl.nodes {
 		if !cl.fab.Hosts(n.ID) {
 			continue
 		}
 		for b := 0; b < cl.shards; b++ {
-			inbox := cl.fab.Inbox(n.ID) // bank 0's inbox on every fabric
-			if b > 0 {
-				inbox = banked.BankInbox(n.ID, b)
-			}
 			cl.netWG.Add(1)
-			go cl.resolve(n, b, inbox)
+			go cl.resolve(n, b, cl.fab.BankInbox(n.ID, b))
 		}
 	}
 }
@@ -147,7 +137,7 @@ func (cl *Cluster) resolve(n *Node, bank int, inbox <-chan fabric.Packet) {
 	}
 }
 
-// applyLocal is the fabric's node-local bypass (fabric.LocalApplier): a
+// applyLocal is the fabric's node-local bypass (Fabric.SetLocalApply): a
 // from == to packet resolves on the sending goroutine, whose caller (an
 // aggregator pump) holds the aggregator's in-flight guard, so quiescence
 // cannot see the node idle mid-apply. Each touched bank is charged as if

@@ -39,30 +39,6 @@ func BankOfRecord(cmd, a uint64, banks int) int {
 	return BankOf(a, banks)
 }
 
-// Banked is implemented by fabrics that deliver each node's traffic
-// into per-bank inboxes. Fabric.Inbox(node) remains valid and is bank
-// 0's inbox; routed packets (whose records carry mixed final
-// destinations) always arrive whole on bank 0, preserving the §10
-// gateway's relay order.
-type Banked interface {
-	// Banks returns the per-node bank count (>= 1).
-	Banks() int
-	// BankInbox returns the receive channel for one bank of a node.
-	// BankInbox(node, 0) == Inbox(node).
-	BankInbox(node, bank int) <-chan Packet
-}
-
-// LocalApplier is implemented by fabrics that can hand node-local
-// (from == to) packets straight back to the runtime instead of
-// round-tripping them through an inbox. The hook applies the packet
-// synchronously on the calling goroutine and must not retain the
-// buffer; the fabric recycles it when the hook returns and never
-// counts the packet as in flight. SelfPkts metrics and the time-model
-// charges are unchanged, so modeled figures do not drift.
-type LocalApplier interface {
-	SetLocalApply(func(Packet))
-}
-
 // ScatterBanks splits a direct per-node queue buffer into per-bank
 // buffers by record address and calls emit for each non-empty bank in
 // ascending order, with the bank's record count. Buffers handed to

@@ -99,8 +99,4 @@ func (f *Chan) Depart(p Packet) (applied bool) {
 // Quiet reports whether no packets are in flight or being applied.
 func (f *Chan) Quiet() bool { return f.Idle() }
 
-var (
-	_ Fabric       = (*Chan)(nil)
-	_ Banked       = (*Chan)(nil)
-	_ LocalApplier = (*Chan)(nil)
-)
+var _ Fabric = (*Chan)(nil)

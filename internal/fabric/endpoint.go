@@ -66,22 +66,21 @@ func (e *Endpoint) Nodes() int { return len(e.inbox) }
 // Hosts implements Fabric: a node is hosted where its inboxes are.
 func (e *Endpoint) Hosts(node int) bool { return e.inbox[node][0] != nil }
 
-// Banks implements Banked.
+// Banks implements Fabric.
 func (e *Endpoint) Banks() int { return e.banks }
 
-// BankInbox implements Banked. For a node this process does not host it
+// BankInbox implements Fabric. For a node this process does not host it
 // returns a nil channel.
 func (e *Endpoint) BankInbox(node, bank int) <-chan Packet { return e.inbox[node][bank] }
 
-// Inbox returns node's bank-0 receive channel; with one bank this is
-// the node's whole traffic and the network thread ranges over it.
+// Inbox is BankInbox(node, 0): with one bank, the node's whole traffic.
 func (e *Endpoint) Inbox(node int) <-chan Packet { return e.inbox[node][0] }
 
-// SetLocalApply implements LocalApplier. It must be called before the
-// first Send.
+// SetLocalApply implements Fabric. It must be called before the first
+// Send.
 func (e *Endpoint) SetLocalApply(fn func(Packet)) { e.localApply = fn }
 
-// Bypass resolves a node-local direct packet through the LocalApplier
+// Bypass resolves a node-local direct packet through the SetLocalApply
 // hook on the calling goroutine and recycles its buffer, reporting
 // whether it did. No inbox hop and no in-flight accounting: the packet
 // is fully applied when Bypass returns, which is strictly earlier than

@@ -50,10 +50,13 @@ type Packet struct {
 // Fabric is the interconnect interface the runtime depends on. A fabric
 // connects n nodes; Send/SendRouted transmit one per-node (or
 // per-group) queue, blocking when the receiver falls behind (finite
-// in-flight queue credit, §6). Each hosted node's network thread ranges
-// over Inbox and must call Done after fully applying a packet; Quiet
-// reports cluster-wide quiescence — no packets staged, in flight, or
-// being applied — which the runtime's Step barrier relies on.
+// in-flight queue credit, §6). Each hosted node runs one resolver per
+// bank, ranging over BankInbox and calling Done after fully applying a
+// packet; Quiet reports cluster-wide quiescence — no packets staged, in
+// flight, or being applied — which the runtime's Step barrier relies
+// on. Every fabric embeds one *Endpoint, which is its receive side
+// (Hosts, Banks, BankInbox, SetLocalApply, Done, Progress), so a Fabric
+// wrapping another by embedding passes all of it through.
 type Fabric interface {
 	// Nodes returns the cluster size.
 	Nodes() int
@@ -67,8 +70,21 @@ type Fabric interface {
 	// SendRouted transmits a per-group queue (records carry their final
 	// destinations) to a group gateway for re-aggregation (§10).
 	SendRouted(from, gateway int, buf []byte, msgs int)
-	// Inbox returns node's receive channel.
-	Inbox(node int) <-chan Packet
+	// Banks returns the per-node resolver bank count (>= 1).
+	Banks() int
+	// BankInbox returns the receive channel of one bank of a node (nil
+	// for a node another process hosts). Routed packets, whose records
+	// carry mixed final destinations, always arrive whole on bank 0,
+	// preserving the §10 gateway's relay order.
+	BankInbox(node, bank int) <-chan Packet
+	// SetLocalApply registers the node-local bypass, before the first
+	// Send: a from == to packet is handed straight back to the runtime
+	// instead of round-tripping through an inbox. The hook applies it
+	// synchronously on the calling goroutine and must not retain the
+	// buffer; the fabric recycles it when the hook returns and never
+	// counts the packet in flight. SelfPkts and the time-model charges
+	// are unchanged, so modeled figures do not drift.
+	SetLocalApply(func(Packet))
 	// Done must be called after fully applying a packet; quiescence
 	// detection depends on it, and it recycles the packet's buffer.
 	Done(Packet)
@@ -78,9 +94,7 @@ type Fabric interface {
 	// Progress returns the event a host thread parks on while it waits
 	// for Quiet. The fabric wakes it after every change that can turn
 	// Quiet true; what feeds the fabric (an aggregator going idle) wakes
-	// it too, so one wait covers a node's whole send side. It is a
-	// method of the interface, not an optional extension, so that a
-	// Fabric wrapping another by embedding passes it through.
+	// it too, so one wait covers a node's whole send side.
 	Progress() *park.Event
 	// Close tears the fabric down: all inboxes are closed after any
 	// drain/close handshake completes. Network threads drain and exit.
@@ -89,24 +103,26 @@ type Fabric interface {
 	NetMetrics() *Metrics
 }
 
-// HostDrainer is implemented by multi-process transports that need the
-// runtime's help to keep active-message cascades flowing while a
-// process waits inside a collective. An AM handler's follow-up message
-// (rt.System.HostAM) is staged in the receiving node's aggregator, not
-// put on the wire — invisible to the transport's sent/applied counters.
-// Once the host thread has left its own quiescence loop (which flushes
-// the aggregator) and is polling the cluster-wide quiet or step
-// barrier, nothing would flush such a staged message: the cluster's
-// counters look balanced, the barrier releases early, and the cascade
-// is cut off. The runtime registers a drain hook that the transport
-// calls on every local-idleness check; the hook flushes host-side
-// staged messages toward the wire and reports whether any host-side
-// work remains.
-type HostDrainer interface {
-	// SetHostDrain registers the drain hook. The hook is called from
-	// host threads only (it may transmit, which can block on
-	// backpressure) and returns true when no host-side work remains.
+// Distributed is what only a fabric spanning OS processes has; the
+// runtime probes for it once, at construction.
+type Distributed interface {
+	// StepBarrier aligns step boundaries across the processes: it
+	// returns once every process has arrived at a globally quiescent
+	// instant, and panics the fabric's fatal error like Quiet.
+	StepBarrier()
+	// Err returns the fabric's fatal error (a peer or the coordinator
+	// declared down), nil while healthy.
+	Err() error
+	// SetHostDrain registers the hook the fabric calls on every
+	// local-idleness check, from host threads only (it may transmit,
+	// which can block on backpressure): it flushes host-side staged
+	// messages, which the sent/applied counters cannot see, toward the
+	// wire and returns true when none remain (core.Cluster.drainHosted
+	// has the cascade this keeps alive).
 	SetHostDrain(func() bool)
+	// FaultInjector returns the fault injector, nil when fault
+	// injection is off.
+	FaultInjector() *fault.Injector
 }
 
 // Metrics holds the wire counters every transport maintains.
@@ -180,8 +196,7 @@ func (m *Metrics) TotalAvgPacketBytes() float64 {
 type Options struct {
 	// ResolverBanks splits each node's receive-side resolution into
 	// this many per-bank inboxes (power of two, max MaxResolverBanks;
-	// 0 or 1 = the paper's single serial network thread). All
-	// registered transports implement Banked and honor it.
+	// 0 or 1 = the paper's single serial network thread).
 	ResolverBanks int
 
 	// Self is the node this process hosts (multi-process transports).

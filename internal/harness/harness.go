@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"gravel/internal/fabric"
@@ -216,25 +215,13 @@ type ModelInfo struct {
 	Desc string `json:"desc"`
 }
 
-var modelDesc = map[string]string{
-	"coprocessor":     "§3.1 bulk-synchronous per-node queues exchanged between kernel chunks",
-	"coprocessor+buf": "coprocessor with 1 MB per-node queues (Figure 15 second bar)",
-	"msg-per-lane":    "§3.2 Gravel queue, no aggregation: one wire packet per message",
-	"coalesced":       "§3.3 per-WG counting sort + synchronous coalesced sends (GPUnet style)",
-	"coalesced+agg":   "coalesced APIs + Gravel-style GPU-wide aggregation",
-	"gravel":          "the paper's system: WG-granularity offload + CPU aggregation",
-	"gravel-archive":  "gravel with grape-style per-destination archive aggregation (WF appends, fused bulk handoff)",
-	"cpu-only":        "Figure 13 CPU baseline: 4 host threads, Grappa/UPC-style aggregation",
-}
-
-// Models lists every networking model (Figure 15 order plus cpu-only),
-// sourced from the models package so names cannot drift from what
+// Models lists every networking model (Figure 15 order, then cpu-only):
+// the rows of the models package's table, which is also what
 // gravel.Config.Model accepts.
 func Models() []ModelInfo {
-	names := append(models.Names(), "cpu-only")
-	out := make([]ModelInfo, len(names))
-	for i, n := range names {
-		out[i] = ModelInfo{Name: n, Desc: modelDesc[n]}
+	out := make([]ModelInfo, len(models.Table))
+	for i, m := range models.Table {
+		out[i] = ModelInfo{Name: m.Name, Desc: m.Desc}
 	}
 	return out
 }
@@ -254,10 +241,9 @@ type ListDoc struct {
 }
 
 // List builds the registry listing. Transports reflect what is
-// registered in the running binary.
+// registered in the running binary (fabric.Names sorts them).
 func List() ListDoc {
 	doc := ListDoc{Models: Models(), Transports: fabric.Names()}
-	sort.Strings(doc.Transports)
 	for _, a := range registry {
 		doc.Apps = append(doc.Apps, AppInfo{Name: a.Name, Desc: a.Desc, Bench: a.Bench})
 	}

@@ -3,6 +3,7 @@ package models_test
 import (
 	"testing"
 
+	"gravel/internal/core"
 	"gravel/internal/models"
 	"gravel/internal/rt"
 )
@@ -99,7 +100,7 @@ func TestAggStrategiesPreserveOrderAndChecksum(t *testing.T) {
 					}
 				}
 
-				sys := models.NewSystem(model, models.Config{Nodes: nodes, WGSize: wgSize})
+				sys := models.NewSystem(model, core.Config{Nodes: nodes, WGSize: wgSize})
 				defer sys.Close()
 
 				// got[dest].seqs[src] is the arrival-ordered sequence

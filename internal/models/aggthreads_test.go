@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gravel/internal/core"
 	"gravel/internal/models"
 	"gravel/internal/timemodel"
 )
@@ -30,7 +31,7 @@ func TestAggThreadsReportedAreStarted(t *testing.T) {
 				p := timemodel.Default()
 				p.AggregatorThreads = threads
 				base := drainThreads()
-				sys := models.NewSystem(model, models.Config{Nodes: nodes, Params: p})
+				sys := models.NewSystem(model, core.Config{Nodes: nodes, Params: p})
 				defer sys.Close()
 				if got := sys.Stats().Agg.Threads; got != threads {
 					t.Fatalf("Stats.Agg.Threads = %d, want %d", got, threads)

@@ -4,7 +4,6 @@ import (
 	"gravel/internal/core"
 	"gravel/internal/rt"
 	"gravel/internal/simt"
-	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
 
@@ -23,33 +22,28 @@ type Coalesced struct {
 	off []core.Offloader // per hosted node
 }
 
-// NewCoalesced builds the model over cfg's fabric; gpuWide enables
-// GPU-wide aggregation. Sends (per-WG packets, or repacked per-node
-// queues with gpuWide) travel through the cluster's fabric, so the
-// model runs in-process or multi-process alike; on a multi-process
-// fabric only the hosted node gets aggregation buffers.
-func NewCoalesced(cfg Config, gpuWide bool) *Coalesced {
-	if cfg.Params == nil {
-		cfg.Params = timemodel.Default()
-	}
-	name := "coalesced"
-	if gpuWide {
-		name = "coalesced+agg"
-	}
-	cl := core.New(cfg.coreConfig(name))
-	co := &Coalesced{Cluster: cl, off: make([]core.Offloader, cfg.Nodes)}
-	for i := range co.off {
-		if !cl.Fabric().Hosts(i) {
-			continue
+// coalesced puts the model over a cluster; gpuWide enables GPU-wide
+// aggregation. Sends (per-WG packets, or repacked per-node queues with
+// gpuWide) travel through the cluster's fabric, so the model runs
+// in-process or multi-process alike; on a multi-process fabric only the
+// hosted node gets aggregation buffers.
+func coalesced(gpuWide bool) func(*core.Cluster) rt.System {
+	return func(cl *core.Cluster) rt.System {
+		p := cl.Params()
+		co := &Coalesced{Cluster: cl, off: make([]core.Offloader, cl.Nodes())}
+		for i := range co.off {
+			if !cl.Fabric().Hosts(i) {
+				continue
+			}
+			n := cl.Node(i)
+			o := &coalSender{n: n, fab: cl.Fabric(), sendCycles: n.GPU.NsToCycles(p.AlphaNs / 2)}
+			if gpuWide {
+				o.sb = newSendBuffers(cl, n, p.PerNodeQueueBytes, true)
+			}
+			co.off[i] = o
 		}
-		n := cl.Node(i)
-		o := &coalSender{n: n, fab: cl.Fabric(), sendCycles: n.GPU.NsToCycles(cfg.Params.AlphaNs / 2)}
-		if gpuWide {
-			o.sb = newSendBuffers(cl, n, cfg.Params.PerNodeQueueBytes, true)
-		}
-		co.off[i] = o
+		return co
 	}
-	return co
 }
 
 // Step implements rt.System. Communication overlaps with computation

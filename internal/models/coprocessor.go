@@ -7,7 +7,6 @@ import (
 	"gravel/internal/core"
 	"gravel/internal/rt"
 	"gravel/internal/simt"
-	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
 
@@ -23,38 +22,31 @@ import (
 // synchronous flush stall.
 type Coprocessor struct {
 	*core.Cluster
-	name       string
 	queueBytes int
 	sb         []*sendBuffers
 }
 
-// NewCoprocessor builds the model over cfg's fabric. With
-// extraBuffering, each per-node queue gets 1 MB instead of Gravel's
-// 64 kB (the second bar of Figure 15). The per-node queues are filled
-// by the GPU and exchanged through the cluster's fabric, so the model
-// runs over in-process channels or real sockets alike; on a
-// multi-process fabric only the hosted node gets queues — the other
-// nodes exist for address-space symmetry and stay idle.
-func NewCoprocessor(cfg Config, extraBuffering bool) *Coprocessor {
-	if cfg.Params == nil {
-		cfg.Params = timemodel.Default()
-	}
-	name := "coprocessor"
-	qb := cfg.Params.PerNodeQueueBytes
-	if extraBuffering {
-		name = "coprocessor+buf"
-		qb = 1 << 20
-	}
-	cl := core.New(cfg.coreConfig(name))
-	cp := &Coprocessor{Cluster: cl, name: name, queueBytes: qb}
-	cp.sb = make([]*sendBuffers, cfg.Nodes)
-	for i := range cp.sb {
-		if !cl.Fabric().Hosts(i) {
-			continue
+// coprocessor puts the model over a cluster, with per-node queues of
+// queueBytes each; 0 means Gravel's 64 kB (the second bar of Figure 15
+// gives them 1 MB). The per-node queues are filled by the GPU and
+// exchanged through the cluster's fabric, so the model runs over
+// in-process channels or real sockets alike; on a multi-process fabric
+// only the hosted node gets queues — the other nodes exist for
+// address-space symmetry and stay idle.
+func coprocessor(queueBytes int) func(*core.Cluster) rt.System {
+	return func(cl *core.Cluster) rt.System {
+		qb := queueBytes
+		if qb == 0 {
+			qb = cl.Params().PerNodeQueueBytes
 		}
-		cp.sb[i] = newSendBuffers(cl, cl.Node(i), qb, false)
+		cp := &Coprocessor{Cluster: cl, queueBytes: qb, sb: make([]*sendBuffers, cl.Nodes())}
+		for i := range cp.sb {
+			if cl.Fabric().Hosts(i) {
+				cp.sb[i] = newSendBuffers(cl, cl.Node(i), qb, false)
+			}
+		}
+		return cp
 	}
-	return cp
 }
 
 // Step implements rt.System with chunked bulk-synchronous execution.

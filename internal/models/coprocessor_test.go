@@ -10,7 +10,7 @@ import (
 // bounded by its per-node queue capacity — visible as many more kernel
 // launches (host time) than Gravel needs for the same grid.
 func TestCoprocessorChunking(t *testing.T) {
-	cp := NewCoprocessor(Config{Nodes: 2}, false)
+	cp := New("coprocessor", 2, nil).(*Coprocessor)
 	defer cp.Close()
 	arr := cp.Space().Alloc(256)
 	const grid = 60000 // >> 64kB/24B ≈ 2730-WI chunks
@@ -41,7 +41,7 @@ func TestCoprocessorChunking(t *testing.T) {
 // response (more launches than the one-message-per-WI case).
 func TestCoprocessorReactiveShrink(t *testing.T) {
 	hostFor := func(msgsPerWI int) float64 {
-		cp := NewCoprocessor(Config{Nodes: 2}, false)
+		cp := New("coprocessor", 2, nil).(*Coprocessor)
 		defer cp.Close()
 		arr := cp.Space().Alloc(256)
 		const grid = 16384
@@ -78,7 +78,7 @@ func TestCoprocessorReactiveShrink(t *testing.T) {
 // scratch-hungry kernels (§7.2's mer observation).
 func TestCoalescedScratchpadPenalty(t *testing.T) {
 	gpuTime := func(scratch int) float64 {
-		c := NewCoalesced(Config{Nodes: 2}, false)
+		c := New("coalesced", 2, nil).(*Coalesced)
 		defer c.Close()
 		arr := c.Space().Alloc(64)
 		c.Step("inc", []int{8192, 0}, scratch, func(ctx rt.Ctx) {

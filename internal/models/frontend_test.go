@@ -146,7 +146,7 @@ func TestVerbAllocsPerWorkGroup(t *testing.T) {
 		many  = 40
 	)
 	for name, bound := range parentAllocsPerWG {
-		sys := models.NewSystem(name, models.Config{Nodes: nodes, WGSize: wg})
+		sys := models.NewSystem(name, core.Config{Nodes: nodes, WGSize: wg})
 		tab := sys.Space().Alloc(1 << 12)
 		h := sys.RegisterAM(func(int, uint64, uint64) {})
 		idx := make([]uint64, many*wg)

@@ -31,117 +31,125 @@ import (
 	"fmt"
 
 	"gravel/internal/core"
-	"gravel/internal/fabric"
 	"gravel/internal/rt"
 	"gravel/internal/simt"
 	"gravel/internal/timemodel"
 )
 
-// Config configures a model system. It carries the transport-relevant
-// subset of core.Config so every model — not just gravel — is
-// fabric-pluggable: the same coprocessor or coalesced baseline runs
-// over the in-process "chan" fabric, the framing "loopback" fabric, or
-// real "tcp" sockets spanning OS processes.
-type Config struct {
-	// Nodes is the cluster size.
-	Nodes int
-	// Params is the virtual-time cost model; nil means timemodel.Default.
-	Params *timemodel.Params
-	// WGSize is the work-group size in lanes (0 = the model's default).
-	WGSize int
-	// DivMode selects diverged WG-level operation behaviour.
-	DivMode simt.DivergenceMode
-	// GroupSize > 1 enables two-level hierarchical aggregation
-	// (gravel model only).
-	GroupSize int
-	// ResolverShards splits each node's receive-side resolution into
-	// per-bank resolvers (0 or 1 = the serial network thread).
-	ResolverShards int
-	// Transport names a registered fabric transport ("" = "chan").
-	Transport string
-	// TransportOpts configures non-default transports.
-	TransportOpts fabric.Options
+// Model is one networking model: its name (gravel.Config.Model, the
+// binaries' -model), the one-line description -list prints, and what
+// makes it that model — how it sets up the cluster it runs on (nil: as
+// described) and the send path and Step it puts over that cluster (nil:
+// the cluster's own).
+type Model struct {
+	Name string
+	Desc string
+	tune func(*core.Config)
+	over func(*core.Cluster) rt.System
 }
 
-// coreConfig translates cfg into the shared core.Config fields.
-func (cfg Config) coreConfig(name string) core.Config {
-	return core.Config{
-		Name:           name,
-		Nodes:          cfg.Nodes,
-		Params:         cfg.Params,
-		WGSize:         cfg.WGSize,
-		DivMode:        cfg.DivMode,
-		GroupSize:      cfg.GroupSize,
-		ResolverShards: cfg.ResolverShards,
-		Transport:      cfg.Transport,
-		TransportOpts:  cfg.TransportOpts,
+// New builds the model over cfg's cluster and fabric, labelled with the
+// model's name. The error is a *core.ConfigError, or the transport's
+// own if the fabric cannot be brought up.
+func (m Model) New(cfg core.Config) (rt.System, error) {
+	cfg.Name = m.Name
+	if m.tune != nil {
+		m.tune(&cfg)
 	}
-}
-
-// Gravel returns the paper's system itself (package core), for use with
-// the New factory.
-func Gravel(nodes int, p *timemodel.Params) rt.System {
-	return NewSystem("gravel", Config{Nodes: nodes, Params: p})
-}
-
-// Names lists the systems Figure 15 compares, in the paper's bar order.
-func Names() []string {
-	return []string{
-		"coprocessor",
-		"coprocessor+buf",
-		"msg-per-lane",
-		"coalesced",
-		"coalesced+agg",
-		"gravel",
-		"gravel-archive",
+	cl, err := core.NewChecked(cfg)
+	if err != nil {
+		return nil, err
 	}
+	if m.over != nil {
+		return m.over(cl), nil
+	}
+	return cl, nil
 }
 
-// New builds a system by Figure 15 name over the default in-process
-// fabric. A nil p means timemodel.Default.
-func New(name string, nodes int, p *timemodel.Params) rt.System {
-	return NewSystem(name, Config{Nodes: nodes, Params: p})
+// Table is every model, in the paper's Figure 15 bar order, then the
+// Figure 13 CPU-only baseline. Every list of models (Names,
+// gravel.Models, the harness's -list) and every construction reads it:
+// registering a model is adding a row.
+var Table = []Model{
+	{"coprocessor", "§3.1 bulk-synchronous per-node queues exchanged between kernel chunks",
+		nil, coprocessor(0)},
+	{"coprocessor+buf", "coprocessor with 1 MB per-node queues (Figure 15 second bar)",
+		nil, coprocessor(1 << 20)},
+	{"msg-per-lane", "§3.2 Gravel queue, no aggregation: one wire packet per message",
+		func(cfg *core.Config) { cfg.AggMode = core.AggPerMessage }, nil},
+	{"coalesced", "§3.3 per-WG counting sort + synchronous coalesced sends (GPUnet style)",
+		nil, coalesced(false)},
+	{"coalesced+agg", "coalesced APIs + Gravel-style GPU-wide aggregation",
+		nil, coalesced(true)},
+	{"gravel", "the paper's system: WG-granularity offload + CPU aggregation",
+		nil, nil},
+	{"gravel-archive", "gravel with grape-style per-destination archive aggregation (WF appends, fused bulk handoff)",
+		func(cfg *core.Config) { cfg.AggStrategy = core.AggArchive }, nil},
+	{"cpu-only", "Figure 13 CPU baseline: 4 host threads, Grappa/UPC-style aggregation",
+		func(cfg *core.Config) {
+			p := cfg.Params
+			if p == nil {
+				p = timemodel.Default()
+			}
+			arch := simt.CPUArch(p)
+			cfg.Arch = &arch
+			if cfg.WGSize == 0 {
+				cfg.WGSize = 256
+			}
+		}, nil},
 }
 
-// NewSystem builds a system by name over the configured fabric. It is
-// the single construction funnel behind gravel.New/NewModel: every
-// model accepts every registered transport, so the Figure 15 sweep runs
-// in-process or as a real multi-process cluster.
-func NewSystem(name string, cfg Config) rt.System {
-	if cfg.Params == nil {
-		cfg.Params = timemodel.Default()
+func names(rows []Model) []string {
+	out := make([]string, len(rows))
+	for i, m := range rows {
+		out[i] = m.Name
 	}
-	if cfg.GroupSize > 1 && name != "gravel" {
-		panic(fmt.Sprintf("models: hierarchical aggregation (GroupSize %d) requires the gravel model, not %q", cfg.GroupSize, name))
+	return out
+}
+
+// Lookup returns the table row called name ("" is "gravel"), or a
+// *core.ConfigError listing the rows there are.
+func Lookup(name string) (Model, error) {
+	if name == "" {
+		name = "gravel"
 	}
-	switch name {
-	case "gravel":
-		return core.New(cfg.coreConfig("gravel"))
-	case "gravel-archive":
-		c := cfg.coreConfig("gravel-archive")
-		c.AggStrategy = core.AggArchive
-		return core.New(c)
-	case "msg-per-lane":
-		c := cfg.coreConfig("msg-per-lane")
-		c.AggMode = core.AggPerMessage
-		return core.New(c)
-	case "coprocessor":
-		return NewCoprocessor(cfg, false)
-	case "coprocessor+buf":
-		return NewCoprocessor(cfg, true)
-	case "coalesced":
-		return NewCoalesced(cfg, false)
-	case "coalesced+agg":
-		return NewCoalesced(cfg, true)
-	case "cpu-only":
-		arch := simt.CPUArch(cfg.Params)
-		c := cfg.coreConfig("cpu-only")
-		c.Arch = &arch
-		if c.WGSize == 0 {
-			c.WGSize = 256
+	for _, m := range Table {
+		if m.Name == name {
+			return m, nil
 		}
-		return core.New(c)
-	default:
-		panic(fmt.Sprintf("models: unknown system %q", name))
 	}
+	return Model{}, &core.ConfigError{Field: "Model", Reason: fmt.Sprintf("unknown model %q (have %v)", name, AllNames())}
+}
+
+// AllNames lists every model, in table order.
+func AllNames() []string { return names(Table) }
+
+// Names lists the systems Figure 15 compares, in the paper's bar order:
+// every row but the CPU-only baseline that closes the table.
+func Names() []string { return names(Table[:len(Table)-1]) }
+
+// Gravel returns the paper's system itself (package core) over the
+// default in-process fabric.
+func Gravel(nodes int, p *timemodel.Params) rt.System { return New("gravel", nodes, p) }
+
+// New builds a system by name over the default in-process fabric. A nil
+// p means timemodel.Default.
+func New(name string, nodes int, p *timemodel.Params) rt.System {
+	return NewSystem(name, core.Config{Nodes: nodes, Params: p})
+}
+
+// NewSystem builds the model called name over cfg's fabric — every
+// model accepts every registered transport, so the Figure 15 sweep runs
+// in-process or as a real multi-process cluster. It panics the error
+// Lookup or Model.New returns.
+func NewSystem(name string, cfg core.Config) rt.System {
+	m, err := Lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	sys, err := m.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return sys
 }

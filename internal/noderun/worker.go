@@ -76,8 +76,8 @@ func RunWorker(cfg WorkerConfig) (res WorkerResult, err error) {
 		sys gravel.System
 		tcp *transport.TCP
 	)
-	// Transport failures (and misconfigurations) surface as panics on
-	// the Step goroutine carrying typed errors (transport.PeerDownError,
+	// Transport failures at Step time surface as panics on the Step
+	// goroutine carrying typed errors (transport.PeerDownError,
 	// transport.CoordDownError). Recover them into a diagnosed return.
 	defer func() {
 		if r := recover(); r != nil {

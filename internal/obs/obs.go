@@ -279,15 +279,6 @@ func (r *Recorder) FlushRTT() *stats.SizeHist { return &r.flushRTT }
 // StepWall returns the step wall-time histogram (ns).
 func (r *Recorder) StepWall() *stats.SizeHist { return &r.stepWall }
 
-// Kinds returns every defined event kind in declaration order.
-func Kinds() []Kind {
-	out := make([]Kind, 0, len(kindNames)-1)
-	for k := 1; k < len(kindNames); k++ {
-		out = append(out, Kind(k))
-	}
-	return out
-}
-
 // Counts snapshots every kind's exact counter, keyed by kind name —
 // the progress-stream view of the recorder (gravel-server diffs two
 // snapshots to stream per-interval deltas).

@@ -370,21 +370,6 @@ func (a *Array) CompareAndSwap(idx, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(a.cell(idx), old, new)
 }
 
-// MinU64 atomically lowers element idx to val if val is smaller,
-// returning true if it stored.
-func (a *Array) MinU64(idx, val uint64) bool {
-	c := a.cell(idx)
-	for {
-		cur := atomic.LoadUint64(c)
-		if val >= cur {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(c, cur, val) {
-			return true
-		}
-	}
-}
-
 // Sum returns the sum of all elements (not atomic with respect to
 // concurrent writers; call at quiescence).
 func (a *Array) Sum() uint64 {

@@ -80,12 +80,6 @@ func TestAtomicOps(t *testing.T) {
 	if !a.CompareAndSwap(5, 13, 20) || a.CompareAndSwap(5, 13, 1) {
 		t.Fatal("cas")
 	}
-	if !a.MinU64(5, 7) || a.Load(5) != 7 {
-		t.Fatal("min store")
-	}
-	if a.MinU64(5, 9) {
-		t.Fatal("min should not raise")
-	}
 }
 
 func TestSumFill(t *testing.T) {

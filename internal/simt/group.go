@@ -1,9 +1,6 @@
 package simt
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "runtime"
 
 // Group is one work-group executing a kernel. All lane-level state lives
 // in slices indexed by lane ID; lanes advance in lockstep through the
@@ -197,13 +194,6 @@ func (g *Group) Barrier() {
 	g.cycles += g.dev.Arch.CyclesBarrier
 }
 
-// AtomicAdd performs (and charges) one global atomic fetch-add executed
-// by a single lane on behalf of the group.
-func (g *Group) AtomicAdd(v *atomic.Int64, delta int64) int64 {
-	g.ChargeAtomics(1)
-	return v.Add(delta) - delta
-}
-
 // ChargeAtomics charges n global atomic operations without performing
 // them (the actual atomic may live inside another package, e.g. the
 // producer/consumer queue).
@@ -236,16 +226,6 @@ func (g *Group) ReduceMaxInt(vals []int) int {
 		}
 	}
 	return m
-}
-
-// ReduceSumU64 returns the sum of vals[0:Size] via a WG-level reduction.
-func (g *Group) ReduceSumU64(vals []uint64) uint64 {
-	g.chargeWGOp()
-	var s uint64
-	for l := 0; l < g.Size; l++ {
-		s += vals[l]
-	}
-	return s
 }
 
 // PrefixSumMask computes, for every lane, the number of active lanes

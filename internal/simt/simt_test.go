@@ -86,13 +86,6 @@ func TestWGOps(t *testing.T) {
 		if got := g.ReduceMaxInt(vals); got != 16 {
 			t.Errorf("ReduceMax = %d, want 16", got)
 		}
-		u := make([]uint64, g.Size)
-		for l := range u {
-			u[l] = 2
-		}
-		if got := g.ReduceSumU64(u); got != 512 {
-			t.Errorf("ReduceSum = %d, want 512", got)
-		}
 		mask := make([]bool, g.Size)
 		for l := 0; l < g.Size; l += 2 {
 			mask[l] = true

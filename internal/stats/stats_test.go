@@ -106,18 +106,6 @@ func TestGeoMeanProperty(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even median")
-	}
-	if Median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-}
-
 func TestHumanBytes(t *testing.T) {
 	for in, want := range map[int64]string{
 		8:        "8 B",

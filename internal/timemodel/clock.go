@@ -49,9 +49,6 @@ func (c *Clocks) AggBusy() float64 { return float64(c.agg.Load()) / ClockScale }
 // aggregator cores were not busy (core.Cluster.RecordPhase).
 func (c *Clocks) AddAggIdle(ns float64) { c.aggIdle.Add(toTicks(ns)) }
 
-// AddNet charges ns to the network thread clock.
-func (c *Clocks) AddNet(ns float64) { c.net.Add(toTicks(ns)) }
-
 // ConfigureNetBanks enables per-bank net accounting with the given
 // bank count. It must be called before any concurrent clock use;
 // banks <= 1 leaves the serial single-accumulator behaviour.
@@ -61,10 +58,10 @@ func (c *Clocks) ConfigureNetBanks(banks int) {
 	}
 }
 
-// AddNetBank charges ns of resolver work to one bank. Without
-// ConfigureNetBanks it is exactly AddNet — same single accumulator,
-// same one-call tick rounding — so a single-bank run stays
-// bit-identical to the serial network thread.
+// AddNetBank charges ns of resolver work to the network thread clock
+// and, with ConfigureNetBanks, to one bank of it. Without, it is the
+// serial network thread's charge — one accumulator, one-call tick
+// rounding — so a single-bank run stays bit-identical to it.
 func (c *Clocks) AddNetBank(bank int, ns float64) {
 	t := toTicks(ns)
 	c.net.Add(t)

@@ -173,12 +173,6 @@ func Default() *Params {
 	}
 }
 
-// GPUCyclesToNs converts accumulated per-device GPU cycles (already
-// normalized to a single CU's cycle stream) to nanoseconds.
-func (p *Params) GPUCyclesToNs(cycles int64) float64 {
-	return float64(cycles) / p.GPUClockHz * 1e9
-}
-
 // WireNs returns the wire time charged for one packet of the given size.
 func (p *Params) WireNs(bytes int) float64 {
 	return p.AlphaNs + float64(bytes)/p.BetaBytesPerNs

@@ -48,7 +48,7 @@ func TestClocksAccumulateAndSnapshot(t *testing.T) {
 	c.AddGPU(10)
 	c.AddAgg(5)
 	c.AddAggIdle(1)
-	c.AddNet(3)
+	c.AddNetBank(0, 3)
 	c.AddWireSend(2)
 	c.AddWireRecv(4)
 	c.AddHost(6)
@@ -70,7 +70,7 @@ func TestSnapshotSub(t *testing.T) {
 	c.AddGPU(10)
 	a := c.Snapshot()
 	c.AddGPU(5)
-	c.AddNet(2)
+	c.AddNetBank(0, 2)
 	d := c.Snapshot().Sub(a)
 	if d.GPU != 5 || d.Net != 2 {
 		t.Fatalf("delta wrong: %+v", d)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -18,8 +19,6 @@ import (
 // endFabric is what the runtime uses of a fabric's receive side.
 type endFabric interface {
 	fabric.Fabric
-	fabric.Banked
-	fabric.LocalApplier
 }
 
 // rig is one fabric under the conformance table: a 2-node cluster seen
@@ -34,6 +33,8 @@ type rig struct {
 	// self-send — the one way such a buffer reaches TCP's endpoint.
 	misFrom    int
 	misDropped bool
+	// fail declares node's fabric failed; nil where a fabric cannot fail.
+	fail func(node int)
 }
 
 var rigs = []struct {
@@ -53,7 +54,8 @@ var rigs = []struct {
 	{"tcp", func(t *testing.T, banks int) rig {
 		fabs := newTCPClusterBanked(t, 2, banks)
 		t.Cleanup(func() { closeAll(fabs) })
-		return rig{at: func(n int) endFabric { return fabs[n] }, quiet: func() bool { return allQuiet(fabs) }, misFrom: 1}
+		return rig{at: func(n int) endFabric { return fabs[n] }, quiet: func() bool { return allQuiet(fabs) }, misFrom: 1,
+			fail: func(n int) { fabs[n].fail(errors.New("conformance: injected failure")) }}
 	}},
 }
 
@@ -168,6 +170,23 @@ func TestFabricConformance(t *testing.T) {
 			})
 			t.Run(fmt.Sprintf("%s/banks=%d/recycles", rg.name, banks), func(t *testing.T) {
 				recycles(t, rg.build(t, banks), banks)
+			})
+			t.Run(fmt.Sprintf("%s/banks=%d/close-after-fail", rg.name, banks), func(t *testing.T) {
+				rig := rg.build(t, banks)
+				if rig.fail == nil {
+					t.Skip("an in-process fabric cannot fail")
+				}
+				// Streams up both ways, so node 0 holds a connection its
+				// peer, which is not closing, will not FIN.
+				deliver(t, rig, 0, 1, mixed, mixedMsgs, false, wantPackets(0, 1, mixed, mixedMsgs, banks, false))
+				deliver(t, rig, 1, 0, mixed, mixedMsgs, false, wantPackets(1, 0, mixed, mixedMsgs, banks, false))
+				rig.fail(0)
+				start := time.Now()
+				rig.at(0).Close()
+				if d := time.Since(start); d > 100*time.Millisecond {
+					t.Errorf("Close after fail took %v: a failed transport cuts, it does not drain", d)
+				}
+				rig.fail(1) // so the cleanup's Close cuts too
 			})
 		}
 	}

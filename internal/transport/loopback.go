@@ -143,8 +143,4 @@ func (l *Loopback) Close() {
 	l.Chan.Close()
 }
 
-var (
-	_ fabric.Fabric       = (*Loopback)(nil)
-	_ fabric.Banked       = (*Loopback)(nil)
-	_ fabric.LocalApplier = (*Loopback)(nil)
-)
+var _ fabric.Fabric = (*Loopback)(nil)

@@ -73,7 +73,7 @@ func TestQuietWaiterWakesOnLastDone(t *testing.T) {
 			var held []fabric.Packet
 			for len(held) < 2 {
 				select {
-				case p := <-to.Inbox(1):
+				case p := <-to.BankInbox(1, 0):
 					held = append(held, p)
 				case <-time.After(10 * time.Second):
 					t.Fatalf("%d of 2 packets delivered", len(held))

@@ -137,12 +137,9 @@ type TCP struct {
 	reask        *time.Timer
 	reaskIn      time.Duration
 
-	// hostDrain holds the runtime's fabric.HostDrainer hook (a
-	// func() bool): it flushes host-side staged messages — AM handler
-	// follow-ups parked in the aggregator — toward the wire and reports
-	// whether host-side work remains. localIdle consults it so a
-	// process polling the quiet protocol or the step barrier keeps
-	// cascades flowing instead of letting them stall invisibly.
+	// hostDrain holds the runtime's SetHostDrain hook (a func() bool),
+	// which localIdle consults so a process polling the quiet protocol
+	// or the step barrier keeps AM cascades flowing.
 	hostDrain atomic.Value
 
 	closed    atomic.Bool
@@ -392,7 +389,7 @@ func (t *TCP) Done(p fabric.Packet) {
 	t.Endpoint.Done(p)
 }
 
-// SetHostDrain implements fabric.HostDrainer.
+// SetHostDrain implements fabric.Distributed.
 func (t *TCP) SetHostDrain(f func() bool) { t.hostDrain.Store(f) }
 
 // localIdle reports whether this process has nothing in flight: no
@@ -500,9 +497,25 @@ func (t *TCP) wireGen() uint16 { return uint16(t.gen) }
 // and window, FINs its stream, and awaits the FIN-ACK; inbound streams
 // are given time to FIN symmetrically; then all inboxes close so the
 // network threads exit, and the coordinator is told goodbye.
+//
+// A failed transport cuts instead of draining: Send has been discarding
+// since fail, so no handshake could deliver anything the run still
+// needs, and peers that failed with it are not closing in step — each
+// would be waited on for the whole drainTimeout.
 func (t *TCP) Close() {
 	t.closeOnce.Do(func() {
 		t.closed.Store(true)
+		if t.Err() != nil {
+			t.Kill()
+			for _, s := range t.senders {
+				if s != nil {
+					<-s.done
+				}
+			}
+			t.handlers.Wait()
+			t.Endpoint.Close()
+			return
+		}
 		if t.hbStop != nil {
 			close(t.hbStop)
 			<-t.hbDone
@@ -558,4 +571,7 @@ func (t *TCP) DropConnections() {
 	t.connsMu.Unlock()
 }
 
-var _ fabric.Fabric = (*TCP)(nil)
+var (
+	_ fabric.Fabric      = (*TCP)(nil)
+	_ fabric.Distributed = (*TCP)(nil)
+)
