@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,9 +21,10 @@ import (
 // mixedRecords allocates one array of every kind on sp (plus a signal
 // array) and returns them with a packet's worth of records for node 1 of
 // 4: every op, two arrays interleaved so the applier's command cache
-// flips on every record, both ends of node 1's window, and one index
-// outside it (a cell node 2 owns, which the receiver must still apply
-// through the array's owner-resolving accessors).
+// flips on every record, and both ends of node 1's window. Every cell is
+// node 1's own: a node applies only cells in its window (the ownership
+// rule, DESIGN.md §4.12), so the misrouted record this packet used to
+// carry is now TestBadRecordUnwindsStep's foreign-cell row.
 func mixedRecords(sp *pgas.Space, h uint8) (arrays []*pgas.Array, recs [][3]uint64) {
 	blk := sp.Alloc(64)                            // node 1 owns [16,32)
 	sym := sp.SymAlloc(8)                          // node 1 owns [8,16)
@@ -34,7 +37,6 @@ func mixedRecords(sp *pgas.Space, h uint8) (arrays []*pgas.Array, recs [][3]uint
 		{inc(blk), 17, 5}, {put(sym), 9, 7}, {inc(blk), 18, 1}, {inc(rng), 4, 2},
 		{inc(blk), 17, 3}, {put(rng), 9, 11}, {am, 3, 4},
 		{wire.PackSigCmd(sym.ID(), sig.ID(), 6), 10, 99},
-		{inc(blk), 40, 9}, // outside node 1's window
 		{am, 5, 6},
 		{wire.PackSigCmd(blk.ID(), sig.ID(), 5), 20, 42},
 		{inc(blk), 31, 1}, {inc(blk), 16, 1}, {put(blk), 19, 8}, {inc(sym), 15, 2},
@@ -42,153 +44,268 @@ func mixedRecords(sp *pgas.Space, h uint8) (arrays []*pgas.Array, recs [][3]uint
 	return []*pgas.Array{blk, sym, rng, sig}, recs
 }
 
-// tally is the reference's count of one packet's work on one bank.
-type tally struct{ msgs, ams, sigs int }
+// receiveRoutes are the three ways a record reaches node 1's memory.
+var receiveRoutes = []struct {
+	name   string
+	from   int
+	routed bool
+}{{"resolver", 0, false}, {"bypass", 1, false}, {"gateway", 0, true}}
 
 // TestApplierMatchesReference pushes the mixed packet through every
-// receive path and checks array contents, AM handler effects, the path's
-// bankCounters and node 1's net clock against a reference built the old
-// way: wire.Decode, one op switch, Array.Add/Store, and the per-bank
-// charge formula applied to record counts.
+// receive path and checks it against checkAgainstReference's reference.
 func TestApplierMatchesReference(t *testing.T) {
+	for _, route := range receiveRoutes {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", route.name, shards), func(t *testing.T) {
+				checkAgainstReference(t, shards, route.from, route.routed, func(sp *pgas.Space, h uint8) ([]*pgas.Array, [][3]uint64, int) {
+					arrays, recs := mixedRecords(sp, h)
+					return arrays, recs, -1
+				})
+			})
+		}
+	}
+}
+
+// runRecords is mixedRecords' seeded sibling: the same arrays, and a
+// packet of runs over node 1's cells. A run is one command word (all
+// eleven appear; AM and PUT_SIGNAL runs fall between Inc runs) of length
+// 1 to 300, so runs cross pass's chunk boundary and one ends the packet;
+// every fourth run flips between two words on every record instead. The
+// windows are 4 to 16 cells, so Inc and Put interleave on the same cell
+// all the time. shape picks the bad record, whose index is returned (-1
+// for none): 1 puts a foreign cell in the middle of the longest run, 2 a
+// zero command word at a random place.
+func runRecords(sp *pgas.Space, h uint8, seed uint64, shape int) (arrays []*pgas.Array, recs [][3]uint64, badAt int) {
+	arrays, _ = mixedRecords(sp, h)
+	blk, sym, rng, sig := arrays[0], arrays[1], arrays[2], arrays[3]
+	type word struct {
+		cmd    uint64
+		lo, hi uint64 // node 1's cells of the word's data array
+	}
+	var words []word
+	for _, a := range []*pgas.Array{blk, sym, rng} {
+		lo, hi := a.LocalRange(1)
+		for _, op := range []wire.Op{wire.OpInc, wire.OpPut} {
+			words = append(words, word{wire.PackCmd(op, 0, a.ID()), uint64(lo), uint64(hi)})
+		}
+		words = append(words, word{wire.PackSigCmd(a.ID(), sig.ID(), uint32(4+len(words)%4)), uint64(lo), uint64(hi)})
+	}
+	words = append(words, word{wire.PackCmd(wire.OpAM, h, 0), 0, 1 << 20})
+	x := seed*2654435761 + 88172645463325252
+	next := func(n uint64) uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x % n
+	}
+	longest, longestAt := 0, 0
+	for r := 0; r < 24; r++ {
+		w, n := [2]word{words[next(uint64(len(words)))], words[next(uint64(len(words)))]}, []int{1, 1, 2, 3, 17, 300}[next(6)]
+		if r%4 != 3 {
+			w[1] = w[0]
+		}
+		if n > longest && w[0].hi-w[0].lo < 1<<20 {
+			longest, longestAt = n, len(recs)
+		}
+		for i := 0; i < n; i++ {
+			recs = append(recs, [3]uint64{w[i%2].cmd, w[i%2].lo + next(w[i%2].hi-w[i%2].lo), 1 + next(9)})
+		}
+	}
+	switch shape {
+	case 1:
+		badAt = longestAt + longest/2
+		recs[badAt][1] = 0 // node 0's cell in all three arrays
+	case 2:
+		badAt = int(next(uint64(len(recs))))
+		recs[badAt][0] = 0
+	default:
+		badAt = -1
+	}
+	return arrays, recs, badAt
+}
+
+// TestApplierRunsMatchReference is the differential test for run
+// boundaries: seeded packets of runs, clean and with one bad record,
+// through every route at every shard count, against the reference.
+func TestApplierRunsMatchReference(t *testing.T) {
+	for _, route := range receiveRoutes {
+		for _, shards := range []int{1, 2, 4} {
+			for seed := uint64(1); seed <= 6; seed++ {
+				t.Run(fmt.Sprintf("%s/shards=%d/seed=%d", route.name, shards, seed), func(t *testing.T) {
+					checkAgainstReference(t, shards, route.from, route.routed, func(sp *pgas.Space, h uint8) ([]*pgas.Array, [][3]uint64, int) {
+						return runRecords(sp, h, seed, int(seed%3))
+					})
+				})
+			}
+		}
+	}
+}
+
+// checkAgainstReference sends gen's packet to node 1 of 4 by one route
+// and checks array contents, AM handler effects, the route's bankCounters
+// and node 1's net clock against a reference built the old way, a record
+// at a time: one op switch, Array.Add/Store, and the charge formula
+// applied to record counts. gen's third result is the index of the
+// packet's one bad record, or -1. The reference then applies what the
+// route does: a (sub-)packet's records before its bad one, in the order
+// the route visits them, and no charge or count for that (sub-)packet;
+// Quiesce must panic a *WireDecodeError.
+func checkAgainstReference(t *testing.T, shards, from int, routed bool, gen func(*pgas.Space, uint8) ([]*pgas.Array, [][3]uint64, int)) {
 	const nodes, target = 4, 1
 	amOf := func(a, v uint64) uint64 { return a*31 + v }
-	cases := []struct {
-		name   string
-		shards int
-		from   int
-		routed bool
-	}{
-		{"resolver/shards=1", 1, 0, false},
-		{"resolver/shards=4", 4, 0, false},
-		{"bypass/shards=1", 1, target, false},
-		{"bypass/shards=4", 4, target, false},
-		{"gateway/shards=1", 1, 0, true},
-		{"gateway/shards=4", 4, 0, true},
+	cl := New(Config{Nodes: nodes, ResolverShards: shards})
+	defer cl.Close()
+	var amGot [nodes]atomic.Uint64
+	h := cl.RegisterAM(func(node int, a, v uint64) { amGot[node].Add(amOf(a, v)) })
+	arrays, recs, badAt := gen(cl.Space(), h)
+	refSp := pgas.NewSpace(nodes)
+	refArrays, _, _ := gen(refSp, h)
+
+	// What fails together: the resolver's per-bank sub-packets each on
+	// their own; the bypass's bank-major passes and the gateway's
+	// packet-order decode as one.
+	units := make([][]int, shards)
+	for i, r := range recs {
+		b := fabric.BankOfRecord(r[0], r[1], shards)
+		units[b] = append(units[b], i)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cl := New(Config{Nodes: nodes, ResolverShards: tc.shards})
-			defer cl.Close()
-			var amGot [nodes]atomic.Uint64
-			h := cl.RegisterAM(func(node int, a, v uint64) { amGot[node].Add(amOf(a, v)) })
-			arrays, recs := mixedRecords(cl.Space(), h)
+	if from == target {
+		units = [][]int{slices.Concat(units...)}
+	} else if routed {
+		units = [][]int{nil}
+		for i := range recs {
+			units[0] = append(units[0], i)
+		}
+	}
+	var amWant [nodes]uint64
+	var want [fabric.MaxResolverBanks]tally
+	var all tally
+	for _, unit := range units {
+		var got [fabric.MaxResolverBanks]tally
+		ok := true
+		for _, i := range unit {
+			if ok = i != badAt; !ok {
+				break
+			}
+			cmd, a, v := recs[i][0], recs[i][1], recs[i][2]
+			w := &got[fabric.BankOfRecord(cmd, a, shards)]
+			w.msgs++
+			switch op, _, arr := wire.UnpackCmd(cmd); op {
+			case wire.OpPut:
+				refSp.Array(arr).Store(a, v)
+			case wire.OpInc:
+				refSp.Array(arr).Add(a, v)
+			case wire.OpAM:
+				amWant[target] += amOf(a, v)
+				w.ams++
+			case wire.OpPutSignal:
+				d, s, i := wire.UnpackSigCmd(cmd)
+				refSp.Array(d).Store(a, v)
+				refSp.Array(s).Add(uint64(i), 1)
+				w.sigs++
+			}
+		}
+		for b, w := range got {
+			if ok { // a failed (sub-)packet is neither counted nor charged
+				want[b] = tally{want[b].msgs + w.msgs, want[b].ams + w.ams, want[b].sigs + w.sigs}
+				all = tally{all.msgs + w.msgs, all.ams + w.ams, all.sigs + w.sigs}
+			}
+		}
+	}
+	refClock := &timemodel.Clocks{}
+	refClock.ConfigureNetBanks(shards)
 
-			// Reference state, and the work each bank of node 1 should see.
-			refSp := pgas.NewSpace(nodes)
-			refArrays, _ := mixedRecords(refSp, h)
-			var amWant [nodes]uint64
-			direct := wire.GetBuf(len(recs) * wire.MsgWireBytes)
-			for _, r := range recs {
-				direct = wire.AppendRecord(direct, r[0], r[1], r[2])
-			}
-			var want [fabric.MaxResolverBanks]tally
-			if err := wire.Decode(direct, func(cmd, a, v uint64) {
-				w := &want[fabric.BankOfRecord(cmd, a, tc.shards)]
-				w.msgs++
-				op, _, arr := wire.UnpackCmd(cmd)
-				switch op {
-				case wire.OpPut:
-					refSp.Array(arr).Store(a, v)
-				case wire.OpInc:
-					refSp.Array(arr).Add(a, v)
-				case wire.OpAM:
-					amWant[target] += amOf(a, v)
-					w.ams++
-				case wire.OpPutSignal:
-					d, s, i := wire.UnpackSigCmd(cmd)
-					refSp.Array(d).Store(a, v)
-					refSp.Array(s).Add(uint64(i), 1)
-					w.sigs++
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-			var all tally
-			for _, w := range want {
-				all.msgs += w.msgs
-				all.ams += w.ams
-				all.sigs += w.sigs
-			}
-			refClock := &timemodel.Clocks{}
-			refClock.ConfigureNetBanks(tc.shards)
-
-			if tc.routed {
-				// One extra record is relayed to node 2: it must reach node
-				// 2's memory but count as none of node 1's applied work.
-				relay := [3]uint64{wire.PackCmd(wire.OpInc, 0, arrays[0].ID()), 33, 4}
+	if routed {
+		// One extra record is relayed to node 2: it must reach node 2's
+		// memory but count as none of node 1's applied work. (Not beside a
+		// bad record: Quiesce may unwind before the relay is flushed.)
+		relay := [3]uint64{wire.PackCmd(wire.OpInc, 0, arrays[0].ID()), 33, 4}
+		b := wire.NewRoutedBuilder(target, (len(recs)+1)*wire.RoutedMsgBytes)
+		for i, r := range recs {
+			if i == 3 && badAt < 0 {
 				refArrays[0].Add(relay[1], relay[2])
-				b := wire.NewRoutedBuilder(target, (len(recs)+1)*wire.RoutedMsgBytes)
-				for i, r := range recs {
-					if i == 3 {
-						b.AppendRouted(relay[0], relay[1], relay[2], 2)
-					}
-					b.AppendRouted(r[0], r[1], r[2], target)
-				}
-				buf, msgs := b.Take()
-				refClock.AddNetBank(0, cl.netCharge(msgs, len(buf), all.ams, all.sigs))
-				cl.fab.SendRouted(tc.from, target, buf, msgs)
-				wire.PutBuf(direct)
-			} else {
-				for b, w := range want[:tc.shards] {
-					if w.msgs > 0 {
-						refClock.AddNetBank(b, cl.netCharge(w.msgs, w.msgs*wire.MsgWireBytes, w.ams, w.sigs))
-					}
-				}
-				cl.fab.Send(tc.from, target, direct, len(recs))
+				b.AppendRouted(relay[0], relay[1], relay[2], 2)
 			}
-			cl.Quiesce()
+			b.AppendRouted(r[0], r[1], r[2], target)
+		}
+		buf, msgs := b.Take()
+		if badAt < 0 {
+			refClock.AddNetBank(0, cl.netCharge(msgs, len(buf), all.ams, all.sigs))
+		}
+		cl.fab.SendRouted(from, target, buf, msgs)
+	} else {
+		for b, w := range want[:shards] {
+			if w.msgs > 0 {
+				refClock.AddNetBank(b, cl.netCharge(w.msgs, w.msgs*wire.MsgWireBytes, w.ams, w.sigs))
+			}
+		}
+		direct := wire.GetBuf(len(recs) * wire.MsgWireBytes)
+		for _, r := range recs {
+			direct = wire.AppendRecord(direct, r[0], r[1], r[2])
+		}
+		cl.fab.Send(from, target, direct, len(recs))
+	}
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			var wde *WireDecodeError
+			if failed := errors.As(err, &wde); failed != (badAt >= 0) {
+				t.Fatalf("Quiesce panic = %v, bad record at %d", err, badAt)
+			}
+			// The failure unwinds while other banks are still applying.
+			cl.fab.Progress().Wait(cl.fab.Quiet)
+		}()
+		cl.Quiesce()
+	}()
 
-			for k, arr := range arrays {
-				for i := 0; i < arr.Len(); i++ {
-					if got, want := arr.Load(uint64(i)), refArrays[k].Load(uint64(i)); got != want {
-						t.Errorf("array %d cell %d = %d, reference %d", k, i, got, want)
-					}
-				}
+	for k, arr := range arrays {
+		for i := 0; i < arr.Len(); i++ {
+			if got, want := arr.Load(uint64(i)), refArrays[k].Load(uint64(i)); got != want {
+				t.Errorf("array %d cell %d = %d, reference %d", k, i, got, want)
 			}
-			for node := range amGot {
-				if got := amGot[node].Load(); got != amWant[node] {
-					t.Errorf("node %d AM handlers summed %d, reference %d", node, got, amWant[node])
-				}
-			}
+		}
+	}
+	for node := range amGot {
+		if got := amGot[node].Load(); got != amWant[node] {
+			t.Errorf("node %d AM handlers summed %d, reference %d", node, got, amWant[node])
+		}
+	}
 
-			ctrOf := func(c *bankCounters) [4]int64 {
-				return [4]int64{c.pkts.Load(), c.msgs.Load(), c.ams.Load(), c.sigs.Load()}
-			}
-			wantCtr := func(w tally) [4]int64 {
-				if w.msgs == 0 {
-					return [4]int64{}
-				}
-				return [4]int64{1, int64(w.msgs), int64(w.ams), int64(w.sigs)}
-			}
-			switch {
-			case tc.from == target: // bypass: one packet, nothing on the banks
-				if got := ctrOf(&cl.bypass[target]); got != wantCtr(all) {
-					t.Errorf("bypass counters = %v, want %v", got, wantCtr(all))
-				}
-				want = [fabric.MaxResolverBanks]tally{}
-			case tc.routed: // the whole packet is bank 0's
-				want = [fabric.MaxResolverBanks]tally{0: all}
-			}
-			for b := 0; b < tc.shards; b++ {
-				if got := ctrOf(&cl.resv[target][b]); got != wantCtr(want[b]) {
-					t.Errorf("bank %d counters = %v, want %v", b, got, wantCtr(want[b]))
-				}
-			}
+	ctrOf := func(c *bankCounters) [4]int64 {
+		return [4]int64{c.pkts.Load(), c.msgs.Load(), c.ams.Load(), c.sigs.Load()}
+	}
+	wantCtr := func(w tally) [4]int64 {
+		if w.msgs == 0 {
+			return [4]int64{}
+		}
+		return [4]int64{1, int64(w.msgs), int64(w.ams), int64(w.sigs)}
+	}
+	switch {
+	case from == target: // bypass: one packet, nothing on the banks
+		if got := ctrOf(&cl.bypass[target]); got != wantCtr(all) {
+			t.Errorf("bypass counters = %v, want %v", got, wantCtr(all))
+		}
+		want = [fabric.MaxResolverBanks]tally{}
+	case routed: // the whole packet is bank 0's
+		want = [fabric.MaxResolverBanks]tally{0: all}
+	}
+	for b := 0; b < shards; b++ {
+		if got := ctrOf(&cl.resv[target][b]); got != wantCtr(want[b]) {
+			t.Errorf("bank %d counters = %v, want %v", b, got, wantCtr(want[b]))
+		}
+	}
 
-			got, ref := cl.nodes[target].Clocks.Snapshot(), refClock.Snapshot()
-			if got.Net != ref.Net {
-				t.Errorf("net clock = %v, reference %v", got.Net, ref.Net)
-			}
-			for b := range ref.NetBanks {
-				if got.NetBanks[b] != ref.NetBanks[b] {
-					t.Errorf("net bank %d = %v, reference %v", b, got.NetBanks[b], ref.NetBanks[b])
-				}
-			}
-			if n := cl.nodes[target].Clocks.Snapshot().NetMsgs; n != int64(all.msgs) {
-				t.Errorf("CountNetMsgs = %d, want %d", n, all.msgs)
-			}
-		})
+	got, ref := cl.nodes[target].Clocks.Snapshot(), refClock.Snapshot()
+	if got.Net != ref.Net {
+		t.Errorf("net clock = %v, reference %v", got.Net, ref.Net)
+	}
+	for b := range ref.NetBanks {
+		if got.NetBanks[b] != ref.NetBanks[b] {
+			t.Errorf("net bank %d = %v, reference %v", b, got.NetBanks[b], ref.NetBanks[b])
+		}
+	}
+	if n := got.NetMsgs; n != int64(all.msgs) {
+		t.Errorf("CountNetMsgs = %d, want %d", n, all.msgs)
 	}
 }
 
@@ -220,19 +337,25 @@ func TestApplyZeroAllocs(t *testing.T) {
 
 // TestBadRecordUnwindsStep: a well-framed record naming something the
 // node does not have — an unallocated array, an unregistered AM handler,
-// an undefined op — must not panic a resolver (or aggregator) goroutine.
+// an undefined op, a data or signal cell past the array's end or in
+// another node's window — must not panic a resolver (or aggregator)
+// goroutine.
 // Step unwinds with a typed *WireDecodeError naming the record, within a
 // deadline, on the resolver and the bypass path alike.
 func TestBadRecordUnwindsStep(t *testing.T) {
+	const own = 8 // node 1's first cell of the 16-cell array 0, on bank 0
 	bad := []struct {
 		name, detail string
-		cmd          uint64
+		cmd, a       uint64
 	}{
-		{"array", "unallocated array 7", wire.PackCmd(wire.OpInc, 0, 7)},
-		{"signal-array", "unallocated signal array 9", wire.PackSigCmd(0, 9, 1)},
-		{"handler", "unregistered AM handler 3", wire.PackCmd(wire.OpAM, 3, 0)},
-		{"op", "undefined op", wire.PackCmd(wire.Op(0x7f), 0, 0)},
-		{"zero", "undefined op", 0},
+		{"array", "unallocated array 7", wire.PackCmd(wire.OpInc, 0, 7), own},
+		{"signal-array", "unallocated signal array 9", wire.PackSigCmd(0, 9, 1), own},
+		{"handler", "unregistered AM handler 3", wire.PackCmd(wire.OpAM, 3, 0), own},
+		{"op", "undefined op", wire.PackCmd(wire.Op(0x7f), 0, 0), own},
+		{"zero", "undefined op", 0, own},
+		{"past-end", "cell 1099511627776 of array 0, which node 1 does not own", wire.PackCmd(wire.OpInc, 0, 0), 1 << 40},
+		{"foreign-cell", "cell 4 of array 0, which node 1 does not own", wire.PackCmd(wire.OpPut, 0, 0), 4},
+		{"signal-past-end", "cell 99 of array 0, which node 1 does not own", wire.PackSigCmd(0, 0, 99), own},
 	}
 	for _, tc := range bad {
 		for _, shards := range []int{1, 4} {
@@ -240,8 +363,8 @@ func TestBadRecordUnwindsStep(t *testing.T) {
 				cl := New(Config{Nodes: 2, ResolverShards: shards})
 				arr := cl.space.Alloc(16) // id 0: the good record's array
 				cl.RegisterAM(func(int, uint64, uint64) {})
-				buf := wire.AppendRecord(wire.GetBuf(2*wire.MsgWireBytes), wire.PackCmd(wire.OpInc, 0, arr.ID()), 8, 1)
-				buf = wire.AppendRecord(buf, tc.cmd, 8, 1)
+				buf := wire.AppendRecord(wire.GetBuf(2*wire.MsgWireBytes), wire.PackCmd(wire.OpInc, 0, arr.ID()), own, 1)
+				buf = wire.AppendRecord(buf, tc.cmd, tc.a, 1)
 				cl.fab.Send(from, 1, buf, 2)
 
 				done := make(chan any, 1)
@@ -270,4 +393,82 @@ func TestBadRecordUnwindsStep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWalkStopsAtBadRecord drives an applier by hand over a packet whose
+// Inc run has a foreign cell in the middle: nothing after the bad record
+// is applied and the tallies stop at it — in packet order at one shard,
+// in bank order (the bad record is bank 0's, so banks 1 to 3 never run)
+// at four.
+func TestWalkStopsAtBadRecord(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		bank0  tally
+		cells  [4]uint64 // cells 16..19 afterwards
+	}{
+		{1, tally{msgs: 4, ams: 2}, [4]uint64{5, 5, 0, 0}},
+		{4, tally{msgs: 3, ams: 2}, [4]uint64{5, 0, 0, 0}},
+	} {
+		cl := New(Config{Nodes: 4, ResolverShards: tc.shards})
+		blk := cl.space.Alloc(64) // node 1 owns [16,32)
+		h := cl.RegisterAM(func(int, uint64, uint64) {})
+		am, inc := wire.PackCmd(wire.OpAM, h, 0), wire.PackCmd(wire.OpInc, 0, blk.ID())
+		var buf []byte
+		for _, r := range [][2]uint64{{am, 1}, {am, 2}, {inc, 16}, {inc, 17}, {inc, 0}, {inc, 18}, {inc, 19}} {
+			buf = wire.AppendRecord(buf, r[0], r[1], 5)
+		}
+		ap := applier{cl: cl, node: 1}
+		ap.walk(buf, 0, tc.shards)
+		if ap.err == nil || !strings.Contains(ap.err.Error(), "cell 0 of array 0, which node 1 does not own") {
+			t.Errorf("shards=%d: err = %v", tc.shards, ap.err)
+		}
+		if ap.bank[0] != tc.bank0 || ap.bank[1] != (tally{}) || ap.ams != 2 {
+			t.Errorf("shards=%d: tallies = %v, ams %d; want bank 0 %v and nothing else", tc.shards, ap.bank[:tc.shards], ap.ams, tc.bank0)
+		}
+		for i, want := range tc.cells {
+			if got := blk.Load(uint64(16 + i)); got != want {
+				t.Errorf("shards=%d: cell %d = %d, want %d", tc.shards, 16+i, got, want)
+			}
+		}
+		cl.Close()
+	}
+}
+
+// FuzzApplierWalk: whatever bytes arrive as a packet, by the resolver
+// banks or the bypass, are either applied or rejected with a typed
+// *WireDecodeError out of Quiesce. Anything else (a panic on a resolver
+// goroutine kills the binary) is a finding.
+func FuzzApplierWalk(f *testing.F) {
+	seed := func(recs ...[3]uint64) {
+		var buf []byte
+		for _, r := range recs {
+			buf = wire.AppendRecord(buf, r[0], r[1], r[2])
+		}
+		f.Add(buf, uint8(2), true)
+		f.Add(buf, uint8(0), false)
+	}
+	_, mixed := mixedRecords(pgas.NewSpace(4), 0)
+	seed(mixed...)
+	seed([3]uint64{wire.PackCmd(wire.OpInc, 0, 0), 1 << 40, 1}, [3]uint64{0, 17, 1})
+	seed([3]uint64{wire.PackSigCmd(1, 3, 1<<20), 9, 1}, [3]uint64{wire.PackCmd(wire.OpAM, 9, 0), 0, 0})
+	f.Add([]byte("ragged-payload"), uint8(1), false)
+	f.Fuzz(func(t *testing.T, data []byte, logShards uint8, bypass bool) {
+		cl := New(Config{Nodes: 4, ResolverShards: 1 << (logShards % 3)})
+		defer cl.Close()
+		mixedRecords(cl.Space(), cl.RegisterAM(func(int, uint64, uint64) {}))
+		from := 0
+		if bypass {
+			from = 1
+		}
+		cl.fab.Send(from, 1, append(wire.GetBuf(len(data)), data...), max(1, len(data)/wire.MsgWireBytes))
+		defer func() {
+			if r := recover(); r != nil {
+				var wde *WireDecodeError
+				if err, _ := r.(error); !errors.As(err, &wde) {
+					t.Fatalf("Quiesce panic = %v (%T), want *WireDecodeError", r, r)
+				}
+			}
+		}()
+		cl.Quiesce()
+	})
 }

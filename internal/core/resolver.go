@@ -1,12 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
 	"gravel/internal/fabric"
 	"gravel/internal/obs"
-	"gravel/internal/pgas"
 	"gravel/internal/rt"
 	"gravel/internal/wire"
 )
@@ -18,13 +18,13 @@ import (
 // (fabric.BankOfRecord) and one resolver goroutine per bank applies its
 // share; one shard is the paper's network thread, bit-identical in
 // results and clocks. Every path applies records through one applier,
-// under per-(node, bank) mutexes that keep atomics serialized per bank.
+// under per-(node, bank) mutexes that make each bank its cells' one owner.
 
 // WireDecodeError reports a received packet that could not be applied:
 // a ragged payload, or a record naming an undefined op, an unallocated
-// array or an unregistered AM handler. It unwinds Step() — via the
-// quiescence path — like a transport PeerDownError, instead of crashing
-// a resolver goroutine in a way no caller can recover.
+// array, an unregistered AM handler or a cell the node does not own. It
+// unwinds Step() — via the quiescence path — like a transport
+// PeerDownError, instead of crashing a resolver goroutine.
 type WireDecodeError struct {
 	// Node is the node whose resolver rejected the payload.
 	Node int
@@ -97,7 +97,7 @@ func (cl *Cluster) startResolvers() {
 func (cl *Cluster) resolve(n *Node, bank int, inbox <-chan fabric.Packet) {
 	defer cl.netWG.Done()
 	for pkt := range inbox {
-		ap := applier{cl: cl, node: n.ID, cur: -1}
+		ap := applier{cl: cl, node: n.ID}
 		relayed := 0
 		if pkt.Routed {
 			// Gateway role (§10): routed queues arrive whole on bank 0, so
@@ -106,7 +106,6 @@ func (cl *Cluster) resolve(n *Node, bank int, inbox <-chan fabric.Packet) {
 			// the group's members, no lock held (AppendDirect may block).
 			if err := wire.DecodeRouted(pkt.Buf, func(cmd, a, v uint64, dest int) {
 				if dest != n.ID {
-					ap.unlock()
 					relayed++
 					n.Agg.AppendDirect(dest, cmd, a, v, cl.params.AggPerMsgNs)
 				} else if ap.err == nil {
@@ -115,9 +114,8 @@ func (cl *Cluster) resolve(n *Node, bank int, inbox <-chan fabric.Packet) {
 			}); err != nil {
 				ap.err = err
 			}
-			ap.unlock()
 		} else {
-			ap.walk(pkt.Buf)
+			ap.walk(pkt.Buf, bank, bank+1)
 		}
 		// A failed packet is still retired, so Quiesce completes and
 		// surfaces it. A good one is all this bank's work, whichever
@@ -145,8 +143,8 @@ func (cl *Cluster) resolve(n *Node, bank int, inbox <-chan fabric.Packet) {
 // one charge, bit-identical ticks.
 func (cl *Cluster) applyLocal(pkt fabric.Packet) {
 	n := cl.nodes[pkt.To]
-	ap := applier{cl: cl, node: n.ID, cur: -1}
-	ap.walk(pkt.Buf)
+	ap := applier{cl: cl, node: n.ID}
+	ap.walk(pkt.Buf, 0, cl.shards)
 	if ap.failed(pkt) {
 		return
 	}
@@ -178,45 +176,46 @@ func (cl *Cluster) netCharge(msgs, bytes, ams, sigs int) float64 {
 // applier resolves one packet's records as memory operations on one
 // node; it is the only place a record's op is interpreted. It lives on
 // its caller's stack for one packet, so concurrent appliers share nothing
-// but the bank mutexes. A packet is mostly runs of one command word, so
-// load decodes a word once and a record under the cached word costs a
-// bank check, a slice index and one atomic.
+// but the bank mutexes. Its unit of work is the run, one bank's consecutive
+// records of one command word: decoded once (load), one loop, one count.
 type applier struct {
 	cl   *Cluster
 	node int
 
 	// The decoded form of command word cmd. Array IDs are never reused
 	// and windows never move, so it cannot go stale.
-	cmd    uint64
-	h      rt.AMHandler // non-nil: an active message, nothing below applies
-	add    bool         // atomic add (OpInc) rather than store
-	arr    *pgas.Array  // data array, for indexes outside the window
-	local  []uint64     // node's window of arr ...
-	lo     uint64       // ... and the global index of local[0]
-	sig    *pgas.Array  // non-nil: PUT_SIGNAL, incremented after the store
-	sigIdx uint64
+	cmd   uint64
+	h     rt.AMHandler // non-nil: an active message, nothing below applies
+	add   bool         // add (OpInc) rather than store
+	owner bool         // the bank is the cell's only writer: a plain add
+	local []uint64     // node's window of the data array ...
+	lo    uint64       // ... and the global index of local[0]
+	sig   *uint64      // non-nil: PUT_SIGNAL, incremented after the store
 
 	err       error // first failure; nothing is applied after it
-	cur       int   // bank whose mutex is held, -1 for none
 	ams, sigs int   // the packet's AMs and signals, and its work per bank:
-	bank      [fabric.MaxResolverBanks]struct{ msgs, ams, sigs int }
+	bank      [fabric.MaxResolverBanks]tally
 }
 
-// walk applies every record of a direct per-node queue buffer, stopping
-// at the first failure, with no bank mutex held on return.
-func (ap *applier) walk(buf []byte) {
-	n, err := wire.RecordCount(buf)
-	ap.err = err
-	for i := 0; i < n && ap.record(wire.RecordAt(buf, i)); i++ {
+type tally struct{ msgs, ams, sigs int }
+
+// walk applies the records of a direct per-node queue buffer that banks
+// [b0, b1) own — one bank, which then owns the whole buffer (a demuxed
+// sub-packet, any packet at one shard, the gateway's run of one), or all
+// of them: one pass per bank that has any, under that bank's mutex,
+// stopping at the first failure.
+func (ap *applier) walk(buf []byte, b0, b1 int) {
+	if _, ap.err = wire.RecordCount(buf); ap.err != nil {
+		return
 	}
-	ap.unlock()
-}
-
-// unlock releases the held bank mutex, if any.
-func (ap *applier) unlock() {
-	if ap.cur >= 0 {
-		ap.cl.bankMu[ap.node][ap.cur].Unlock()
-		ap.cur = -1
+	mask := uint64(b1 - b0 - 1) // 0, or the address bits that pick a bank
+	for b, met := b0, ^uint64(0); b < b1 && ap.err == nil; b++ {
+		if met>>b&1 != 0 {
+			mu := &ap.cl.bankMu[ap.node][b]
+			mu.Lock()
+			met = ap.pass(buf, b, mask)
+			mu.Unlock()
+		}
 	}
 }
 
@@ -229,58 +228,112 @@ func (ap *applier) failed(pkt fabric.Packet) bool {
 	return ap.err != nil
 }
 
-// record applies one record under its bank's mutex, which stays held for
-// the next: a same-bank run (a demuxed sub-packet, any packet at one shard)
-// pays one handoff. It reports false, with ap.err set, if it cannot apply.
-func (ap *applier) record(cmd, a, v uint64) bool {
-	// 0 keys the empty cache and, op 0 being undefined, is never valid.
-	if (cmd != ap.cmd || cmd == 0) && !ap.load(cmd) {
-		return false
-	}
+// record applies one record as a run of one under its bank's mutex: the
+// gateway's routed decode hands records over one at a time.
+func (ap *applier) record(cmd, a, v uint64) {
+	var rec [wire.MsgWireBytes]byte
+	wire.PutRecord(rec[:], cmd, a, v)
 	b := fabric.BankOfRecord(cmd, a, ap.cl.shards)
-	if b != ap.cur {
-		ap.unlock()
-		ap.cl.bankMu[ap.node][b].Lock()
-		ap.cur = b
+	ap.walk(rec[:], b, b+1)
+}
+
+// passChunk is how many records pass lists at a time.
+const passChunk = 256
+
+// pass applies bank b's records of buf with b's mutex held: all of buf at
+// mask 0, else those whose address has bits mask equal to b (an AM counts
+// as address 0, as in fabric.BankOfRecord), returning the set of banks
+// whose records it met. A chunk at a time, it lists the bank's records
+// without a branch (membership is a coin flip no predictor wins) and
+// applies the list run by run, all but a record's two arguments hoisted
+// out of the run's loop. A cell outside the node's window fails the
+// packet: a node applies only cells it owns.
+func (ap *applier) pass(buf []byte, b int, mask uint64) (met uint64) {
+	var list [passChunk]uint16 // a chunk's record offsets that are b's; at mask 0, all
+	for i := 0; mask == 0 && i < min(len(buf)/wire.MsgWireBytes, passChunk); i++ {
+		list[i] = uint16(i * wire.MsgWireBytes)
 	}
-	t := &ap.bank[b]
-	t.msgs++
-	if ap.h != nil {
-		t.ams++
-		ap.ams++
-		ap.h(ap.node, a, v)
-		return true
-	}
-	// An index outside the window (another node's cell, or past the array's
-	// end) takes the array's owner-resolving accessors, range panic included.
-	if i := a - ap.lo; i < uint64(len(ap.local)) {
-		if ap.add {
-			atomic.AddUint64(&ap.local[i], v)
-		} else {
-			atomic.StoreUint64(&ap.local[i], v)
+	t, want := &ap.bank[b], uint64(b)&mask
+	for len(buf) > 0 && ap.err == nil {
+		chunk := buf[:min(len(buf), passChunk*wire.MsgWireBytes)]
+		buf = buf[len(chunk):]
+		mine := list[:len(chunk)/wire.MsgWireBytes]
+		if mask != 0 {
+			k := 0
+			for off := 0; off < len(chunk); off += wire.MsgWireBytes {
+				rec, m := chunk[off:][:wire.MsgWireBytes], mask
+				if wire.Op(rec[0]) == wire.OpAM {
+					m = 0
+				}
+				bank := binary.LittleEndian.Uint64(rec[8:]) & m
+				met |= 1 << bank
+				list[k] = uint16(off)
+				if bank == want {
+					k++
+				}
+			}
+			mine = list[:k]
 		}
-	} else if ap.add {
-		ap.arr.Add(a, v)
-	} else {
-		ap.arr.Store(a, v)
+		for k := 0; k < len(mine) && ap.err == nil; {
+			cmd := binary.LittleEndian.Uint64(chunk[mine[k]:])
+			// 0 keys the empty cache and, op 0 being undefined, is never valid.
+			if (cmd != ap.cmd || cmd == 0) && !ap.load(cmd) {
+				return met
+			}
+			h, add, owner, local, lo, sig := ap.h, ap.add, ap.owner, ap.local, ap.lo, ap.sig
+			first := k
+			for ; k < len(mine); k++ {
+				rec := chunk[mine[k]:][:wire.MsgWireBytes]
+				a, v := binary.LittleEndian.Uint64(rec[8:]), binary.LittleEndian.Uint64(rec[16:])
+				if binary.LittleEndian.Uint64(rec) != cmd {
+					break
+				} else if h != nil {
+					h(ap.node, a, v)
+				} else if i := a - lo; i >= uint64(len(local)) {
+					_, _, arr := wire.UnpackCmd(cmd)
+					ap.err = notOwned(a, arr, ap.node)
+					break
+				} else if owner {
+					local[i] += v
+				} else if add {
+					atomic.AddUint64(&local[i], v)
+				} else {
+					atomic.StoreUint64(&local[i], v)
+					if sig != nil {
+						// After the store, under the same bank lock (the verb
+						// makes the signal's owner the data's): a waiter that
+						// loads the incremented signal loads the stored data.
+						atomic.AddUint64(sig, 1)
+					}
+				}
+			}
+			n := k - first
+			t.msgs += n
+			if h != nil {
+				t.ams, ap.ams = t.ams+n, ap.ams+n
+			} else if sig != nil {
+				t.sigs, ap.sigs = t.sigs+n, ap.sigs+n
+			}
+		}
 	}
-	if ap.sig != nil {
-		// Store then increment under one bank lock: the signal's owner is
-		// the data's owner (enforced at the verb), so a waiter that loads
-		// the incremented signal is guaranteed to load the stored data.
-		ap.sig.Add(ap.sigIdx, 1)
-		t.sigs++
-		ap.sigs++
-	}
-	return true
+	return met
+}
+
+func notOwned(cell uint64, arr uint16, node int) error {
+	return fmt.Errorf("core: record addresses cell %d of array %d, which node %d does not own", cell, arr, node)
 }
 
 // load decodes command word cmd into the cache and validates everything
-// it names, so a bad record costs the per-record path nothing and fails
-// the run with a typed error instead of panicking a resolver goroutine.
+// it names, so a bad record costs the run's loop nothing and fails the
+// packet with a typed error instead of panicking a resolver goroutine.
+// It also decides the ownership rule (DESIGN.md §4.12): between Step
+// boundaries a data cell's bank is its only writer through Inc, so an Inc
+// is a plain add under the bank mutex. What a kernel can store to or poll
+// mid-step keeps its atomic: Put data, signals, every symmetric-heap
+// array, and everything under LocalAtomicsDirect.
 func (ap *applier) load(cmd uint64) bool {
 	op, h, arr := wire.UnpackCmd(cmd)
-	ap.cmd, ap.h, ap.sig, ap.add = cmd, nil, nil, op == wire.OpInc
+	ap.cmd, ap.h, ap.sig, ap.add, ap.owner = cmd, nil, nil, op == wire.OpInc, false
 	switch op {
 	case wire.OpAM:
 		if int(h) < len(ap.cl.handlers) {
@@ -291,15 +344,19 @@ func (ap *applier) load(cmd uint64) bool {
 		}
 	case wire.OpPutSignal:
 		_, sArr, sIdx := wire.UnpackSigCmd(cmd)
-		if ap.sig = ap.cl.space.Lookup(sArr); ap.sig == nil {
+		if s := ap.cl.space.Lookup(sArr); s == nil {
 			ap.err = fmt.Errorf("core: record names unallocated signal array %d (cmd %#x)", sArr, cmd)
+		} else if cells, lo := s.LocalWindow(ap.node); uint64(sIdx)-lo >= uint64(len(cells)) {
+			ap.err = notOwned(uint64(sIdx), sArr, ap.node)
+		} else {
+			ap.sig = &cells[uint64(sIdx)-lo]
 		}
-		ap.sigIdx = uint64(sIdx)
 		fallthrough
 	case wire.OpPut, wire.OpInc:
-		if ap.arr = ap.cl.space.Lookup(arr); ap.arr != nil {
-			ap.local, ap.lo = ap.arr.LocalWindow(ap.node)
-		} else {
+		if a := ap.cl.space.Lookup(arr); a != nil {
+			ap.local, ap.lo = a.LocalWindow(ap.node)
+			ap.owner = ap.add && !a.Sym() && !ap.cl.cfg.LocalAtomicsDirect
+		} else if ap.err == nil {
 			ap.err = fmt.Errorf("core: record names unallocated array %d (cmd %#x)", arr, cmd)
 		}
 	default:

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"gravel/internal/pgas"
 	"gravel/internal/rt"
 	"gravel/internal/timemodel"
 )
@@ -160,5 +162,49 @@ func TestNoActiveLanes(t *testing.T) {
 	})
 	if arr.Sum() != 0 {
 		t.Fatal("no-op offloads mutated state")
+	}
+}
+
+// TestOwnerIncExact is the lost-update test for the ownership rule
+// (DESIGN.md §4.12): every work-group of every node hammers the same few
+// hot cells with Inc, on an Alloc array (whose owner adds without an
+// atomic, under the bank mutex, from resolver and bypass goroutines at
+// once) and on a SymAlloc array (which keeps the atomic). Every sum must
+// be exact, and under -race the plain adds must be ordered.
+func TestOwnerIncExact(t *testing.T) {
+	const nodes, wgs, steps = 4, 8, 3
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cl := New(Config{Nodes: nodes, ResolverShards: shards})
+			defer cl.Close()
+			wg := cl.cfg.WGSize
+			arrays := []*pgas.Array{cl.Space().Alloc(nodes * 16), cl.Space().SymAlloc(16)}
+			// Two hot cells per node: lane l hits hot cell l%8 with l%3+1.
+			for s := 0; s < steps; s++ {
+				cl.Step("hammer", fullGrid(nodes, wgs*wg), 0, func(c rt.Ctx) {
+					g := c.Group()
+					idx := make([]uint64, g.Size)
+					val := make([]uint64, g.Size)
+					g.Vector(func(l int) {
+						idx[l] = uint64(l%8/2*16 + l%2)
+						val[l] = uint64(l%3 + 1)
+					})
+					for _, arr := range arrays {
+						c.Inc(arr, idx, val, nil)
+					}
+				})
+			}
+			var want [nodes * 16]uint64
+			for l := 0; l < wg; l++ {
+				want[l%8/2*16+l%2] += uint64(l%3+1) * nodes * wgs * steps
+			}
+			for k, arr := range arrays {
+				for i, w := range want {
+					if got := arr.Load(uint64(i)); got != w {
+						t.Errorf("array %d cell %d = %d, want %d", k, i, got, w)
+					}
+				}
+			}
+		})
 	}
 }

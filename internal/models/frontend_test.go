@@ -147,7 +147,10 @@ func TestVerbAllocsPerWorkGroup(t *testing.T) {
 	)
 	for name, bound := range parentAllocsPerWG {
 		sys := models.NewSystem(name, core.Config{Nodes: nodes, WGSize: wg})
-		tab := sys.Space().Alloc(1 << 12)
+		// Inc and Put get an array each: a cell that receives Inc in a step
+		// is its bank's alone (DESIGN.md §4.12), and a local Put stores
+		// directly from the kernel.
+		tab, slots := sys.Space().Alloc(1<<12), sys.Space().Alloc(1<<12)
 		h := sys.RegisterAM(func(int, uint64, uint64) {})
 		idx := make([]uint64, many*wg)
 		one := make([]uint64, many*wg)
@@ -161,7 +164,7 @@ func TestVerbAllocsPerWorkGroup(t *testing.T) {
 			g := c.Group()
 			lo, hi := g.Global0, g.Global0+g.Size
 			c.Inc(tab, idx[lo:hi], one[lo:hi], nil)
-			c.Put(tab, idx[lo:hi], one[lo:hi], nil)
+			c.Put(slots, idx[lo:hi], one[lo:hi], nil)
 			c.AM(h, dst[lo:hi], idx[lo:hi], one[lo:hi], nil)
 		}
 		step := func(wgs int) float64 {
