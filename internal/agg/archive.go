@@ -226,7 +226,8 @@ func (ar *Archive) stageLocked(da *destArchive, timeout bool) {
 
 // Flush implements Strategy: the end-of-step timeout flush. It drains
 // the queue on the caller's thread, stages every archive in destination
-// order, and transmits.
+// order — with timeout set, as only a Flush does, so no aggregator
+// thread is woken for them — and transmits them itself.
 func (ar *Archive) Flush() {
 	ar.drainQueue()
 	for _, da := range ar.dests {

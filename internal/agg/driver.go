@@ -33,8 +33,10 @@ type consumer = func(payload []uint64, rows, cols, count int)
 // only how messages are staged between those two ends. The paper's
 // thread polls on a core of its own; this one shares its processors
 // with the threads it serves, so with nothing to drain or transmit it
-// parks on work (after park's bounded spin) until a Commit or a stage
-// wakes it.
+// parks on work until a Commit or a stage wakes it — at once, without
+// park's spin: no Step waits for an idle aggregator (Quiesce's Flush
+// drains the queue on its own thread), and a yielding spinner keeps a
+// processor from stealing the work a Step does wait for.
 //
 // Flush decisions happen under the strategy's staging locks, but
 // transmission — which can block on receiver backpressure — happens
@@ -139,7 +141,7 @@ func (d *driver) run(consume consumer) {
 			d.pump()
 			return
 		}
-		d.work.Wait(d.hasWork)
+		d.work.WaitParked(d.hasWork)
 	}
 }
 
@@ -196,7 +198,9 @@ func (d *driver) slotRows(payload []uint64, cols, count int) (cmd, dest, a, b []
 // stage accounts one flushed queue — the AggPerFlushNs charge, and its
 // reason: the queue filled, or the end-of-step timeout flush forced it
 // out — and puts it in the outbox. It never transmits, so it is safe
-// under a staging lock and on a network thread.
+// under a staging lock and on a network thread. timeout is true only
+// from a strategy's Flush, which pumps the outbox itself before it
+// returns, so only the other stagers wake an aggregator thread to do it.
 func (d *driver) stage(dest int, buf []byte, msgs int, routed, timeout bool) {
 	d.clock.AddAgg(d.params.AggPerFlushNs)
 	k := obs.KAggFlushFull
@@ -212,7 +216,9 @@ func (d *driver) stage(dest int, buf []byte, msgs int, routed, timeout bool) {
 	d.mu.Lock()
 	d.ready = append(d.ready, readyPkt{dest: dest, buf: buf, msgs: msgs, routed: routed})
 	d.mu.Unlock()
-	d.work.Wake()
+	if !timeout {
+		d.work.Wake()
+	}
 }
 
 // FlushCounts returns how many flushes were triggered by a full

@@ -104,3 +104,28 @@ func TestQueueWakesAggregator(t *testing.T) {
 		}
 	}
 }
+
+// TestTimeoutFlushWakesNobody: Flush pumps what it stages, so staging
+// it must not wake the parked aggregator threads to find an empty
+// outbox — at fine grain that was two wake/park pairs per Step. The
+// message is staged from host context: a queue Commit would be a wake
+// edge of its own.
+func TestTimeoutFlushWakesNobody(t *testing.T) {
+	inc := wire.PackCmd(wire.OpInc, 0, 1)
+	for _, archive := range []bool{false, true} {
+		s, d, _, fab := startStrategy(t, archive, 2)
+		for i := 0; i < 100; i++ {
+			waitParked(t, d)
+			parked, wakes := d.work.Parked(), d.work.Wakes()
+			s.AppendDirect(1, inc, uint64(i), 1, 0)
+			s.Flush()
+			if got := fab.count(); got != i+1 {
+				t.Fatalf("%s: %d packets on the wire after flush %d", s.Name(), got, i)
+			}
+			if d.work.Parked() != parked || d.work.Wakes() != wakes {
+				t.Fatalf("%s: flush %d woke the aggregator: %d parked (was %d), %d wakes (was %d)",
+					s.Name(), i, d.work.Parked(), parked, d.work.Wakes(), wakes)
+			}
+		}
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"gravel/internal/agg"
 	"gravel/internal/fabric"
 	"gravel/internal/obs"
+	"gravel/internal/park"
 	"gravel/internal/pgas"
 	"gravel/internal/queue"
 	"gravel/internal/rt"
@@ -130,6 +131,14 @@ type Node struct {
 
 	cl   *Cluster
 	ctxs sync.Pool // idle *ctx, reused across work-groups and steps
+
+	// kern adapts a LaunchAll's kernel to this node's device, kernRun
+	// being its bound run method: one of each per node, not per launch.
+	kern    kernelAdapter
+	kernRun func(*simt.Group)
+
+	// dev is the node's device thread, nil for the last hosted node.
+	dev *deviceThread
 }
 
 // Cluster implements rt.System for Gravel (and, with AggPerMessage, the
@@ -161,6 +170,7 @@ type Cluster struct {
 	dist fabric.Distributed
 
 	phases  []timemodel.PhaseRecord
+	nodeNs  []float64 // the unused rest of the slab endPhase cuts NodeNs from
 	prev    []timemodel.Snapshot
 	aggAt   []float64 // per node: aggregator busy time at the last phase record
 	totalNs float64
@@ -172,9 +182,22 @@ type Cluster struct {
 	prevTotals rt.StepStats
 	stepStart  time.Time
 
+	// The per-node fan-out (RunNodes): what the device threads run and
+	// report to. launch is LaunchAll's arguments and launchOn its bound
+	// per-node body; running counts the device threads that have not
+	// finished what they were handed, and whichever lowers it to zero
+	// wakes handedBack, where the Step goroutine waits; failure is the
+	// fan-out's first panic; Close sets stopping.
+	launch     launchArgs
+	launchOn   func(n *Node, grid int)
+	running    atomic.Int32
+	handedBack park.Event
+	failure    atomic.Pointer[any]
+	stopping   atomic.Bool
+	devWG      sync.WaitGroup
+
 	netWG    sync.WaitGroup
 	launched bool // the first launch has passed its start barrier
-	closed   bool
 }
 
 // totals is the cumulative counter set the per-step deltas are computed
@@ -345,10 +368,12 @@ func NewChecked(cfg Config) (*Cluster, error) {
 		numSlots = 4
 	}
 
+	cl.launchOn = cl.launchNode
 	cl.nodes = make([]*Node, cfg.Nodes)
 	for i := range cl.nodes {
 		n := &Node{ID: i, Clocks: clocks[i], cl: cl}
 		n.ctxs.New = func() any { return newCtx(n) }
+		n.kern.n, n.kernRun = n, n.kern.run
 		n.GPU = simt.NewDevice(arch)
 		n.GPU.Mode = cfg.DivMode
 		n.GPU.Clock = n.Clocks
@@ -370,6 +395,7 @@ func NewChecked(cfg Config) (*Cluster, error) {
 	// Resolvers (and the local bypass registration) come up before the
 	// aggregators so the bypass hook happens-before the first Send.
 	cl.startResolvers()
+	var last *Node
 	for _, n := range cl.nodes {
 		// A multi-process transport hosts one node per process; the
 		// others exist only for address-space symmetry and stay idle.
@@ -377,6 +403,14 @@ func NewChecked(cfg Config) (*Cluster, error) {
 			continue
 		}
 		n.Agg.Start()
+		// Every hosted node but the last gets a device thread: the last
+		// can only be a fan-out's last, which the Step goroutine runs.
+		if last != nil {
+			last.dev = &deviceThread{}
+			cl.devWG.Add(1)
+			go cl.deviceLoop(last)
+		}
+		last = n
 	}
 	if cl.dist != nil {
 		cl.dist.SetHostDrain(cl.drainHosted)
@@ -503,23 +537,102 @@ func (cl *Cluster) LaunchAll(grid []int, scratchPerWG int, off []Offloader, k rt
 	if obs.Enabled() {
 		obs.Emit(obs.KStepBegin, -1, int64(len(cl.steps)), 0, "")
 	}
-	var wg sync.WaitGroup
-	for i, n := range cl.nodes {
-		if grid[i] <= 0 {
+	cl.launch = launchArgs{scratchPerWG, off, k}
+	cl.RunNodes(grid, cl.launchOn)
+}
+
+// launchArgs is what one LaunchAll launches on every node.
+type launchArgs struct {
+	scratchPerWG int
+	off          []Offloader
+	k            rt.Kernel
+}
+
+// launchNode is LaunchAll's per-node body (Cluster.launchOn).
+func (cl *Cluster) launchNode(n *Node, grid int) {
+	n.Clocks.AddHost(cl.params.KernelLaunchNs)
+	n.kern.off, n.kern.k = cl.launch.off[n.ID], cl.launch.k
+	n.GPU.Launch(grid, cl.cfg.WGSize, cl.launch.scratchPerWG, n.kernRun)
+}
+
+// deviceThread is a hosted node's persistent launcher (DESIGN.md
+// §4.16): it runs what RunNodes hands its node, so the nodes of one
+// Step run side by side without a goroutine made per launch. Waiting
+// for its next launch it is what the next Step will wait for, so it
+// spins before it parks.
+type deviceThread struct {
+	next   park.Event  // where the thread waits; RunNodes and Close wake it
+	handed atomic.Bool // run and grid are set and not yet taken
+	run    func(n *Node, grid int)
+	grid   int
+}
+
+func (cl *Cluster) deviceLoop(n *Node) {
+	defer cl.devWG.Done()
+	d := n.dev
+	for {
+		d.next.Wait(func() bool { return d.handed.Load() || cl.stopping.Load() })
+		if !d.handed.Swap(false) {
+			return
+		}
+		cl.runNode(n, d.grid, d.run)
+		if cl.running.Add(-1) == 0 {
+			cl.handedBack.Wake()
+		}
+	}
+}
+
+// runNode calls run for one node and keeps the fan-out's first panic
+// for RunNodes.
+func (cl *Cluster) runNode(n *Node, grid int, run func(n *Node, grid int)) {
+	defer func() {
+		if r := recover(); r != nil {
+			first := r // r itself must not escape: it is declared on every call
+			cl.failure.CompareAndSwap(nil, &first)
+		}
+	}()
+	run(n, grid)
+}
+
+// RunNodes calls run(n, grid[n.ID]) for every node with a positive grid
+// entry, side by side: the last of them on the calling goroutine, each
+// of the others on its node's device thread, and returns when all have.
+// If any panicked (a verb's typed error in a kernel no one recovers),
+// it re-panics the first value here, on the goroutine that called Step,
+// after every node has returned. LaunchAll is built on it, as is a
+// baseline model whose Step launches on its own.
+func (cl *Cluster) RunNodes(grid []int, run func(n *Node, grid int)) {
+	last := -1
+	for i, g := range grid {
+		if g <= 0 {
 			continue
 		}
 		if !cl.fab.Hosts(i) {
 			panic(fmt.Sprintf("core: launch on node %d, which this process does not host", i))
 		}
-		n.Clocks.AddHost(cl.params.KernelLaunchNs)
-		wg.Add(1)
-		go func(n *Node, g int) {
-			defer wg.Done()
-			n.GPU.Launch(g, cl.cfg.WGSize, scratchPerWG, n.Kernel(off[n.ID], k))
-		}(n, grid[i])
+		last = i
 	}
-	wg.Wait()
+	if last < 0 {
+		return
+	}
+	for i, n := range cl.nodes[:last] {
+		if grid[i] <= 0 {
+			continue
+		}
+		cl.running.Add(1)
+		d := n.dev
+		d.run, d.grid = run, grid[i]
+		d.handed.Store(true)
+		d.next.Wake()
+	}
+	cl.runNode(cl.nodes[last], grid[last], run)
+	cl.handedBack.Wait(cl.allBack)
+	if r := cl.failure.Swap(nil); r != nil {
+		panic(*r)
+	}
 }
+
+func (cl *Cluster) allBack() bool { return cl.running.Load() == 0 }
 
 // Quiesce blocks until every initiated message has been applied: all
 // producer/consumer queues drained, all per-node queues flushed, the
@@ -547,6 +660,9 @@ func (cl *Cluster) Quiesce() {
 	cl.checkDecodeErr()
 }
 
+// nodeNsSlab is how many phases' NodeNs endPhase allocates at a time.
+const nodeNsSlab = 64
+
 // EndPhaseOverlapped snapshots per-node clocks since the previous phase
 // and records a phase whose per-node time is the busiest-resource bound.
 func (cl *Cluster) EndPhaseOverlapped(name string) {
@@ -560,7 +676,13 @@ func (cl *Cluster) EndPhaseSequential(name string) {
 }
 
 func (cl *Cluster) endPhase(name string, compose func(timemodel.Snapshot) float64) {
-	nodeNs := make([]float64, cl.cfg.Nodes)
+	// The phase record keeps nodeNs, so it is cut from a slab: one
+	// allocation per nodeNsSlab phases.
+	if len(cl.nodeNs) < cl.cfg.Nodes {
+		cl.nodeNs = make([]float64, nodeNsSlab*cl.cfg.Nodes)
+	}
+	nodeNs := cl.nodeNs[:cl.cfg.Nodes:cl.cfg.Nodes]
+	cl.nodeNs = cl.nodeNs[cl.cfg.Nodes:]
 	for i, n := range cl.nodes {
 		snap := n.Clocks.Snapshot()
 		nodeNs[i] = compose(snap.Sub(cl.prev[i]))
@@ -738,10 +860,15 @@ func (cl *Cluster) Stats() rt.Stats {
 
 // Close implements rt.System.
 func (cl *Cluster) Close() {
-	if cl.closed {
+	if cl.stopping.Swap(true) {
 		return
 	}
-	cl.closed = true
+	for _, n := range cl.nodes {
+		if n.dev != nil {
+			n.dev.next.Wake()
+		}
+	}
+	cl.devWG.Wait()
 	for _, n := range cl.nodes {
 		if cl.fab.Hosts(n.ID) {
 			n.Agg.Stop()

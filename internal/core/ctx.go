@@ -89,15 +89,25 @@ func newCtx(n *Node) *ctx {
 	return c
 }
 
-// Kernel adapts k to a device kernel for n.GPU.Launch/LaunchAt — the one
-// place contexts are made: each work-group runs k sending through off.
+// kernelAdapter runs k as node n's device kernel — the one place
+// contexts are made: each work-group runs k sending through off.
+type kernelAdapter struct {
+	n   *Node
+	off Offloader
+	k   rt.Kernel
+}
+
+func (ka *kernelAdapter) run(g *simt.Group) {
+	c := ka.n.ctxs.Get().(*ctx)
+	c.g, c.off = g, ka.off
+	ka.k(c)
+	ka.n.ctxs.Put(c)
+}
+
+// Kernel adapts k to a device kernel for n.GPU.Launch/LaunchAt, for a
+// model that launches on its own (LaunchAll reuses the node's adapter).
 func (n *Node) Kernel(off Offloader, k rt.Kernel) func(*simt.Group) {
-	return func(g *simt.Group) {
-		c := n.ctxs.Get().(*ctx)
-		c.g, c.off = g, off
-		k(c)
-		n.ctxs.Put(c)
-	}
+	return (&kernelAdapter{n, off, k}).run
 }
 
 // Node implements rt.Ctx.

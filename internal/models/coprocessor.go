@@ -1,9 +1,6 @@
 package models
 
 import (
-	"fmt"
-	"sync"
-
 	"gravel/internal/core"
 	"gravel/internal/rt"
 	"gravel/internal/simt"
@@ -70,52 +67,39 @@ func (cp *Coprocessor) Step(name string, grid []int, scratchPerWG int, k rt.Kern
 	fullWIs := p.CUs * p.OccupancyForFullThroughput * wgSize
 
 	cp.StartBarrier()
-	var wg sync.WaitGroup
-	for i := 0; i < cp.Nodes(); i++ {
-		if grid[i] <= 0 {
-			continue
-		}
-		if !cp.Fabric().Hosts(i) {
-			panic(fmt.Sprintf("models: coprocessor launch on node %d, which this process does not host", i))
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			n := cp.Node(i)
-			sb := cp.sb[i]
-			chunk := maxChunk
-			for start := 0; start < grid[i]; {
-				sz := grid[i] - start
-				if sz > chunk {
-					sz = chunk
+	cp.RunNodes(grid, func(n *core.Node, g int) {
+		sb := cp.sb[n.ID]
+		chunk := maxChunk
+		for start := 0; start < g; {
+			sz := g - start
+			if sz > chunk {
+				sz = chunk
+			}
+			n.Clocks.AddHost(p.KernelLaunchNs)
+			ns := n.GPU.LaunchAt(sz, start, wgSize, scratchPerWG, n.Kernel(copQueues{sb}, k))
+			// GPU starvation: a chunk below the full-throughput
+			// width leaves the device idle while queues round-trip.
+			if sz < fullWIs {
+				factor := float64(fullWIs) / float64(sz)
+				if factor > 16 {
+					factor = 16
 				}
-				n.Clocks.AddHost(p.KernelLaunchNs)
-				ns := n.GPU.LaunchAt(sz, start, wgSize, scratchPerWG, n.Kernel(copQueues{sb}, k))
-				// GPU starvation: a chunk below the full-throughput
-				// width leaves the device idle while queues round-trip.
-				if sz < fullWIs {
-					factor := float64(fullWIs) / float64(sz)
-					if factor > 16 {
-						factor = 16
-					}
-					n.Clocks.AddGPU(ns * (factor - 1))
-				}
-				// Synchronous exchange at the chunk boundary.
-				sb.flushAll()
-				n.Clocks.AddHost(p.AlphaNs) // MPI exchange round trip
-				start += sz
-				// React to mid-chunk overflows: the safe chunk is
-				// smaller than assumed.
-				if sb.takeOverflows() > 0 && chunk > wgSize {
-					chunk = chunk / 2 / wgSize * wgSize
-					if chunk < wgSize {
-						chunk = wgSize
-					}
+				n.Clocks.AddGPU(ns * (factor - 1))
+			}
+			// Synchronous exchange at the chunk boundary.
+			sb.flushAll()
+			n.Clocks.AddHost(p.AlphaNs) // MPI exchange round trip
+			start += sz
+			// React to mid-chunk overflows: the safe chunk is
+			// smaller than assumed.
+			if sb.takeOverflows() > 0 && chunk > wgSize {
+				chunk = chunk / 2 / wgSize * wgSize
+				if chunk < wgSize {
+					chunk = wgSize
 				}
 			}
-		}(i)
-	}
-	wg.Wait()
+		}
+	})
 	cp.Quiesce()
 	cp.StepBarrier()
 	cp.EndPhaseSequential(name)

@@ -1,6 +1,7 @@
 package models_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -176,6 +177,100 @@ func TestVerbAllocsPerWorkGroup(t *testing.T) {
 		t.Logf("%s: %.2f allocs per work-group (parent %.2f)", name, perWG, bound)
 		if perWG > bound {
 			t.Errorf("%s: %.2f allocs per work-group, parent allocated %.2f", name, perWG, bound)
+		}
+	}
+}
+
+// TestUnrecoveredVerbPanicUnwindsStep is TestBadAddressUnwindsCleanly
+// for the kernel that does not recover: every typed error a verb raises
+// must come out of Step on the goroutine that called it — whether the
+// work-group that raised it ran on a spawned worker of a device-thread
+// node or of the node the Step goroutine launches itself — instead of
+// killing the process from a worker goroutine, and the cluster must
+// still run a good step exactly afterwards.
+func TestUnrecoveredVerbPanicUnwindsStep(t *testing.T) {
+	const (
+		nodes   = 4
+		perNode = 256 + 64
+	)
+	cases := []struct {
+		name  string
+		call  func(c rt.Ctx, tab, sig *pgas.Array, h uint8, idx, one []uint64, dst []int)
+		typed func(r any) bool
+	}{
+		{"MaskError", func(c rt.Ctx, tab, _ *pgas.Array, _ uint8, idx, one []uint64, _ []int) {
+			c.Inc(tab, idx, one, make([]bool, len(idx)+1))
+		}, func(r any) bool { _, ok := r.(*core.MaskError); return ok }},
+		{"SignalError", func(c rt.Ctx, _, sig *pgas.Array, _ uint8, idx, one []uint64, _ []int) {
+			for l := range idx {
+				idx[l] = sig.SymIndex((c.Node()+1)%nodes, 0) // a peer's cell: waits must be local
+			}
+			c.WaitUntil(sig, idx, one, nil)
+		}, func(r any) bool { _, ok := r.(*core.SignalError); return ok }},
+		{"DestError", func(c rt.Ctx, _, _ *pgas.Array, h uint8, idx, one []uint64, dst []int) {
+			dst[len(dst)-1] = nodes
+			c.AM(h, dst, idx, one, nil)
+		}, isDestError},
+		{"RangeError", func(c rt.Ctx, tab, _ *pgas.Array, _ uint8, idx, one []uint64, _ []int) {
+			idx[0] = uint64(tab.Len())
+			c.Inc(tab, idx, one, nil)
+		}, isRangeError},
+	}
+	// within runs f on a goroutine of its own, as Step's caller, and
+	// returns what it panicked (nil if it returned).
+	within := func(t *testing.T, what string, f func()) any {
+		t.Helper()
+		res := make(chan any, 1)
+		go func() {
+			defer func() { res <- recover() }()
+			f()
+		}()
+		select {
+		case r := <-res:
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return within 10 s", what)
+			return nil
+		}
+	}
+	for _, name := range allSystems() {
+		for _, tc := range cases {
+			for _, badNode := range []int{0, nodes - 1} { // a device thread's node, the Step goroutine's
+				t.Run(fmt.Sprintf("%s/%s/node%d", name, tc.name, badNode), func(t *testing.T) {
+					sys := models.New(name, nodes, nil)
+					defer sys.Close()
+					tab, sig := sys.Space().Alloc(1<<10), sys.Space().SymAlloc(1)
+					h := sys.RegisterAM(func(int, uint64, uint64) {})
+					grid := make([]int, nodes)
+					for i := range grid {
+						grid[i] = perNode
+					}
+					kernel := func(bad bool) rt.Kernel {
+						return func(c rt.Ctx) {
+							g := c.Group()
+							idx, one, dst := make([]uint64, g.Size), make([]uint64, g.Size), make([]int, g.Size)
+							for l := range idx {
+								idx[l], one[l], dst[l] = uint64(g.GlobalID(l)*13+c.Node())%uint64(tab.Len()), 1, l%nodes
+							}
+							if !bad {
+								c.Inc(tab, idx, one, nil)
+							} else if c.Node() == badNode && g.ID == 1 {
+								tc.call(c, tab, sig, h, idx, one, dst)
+							}
+						}
+					}
+					r := within(t, "the bad step", func() { sys.Step("bad", grid, 0, kernel(true)) })
+					if !tc.typed(r) {
+						t.Fatalf("the bad step panicked %v (%T), want the verb's typed error", r, r)
+					}
+					if r := within(t, "the good step", func() { sys.Step("good", grid, 0, kernel(false)) }); r != nil {
+						t.Fatalf("the good step after it panicked: %v", r)
+					}
+					if got, want := tab.Sum(), uint64(nodes*perNode); got != want {
+						t.Errorf("table sum = %d after the good step, want %d", got, want)
+					}
+				})
+			}
 		}
 	}
 }

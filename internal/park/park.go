@@ -3,11 +3,12 @@
 //
 // An Event stands for "something a waiter's predicate reads has
 // changed". Whoever changes that state calls Wake afterwards; a waiter
-// calls Wait with the predicate. Two kinds of host thread wait this way
-// (DESIGN.md, "Progress"): an aggregator thread with nothing to drain
-// or transmit, and Cluster.Quiesce. Device-side waits (queue slot
-// hand-off, work-group barriers) model GPU threads and spin on their
-// own.
+// calls Wait with the predicate if a Step is waiting for it (Quiesce,
+// LaunchAll, a device thread waiting for its next launch) and
+// WaitParked if not (an aggregator thread with nothing to drain or
+// transmit): a waiter spins only on a Step's critical path (DESIGN.md,
+// "Progress"). Device-side waits (queue slot hand-off, work-group
+// barriers) model GPU threads and spin on their own.
 //
 // No wake is lost as long as every writer changes the state before
 // calling Wake and the state is read with atomics or under a lock: a
@@ -66,6 +67,10 @@ func (e *Event) Wake() {
 // moment every waiter depends on its Wake.
 func (e *Event) Parked() int { return int(e.waiters.Load()) }
 
+// Wakes returns how many Wakes found a waiter to release; tests use it
+// to show that an edge woke nobody.
+func (e *Event) Wakes() uint64 { return e.seq.Load() }
+
 // Wait returns once pred reports true. It polls pred for spinBudget,
 // yielding the processor between polls, then parks until the next Wake
 // and starts over: a wake means the state is moving, so more changes
@@ -81,6 +86,16 @@ func (e *Event) Wait(pred func() bool) {
 				return
 			}
 		}
+		e.park(pred)
+	}
+}
+
+// WaitParked is Wait without the spin: it parks at once and again after
+// every Wake that leaves pred false. A thread that yields in a loop sits
+// on the scheduler's global run queue, and a processor that finds that
+// queue non-empty never steals the work a Step is waiting for.
+func (e *Event) WaitParked(pred func() bool) {
+	for !pred() {
 		e.park(pred)
 	}
 }

@@ -34,11 +34,32 @@ func jitter(r *rand.Rand) {
 	}
 }
 
-// TestParkWakeStress plays ping-pong between two threads that park
-// without spinning first (park, not Wait), until 1e5 wakes have been
-// delivered to a thread that had announced itself — each of them a
-// window in which the wake could have been lost.
-func TestParkWakeStress(t *testing.T) {
+// form is one of the two ways to wait on an Event: spin first, or park
+// at once. Every property below holds for both. (The calls are direct
+// so that, as at the real call sites, pred does not escape.)
+type form bool
+
+func (parked form) wait(e *Event, pred func() bool) {
+	if parked {
+		e.WaitParked(pred)
+	} else {
+		e.Wait(pred)
+	}
+}
+
+func eachForm(t *testing.T, f func(*testing.T, form)) {
+	t.Run("Wait", func(t *testing.T) { f(t, false) })
+	t.Run("WaitParked", func(t *testing.T) { f(t, true) })
+}
+
+// TestParkWakeStress plays ping-pong between two threads until 1e5
+// wakes have been delivered to a thread that had announced itself —
+// each of them a window in which the wake could have been lost. Without
+// the spin nearly every round is one; with it most rounds never park, so
+// that form stops after 3e5 rounds whatever it has collected.
+func TestParkWakeStress(t *testing.T) { eachForm(t, parkWakeStress) }
+
+func parkWakeStress(t *testing.T, f form) {
 	const wakes = 100_000
 	var (
 		ping, pong Event
@@ -46,10 +67,7 @@ func TestParkWakeStress(t *testing.T) {
 		stop       atomic.Bool
 	)
 	await := func(e *Event, v *atomic.Int64, want int64) {
-		pred := func() bool { return v.Load() >= want || stop.Load() }
-		for !pred() {
-			e.park(pred)
-		}
+		f.wait(e, func() bool { return v.Load() >= want || stop.Load() })
 	}
 	within(t, 2*time.Minute, "ping-pong", func() {
 		var wg sync.WaitGroup
@@ -65,7 +83,7 @@ func TestParkWakeStress(t *testing.T) {
 			}
 		}()
 		r := rand.New(rand.NewSource(2))
-		for i := int64(1); ping.seq.Load()+pong.seq.Load() < wakes; i++ {
+		for i := int64(1); ping.seq.Load()+pong.seq.Load() < wakes && i < 3*wakes; i++ {
 			jitter(r)
 			x.Store(i)
 			ping.Wake()
@@ -80,10 +98,12 @@ func TestParkWakeStress(t *testing.T) {
 	}
 }
 
-// TestWaitManyWaiters has several threads wait on one Event through the
-// whole of Wait (spin, then park), each for its own turn of a shared
-// counter: every Wake must reach all of them, not one.
-func TestWaitManyWaiters(t *testing.T) {
+// TestWaitManyWaiters has several threads wait on one Event, each for
+// its own turn of a shared counter: every Wake must reach all of them,
+// not one.
+func TestWaitManyWaiters(t *testing.T) { eachForm(t, waitManyWaiters) }
+
+func waitManyWaiters(t *testing.T, f form) {
 	const waiters, turns = 4, 200
 	var (
 		e    Event
@@ -96,7 +116,7 @@ func TestWaitManyWaiters(t *testing.T) {
 			go func(w int64) {
 				defer wg.Done()
 				for i := w; i < turns; i += waiters {
-					e.Wait(func() bool { return turn.Load() == i })
+					f.wait(&e, func() bool { return turn.Load() == i })
 					if i%7 == 0 {
 						time.Sleep(2 * spinBudget) // let the others park
 					}
@@ -128,7 +148,9 @@ func TestWaitReturnsAtOnce(t *testing.T) {
 // TestWaitAllocatesNothing pins the contract the per-Step paths rely
 // on: spinning, parking and waking allocate no timer, channel or
 // closure.
-func TestWaitAllocatesNothing(t *testing.T) {
+func TestWaitAllocatesNothing(t *testing.T) { eachForm(t, waitAllocatesNothing) }
+
+func waitAllocatesNothing(t *testing.T, f form) {
 	var (
 		e    Event
 		flag atomic.Bool
@@ -152,10 +174,10 @@ func TestWaitAllocatesNothing(t *testing.T) {
 	}()
 	within(t, time.Minute, "alloc loop", func() {
 		if n := testing.AllocsPerRun(20, func() {
-			e.Wait(flag.Load)
+			f.wait(&e, flag.Load)
 			flag.Store(false)
 		}); n != 0 {
-			t.Errorf("Wait allocates %v objects per call", n)
+			t.Errorf("waiting allocates %v objects per call", n)
 		}
 	})
 }

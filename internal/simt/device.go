@@ -168,6 +168,11 @@ type Device struct {
 	// one per worker per launch.
 	groupMu sync.Mutex
 	groups  []*Group
+
+	// launch is the idle launch state, if any: a launch takes it and
+	// hands it back, so a device allocates one (two launches of one
+	// device overlap only in tests).
+	launch atomic.Pointer[launchState]
 }
 
 // NewDevice returns a device with the given architecture using software
@@ -241,26 +246,43 @@ func (d *Device) Launch(grid, wgSize, scratchPerWG int, kernel func(g *Group)) f
 // worker when a WG blocks on a condition that only not-yet-scheduled
 // WGs (or background message delivery) can satisfy.
 type launchState struct {
-	d            *Device
-	grid, base   int
-	wgSize       int
-	numWGs       int
-	kernel       func(g *Group)
-	next         atomic.Int64
-	wg           sync.WaitGroup
-	launchCycles *atomic.Int64
+	d          *Device
+	grid, base int
+	wgSize     int
+	numWGs     int
+	kernel     func(g *Group)
+	next       atomic.Int64
+	wg         sync.WaitGroup // the spawned workers; the caller, the first worker, is not counted
+	cycles     atomic.Int64
+
+	// A kernel's panic, the launch's first only: LaunchAt re-panics it
+	// on its caller once every worker has returned.
+	panicked atomic.Pointer[any]
 }
 
-// runWorker is one worker goroutine's WG pull loop; ls.wg must have
-// been incremented for it before it starts.
+// runWorker is a spawned worker goroutine; ls.wg must have been
+// incremented for it before it starts.
 func (ls *launchState) runWorker() {
 	defer ls.wg.Done()
+	ls.run()
+}
+
+// run is one worker's WG pull loop. A kernel that panics ends its
+// worker and keeps the rest of the grid from being scheduled.
+func (ls *launchState) run() {
 	g := ls.d.getGroup(ls.wgSize)
 	g.ls = ls
+	defer func() {
+		ls.d.putGroup(g)
+		if r := recover(); r != nil {
+			first := r // r itself must not escape: it is declared on every call
+			ls.panicked.CompareAndSwap(nil, &first)
+			ls.next.Store(int64(ls.numWGs))
+		}
+	}()
 	for {
 		i := int(ls.next.Add(1)) - 1
 		if i >= ls.numWGs {
-			ls.d.putGroup(g)
 			return
 		}
 		size := ls.wgSize
@@ -269,13 +291,16 @@ func (ls *launchState) runWorker() {
 		}
 		g.reset(i, ls.base+i*ls.wgSize, size)
 		ls.kernel(g)
-		ls.launchCycles.Add(g.cycles)
+		ls.cycles.Add(g.cycles)
 		g.flushCounters()
 	}
 }
 
 // LaunchAt is Launch with the global work-item IDs offset by base; the
-// coprocessor model uses it to run a grid in chunks (§3.1).
+// coprocessor model uses it to run a grid in chunks (§3.1). The calling
+// goroutine is the launch's first worker, so a one-WG launch creates no
+// goroutine. A kernel's panic (the first, if several work-groups panic)
+// is re-panicked here once every worker has returned.
 func (d *Device) LaunchAt(grid, base, wgSize, scratchPerWG int, kernel func(g *Group)) float64 {
 	if wgSize <= 0 {
 		panic("simt: non-positive work-group size")
@@ -284,6 +309,9 @@ func (d *Device) LaunchAt(grid, base, wgSize, scratchPerWG int, kernel func(g *G
 		panic("simt: negative grid size")
 	}
 	numWGs := (grid + wgSize - 1) / wgSize
+	if numWGs == 0 {
+		return 0
+	}
 	_, slowdown := d.Occupancy(scratchPerWG)
 
 	workers := d.Parallelism
@@ -294,29 +322,28 @@ func (d *Device) LaunchAt(grid, base, wgSize, scratchPerWG int, kernel func(g *G
 		workers = numWGs
 	}
 
-	var launchCycles atomic.Int64
-	if numWGs > 0 {
-		ls := &launchState{
-			d:            d,
-			grid:         grid,
-			base:         base,
-			wgSize:       wgSize,
-			numWGs:       numWGs,
-			kernel:       kernel,
-			launchCycles: &launchCycles,
-		}
-		ls.wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go ls.runWorker()
-		}
-		ls.wg.Wait()
+	ls := d.launch.Swap(nil)
+	if ls == nil {
+		ls = &launchState{d: d}
+	}
+	ls.grid, ls.base, ls.wgSize, ls.numWGs, ls.kernel = grid, base, wgSize, numWGs, kernel
+	ls.next.Store(0)
+	ls.cycles.Store(0)
+	ls.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go ls.runWorker()
+	}
+	ls.run()
+	ls.wg.Wait()
+	cycles, r := ls.cycles.Load(), ls.panicked.Swap(nil)
+	ls.kernel = nil
+	d.launch.Store(ls)
+	if r != nil {
+		panic(*r)
 	}
 
 	d.Counters.WGLaunches.Add(int64(numWGs))
-	d.Counters.Cycles.Add(launchCycles.Load())
-	if numWGs == 0 {
-		return 0
-	}
+	d.Counters.Cycles.Add(cycles)
 
 	// Virtual busy time: total issue cycles spread across the CUs,
 	// stretched by the scratchpad-occupancy slowdown. Grid-size
@@ -324,7 +351,7 @@ func (d *Device) LaunchAt(grid, base, wgSize, scratchPerWG int, kernel func(g *G
 	// ~1000x larger than this reproduction's, so its GPU is never
 	// grid-starved, and modelling starvation at reduced scale would
 	// introduce an artifact the paper does not have (see DESIGN.md).
-	ns := float64(launchCycles.Load()) / float64(d.Arch.CUs) / d.Arch.ClockHz * 1e9 * slowdown
+	ns := float64(cycles) / float64(d.Arch.CUs) / d.Arch.ClockHz * 1e9 * slowdown
 	if d.Clock != nil {
 		d.Clock.AddGPU(ns)
 	}

@@ -1,9 +1,12 @@
 package simt
 
 import (
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gravel/internal/timemodel"
 )
@@ -327,5 +330,114 @@ func TestDivergenceModeString(t *testing.T) {
 		WGReconvergence.String() != "wg-reconvergence" ||
 		FineGrainBarrier.String() != "fbar" {
 		t.Fatal("mode strings wrong")
+	}
+}
+
+// goid is the calling goroutine's ID, read off its stack header.
+func goid() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1]
+}
+
+// TestOneWGLaunchRunsOnCaller: the goroutine that calls Launch is the
+// launch's first worker, so a one-WG launch runs its kernel there and
+// creates no goroutine (and, warm, no object).
+func TestOneWGLaunchRunsOnCaller(t *testing.T) {
+	d := testDevice()
+	me, before := goid(), runtime.NumGoroutine()
+	ran := 0
+	kernel := func(g *Group) {
+		ran++
+		if id := goid(); id != me {
+			t.Errorf("kernel ran on goroutine %s, Launch was called on %s", id, me)
+		}
+		// More, not different: an earlier test's workers may still be exiting.
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%d goroutines during a one-WG launch, %d before it", n, before)
+		}
+	}
+	d.Launch(200, 256, 0, kernel)
+	if ran != 1 {
+		t.Fatalf("kernel ran %d times", ran)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Launch(256, 256, 0, func(*Group) {}) }); n != 0 {
+		t.Errorf("a warm one-WG launch allocates %v objects", n)
+	}
+}
+
+// TestParkFromCallerWorker: with one worker — the caller — a WG that
+// parks on a later WG still gets a replacement worker, and so does a
+// later WG parked on a later one still, whichever worker runs it. The
+// launch returns only when every WG has.
+func TestParkFromCallerWorker(t *testing.T) {
+	const wgs = 4
+	d := testDevice()
+	d.Parallelism = 1
+	var done [wgs]atomic.Bool
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		// WG i waits for WG i+1: only the last can finish unaided.
+		d.Launch(wgs*64, 64, 0, func(g *Group) {
+			if g.ID+1 < wgs {
+				g.Park(done[g.ID+1].Load, nil)
+			}
+			done[g.ID].Store(true)
+		})
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("launch wedged: a parked work-group kept later ones from being scheduled")
+	}
+	for i := range done {
+		if !done[i].Load() {
+			t.Errorf("Launch returned before WG %d finished", i)
+		}
+	}
+	if got := d.Counters.WGLaunches.Load(); got != wgs {
+		t.Errorf("WGLaunches = %d, want %d", got, wgs)
+	}
+}
+
+// TestKernelPanicReachesCaller: a kernel's panic, on whichever worker,
+// ends the launch and is re-panicked with its value on the goroutine
+// that called Launch, once every worker has returned; the device then
+// launches as before.
+func TestKernelPanicReachesCaller(t *testing.T) {
+	type boom struct{ wg int }
+	d := testDevice()
+	for _, bad := range []int{0, 5, 39} {
+		var running atomic.Int32
+		func() {
+			defer func() {
+				r := recover()
+				if b, ok := r.(*boom); !ok || b.wg != bad {
+					t.Errorf("Launch panicked %v (%T), want the kernel's *boom{%d}", r, r, bad)
+				}
+				if n := running.Load(); n != 0 {
+					t.Errorf("Launch unwound with %d work-groups still running", n)
+				}
+			}()
+			d.Launch(40*64, 64, 0, func(g *Group) {
+				running.Add(1)
+				defer running.Add(-1)
+				if g.ID == bad {
+					panic(&boom{g.ID})
+				}
+				runtime.Gosched()
+			})
+			t.Errorf("Launch returned although WG %d panicked", bad)
+		}()
+	}
+	var hits [1000]atomic.Int32
+	d.Launch(len(hits), 256, 0, func(g *Group) {
+		g.Vector(func(l int) { hits[g.GlobalID(l)].Add(1) })
+	})
+	for i := range hits {
+		if hits[i].Load() != 1 {
+			t.Fatalf("after a panicked launch, work-item %d executed %d times", i, hits[i].Load())
+		}
 	}
 }
