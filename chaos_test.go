@@ -12,6 +12,7 @@ import (
 	"gravel"
 	"gravel/internal/apps/gups"
 	"gravel/internal/core"
+	"gravel/internal/rt"
 	"gravel/internal/transport"
 )
 
@@ -112,7 +113,7 @@ func runFaultedCluster(t *testing.T, n int, faults *gravel.FaultConfig) []nodeRu
 				return
 			}
 			defer r.recoverErr()
-			r.local = gups.RunOn(r.sys, chaosInProcGUPS, i).Sum
+			r.local = gups.RunAt(r.sys, chaosInProcGUPS, rt.Where{Node: i}).Sum
 			r.total, r.err = r.tcp.Reduce("gups:sum", r.local)
 		}(i)
 	}
@@ -199,7 +200,7 @@ func TestChaosCorruptionCountedAndRecovered(t *testing.T) {
 
 // chaosKillGUPS is one long launch — hundreds of steps of quiesce and
 // barrier traffic — so the mid-run kill always lands inside it. It must
-// be a single RunOn, not a repeat loop: each RunOn allocates a fresh
+// be a single RunAt, not a repeat loop: each run allocates a fresh
 // pgas array, and barrier release is asymmetric, so a repeat loop races
 // one node's next-iteration updates against another node's not-yet-run
 // Alloc.
@@ -214,7 +215,7 @@ var chaosKillGUPS = gups.Config{
 // with a typed panic, recovered into r.err.
 func (r *nodeRun) chaosRun() {
 	defer r.recoverErr()
-	gups.RunOn(r.sys, chaosKillGUPS, r.tcp.Self())
+	gups.RunAt(r.sys, chaosKillGUPS, rt.Where{Node: r.tcp.Self()})
 	r.err = fmt.Errorf("no transport failure surfaced before the run completed")
 }
 

@@ -89,7 +89,7 @@ func main() {
 	})
 
 	start := time.Now()
-	res := a.Run(sys, harness.Params{Scale: *scale})
+	res := a.Run(sys, rt.Whole(), harness.Params{Scale: *scale})
 	wall := time.Since(start)
 
 	st := sys.Stats()

@@ -28,7 +28,7 @@ import (
 //     fail fast, not hang;
 //   - kill-coordinator iterations sever every coordinator connection
 //     mid-run and require the same of all workers;
-//   - heal-worker iterations (apps with an elastic entry point)
+//   - heal-worker iterations (elastic apps)
 //     SIGKILL one worker of an elastic run and require the launcher to
 //     recover from the latest checkpoint and finish bit-exact — the
 //     failure story must extend past diagnosis into repair.
@@ -331,7 +331,7 @@ func killCoord(killAfter time.Duration) error {
 }
 
 // runChaos iterates the chaos modes until -duration expires, always
-// completing at least one full cycle. Apps with an elastic entry point
+// completing at least one full cycle. Elastic apps
 // get a fourth, heal-worker kind: the same mid-run kill, but the run
 // must recover instead of failing fast. Iteration schedules derive
 // from -seed, so `-chaos -seed N` replays the same sequence.
@@ -351,7 +351,7 @@ func runChaos() error {
 		{"kill-worker", chaosKillWorker},
 		{"kill-coordinator", chaosKillCoord},
 	}
-	if a.Elastic != nil {
+	if a.Elastic {
 		kinds = append(kinds, kind{"heal-worker", chaosHealWorker})
 	} else {
 		fmt.Printf("chaos: app %q has no elastic entry point; skipping heal-worker iterations\n", *app)

@@ -92,8 +92,6 @@ var (
 	suspectFlag     = flag.Duration("suspect", 0, "declare a silent peer down after this long (0 = 30s default, <0 disables)")
 	heartbeatFlag   = flag.Duration("heartbeat", 0, "peer/coordinator heartbeat period (0 = suspect/4)")
 	coordTimeout    = flag.Duration("coord-timeout", 0, "coordinator dial budget (0 = 30s default)")
-	coordBackoff    = flag.Duration("coord-backoff", 0, "initial coordinator dial retry backoff (0 = 10ms default)")
-	coordBackoffMax = flag.Duration("coord-backoff-max", 0, "coordinator dial retry backoff ceiling (0 = 1s default)")
 	coordRPCTimeout = flag.Duration("coord-rpc-timeout", 0, "per-RPC coordinator deadline (0 = 15s default, <0 disables)")
 	duration        = flag.Duration("duration", 30*time.Second, "chaos: how long to keep iterating")
 
@@ -139,8 +137,6 @@ func specFromFlags() noderun.Spec {
 		Suspect:         *suspectFlag,
 		Heartbeat:       *heartbeatFlag,
 		CoordTimeout:    *coordTimeout,
-		CoordBackoff:    *coordBackoff,
-		CoordBackoffMax: *coordBackoffMax,
 		CoordRPCTimeout: *coordRPCTimeout,
 	}
 }

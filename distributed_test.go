@@ -10,6 +10,7 @@ import (
 	"gravel/internal/apps/gups"
 	"gravel/internal/core"
 	"gravel/internal/harness"
+	"gravel/internal/rt"
 	"gravel/internal/transport"
 )
 
@@ -78,13 +79,13 @@ func TestEveryModelMatchesOverLoopback(t *testing.T) {
 		t.Run(model, func(t *testing.T) {
 			t.Parallel()
 			ref := gravel.New(gravel.Config{Model: model, Nodes: 3})
-			want := a.Run(ref, p)
+			want := a.Run(ref, rt.Whole(), p)
 			ref.Close()
 			if want.Err != nil {
 				t.Fatalf("chan run failed: %v", want.Err)
 			}
 			lb := gravel.New(gravel.Config{Model: model, Nodes: 3, Transport: "loopback"})
-			got := a.Run(lb, p)
+			got := a.Run(lb, rt.Whole(), p)
 			lb.Close()
 			if got.Err != nil {
 				t.Fatalf("loopback run failed: %v", got.Err)
@@ -140,7 +141,7 @@ func TestTCPClusterMatchesChan(t *testing.T) {
 						},
 					})
 					defer sys.Close()
-					locals[i] = gups.RunOn(sys, distGUPS, i).Sum
+					locals[i] = gups.RunAt(sys, distGUPS, rt.Where{Node: i}).Sum
 					tcp := sys.(interface{ Fabric() core.Fabric }).Fabric().(*transport.TCP)
 					totals[i], errs[i] = tcp.Reduce("gups:sum", locals[i])
 				}(i)
@@ -175,7 +176,7 @@ func TestTCPClusterCoprocessorMatchesSingle(t *testing.T) {
 	p := harness.Params{Scale: 0.02}
 
 	ref := gravel.New(gravel.Config{Model: gravel.ModelCoprocessor, Nodes: n})
-	want := a.Run(ref, p)
+	want := a.Run(ref, rt.Whole(), p)
 	ref.Close()
 	if want.Err != nil {
 		t.Fatalf("single-process run failed: %v", want.Err)
@@ -208,7 +209,7 @@ func TestTCPClusterCoprocessorMatchesSingle(t *testing.T) {
 			})
 			defer sys.Close()
 			tcp := sys.(interface{ Fabric() core.Fabric }).Fabric().(*transport.TCP)
-			shard := a.Shard(sys, i, p, tcp.Collectives())
+			shard := a.Run(sys, rt.Where{Node: i, Coll: tcp.Collectives()}, p)
 			if shard.Err != nil {
 				errs[i] = shard.Err
 				return
@@ -246,7 +247,7 @@ func TestTCPClusterArchiveMatchesSingle(t *testing.T) {
 	p := harness.Params{Scale: 0.02}
 
 	ref := gravel.New(gravel.Config{Model: gravel.ModelGravelArchive, Nodes: n})
-	want := a.Run(ref, p)
+	want := a.Run(ref, rt.Whole(), p)
 	ref.Close()
 	if want.Err != nil {
 		t.Fatalf("single-process run failed: %v", want.Err)
@@ -282,7 +283,7 @@ func TestTCPClusterArchiveMatchesSingle(t *testing.T) {
 					})
 					defer sys.Close()
 					tcp := sys.(interface{ Fabric() core.Fabric }).Fabric().(*transport.TCP)
-					shard := a.Shard(sys, i, p, tcp.Collectives())
+					shard := a.Run(sys, rt.Where{Node: i, Coll: tcp.Collectives()}, p)
 					if shard.Err != nil {
 						errs[i] = shard.Err
 						return

@@ -60,50 +60,8 @@ type Result struct {
 	LevelSum uint64
 	// Checksum is an FNV-1a hash over the scanned level range.
 	Checksum uint64
-}
-
-// Run executes BFS on the given system.
-func Run(sys rt.System, cfg Config) Result {
-	return run(sys, cfg, -1, nil)
-}
-
-// RunShard executes only the given node's shard of a distributed run.
-// The level-synchronous direction/termination decision — the global
-// frontier size — goes through coll, so every process agrees on both
-// the round count and the traversal direction of every round. LevelSum
-// and Reached sum across shards to the full-run values; Checksum
-// covers only the shard's vertex range.
-func RunShard(sys rt.System, cfg Config, node int, coll rt.Collectives) Result {
-	return run(sys, cfg, node, coll)
-}
-
-// ElasticOpts configures a checkpoint-aware shard run (RunElastic).
-type ElasticOpts struct {
-	// Resume holds every shard's payload from the restore point, in
-	// shard order. Nil means a cold start. Frontier and level payloads
-	// are keyed by the saving epoch's block partition, so a restore
-	// point is only valid at the node count that saved it.
-	Resume [][]byte
-	// Every is the checkpoint cadence in level rounds (<= 0 = every
-	// round).
-	Every int
-	// Save, when non-nil, persists this shard's payload at a level-round
-	// boundary: the round's quiescent barrier has passed and the
-	// frontiers have been swapped, so the union of all shards' payloads
-	// is a consistent cut of the traversal.
-	Save func(round uint64, data []byte) error
-}
-
-// RunElastic executes the given node's shard with checkpoint/restore:
-// each shard saves its owned level range plus its next frontier after a
-// round's frontier swap, and a restored run resumes at the saved round.
-// The bottom-up arrival counters are NOT part of the payload — a fresh
-// epoch's cumulative counters restart at zero, and the level-tagged
-// replica arrays make zeroed replicas indistinguishable from
-// never-broadcast ones. Final results are bit-identical to an
-// undisturbed RunShard of the same Config.
-func RunElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt ElasticOpts) (Result, error) {
-	return runElastic(sys, cfg, only, coll, opt)
+	// Err reports a checkpoint restore or save that failed.
+	Err error
 }
 
 // state is the per-run frontier state shared between the visit handler
@@ -114,16 +72,32 @@ type state struct {
 	pending []map[uint32]bool
 }
 
-func run(sys rt.System, cfg Config, only int, coll rt.Collectives) Result {
-	r, err := runElastic(sys, cfg, only, coll, ElasticOpts{})
-	if err != nil {
-		// Impossible without a resume payload or a Save hook.
-		panic(err)
-	}
-	return r
+// Run executes BFS on the given system.
+func Run(sys rt.System, cfg Config) Result {
+	return RunAt(sys, cfg, rt.Whole())
 }
 
-func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt ElasticOpts) (Result, error) {
+// RunAt is BFS: at says which node's shard this call launches. The
+// level-synchronous direction/termination decision — the global
+// frontier size — goes through at.Coll, so every process agrees on both
+// the round count and the traversal direction of every round. LevelSum
+// and Reached sum across shards to the whole run's values; Checksum
+// covers only the shard's vertex range.
+//
+// With at.Ckpt set the shard saves its owned level range plus its next
+// frontier after a round's frontier swap, and resumes at a restore
+// point's round (payloads are keyed by the saving epoch's block
+// partition: same node count only). The bottom-up arrival counters are
+// NOT part of the payload — a fresh epoch's cumulative counters restart
+// at zero, and the level-tagged replica arrays make zeroed replicas
+// indistinguishable from never-broadcast ones. Results are
+// bit-identical to an undisturbed run; a restore or save that fails is
+// the Result's Err.
+func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
+	if err := at.Err(); err != nil {
+		return Result{Err: err}
+	}
+	ck, coll, only := at.Ckpt, at.Coll, at.Node
 	g := cfg.G
 	nodes := sys.Nodes()
 	part := (g.N + nodes - 1) / nodes
@@ -169,14 +143,10 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 
 	dense := int(float64(g.N) * cfg.denseFrac())
 	levels, bottomUps := 0, 0
-	elastic := opt.Save != nil || len(opt.Resume) > 0
-	if elastic && only < 0 {
-		return Result{}, fmt.Errorf("bfs: elastic runs are per-shard (full runs have nothing to restore)")
-	}
-	if len(opt.Resume) > 0 {
-		fr, lvl, bu, err := decodeShard(level, only, opt.Resume)
+	if len(ck.Resume) > 0 {
+		fr, lvl, bu, err := decodeShard(level, only, ck.Resume)
 		if err != nil {
-			return Result{}, err
+			return Result{Err: err}
 		}
 		levels, bottomUps = lvl, bu
 		for i := range frontier {
@@ -184,16 +154,8 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 		}
 		frontier[only] = fr
 	}
-	if elastic {
-		// Zero-work sync step: its barrier guarantees every worker has
-		// allocated (and restored) before any worker's first visit AM
-		// can arrive — a fast peer's wire writes would otherwise race a
-		// slow peer's allocation or restore.
+	if ck.Active() {
 		sys.Step("bfs-start-sync", make([]int, nodes), 0, func(rt.Ctx) {})
-	}
-	every := opt.Every
-	if every <= 0 {
-		every = 1
 	}
 
 	t0 := sys.VirtualTimeNs()
@@ -201,10 +163,9 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 	for {
 		local := 0
 		for i := range frontier {
-			if only >= 0 && i != only {
-				continue
+			if at.Runs(i) {
+				local += len(frontier[i])
 			}
-			local += len(frontier[i])
 		}
 		total, err := rt.AllReduce(coll, fmt.Sprintf("bfs:front:%d", levels), rt.WorldTeam, rt.OpSum, uint64(local))
 		if err != nil {
@@ -242,9 +203,9 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 		// levels and frontiers form a consistent cut. The round count is
 		// globally agreed (it is driven by the all-reduced frontier
 		// size), so every shard saves the same rounds.
-		if opt.Save != nil && levels%every == 0 {
-			if err := opt.Save(uint64(levels), encodeShard(level, only, levels, bottomUps, frontier[only])); err != nil {
-				return Result{}, err
+		if ck.Due(levels) {
+			if err := ck.Save(uint64(levels), encodeShard(level, only, levels, bottomUps, frontier[only])); err != nil {
+				return Result{Err: err}
 			}
 			// Quiet save window: no worker may start the next round
 			// (whose visit AMs land in peers' level ranges) until every
@@ -255,7 +216,7 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 	ns := sys.VirtualTimeNs() - t0
 
 	lo, hi := uint64(0), uint64(g.N)
-	if only >= 0 {
+	if !at.Full() {
 		lo = uint64(only * part)
 		hi = lo + uint64(part)
 		if hi > uint64(g.N) {
@@ -285,7 +246,7 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 		BottomUp: bottomUps,
 		LevelSum: sum,
 		Checksum: h.Sum64(),
-	}, nil
+	}
 }
 
 // encodeShard builds node's checkpoint payload: the completed round and
@@ -314,12 +275,9 @@ func decodeShard(level *pgas.Array, node int, shards [][]byte) ([]uint32, int, i
 	if node >= len(shards) {
 		return nil, 0, 0, fmt.Errorf("bfs: restore has %d shards, node %d needs its own", len(shards), node)
 	}
-	w, err := ckpt.DecodeU64s(shards[node])
+	w, err := ckpt.DecodeShard(shards[node], 5, 2)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("bfs: shard %d: %w", node, err)
-	}
-	if len(w) < 5 || uint64(len(w)-5) != w[3]+w[4] {
-		return nil, 0, 0, fmt.Errorf("bfs: shard %d: malformed payload (%d words, counts %d+%d)", node, len(w), w[3], w[4])
 	}
 	lo, hi := level.LocalRange(node)
 	if int(w[2]) != lo || int(w[3]) != hi-lo {

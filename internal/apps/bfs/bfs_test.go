@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"gravel/internal/apps/bfs"
+	"gravel/internal/ckpt"
 	"gravel/internal/graph"
 	"gravel/internal/models"
+	"gravel/internal/rt"
 )
 
 // TestElasticRestoreBitIdentical pins the checkpoint codec and restore
@@ -18,7 +20,7 @@ func TestElasticRestoreBitIdentical(t *testing.T) {
 	cfg := bfs.Config{G: g}
 
 	refSys := models.New("gravel", 1, nil)
-	ref := bfs.RunShard(refSys, cfg, 0, nil)
+	ref := bfs.RunAt(refSys, cfg, rt.Where{Node: 0})
 	refSys.Close()
 	if ref.BottomUp == 0 {
 		t.Fatalf("reference ran no bottom-up rounds (levels=%d) — input too sparse to cover the signal path", ref.Levels)
@@ -27,16 +29,16 @@ func TestElasticRestoreBitIdentical(t *testing.T) {
 	var cuts [][]byte
 	var rounds []uint64
 	saveSys := models.New("gravel", 1, nil)
-	r, err := bfs.RunElastic(saveSys, cfg, 0, nil, bfs.ElasticOpts{
+	r := bfs.RunAt(saveSys, cfg, rt.Where{Node: 0, Ckpt: ckpt.Run{
 		Save: func(round uint64, data []byte) error {
 			rounds = append(rounds, round)
 			cuts = append(cuts, append([]byte(nil), data...))
 			return nil
 		},
-	})
+	}})
 	saveSys.Close()
-	if err != nil {
-		t.Fatal(err)
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
 	if r.Checksum != ref.Checksum || r.LevelSum != ref.LevelSum {
 		t.Fatalf("saving run diverged from plain run: %+v vs %+v", r, ref)
@@ -47,10 +49,10 @@ func TestElasticRestoreBitIdentical(t *testing.T) {
 
 	for i, cut := range cuts {
 		sys := models.New("gravel", 1, nil)
-		got, err := bfs.RunElastic(sys, cfg, 0, nil, bfs.ElasticOpts{Resume: [][]byte{cut}})
+		got := bfs.RunAt(sys, cfg, rt.Where{Node: 0, Ckpt: ckpt.Run{Resume: [][]byte{cut}}})
 		sys.Close()
-		if err != nil {
-			t.Fatalf("resume from round %d: %v", rounds[i], err)
+		if got.Err != nil {
+			t.Fatalf("resume from round %d: %v", rounds[i], got.Err)
 		}
 		if got.Checksum != ref.Checksum || got.LevelSum != ref.LevelSum || got.Reached != ref.Reached ||
 			got.Levels != ref.Levels || got.BottomUp != ref.BottomUp {

@@ -49,20 +49,16 @@ func prio(seed, v uint64) uint64 {
 
 // Run executes Jones–Plassmann coloring on the given system.
 func Run(sys rt.System, cfg Config) Result {
-	return run(sys, cfg, -1, nil)
+	return RunAt(sys, cfg, rt.Whole())
 }
 
-// RunShard executes only the given node's shard of a distributed run:
-// launches happen only on node, and the per-round "is everything
-// colored?" decision reduces each shard's colored count through coll so
-// every process runs the same number of rounds. Colored and ColorSum
-// cover only the shard's vertex range and sum across shards to the
-// full-run values.
-func RunShard(sys rt.System, cfg Config, node int, coll rt.Collectives) Result {
-	return run(sys, cfg, node, coll)
-}
-
-func run(sys rt.System, cfg Config, only int, coll rt.Collectives) Result {
+// RunAt is the coloring: at says which node's shard this call launches.
+// The per-round "is everything colored?" decision reduces each shard's
+// colored count through at.Coll so every process runs the same number
+// of rounds. A shard's Colored and ColorSum cover only its vertex range
+// and sum across shards to the whole run's values.
+func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
+	coll, only := at.Coll, at.Node
 	g := cfg.G
 	nodes := sys.Nodes()
 	part := (g.N + nodes - 1) / nodes
@@ -86,15 +82,14 @@ func run(sys rt.System, cfg Config, only int, coll rt.Collectives) Result {
 
 	grid := make([]int, nodes)
 	for i := 0; i < nodes; i++ {
-		if only >= 0 && i != only {
-			continue
+		if at.Runs(i) {
+			grid[i] = vb[i+1] - vb[i]
 		}
-		grid[i] = vb[i+1] - vb[i]
 	}
 	// The vertex range this process scans for termination and results:
 	// everything in a single-process run, the owned shard otherwise.
 	scanLo, scanHi := uint64(0), uint64(g.N)
-	if only >= 0 {
+	if !at.Full() {
 		scanLo, scanHi = uint64(vb[only]), uint64(vb[only+1])
 	}
 

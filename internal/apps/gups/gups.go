@@ -41,96 +41,59 @@ type Result struct {
 	GUPS float64
 	// Sum is the table sum after the run (must equal Updates).
 	Sum uint64
+	// Err reports a checkpoint restore or save that failed.
+	Err error
 }
 
 // Run executes GUPS on the given system, launching on every node.
 func Run(sys rt.System, cfg Config) Result {
-	return run(sys, cfg, -1)
+	return RunAt(sys, cfg, rt.Whole())
 }
 
-// RunOn executes only the given node's share of the GUPS update
-// stream. This is the per-process entry point of a distributed run
-// (cmd/gravel-node): each process launches its own node's updates, and
-// because the stream is derived from the initiating node's ID, the
-// union over all processes is exactly the single-process run — the
-// per-process table sums add up to Run's Sum.
-func RunOn(sys rt.System, cfg Config, node int) Result {
-	return run(sys, cfg, node)
-}
-
-func run(sys rt.System, cfg Config, only int) Result {
-	r, err := RunElastic(sys, cfg, only, ElasticOpts{})
-	if err != nil {
-		// Impossible without a resume payload or a Save hook.
-		panic(err)
-	}
-	return r
-}
-
-// ElasticOpts configures a checkpoint-aware shard run (RunElastic).
-type ElasticOpts struct {
-	// Resume holds every shard's payload from the restore point, in
-	// shard order. Nil means a cold start. GUPS derives its update
-	// stream from per-node counts, so a restore point is only valid at
-	// the node count that saved it (the app is not reshardable); the
-	// payloads must cover the whole table.
-	Resume [][]byte
-	// Every is the checkpoint cadence in steps (<= 0 means every step).
-	Every int
-	// Save, when non-nil, persists this shard's payload at the step
-	// barrier just crossed. The barrier is a proven-quiescent instant —
-	// no update of steps <= step is still in flight — so the union of
-	// all shards' payloads for the same step is a consistent cut.
-	Save func(step uint64, data []byte) error
-}
-
-// RunElastic executes the given node's shard with checkpoint/restore:
-// it restores the table and resumes at the first unfinished step when
-// opt.Resume is set, and saves this shard's slice of the table every
-// opt.Every step barriers when opt.Save is set. The final Sum is
-// bit-identical to an undisturbed RunOn of the same Config.
-func RunElastic(sys rt.System, cfg Config, only int, opt ElasticOpts) (Result, error) {
+// RunAt is GUPS: at says which node's share of the update stream this
+// call launches. The stream is derived from the initiating node's ID,
+// so the union over a cluster's processes is exactly the whole run and
+// the per-process table sums add up to its Sum.
+//
+// With at.Ckpt set (a shard run only; the stream's per-node counts make
+// a restore point valid only at the node count that saved it, and its
+// payloads must cover the whole table) the run restores the table and
+// resumes at the first unfinished step, and saves this shard's slice of
+// the table at the step barriers at.Ckpt names. The final Sum is
+// bit-identical to an undisturbed run of the same Config; a restore or
+// save that fails is the Result's Err.
+func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 1
 	}
 	n := sys.Nodes()
 	A := sys.Space().Alloc(cfg.TableSize)
 	perStep := cfg.UpdatesPerNode / cfg.Steps
+	ck := at.Ckpt
 
-	elastic := opt.Save != nil || len(opt.Resume) > 0
+	if err := at.Err(); err != nil {
+		return Result{Err: err}
+	}
 	start := 0
-	if len(opt.Resume) > 0 {
-		if only < 0 {
-			return Result{}, fmt.Errorf("gups: restore requires a shard run")
-		}
-		step, err := restoreTable(A, only, opt.Resume)
+	if len(ck.Resume) > 0 {
+		step, err := restoreTable(A, at.Node, ck.Resume)
 		if err != nil {
-			return Result{}, err
+			return Result{Err: err}
 		}
 		start = int(step)
 	}
-	if elastic {
-		// Zero-work sync step: its barrier guarantees every worker has
-		// allocated (and restored) before any worker's first increment
-		// can arrive — a fast peer's wire writes would otherwise race a
-		// slow peer's array allocation.
+	if ck.Active() {
 		sys.Step("gups-start-sync", make([]int, n), 0, func(rt.Ctx) {})
-	}
-	every := opt.Every
-	if every <= 0 {
-		every = 1
 	}
 
 	t0 := sys.VirtualTimeNs()
 	grid := make([]int, n)
-	for s := start; s < cfg.Steps; s++ {
-		for i := range grid {
-			if only < 0 || i == only {
-				grid[i] = perStep
-			} else {
-				grid[i] = 0
-			}
+	for i := range grid {
+		if at.Runs(i) {
+			grid[i] = perStep
 		}
+	}
+	for s := start; s < cfg.Steps; s++ {
 		step := s
 		sys.Step("gups", grid, 0, func(c rt.Ctx) {
 			g := c.Group()
@@ -146,9 +109,9 @@ func RunElastic(sys rt.System, cfg Config, only int, opt ElasticOpts) (Result, e
 			})
 			c.Inc(A, idx, one, nil)
 		})
-		if opt.Save != nil && (s+1)%every == 0 && s+1 < cfg.Steps {
-			if err := opt.Save(uint64(s+1), EncodeShard(A, only, uint64(s+1))); err != nil {
-				return Result{}, err
+		if ck.Due(s+1) && s+1 < cfg.Steps {
+			if err := ck.Save(uint64(s+1), EncodeShard(A, at.Node, uint64(s+1))); err != nil {
+				return Result{Err: err}
 			}
 			// Quiet save window: no worker may start step s+1 (whose
 			// increments land in peers' replicas) until every worker has
@@ -160,7 +123,7 @@ func RunElastic(sys rt.System, cfg Config, only int, opt ElasticOpts) (Result, e
 
 	ns := sys.VirtualTimeNs() - t0
 	launched := int64(n)
-	if only >= 0 {
+	if !at.Full() {
 		launched = 1
 	}
 	updates := int64(perStep) * int64(cfg.Steps) * launched
@@ -169,7 +132,7 @@ func RunElastic(sys rt.System, cfg Config, only int, opt ElasticOpts) (Result, e
 		Updates: updates,
 		GUPS:    float64(updates) / ns,
 		Sum:     A.Sum(),
-	}, nil
+	}
 }
 
 // EncodeShard builds node's checkpoint payload: the step the shard has
@@ -194,12 +157,9 @@ func restoreTable(A *pgas.Array, node int, shards [][]byte) (uint64, error) {
 	if node >= len(shards) {
 		return 0, fmt.Errorf("gups: restore has %d shards, node %d needs its own", len(shards), node)
 	}
-	w, err := ckpt.DecodeU64s(shards[node])
+	w, err := ckpt.DecodeShard(shards[node], 3, 1)
 	if err != nil {
 		return 0, fmt.Errorf("gups: shard %d: %w", node, err)
-	}
-	if len(w) < 3 || uint64(len(w)-3) != w[2] {
-		return 0, fmt.Errorf("gups: shard %d: malformed payload (%d words, count %d)", node, len(w), w[2])
 	}
 	lo, hi := A.LocalRange(node)
 	if int(w[1]) != lo || int(w[2]) != hi-lo {
@@ -230,31 +190,25 @@ type ModResult struct {
 	Sum     uint64
 }
 
-// RunMod executes GUPS-mod: a predicated loop in which lane l performs
-// counts[l] updates, exercising diverged WG-level message offload.
+// RunMod executes GUPS-mod on every node.
 func RunMod(sys rt.System, cfg ModConfig) ModResult {
-	return runMod(sys, cfg, -1)
+	return RunModAt(sys, cfg, rt.Whole())
 }
 
-// RunModShard executes only the given node's work-items of a
-// distributed GUPS-mod run; the per-shard table Sum adds up across
-// shards to RunMod's Sum, while Updates is the global expected count
-// (identical in every process).
-func RunModShard(sys rt.System, cfg ModConfig, node int) ModResult {
-	return runMod(sys, cfg, node)
-}
-
-func runMod(sys rt.System, cfg ModConfig, only int) ModResult {
+// RunModAt is GUPS-mod: a predicated loop in which lane l performs
+// counts[l] updates, exercising diverged WG-level message offload. A
+// shard's table Sum adds up across shards to the whole run's, while
+// Updates is the global expected count (identical in every process).
+func RunModAt(sys rt.System, cfg ModConfig, at rt.Where) ModResult {
 	n := sys.Nodes()
 	A := sys.Space().Alloc(cfg.TableSize)
 
 	t0 := sys.VirtualTimeNs()
 	grid := make([]int, n)
 	for i := range grid {
-		if only >= 0 && i != only {
-			continue
+		if at.Runs(i) {
+			grid[i] = cfg.WIsPerNode
 		}
-		grid[i] = cfg.WIsPerNode
 	}
 	sys.Step("gups-mod", grid, 0, func(c rt.Ctx) {
 		g := c.Group()

@@ -41,50 +41,19 @@ type Result struct {
 	MinBucket, MaxBucket uint64
 	// Check is the additive shard checksum.
 	Check uint64
-	// Err reports a failed self-verification.
+	// Err reports a failed self-verification, or a checkpoint restore or
+	// save that failed.
 	Err error
 }
 
 // Run executes the histogram on every node of the system.
 func Run(sys rt.System, cfg Config) Result {
-	return run(sys, cfg, -1, nil)
-}
-
-// RunShard executes one node's shard of a distributed run; the host
-// team reductions go through coll.
-func RunShard(sys rt.System, cfg Config, node int, coll rt.Collectives) Result {
-	return run(sys, cfg, node, coll)
-}
-
-// ElasticOpts configures a checkpoint-aware shard run (RunElastic).
-type ElasticOpts struct {
-	// Resume holds every shard's payload from the restore point. Nil
-	// means a cold start. Payloads are keyed by the saving epoch's
-	// bucket partition, so a restore point is only valid at the node
-	// count that saved it.
-	Resume [][]byte
-	// Every is accepted for CkptRun symmetry but unused: the histogram
-	// has exactly one cut, after the counting phase.
-	Every int
-	// Save, when non-nil, persists this shard's payload at the single
-	// checkpoint — the quiescent barrier after "hist-count", when every
-	// increment has been applied and the summary phase has not started.
-	Save func(step uint64, data []byte) error
-}
-
-// RunElastic executes the given node's shard with checkpoint/restore.
-// The app's only mutable distributed state is the bucket table, fully
-// built by phase one, so the single cut saves each shard's owned bucket
-// range; a restored run skips the counting phase and goes straight to
-// the collective summaries (whose symmetric scratch restarts cleanly in
-// a fresh epoch). Results are bit-identical to an undisturbed RunShard.
-func RunElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt ElasticOpts) (Result, error) {
-	return runElastic(sys, cfg, only, coll, opt)
+	return RunAt(sys, cfg, rt.Whole())
 }
 
 // bucketOf is the deterministic sample stream: sample s of node n.
 func bucketOf(cfg Config, node, s int) uint64 {
-	return graph.Hash64(cfg.Seed ^ uint64(node)<<40 ^ uint64(s)) % uint64(cfg.Buckets)
+	return graph.Hash64(cfg.Seed^uint64(node)<<40^uint64(s)) % uint64(cfg.Buckets)
 }
 
 // teams splits the cluster into a low and a high half for the host
@@ -106,16 +75,23 @@ func teams(nodes int) (low, high rt.Team) {
 	return rt.TeamOf(lo...), rt.TeamOf(hi...)
 }
 
-func run(sys rt.System, cfg Config, only int, coll rt.Collectives) Result {
-	r, err := runElastic(sys, cfg, only, coll, ElasticOpts{})
-	if err != nil {
-		// Impossible without a resume payload or a Save hook.
-		panic(err)
+// RunAt is the histogram: at says which node's shard this call
+// launches; the host team reductions go through at.Coll.
+//
+// The app's only mutable distributed state is the bucket table, fully
+// built by phase one, so with at.Ckpt set there is exactly one cut (its
+// Every is not read): each shard saves its owned bucket range at the
+// quiescent barrier after "hist-count", and a restored run skips the
+// counting phase and goes straight to the collective summaries (whose
+// symmetric scratch restarts cleanly in a fresh epoch). Payloads are
+// keyed by the saving epoch's bucket partition: same node count only.
+// Results are bit-identical to an undisturbed run; a restore or save
+// that fails is the Result's Err, as is a failed self-verification.
+func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
+	if err := at.Err(); err != nil {
+		return Result{Err: err}
 	}
-	return r
-}
-
-func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt ElasticOpts) (Result, error) {
+	ck, coll, only := at.Ckpt, at.Coll, at.Node
 	nodes := sys.Nodes()
 
 	counts := sys.Space().Alloc(cfg.Buckets)
@@ -125,30 +101,21 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 		panic(err)
 	}
 
-	elastic := opt.Save != nil || len(opt.Resume) > 0
-	if elastic && only < 0 {
-		return Result{}, fmt.Errorf("histogram: elastic runs are per-shard (full runs have nothing to restore)")
-	}
-	restored := false
-	if len(opt.Resume) > 0 {
-		if err := restoreCounts(counts, only, opt.Resume); err != nil {
-			return Result{}, err
+	restored := len(ck.Resume) > 0
+	if restored {
+		if err := restoreCounts(counts, only, ck.Resume); err != nil {
+			return Result{Err: err}
 		}
-		restored = true
 	}
-	if elastic {
-		// Zero-work sync step: its barrier guarantees every worker has
-		// allocated (and restored) before any worker's first increment
-		// or collective signal can arrive.
+	if ck.Active() {
 		sys.Step("hist-start-sync", make([]int, nodes), 0, func(rt.Ctx) {})
 	}
 
 	grid := make([]int, nodes)
 	for i := 0; i < nodes; i++ {
-		if only >= 0 && i != only {
-			continue
+		if at.Runs(i) {
+			grid[i] = cfg.SamplesPerNode
 		}
-		grid[i] = cfg.SamplesPerNode
 	}
 
 	t0 := sys.VirtualTimeNs()
@@ -168,9 +135,9 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 			})
 			c.Inc(counts, idx, one, nil)
 		})
-		if opt.Save != nil {
-			if err := opt.Save(1, encodeCounts(counts, only)); err != nil {
-				return Result{}, err
+		if ck.Save != nil {
+			if err := ck.Save(1, encodeCounts(counts, only)); err != nil {
+				return Result{Err: err}
 			}
 			// Quiet save window: no worker may enter the summary phase
 			// until every worker has encoded its payload.
@@ -185,7 +152,7 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 	// its own symmetric result cells.
 	for i := range grid {
 		grid[i] = 0
-		if only < 0 || i == only {
+		if at.Runs(i) {
 			grid[i] = 1
 		}
 	}
@@ -227,7 +194,7 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 	}
 	teamMin := func(key string, team rt.Team) uint64 {
 		contrib := rt.OpMin.Identity()
-		if only < 0 {
+		if at.Full() {
 			for _, m := range team.Members(nodes) {
 				contrib = rt.OpMin.Combine(contrib, perNodeMin(m))
 			}
@@ -241,7 +208,7 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 		return v
 	}
 	var lowMin, highMin uint64
-	handled := func(team rt.Team) bool { return only < 0 || team.Contains(only) }
+	handled := func(team rt.Team) bool { return at.Full() || team.Contains(only) }
 	if handled(lowT) {
 		lowMin = teamMin("hist:low:min", lowT)
 	}
@@ -251,7 +218,7 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 
 	// Every node holds the same device results; read back this shard's.
 	probe := 0
-	if only >= 0 {
+	if !at.Full() {
 		probe = only
 	}
 	res := Result{
@@ -272,7 +239,7 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 		for b := lo; b < hi; b++ {
 			check += counts.Load(uint64(b))
 		}
-		check += mix(dres.Load(dres.SymIndex(n, 0))^dres.Load(dres.SymIndex(n, 1))^dres.Load(dres.SymIndex(n, 2))^uint64(n))
+		check += mix(dres.Load(dres.SymIndex(n, 0)) ^ dres.Load(dres.SymIndex(n, 1)) ^ dres.Load(dres.SymIndex(n, 2)) ^ uint64(n))
 		if lowT.Members(nodes)[0] == n {
 			check += mix(lowMin ^ 0x10)
 		}
@@ -280,7 +247,7 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 			check += mix(highMin ^ 0x20)
 		}
 	}
-	if only < 0 {
+	if at.Full() {
 		for n := 0; n < nodes; n++ {
 			addNode(n)
 		}
@@ -297,7 +264,7 @@ func runElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 	} else if res.MinBucket > res.MaxBucket {
 		res.Err = fmt.Errorf("histogram: device min %d > max %d", res.MinBucket, res.MaxBucket)
 	}
-	return res, nil
+	return res
 }
 
 // encodeCounts builds node's checkpoint payload: the cut step, the
@@ -318,12 +285,9 @@ func restoreCounts(counts *pgas.Array, node int, shards [][]byte) error {
 	if node >= len(shards) {
 		return fmt.Errorf("histogram: restore has %d shards, node %d needs its own", len(shards), node)
 	}
-	w, err := ckpt.DecodeU64s(shards[node])
+	w, err := ckpt.DecodeShard(shards[node], 3, 1)
 	if err != nil {
 		return fmt.Errorf("histogram: shard %d: %w", node, err)
-	}
-	if len(w) < 3 || uint64(len(w)-3) != w[2] {
-		return fmt.Errorf("histogram: shard %d: malformed payload (%d words, count %d)", node, len(w), w[2])
 	}
 	lo, hi := counts.LocalRange(node)
 	if int(w[1]) != lo || int(w[2]) != hi-lo {

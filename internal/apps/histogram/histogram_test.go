@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"gravel/internal/apps/histogram"
+	"gravel/internal/ckpt"
 	"gravel/internal/models"
+	"gravel/internal/rt"
 )
 
 // TestElasticRestoreBitIdentical pins the single-cut checkpoint: a run
@@ -15,7 +17,7 @@ func TestElasticRestoreBitIdentical(t *testing.T) {
 	cfg := histogram.Config{SamplesPerNode: 5000, Buckets: 512, Seed: 9}
 
 	refSys := models.New("gravel", 1, nil)
-	ref := histogram.RunShard(refSys, cfg, 0, nil)
+	ref := histogram.RunAt(refSys, cfg, rt.Where{Node: 0})
 	refSys.Close()
 	if ref.Err != nil {
 		t.Fatal(ref.Err)
@@ -24,17 +26,14 @@ func TestElasticRestoreBitIdentical(t *testing.T) {
 	var cut []byte
 	saves := 0
 	saveSys := models.New("gravel", 1, nil)
-	r, err := histogram.RunElastic(saveSys, cfg, 0, nil, histogram.ElasticOpts{
+	r := histogram.RunAt(saveSys, cfg, rt.Where{Node: 0, Ckpt: ckpt.Run{
 		Save: func(step uint64, data []byte) error {
 			saves++
 			cut = append([]byte(nil), data...)
 			return nil
 		},
-	})
+	}})
 	saveSys.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if saves != 1 {
 		t.Fatalf("saved %d cuts, want exactly 1", saves)
 	}
@@ -43,11 +42,8 @@ func TestElasticRestoreBitIdentical(t *testing.T) {
 	}
 
 	sys := models.New("gravel", 1, nil)
-	got, err := histogram.RunElastic(sys, cfg, 0, nil, histogram.ElasticOpts{Resume: [][]byte{cut}})
+	got := histogram.RunAt(sys, cfg, rt.Where{Node: 0, Ckpt: ckpt.Run{Resume: [][]byte{cut}}})
 	sys.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got.Err != nil || got.Check != ref.Check || got.Samples != ref.Samples ||
 		got.MinBucket != ref.MinBucket || got.MaxBucket != ref.MaxBucket {
 		t.Fatalf("resumed run diverged: %+v vs %+v", got, ref)

@@ -38,6 +38,8 @@ type Result struct {
 	// Counts holds the final per-cluster point counts.
 	Counts []int64
 	Iters  int
+	// Err reports a checkpoint restore or save that failed.
+	Err error
 }
 
 // pointCoord deterministically generates coordinate d of point (node, i):
@@ -69,49 +71,28 @@ func assign(pt []uint64, cent []uint64, k, dims int) int {
 
 // Run executes k-means on the given system.
 func Run(sys rt.System, cfg Config) Result {
-	return run(sys, cfg, -1, nil)
+	return RunAt(sys, cfg, rt.Whole())
 }
 
-// RunShard executes only the given node's points in a distributed run.
-// Each process's accumulator replicas hold exactly the contributions
-// that landed on its owned clusters, so reducing each accumulator
-// through coll yields the global sums, every process recomputes
-// identical centroids, and the final Centroids/Counts match the
-// single-process run bit-for-bit in every process.
-func RunShard(sys rt.System, cfg Config, node int, coll rt.Collectives) Result {
-	return run(sys, cfg, node, coll)
-}
-
-func run(sys rt.System, cfg Config, only int, coll rt.Collectives) Result {
-	r, err := RunElastic(sys, cfg, only, coll, ElasticOpts{})
-	if err != nil {
-		// Impossible without a resume payload or a Save hook.
-		panic(err)
+// RunAt is k-means: at says which node's points this call launches. In
+// a distributed run each process's accumulator replicas hold exactly
+// the contributions that landed on its owned clusters, so reducing each
+// accumulator through at.Coll yields the global sums, every process
+// recomputes identical centroids, and the final Centroids/Counts match
+// the whole run bit-for-bit in every process.
+//
+// With at.Ckpt set the shard saves the centroid vector after an
+// iteration's reduces (the accumulators are zero at that cut, and the
+// next iteration regenerates every increment from the centroids alone)
+// and resumes from a restore point. Every shard saves the same payload;
+// points are generated per (node, index), so a restore point is only
+// valid at the node count that saved it. A restore or save that fails
+// is the Result's Err.
+func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
+	if err := at.Err(); err != nil {
+		return Result{Err: err}
 	}
-	return r
-}
-
-// ElasticOpts configures a checkpoint-aware shard run (RunElastic).
-type ElasticOpts struct {
-	// Resume holds every shard's payload from the restore point. Nil
-	// means a cold start. The payload is the centroid vector — identical
-	// in every shard — so restoring reads shard 0. Points are generated
-	// per (node, index), so a restore point is only valid at the node
-	// count that saved it (not reshardable).
-	Resume [][]byte
-	// Every is the checkpoint cadence in iterations (<= 0 = every one).
-	Every int
-	// Save, when non-nil, persists this shard's payload after the
-	// iteration's reduces complete. The accumulators are deliberately
-	// excluded: they are zero at the cut (reset before the reduces), and
-	// the next iteration regenerates every increment from cent alone.
-	Save func(iter uint64, data []byte) error
-}
-
-// RunElastic executes the given node's shard with checkpoint/restore;
-// final Centroids and Counts are bit-identical to an undisturbed
-// RunShard of the same Config.
-func RunElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt ElasticOpts) (Result, error) {
+	ck, coll := at.Ckpt, at.Coll
 	if cfg.Dims == 0 {
 		cfg.Dims = 2
 	}
@@ -139,31 +120,22 @@ func RunElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 	}
 
 	start := 0
-	if len(opt.Resume) > 0 {
-		iter, err := restoreCentroids(cent, opt.Resume)
+	if len(ck.Resume) > 0 {
+		iter, err := restoreCentroids(cent, ck.Resume)
 		if err != nil {
-			return Result{}, err
+			return Result{Err: err}
 		}
 		start = int(iter)
 	}
-	if opt.Save != nil || len(opt.Resume) > 0 {
-		// Zero-work sync step: its barrier guarantees every worker has
-		// allocated (and restored) before any worker's first increment
-		// can arrive — a fast peer's wire writes would otherwise race a
-		// slow peer's array allocation.
+	if ck.Active() {
 		sys.Step("kmeans-start-sync", make([]int, nodes), 0, func(rt.Ctx) {})
-	}
-	every := opt.Every
-	if every <= 0 {
-		every = 1
 	}
 
 	grid := make([]int, nodes)
 	for i := range grid {
-		if only >= 0 && i != only {
-			continue
+		if at.Runs(i) {
+			grid[i] = cfg.PointsPerNode
 		}
-		grid[i] = cfg.PointsPerNode
 	}
 
 	t0 := sys.VirtualTimeNs()
@@ -242,9 +214,9 @@ func RunElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 			}
 		}
 
-		if opt.Save != nil && (it+1)%every == 0 && it+1 < cfg.Iters {
-			if err := opt.Save(uint64(it+1), EncodeShard(cent, uint64(it+1))); err != nil {
-				return Result{}, err
+		if ck.Due(it+1) && it+1 < cfg.Iters {
+			if err := ck.Save(uint64(it+1), EncodeShard(cent, uint64(it+1))); err != nil {
+				return Result{Err: err}
 			}
 		}
 	}
@@ -261,7 +233,7 @@ func RunElastic(sys rt.System, cfg Config, only int, coll rt.Collectives, opt El
 			counts[assign(pt, cent, k, dims)]++
 		}
 	}
-	return Result{Ns: ns, Centroids: cent, Counts: counts, Iters: cfg.Iters}, nil
+	return Result{Ns: ns, Centroids: cent, Counts: counts, Iters: cfg.Iters}
 }
 
 // EncodeShard builds a checkpoint payload: the iteration the run has
@@ -283,12 +255,9 @@ func EncodeShard(cent []uint64, iter uint64) []byte {
 func restoreCentroids(cent []uint64, shards [][]byte) (uint64, error) {
 	var iter uint64
 	for i, p := range shards {
-		w, err := ckpt.DecodeU64s(p)
+		w, err := ckpt.DecodeShard(p, 2, 1)
 		if err != nil {
 			return 0, fmt.Errorf("kmeans: shard %d: %w", i, err)
-		}
-		if len(w) < 2 || uint64(len(w)-2) != w[1] {
-			return 0, fmt.Errorf("kmeans: shard %d: malformed payload (%d words, count %d)", i, len(w), w[1])
 		}
 		if len(w)-2 != len(cent) {
 			return 0, fmt.Errorf("kmeans: shard %d saved %d centroid words, want %d", i, len(w)-2, len(cent))

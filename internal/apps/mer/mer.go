@@ -188,21 +188,21 @@ func Owner(kmer uint64, nodes int) int {
 	return int(graph.Hash64(kmer^0x5eed) % uint64(nodes))
 }
 
-// Run executes the distributed hash-table construction.
+// Run executes the distributed hash-table construction on every node.
 func Run(sys rt.System, cfg Config) Result {
-	return run(sys, cfg, -1)
+	return RunAt(sys, cfg, rt.Whole())
 }
 
-// RunShard executes only the given node's reads in a distributed run
-// (one process per node). Insertions land on the k-mer owner's process,
-// so Inserted and Distinct are counted from the shard's own table and
-// sum across shards to the full-run values; Expected is the global
-// k-mer count, identical in every process.
-func RunShard(sys rt.System, cfg Config, node int) Result {
-	return run(sys, cfg, node)
+// RunAt is the table construction: at says which node's reads this call
+// launches. Insertions land on the k-mer owner's process, so a shard's
+// Inserted and Distinct are counted from its own table and sum across
+// shards to the whole run's values; Expected is the global k-mer count,
+// identical in every process.
+func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
+	return runWithTables(sys, cfg, at, buildTables(&cfg, sys.Nodes()))
 }
 
-// buildTables allocates the per-node tables for a run. RunFull calls
+// buildTables allocates the per-node tables for a run. RunFullAt calls
 // it before phase 1 so that phase 2's AM handlers can never observe
 // unallocated state: in a multi-process run a faster peer's phase 2
 // messages may arrive while this process is still in host code, and
@@ -227,11 +227,7 @@ func buildTables(cfg *Config, nodes int) []*Table {
 	return tables
 }
 
-func run(sys rt.System, cfg Config, only int) Result {
-	return runWithTables(sys, cfg, only, buildTables(&cfg, sys.Nodes()))
-}
-
-func runWithTables(sys rt.System, cfg Config, only int, tables []*Table) Result {
+func runWithTables(sys rt.System, cfg Config, at rt.Where, tables []*Table) Result {
 	nodes := sys.Nodes()
 	genome := Genome(cfg.GenomeLen, cfg.Seed)
 	kmersPerRead := cfg.ReadLen - cfg.K + 1
@@ -242,10 +238,9 @@ func runWithTables(sys rt.System, cfg Config, only int, tables []*Table) Result 
 
 	grid := make([]int, nodes)
 	for i := range grid {
-		if only >= 0 && i != only {
-			continue
+		if at.Runs(i) {
+			grid[i] = cfg.ReadsPerNode
 		}
-		grid[i] = cfg.ReadsPerNode
 	}
 
 	kmerMask := uint64(1)<<(2*cfg.K) - 1
@@ -302,7 +297,7 @@ func runWithTables(sys rt.System, cfg Config, only int, tables []*Table) Result 
 	for i, t := range tables {
 		// In a distributed run only the hosted node's table is populated
 		// in this process; count just it, so shard results sum cleanly.
-		if only >= 0 && i != only {
+		if !at.Runs(i) {
 			continue
 		}
 		for s, k := range t.keys {

@@ -59,14 +59,14 @@ func firstBase(kmer uint64, k int) uint64 {
 // system. The AM handlers used here must be registered before the
 // first Step of the run, so callers use RunFull; this function is
 // internal glue exposed for tests via RunFull.
-func runPhase2(sys rt.System, cfg Config, tables []*Table, mark, walkReq, walkRep uint8, st *phase2State, only int) Phase2Result {
+func runPhase2(sys rt.System, cfg Config, tables []*Table, mark, walkReq, walkRep uint8, st *phase2State, at rt.Where) Phase2Result {
 	nodes := sys.Nodes()
 	kmerMask := uint64(1)<<(2*cfg.K) - 1
 	k := cfg.K
 
 	grid := make([]int, nodes)
 	for i := range grid {
-		if only < 0 || i == only {
+		if at.Runs(i) {
 			grid[i] = tables[i].Slots()
 		}
 	}
@@ -140,7 +140,7 @@ func runPhase2(sys rt.System, cfg Config, tables []*Table, mark, walkReq, walkRe
 	// owned k-mers), so Contigs, TotalLen, and UU sum across shards to
 	// the full-run values. MaxLen is the shard-local maximum.
 	for i := 0; i < nodes; i++ {
-		if only >= 0 && i != only {
+		if !at.Runs(i) {
 			continue
 		}
 		res.Contigs += st.contigs[i]
@@ -158,20 +158,16 @@ func runPhase2(sys rt.System, cfg Config, tables []*Table, mark, walkReq, walkRe
 }
 
 // RunFull executes phase 1 (table construction) and phase 2 (contig
-// traversal) on the given system.
+// traversal) on every node of the given system.
 func RunFull(sys rt.System, cfg Config) (Result, Phase2Result) {
-	return runFull(sys, cfg, -1)
+	return RunFullAt(sys, cfg, rt.Whole())
 }
 
-// RunFullShard executes both phases for one node of a distributed run.
-// The walk's request/reply active messages travel the fabric between
-// processes and each walker completes on its home node, so the shard
-// results sum across processes to the full-run values.
-func RunFullShard(sys rt.System, cfg Config, node int) (Result, Phase2Result) {
-	return runFull(sys, cfg, node)
-}
-
-func runFull(sys rt.System, cfg Config, only int) (Result, Phase2Result) {
+// RunFullAt is both phases: at says which node's share this call
+// launches. The walk's request/reply active messages travel the fabric
+// between processes and each walker completes on its home node, so
+// shard results sum across processes to the whole run's values.
+func RunFullAt(sys rt.System, cfg Config, at rt.Where) (Result, Phase2Result) {
 	nodes := sys.Nodes()
 	kmerMask := uint64(1)<<(2*cfg.K) - 1
 	k := cfg.K
@@ -255,8 +251,8 @@ func runFull(sys rt.System, cfg Config, only int) (Result, Phase2Result) {
 		sys.HostAM(node, walkRep, home, idx, reply)
 	})
 
-	res1 := runWithTables(sys, cfg, only, tables)
-	res2 := runPhase2(sys, cfg, tables, mark, walkReq, walkRep, st, only)
+	res1 := runWithTables(sys, cfg, at, tables)
+	res2 := runPhase2(sys, cfg, tables, mark, walkReq, walkRep, st, at)
 	return res1, res2
 }
 

@@ -43,6 +43,8 @@ type Result struct {
 	// Checksum is an FNV-1a hash of the final fixed-point rank vector.
 	Checksum uint64
 	Iters    int
+	// Err reports a checkpoint restore or save that failed.
+	Err error
 }
 
 // vertexBounds returns the block-partition boundaries of the vertex set.
@@ -71,51 +73,29 @@ func slotBounds(inOff []int64, vb []int) []int {
 
 // Run executes PageRank on the given system, launching on every node.
 func Run(sys rt.System, cfg Config) Result {
-	return run(sys, cfg, -1)
+	return RunAt(sys, cfg, rt.Whole())
 }
 
-// RunOn executes only the given node's share of the PageRank pushes —
-// the per-process entry point of a distributed run. RankSum, FixedSum
-// and Checksum then cover only that node's vertex shard (rank.Fill
-// seeds every shard identically, and phases only read vertices the
-// launching node owns), so reducing FixedSum across processes yields
-// the single-process total.
-func RunOn(sys rt.System, cfg Config, node int) Result {
-	return run(sys, cfg, node)
-}
-
-func run(sys rt.System, cfg Config, only int) Result {
-	r, err := RunElastic(sys, cfg, only, ElasticOpts{})
-	if err != nil {
-		// Impossible without a resume payload or a Save hook.
-		panic(err)
+// RunAt is PageRank: at says which node's share of the pushes this call
+// launches. A shard's RankSum, FixedSum and Checksum cover only that
+// node's vertices (rank.Fill seeds every shard identically, and phases
+// only read vertices the launching node owns), so reducing FixedSum
+// across processes yields the whole run's total.
+//
+// With at.Ckpt set the shard saves its rank slice at iteration
+// boundaries (the pr-gather step barrier) and resumes from a restore
+// point, bit-identical to an undisturbed run over the shard's vertex
+// range. Rank payloads carry their global vertex range and every
+// in-slot is rewritten by the first pr-push after a restore, so the
+// rank vector is the complete state and PageRank is reshardable: a
+// checkpoint saved by N workers restores under any node count, with
+// the same reduced FixedSum. A restore or save that fails is the
+// Result's Err.
+func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
+	if err := at.Err(); err != nil {
+		return Result{Err: err}
 	}
-	return r
-}
-
-// ElasticOpts configures a checkpoint-aware shard run (RunElastic).
-type ElasticOpts struct {
-	// Resume holds every shard's payload from the restore point, in
-	// shard order. Nil means a cold start. Rank payloads carry their
-	// global vertex range, and every in-slot is rewritten by the first
-	// pr-push after a restore, so PageRank is reshardable: a checkpoint
-	// saved by N workers restores correctly under any node count.
-	Resume [][]byte
-	// Every is the checkpoint cadence in iterations (<= 0 means every
-	// iteration).
-	Every int
-	// Save, when non-nil, persists this shard's rank slice at the
-	// iteration boundary just crossed (the pr-gather step barrier — a
-	// proven-quiescent instant).
-	Save func(iter uint64, data []byte) error
-}
-
-// RunElastic executes the given node's shard with checkpoint/restore.
-// A restored run's FixedSum, RankSum and Checksum are bit-identical to
-// an undisturbed run over the shard's vertex range; because the rank
-// vector is the complete state at an iteration boundary, the reduced
-// FixedSum is also identical across *different* node counts.
-func RunElastic(sys rt.System, cfg Config, only int, opt ElasticOpts) (Result, error) {
+	ck, only := at.Ckpt, at.Node
 	g := cfg.G
 	nodes := sys.Nodes()
 	vb := vertexBounds(g.N, nodes)
@@ -127,31 +107,20 @@ func RunElastic(sys rt.System, cfg Config, only int, opt ElasticOpts) (Result, e
 	rank.Fill(Scale) // every vertex starts at rank 1.0
 
 	start := 0
-	if len(opt.Resume) > 0 {
-		if only < 0 {
-			return Result{}, fmt.Errorf("pagerank: restore requires a shard run")
-		}
-		iter, err := restoreRanks(rank, vb[only], vb[only+1], opt.Resume)
+	if len(ck.Resume) > 0 {
+		iter, err := restoreRanks(rank, vb[only], vb[only+1], ck.Resume)
 		if err != nil {
-			return Result{}, err
+			return Result{Err: err}
 		}
 		start = int(iter)
 	}
-	if opt.Save != nil || len(opt.Resume) > 0 {
-		// Zero-work sync step: its barrier guarantees every worker has
-		// allocated (and restored) before any worker's first push can
-		// arrive — a fast peer's wire writes would otherwise race a slow
-		// peer's array allocation.
+	if ck.Active() {
 		sys.Step("pr-start-sync", make([]int, nodes), 0, func(rt.Ctx) {})
-	}
-	every := opt.Every
-	if every <= 0 {
-		every = 1
 	}
 
 	grid := make([]int, nodes)
 	for i := 0; i < nodes; i++ {
-		if only < 0 || i == only {
+		if at.Runs(i) {
 			grid[i] = vb[i+1] - vb[i]
 		}
 	}
@@ -216,16 +185,16 @@ func RunElastic(sys rt.System, cfg Config, only int, opt ElasticOpts) (Result, e
 			})
 		})
 
-		if opt.Save != nil && (it+1)%every == 0 && it+1 < cfg.Iters {
-			if err := opt.Save(uint64(it+1), EncodeShard(rank, vb, only, uint64(it+1))); err != nil {
-				return Result{}, err
+		if ck.Due(it+1) && it+1 < cfg.Iters {
+			if err := ck.Save(uint64(it+1), EncodeShard(rank, vb, only, uint64(it+1))); err != nil {
+				return Result{Err: err}
 			}
 		}
 	}
 	ns := sys.VirtualTimeNs() - t0
 
 	vlo, vhi := 0, g.N
-	if only >= 0 {
+	if !at.Full() {
 		vlo, vhi = vb[only], vb[only+1]
 	}
 	h := fnv.New64a()
@@ -243,7 +212,7 @@ func RunElastic(sys rt.System, cfg Config, only int, opt ElasticOpts) (Result, e
 		FixedSum: sum,
 		Checksum: h.Sum64(),
 		Iters:    cfg.Iters,
-	}, nil
+	}
 }
 
 // EncodeShard builds node's checkpoint payload: the iteration the
@@ -273,12 +242,9 @@ func restoreRanks(rank *pgas.Array, vlo, vhi int, shards [][]byte) (uint64, erro
 	var iter uint64
 	covered := 0
 	for i, p := range shards {
-		w, err := ckpt.DecodeU64s(p)
+		w, err := ckpt.DecodeShard(p, 3, 1)
 		if err != nil {
 			return 0, fmt.Errorf("pagerank: shard %d: %w", i, err)
-		}
-		if len(w) < 3 || uint64(len(w)-3) != w[2] {
-			return 0, fmt.Errorf("pagerank: shard %d: malformed payload (%d words, count %d)", i, len(w), w[2])
 		}
 		if i == 0 {
 			iter = w[0]

@@ -62,20 +62,16 @@ type state struct {
 
 // Run executes SSSP on the given system.
 func Run(sys rt.System, cfg Config) Result {
-	return run(sys, cfg, -1, nil)
+	return RunAt(sys, cfg, rt.Whole())
 }
 
-// RunShard executes only the given node's shard of a distributed run
-// (one process per node): launches happen only on node, and the
+// RunAt is SSSP: at says which node's shard this call launches. The
 // level-synchronous termination decision — "is the global frontier
-// empty?" — goes through coll, so every process agrees on the superstep
-// count. The per-shard Reached and DistSum sum across shards to the
-// full-run values; Checksum covers only the shard's vertex range.
-func RunShard(sys rt.System, cfg Config, node int, coll rt.Collectives) Result {
-	return run(sys, cfg, node, coll)
-}
-
-func run(sys rt.System, cfg Config, only int, coll rt.Collectives) Result {
+// empty?" — goes through at.Coll, so every process agrees on the
+// superstep count. A shard's Reached and DistSum sum across shards to
+// the whole run's values; Checksum covers only the shard's vertex range.
+func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
+	coll, only := at.Coll, at.Node
 	g := cfg.G
 	g.EnsureWeights()
 	nodes := sys.Nodes()
@@ -115,12 +111,11 @@ func run(sys rt.System, cfg Config, only int, coll rt.Collectives) Result {
 	for {
 		local := 0
 		for i := range frontier {
-			if only >= 0 && i != only {
-				grid[i] = 0
-				continue
+			grid[i] = 0
+			if at.Runs(i) {
+				grid[i] = len(frontier[i])
+				local += grid[i]
 			}
-			grid[i] = len(frontier[i])
-			local += grid[i]
 		}
 		total, err := rt.AllReduce(coll, fmt.Sprintf("sssp:front:%d", steps), rt.WorldTeam, rt.OpSum, uint64(local))
 		if err != nil {
@@ -173,7 +168,7 @@ func run(sys rt.System, cfg Config, only int, coll rt.Collectives) Result {
 	// only the owned shard in a distributed one (other shards' replica
 	// entries are stale — their owners hold the real values).
 	lo, hi := uint64(0), uint64(g.N)
-	if only >= 0 {
+	if !at.Full() {
 		lo = uint64(only * part)
 		hi = lo + uint64(part)
 		if hi > uint64(g.N) {

@@ -53,7 +53,7 @@ func Resolver(scale float64, params *timemodel.Params, extraShards int) *Table {
 			ResolverShards: shards,
 		})
 		start := time.Now()
-		res := gups.Run(sys, harness.Params{Scale: scale})
+		res := gups.Run(sys, rt.Whole(), harness.Params{Scale: scale})
 		wallNs := float64(time.Since(start).Nanoseconds())
 		st := sys.Stats()
 		sys.Close()

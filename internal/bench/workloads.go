@@ -24,7 +24,7 @@ func Workloads(scale float64) []Workload {
 	for i, a := range apps {
 		app := a
 		out[i] = Workload{Name: app.Bench, Run: func(sys rt.System) float64 {
-			return app.Run(sys, harness.Params{Scale: scale}).Ns
+			return app.Run(sys, rt.Whole(), harness.Params{Scale: scale}).Ns
 		}}
 	}
 	return out

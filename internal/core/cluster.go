@@ -177,7 +177,7 @@ type Cluster struct {
 
 	// Per-step delta capture: steps accumulates one rt.StepStats per
 	// recorded phase, prevTotals the cumulative counters at the last
-	// phase boundary, stepStart the wall clock of the last LaunchAll.
+	// phase boundary, stepStart the wall clock of the last RunNodes.
 	steps      []rt.StepStats
 	prevTotals rt.StepStats
 	stepStart  time.Time
@@ -511,13 +511,12 @@ func (cl *Cluster) StepBarrier() {
 	}
 }
 
-// StartBarrier is a step barrier before the cluster's first launch and
+// startBarrier is a step barrier before the cluster's first launch and
 // nothing after it. Across processes, nothing else orders one worker's
 // first messages after a slower peer's array allocations (allocations
 // precede the first Step). It charges no virtual time and is a no-op
-// in-process. LaunchAll passes it; a baseline model that launches on
-// its own calls it first.
-func (cl *Cluster) StartBarrier() {
+// in-process.
+func (cl *Cluster) startBarrier() {
 	if !cl.launched {
 		cl.launched = true
 		cl.StepBarrier()
@@ -531,11 +530,6 @@ func (cl *Cluster) StartBarrier() {
 func (cl *Cluster) LaunchAll(grid []int, scratchPerWG int, off []Offloader, k rt.Kernel) {
 	if len(grid) != cl.cfg.Nodes {
 		panic(fmt.Sprintf("core: launch grid has %d entries for %d nodes", len(grid), cl.cfg.Nodes))
-	}
-	cl.StartBarrier()
-	cl.stepStart = time.Now()
-	if obs.Enabled() {
-		obs.Emit(obs.KStepBegin, -1, int64(len(cl.steps)), 0, "")
 	}
 	cl.launch = launchArgs{scratchPerWG, off, k}
 	cl.RunNodes(grid, cl.launchOn)
@@ -600,8 +594,15 @@ func (cl *Cluster) runNode(n *Node, grid int, run func(n *Node, grid int)) {
 // If any panicked (a verb's typed error in a kernel no one recovers),
 // it re-panics the first value here, on the goroutine that called Step,
 // after every node has returned. LaunchAll is built on it, as is a
-// baseline model whose Step launches on its own.
+// baseline model whose Step launches on its own, so a step's prologue
+// (start barrier, wall clock, step-begin event) lives here: a Step calls
+// RunNodes exactly once.
 func (cl *Cluster) RunNodes(grid []int, run func(n *Node, grid int)) {
+	cl.startBarrier()
+	cl.stepStart = time.Now()
+	if obs.Enabled() {
+		obs.Emit(obs.KStepBegin, -1, int64(len(cl.steps)), 0, "")
+	}
 	last := -1
 	for i, g := range grid {
 		if g <= 0 {

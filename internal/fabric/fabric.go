@@ -227,12 +227,9 @@ type Options struct {
 	HeartbeatInterval time.Duration
 
 	// CoordDialTimeout bounds the initial coordinator dial (workers
-	// routinely start before the coordinator listens). Zero means 30s.
+	// routinely start before the coordinator listens; retries back off
+	// from 10ms to 1s). Zero means 30s.
 	CoordDialTimeout time.Duration
-	// CoordDialBackoff / CoordDialBackoffMax shape the dial retry
-	// backoff (exponential with jitter). Zero means 10ms / 1s.
-	CoordDialBackoff    time.Duration
-	CoordDialBackoffMax time.Duration
 	// CoordRPCTimeout bounds every coordinator request/response
 	// exchange; an expired deadline yields a typed CoordDownError.
 	// Zero means 15s; negative disables the deadline.

@@ -134,17 +134,7 @@ func (p Params) histogramConfig(nodes int) histogram.Config {
 	}
 }
 
-// resumeShards unwraps a CkptRun's restore payloads (nil on cold start).
-func resumeShards(ck CkptRun) [][]byte {
-	if ck.Resume == nil {
-		return nil
-	}
-	return ck.Resume.Shards
-}
-
-// centroidCheck hashes a k-means centroid vector; in shard mode only
-// node 0 contributes it so the shard Checks still sum to the full-run
-// value.
+// centroidCheck hashes a k-means centroid vector.
 func centroidCheck(cent []uint64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -164,47 +154,36 @@ func mer2Check(r mer.Phase2Result) uint64 {
 	return uint64(r.Contigs)<<42 + uint64(r.TotalLen)<<21 + uint64(r.UU)
 }
 
+// shardTag marks the summary of one node's share of a run.
+func shardTag(at rt.Where) string {
+	if at.Full() {
+		return ""
+	}
+	return "shard "
+}
+
+// Each row's Run is the app's one entry point. It reads at for two
+// things only: a whole run prints its own summary and verifies itself,
+// a shard prints the "shard …" form (its numbers are one node's).
 func init() {
 	register(&App{
 		Name:  "gups",
 		Desc:  "random atomic increments over a distributed table (§3)",
 		Bench: "GUPS",
-		Run: func(sys rt.System, p Params) Result {
-			cfg := p.gupsConfig(sys.Nodes())
-			r := gups.Run(sys, cfg)
-			res := Result{
-				Summary: fmt.Sprintf("updates=%d sum=%d virtual GUPS=%.4f", r.Updates, r.Sum, r.GUPS),
-				Ns:      r.Ns,
-				Check:   r.Sum,
+		Run: func(sys rt.System, at rt.Where, p Params) Result {
+			r := gups.RunAt(sys, p.gupsConfig(sys.Nodes()), at)
+			res := Result{Ns: r.Ns, Check: r.Sum, Err: r.Err}
+			if !at.Full() {
+				res.Summary = fmt.Sprintf("shard updates=%d localSum=%d", r.Updates, r.Sum)
+				return res
 			}
-			if r.Sum != uint64(r.Updates) {
+			res.Summary = fmt.Sprintf("updates=%d sum=%d virtual GUPS=%.4f", r.Updates, r.Sum, r.GUPS)
+			if res.Err == nil && r.Sum != uint64(r.Updates) {
 				res.Err = fmt.Errorf("gups: sum %d != updates %d", r.Sum, r.Updates)
 			}
 			return res
 		},
-		Shard: func(sys rt.System, node int, p Params, _ rt.Collectives) Result {
-			r := gups.RunOn(sys, p.gupsConfig(sys.Nodes()), node)
-			return Result{
-				Summary: fmt.Sprintf("shard updates=%d localSum=%d", r.Updates, r.Sum),
-				Ns:      r.Ns,
-				Check:   r.Sum,
-			}
-		},
-		Elastic: func(sys rt.System, node int, p Params, _ rt.Collectives, ck CkptRun) Result {
-			r, err := gups.RunElastic(sys, p.gupsConfig(sys.Nodes()), node, gups.ElasticOpts{
-				Resume: resumeShards(ck),
-				Every:  ck.Every,
-				Save:   ck.Save,
-			})
-			if err != nil {
-				return Result{Summary: "elastic shard failed", Err: err}
-			}
-			return Result{
-				Summary: fmt.Sprintf("shard updates=%d localSum=%d", r.Updates, r.Sum),
-				Ns:      r.Ns,
-				Check:   r.Sum,
-			}
-		},
+		Elastic: true,
 		VerifyTotal: func(total uint64, p Params, nodes int) error {
 			cfg := p.gupsConfig(nodes)
 			want := uint64(cfg.UpdatesPerNode/cfg.Steps) * uint64(cfg.Steps) * uint64(nodes)
@@ -218,25 +197,18 @@ func init() {
 	register(&App{
 		Name: "gups-mod",
 		Desc: "GUPS with 95% idle work-items: diverged WG offload (§8.2)",
-		Run: func(sys rt.System, p Params) Result {
-			r := gups.RunMod(sys, p.gupsModConfig())
-			res := Result{
-				Summary: fmt.Sprintf("updates=%d sum=%d", r.Updates, r.Sum),
-				Ns:      r.Ns,
-				Check:   r.Sum,
+		Run: func(sys rt.System, at rt.Where, p Params) Result {
+			r := gups.RunModAt(sys, p.gupsModConfig(), at)
+			res := Result{Ns: r.Ns, Check: r.Sum}
+			if !at.Full() {
+				res.Summary = fmt.Sprintf("shard localSum=%d (global expected %d)", r.Sum, r.Updates)
+				return res
 			}
+			res.Summary = fmt.Sprintf("updates=%d sum=%d", r.Updates, r.Sum)
 			if r.Sum != uint64(r.Updates) {
 				res.Err = fmt.Errorf("gups-mod: sum %d != updates %d", r.Sum, r.Updates)
 			}
 			return res
-		},
-		Shard: func(sys rt.System, node int, p Params, _ rt.Collectives) Result {
-			r := gups.RunModShard(sys, p.gupsModConfig(), node)
-			return Result{
-				Summary: fmt.Sprintf("shard localSum=%d (global expected %d)", r.Sum, r.Updates),
-				Ns:      r.Ns,
-				Check:   r.Sum,
-			}
 		},
 		VerifyTotal: func(total uint64, p Params, nodes int) error {
 			cfg := p.gupsModConfig()
@@ -259,121 +231,61 @@ func init() {
 	register(&App{
 		Name: "pagerank",
 		Desc: "push-style PageRank over a uniform random graph (-verts/-iters)",
-		Run: func(sys rt.System, p Params) Result {
-			g := randomInput(p)
-			r := pagerank.Run(sys, pagerank.Config{G: g, Iters: p.itersOr(3)})
-			return Result{
-				Summary: fmt.Sprintf("%v rankSum=%.1f checksum=%016x", g, r.RankSum, r.Checksum),
-				Ns:      r.Ns,
-				Check:   r.FixedSum,
-			}
+		Run: func(sys rt.System, at rt.Where, p Params) Result {
+			return runPagerank(sys, randomInput(p), at, p.itersOr(3))
 		},
-		Shard: func(sys rt.System, node int, p Params, _ rt.Collectives) Result {
-			g := randomInput(p)
-			r := pagerank.RunOn(sys, pagerank.Config{G: g, Iters: p.itersOr(3)}, node)
-			return Result{
-				Summary: fmt.Sprintf("%v shard rankSum=%.1f checksum=%016x", g, r.RankSum, r.Checksum),
-				Ns:      r.Ns,
-				Check:   r.FixedSum,
-			}
-		},
-		Elastic: func(sys rt.System, node int, p Params, _ rt.Collectives, ck CkptRun) Result {
-			g := randomInput(p)
-			r, err := pagerank.RunElastic(sys, pagerank.Config{G: g, Iters: p.itersOr(3)}, node, pagerank.ElasticOpts{
-				Resume: resumeShards(ck),
-				Every:  ck.Every,
-				Save:   ck.Save,
-			})
-			if err != nil {
-				return Result{Summary: "elastic shard failed", Err: err}
-			}
-			return Result{
-				Summary: fmt.Sprintf("%v shard rankSum=%.1f checksum=%016x", g, r.RankSum, r.Checksum),
-				Ns:      r.Ns,
-				Check:   r.FixedSum,
-			}
-		},
+		Elastic: true,
 		// Rank payloads carry global vertex ranges and per-shard work
 		// derives from global vertex IDs, so a checkpoint saved by N
 		// workers restores under any node count.
 		Reshardable: true,
 	})
 
-	registerGraphApp("pagerank-1", "PR-1", "push-style PageRank, hugebubbles stand-in (Table 4)", BubblesInput, pagerankRuns())
-	registerGraphApp("pagerank-2", "PR-2", "push-style PageRank, cage15 stand-in (Table 4)", CageInput, pagerankRuns())
-	registerGraphApp("sssp-1", "SSSP-1", "level-synchronous Bellman-Ford, hugebubbles stand-in (Table 4)", BubblesInput, ssspRuns())
-	registerGraphApp("sssp-2", "SSSP-2", "level-synchronous Bellman-Ford, cage15 stand-in (Table 4)", CageInput, ssspRuns())
-	registerGraphApp("color-1", "color-1", "Jones-Plassmann coloring, hugebubbles stand-in (Table 4)", BubblesInput, colorRuns())
-	registerGraphApp("color-2", "color-2", "Jones-Plassmann coloring, cage15 stand-in (Table 4)", CageInput, colorRuns())
+	registerGraphApp("pagerank-1", "PR-1", "push-style PageRank, hugebubbles stand-in (Table 4)", BubblesInput, runGraphPagerank)
+	registerGraphApp("pagerank-2", "PR-2", "push-style PageRank, cage15 stand-in (Table 4)", CageInput, runGraphPagerank)
+	registerGraphApp("sssp-1", "SSSP-1", "level-synchronous Bellman-Ford, hugebubbles stand-in (Table 4)", BubblesInput, runSSSP)
+	registerGraphApp("sssp-2", "SSSP-2", "level-synchronous Bellman-Ford, cage15 stand-in (Table 4)", CageInput, runSSSP)
+	registerGraphApp("color-1", "color-1", "Jones-Plassmann coloring, hugebubbles stand-in (Table 4)", BubblesInput, runColor)
+	registerGraphApp("color-2", "color-2", "Jones-Plassmann coloring, cage15 stand-in (Table 4)", CageInput, runColor)
 
 	register(&App{
 		Name:  "kmeans",
 		Desc:  "fixed-point Lloyd iterations, atomic accumulators (§6)",
 		Bench: "kmeans",
-		Run: func(sys rt.System, p Params) Result {
-			r := kmeans.Run(sys, p.kmeansConfig(sys.Nodes()))
-			return Result{
+		Run: func(sys rt.System, at rt.Where, p Params) Result {
+			r := kmeans.RunAt(sys, p.kmeansConfig(sys.Nodes()), at)
+			res := Result{
 				Summary: fmt.Sprintf("clusters=%d iters=%d counts=%v", len(r.Counts), r.Iters, r.Counts),
 				Ns:      r.Ns,
-				Check:   centroidCheck(r.Centroids),
+				Err:     r.Err,
 			}
+			// Every shard ends with the same centroids; node 0 alone
+			// reports them so the shard Checks still sum to the whole
+			// run's value.
+			if at.Runs(0) {
+				res.Check = centroidCheck(r.Centroids)
+			}
+			return res
 		},
-		Shard: func(sys rt.System, node int, p Params, coll rt.Collectives) Result {
-			r := kmeans.RunShard(sys, p.kmeansConfig(sys.Nodes()), node, coll)
-			check := uint64(0)
-			if node == 0 {
-				check = centroidCheck(r.Centroids)
-			}
-			return Result{
-				Summary: fmt.Sprintf("clusters=%d iters=%d counts=%v", len(r.Counts), r.Iters, r.Counts),
-				Ns:      r.Ns,
-				Check:   check,
-			}
-		},
-		Elastic: func(sys rt.System, node int, p Params, coll rt.Collectives, ck CkptRun) Result {
-			r, err := kmeans.RunElastic(sys, p.kmeansConfig(sys.Nodes()), node, coll, kmeans.ElasticOpts{
-				Resume: resumeShards(ck),
-				Every:  ck.Every,
-				Save:   ck.Save,
-			})
-			if err != nil {
-				return Result{Summary: "elastic shard failed", Err: err}
-			}
-			check := uint64(0)
-			if node == 0 {
-				check = centroidCheck(r.Centroids)
-			}
-			return Result{
-				Summary: fmt.Sprintf("clusters=%d iters=%d counts=%v", len(r.Counts), r.Iters, r.Counts),
-				Ns:      r.Ns,
-				Check:   check,
-			}
-		},
+		Elastic: true,
 	})
 
 	register(&App{
 		Name:  "mer",
 		Desc:  "Meraculous phase 1: distributed k-mer table build (§6)",
 		Bench: "mer",
-		Run: func(sys rt.System, p Params) Result {
-			r := mer.Run(sys, p.merConfig(sys.Nodes(), false))
-			res := Result{
-				Summary: fmt.Sprintf("kmers inserted=%d distinct=%d (expected %d)", r.Inserted, r.Distinct, r.Expected),
-				Ns:      r.Ns,
-				Check:   uint64(r.Inserted),
+		Run: func(sys rt.System, at rt.Where, p Params) Result {
+			r := mer.RunAt(sys, p.merConfig(sys.Nodes(), false), at)
+			res := Result{Ns: r.Ns, Check: uint64(r.Inserted)}
+			if !at.Full() {
+				res.Summary = fmt.Sprintf("shard kmers inserted=%d distinct=%d (global expected %d)", r.Inserted, r.Distinct, r.Expected)
+				return res
 			}
+			res.Summary = fmt.Sprintf("kmers inserted=%d distinct=%d (expected %d)", r.Inserted, r.Distinct, r.Expected)
 			if r.Inserted != r.Expected {
 				res.Err = fmt.Errorf("mer: inserted %d != expected %d", r.Inserted, r.Expected)
 			}
 			return res
-		},
-		Shard: func(sys rt.System, node int, p Params, _ rt.Collectives) Result {
-			r := mer.RunShard(sys, p.merConfig(sys.Nodes(), false), node)
-			return Result{
-				Summary: fmt.Sprintf("shard kmers inserted=%d distinct=%d (global expected %d)", r.Inserted, r.Distinct, r.Expected),
-				Ns:      r.Ns,
-				Check:   uint64(r.Inserted),
-			}
 		},
 		VerifyTotal: func(total uint64, p Params, nodes int) error {
 			cfg := p.merConfig(nodes, false)
@@ -388,27 +300,20 @@ func init() {
 	register(&App{
 		Name: "mer-full",
 		Desc: "Meraculous phases 1+2: table build then AM-driven contig walk",
-		Run: func(sys rt.System, p Params) Result {
-			r1, r2 := mer.RunFull(sys, p.merConfig(sys.Nodes(), true))
-			res := Result{
-				Summary: fmt.Sprintf("phase1: %d kmers (%d distinct); phase2: %d contigs, total len %d, max %d, UU %d",
-					r1.Inserted, r1.Distinct, r2.Contigs, r2.TotalLen, r2.MaxLen, r2.UU),
-				Ns:    r1.Ns + r2.Ns,
-				Check: mer2Check(r2),
+		Run: func(sys rt.System, at rt.Where, p Params) Result {
+			r1, r2 := mer.RunFullAt(sys, p.merConfig(sys.Nodes(), true), at)
+			res := Result{Ns: r1.Ns + r2.Ns, Check: mer2Check(r2)}
+			if !at.Full() {
+				res.Summary = fmt.Sprintf("shard phase1: %d kmers; phase2: %d contigs, total len %d, UU %d",
+					r1.Inserted, r2.Contigs, r2.TotalLen, r2.UU)
+				return res
 			}
+			res.Summary = fmt.Sprintf("phase1: %d kmers (%d distinct); phase2: %d contigs, total len %d, max %d, UU %d",
+				r1.Inserted, r1.Distinct, r2.Contigs, r2.TotalLen, r2.MaxLen, r2.UU)
 			if r1.Inserted != r1.Expected {
 				res.Err = fmt.Errorf("mer-full: inserted %d != expected %d", r1.Inserted, r1.Expected)
 			}
 			return res
-		},
-		Shard: func(sys rt.System, node int, p Params, _ rt.Collectives) Result {
-			r1, r2 := mer.RunFullShard(sys, p.merConfig(sys.Nodes(), true), node)
-			return Result{
-				Summary: fmt.Sprintf("shard phase1: %d kmers; phase2: %d contigs, total len %d, UU %d",
-					r1.Inserted, r2.Contigs, r2.TotalLen, r2.UU),
-				Ns:    r1.Ns + r2.Ns,
-				Check: mer2Check(r2),
-			}
 		},
 	})
 
@@ -418,26 +323,17 @@ func init() {
 	register(&App{
 		Name: "bfs-dir",
 		Desc: "direction-optimizing BFS: dense rounds broadcast the frontier with put_signal, scanners wait_until",
-		Run: func(sys rt.System, p Params) Result {
+		Run: func(sys rt.System, at rt.Where, p Params) Result {
 			g := randomInput(p)
-			return bfsResult(bfs.Run(sys, bfs.Config{G: g}), g)
-		},
-		Shard: func(sys rt.System, node int, p Params, coll rt.Collectives) Result {
-			g := randomInput(p)
-			return bfsResult(bfs.RunShard(sys, bfs.Config{G: g}, node, coll), g)
-		},
-		Elastic: func(sys rt.System, node int, p Params, coll rt.Collectives, ck CkptRun) Result {
-			g := randomInput(p)
-			r, err := bfs.RunElastic(sys, bfs.Config{G: g}, node, coll, bfs.ElasticOpts{
-				Resume: resumeShards(ck),
-				Every:  ck.Every,
-				Save:   ck.Save,
-			})
-			if err != nil {
-				return Result{Summary: "elastic shard failed", Err: err}
+			r := bfs.RunAt(sys, bfs.Config{G: g}, at)
+			return Result{
+				Summary: fmt.Sprintf("%v reached=%d levels=%d (bottom-up %d) levelSum=%d", g, r.Reached, r.Levels, r.BottomUp, r.LevelSum),
+				Ns:      r.Ns,
+				Check:   r.LevelSum, // additive: shards sum to the whole run's value
+				Err:     r.Err,
 			}
-			return bfsResult(r, g)
 		},
+		Elastic: true,
 		VerifyTotal: func(total uint64, p Params, nodes int) error {
 			want := bfs.ReferenceSum(randomInput(p), 0)
 			if total != want {
@@ -450,40 +346,16 @@ func init() {
 	register(&App{
 		Name: "histogram",
 		Desc: "distributed histogram summarized by device collectives and host team all-reduces",
-		Run: func(sys rt.System, p Params) Result {
-			r := histogram.Run(sys, p.histogramConfig(sys.Nodes()))
+		Run: func(sys rt.System, at rt.Where, p Params) Result {
+			r := histogram.RunAt(sys, p.histogramConfig(sys.Nodes()), at)
 			return Result{
-				Summary: fmt.Sprintf("samples=%d bucketMin=%d bucketMax=%d", r.Samples, r.MinBucket, r.MaxBucket),
+				Summary: fmt.Sprintf("%ssamples=%d bucketMin=%d bucketMax=%d", shardTag(at), r.Samples, r.MinBucket, r.MaxBucket),
 				Ns:      r.Ns,
 				Check:   r.Check,
 				Err:     r.Err,
 			}
 		},
-		Shard: func(sys rt.System, node int, p Params, coll rt.Collectives) Result {
-			r := histogram.RunShard(sys, p.histogramConfig(sys.Nodes()), node, coll)
-			return Result{
-				Summary: fmt.Sprintf("shard samples=%d bucketMin=%d bucketMax=%d", r.Samples, r.MinBucket, r.MaxBucket),
-				Ns:      r.Ns,
-				Check:   r.Check,
-				Err:     r.Err,
-			}
-		},
-		Elastic: func(sys rt.System, node int, p Params, coll rt.Collectives, ck CkptRun) Result {
-			r, err := histogram.RunElastic(sys, p.histogramConfig(sys.Nodes()), node, coll, histogram.ElasticOpts{
-				Resume: resumeShards(ck),
-				Every:  ck.Every,
-				Save:   ck.Save,
-			})
-			if err != nil {
-				return Result{Summary: "elastic shard failed", Err: err}
-			}
-			return Result{
-				Summary: fmt.Sprintf("shard samples=%d bucketMin=%d bucketMax=%d", r.Samples, r.MinBucket, r.MaxBucket),
-				Ns:      r.Ns,
-				Check:   r.Check,
-				Err:     r.Err,
-			}
-		},
+		Elastic: true,
 		VerifyTotal: func(total uint64, p Params, nodes int) error {
 			want := histogram.ExpectedCheck(p.histogramConfig(nodes), nodes)
 			if total != want {
@@ -494,101 +366,54 @@ func init() {
 	})
 }
 
-// bfsResult shapes a bfs.Result for the registry; LevelSum is the
-// additive check (shards sum to the full-run value).
-func bfsResult(r bfs.Result, g *graph.Graph) Result {
-	return Result{
-		Summary: fmt.Sprintf("%v reached=%d levels=%d (bottom-up %d) levelSum=%d", g, r.Reached, r.Levels, r.BottomUp, r.LevelSum),
-		Ns:      r.Ns,
-		Check:   r.LevelSum,
-	}
-}
-
-// graphRuns bundles a graph app's full and shard entry points so the
-// six Table 4 graph workloads share one registration path.
-type graphRuns struct {
-	run   func(sys rt.System, g *graph.Graph, p Params) Result
-	shard func(sys rt.System, g *graph.Graph, node int, p Params, coll rt.Collectives) Result
-}
-
-func registerGraphApp(name, bench, desc string, input func(scale float64) *graph.Graph, runs graphRuns) {
+// registerGraphApp registers one of the six Table 4 graph workloads: a
+// graph kind's entry point over a cached input.
+func registerGraphApp(name, bench, desc string, input func(scale float64) *graph.Graph,
+	run func(sys rt.System, g *graph.Graph, at rt.Where, p Params) Result) {
 	register(&App{
 		Name:  name,
 		Desc:  desc,
 		Bench: bench,
-		Run: func(sys rt.System, p Params) Result {
-			return runs.run(sys, input(p.scale()), p)
-		},
-		Shard: func(sys rt.System, node int, p Params, coll rt.Collectives) Result {
-			return runs.shard(sys, input(p.scale()), node, p, coll)
+		Run: func(sys rt.System, at rt.Where, p Params) Result {
+			return run(sys, input(p.scale()), at, p)
 		},
 	})
 }
 
-func pagerankRuns() graphRuns {
-	return graphRuns{
-		run: func(sys rt.System, g *graph.Graph, p Params) Result {
-			r := pagerank.Run(sys, pagerank.Config{G: g, Iters: p.itersOr(10)})
-			return Result{
-				Summary: fmt.Sprintf("%v rankSum=%.1f checksum=%016x", g, r.RankSum, r.Checksum),
-				Ns:      r.Ns,
-				Check:   r.FixedSum,
-			}
-		},
-		shard: func(sys rt.System, g *graph.Graph, node int, p Params, _ rt.Collectives) Result {
-			r := pagerank.RunOn(sys, pagerank.Config{G: g, Iters: p.itersOr(10)}, node)
-			return Result{
-				Summary: fmt.Sprintf("%v shard rankSum=%.1f checksum=%016x", g, r.RankSum, r.Checksum),
-				Ns:      r.Ns,
-				Check:   r.FixedSum,
-			}
-		},
+func runPagerank(sys rt.System, g *graph.Graph, at rt.Where, iters int) Result {
+	r := pagerank.RunAt(sys, pagerank.Config{G: g, Iters: iters}, at)
+	return Result{
+		Summary: fmt.Sprintf("%v %srankSum=%.1f checksum=%016x", g, shardTag(at), r.RankSum, r.Checksum),
+		Ns:      r.Ns,
+		Check:   r.FixedSum,
+		Err:     r.Err,
 	}
 }
 
-func ssspRuns() graphRuns {
-	return graphRuns{
-		run: func(sys rt.System, g *graph.Graph, p Params) Result {
-			r := sssp.Run(sys, sssp.Config{G: g, Source: 0})
-			return Result{
-				Summary: fmt.Sprintf("%v reached=%d supersteps=%d distSum=%d", g, r.Reached, r.Supersteps, r.DistSum),
-				Ns:      r.Ns,
-				Check:   r.DistSum,
-			}
-		},
-		shard: func(sys rt.System, g *graph.Graph, node int, p Params, coll rt.Collectives) Result {
-			r := sssp.RunShard(sys, sssp.Config{G: g, Source: 0}, node, coll)
-			return Result{
-				Summary: fmt.Sprintf("%v shard reached=%d supersteps=%d distSum=%d", g, r.Reached, r.Supersteps, r.DistSum),
-				Ns:      r.Ns,
-				Check:   r.DistSum,
-			}
-		},
+func runGraphPagerank(sys rt.System, g *graph.Graph, at rt.Where, p Params) Result {
+	return runPagerank(sys, g, at, p.itersOr(10))
+}
+
+func runSSSP(sys rt.System, g *graph.Graph, at rt.Where, _ Params) Result {
+	r := sssp.RunAt(sys, sssp.Config{G: g, Source: 0}, at)
+	return Result{
+		Summary: fmt.Sprintf("%v %sreached=%d supersteps=%d distSum=%d", g, shardTag(at), r.Reached, r.Supersteps, r.DistSum),
+		Ns:      r.Ns,
+		Check:   r.DistSum,
 	}
 }
 
-func colorRuns() graphRuns {
-	return graphRuns{
-		run: func(sys rt.System, g *graph.Graph, p Params) Result {
-			r := color.Run(sys, color.Config{G: g, Seed: p.seedOr(7)})
-			res := Result{
-				Summary: fmt.Sprintf("%v colors=%d rounds=%d (validated)", g, r.Colors, r.Rounds),
-				Ns:      r.Ns,
-				Check:   r.ColorSum,
-			}
-			if err := color.Validate(g, r.ColorAt); err != nil {
-				res.Summary = fmt.Sprintf("INVALID COLORING: %v", err)
-				res.Err = err
-			}
-			return res
-		},
-		shard: func(sys rt.System, g *graph.Graph, node int, p Params, coll rt.Collectives) Result {
-			r := color.RunShard(sys, color.Config{G: g, Seed: p.seedOr(7)}, node, coll)
-			return Result{
-				Summary: fmt.Sprintf("%v shard colors=%d rounds=%d colorSum=%d", g, r.Colors, r.Rounds, r.ColorSum),
-				Ns:      r.Ns,
-				Check:   r.ColorSum,
-			}
-		},
+func runColor(sys rt.System, g *graph.Graph, at rt.Where, p Params) Result {
+	r := color.RunAt(sys, color.Config{G: g, Seed: p.seedOr(7)}, at)
+	res := Result{Ns: r.Ns, Check: r.ColorSum}
+	if !at.Full() {
+		res.Summary = fmt.Sprintf("%v shard colors=%d rounds=%d colorSum=%d", g, r.Colors, r.Rounds, r.ColorSum)
+		return res
 	}
+	res.Summary = fmt.Sprintf("%v colors=%d rounds=%d (validated)", g, r.Colors, r.Rounds)
+	if err := color.Validate(g, r.ColorAt); err != nil {
+		res.Summary = fmt.Sprintf("INVALID COLORING: %v", err)
+		res.Err = err
+	}
+	return res
 }

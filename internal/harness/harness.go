@@ -4,13 +4,13 @@
 // table of application names and workload configurations — three copies
 // that had already drifted (gravel-node accepted two apps, the other
 // two eleven; the graph-input floors differed). This package owns the
-// one table: every app's builder (full run), shard entry point
-// (per-process distributed run), total verifier, and Table 4 identity
-// live here, and all three binaries consume it.
+// one table: every app is one row (its entry point, total verifier and
+// Table 4 identity), and all three binaries consume it.
 //
-// An App runs on any rt.System, and every model builds over any
-// registered fabric transport (gravel.Config.Model × Transport), so the
-// registry spans the full app × model × fabric matrix.
+// An App runs on any rt.System, anywhere an rt.Where names, and every
+// model builds over any registered fabric transport
+// (gravel.Config.Model × Transport), so a run is an app row × a model
+// row × a fabric × a Where.
 package harness
 
 import (
@@ -84,39 +84,13 @@ type Result struct {
 	// the single-process run's Check, which is how gravel-node's smoke
 	// mode and the distributed tests verify bit-identical execution.
 	Check uint64
-	// Err reports a failed self-verification (full runs only; e.g. an
-	// invalid coloring or a GUPS sum that does not match the update
-	// count). The run's numbers are still reported.
+	// Err reports a failed self-verification (e.g. an invalid coloring
+	// or a GUPS sum that does not match the update count; the run's
+	// numbers are still reported) or a failed checkpoint restore or save.
 	Err error
 }
 
-// Checkpoint is one consistent cut of a distributed run: every shard's
-// payload saved at the same step barrier by the same epoch.
-type Checkpoint struct {
-	// Step is the step/iteration count the run had completed.
-	Step uint64
-	// Nodes is the node count of the epoch that saved the checkpoint.
-	Nodes int
-	// Shards holds one payload per node of the saving epoch, in node
-	// order. Payload layout is app-private (see the apps' EncodeShard).
-	Shards [][]byte
-}
-
-// CkptRun wires an elastic shard run to the cluster's checkpoint
-// store. The zero value is a cold start that never saves.
-type CkptRun struct {
-	// Resume, when non-nil, is the restore point the run continues
-	// from. For non-Reshardable apps the launcher guarantees
-	// Resume.Nodes equals the current node count.
-	Resume *Checkpoint
-	// Every is the checkpoint cadence in steps (<= 0 = every step).
-	Every int
-	// Save persists one shard payload for the step barrier just
-	// crossed (nil = don't checkpoint).
-	Save func(step uint64, data []byte) error
-}
-
-// App is one registered application.
+// App is one registered application: one row, one entry point.
 type App struct {
 	// Name is the registry key (-app value).
 	Name string
@@ -125,20 +99,17 @@ type App struct {
 	// Bench is the app's Table 4 display name ("" = not one of the
 	// nine bench workloads).
 	Bench string
-	// Run executes the full app on sys (every node launches).
-	Run func(sys rt.System, p Params) Result
-	// Shard executes only one node's share — the per-process entry
-	// point of a multi-process run. Apps that coordinate between
-	// supersteps (sssp, color, kmeans, bfs-dir, histogram) go through
-	// coll (nil = single process, see the rt.AllReduce helpers); the
-	// rest ignore it. Shard Check values sum to the full-run Check.
-	Shard func(sys rt.System, node int, p Params, coll rt.Collectives) Result
-	// Elastic, when non-nil, is the checkpoint-aware variant of Shard:
-	// it restores from ck.Resume, saves through ck.Save at step
-	// barriers, and otherwise behaves exactly like Shard (a zero
-	// CkptRun makes them identical). Elastic runs must be bit-identical
-	// to undisturbed runs.
-	Elastic func(sys rt.System, node int, p Params, coll rt.Collectives, ck CkptRun) Result
+	// Run executes the app on sys; at says where (rt.Where): the whole
+	// cluster in this process (rt.Whole()), or one node's share of a
+	// multi-process run, with the cluster's collectives and, for an
+	// Elastic app, its checkpoints. A whole run prints its own summary
+	// and verifies itself; a shard's Check values sum to the whole
+	// run's Check.
+	Run func(sys rt.System, at rt.Where, p Params) Result
+	// Elastic marks an app whose Run reads at.Ckpt: it restores from
+	// at.Ckpt.Resume, saves through at.Ckpt.Save at step barriers, and
+	// stays bit-identical to an undisturbed run.
+	Elastic bool
 	// Reshardable marks an Elastic app whose checkpoints restore
 	// correctly under a *different* node count than the one that saved
 	// them (its payloads are keyed by global index and its per-shard

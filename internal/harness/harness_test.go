@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"gravel"
+	"gravel/internal/ckpt"
 	"gravel/internal/harness"
+	"gravel/internal/rt"
 )
 
 // TestRegistryNames pins the registered app set: the union of what the
@@ -86,7 +88,7 @@ func TestEveryAppRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sys.Close()
-			res := app.Run(sys, harness.Params{Scale: 0.02})
+			res := app.Run(sys, rt.Whole(), harness.Params{Scale: 0.02})
 			if res.Err != nil {
 				t.Fatalf("self-verification failed: %v", res.Err)
 			}
@@ -120,5 +122,63 @@ func TestListJSON(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("transports %v missing tcp", doc.Transports)
+	}
+}
+
+// TestMalformedResumeIsAnError: a restore point comes from the
+// coordinator's store, so for every elastic row a Ckpt.Resume that is
+// cut short, misses this node's shard, or carries another node's range
+// comes back as the row's Result.Err, never as a panic. Node 1 of a
+// two-node cluster resumes from mutations of a one-node run's first cut
+// (one node, because a lone shard of two would wait for its peer in the
+// histogram's device collectives).
+func TestMalformedResumeIsAnError(t *testing.T) {
+	p := harness.Params{Scale: 0.02, Steps: 2}
+	for _, app := range harness.Apps() {
+		if !app.Elastic {
+			continue
+		}
+		app := app
+		t.Run(app.Name, func(t *testing.T) {
+			t.Parallel()
+			run := func(nodes, node int, ck ckpt.Run) harness.Result {
+				sys, err := gravel.NewChecked(gravel.Config{Nodes: nodes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Close()
+				return app.Run(sys, rt.Where{Node: node, Ckpt: ck}, p)
+			}
+			var cut []byte
+			res := run(1, 0, ckpt.Run{Save: func(_ uint64, data []byte) error {
+				if cut == nil {
+					cut = bytes.Clone(data)
+				}
+				return nil
+			}})
+			if res.Err != nil || len(cut) < 16 {
+				t.Fatalf("saving run: err %v, %d-byte cut", res.Err, len(cut))
+			}
+			// Every k-means shard saves the same centroid vector and no
+			// range, so any one of them is a whole restore point; a
+			// reshardable app gathers its range from however many shards
+			// cover it.
+			anyShard := app.Name == "kmeans"
+			for _, tc := range []struct {
+				name     string
+				resume   [][]byte
+				accepted bool
+			}{
+				{"short payload", [][]byte{cut, cut[:len(cut)-4]}, false},
+				{"header cut off", [][]byte{cut[:8], cut[:8]}, false},
+				{"wrong shard count", [][]byte{cut}, anyShard || app.Reshardable},
+				{"wrong range", [][]byte{cut, cut}, anyShard},
+			} {
+				res := run(2, 1, ckpt.Run{Resume: tc.resume})
+				if tc.accepted != (res.Err == nil) {
+					t.Errorf("%s: Err = %v, want accepted=%t", tc.name, res.Err, tc.accepted)
+				}
+			}
+		})
 	}
 }

@@ -66,7 +66,6 @@ func (cp *Coprocessor) Step(name string, grid []int, scratchPerWG int, k rt.Kern
 	// occupancy that hides memory latency.
 	fullWIs := p.CUs * p.OccupancyForFullThroughput * wgSize
 
-	cp.StartBarrier()
 	cp.RunNodes(grid, func(n *core.Node, g int) {
 		sb := cp.sb[n.ID]
 		chunk := maxChunk

@@ -11,6 +11,7 @@ import (
 	"gravel/internal/apps/sssp"
 	"gravel/internal/graph"
 	"gravel/internal/models"
+	"gravel/internal/obs"
 	"gravel/internal/rt"
 )
 
@@ -158,5 +159,32 @@ func TestSystemsReportStats(t *testing.T) {
 		}
 		var _ rt.System = sys
 		sys.Close()
+	}
+}
+
+// TestEveryModelStepHasPrologue: whichever path a model launches
+// through, each of its steps measures wall time and pairs one
+// step-begin with its step-end in the flight recorder.
+func TestEveryModelStepHasPrologue(t *testing.T) {
+	cfg := gups.Config{TableSize: 1 << 10, UpdatesPerNode: 1 << 10, Seed: 1, Steps: 3}
+	for _, m := range models.Table {
+		rec := obs.Start(obs.Options{})
+		sys := models.New(m.Name, 2, nil)
+		gups.Run(sys, cfg)
+		steps := sys.Stats().Steps
+		sys.Close()
+		obs.Stop()
+		if len(steps) != cfg.Steps {
+			t.Errorf("%s: %d steps recorded, want %d", m.Name, len(steps), cfg.Steps)
+		}
+		for _, s := range steps {
+			if s.WallNs <= 0 {
+				t.Errorf("%s: step %d (%s) has WallNs %d", m.Name, s.Index, s.Name, s.WallNs)
+			}
+		}
+		begins, ends := rec.Count(obs.KStepBegin), rec.Count(obs.KStepEnd)
+		if begins != ends || ends != int64(len(steps)) {
+			t.Errorf("%s: %d step-begin and %d step-end events for %d steps", m.Name, begins, ends, len(steps))
+		}
 	}
 }

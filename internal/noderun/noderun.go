@@ -67,15 +67,13 @@ type Spec struct {
 	Suspect         time.Duration `json:"suspect,omitempty"`
 	Heartbeat       time.Duration `json:"heartbeat,omitempty"`
 	CoordTimeout    time.Duration `json:"coord_timeout,omitempty"`
-	CoordBackoff    time.Duration `json:"coord_backoff,omitempty"`
-	CoordBackoffMax time.Duration `json:"coord_backoff_max,omitempty"`
 	CoordRPCTimeout time.Duration `json:"coord_rpc_timeout,omitempty"`
 
 	// Elastic enables checkpoint/restore and recovery orchestration:
 	// workers save shard checkpoints at step barriers, and the launcher
 	// heals a worker loss by starting a new membership epoch restored
 	// from the latest complete checkpoint instead of failing the run.
-	// Requires an app with an Elastic entry point.
+	// Requires an Elastic app.
 	Elastic bool `json:"elastic,omitempty"`
 	// CkptEvery is the checkpoint cadence in step barriers (0 = every
 	// barrier). Elastic runs only.
@@ -131,7 +129,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("noderun: elastic runs need a cluster fabric (%s or %s)", FabricTCP, FabricExec)
 		}
 		a, _ := harness.LookupApp(s.App)
-		if a.Elastic == nil {
+		if !a.Elastic {
 			return fmt.Errorf("noderun: app %q has no elastic (checkpoint/restore) entry point", s.App)
 		}
 	}
@@ -263,7 +261,7 @@ func RunLocal(spec Spec) (*RunResult, error) {
 		return nil, err
 	}
 	start := time.Now()
-	res := a.Run(sys, spec.Params)
+	res := a.Run(sys, rt.Whole(), spec.Params)
 	st := sys.Stats()
 	sys.Close()
 	if res.Err != nil {

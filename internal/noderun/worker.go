@@ -11,8 +11,10 @@ import (
 	"os"
 
 	"gravel"
+	"gravel/internal/ckpt"
 	"gravel/internal/core"
 	"gravel/internal/harness"
+	"gravel/internal/rt"
 	"gravel/internal/transport"
 	"gravel/internal/transport/fault"
 )
@@ -105,17 +107,15 @@ func RunWorker(cfg WorkerConfig) (res WorkerResult, err error) {
 		Transport:      "tcp",
 		Faults:         fcfg,
 		TransportOpts: gravel.TransportOptions{
-			Self:                cfg.Node,
-			Listen:              listen,
-			Coord:               cfg.Coord,
-			WallClock:           spec.WallClock,
-			SuspectTimeout:      spec.Suspect,
-			HeartbeatInterval:   spec.Heartbeat,
-			CoordDialTimeout:    spec.CoordTimeout,
-			CoordDialBackoff:    spec.CoordBackoff,
-			CoordDialBackoffMax: spec.CoordBackoffMax,
-			CoordRPCTimeout:     spec.CoordRPCTimeout,
-			Generation:          cfg.Gen,
+			Self:              cfg.Node,
+			Listen:            listen,
+			Coord:             cfg.Coord,
+			WallClock:         spec.WallClock,
+			SuspectTimeout:    spec.Suspect,
+			HeartbeatInterval: spec.Heartbeat,
+			CoordDialTimeout:  spec.CoordTimeout,
+			CoordRPCTimeout:   spec.CoordRPCTimeout,
+			Generation:        cfg.Gen,
 		},
 	})
 	if err != nil {
@@ -132,15 +132,12 @@ func RunWorker(cfg WorkerConfig) (res WorkerResult, err error) {
 
 	// The shard's superstep collectives (frontier emptiness, k-means
 	// accumulators, team reductions) ride the coordinator's keyed
-	// reduction through the transport's Collectives surface.
-	coll := tcp.Collectives()
-	var shard harness.Result
+	// reduction through the transport's Collectives surface; an elastic
+	// run's checkpoints go to the coordinator's store the same way.
+	at := rt.Where{Node: cfg.Node, Coll: tcp.Collectives()}
 	resharded := false
-	if spec.Elastic && a.Elastic != nil {
-		ck := harness.CkptRun{
-			Every: spec.CkptEvery,
-			Save:  tcp.SaveCheckpoint,
-		}
+	if spec.Elastic && a.Elastic {
+		at.Ckpt = ckpt.Run{Every: spec.CkptEvery, Save: tcp.SaveCheckpoint}
 		rp, found, ferr := tcp.FetchCheckpoint()
 		if ferr != nil {
 			return res, ferr
@@ -150,14 +147,12 @@ func RunWorker(cfg WorkerConfig) (res WorkerResult, err error) {
 				return res, fmt.Errorf("noderun: app %q cannot restore a %d-node checkpoint on %d nodes", spec.App, rp.Nodes, spec.Nodes)
 			}
 			resharded = rp.Nodes != spec.Nodes
-			ck.Resume = &harness.Checkpoint{Step: rp.Step, Nodes: rp.Nodes, Shards: rp.Shards}
+			at.Ckpt.Resume = rp.Shards
 		}
-		shard = a.Elastic(sys, cfg.Node, spec.Params, coll, ck)
-		if shard.Err != nil {
-			return res, shard.Err
-		}
-	} else {
-		shard = a.Shard(sys, cfg.Node, spec.Params, coll)
+	}
+	shard := a.Run(sys, at, spec.Params)
+	if shard.Err != nil {
+		return res, shard.Err
 	}
 
 	total, err := tcp.Reduce(spec.App+":sum", shard.Check)

@@ -9,6 +9,9 @@
 package rt
 
 import (
+	"errors"
+
+	"gravel/internal/ckpt"
 	"gravel/internal/pgas"
 	"gravel/internal/simt"
 	"gravel/internal/timemodel"
@@ -77,6 +80,42 @@ type Ctx interface {
 // Kernel is GPU code launched across a grid of work-items; it is invoked
 // once per work-group.
 type Kernel func(c Ctx)
+
+// Where says which part of a run one call executes: every application
+// has one body, and this is its context argument. Whole() is the full
+// in-process run; a distributed worker names its node and hands over
+// the cluster's collectives and, for an elastic run, its checkpoints.
+type Where struct {
+	// Node is the node whose share of the work this call launches; -1
+	// launches every node's (the whole cluster lives in this process).
+	// One node's results (sums, checksums) cover its shard only and add
+	// up across the cluster to the whole run's.
+	Node int
+	// Coll carries the between-step agreements of a multi-process run
+	// (nil = single process, see AllReduce); apps without any ignore it.
+	Coll Collectives
+	// Ckpt restores and saves the shard; the zero value does neither.
+	// Only apps the registry marks elastic read it.
+	Ckpt ckpt.Run
+}
+
+// Whole is the run of every node in this process.
+func Whole() Where { return Where{Node: -1} }
+
+// Full reports whether every node's share runs here.
+func (w Where) Full() bool { return w.Node < 0 }
+
+// Runs reports whether node's share of the work runs here.
+func (w Where) Runs(node int) bool { return w.Node < 0 || w.Node == node }
+
+// Err rejects the one combination no app can run: checkpoints are
+// per-shard, so a whole-cluster run has nothing to restore or save.
+func (w Where) Err() error {
+	if w.Full() && w.Ckpt.Active() {
+		return errors.New("rt: a checkpointed run is one node's shard, not the whole cluster")
+	}
+	return nil
+}
 
 // DestCount is one destination's share of the wire traffic.
 type DestCount struct {

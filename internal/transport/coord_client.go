@@ -26,8 +26,9 @@ type coordClient struct {
 }
 
 // dialCoord connects with retries: workers routinely start before the
-// coordinator is listening. Timeout, backoff and the RPC deadline come
-// from opt's Coord* fields (zero: 30s to connect, 15s per exchange).
+// coordinator is listening, on the transport's one backoff schedule.
+// The dial budget and the RPC deadline come from opt's Coord* fields
+// (zero: 30s to connect, 15s per exchange).
 func dialCoord(opt fabric.Options) (*coordClient, error) {
 	c := &coordClient{addr: opt.Coord, rpcTimeout: opt.CoordRPCTimeout}
 	if c.rpcTimeout == 0 {
@@ -39,7 +40,7 @@ func dialCoord(opt fabric.Options) (*coordClient, error) {
 	}
 	deadline := time.Now().Add(timeout)
 	var err error
-	redial(opt.CoordDialBackoff, opt.CoordDialBackoffMax, func() bool {
+	redial(backoffInitial, backoffMax, func() bool {
 		c.conn, err = net.Dial("tcp", c.addr)
 		return err == nil || time.Now().After(deadline)
 	}, func(d time.Duration) bool {

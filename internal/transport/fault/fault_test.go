@@ -238,9 +238,41 @@ func TestSpecRoundTrip(t *testing.T) {
 	if c, err := Parse("off"); err != nil || c != nil {
 		t.Fatalf("off spec: %v %v", c, err)
 	}
-	for _, bad := range []string{"drop=2", "nope=1", "blackout=1", "delay=0.5:-1ms", "part=0-1@1s+1s"} {
+	for _, bad := range []string{"drop=2", "drop=NaN", "nope=1", "blackout=1", "delay=0.5:-1ms", "part=0-1@1s+1s"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+}
+
+// FuzzFaultParse: a fault spec arrives from a flag, an environment
+// variable or a job request, so Parse returns a config or an error and
+// never panics, and what it accepts renders (String) to a spec that
+// parses back to the same rendering.
+func FuzzFaultParse(f *testing.F) {
+	for _, s := range []string{
+		"", "off", "seed=7", "drop=2", "nope=1", "blackout=1", "delay=0.5:-1ms", "part=0-1@1s+1s",
+		"seed=7,drop=0.02,dup=0.01,reorder=0.015,corrupt=0.005,delay=0.2:5ms,stall=0.001:200ms,sever=0.002:1,blackout=2@1s+500ms,part=0>1@2s+1s",
+		"blackout=1@2s+1s,blackout=0@2s+3s,part=1>0@0s+1ns",
+		"drop=NaN,sever=0.5:-3,delay=1e-9",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := Parse(spec)
+		if err != nil {
+			if cfg != nil {
+				t.Fatalf("Parse(%q) returned both a config and %v", spec, err)
+			}
+			return
+		}
+		s := cfg.String()
+		cfg2, err := Parse(s)
+		if err != nil {
+			t.Fatalf("Parse(%q) rendered %q, which does not parse: %v", spec, s, err)
+		}
+		if s2 := cfg2.String(); s2 != s {
+			t.Fatalf("Parse(%q) rendered %q, which renders %q", spec, s, s2)
+		}
+	})
 }

@@ -40,8 +40,8 @@ func TestCoordinatorDoneSurvivesEpochs(t *testing.T) {
 
 // TestRedialBackoff pins the one backoff schedule: sleeps start at the
 // initial bound, double until they pass the ceiling, carry less than
-// 100 % jitter, and nonpositive bounds (a zero Options field, a
-// negative -coord-backoff flag) mean the defaults instead of a panic.
+// 100 % jitter, and nonpositive bounds mean the defaults instead of a
+// panic.
 func TestRedialBackoff(t *testing.T) {
 	for _, tc := range []struct {
 		name         string

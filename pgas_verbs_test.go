@@ -165,7 +165,7 @@ func TestTCPClusterPGASAppsMatchSingle(t *testing.T) {
 	for _, name := range []string{"bfs-dir", "histogram"} {
 		a := harness.MustApp(name)
 		ref := gravel.New(gravel.Config{Nodes: n})
-		want := a.Run(ref, p)
+		want := a.Run(ref, rt.Whole(), p)
 		ref.Close()
 		if want.Err != nil {
 			t.Fatalf("%s: single-process run failed: %v", name, want.Err)
@@ -203,7 +203,7 @@ func TestTCPClusterPGASAppsMatchSingle(t *testing.T) {
 						})
 						defer sys.Close()
 						tcp := sys.(interface{ Fabric() core.Fabric }).Fabric().(*transport.TCP)
-						shard := a.Shard(sys, i, p, tcp.Collectives())
+						shard := a.Run(sys, rt.Where{Node: i, Coll: tcp.Collectives()}, p)
 						if shard.Err != nil {
 							errs[i] = shard.Err
 							return

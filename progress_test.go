@@ -68,7 +68,7 @@ func TestIdleClusterBurnsNoCPU(t *testing.T) {
 					TransportOpts: gravel.TransportOptions{Self: i, Coord: ln.Addr().String()},
 				})
 				defer sys.Close()
-				gups.RunOn(sys, cfg, i)
+				gups.RunAt(sys, cfg, rt.Where{Node: i})
 				ran.Done()
 				measured.Wait()
 			}(i)
