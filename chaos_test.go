@@ -51,10 +51,10 @@ func (r *nodeRun) start(i, n int, coordAddr string, faults *gravel.FaultConfig, 
 	defer r.recoverErr()
 	opts.Self = i
 	opts.Coord = coordAddr
+	opts.Faults = faults
 	r.sys = gravel.New(gravel.Config{
 		Nodes:         n,
 		Transport:     "tcp",
-		Faults:        faults,
 		TransportOpts: opts,
 	})
 	r.tcp = r.sys.(interface{ Fabric() core.Fabric }).Fabric().(*transport.TCP)

@@ -75,7 +75,6 @@ var (
 	nodes  = flag.Int("nodes", 4, "cluster size")
 	coord  = flag.String("coord", "", "coordinator address (host:port)")
 	listen = flag.String("listen", "127.0.0.1:0", "listen address (coordinator or worker transport)")
-	wall   = flag.Bool("wall", false, "charge measured wall-clock time for wire activity instead of the virtual cost model")
 
 	app     = flag.String("app", "gups", "application to run (see -list)")
 	model   = flag.String("model", "gravel", "networking model (see -list)")
@@ -132,7 +131,6 @@ func specFromFlags() noderun.Spec {
 		Nodes:           *nodes,
 		Params:          workerParams(),
 		Faults:          fspec,
-		WallClock:       *wall,
 		ResolverShards:  common.ResolverShards,
 		Suspect:         *suspectFlag,
 		Heartbeat:       *heartbeatFlag,

@@ -148,16 +148,12 @@ type Config struct {
 	// process per node — see cmd/gravel-node). Listed by Transports.
 	Transport string
 	// TransportOpts configures socket transports (which node this
-	// process hosts, listen address, coordinator address, wall-clock
-	// charging, failure-detection timeouts). Ignored by in-process
-	// transports.
+	// process hosts, listen address, coordinator address,
+	// failure-detection timeouts, and fault injection: drops,
+	// duplicates, delays, reordering, byte corruption, stalls, severs,
+	// node blackouts and asymmetric partitions, all replayable from
+	// Faults.Seed). Ignored by in-process transports.
 	TransportOpts TransportOptions
-	// Faults, when non-nil, enables deterministic seeded fault injection
-	// on socket transports: drops, duplicates, delays, reordering, byte
-	// corruption, stalls, severs, node blackouts, and asymmetric
-	// partitions, all replayable from Faults.Seed. Nil (the default) is
-	// a zero-cost pass-through. Shorthand for TransportOpts.Faults.
-	Faults *FaultConfig
 }
 
 // TransportOptions configures socket transports; see fabric.Options.
@@ -180,9 +176,6 @@ type ConfigError = core.ConfigError
 
 // cluster is cfg as the runtime's one description of a cluster.
 func (cfg Config) cluster() core.Config {
-	if cfg.Faults != nil && cfg.TransportOpts.Faults == nil {
-		cfg.TransportOpts.Faults = cfg.Faults
-	}
 	return core.Config{
 		Name:           cfg.Model,
 		Nodes:          cfg.Nodes,

@@ -7,7 +7,7 @@
 // synchronous reproduction the end-of-superstep flush subsumes the
 // timeout (see DESIGN.md). The time the aggregator core is not busy —
 // §8.1's observation that it spends most of its time polling — is
-// derived on the virtual clock at each phase boundary (core.RecordPhase);
+// derived on the virtual clock at each phase boundary (core's phase record);
 // the thread itself parks when idle instead of polling.
 package agg
 

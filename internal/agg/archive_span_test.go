@@ -82,10 +82,9 @@ func archiveDiff(got, want *Archive) string {
 	}) {
 		return fmt.Sprintf("outbox: %d packets against %d, or their contents differ", len(got.ready), len(want.ready))
 	}
-	gf, gt := got.FlushCounts()
-	wf, wt := want.FlushCounts()
-	if gf != wf || gt != wt {
-		return fmt.Sprintf("flushes: %d full %d timeout, want %d full %d timeout", gf, gt, wf, wt)
+	g, w := got.clock.Snapshot(), want.clock.Snapshot()
+	if g.FlushesFull != w.FlushesFull || g.FlushesTimeout != w.FlushesTimeout {
+		return fmt.Sprintf("flushes: %d full %d timeout, want %d full %d timeout", g.FlushesFull, g.FlushesTimeout, w.FlushesFull, w.FlushesTimeout)
 	}
 	return ""
 }

@@ -8,7 +8,6 @@ import (
 	"gravel/internal/obs"
 	"gravel/internal/park"
 	"gravel/internal/queue"
-	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
@@ -76,12 +75,6 @@ type driver struct {
 	// Commit and stage wake it, and Stop.
 	work    park.Event
 	stopped atomic.Bool
-
-	// Flush-reason counters (§3.4): full-queue flushes go immediately,
-	// stragglers are forced out by the end-of-step timeout flush. One
-	// atomic add per flush (~thousands of messages), so always on.
-	flushFull    stats.Counter
-	flushTimeout stats.Counter
 
 	done chan struct{}
 }
@@ -196,21 +189,20 @@ func (d *driver) slotRows(payload []uint64, cols, count int) (cmd, dest, a, b []
 }
 
 // stage accounts one flushed queue — the AggPerFlushNs charge, and its
-// reason: the queue filled, or the end-of-step timeout flush forced it
-// out — and puts it in the outbox. It never transmits, so it is safe
-// under a staging lock and on a network thread. timeout is true only
-// from a strategy's Flush, which pumps the outbox itself before it
-// returns, so only the other stagers wake an aggregator thread to do it.
+// reason (§3.4): the queue filled and goes at once, or the end-of-step
+// timeout flush forced it out — and puts it in the outbox. It never
+// transmits, so it is safe under a staging lock and on a network
+// thread. timeout is true only from a strategy's Flush, which pumps the
+// outbox itself before it returns, so only the other stagers wake an
+// aggregator thread to do it.
 func (d *driver) stage(dest int, buf []byte, msgs int, routed, timeout bool) {
 	d.clock.AddAgg(d.params.AggPerFlushNs)
-	k := obs.KAggFlushFull
-	if timeout {
-		k = obs.KAggFlushTimeout
-		d.flushTimeout.Inc()
-	} else {
-		d.flushFull.Inc()
-	}
+	d.clock.CountFlush(timeout)
 	if obs.Enabled() {
+		k := obs.KAggFlushFull
+		if timeout {
+			k = obs.KAggFlushTimeout
+		}
 		obs.Emit(k, d.node, int64(len(buf)), int64(msgs), "")
 	}
 	d.mu.Lock()
@@ -219,12 +211,6 @@ func (d *driver) stage(dest int, buf []byte, msgs int, routed, timeout bool) {
 	if !timeout {
 		d.work.Wake()
 	}
-}
-
-// FlushCounts returns how many flushes were triggered by a full
-// per-node queue and how many by the end-of-step timeout flush.
-func (d *driver) FlushCounts() (full, timeout int64) {
-	return d.flushFull.Load(), d.flushTimeout.Load()
 }
 
 // pump transmits the outbox; it reports whether anything was sent. It

@@ -3,7 +3,8 @@ package agg
 // Strategy is the send-path aggregation seam: everything the runtime
 // needs from the component that turns fine-grain messages into wire
 // packets. Both implementations embed the same driver (the aggregator
-// thread, the outbox, flush accounting) and differ only in staging:
+// thread, the outbox, the flush charge and its count in the node's
+// ledger) and differ only in staging:
 //
 //   - *Aggregator ("ticket"): the paper's design — drained
 //     producer/consumer queue slots are repacked into fixed-capacity
@@ -44,8 +45,6 @@ type Strategy interface {
 	// AppendDirect stages one message from host context, charging
 	// chargeNs of CPU time. It must not transmit.
 	AppendDirect(dest int, cmd, av, vv uint64, chargeNs float64)
-	// FlushCounts returns the full-queue and timeout flush totals.
-	FlushCounts() (full, timeout int64)
 	// Name identifies the strategy ("ticket", "archive") for Stats.
 	Name() string
 }

@@ -175,7 +175,7 @@ func TestStrategyConformance(t *testing.T) {
 		// strategy that was never started: Flush itself drains the queue
 		// on the caller's thread (benchmark/staged.go relies on it).
 		t.Run(row.name+"/packets and flush counts", func(t *testing.T) {
-			s, _, q, fab := setup()
+			s, d, q, fab := setup()
 			const n = 266
 			produce(q, 1, n)
 			s.Flush()
@@ -198,8 +198,8 @@ func TestStrategyConformance(t *testing.T) {
 			} else if !reflect.DeepEqual(got, row.pkts) {
 				t.Fatalf("packet message counts %v, want %v", got, row.pkts)
 			}
-			if full, timeout := s.FlushCounts(); full != row.full || timeout != row.timeout {
-				t.Fatalf("flush counts full=%d timeout=%d, want %d/%d", full, timeout, row.full, row.timeout)
+			if c := d.clock.Snapshot(); c.FlushesFull != row.full || c.FlushesTimeout != row.timeout {
+				t.Fatalf("flush counts full=%d timeout=%d, want %d/%d", c.FlushesFull, c.FlushesTimeout, row.full, row.timeout)
 			}
 		})
 

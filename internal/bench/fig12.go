@@ -2,7 +2,6 @@ package bench
 
 import (
 	"gravel/internal/models"
-	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 )
 
@@ -43,7 +42,7 @@ func Fig12(scale float64, params *timemodel.Params) *Table {
 		}
 		geo := []string{"geo. mean", model}
 		for _, n := range Fig12NodeCounts {
-			geo = append(geo, F(stats.GeoMean(speedups[n])))
+			geo = append(geo, F(GeoMean(speedups[n])))
 		}
 		t.AddRow(geo...)
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"gravel/internal/apps/gups"
 	"gravel/internal/models"
-	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 )
 
@@ -28,7 +27,7 @@ func Fig14(scale float64, params *timemodel.Params) *Table {
 	}
 	cfg := gups.Config{TableSize: s(1 << 20), UpdatesPerNode: s(180_000), Seed: 13}
 	for _, qb := range Fig14QueueSizes {
-		row := []string{stats.HumanBytes(int64(qb))}
+		row := []string{HumanBytes(int64(qb))}
 		for _, n := range Fig12NodeCounts {
 			p := cloneParams(params)
 			p.PerNodeQueueBytes = qb

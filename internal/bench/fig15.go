@@ -2,7 +2,6 @@ package bench
 
 import (
 	"gravel/internal/models"
-	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 )
 
@@ -34,7 +33,7 @@ func Fig15(scale float64, params *timemodel.Params) *Table {
 	}
 	geo := []string{"geo. mean"}
 	for _, name := range names {
-		geo = append(geo, F(stats.GeoMean(per[name])))
+		geo = append(geo, F(GeoMean(per[name])))
 	}
 	t.AddRow(geo...)
 	t.Note("paper: Gravel is equal-or-best everywhere; msg-per-lane collapses on GUPS (~0.01); coalesced+aggregation nearly matches Gravel")

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gravel/internal/queue"
-	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 )
 
@@ -146,7 +145,7 @@ func Fig8() *Table {
 		if size > 2048 {
 			mcols = 16
 		}
-		t.AddRow(stats.HumanBytes(int64(size)),
+		t.AddRow(HumanBytes(int64(size)),
 			F(modeledGravelGBs(p, rows, mcols)), F(modeledSPSCGBs(size)), F(modeledMPMCGBs(size)),
 			F(gravel), F(spsc), F(mpmc), "7.00")
 	}

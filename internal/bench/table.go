@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -100,5 +101,33 @@ func F(v float64) string {
 		return fmt.Sprintf("%.2f", v)
 	default:
 		return fmt.Sprintf("%.3g", v)
+	}
+}
+
+// GeoMean returns the geometric mean of xs. It panics if any value is
+// non-positive, matching how the paper's geo-mean bars are computed.
+func GeoMean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range xs {
+		if x <= 0 {
+			panic(fmt.Sprintf("bench: GeoMean of non-positive value %v", x))
+		}
+		s += math.Log(x)
+	}
+	return math.Exp(s / float64(len(xs)))
+}
+
+// HumanBytes formats a byte count like "64 kB".
+func HumanBytes(b int64) string {
+	switch {
+	case b >= 1<<20:
+		return fmt.Sprintf("%.4g MB", float64(b)/(1<<20))
+	case b >= 1<<10:
+		return fmt.Sprintf("%.4g kB", float64(b)/(1<<10))
+	default:
+		return fmt.Sprintf("%d B", b)
 	}
 }

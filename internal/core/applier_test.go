@@ -271,18 +271,16 @@ func checkAgainstReference(t *testing.T, shards, from int, routed bool, gen func
 		}
 	}
 
-	ctrOf := func(c *bankCounters) [4]int64 {
-		return [4]int64{c.pkts.Load(), c.msgs.Load(), c.ams.Load(), c.sigs.Load()}
-	}
-	wantCtr := func(w tally) [4]int64 {
+	wantCtr := func(w tally) timemodel.Resolved {
 		if w.msgs == 0 {
-			return [4]int64{}
+			return timemodel.Resolved{}
 		}
-		return [4]int64{1, int64(w.msgs), int64(w.ams), int64(w.sigs)}
+		return timemodel.Resolved{Pkts: 1, Msgs: int64(w.msgs), AMs: int64(w.ams), Sigs: int64(w.sigs)}
 	}
+	clk := cl.nodes[target].Clocks
 	switch {
 	case from == target: // bypass: one packet, nothing on the banks
-		if got := ctrOf(&cl.bypass[target]); got != wantCtr(all) {
+		if got := clk.Snapshot().Bypass; got != wantCtr(all) {
 			t.Errorf("bypass counters = %v, want %v", got, wantCtr(all))
 		}
 		want = [fabric.MaxResolverBanks]tally{}
@@ -290,12 +288,12 @@ func checkAgainstReference(t *testing.T, shards, from int, routed bool, gen func
 		want = [fabric.MaxResolverBanks]tally{0: all}
 	}
 	for b := 0; b < shards; b++ {
-		if got := ctrOf(&cl.resv[target][b]); got != wantCtr(want[b]) {
+		if got := clk.Bank(b); got != wantCtr(want[b]) {
 			t.Errorf("bank %d counters = %v, want %v", b, got, wantCtr(want[b]))
 		}
 	}
 
-	got, ref := cl.nodes[target].Clocks.Snapshot(), refClock.Snapshot()
+	got, ref := clk.Snapshot(), refClock.Snapshot()
 	if got.Net != ref.Net {
 		t.Errorf("net clock = %v, reference %v", got.Net, ref.Net)
 	}
@@ -305,7 +303,7 @@ func checkAgainstReference(t *testing.T, shards, from int, routed bool, gen func
 		}
 	}
 	if n := got.NetMsgs; n != int64(all.msgs) {
-		t.Errorf("CountNetMsgs = %d, want %d", n, all.msgs)
+		t.Errorf("NetMsgs = %d, want %d", n, all.msgs)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"gravel/internal/queue"
 	"gravel/internal/rt"
 	"gravel/internal/simt"
-	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 	_ "gravel/internal/transport" // registers the "loopback" and "tcp" transports
 	"gravel/internal/wire"
@@ -96,7 +95,7 @@ type Config struct {
 	// processes, one hosted node per process).
 	Transport string
 	// TransportOpts configures non-default transports (addresses,
-	// coordinator, wall-clock timing).
+	// coordinator, failure detection, fault injection).
 	TransportOpts fabric.Options
 }
 
@@ -121,13 +120,7 @@ type Node struct {
 	GPU    *simt.Device
 	PCQ    *queue.Gravel
 	Agg    agg.Strategy
-	Clocks *timemodel.Clocks
-
-	// LocalOps / RemoteOps count fine-grain accesses by locality
-	// (Table 5 remote-access frequency).
-	LocalOps, RemoteOps stats.Counter
-	// Waits counts WaitUntil verb calls by this node's work-groups.
-	Waits stats.Counter
+	Clocks *timemodel.Clocks // the ledger: virtual time and every count Stats reports
 
 	cl   *Cluster
 	ctxs sync.Pool // idle *ctx, reused across work-groups and steps
@@ -155,12 +148,10 @@ type Cluster struct {
 
 	// Receive-side resolution (resolver.go): shards is the per-node
 	// resolver bank count; bankMu serializes applies per (node, bank);
-	// resv and bypass count resolver and bypass work; decodeErr holds
-	// the first wire decode failure for Quiesce to surface.
+	// decodeErr holds the first wire decode failure for Quiesce to
+	// surface.
 	shards    int
 	bankMu    [][]sync.Mutex
-	resv      [][]bankCounters
-	bypass    []bankCounters
 	decodeErr atomic.Pointer[WireDecodeError]
 
 	// dist is fab's multi-process side, nil on an in-process fabric:
@@ -169,18 +160,17 @@ type Cluster struct {
 	// the host-drain hook and the fault injector's counters.
 	dist fabric.Distributed
 
-	phases  []timemodel.PhaseRecord
-	nodeNs  []float64 // the unused rest of the slab endPhase cuts NodeNs from
-	prev    []timemodel.Snapshot
-	aggAt   []float64 // per node: aggregator busy time at the last phase record
-	totalNs float64
-
-	// Per-step delta capture: steps accumulates one rt.StepStats per
-	// recorded phase, prevTotals the cumulative counters at the last
-	// phase boundary, stepStart the wall clock of the last RunNodes.
-	steps      []rt.StepStats
-	prevTotals rt.StepStats
-	stepStart  time.Time
+	// The phase record: prev is every node's ledger as the last phase
+	// boundary left it, the one reading both a phase's time and its
+	// StepStats are the change since; cur is the boundary being taken.
+	// steps holds one rt.StepStats per recorded phase, stepStart the wall
+	// clock of the last RunNodes.
+	phases    []timemodel.PhaseRecord
+	nodeNs    []float64 // the unused rest of the slab endPhase cuts NodeNs from
+	prev, cur []timemodel.Snapshot
+	totalNs   float64
+	steps     []rt.StepStats
+	stepStart time.Time
 
 	// The per-node fan-out (RunNodes): what the device threads run and
 	// report to. launch is LaunchAll's arguments and launchOn its bound
@@ -198,38 +188,6 @@ type Cluster struct {
 
 	netWG    sync.WaitGroup
 	launched bool // the first launch has passed its start barrier
-}
-
-// totals is the cumulative counter set the per-step deltas are computed
-// from and Stats fills its cumulative sections with, so deltas sum back
-// to the totals.
-func (cl *Cluster) totals() rt.StepStats {
-	var t rt.StepStats
-	m := cl.fab.NetMetrics()
-	for i, n := range cl.nodes {
-		t.LocalOps += n.LocalOps.Load()
-		t.RemoteOps += n.RemoteOps.Load()
-		snap := n.Clocks.Snapshot()
-		t.SlotsDrained += snap.AggSlots
-		t.MsgsDrained += snap.AggMsgs
-		t.WirePackets += snap.PktsSent
-		t.WireBytes += snap.BytesSent
-		t.AggBusyNs += snap.Agg
-		t.AggIdleNs += snap.AggIdle
-		t.SelfPackets += m.SelfPkts[i].Load()
-		for b := range cl.resv[i] {
-			ctr := &cl.resv[i][b]
-			t.ResolvedPackets += ctr.pkts.Load()
-			t.ResolvedMsgs += ctr.msgs.Load()
-			t.ResolvedAMs += ctr.ams.Load()
-			t.Signals += ctr.sigs.Load()
-		}
-		t.BypassPackets += cl.bypass[i].pkts.Load()
-		t.BypassMsgs += cl.bypass[i].msgs.Load()
-		t.Signals += cl.bypass[i].sigs.Load()
-		t.Waits += n.Waits.Load()
-	}
-	return t
 }
 
 // ConfigError reports an invalid Config: which field is wrong and why.
@@ -334,9 +292,7 @@ func NewChecked(cfg Config) (*Cluster, error) {
 	clocks := make([]*timemodel.Clocks, cfg.Nodes)
 	for i := range clocks {
 		clocks[i] = &timemodel.Clocks{}
-		if shards > 1 {
-			clocks[i].ConfigureNetBanks(shards)
-		}
+		clocks[i].ConfigureNetBanks(shards)
 	}
 	transport := cfg.Transport
 	if transport == "" {
@@ -350,11 +306,8 @@ func NewChecked(cfg Config) (*Cluster, error) {
 	}
 	cl.dist, _ = cl.fab.(fabric.Distributed)
 	cl.bankMu = make([][]sync.Mutex, cfg.Nodes)
-	cl.resv = make([][]bankCounters, cfg.Nodes)
-	cl.bypass = make([]bankCounters, cfg.Nodes)
 	for i := range cl.bankMu {
 		cl.bankMu[i] = make([]sync.Mutex, shards)
-		cl.resv[i] = make([]bankCounters, shards)
 	}
 
 	arch := simt.GPUArch(p)
@@ -391,7 +344,7 @@ func NewChecked(cfg Config) (*Cluster, error) {
 	}
 
 	cl.prev = make([]timemodel.Snapshot, cfg.Nodes)
-	cl.aggAt = make([]float64, cfg.Nodes)
+	cl.cur = make([]timemodel.Snapshot, cfg.Nodes)
 	// Resolvers (and the local bypass registration) come up before the
 	// aggregators so the bypass hook happens-before the first Send.
 	cl.startResolvers()
@@ -640,9 +593,15 @@ func (cl *Cluster) allBack() bool { return cl.running.Load() == 0 }
 // wire empty, and the network threads idle. Where it has to wait it
 // parks on the fabric's Progress event, which every counter it reads
 // wakes on the transition that matters (DESIGN.md, "Progress").
+//
+// It returns on the second of two quiet observations between which no
+// packet was applied. Between sent's read of a node and the fabric's
+// Quiet, a resolver can apply a packet whose AM handler stages a
+// follow-up on that node; the applied count is what tells such a torn
+// observation from a quiet one.
 func (cl *Cluster) Quiesce() {
 	progress := cl.fab.Progress()
-	stable := 0
+	stable, applied := 0, int64(0)
 	for stable < 2 {
 		cl.checkDecodeErr()
 		// Flushing while an aggregator thread holds a claimed slot
@@ -652,13 +611,26 @@ func (cl *Cluster) Quiesce() {
 			n.Agg.Flush()
 		}
 		progress.Wait(cl.fab.Quiet)
-		if cl.sent() && cl.fab.Quiet() {
-			stable++
-		} else {
+		if !cl.sent() || !cl.fab.Quiet() {
 			stable = 0
+			continue
+		}
+		if a := cl.applied(); stable == 0 || a != applied {
+			stable, applied = 1, a
+		} else {
+			stable++
 		}
 	}
 	cl.checkDecodeErr()
+}
+
+// applied is how many packets the hosted nodes have applied so far.
+func (cl *Cluster) applied() int64 {
+	var a int64
+	for _, n := range cl.nodes {
+		a += n.Clocks.Applied()
+	}
+	return a
 }
 
 // nodeNsSlab is how many phases' NodeNs endPhase allocates at a time.
@@ -676,6 +648,12 @@ func (cl *Cluster) EndPhaseSequential(name string) {
 	cl.endPhase(name, timemodel.Snapshot.Sequential)
 }
 
+// endPhase records a phase, the funnel every model's Step ends in: it
+// reads every node's ledger once, composes each node's phase time from
+// the change since the last phase, and takes the cluster's as the
+// slowest node plus one barrier. Then it charges the aggregator cores'
+// idle time, which completes the reading, records the step's counts as
+// the change in the ledgers, and closes the flight recorder's step span.
 func (cl *Cluster) endPhase(name string, compose func(timemodel.Snapshot) float64) {
 	// The phase record keeps nodeNs, so it is cut from a slab: one
 	// allocation per nodeNsSlab phases.
@@ -684,52 +662,39 @@ func (cl *Cluster) endPhase(name string, compose func(timemodel.Snapshot) float6
 	}
 	nodeNs := cl.nodeNs[:cl.cfg.Nodes:cl.cfg.Nodes]
 	cl.nodeNs = cl.nodeNs[cl.cfg.Nodes:]
-	for i, n := range cl.nodes {
-		snap := n.Clocks.Snapshot()
-		nodeNs[i] = compose(snap.Sub(cl.prev[i]))
-		cl.prev[i] = snap
-	}
-	cl.RecordPhase(name, nodeNs)
-}
-
-// RecordPhase appends a phase record: cluster phase time is the slowest
-// node plus one barrier. It is the funnel every model's Step ends in,
-// so it also charges the aggregator cores' idle time, captures the
-// per-step counter deltas for Stats and closes the flight recorder's
-// step span.
-func (cl *Cluster) RecordPhase(name string, nodeNs []float64) {
+	step := rt.StepStats{Index: len(cl.steps), Name: name}
 	m := 0.0
-	for _, v := range nodeNs {
-		if v > m {
-			m = v
-		}
+	for i, n := range cl.nodes {
+		cl.cur[i] = n.Clocks.Snapshot()
+		d := cl.cur[i].Sub(cl.prev[i])
+		nodeNs[i] = compose(d)
+		m = max(m, nodeNs[i])
+		count(&step, d)
 	}
 	phase := m + cl.params.BarrierNs
 	cl.phases = append(cl.phases, timemodel.PhaseRecord{Name: name, NodeNs: nodeNs, PhaseNs: phase})
 	cl.totalNs += phase
+	step.VirtualNs = phase
 
 	// §8.1: an aggregator core that is not repacking is polling, for as
 	// long as the phase lasts on the virtual clock — whatever the Go
 	// scheduler did with the thread that plays it.
 	cores := float64(max(1, cl.params.AggregatorThreads))
 	for i, n := range cl.nodes {
-		if !cl.fab.Hosts(i) {
-			continue
+		if cur := &cl.cur[i]; cl.fab.Hosts(i) {
+			idle := n.Clocks.AddAggIdle(max(0, cores*phase-(cur.Agg-cl.prev[i].Agg)))
+			step.AggIdleNs += idle - cur.AggIdle
+			cur.AggIdle = idle
 		}
-		busy := n.Clocks.AggBusy()
-		n.Clocks.AddAggIdle(max(0, cores*phase-(busy-cl.aggAt[i])))
-		cl.aggAt[i] = busy
 	}
+	cl.prev, cl.cur = cl.cur, cl.prev
 
 	var wall int64
 	if !cl.stepStart.IsZero() {
 		wall = time.Since(cl.stepStart).Nanoseconds()
 		cl.stepStart = time.Time{}
 	}
-	cur := cl.totals()
-	step := cur.Sub(cl.prevTotals)
-	cl.prevTotals = cur
-	step.Index, step.Name, step.VirtualNs, step.WallNs = len(cl.steps), name, phase, wall
+	step.WallNs = wall
 	cl.steps = append(cl.steps, step)
 	if obs.Enabled() {
 		obs.Emit(obs.KStepEnd, -1, wall, int64(phase), name)
@@ -750,9 +715,9 @@ func (cl *Cluster) HostAM(from int, h uint8, dest int, a, b uint64) {
 	// network thread's clock.
 	n.Clocks.AddNetBank(0, cl.params.NetThreadPerMsgNs)
 	if dest == from {
-		n.LocalOps.Inc()
+		n.Clocks.CountOps(1, 0)
 	} else {
-		n.RemoteOps.Inc()
+		n.Clocks.CountOps(0, 1)
 	}
 	n.Agg.AppendDirect(dest, wire.PackCmd(wire.OpAM, h, 0), a, b, 0)
 }
@@ -770,8 +735,32 @@ func (cl *Cluster) VirtualTimeNs() float64 { return cl.totalNs }
 // Phases implements rt.System.
 func (cl *Cluster) Phases() []timemodel.PhaseRecord { return cl.phases }
 
+// count adds a ledger reading, or the change between two, to t's
+// counters.
+func count(t *rt.StepStats, s timemodel.Snapshot) {
+	t.LocalOps += s.LocalOps
+	t.RemoteOps += s.RemoteOps
+	t.SlotsDrained += s.AggSlots
+	t.MsgsDrained += s.AggMsgs
+	t.WirePackets += s.PktsSent
+	t.WireBytes += s.BytesSent
+	t.SelfPackets += s.SelfPkts
+	t.AggBusyNs += s.Agg
+	t.AggIdleNs += s.AggIdle
+	t.ResolvedPackets += s.Resolved.Pkts
+	t.ResolvedMsgs += s.Resolved.Msgs
+	t.ResolvedAMs += s.Resolved.AMs
+	t.BypassPackets += s.Bypass.Pkts
+	t.BypassMsgs += s.Bypass.Msgs
+	t.Signals += s.Resolved.Sigs + s.Bypass.Sigs
+	t.Waits += s.Waits
+}
+
 // Stats implements rt.System: the versioned snapshot every section of
-// the runtime reports through.
+// the runtime reports through. Its counts are the sum of the nodes'
+// live ledgers, the same readings the per-step records are the changes
+// in, so the steps sum to them; only the transport's own events and
+// the fault injector's come from elsewhere.
 func (cl *Cluster) Stats() rt.Stats {
 	st := rt.Stats{
 		Version:   rt.StatsVersion,
@@ -779,7 +768,20 @@ func (cl *Cluster) Stats() rt.Stats {
 		Nodes:     cl.cfg.Nodes,
 		VirtualNs: cl.totalNs,
 	}
-	cur := cl.totals()
+	var cur rt.StepStats
+	var full, timeout int64
+	perBank := make([]rt.BankCount, cl.shards)
+	for _, n := range cl.nodes {
+		s := n.Clocks.Snapshot()
+		count(&cur, s)
+		full, timeout = full+s.FlushesFull, timeout+s.FlushesTimeout
+		for b := range perBank {
+			r := n.Clocks.Bank(b)
+			perBank[b].Packets += r.Pkts
+			perBank[b].Msgs += r.Msgs
+			perBank[b].AMs += r.AMs
+		}
+	}
 	st.Queue = rt.QueueStats{
 		LocalOps:     cur.LocalOps,
 		RemoteOps:    cur.RemoteOps,
@@ -792,10 +794,12 @@ func (cl *Cluster) Stats() rt.Stats {
 		threads = 1
 	}
 	st.Agg = rt.AggStats{
-		Strategy: cl.nodes[0].Agg.Name(),
-		BusyNs:   cur.AggBusyNs,
-		IdleNs:   cur.AggIdleNs,
-		Threads:  threads,
+		Strategy:       cl.nodes[0].Agg.Name(),
+		BusyNs:         cur.AggBusyNs,
+		IdleNs:         cur.AggIdleNs,
+		Threads:        threads,
+		FlushesFull:    full,
+		FlushesTimeout: timeout,
 	}
 	// Busy fraction of the aggregator cores over the run's virtual time
 	// (the paper's §8.1 metric: 65% of the core's time is polling),
@@ -803,11 +807,6 @@ func (cl *Cluster) Stats() rt.Stats {
 	// thread, so the denominator scales with nodes × threads.
 	if cl.totalNs > 0 {
 		st.Agg.BusyFrac = cur.AggBusyNs / (cl.totalNs * float64(len(cl.nodes)) * float64(threads))
-	}
-	for _, n := range cl.nodes {
-		full, timeout := n.Agg.FlushCounts()
-		st.Agg.FlushesFull += full
-		st.Agg.FlushesTimeout += timeout
 	}
 
 	st.Resolver = rt.ResolverStats{
@@ -817,32 +816,26 @@ func (cl *Cluster) Stats() rt.Stats {
 		AMs:           cur.ResolvedAMs,
 		BypassPackets: cur.BypassPackets,
 		BypassMsgs:    cur.BypassMsgs,
-		PerBank:       make([]rt.BankCount, cl.shards),
+		PerBank:       perBank,
 	}
 	st.PGAS = rt.PGASStats{Signals: cur.Signals, Waits: cur.Waits}
-	for i := range cl.resv {
-		for b := range cl.resv[i] {
-			ctr := &cl.resv[i][b]
-			st.Resolver.PerBank[b].Packets += ctr.pkts.Load()
-			st.Resolver.PerBank[b].Msgs += ctr.msgs.Load()
-			st.Resolver.PerBank[b].AMs += ctr.ams.Load()
-		}
-	}
 
 	m := cl.fab.NetMetrics()
 	st.Transport = rt.TransportStats{
-		WirePackets:    cur.WirePackets,
-		WireBytes:      cur.WireBytes,
-		AvgPacketBytes: m.TotalAvgPacketBytes(),
-		SelfPackets:    cur.SelfPackets,
-		PerDest:        make([]rt.DestCount, cl.cfg.Nodes),
-		Reconnects:     m.Reconnects.Load(),
-		Retries:        m.Retries.Load(),
-		Malformed:      m.Malformed.Load(),
-		CorruptFrames:  m.CorruptFrames.Load(),
+		WirePackets:   cur.WirePackets,
+		WireBytes:     cur.WireBytes,
+		SelfPackets:   cur.SelfPackets,
+		PerDest:       make([]rt.DestCount, cl.cfg.Nodes),
+		Reconnects:    m.Reconnects.Load(),
+		Retries:       m.Retries.Load(),
+		Malformed:     m.Malformed.Load(),
+		CorruptFrames: m.CorruptFrames.Load(),
+	}
+	if cur.WirePackets > 0 {
+		st.Transport.AvgPacketBytes = float64(cur.WireBytes) / float64(cur.WirePackets)
 	}
 	for d := range st.Transport.PerDest {
-		st.Transport.PerDest[d] = rt.DestCount{Packets: m.PerDest.Packets(d), Bytes: m.PerDest.Bytes(d)}
+		st.Transport.PerDest[d] = rt.DestCount{Packets: m.PerDest[d].Packets.Load(), Bytes: m.PerDest[d].Bytes.Load()}
 	}
 
 	if cl.dist != nil {

@@ -152,8 +152,7 @@ func (c *ctx) send(cmd uint64, cmds, a, v []uint64, active []bool) {
 			}
 		}
 	}
-	c.n.LocalOps.Add(int64(local))
-	c.n.RemoteOps.Add(int64(n - local))
+	c.n.Clocks.CountOps(local, n-local)
 	size := c.g.Size
 	c.off.Offload(c.g, Batch{Cmd: cmd, Cmds: cmds, Dests: c.dests[:size], A: a, V: v,
 		Active: active, N: n, Lanes: c.lanes[:size], Mask: c.mask[:size]})
@@ -176,7 +175,7 @@ func (c *ctx) direct(instr int, op func(l int), cmd uint64, a, v []uint64, activ
 			local++
 		}
 	})
-	c.n.LocalOps.Add(int64(local))
+	c.n.Clocks.CountOps(local, 0)
 	if anyRemote {
 		c.send(cmd, nil, a, v, remote)
 	}
@@ -286,7 +285,7 @@ func (c *ctx) WaitUntil(sig *pgas.Array, sigIdx, until []uint64, active []bool) 
 		return
 	}
 	g.ChargeCycles(g.Device().NsToCycles(c.n.cl.params.WaitUntilNs))
-	c.n.Waits.Inc()
+	c.n.Clocks.CountWait()
 	if obs.Enabled() {
 		obs.Emit(obs.KWait, me, int64(g.ID), int64(lanes), "")
 	}

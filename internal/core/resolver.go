@@ -49,22 +49,6 @@ func (e *WireDecodeError) Error() string {
 
 func (e *WireDecodeError) Unwrap() error { return e.Err }
 
-// bankCounters is one resolver bank's (or one node's bypass path's)
-// cumulative work, read by Stats at quiescent phase boundaries.
-type bankCounters struct {
-	pkts atomic.Int64
-	msgs atomic.Int64
-	ams  atomic.Int64
-	sigs atomic.Int64
-}
-
-func (c *bankCounters) add(msgs, ams, sigs int) {
-	c.pkts.Add(1)
-	c.msgs.Add(int64(msgs))
-	c.ams.Add(int64(ams))
-	c.sigs.Add(int64(sigs))
-}
-
 // checkDecodeErr panics with the recorded receive failure, if any, from
 // inside Quiesce: on the goroutine that called Step, where noderun's
 // typed-error recovery can see it.
@@ -122,8 +106,7 @@ func (cl *Cluster) resolve(n *Node, bank int, inbox <-chan fabric.Packet) {
 		// locks a routed packet's local records took.
 		if !ap.failed(pkt) {
 			n.Clocks.AddNetBank(bank, cl.netCharge(pkt.Msgs, len(pkt.Buf), ap.ams, ap.sigs))
-			n.Clocks.CountNetMsgs(pkt.Msgs - relayed)
-			cl.resv[n.ID][bank].add(pkt.Msgs-relayed, ap.ams, ap.sigs)
+			n.Clocks.CountResolved(bank, pkt.Msgs-relayed, ap.ams, ap.sigs)
 			if obs.Enabled() {
 				obs.Emit(obs.KResolve, n.ID, int64(bank), int64(pkt.Msgs), "")
 				if ap.sigs > 0 {
@@ -153,8 +136,7 @@ func (cl *Cluster) applyLocal(pkt fabric.Packet) {
 			n.Clocks.AddNetBank(b, cl.netCharge(t.msgs, t.msgs*wire.MsgWireBytes, t.ams, t.sigs))
 		}
 	}
-	n.Clocks.CountNetMsgs(pkt.Msgs)
-	cl.bypass[n.ID].add(pkt.Msgs, ap.ams, ap.sigs)
+	n.Clocks.CountBypass(pkt.Msgs, ap.ams, ap.sigs)
 	if obs.Enabled() {
 		obs.Emit(obs.KResolveBypass, n.ID, int64(pkt.Msgs), int64(ap.ams), "")
 		if ap.sigs > 0 {

@@ -85,14 +85,13 @@ func (f *Chan) Depart(p Packet) (applied bool) {
 		panic(fmt.Sprintf("fabric: send to invalid node %d", p.To))
 	}
 	if p.From == p.To {
-		f.SelfPkts[p.From].Inc()
+		f.clocks[p.From].CountSelfPacket()
 		return f.Bypass(p)
 	}
 	ns := f.params.WireNs(len(p.Buf))
 	f.clocks[p.From].AddWireSend(ns)
 	f.clocks[p.To].AddWireRecv(ns)
-	f.clocks[p.From].CountPacket(len(p.Buf))
-	f.ObserveWire(p.From, p.To, len(p.Buf))
+	f.ObserveWire(f.clocks[p.From], p.From, p.To, len(p.Buf))
 	return false
 }
 

@@ -14,11 +14,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gravel/internal/obs"
 	"gravel/internal/park"
-	"gravel/internal/stats"
 	"gravel/internal/timemodel"
 	"gravel/internal/transport/fault"
 )
@@ -82,8 +82,8 @@ type Fabric interface {
 	// instead of round-tripping through an inbox. The hook applies it
 	// synchronously on the calling goroutine and must not retain the
 	// buffer; the fabric recycles it when the hook returns and never
-	// counts the packet in flight. SelfPkts and the time-model charges
-	// are unchanged, so modeled figures do not drift.
+	// counts the packet in flight. The self-packet count and the
+	// time-model charges are unchanged, so modeled figures do not drift.
 	SetLocalApply(func(Packet))
 	// Done must be called after fully applying a packet; quiescence
 	// detection depends on it, and it recycles the packet's buffer.
@@ -125,69 +125,46 @@ type Distributed interface {
 	FaultInjector() *fault.Injector
 }
 
-// Metrics holds the wire counters every transport maintains.
+// Metrics holds what only a transport can count: the per-destination
+// split of the wire traffic and the connection events. A packet itself
+// is counted once, in the sending node's ledger (timemodel.Clocks).
 type Metrics struct {
-	// PktSizes records the size of every packet put on the wire by each
-	// node (Table 5 "average message size").
-	PktSizes []stats.SizeHist
-	// SelfPkts counts node-local packets (atomics routed through the
-	// local network thread, which never reach the wire).
-	SelfPkts []stats.Counter
 	// PerDest counts wire packets and bytes by destination node.
-	PerDest *stats.PerDest
+	PerDest []WireCount
 	// Reconnects counts connections re-established after a drop;
 	// Retries counts failed dial attempts. Both stay 0 for in-process
 	// transports.
-	Reconnects, Retries stats.Counter
+	Reconnects, Retries atomic.Int64
 	// Malformed counts received frames or payloads that failed
 	// validation and were dropped instead of applied.
-	Malformed stats.Counter
+	Malformed atomic.Int64
 	// CorruptFrames counts received frames whose header parsed but
 	// whose payload failed the CRC — in-flight corruption. Each one
 	// forces a retransmit (the receiver poisons the stream after
 	// re-acknowledging its resume point), so corruption costs latency,
 	// never data.
-	CorruptFrames stats.Counter
+	CorruptFrames atomic.Int64
 }
 
+// WireCount is the wire traffic bound for one destination.
+type WireCount struct{ Packets, Bytes atomic.Int64 }
+
 // NewMetrics creates zeroed metrics for an n-node fabric.
-func NewMetrics(n int) *Metrics {
-	return &Metrics{
-		PktSizes: make([]stats.SizeHist, n),
-		SelfPkts: make([]stats.Counter, n),
-		PerDest:  stats.NewPerDest(n),
-	}
-}
+func NewMetrics(n int) *Metrics { return &Metrics{PerDest: make([]WireCount, n)} }
 
 // Metrics returns m, so embedding *Metrics satisfies the Fabric
 // interface's accessor.
 func (m *Metrics) NetMetrics() *Metrics { return m }
 
-// ObserveWire records one wire packet from `from` to `to`.
-func (m *Metrics) ObserveWire(from, to, bytes int) {
-	m.PktSizes[from].Observe(int64(bytes))
-	m.PerDest.Observe(to, int64(bytes))
+// ObserveWire counts one packet put on the wire from node from, whose
+// ledger is c, to node to: the departure site's one call.
+func (m *Metrics) ObserveWire(c *timemodel.Clocks, from, to, bytes int) {
+	c.CountPacket(bytes)
+	m.PerDest[to].Packets.Add(1)
+	m.PerDest[to].Bytes.Add(int64(bytes))
 	if obs.Enabled() {
 		obs.Emit(obs.KSend, from, int64(to), int64(bytes), "")
 	}
-}
-
-// AvgPacketBytes returns the mean wire packet size for a node, 0 if it
-// sent none.
-func (m *Metrics) AvgPacketBytes(node int) float64 { return m.PktSizes[node].Mean() }
-
-// TotalAvgPacketBytes returns the mean wire packet size across all
-// nodes.
-func (m *Metrics) TotalAvgPacketBytes() float64 {
-	var sum, n int64
-	for i := range m.PktSizes {
-		sum += m.PktSizes[i].Sum()
-		n += m.PktSizes[i].Count()
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
 }
 
 // Options configures a transport built through the registry. The
@@ -208,9 +185,6 @@ type Options struct {
 	// reductions). Peer addresses are exchanged at join; the TCP
 	// transport rejects multi-node clusters without it.
 	Coord string
-	// WallClock charges measured wall-clock time for wire transfers
-	// instead of the virtual LogGP model.
-	WallClock bool
 
 	// Faults, when non-nil, enables deterministic fault injection on
 	// socket transports (see internal/transport/fault). Nil is the

@@ -40,8 +40,11 @@ func TestSendDeliversAndCharges(t *testing.T) {
 	if got := clocks[2].Snapshot().WireRecv; !near(got, want) {
 		t.Fatalf("receiver wire = %v, want %v", got, want)
 	}
-	if f.PktSizes[0].Count() != 1 || f.AvgPacketBytes(0) != 240 {
-		t.Fatal("packet stats wrong")
+	if s := clocks[0].Snapshot(); s.PktsSent != 1 || s.BytesSent != 240 {
+		t.Fatalf("sender ledger counts %d packets, %d bytes; want 1, 240", s.PktsSent, s.BytesSent)
+	}
+	if d := &f.PerDest[2]; d.Packets.Load() != 1 || d.Bytes.Load() != 240 {
+		t.Fatalf("PerDest[2] = %d packets, %d bytes; want 1, 240", d.Packets.Load(), d.Bytes.Load())
 	}
 }
 
@@ -50,29 +53,15 @@ func TestSelfSendSkipsWire(t *testing.T) {
 	f.Send(1, 1, make([]byte, 48), 2)
 	pkt := <-f.Inbox(1)
 	f.Done(pkt)
-	if clocks[1].Snapshot().WireSend != 0 {
+	s := clocks[1].Snapshot()
+	if s.WireSend != 0 {
 		t.Fatal("self-send charged wire time")
 	}
-	if f.SelfPkts[1].Load() != 1 {
+	if s.SelfPkts != 1 {
 		t.Fatal("self packet not counted")
 	}
-	if f.PktSizes[1].Count() != 0 {
+	if s.PktsSent != 0 || f.PerDest[1].Packets.Load() != 0 {
 		t.Fatal("self packet counted as wire packet")
-	}
-}
-
-func TestTotalAvgPacketBytes(t *testing.T) {
-	f, _ := newTestFabric(2)
-	f.Send(0, 1, make([]byte, 100), 1)
-	f.Send(1, 0, make([]byte, 300), 1)
-	f.Done(<-f.Inbox(1))
-	f.Done(<-f.Inbox(0))
-	if got := f.TotalAvgPacketBytes(); got != 200 {
-		t.Fatalf("avg = %v, want 200", got)
-	}
-	empty, _ := newTestFabric(2)
-	if empty.TotalAvgPacketBytes() != 0 {
-		t.Fatal("empty fabric avg should be 0")
 	}
 }
 
@@ -84,36 +73,6 @@ func TestSendInvalidDestPanics(t *testing.T) {
 		}
 	}()
 	f.Send(0, 5, nil, 0)
-}
-
-func TestPerDestReconcilesWithSizeHist(t *testing.T) {
-	f, _ := newTestFabric(3)
-	f.Send(0, 1, make([]byte, 100), 1)
-	f.Send(0, 2, make([]byte, 300), 1)
-	f.Send(1, 2, make([]byte, 50), 1)
-	f.Send(2, 2, make([]byte, 50), 1) // self: never reaches the wire
-	f.Done(<-f.Inbox(1))
-	f.Done(<-f.Inbox(2))
-	f.Done(<-f.Inbox(2))
-	f.Done(<-f.Inbox(2))
-	m := f.NetMetrics()
-	pkts, bytes := m.PerDest.Totals()
-	var histPkts, histBytes int64
-	for i := range m.PktSizes {
-		histPkts += m.PktSizes[i].Count()
-		histBytes += m.PktSizes[i].Sum()
-	}
-	if pkts != histPkts || bytes != histBytes {
-		t.Fatalf("per-dest (%d pkts, %d B) != size-hist (%d pkts, %d B)",
-			pkts, bytes, histPkts, histBytes)
-	}
-	if m.PerDest.Packets(2) != 2 || m.PerDest.Bytes(2) != 350 {
-		t.Fatalf("dest 2: got %d pkts %d B, want 2 pkts 350 B",
-			m.PerDest.Packets(2), m.PerDest.Bytes(2))
-	}
-	if m.PerDest.Packets(0) != 0 {
-		t.Fatal("dest 0 received no wire packets")
-	}
 }
 
 func TestRegistryBuildsChan(t *testing.T) {

@@ -148,8 +148,9 @@ func runVerbMix(sys rt.System) (verbCharges, verbSums) {
 		ch.WGLaunches += ctr.WGLaunches.Load()
 		ch.DivergedOps += ctr.DivergedOps.Load()
 		ch.Messages += ctr.Messages.Load()
-		ch.LocalOps += n.LocalOps.Load()
-		ch.RemoteOps += n.RemoteOps.Load()
+		s := n.Clocks.Snapshot()
+		ch.LocalOps += s.LocalOps
+		ch.RemoteOps += s.RemoteOps
 	}
 	var sums verbSums
 	sums.Inc = acc.Sum()

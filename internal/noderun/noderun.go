@@ -55,9 +55,6 @@ type Spec struct {
 	// Faults is a deterministic fault schedule (fault.Parse syntax),
 	// applied on the TCP/exec fabrics.
 	Faults string `json:"faults,omitempty"`
-	// WallClock charges measured wall time for wire activity instead of
-	// the virtual cost model.
-	WallClock bool `json:"wall_clock,omitempty"`
 	// ResolverShards is the per-node receive-side resolver bank count
 	// (0 or 1 = the serial network thread; otherwise a power of two).
 	ResolverShards int `json:"resolver_shards,omitempty"`
@@ -142,10 +139,10 @@ func (s Spec) Validate() error {
 func (s Spec) Key() string {
 	s = s.Normalized()
 	p := s.Params
-	key := fmt.Sprintf("app=%s model=%s nodes=%d fabric=%s scale=%g seed=%d table=%d updates=%d steps=%d verts=%d iters=%d faults=%s wall=%t",
+	key := fmt.Sprintf("app=%s model=%s nodes=%d fabric=%s scale=%g seed=%d table=%d updates=%d steps=%d verts=%d iters=%d faults=%s",
 		s.App, s.Model, s.Nodes, s.Fabric,
 		p.Scale, p.Seed, p.Table, p.Updates, p.Steps, p.Verts, p.Iters,
-		s.Faults, s.WallClock)
+		s.Faults)
 	if s.Elastic {
 		// Elastic changes execution shape (checkpoints, epoch loop) even
 		// though results stay bit-identical; appended only when set so

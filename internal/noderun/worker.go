@@ -105,12 +105,11 @@ func RunWorker(cfg WorkerConfig) (res WorkerResult, err error) {
 		Nodes:          spec.Nodes,
 		ResolverShards: spec.ResolverShards,
 		Transport:      "tcp",
-		Faults:         fcfg,
 		TransportOpts: gravel.TransportOptions{
 			Self:              cfg.Node,
 			Listen:            listen,
 			Coord:             cfg.Coord,
-			WallClock:         spec.WallClock,
+			Faults:            fcfg,
 			SuspectTimeout:    spec.Suspect,
 			HeartbeatInterval: spec.Heartbeat,
 			CoordDialTimeout:  spec.CoordTimeout,

@@ -13,9 +13,8 @@
 // when something goes wrong, the tail of the trace is what you want.
 //
 // Alongside the event rings the recorder maintains latency histograms
-// (queue reserve wait, flush→ack RTT, step wall time) that complement
-// the packet-size histograms in fabric.Metrics. Traces drain to JSONL
-// (WriteJSONL, one event per line, timestamps monotonic) and the
+// (queue reserve wait, flush→ack RTT, step wall time). Traces drain to
+// JSONL (WriteJSONL, one event per line, timestamps monotonic) and the
 // histograms export through the Prometheus-style /metrics endpoint in
 // server.go.
 package obs
@@ -24,8 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"gravel/internal/stats"
 )
 
 // Kind identifies one trace event type. The JSONL schema (and
@@ -203,11 +200,10 @@ type Recorder struct {
 	mu    sync.Mutex
 	rings []*ring // every ring ever created, for draining
 
-	// Latency histograms (ns, power-of-two buckets), complementing the
-	// wire packet-size histograms in fabric.Metrics.
-	queueWait stats.SizeHist // producer reserve wait
-	flushRTT  stats.SizeHist // transport flush→ack round trip
-	stepWall  stats.SizeHist // step wall time
+	// Latency histograms (ns, power-of-two buckets).
+	queueWait SizeHist // producer reserve wait
+	flushRTT  SizeHist // transport flush→ack round trip
+	stepWall  SizeHist // step wall time
 
 	// Per-kind event counts, maintained even after a ring overwrites
 	// its oldest events (the /metrics totals must be monotonic).
@@ -271,13 +267,54 @@ func sortEvents(ev []Event) {
 func (r *Recorder) Count(k Kind) int64 { return r.counts[k].Load() }
 
 // QueueWait returns the producer reserve-wait histogram (ns).
-func (r *Recorder) QueueWait() *stats.SizeHist { return &r.queueWait }
+func (r *Recorder) QueueWait() *SizeHist { return &r.queueWait }
 
 // FlushRTT returns the flush→ack round-trip histogram (ns).
-func (r *Recorder) FlushRTT() *stats.SizeHist { return &r.flushRTT }
+func (r *Recorder) FlushRTT() *SizeHist { return &r.flushRTT }
 
 // StepWall returns the step wall-time histogram (ns).
-func (r *Recorder) StepWall() *stats.SizeHist { return &r.stepWall }
+func (r *Recorder) StepWall() *SizeHist { return &r.stepWall }
+
+// SizeHist is a concurrent histogram bucketed by power of two, plus the
+// exact count and sum.
+type SizeHist struct {
+	buckets [32]atomic.Int64
+	count   atomic.Int64
+	sum     atomic.Int64
+}
+
+// Observe records one value; a negative one counts as 0.
+func (h *SizeHist) Observe(v int64) {
+	v = max(v, 0)
+	b := 0
+	for x := v; x > 1 && b < len(h.buckets)-1; x >>= 1 {
+		b++
+	}
+	h.buckets[b].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
+}
+
+// Count returns the number of observations.
+func (h *SizeHist) Count() int64 { return h.count.Load() }
+
+// Sum returns the sum of all observations.
+func (h *SizeHist) Sum() int64 { return h.sum.Load() }
+
+// BucketCount is one histogram bucket: N values in [Lo, 2*Lo) (the
+// first bucket also holds 0).
+type BucketCount struct{ Lo, N int64 }
+
+// Buckets returns the non-empty buckets in ascending order.
+func (h *SizeHist) Buckets() []BucketCount {
+	var out []BucketCount
+	for i := range h.buckets {
+		if n := h.buckets[i].Load(); n > 0 {
+			out = append(out, BucketCount{Lo: 1 << i, N: n})
+		}
+	}
+	return out
+}
 
 // Counts snapshots every kind's exact counter, keyed by kind name —
 // the progress-stream view of the recorder (gravel-server diffs two

@@ -130,6 +130,31 @@ func TestGlobalInstallStop(t *testing.T) {
 	}
 }
 
+func TestSizeHist(t *testing.T) {
+	var h SizeHist
+	for _, v := range []int64{1, 2, 3, 64, 65536} {
+		h.Observe(v)
+	}
+	if h.Count() != 5 {
+		t.Fatalf("Count = %d", h.Count())
+	}
+	if h.Sum() != 65606 {
+		t.Fatalf("Sum = %d", h.Sum())
+	}
+	want := []BucketCount{{Lo: 1, N: 1}, {Lo: 2, N: 2}, {Lo: 64, N: 1}, {Lo: 65536, N: 1}}
+	if b := h.Buckets(); fmt.Sprint(b) != fmt.Sprint(want) {
+		t.Fatalf("Buckets = %v, want %v", b, want)
+	}
+}
+
+func TestSizeHistNegativeClamped(t *testing.T) {
+	var h SizeHist
+	h.Observe(-5)
+	if h.Sum() != 0 || h.Count() != 1 {
+		t.Fatalf("negative observation mishandled: sum=%d count=%d", h.Sum(), h.Count())
+	}
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	r := NewRecorder(Options{RingCap: 64})
 	r.Emit(KStepBegin, -1, 0, 0, "phase0")

@@ -6,14 +6,12 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"gravel/internal/buildinfo"
 	"gravel/internal/rt"
-	"gravel/internal/stats"
 )
 
 // Server is the live observability endpoint: Prometheus-style text
@@ -157,14 +155,12 @@ func writeRecorderMetrics(b *strings.Builder, r *Recorder) {
 	writeHist(b, "gravel_step_wall_ns", "Kernel step wall time (ns).", r.StepWall())
 }
 
-// writeHist renders a stats.SizeHist (power-of-two buckets, per-bucket
+// writeHist renders a SizeHist (power-of-two buckets, per-bucket
 // counts) as a Prometheus cumulative histogram.
-func writeHist(b *strings.Builder, name, help string, h *stats.SizeHist) {
+func writeHist(b *strings.Builder, name, help string, h *SizeHist) {
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	buckets := h.Buckets()
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].Lo < buckets[j].Lo })
 	cum := int64(0)
-	for _, bc := range buckets {
+	for _, bc := range h.Buckets() {
 		cum += bc.N
 		// Bucket Lo=1<<i holds values in [Lo, 2*Lo) (the first also
 		// holds 0), so 2*Lo is the inclusive Prometheus "le" edge.

@@ -187,26 +187,3 @@ type StepStats struct {
 	// Signals and Waits mirror the cumulative PGASStats fields.
 	Signals, Waits int64
 }
-
-// Sub returns the counters s has gained since prev (two cumulative
-// readings give one step's record). Index, Name, VirtualNs and WallNs
-// are not counters and stay s's own.
-func (s StepStats) Sub(prev StepStats) StepStats {
-	s.LocalOps -= prev.LocalOps
-	s.RemoteOps -= prev.RemoteOps
-	s.SlotsDrained -= prev.SlotsDrained
-	s.MsgsDrained -= prev.MsgsDrained
-	s.WirePackets -= prev.WirePackets
-	s.WireBytes -= prev.WireBytes
-	s.SelfPackets -= prev.SelfPackets
-	s.AggBusyNs -= prev.AggBusyNs
-	s.AggIdleNs -= prev.AggIdleNs
-	s.ResolvedPackets -= prev.ResolvedPackets
-	s.ResolvedMsgs -= prev.ResolvedMsgs
-	s.ResolvedAMs -= prev.ResolvedAMs
-	s.BypassPackets -= prev.BypassPackets
-	s.BypassMsgs -= prev.BypassMsgs
-	s.Signals -= prev.Signals
-	s.Waits -= prev.Waits
-	return s
-}

@@ -21,31 +21,29 @@ import (
 // parameters resolve to the app's registered defaults, exactly like
 // the gravel-node flag surface.
 type SubmitRequest struct {
-	App       string  `json:"app"`
-	Model     string  `json:"model"`
-	Nodes     int     `json:"nodes"`
-	Fabric    string  `json:"fabric"`
-	Scale     float64 `json:"scale"`
-	Seed      uint64  `json:"seed"`
-	Table     int     `json:"table"`
-	Updates   int     `json:"updates"`
-	Steps     int     `json:"steps"`
-	Verts     int     `json:"verts"`
-	Iters     int     `json:"iters"`
-	Faults    string  `json:"faults"`
-	WallClock bool    `json:"wall_clock"`
-	Priority  int     `json:"priority"`
+	App      string  `json:"app"`
+	Model    string  `json:"model"`
+	Nodes    int     `json:"nodes"`
+	Fabric   string  `json:"fabric"`
+	Scale    float64 `json:"scale"`
+	Seed     uint64  `json:"seed"`
+	Table    int     `json:"table"`
+	Updates  int     `json:"updates"`
+	Steps    int     `json:"steps"`
+	Verts    int     `json:"verts"`
+	Iters    int     `json:"iters"`
+	Faults   string  `json:"faults"`
+	Priority int     `json:"priority"`
 }
 
 // Spec maps the request onto a noderun Spec.
 func (r SubmitRequest) Spec() noderun.Spec {
 	s := noderun.Spec{
-		App:       r.App,
-		Model:     r.Model,
-		Nodes:     r.Nodes,
-		Fabric:    r.Fabric,
-		Faults:    r.Faults,
-		WallClock: r.WallClock,
+		App:    r.App,
+		Model:  r.Model,
+		Nodes:  r.Nodes,
+		Fabric: r.Fabric,
+		Faults: r.Faults,
 	}
 	s.Params.Scale = r.Scale
 	s.Params.Seed = r.Seed

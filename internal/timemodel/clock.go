@@ -2,32 +2,56 @@ package timemodel
 
 import "sync/atomic"
 
-// Clocks accumulates per-node virtual time on independent resources.
-// All fields are in nanoseconds scaled by ClockScale to allow atomic
-// integer accumulation of fractional costs.
+// Clocks is a node's ledger: its virtual time on independent resources
+// and every count a step is reported by, each kept once and bumped at
+// the one place the event happens. Times are in nanoseconds scaled by
+// ClockScale to allow atomic integer accumulation of fractional costs.
 //
 // The functional simulation runs concurrently, so every accumulator is
 // atomic. Reads during a quiescent phase boundary are exact.
 type Clocks struct {
-	gpu       atomic.Int64 // GPU busy time
-	agg       atomic.Int64 // aggregator CPU busy time
-	net       atomic.Int64 // network thread CPU busy time
-	wireSend  atomic.Int64 // NIC send-side wire occupancy
-	wireRecv  atomic.Int64 // NIC receive-side wire occupancy
-	host      atomic.Int64 // host-side serial time (launches, chunk waits)
-	aggIdle   atomic.Int64 // aggregator poll (idle) time, for §8.1
-	aggSlots  atomic.Int64
-	aggMsgs   atomic.Int64
-	netMsgs   atomic.Int64
-	pktsSent  atomic.Int64
-	bytesSent atomic.Int64
+	gpu      atomic.Int64 // GPU busy time
+	agg      atomic.Int64 // aggregator CPU busy time
+	net      atomic.Int64 // network thread CPU busy time
+	wireSend atomic.Int64 // NIC send-side wire occupancy
+	wireRecv atomic.Int64 // NIC receive-side wire occupancy
+	host     atomic.Int64 // host-side serial time (launches, chunk waits)
+	aggIdle  atomic.Int64 // aggregator poll (idle) time, for §8.1
 
-	// netBanks, when non-nil, splits the net accumulator by resolver
-	// bank: banked resolution runs the bank goroutines concurrently, so
-	// the phase bound is the busiest bank, not the serial sum. Nil (the
-	// single-bank default) leaves every composition bit-identical to
-	// the serial network thread.
-	netBanks []atomic.Int64
+	aggSlots, aggMsgs       atomic.Int64 // drained queue slots and their messages
+	localOps, remoteOps     atomic.Int64 // fine-grain accesses by locality (Table 5)
+	waits                   atomic.Int64 // WaitUntil verb calls
+	pktsSent, bytesSent     atomic.Int64 // packets and bytes put on the wire
+	selfPkts                atomic.Int64 // node-local packets, which never reach it
+	flushFull, flushTimeout atomic.Int64 // aggregator flushes by reason (§3.4)
+	bypass                  resolved     // node-local packets applied by the sender
+
+	// banks is the receive side, one entry per resolver bank
+	// (ConfigureNetBanks). Under banked resolution the bank goroutines
+	// run concurrently, so the phase bound is the busiest bank and each
+	// keeps its share of the net time too; with one bank, net alone is
+	// the serial network thread's clock and every composition stays
+	// bit-identical to it.
+	banks []bank
+}
+
+// resolved is the ledger's form of Resolved.
+type resolved struct{ pkts, msgs, ams, sigs atomic.Int64 }
+
+func (r *resolved) add(msgs, ams, sigs int) {
+	r.pkts.Add(1)
+	r.msgs.Add(int64(msgs))
+	r.ams.Add(int64(ams))
+	r.sigs.Add(int64(sigs))
+}
+
+func (r *resolved) load() Resolved {
+	return Resolved{Pkts: r.pkts.Load(), Msgs: r.msgs.Load(), AMs: r.ams.Load(), Sigs: r.sigs.Load()}
+}
+
+type bank struct {
+	net atomic.Int64
+	resolved
 }
 
 // ClockScale converts nanoseconds to internal fixed-point ticks.
@@ -35,38 +59,34 @@ const ClockScale = 16
 
 func toTicks(ns float64) int64 { return int64(ns * ClockScale) }
 
+func fromTicks(t int64) float64 { return float64(t) / ClockScale }
+
 // AddGPU charges ns to the GPU clock.
 func (c *Clocks) AddGPU(ns float64) { c.gpu.Add(toTicks(ns)) }
 
 // AddAgg charges ns of useful work to the aggregator clock.
 func (c *Clocks) AddAgg(ns float64) { c.agg.Add(toTicks(ns)) }
 
-// AggBusy returns the aggregator's busy time so far, in nanoseconds.
-func (c *Clocks) AggBusy() float64 { return float64(c.agg.Load()) / ClockScale }
+// AddAggIdle charges ns of polling to the aggregator idle clock and
+// returns the clock's new reading. The runtime charges it once per
+// phase, as the part of the phase the aggregator cores were not busy
+// (core.Cluster's phase record).
+func (c *Clocks) AddAggIdle(ns float64) float64 { return fromTicks(c.aggIdle.Add(toTicks(ns))) }
 
-// AddAggIdle charges ns of polling to the aggregator idle clock. The
-// runtime charges it once per phase, as the part of the phase the
-// aggregator cores were not busy (core.Cluster.RecordPhase).
-func (c *Clocks) AddAggIdle(ns float64) { c.aggIdle.Add(toTicks(ns)) }
-
-// ConfigureNetBanks enables per-bank net accounting with the given
-// bank count. It must be called before any concurrent clock use;
-// banks <= 1 leaves the serial single-accumulator behaviour.
-func (c *Clocks) ConfigureNetBanks(banks int) {
-	if banks > 1 {
-		c.netBanks = make([]atomic.Int64, banks)
-	}
-}
+// ConfigureNetBanks sizes the receive side's ledger to the node's
+// resolver bank count (banks <= 1: the serial network thread). It must
+// be called before any concurrent clock use, and before CountResolved.
+func (c *Clocks) ConfigureNetBanks(banks int) { c.banks = make([]bank, max(1, banks)) }
 
 // AddNetBank charges ns of resolver work to the network thread clock
-// and, with ConfigureNetBanks, to one bank of it. Without, it is the
-// serial network thread's charge — one accumulator, one-call tick
+// and, under banked resolution, to one bank of it. With one bank it is
+// the serial network thread's charge — one accumulator, one-call tick
 // rounding — so a single-bank run stays bit-identical to it.
 func (c *Clocks) AddNetBank(bank int, ns float64) {
 	t := toTicks(ns)
 	c.net.Add(t)
-	if c.netBanks != nil {
-		c.netBanks[bank].Add(t)
+	if len(c.banks) > 1 {
+		c.banks[bank].net.Add(t)
 	}
 }
 
@@ -86,8 +106,14 @@ func (c *Clocks) CountAggSlot(msgs int) {
 	c.aggMsgs.Add(int64(msgs))
 }
 
-// CountNetMsgs records messages resolved by the network thread.
-func (c *Clocks) CountNetMsgs(n int) { c.netMsgs.Add(int64(n)) }
+// CountOps records fine-grain data accesses by destination locality.
+func (c *Clocks) CountOps(local, remote int) {
+	c.localOps.Add(int64(local))
+	c.remoteOps.Add(int64(remote))
+}
+
+// CountWait records one WaitUntil verb call.
+func (c *Clocks) CountWait() { c.waits.Add(1) }
 
 // CountPacket records one packet put on the wire.
 func (c *Clocks) CountPacket(bytes int) {
@@ -95,76 +121,144 @@ func (c *Clocks) CountPacket(bytes int) {
 	c.bytesSent.Add(int64(bytes))
 }
 
-// Snapshot is a point-in-time copy of a node's clocks, in nanoseconds.
+// CountSelfPacket records one node-local packet: atomics routed through
+// the local network thread, which never touch the wire (§6).
+func (c *Clocks) CountSelfPacket() { c.selfPkts.Add(1) }
+
+// CountFlush records one aggregator flush: the per-node queue filled,
+// or the end-of-step timeout flush forced it out.
+func (c *Clocks) CountFlush(timeout bool) {
+	if timeout {
+		c.flushTimeout.Add(1)
+	} else {
+		c.flushFull.Add(1)
+	}
+}
+
+// CountResolved records one packet applied by resolver bank b.
+func (c *Clocks) CountResolved(b, msgs, ams, sigs int) { c.banks[b].add(msgs, ams, sigs) }
+
+// CountBypass records one node-local packet applied on the sending
+// goroutine (the fabric's bypass), which no bank's inbox saw.
+func (c *Clocks) CountBypass(msgs, ams, sigs int) { c.bypass.add(msgs, ams, sigs) }
+
+// Bank returns what resolver bank b has applied so far.
+func (c *Clocks) Bank(b int) Resolved { return c.banks[b].load() }
+
+// Applied returns how many packets the node has applied so far, on its
+// banks and its bypass. It only grows, and only while a packet is being
+// applied.
+func (c *Clocks) Applied() int64 {
+	n := c.bypass.pkts.Load()
+	for i := range c.banks {
+		n += c.banks[i].pkts.Load()
+	}
+	return n
+}
+
+// Resolved is applied work: packets (sub-packets, when banked), their
+// messages, and the active messages and signalled puts among them.
+type Resolved struct{ Pkts, Msgs, AMs, Sigs int64 }
+
+func (r Resolved) sub(p Resolved) Resolved {
+	return Resolved{r.Pkts - p.Pkts, r.Msgs - p.Msgs, r.AMs - p.AMs, r.Sigs - p.Sigs}
+}
+
+// Snapshot is a point-in-time copy of a node's ledger, times in
+// nanoseconds.
 type Snapshot struct {
 	GPU, Agg, AggIdle, Net, WireSend, WireRecv, Host float64
-	AggSlots, AggMsgs, NetMsgs, PktsSent, BytesSent  int64
 	// NetBanks is the per-bank split of Net, nil unless the node runs
-	// banked resolution (ConfigureNetBanks).
+	// banked resolution (ConfigureNetBanks with more than one bank).
 	NetBanks []float64
+
+	AggSlots, AggMsgs           int64
+	LocalOps, RemoteOps, Waits  int64
+	PktsSent, BytesSent         int64
+	SelfPkts                    int64
+	FlushesFull, FlushesTimeout int64
+	// Resolved sums the resolver banks' work, Bypass is the node-local
+	// bypass's, and NetMsgs is every message the two applied.
+	Resolved, Bypass Resolved
+	NetMsgs          int64
 }
 
-// Snapshot returns the current clock values. It is only exact when the
-// node is quiescent.
+// Snapshot returns the current ledger. It is only exact when the node
+// is quiescent.
 func (c *Clocks) Snapshot() Snapshot {
 	s := Snapshot{
-		GPU:       float64(c.gpu.Load()) / ClockScale,
-		Agg:       float64(c.agg.Load()) / ClockScale,
-		AggIdle:   float64(c.aggIdle.Load()) / ClockScale,
-		Net:       float64(c.net.Load()) / ClockScale,
-		WireSend:  float64(c.wireSend.Load()) / ClockScale,
-		WireRecv:  float64(c.wireRecv.Load()) / ClockScale,
-		Host:      float64(c.host.Load()) / ClockScale,
-		AggSlots:  c.aggSlots.Load(),
-		AggMsgs:   c.aggMsgs.Load(),
-		NetMsgs:   c.netMsgs.Load(),
-		PktsSent:  c.pktsSent.Load(),
-		BytesSent: c.bytesSent.Load(),
+		GPU:            fromTicks(c.gpu.Load()),
+		Agg:            fromTicks(c.agg.Load()),
+		AggIdle:        fromTicks(c.aggIdle.Load()),
+		Net:            fromTicks(c.net.Load()),
+		WireSend:       fromTicks(c.wireSend.Load()),
+		WireRecv:       fromTicks(c.wireRecv.Load()),
+		Host:           fromTicks(c.host.Load()),
+		AggSlots:       c.aggSlots.Load(),
+		AggMsgs:        c.aggMsgs.Load(),
+		LocalOps:       c.localOps.Load(),
+		RemoteOps:      c.remoteOps.Load(),
+		Waits:          c.waits.Load(),
+		PktsSent:       c.pktsSent.Load(),
+		BytesSent:      c.bytesSent.Load(),
+		SelfPkts:       c.selfPkts.Load(),
+		FlushesFull:    c.flushFull.Load(),
+		FlushesTimeout: c.flushTimeout.Load(),
+		Bypass:         c.bypass.load(),
 	}
-	c.snapshotBanks(&s)
+	if len(c.banks) > 1 {
+		s.NetBanks = make([]float64, len(c.banks))
+	}
+	for i := range c.banks {
+		b := &c.banks[i]
+		r := b.load()
+		s.Resolved.Pkts += r.Pkts
+		s.Resolved.Msgs += r.Msgs
+		s.Resolved.AMs += r.AMs
+		s.Resolved.Sigs += r.Sigs
+		if s.NetBanks != nil {
+			s.NetBanks[i] = fromTicks(b.net.Load())
+		}
+	}
+	s.NetMsgs = s.Resolved.Msgs + s.Bypass.Msgs
 	return s
-}
-
-// snapshotBanks fills s.NetBanks when banked accounting is on.
-func (c *Clocks) snapshotBanks(s *Snapshot) {
-	if c.netBanks == nil {
-		return
-	}
-	s.NetBanks = make([]float64, len(c.netBanks))
-	for i := range c.netBanks {
-		s.NetBanks[i] = float64(c.netBanks[i].Load()) / ClockScale
-	}
 }
 
 // Sub returns s - prev, field by field. NetBanks subtracts
 // element-wise (prev may be shorter, e.g. the zero Snapshot before the
 // first phase).
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	var banks []float64
 	if s.NetBanks != nil {
-		banks = make([]float64, len(s.NetBanks))
+		banks := make([]float64, len(s.NetBanks))
 		for i, v := range s.NetBanks {
 			if i < len(prev.NetBanks) {
 				v -= prev.NetBanks[i]
 			}
 			banks[i] = v
 		}
+		s.NetBanks = banks
 	}
-	return Snapshot{
-		NetBanks:  banks,
-		GPU:       s.GPU - prev.GPU,
-		Agg:       s.Agg - prev.Agg,
-		AggIdle:   s.AggIdle - prev.AggIdle,
-		Net:       s.Net - prev.Net,
-		WireSend:  s.WireSend - prev.WireSend,
-		WireRecv:  s.WireRecv - prev.WireRecv,
-		Host:      s.Host - prev.Host,
-		AggSlots:  s.AggSlots - prev.AggSlots,
-		AggMsgs:   s.AggMsgs - prev.AggMsgs,
-		NetMsgs:   s.NetMsgs - prev.NetMsgs,
-		PktsSent:  s.PktsSent - prev.PktsSent,
-		BytesSent: s.BytesSent - prev.BytesSent,
-	}
+	s.GPU -= prev.GPU
+	s.Agg -= prev.Agg
+	s.AggIdle -= prev.AggIdle
+	s.Net -= prev.Net
+	s.WireSend -= prev.WireSend
+	s.WireRecv -= prev.WireRecv
+	s.Host -= prev.Host
+	s.AggSlots -= prev.AggSlots
+	s.AggMsgs -= prev.AggMsgs
+	s.LocalOps -= prev.LocalOps
+	s.RemoteOps -= prev.RemoteOps
+	s.Waits -= prev.Waits
+	s.PktsSent -= prev.PktsSent
+	s.BytesSent -= prev.BytesSent
+	s.SelfPkts -= prev.SelfPkts
+	s.FlushesFull -= prev.FlushesFull
+	s.FlushesTimeout -= prev.FlushesTimeout
+	s.Resolved = s.Resolved.sub(prev.Resolved)
+	s.Bypass = s.Bypass.sub(prev.Bypass)
+	s.NetMsgs -= prev.NetMsgs
+	return s
 }
 
 // NetBound is the network-thread contribution to a phase: the serial

@@ -53,14 +53,26 @@ func TestClocksAccumulateAndSnapshot(t *testing.T) {
 	c.AddWireRecv(4)
 	c.AddHost(6)
 	c.CountAggSlot(7)
-	c.CountNetMsgs(9)
+	c.ConfigureNetBanks(1)
+	c.CountResolved(0, 9, 2, 1)
+	c.CountBypass(4, 0, 1)
 	c.CountPacket(100)
+	c.CountSelfPacket()
+	c.CountOps(3, 5)
+	c.CountWait()
+	c.CountFlush(true)
 	s := c.Snapshot()
 	if s.GPU != 10 || s.Agg != 5 || s.AggIdle != 1 || s.Net != 3 ||
 		s.WireSend != 2 || s.WireRecv != 4 || s.Host != 6 {
 		t.Fatalf("snapshot wrong: %+v", s)
 	}
-	if s.AggSlots != 1 || s.AggMsgs != 7 || s.NetMsgs != 9 || s.PktsSent != 1 || s.BytesSent != 100 {
+	if s.AggSlots != 1 || s.AggMsgs != 7 || s.NetMsgs != 13 || s.PktsSent != 1 || s.BytesSent != 100 {
+		t.Fatalf("counters wrong: %+v", s)
+	}
+	if s.Resolved != (Resolved{1, 9, 2, 1}) || s.Bypass != (Resolved{1, 4, 0, 1}) || c.Applied() != 2 {
+		t.Fatalf("resolved %+v bypass %+v applied %d", s.Resolved, s.Bypass, c.Applied())
+	}
+	if s.SelfPkts != 1 || s.LocalOps != 3 || s.RemoteOps != 5 || s.Waits != 1 || s.FlushesFull != 0 || s.FlushesTimeout != 1 {
 		t.Fatalf("counters wrong: %+v", s)
 	}
 }

@@ -26,6 +26,7 @@ type endFabric interface {
 // nodes) and the TCP pair (one object per node) read the same.
 type rig struct {
 	at    func(node int) endFabric
+	clock func(node int) *timemodel.Clocks
 	quiet func() bool
 	// A payload that is not a whole number of records cannot cross a
 	// validating wire: loopback's decoder drops and counts it, and on
@@ -42,19 +43,22 @@ var rigs = []struct {
 	build func(t *testing.T, banks int) rig
 }{
 	{"chan", func(t *testing.T, banks int) rig {
-		f := fabric.NewBanked(timemodel.Default(), newClocks(2), banks)
+		clocks := newClocks(2)
+		f := fabric.NewBanked(timemodel.Default(), clocks, banks)
 		t.Cleanup(f.Close)
-		return rig{at: func(int) endFabric { return f }, quiet: f.Quiet}
+		return rig{at: func(int) endFabric { return f }, clock: func(n int) *timemodel.Clocks { return clocks[n] }, quiet: f.Quiet}
 	}},
 	{"loopback", func(t *testing.T, banks int) rig {
-		l := NewLoopbackBanked(timemodel.Default(), newClocks(2), banks)
+		clocks := newClocks(2)
+		l := NewLoopbackBanked(timemodel.Default(), clocks, banks)
 		t.Cleanup(l.Close)
-		return rig{at: func(int) endFabric { return l }, quiet: l.Quiet, misDropped: true}
+		return rig{at: func(int) endFabric { return l }, clock: func(n int) *timemodel.Clocks { return clocks[n] }, quiet: l.Quiet, misDropped: true}
 	}},
 	{"tcp", func(t *testing.T, banks int) rig {
 		fabs := newTCPClusterBanked(t, 2, banks)
 		t.Cleanup(func() { closeAll(fabs) })
-		return rig{at: func(n int) endFabric { return fabs[n] }, quiet: func() bool { return allQuiet(fabs) }, misFrom: 1,
+		return rig{at: func(n int) endFabric { return fabs[n] }, clock: func(n int) *timemodel.Clocks { return fabs[n].clocks[n] },
+			quiet: func() bool { return allQuiet(fabs) }, misFrom: 1,
 			fail: func(n int) { fabs[n].fail(errors.New("conformance: injected failure")) }}
 	}},
 }
@@ -136,16 +140,16 @@ func TestFabricConformance(t *testing.T) {
 						want = nil
 					}
 					deliver(t, rig, r.from, r.to, r.buf, r.msgs, r.routed, want)
-					m := rig.at(r.from).NetMetrics()
+					s := rig.clock(r.from).Snapshot()
 					if r.from == r.to {
-						if got := m.SelfPkts[r.from].Load(); got != 1 {
-							t.Errorf("SelfPkts = %d, want 1", got)
+						if s.SelfPkts != 1 {
+							t.Errorf("SelfPkts = %d, want 1", s.SelfPkts)
 						}
-						if m.PktSizes[r.from].Count() != 0 {
+						if s.PktsSent != 0 {
 							t.Error("self packet counted as a wire packet")
 						}
-					} else if got := m.PerDest.Packets(r.to); got != 1 {
-						t.Errorf("PerDest.Packets(%d) = %d, want 1", r.to, got)
+					} else if got := rig.at(r.from).NetMetrics().PerDest[r.to].Packets.Load(); got != 1 || s.PktsSent != 1 {
+						t.Errorf("PerDest[%d].Packets = %d, sender's ledger %d wire packets; want 1, 1", r.to, got, s.PktsSent)
 					}
 					if !r.hook {
 						return

@@ -107,9 +107,9 @@ func (l *Loopback) decode(node int) {
 		routed := f.typ == frameRouted
 		switch {
 		case errors.Is(err, errCorruptPayload):
-			l.CorruptFrames.Inc()
+			l.CorruptFrames.Add(1)
 		case err != nil, wire.CheckBuf(f.payload, routed, l.Nodes()) != nil:
-			l.Malformed.Inc()
+			l.Malformed.Add(1)
 		default:
 			// The endpoint counts the packets in flight before the frame
 			// gives up its wire credit below, so at every instant Quiet

@@ -36,7 +36,8 @@ func waitQuiet(t *testing.T, name string, quiet func() bool) {
 }
 
 func TestLoopbackDeliversThroughFraming(t *testing.T) {
-	l := NewLoopback(timemodel.Default(), newClocks(3))
+	clocks := newClocks(3)
+	l := NewLoopback(timemodel.Default(), clocks)
 	defer l.Close()
 
 	buf := incBuf(7, 1)
@@ -54,12 +55,11 @@ func TestLoopbackDeliversThroughFraming(t *testing.T) {
 	l.Done(<-l.Inbox(2))
 	waitQuiet(t, "loopback", l.Quiet)
 
-	m := l.NetMetrics()
-	if got := m.PerDest.Packets(1); got != 1 {
-		t.Fatalf("PerDest.Packets(1) = %d, want 1", got)
+	if got := l.PerDest[1].Packets.Load(); got != 1 {
+		t.Fatalf("PerDest[1].Packets = %d, want 1", got)
 	}
-	if got := m.SelfPkts[2].Load(); got != 1 {
-		t.Fatalf("SelfPkts[2] = %d, want 1", got)
+	if got := clocks[2].Snapshot().SelfPkts; got != 1 {
+		t.Fatalf("node 2 SelfPkts = %d, want 1", got)
 	}
 }
 

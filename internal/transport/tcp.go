@@ -71,9 +71,8 @@ const (
 // quiescence, step barrier, reductions, checkpoints, heartbeats — goes
 // through TCP.exchange, which owns the failure rule.
 //
-// Timing: with Options.WallClock the clocks charge measured wall time
-// for wire activity; otherwise the virtual LogGP model is charged
-// sender-side and receiver-side as in the in-process fabrics.
+// Timing: the virtual LogGP model is charged sender-side and
+// receiver-side as in the in-process fabrics.
 type TCP struct {
 	*fabric.Metrics
 	// The hosted node's inboxes: self-sends and received frames.
@@ -83,7 +82,6 @@ type TCP struct {
 	clocks []*timemodel.Clocks
 	n      int
 	self   int
-	wall   bool
 	gen    uint32 // membership generation: Options.Generation, or adopted at join
 
 	ln      net.Listener
@@ -202,7 +200,6 @@ func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Opt
 		clocks:    clocks,
 		n:         n,
 		self:      opt.Self,
-		wall:      opt.WallClock,
 		gen:       opt.Generation,
 		ln:        ln,
 		inj:       inj,
@@ -328,7 +325,7 @@ func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 	if to == t.self {
 		// A self-send never becomes a frame: the endpoint alone counts
 		// it, and sentWire/appliedWire never see it.
-		t.SelfPkts[t.self].Inc()
+		t.clocks[from].CountSelfPacket()
 		p := fabric.Packet{From: from, To: to, Buf: buf, Msgs: msgs, Routed: routed}
 		if !t.Bypass(p) {
 			t.Deliver(p)
@@ -341,8 +338,7 @@ func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 		// would livelock the stream in a reconnect loop.
 		panic(fmt.Sprintf("transport: %d-byte payload exceeds the %d-byte frame limit", len(buf), maxFramePayload))
 	}
-	t.ObserveWire(from, to, len(buf))
-	t.clocks[from].CountPacket(len(buf))
+	t.ObserveWire(t.clocks[from], from, to, len(buf))
 	typ := frameData
 	if routed {
 		typ = frameRouted
@@ -351,14 +347,8 @@ func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 	f.typ, f.from, f.to, f.msgs, f.payload = typ, from, to, msgs, buf
 	f.gen = t.wireGen()
 	t.sentWire.Add(1)
-	if t.wall {
-		t0 := time.Now()
-		t.enqueue(to, f)
-		t.clocks[from].AddWireSend(float64(time.Since(t0).Nanoseconds()))
-	} else {
-		t.clocks[from].AddWireSend(t.params.WireNs(len(buf)))
-		t.enqueue(to, f)
-	}
+	t.clocks[from].AddWireSend(t.params.WireNs(len(buf)))
+	t.enqueue(to, f)
 }
 
 // enqueue stages a frame for a destination, blocking on backpressure.

@@ -44,7 +44,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 	hello, err := readFrame(br)
 	if err != nil || hello.typ != frameHello || hello.to != t.self ||
 		hello.from < 0 || hello.from >= t.n || hello.from == t.self {
-		t.Malformed.Inc()
+		t.Malformed.Add(1)
 		return
 	}
 	// Generation gate: a hello stamped with another membership
@@ -87,7 +87,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 				// request, and poison the connection: the sender reconnects
 				// and replays everything after the ack, so corruption costs
 				// a round trip, never data.
-				t.CorruptFrames.Inc()
+				t.CorruptFrames.Add(1)
 				writeCtl(frameAck, rs.cumAck())
 			}
 			return
@@ -107,7 +107,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 			if f.from != from || f.to != t.self ||
 				f.gen != hello.gen || // generation drift mid-stream: reject, not misdeliver
 				wire.CheckBuf(f.payload, routed, t.n) != nil {
-				t.Malformed.Inc()
+				t.Malformed.Add(1)
 				return
 			}
 			switch rs.accept(conn, f.seq, func() bool { return t.deliver(&f, routed) }) {
@@ -116,7 +116,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 				wire.PutBuf(f.payload)
 				f.payload = nil
 			case frameGap:
-				t.Malformed.Inc()
+				t.Malformed.Add(1)
 				return
 			case frameRetired:
 				return
@@ -125,7 +125,7 @@ func (t *TCP) serveConn(conn net.Conn) {
 				return
 			}
 		default:
-			t.Malformed.Inc()
+			t.Malformed.Add(1)
 			return
 		}
 	}
@@ -142,16 +142,8 @@ func (t *TCP) serveConn(conn net.Conn) {
 // retransmit — by protocol it is post-quiescence and carries nothing
 // the run still needs.
 func (t *TCP) deliver(f *frame, routed bool) bool {
-	p := fabric.Packet{From: f.from, To: t.self, Buf: f.payload, Msgs: f.msgs, Routed: routed}
-	var scattered, ok bool
-	if t.wall {
-		t0 := time.Now()
-		scattered, ok = t.Deliver(p)
-		t.clocks[t.self].AddWireRecv(float64(time.Since(t0).Nanoseconds()))
-	} else {
-		t.clocks[t.self].AddWireRecv(t.params.WireNs(len(f.payload)))
-		scattered, ok = t.Deliver(p)
-	}
+	t.clocks[t.self].AddWireRecv(t.params.WireNs(len(f.payload)))
+	scattered, ok := t.Deliver(fabric.Packet{From: f.from, To: t.self, Buf: f.payload, Msgs: f.msgs, Routed: routed})
 	if scattered {
 		t.appliedWire.Add(1)
 	}

@@ -149,7 +149,7 @@ func (s *sender) connect(stop <-chan struct{}, abort <-chan time.Time, attempted
 			if conn, err := net.DialTimeout("tcp", s.addr, dialTimeout); err == nil {
 				if l = s.handshake(s.t.inj.WrapConn(conn, s.t.self, s.dest)); l != nil {
 					if *attempted {
-						s.t.Reconnects.Inc()
+						s.t.Reconnects.Add(1)
 						if obs.Enabled() {
 							obs.Emit(obs.KReconnect, s.t.self, int64(s.dest), 0, "")
 						}
@@ -159,7 +159,7 @@ func (s *sender) connect(stop <-chan struct{}, abort <-chan time.Time, attempted
 				}
 			}
 		}
-		s.t.Retries.Inc()
+		s.t.Retries.Add(1)
 		return s.suspectCheck() || s.t.Err() != nil
 	}, func(d time.Duration) bool {
 		select {

@@ -117,8 +117,8 @@ func TestTCPDeliversAndQuiesces(t *testing.T) {
 	fabs[1].Done(p)
 	waitQuiet(t, "tcp pair", func() bool { return allQuiet(fabs) })
 
-	if got := fabs[0].NetMetrics().PerDest.Packets(1); got != 1 {
-		t.Fatalf("sender PerDest.Packets(1) = %d, want 1", got)
+	if got := fabs[0].PerDest[1].Packets.Load(); got != 1 {
+		t.Fatalf("sender PerDest[1].Packets = %d, want 1", got)
 	}
 }
 

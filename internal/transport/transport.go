@@ -18,9 +18,8 @@
 //     Close, and a rendezvous coordinator that extends the runtime's
 //     Quiet() quiescence barrier across processes.
 //
-// Virtual-time simulation stays the default elsewhere; the TCP
-// transport can charge measured wall-clock time instead
-// (fabric.Options.WallClock).
+// Time stays virtual on every transport: a frame charges the same
+// LogGP wire occupancy the in-process fabrics charge.
 package transport
 
 import (
