@@ -77,6 +77,22 @@ func (r *nodeRun) close() {
 	}
 }
 
+// closeRuns closes every node at once, as the processes of a real
+// cluster shut down. A healthy TCP Close waits up to its drain timeout
+// for the peers' FINs, so closing the nodes one after another makes
+// each wait out the peers that have not started closing yet.
+func closeRuns(runs []nodeRun) {
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func(r *nodeRun) {
+			defer wg.Done()
+			r.close()
+		}(&runs[i])
+	}
+	wg.Wait()
+}
+
 var chaosInProcGUPS = gups.Config{
 	TableSize:      1 << 12,
 	UpdatesPerNode: 1 << 10,
@@ -143,10 +159,10 @@ func TestChaosScheduleBitExact(t *testing.T) {
 		SeverMax: 1,
 	}
 	runs := runFaultedCluster(t, n, faults)
+	defer closeRuns(runs)
 	var sum uint64
 	for i := range runs {
 		r := &runs[i]
-		defer r.close()
 		if r.err != nil {
 			t.Fatalf("node %d failed under the recoverable schedule: %v", i, r.err)
 		}
@@ -171,11 +187,11 @@ func TestChaosCorruptionCountedAndRecovered(t *testing.T) {
 	const n = 4
 	want := chanRefSum(t, n, chaosInProcGUPS)
 	runs := runFaultedCluster(t, n, &gravel.FaultConfig{Seed: 9, Corrupt: 0.25})
+	defer closeRuns(runs)
 	var sum uint64
 	var corrupt, reconnects int64
 	for i := range runs {
 		r := &runs[i]
-		defer r.close()
 		if r.err != nil {
 			t.Fatalf("node %d failed under corruption: %v", i, r.err)
 		}
@@ -195,6 +211,26 @@ func TestChaosCorruptionCountedAndRecovered(t *testing.T) {
 	}
 	if reconnects == 0 {
 		t.Fatal("corrupt frames must force retransmit via reconnect, but no reconnects happened")
+	}
+}
+
+// TestHealthyClusterClosesConcurrently: the nodes of a healthy 4-node
+// TCP cluster that has exchanged traffic every way close within a
+// second or two when they close together: each node's drain finds its
+// peers' FINs already coming, instead of waiting them out.
+func TestHealthyClusterClosesConcurrently(t *testing.T) {
+	const n = 4
+	runs := runFaultedCluster(t, n, nil)
+	for i := range runs {
+		if runs[i].err != nil {
+			closeRuns(runs)
+			t.Fatalf("node %d failed: %v", i, runs[i].err)
+		}
+	}
+	start := time.Now()
+	closeRuns(runs)
+	if d := time.Since(start); d >= 2*time.Second {
+		t.Fatalf("closing a healthy %d-node cluster took %v, want < 2s", n, d)
 	}
 }
 
@@ -306,9 +342,7 @@ func TestChaosWorkerKillSurfacesPeerDown(t *testing.T) {
 	if limit := 2*chaosSuspect + 2*time.Second; detection > limit {
 		t.Errorf("survivors took %v to unwind, want <= %v", detection, limit)
 	}
-	for i := range runs {
-		runs[i].close()
-	}
+	closeRuns(runs)
 	waitGoroutines(t, base)
 }
 
@@ -363,8 +397,6 @@ func TestChaosCoordinatorDeathMidBarrier(t *testing.T) {
 	if limit := 2*chaosSuspect + 2*time.Second; detection > limit {
 		t.Errorf("workers took %v to unwind, want <= %v", detection, limit)
 	}
-	for i := range runs {
-		runs[i].close()
-	}
+	closeRuns(runs)
 	waitGoroutines(t, base)
 }

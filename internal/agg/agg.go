@@ -207,13 +207,14 @@ func (a *Aggregator) flushLocked(b *wire.Builder, timeout bool) {
 }
 
 // Flush sends every non-empty per-node queue (end-of-superstep /
-// timeout flush). The caller must ensure the producer/consumer queue is
-// empty first, or freshly repacked messages may miss the flush. Flush
-// must be called from a host thread (it transmits, which can block). It
-// is the one caller that stages with timeout set, which wakes no
-// aggregator thread: the pump below sends what it staged.
+// timeout flush). The caller must ensure no aggregator thread holds a
+// claimed slot (Busy), or the slot's messages miss the flush and split
+// their per-node queue in two; the queue's unclaimed slots Flush drains
+// itself. Flush must be called from a host thread (it transmits, which
+// can block). It is the one caller that stages with timeout set, which
+// wakes no aggregator thread: the pump below sends what it staged.
 func (a *Aggregator) Flush() {
-	a.drainQueue()
+	a.Drain()
 	for _, sh := range a.shards {
 		sh.mu.Lock()
 		for d := range sh.builders {

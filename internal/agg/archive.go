@@ -229,7 +229,7 @@ func (ar *Archive) stageLocked(da *destArchive, timeout bool) {
 // order — with timeout set, as only a Flush does, so no aggregator
 // thread is woken for them — and transmits them itself.
 func (ar *Archive) Flush() {
-	ar.drainQueue()
+	ar.Drain()
 	for _, da := range ar.dests {
 		da.mu.Lock()
 		ar.stageLocked(da, true)

@@ -33,9 +33,9 @@ type consumer = func(payload []uint64, rows, cols, count int)
 // thread polls on a core of its own; this one shares its processors
 // with the threads it serves, so with nothing to drain or transmit it
 // parks on work until a Commit or a stage wakes it — at once, without
-// park's spin: no Step waits for an idle aggregator (Quiesce's Flush
-// drains the queue on its own thread), and a yielding spinner keeps a
-// processor from stealing the work a Step does wait for.
+// park's spin: no Step waits for an idle aggregator (a launch's
+// epilogue drains the queue on its own thread), and a yielding spinner
+// keeps a processor from stealing the work a Step does wait for.
 //
 // Flush decisions happen under the strategy's staging locks, but
 // transmission — which can block on receiver backpressure — happens
@@ -173,10 +173,14 @@ func (d *driver) drainSome(consume consumer) bool {
 	return any
 }
 
-// drainQueue empties the producer/consumer queue on the caller's
-// thread; the head of every strategy's Flush.
-func (d *driver) drainQueue() {
-	for d.q.TryConsume(d.consume[0]) {
+// Drain empties the producer/consumer queue on the caller's thread the
+// way a drain thread does, under the hold; it is the head of every
+// strategy's Flush. A host thread about to wait for the queue to drain
+// (the launch epilogue) calls it first, so the wait is for a slot an
+// aggregator thread has already claimed, not for a parked thread to be
+// scheduled.
+func (d *driver) Drain() {
+	for d.drainSome(d.consume[0]) {
 	}
 }
 

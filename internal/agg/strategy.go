@@ -23,8 +23,10 @@ package agg
 //     follow-ups, gateway relays) and must never transmit on the
 //     calling goroutine — network threads stage through it, and a
 //     blocking Send there can deadlock against receiver backpressure.
-//   - Flush forces every staged message toward the wire and transmits;
-//     it must only be called from a host thread.
+//   - Drain stages the producer/consumer queue's slots on the calling
+//     host thread, as a drain thread would; Flush does the same, then
+//     forces every staged message toward the wire and transmits. Both
+//     must only be called from a host thread.
 //   - Signal liveness: a staged PUT_SIGNAL must reach the wire without
 //     waiting for the end-of-step flush (a remote waiter spins on it).
 //   - Busy reports an in-progress drain attempt and Pending any staged
@@ -35,6 +37,9 @@ type Strategy interface {
 	// Stop terminates them after a final drain; the queue must already
 	// be quiescent.
 	Stop()
+	// Drain stages what the producer/consumer queue holds, on the
+	// caller's thread. Host threads only.
+	Drain()
 	// Flush stages and transmits every buffered message (end-of-step /
 	// timeout flush). Host threads only.
 	Flush()

@@ -132,6 +132,8 @@ type Node struct {
 
 	// dev is the node's device thread, nil for the last hosted node.
 	dev *deviceThread
+	// drained is !draining, bound once for the launch epilogue's wait.
+	drained func() bool
 }
 
 // Cluster implements rt.System for Gravel (and, with AggPerMessage, the
@@ -142,7 +144,8 @@ type Cluster struct {
 	space  *pgas.Space
 	fab    fabric.Fabric
 	nodes  []*Node
-	off    []Offloader // per node: the aggregation strategy's send path
+	clocks []*timemodel.Clocks // the nodes' ledgers, in node order
+	off    []Offloader         // per node: the aggregation strategy's send path
 
 	handlers []rt.AMHandler
 
@@ -294,6 +297,7 @@ func NewChecked(cfg Config) (*Cluster, error) {
 		clocks[i] = &timemodel.Clocks{}
 		clocks[i].ConfigureNetBanks(shards)
 	}
+	cl.clocks = clocks
 	transport := cfg.Transport
 	if transport == "" {
 		transport = "chan"
@@ -327,6 +331,7 @@ func NewChecked(cfg Config) (*Cluster, error) {
 		n := &Node{ID: i, Clocks: clocks[i], cl: cl}
 		n.ctxs.New = func() any { return newCtx(n) }
 		n.kern.n, n.kernRun = n, n.kern.run
+		n.drained = func() bool { return !n.draining() }
 		n.GPU = simt.NewDevice(arch)
 		n.GPU.Mode = cfg.DivMode
 		n.GPU.Clock = n.Clocks
@@ -378,7 +383,7 @@ func NewChecked(cfg Config) (*Cluster, error) {
 // protocol or the step barrier, an incoming active message's follow-up
 // (HostAM from a handler, staged via Agg.AppendDirect) would otherwise
 // sit in a partially-filled aggregator queue with nothing left to flush
-// it — the cluster's sent/applied counters would balance and the step
+// it — the cluster's departed/consumed sums would balance and the step
 // barrier would release with the cascade cut off mid-chain.
 func (cl *Cluster) drainHosted() bool {
 	idle := true
@@ -400,8 +405,12 @@ func (cl *Cluster) drainHosted() bool {
 func (n *Node) draining() bool { return !n.PCQ.Empty() || n.Agg.Busy() }
 
 // sending reports whether the node holds messages anywhere short of
-// the fabric: draining, staged, or in the outbox.
-func (n *Node) sending() bool { return n.draining() || n.Agg.Pending() }
+// the fabric: draining, staged, in the outbox, or taken out of it by a
+// pump that has not handed them to the fabric yet. Busy is read again
+// last because a pump raises it before the outbox empties and lowers it
+// after Send: read in the direction messages move, one in transit is
+// never missed.
+func (n *Node) sending() bool { return n.draining() || n.Agg.Pending() || n.Agg.Busy() }
 
 // drained reports whether every node's messages have reached staging.
 func (cl *Cluster) drained() bool { return !slices.ContainsFunc(cl.nodes, (*Node).draining) }
@@ -495,11 +504,18 @@ type launchArgs struct {
 	k            rt.Kernel
 }
 
-// launchNode is LaunchAll's per-node body (Cluster.launchOn).
+// launchNode is LaunchAll's per-node body (Cluster.launchOn). Its
+// epilogue is the node's timeout flush (§3.4), where the kernel ran,
+// side by side with the other nodes' (DESIGN.md §4.14): drain the
+// queue here, wait out a slot an aggregator thread claimed first (a
+// flush under it would split a per-node queue in two), flush.
 func (cl *Cluster) launchNode(n *Node, grid int) {
 	n.Clocks.AddHost(cl.params.KernelLaunchNs)
 	n.kern.off, n.kern.k = cl.launch.off[n.ID], cl.launch.k
 	n.GPU.Launch(grid, cl.cfg.WGSize, cl.launch.scratchPerWG, n.kernRun)
+	n.Agg.Drain()
+	cl.fab.Progress().Wait(n.drained)
+	n.Agg.Flush()
 }
 
 // deviceThread is a hosted node's persistent launcher (DESIGN.md
@@ -589,48 +605,42 @@ func (cl *Cluster) RunNodes(grid []int, run func(n *Node, grid int)) {
 func (cl *Cluster) allBack() bool { return cl.running.Load() == 0 }
 
 // Quiesce blocks until every initiated message has been applied: all
-// producer/consumer queues drained, all per-node queues flushed, the
-// wire empty, and the network threads idle. Where it has to wait it
-// parks on the fabric's Progress event, which every counter it reads
-// wakes on the transition that matters (DESIGN.md, "Progress").
+// producer/consumer queues drained, all per-node queues flushed, and
+// every record the fabric took consumed. Where it has to wait it parks
+// on the fabric's Progress event (DESIGN.md §4.16).
 //
-// It returns on the second of two quiet observations between which no
-// packet was applied. Between sent's read of a node and the fabric's
-// Quiet, a resolver can apply a packet whose AM handler stages a
-// follow-up on that node; the applied count is what tells such a torn
-// observation from a quiet one.
+// In-process it returns on one observation of the nodes' ledgers
+// (DESIGN.md §4.14): consumed, staged (any node sending), departed,
+// consumed; quiet is nothing staged and all three sums equal. Staged
+// is read before departed because a packet stays staged until after it
+// is counted departed. What the launch epilogues left staged (AM
+// cascades, gateway relays) is flushed here. Across processes the
+// fabric's Quiet is the observation, with drainHosted as its staged
+// read.
 func (cl *Cluster) Quiesce() {
 	progress := cl.fab.Progress()
-	stable, applied := 0, int64(0)
-	for stable < 2 {
-		cl.checkDecodeErr()
-		// Flushing while an aggregator thread holds a claimed slot
-		// would send the partial per-node queue and split it in two.
-		progress.Wait(cl.drained)
-		for _, n := range cl.nodes {
-			n.Agg.Flush()
-		}
+	if cl.dist != nil {
 		progress.Wait(cl.fab.Quiet)
-		if !cl.sent() || !cl.fab.Quiet() {
-			stable = 0
+	}
+	for cl.dist == nil {
+		cl.checkDecodeErr()
+		a0 := timemodel.Sum(cl.clocks, (*timemodel.Clocks).Consumed)
+		if !cl.sent() {
+			progress.Wait(cl.drained)
+			for _, n := range cl.nodes {
+				if n.sending() {
+					n.Agg.Flush()
+				}
+			}
 			continue
 		}
-		if a := cl.applied(); stable == 0 || a != applied {
-			stable, applied = 1, a
-		} else {
-			stable++
+		d := timemodel.Sum(cl.clocks, (*timemodel.Clocks).Departed)
+		if d == a0 && timemodel.Sum(cl.clocks, (*timemodel.Clocks).Consumed) == a0 {
+			break
 		}
+		progress.Wait(cl.fab.Quiet)
 	}
 	cl.checkDecodeErr()
-}
-
-// applied is how many packets the hosted nodes have applied so far.
-func (cl *Cluster) applied() int64 {
-	var a int64
-	for _, n := range cl.nodes {
-		a += n.Clocks.Applied()
-	}
-	return a
 }
 
 // nodeNsSlab is how many phases' NodeNs endPhase allocates at a time.

@@ -45,7 +45,7 @@ func NewBanked(params *timemodel.Params, clocks []*timemodel.Clocks, banks int) 
 	}
 	// The paper's bounded number of in-flight per-node queues per
 	// destination, from every sender.
-	ep, err := NewEndpoint(n, AllNodes, banks, max(4, params.QueuesPerDest*n))
+	ep, err := NewEndpoint(clocks, AllNodes, banks, max(4, params.QueuesPerDest*n))
 	if err != nil {
 		panic(err)
 	}
@@ -69,21 +69,23 @@ func (f *Chan) send(p Packet) {
 	if f.Depart(p) {
 		return
 	}
-	if _, ok := f.Deliver(p); !ok {
+	if !f.Deliver(p) {
 		panic("fabric: send on a closed fabric")
 	}
 }
 
 // Depart is the virtual wire's send side, which the loopback transport
 // (this fabric with a frame codec spliced in) shares: it checks the
-// destination, then either counts a node-local packet — local atomics
-// are routed through the local network thread but never touch the wire
-// (§6) — or charges a remote one's LogGP occupancy (Alpha + bytes/Beta)
-// to both clocks. It reports whether the bypass already applied p.
+// destination and counts p's records departed in the sender's ledger,
+// then either counts a node-local packet — local atomics are routed
+// through the local network thread but never touch the wire (§6) — or
+// charges a remote one's LogGP occupancy (Alpha + bytes/Beta) to both
+// clocks. It reports whether the bypass already applied p.
 func (f *Chan) Depart(p Packet) (applied bool) {
 	if p.To < 0 || p.To >= f.Nodes() {
 		panic(fmt.Sprintf("fabric: send to invalid node %d", p.To))
 	}
+	f.clocks[p.From].CountDeparted(Records(p.Msgs))
 	if p.From == p.To {
 		f.clocks[p.From].CountSelfPacket()
 		return f.Bypass(p)
@@ -94,8 +96,5 @@ func (f *Chan) Depart(p Packet) (applied bool) {
 	f.ObserveWire(f.clocks[p.From], p.From, p.To, len(p.Buf))
 	return false
 }
-
-// Quiet reports whether no packets are in flight or being applied.
-func (f *Chan) Quiet() bool { return f.Idle() }
 
 var _ Fabric = (*Chan)(nil)

@@ -2,49 +2,52 @@ package fabric
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"gravel/internal/park"
+	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
 
 // Endpoint is the receive side every fabric embeds: the bounded
 // per-bank inboxes of the nodes this process hosts (§6's finite number
 // of per-node queues in flight), the node-local bypass, the bank demux,
-// and the one count of packets between Deliver and Done that quiescence
-// reads. A fabric keeps only its send side and whatever it counts in
-// units other than packets (Loopback's frames on the wire, TCP's
-// cluster-wide frame counters).
+// and the consumed half of the quiescence ledger, whose departed half a
+// fabric's send side counts (DESIGN.md §4.14).
 type Endpoint struct {
 	banks int
 	// inbox is [node][bank]; a node another process hosts has a row of
 	// nil channels, so nothing can be delivered to it or ranged from it.
 	inbox [][]chan Packet
 
+	// clocks are the nodes' ledgers, indexed like inbox.
+	clocks []*timemodel.Clocks
+
 	// localApply, when set (SetLocalApply, before the first Send),
 	// resolves from == to packets synchronously instead of
 	// round-tripping them through an inbox.
 	localApply func(Packet)
 
-	inflight atomic.Int64
-
 	// progress is what a thread waiting for the fabric to go quiet parks
-	// on (Fabric.Progress); Done wakes it when inflight reaches zero.
+	// on (Fabric.Progress); every retirement wakes it.
 	progress park.Event
 }
+
+// Records is what the ledger counts a packet of msgs messages as: an
+// empty one counts one, so it too holds quiet off until it is retired.
+func Records(msgs int) int { return max(msgs, 1) }
 
 // NewEndpoint creates the inboxes, each depth packets deep, of the
 // nodes for which hosts reports true, with the given number of resolver
 // banks per node (0 means 1; must be a power of two, max
-// MaxResolverBanks).
-func NewEndpoint(nodes int, hosts func(node int) bool, banks, depth int) (*Endpoint, error) {
+// MaxResolverBanks). clocks holds one ledger per node of the cluster.
+func NewEndpoint(clocks []*timemodel.Clocks, hosts func(node int) bool, banks, depth int) (*Endpoint, error) {
 	if banks == 0 {
 		banks = 1
 	}
 	if !ValidBanks(banks) {
 		return nil, fmt.Errorf("fabric: resolver banks %d must be a power of two in [1, %d]", banks, MaxResolverBanks)
 	}
-	e := &Endpoint{banks: banks, inbox: make([][]chan Packet, nodes)}
+	e := &Endpoint{banks: banks, inbox: make([][]chan Packet, len(clocks)), clocks: clocks}
 	for n := range e.inbox {
 		e.inbox[n] = make([]chan Packet, banks)
 		if !hosts(n) {
@@ -81,17 +84,17 @@ func (e *Endpoint) Inbox(node int) <-chan Packet { return e.inbox[node][0] }
 func (e *Endpoint) SetLocalApply(fn func(Packet)) { e.localApply = fn }
 
 // Bypass resolves a node-local direct packet through the SetLocalApply
-// hook on the calling goroutine and recycles its buffer, reporting
-// whether it did. No inbox hop and no in-flight accounting: the packet
-// is fully applied when Bypass returns, which is strictly earlier than
-// the quiescence protocol could have observed it. Routed packets are
-// never bypassed (the gateway relays them from bank 0, in order).
+// hook on the calling goroutine, recycles its buffer and retires it,
+// reporting whether it did. No inbox hop: the packet is fully applied
+// when Bypass returns. Routed packets are never bypassed (the gateway
+// relays them from bank 0, in order).
 func (e *Endpoint) Bypass(p Packet) bool {
 	if p.From != p.To || p.Routed || e.localApply == nil {
 		return false
 	}
 	e.localApply(p)
 	wire.PutBuf(p.Buf)
+	e.Retire(p.To, Records(p.Msgs))
 	return true
 }
 
@@ -100,28 +103,23 @@ func (e *Endpoint) Bypass(p Packet) bool {
 // is not a whole number of records (bank 0's resolver reports that one
 // as a typed decode failure), p lands whole on bank 0. Otherwise its
 // records are scattered into per-bank sub-packets (Sub set, p's buffer
-// recycled) pushed in ascending bank order, and scattered is true.
-//
-// Every sub-packet is counted in flight before the first is pushed:
-// otherwise a fast bank could apply and Done its share while a sibling
-// is still unpushed, dipping the count to zero mid-delivery.
+// recycled) pushed in ascending bank order; the sub-packets carry p's
+// records between them, and whatever of p's ledger count they do not
+// (an empty packet's one) is retired here.
 //
 // ok is false if the inboxes were closed underneath the push; the
-// packets that never reached an inbox are retired.
-func (e *Endpoint) Deliver(p Packet) (scattered, ok bool) {
-	counted, pushed := 0, 0
+// records that never reached an inbox are retired.
+func (e *Endpoint) Deliver(p Packet) (ok bool) {
+	pushed := 0 // records that reached an inbox
 	defer func() {
 		if recover() != nil {
-			e.inflight.Add(int64(pushed - counted))
+			e.Retire(p.To, Records(p.Msgs)-pushed)
 			ok = false
 		}
 	}()
 	if e.banks == 1 || p.Routed || len(p.Buf)%wire.MsgWireBytes != 0 {
-		counted = 1
-		e.inflight.Add(1)
 		e.inbox[p.To][0] <- p
-		pushed = 1
-		return false, true
+		return true
 	}
 	var subs [MaxResolverBanks]Packet
 	n := 0
@@ -130,27 +128,42 @@ func (e *Endpoint) Deliver(p Packet) (scattered, ok bool) {
 		n++
 	})
 	wire.PutBuf(p.Buf)
-	counted = n
-	e.inflight.Add(int64(n))
-	for ; pushed < n; pushed++ {
-		e.inbox[p.To][subs[pushed].Bank] <- subs[pushed]
+	for _, s := range subs[:n] {
+		e.inbox[p.To][s.Bank] <- s
+		pushed += s.Msgs
 	}
-	return true, true
+	if rest := Records(p.Msgs) - pushed; rest != 0 {
+		e.Retire(p.To, rest)
+	}
+	return true
 }
 
 // Done must be called by the network thread after fully applying a
 // packet; quiescence detection depends on it. It recycles the packet's
-// buffer into the wire pool: a whole packet travels zero-copy from the
-// sender's builder, so this completes the pooled buffer lifecycle.
+// buffer into the wire pool — a whole packet travels zero-copy from the
+// sender's builder, so this completes the pooled buffer lifecycle — and
+// retires the packet's records.
 func (e *Endpoint) Done(p Packet) {
-	if e.inflight.Add(-1) == 0 {
-		e.progress.Wake()
-	}
 	wire.PutBuf(p.Buf)
+	e.Retire(p.To, Records(p.Msgs))
 }
 
-// Idle reports whether no packet is between Deliver and Done.
-func (e *Endpoint) Idle() bool { return e.inflight.Load() == 0 }
+// Retire counts records bound for node consumed — applied, or dropped
+// on the way in — and wakes whoever waits for the ledger to balance.
+func (e *Endpoint) Retire(node, records int) {
+	e.clocks[node].CountConsumed(records)
+	e.progress.Wake()
+}
+
+// Quiet implements Fabric for a fabric whose ledgers are all in this
+// process: every record counted departed has been consumed. It reads
+// consumed, departed, consumed: equal consumed reads mean no record
+// was consumed whose departure the departed read could have missed.
+func (e *Endpoint) Quiet() bool {
+	a0 := timemodel.Sum(e.clocks, (*timemodel.Clocks).Consumed)
+	return timemodel.Sum(e.clocks, (*timemodel.Clocks).Departed) == a0 &&
+		timemodel.Sum(e.clocks, (*timemodel.Clocks).Consumed) == a0
+}
 
 // Progress implements Fabric. A fabric assembled without an endpoint
 // (the transport tests' hand-built send sides) has no waiters: nil.

@@ -6,8 +6,25 @@ import (
 	"testing"
 	"time"
 
+	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
+
+// newLedgers returns n zero-valued node ledgers.
+func newLedgers(n int) []*timemodel.Clocks {
+	clocks := make([]*timemodel.Clocks, n)
+	for i := range clocks {
+		clocks[i] = &timemodel.Clocks{}
+	}
+	return clocks
+}
+
+// departed counts p departed in its sender's ledger, as a send side
+// does before Deliver.
+func departed(clocks []*timemodel.Clocks, p Packet) Packet {
+	clocks[p.From].CountDeparted(Records(p.Msgs))
+	return p
+}
 
 // incPacket builds a direct packet for node 1 with one OpInc record per
 // address.
@@ -35,22 +52,21 @@ func recvWithin(t *testing.T, ch <-chan Packet) Packet {
 // Deliver must block bank by bank: freeing them in ascending order lets
 // it through (any other push order would hang), and a sub-packet that is
 // applied and Done while its siblings are still unpushed never makes the
-// endpoint look idle.
+// ledger balance: each retires only its own records.
 func TestDeliverCountsThenPushesAscending(t *testing.T) {
 	const banks = 4
 	wantMsgs := [banks]int{1, 2, 1, 1} // addresses 0, 1 and 5, 2, 3
-	e, err := NewEndpoint(2, AllNodes, banks, 1)
+	clocks := newLedgers(2)
+	e, err := NewEndpoint(clocks, AllNodes, banks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for b := 0; b < banks; b++ {
-		e.inbox[1][b] <- Packet{Bank: -1} // filler, never counted
+		e.inbox[1][b] <- Packet{Bank: -1} // filler, never retired
 	}
+	p := departed(clocks, incPacket(0, 1, 2, 3, 5))
 	done := make(chan bool)
-	go func() {
-		_, ok := e.Deliver(incPacket(0, 1, 2, 3, 5))
-		done <- ok
-	}()
+	go func() { done <- e.Deliver(p) }()
 	for b := 0; b < banks; b++ {
 		if p := recvWithin(t, e.BankInbox(1, b)); p.Bank != -1 {
 			t.Fatalf("bank %d: got %+v before its filler", b, p)
@@ -60,32 +76,57 @@ func TestDeliverCountsThenPushesAscending(t *testing.T) {
 			t.Fatalf("bank %d sub-packet wrong: %+v", b, p)
 		}
 		e.Done(p)
-		if b < banks-1 && e.Idle() {
-			t.Fatalf("idle after bank %d with banks above it unpushed", b)
+		if b < banks-1 && e.Quiet() {
+			t.Fatalf("quiet after bank %d with banks above it unpushed", b)
 		}
 	}
 	if !<-done {
 		t.Fatal("Deliver reported closed inboxes")
 	}
-	if !e.Idle() {
-		t.Fatal("not idle after every sub-packet's Done")
+	if !e.Quiet() {
+		t.Fatal("not quiet after every sub-packet's Done")
 	}
 }
 
 // TestDeliverRetiresUnpushedOnClose: a packet delivered into closed
-// inboxes is reported, and what it counted in flight is retired.
+// inboxes is reported, and the records that never reached an inbox are
+// retired.
 func TestDeliverRetiresUnpushedOnClose(t *testing.T) {
 	for _, banks := range []int{1, 4} {
-		e, err := NewEndpoint(2, AllNodes, banks, 1)
+		clocks := newLedgers(2)
+		e, err := NewEndpoint(clocks, AllNodes, banks, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.Close()
-		if _, ok := e.Deliver(incPacket(1, 3)); ok {
+		if e.Deliver(departed(clocks, incPacket(1, 3))) {
 			t.Fatalf("banks=%d: Deliver reported success into closed inboxes", banks)
 		}
-		if !e.Idle() {
-			t.Fatalf("banks=%d: unpushed packets still counted in flight", banks)
+		if !e.Quiet() {
+			t.Fatalf("banks=%d: unpushed records still counted in flight", banks)
+		}
+	}
+}
+
+// TestDeliverRetiresEmptyPacket: an empty packet counts one record, so
+// it holds quiet off like any other; scattered over banks it leaves no
+// sub-packet to retire it, so Deliver does.
+func TestDeliverRetiresEmptyPacket(t *testing.T) {
+	for _, banks := range []int{1, 4} {
+		clocks := newLedgers(2)
+		e, err := NewEndpoint(clocks, AllNodes, banks, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Deliver(departed(clocks, Packet{From: 0, To: 1}))
+		if banks == 1 {
+			if e.Quiet() {
+				t.Fatal("banks=1: quiet with an empty packet in the inbox")
+			}
+			e.Done(<-e.Inbox(1))
+		}
+		if !e.Quiet() {
+			t.Fatalf("banks=%d: an empty packet was never retired", banks)
 		}
 	}
 }
@@ -99,7 +140,8 @@ func TestDeliverZeroAllocs(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection clears the pool
 	const banks = 4
-	e, err := NewEndpoint(2, AllNodes, banks, 4)
+	clocks := newLedgers(2)
+	e, err := NewEndpoint(clocks, AllNodes, banks, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +153,7 @@ func TestDeliverZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		p := tmpl
 		p.Buf = append(wire.GetBuf(len(tmpl.Buf)), tmpl.Buf...)
-		e.Deliver(p)
+		e.Deliver(departed(clocks, p))
 		for b := 0; b < banks; b++ {
 			e.Done(<-e.BankInbox(1, b))
 		}
@@ -119,8 +161,8 @@ func TestDeliverZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("delivering a %d-byte packet to %d banks allocated %.2f times, want 0", len(tmpl.Buf), banks, allocs)
 	}
-	if !e.Idle() {
-		t.Fatal("not idle")
+	if !e.Quiet() {
+		t.Fatal("not quiet")
 	}
 }
 

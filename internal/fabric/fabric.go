@@ -41,9 +41,8 @@ type Packet struct {
 	// unbanked fabric; routed packets always resolve on bank 0).
 	Bank int
 	// Sub marks a demuxed sub-packet: one of several carved out of a
-	// single wire frame by a banked transport. Transports use it to
-	// keep per-frame quiescence counters exact (the frame is counted
-	// applied once, not once per bank).
+	// single packet by a banked endpoint, each carrying its own share
+	// of the records.
 	Sub bool
 }
 
@@ -55,8 +54,9 @@ type Packet struct {
 // packet; Quiet reports cluster-wide quiescence — no packets staged, in
 // flight, or being applied — which the runtime's Step barrier relies
 // on. Every fabric embeds one *Endpoint, which is its receive side
-// (Hosts, Banks, BankInbox, SetLocalApply, Done, Progress), so a Fabric
-// wrapping another by embedding passes all of it through.
+// (Hosts, Banks, BankInbox, SetLocalApply, Done, Progress) and answers
+// Quiet from the nodes' ledgers, so a Fabric wrapping another by
+// embedding passes all of it through.
 type Fabric interface {
 	// Nodes returns the cluster size.
 	Nodes() int
@@ -85,11 +85,13 @@ type Fabric interface {
 	// counts the packet in flight. The self-packet count and the
 	// time-model charges are unchanged, so modeled figures do not drift.
 	SetLocalApply(func(Packet))
-	// Done must be called after fully applying a packet; quiescence
-	// detection depends on it, and it recycles the packet's buffer.
+	// Done must be called after fully applying a packet: it retires
+	// the packet's records in the receiver's ledger, which quiescence
+	// detection depends on, and recycles the packet's buffer.
 	Done(Packet)
 	// Quiet reports whether no packets are staged, in flight, or being
-	// applied anywhere in the cluster.
+	// applied anywhere in the cluster: every record counted departed
+	// has been consumed.
 	Quiet() bool
 	// Progress returns the event a host thread parks on while it waits
 	// for Quiet. The fabric wakes it after every change that can turn
@@ -116,7 +118,7 @@ type Distributed interface {
 	// SetHostDrain registers the hook the fabric calls on every
 	// local-idleness check, from host threads only (it may transmit,
 	// which can block on backpressure): it flushes host-side staged
-	// messages, which the sent/applied counters cannot see, toward the
+	// messages, which the departed count cannot see yet, toward the
 	// wire and returns true when none remain (core.Cluster.drainHosted
 	// has the cascade this keeps alive).
 	SetHostDrain(func() bool)

@@ -26,6 +26,12 @@ type Clocks struct {
 	flushFull, flushTimeout atomic.Int64 // aggregator flushes by reason (§3.4)
 	bypass                  resolved     // node-local packets applied by the sender
 
+	// departed and consumed are the quiescence ledger, in records: what
+	// the fabric took from this node, and what it retired at this node
+	// (applied, or dropped). The cluster is quiet when the two sums
+	// balance and nothing is staged (DESIGN.md §4.14).
+	departed, consumed atomic.Int64
+
 	// banks is the receive side, one entry per resolver bank
 	// (ConfigureNetBanks). Under banked resolution the bank goroutines
 	// run concurrently, so the phase bound is the busiest bank and each
@@ -145,13 +151,26 @@ func (c *Clocks) CountBypass(msgs, ams, sigs int) { c.bypass.add(msgs, ams, sigs
 // Bank returns what resolver bank b has applied so far.
 func (c *Clocks) Bank(b int) Resolved { return c.banks[b].load() }
 
-// Applied returns how many packets the node has applied so far, on its
-// banks and its bypass. It only grows, and only while a packet is being
-// applied.
-func (c *Clocks) Applied() int64 {
-	n := c.bypass.pkts.Load()
-	for i := range c.banks {
-		n += c.banks[i].pkts.Load()
+// CountDeparted records records handed to the fabric by this node: the
+// fabric's send side calls it once per packet, node-local ones included.
+func (c *Clocks) CountDeparted(records int) { c.departed.Add(int64(records)) }
+
+// CountConsumed records records the fabric retired at this node: applied
+// and Done, applied by the bypass, or dropped on the way in.
+func (c *Clocks) CountConsumed(records int) { c.consumed.Add(int64(records)) }
+
+// Departed returns how many records the node has handed to the fabric.
+func (c *Clocks) Departed() int64 { return c.departed.Load() }
+
+// Consumed returns how many records the fabric has retired at the node.
+func (c *Clocks) Consumed() int64 { return c.consumed.Load() }
+
+// Sum adds one count up over the nodes' ledgers, such as
+// (*Clocks).Departed: one side of the quiescence equation.
+func Sum(clocks []*Clocks, count func(*Clocks) int64) int64 {
+	var n int64
+	for _, c := range clocks {
+		n += count(c)
 	}
 	return n
 }

@@ -61,6 +61,9 @@ func TestClocksAccumulateAndSnapshot(t *testing.T) {
 	c.CountOps(3, 5)
 	c.CountWait()
 	c.CountFlush(true)
+	c.CountDeparted(13)
+	c.CountConsumed(9)
+	c.CountConsumed(4)
 	s := c.Snapshot()
 	if s.GPU != 10 || s.Agg != 5 || s.AggIdle != 1 || s.Net != 3 ||
 		s.WireSend != 2 || s.WireRecv != 4 || s.Host != 6 {
@@ -69,8 +72,11 @@ func TestClocksAccumulateAndSnapshot(t *testing.T) {
 	if s.AggSlots != 1 || s.AggMsgs != 7 || s.NetMsgs != 13 || s.PktsSent != 1 || s.BytesSent != 100 {
 		t.Fatalf("counters wrong: %+v", s)
 	}
-	if s.Resolved != (Resolved{1, 9, 2, 1}) || s.Bypass != (Resolved{1, 4, 0, 1}) || c.Applied() != 2 {
-		t.Fatalf("resolved %+v bypass %+v applied %d", s.Resolved, s.Bypass, c.Applied())
+	if s.Resolved != (Resolved{1, 9, 2, 1}) || s.Bypass != (Resolved{1, 4, 0, 1}) {
+		t.Fatalf("resolved %+v bypass %+v", s.Resolved, s.Bypass)
+	}
+	if c.Departed() != 13 || c.Consumed() != 13 {
+		t.Fatalf("ledger departed %d consumed %d, want 13, 13", c.Departed(), c.Consumed())
 	}
 	if s.SelfPkts != 1 || s.LocalOps != 3 || s.RemoteOps != 5 || s.Waits != 1 || s.FlushesFull != 0 || s.FlushesTimeout != 1 {
 		t.Fatalf("counters wrong: %+v", s)

@@ -23,9 +23,10 @@ import (
 // within that deadline, never as a hang.
 //
 // Quiescence uses the classic sum-matching argument over monotonic
-// counters: every worker reports (wire frames sent, wire frames
-// applied, locally idle), and the quiescence type below states the rule
-// once, for the quiet op and for every step barrier.
+// counters: every worker reports its hosted node's ledger (records
+// departed, records consumed) and whether it is locally idle, and the
+// quiescence type below states the rule once, for the quiet op and for
+// every step barrier.
 //
 // Membership is epoch-based: the coordinator stamps every epoch with a
 // generation (starting at 1) and every worker RPC carries its
@@ -107,11 +108,12 @@ type quietReport struct {
 
 // quiescence is the sum-matching detector. One observation of the
 // workers' latest reports is a candidate when every worker is idle and
-// Σsent == Σapplied. A single candidate can be an artifact of reports
-// taken at different instants while a message is between a handler and
-// the wire; but the counters only grow, so two consecutive candidates
-// with identical sums mean no frame was in flight between them. The
-// struct is the previous observation.
+// Σdeparted == Σconsumed (reported as sent, applied). A single candidate
+// can be an artifact of reports taken at different instants while a
+// message is between a handler and the wire; but the counters only
+// grow, so two consecutive candidates with identical sums mean no
+// record was in flight between them. The struct is the previous
+// observation.
 type quiescence struct {
 	sent, applied int64
 	candidate     bool

@@ -23,13 +23,17 @@ type Loopback struct {
 	// Timing, metrics and the receive endpoint are the channel fabric's.
 	*fabric.Chan
 
-	wires []chan []byte // encoded frames, one bounded queue per destination
+	wires []chan onWire // one bounded queue per destination
 
-	// onWire counts frames between Send and the decoder's Deliver (or
-	// drop): the credit a frame holds while no packet exists for it yet.
-	onWire   atomic.Int64
 	decoders sync.WaitGroup
 	closed   atomic.Bool
+}
+
+// onWire is an encoded frame and the records its sender counted
+// departed, which a dropped frame's header may not be fit to tell.
+type onWire struct {
+	raw     []byte
+	records int
 }
 
 // NewLoopback creates a loopback transport over the given clocks with
@@ -43,9 +47,9 @@ func NewLoopback(params *timemodel.Params, clocks []*timemodel.Clocks) *Loopback
 // be a power of two, max fabric.MaxResolverBanks).
 func NewLoopbackBanked(params *timemodel.Params, clocks []*timemodel.Clocks, banks int) *Loopback {
 	l := &Loopback{Chan: fabric.NewBanked(params, clocks, banks)}
-	l.wires = make([]chan []byte, l.Nodes())
+	l.wires = make([]chan onWire, l.Nodes())
 	for i := range l.wires {
-		l.wires[i] = make(chan []byte, cap(l.Inbox(i))) // as deep as the inboxes behind it
+		l.wires[i] = make(chan onWire, cap(l.Inbox(i))) // as deep as the inboxes behind it
 	}
 	l.decoders.Add(len(l.wires))
 	for i := range l.wires {
@@ -72,7 +76,6 @@ func (l *Loopback) send(p fabric.Packet) {
 	if l.Depart(p) {
 		return
 	}
-	l.onWire.Add(1)
 	f := frame{typ: frameData, from: p.From, to: p.To, msgs: p.Msgs, payload: p.Buf}
 	if p.Routed {
 		f.typ = frameRouted
@@ -81,14 +84,15 @@ func (l *Loopback) send(p fabric.Packet) {
 	// so the caller's buffer recycles immediately (Send owns it).
 	raw := appendFrame(wire.GetBuf(headerBytes+len(p.Buf)), &f)
 	wire.PutBuf(p.Buf)
-	l.wires[p.To] <- raw
+	l.wires[p.To] <- onWire{raw, fabric.Records(p.Msgs)}
 }
 
 // decode is node's wire-side decoder: it turns validated frames into
-// inbox packets, dropping (and counting) anything malformed. The frame
-// struct and readers are reused across packets; the decoded payload is
-// a fresh pooled buffer (the raw encoding recycles as soon as it is
-// parsed), so one buffer never backs two packets.
+// inbox packets, dropping (counting, and retiring the records of)
+// anything malformed. The frame struct and readers are reused across
+// packets; the decoded payload is a fresh pooled buffer (the raw
+// encoding recycles as soon as it is parsed), so one buffer never backs
+// two packets.
 func (l *Loopback) decode(node int) {
 	defer l.decoders.Done()
 	var (
@@ -96,14 +100,14 @@ func (l *Loopback) decode(node int) {
 		rd bytes.Reader
 		br = bufio.NewReaderSize(&rd, 64<<10)
 	)
-	for raw := range l.wires[node] {
-		rd.Reset(raw)
+	for w := range l.wires[node] {
+		rd.Reset(w.raw)
 		br.Reset(&rd)
 		err := readFrameInto(br, &f)
 		if err == nil && br.Buffered() > 0 {
 			err = fmt.Errorf("transport: %d trailing bytes after frame", br.Buffered())
 		}
-		wire.PutBuf(raw)
+		wire.PutBuf(w.raw)
 		routed := f.typ == frameRouted
 		switch {
 		case errors.Is(err, errCorruptPayload):
@@ -111,25 +115,14 @@ func (l *Loopback) decode(node int) {
 		case err != nil, wire.CheckBuf(f.payload, routed, l.Nodes()) != nil:
 			l.Malformed.Add(1)
 		default:
-			// The endpoint counts the packets in flight before the frame
-			// gives up its wire credit below, so at every instant Quiet
-			// sees one or the other. (Inboxes close only after every
-			// decoder has exited, so the push cannot fail.)
+			// Inboxes close only after every decoder has exited, so the
+			// push cannot fail.
 			l.Deliver(fabric.Packet{From: f.from, To: node, Buf: f.payload, Msgs: f.msgs, Routed: routed})
+			continue
 		}
-		// The last frame off the wire may be what a Quiet waiter is
-		// waiting for: a dropped one has no Done to wake it, and a
-		// delivered one's Done can come before this line.
-		if l.onWire.Add(-1) == 0 {
-			l.Progress().Wake()
-		}
+		l.Retire(node, w.records)
 	}
 }
-
-// Quiet implements fabric.Fabric. The wire credit is read first: a
-// frame moves from the wire to the endpoint, never back, so one that is
-// in flight across both reads is seen by at least one of them.
-func (l *Loopback) Quiet() bool { return l.onWire.Load() == 0 && l.Idle() }
 
 // Close drains the decoders and closes every inbox.
 func (l *Loopback) Close() {

@@ -116,27 +116,29 @@ type TCP struct {
 	hbStop chan struct{} // stops the coordinator heartbeat loop
 	hbDone chan struct{}
 
-	sentWire    atomic.Int64 // data frames originated (monotonic)
-	appliedWire atomic.Int64 // data frames fully applied (monotonic)
-	epoch       atomic.Int64 // step barriers passed
+	epoch atomic.Int64 // step barriers passed
+	// arrived counts the records the hosted node's endpoint took in:
+	// while it is ahead of consumed, a resolver still has work, and
+	// asking the coordinator would only cost a round trip.
+	arrived atomic.Int64
 
 	recv []recvStream // per-peer receive half (dedup seq + live conn)
 
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{} // live inbound connections
 
-	// The last quiet exchange (under quietMu): the counters it reported
-	// and whether the answer was yes, which stands until they move; and
-	// the timer that re-wakes a waiter parked on a no, with its delay.
-	quietMu      sync.Mutex
-	quietCached  bool
-	quietSent    int64
-	quietApplied int64
-	reask        *time.Timer
-	reaskIn      time.Duration
+	// The last quiet exchange (under quietMu): the ledger sums it
+	// reported and whether the answer was yes, which stands until they
+	// move; and the timer that re-wakes a parked waiter, with its delay.
+	quietMu       sync.Mutex
+	quietCached   bool
+	quietDeparted int64
+	quietConsumed int64
+	reask         *time.Timer
+	reaskIn       time.Duration
 
 	// hostDrain holds the runtime's SetHostDrain hook (a func() bool),
-	// which localIdle consults so a process polling the quiet protocol
+	// which quietSnapshot runs so a process polling the quiet protocol
 	// or the step barrier keeps AM cascades flowing.
 	hostDrain atomic.Value
 
@@ -162,7 +164,7 @@ func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Opt
 	if n > 1 && opt.Coord == "" {
 		return nil, fmt.Errorf("transport: %d nodes but no coordinator: cross-process quiescence requires Options.Coord", n)
 	}
-	ep, err := fabric.NewEndpoint(n, func(node int) bool { return node == opt.Self }, opt.ResolverBanks, recvQueueFrames)
+	ep, err := fabric.NewEndpoint(clocks, func(node int) bool { return node == opt.Self }, opt.ResolverBanks, recvQueueFrames)
 	if err != nil {
 		return nil, err
 	}
@@ -322,10 +324,12 @@ func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 	if to < 0 || to >= t.n {
 		panic(fmt.Sprintf("transport: send to invalid node %d", to))
 	}
+	t.clocks[from].CountDeparted(fabric.Records(msgs))
 	if to == t.self {
-		// A self-send never becomes a frame: the endpoint alone counts
-		// it, and sentWire/appliedWire never see it.
+		// A self-send never becomes a frame: the bypass applies it here,
+		// or the endpoint takes it straight to an inbox.
 		t.clocks[from].CountSelfPacket()
+		t.arrived.Add(int64(fabric.Records(msgs)))
 		p := fabric.Packet{From: from, To: to, Buf: buf, Msgs: msgs, Routed: routed}
 		if !t.Bypass(p) {
 			t.Deliver(p)
@@ -346,7 +350,6 @@ func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 	f := getFrame()
 	f.typ, f.from, f.to, f.msgs, f.payload = typ, from, to, msgs, buf
 	f.gen = t.wireGen()
-	t.sentWire.Add(1)
 	t.clocks[from].AddWireSend(t.params.WireNs(len(buf)))
 	t.enqueue(to, f)
 }
@@ -364,69 +367,36 @@ func (t *TCP) enqueue(to int, f *frame) {
 	}
 }
 
-// Done implements fabric.Fabric. It recycles the packet's buffer:
-// self-packets still carry the sender's builder buffer, wire packets a
-// pooled payload drawn by the frame reader. The frame is counted
-// applied before the endpoint retires the packet, so the wake the
-// endpoint gives on going idle finds the count already there.
-func (t *TCP) Done(p fabric.Packet) {
-	if p.From != t.self && !p.Sub {
-		// A whole packet that came off the wire is its frame. A demuxed
-		// bank sub-packet is one of several carved from a single frame;
-		// deliver counted that frame applied once at demux time.
-		t.appliedWire.Add(1)
-	}
-	t.Endpoint.Done(p)
-}
-
 // SetHostDrain implements fabric.Distributed.
 func (t *TCP) SetHostDrain(f func() bool) { t.hostDrain.Store(f) }
 
-// localIdle reports whether this process has nothing in flight: no
-// host-side staged messages, no self-packets or received packets being
-// applied, and every outbound stream drained and acknowledged. The
-// drain hook runs first so a message it flushes is caught by the
-// sender-idle check below, and so the sent/applied counters the
-// callers report afterwards include it.
-func (t *TCP) localIdle() bool {
-	if f, ok := t.hostDrain.Load().(func() bool); ok {
-		if !f() {
-			return false
-		}
-	}
-	if !t.Idle() {
-		return false
-	}
-	for _, s := range t.senders {
-		if s != nil && !s.idle() {
-			return false
-		}
-	}
-	return true
-}
-
-// quietSnapshot produces a consistent (sent, applied, idle) report for
-// the coordinator's quiet protocol. Idleness and the counters must be
-// observed at one instant: if a frame is applied — and its cascade
-// follow-up staged and flushed — between the localIdle evaluation and
-// the counter loads, the report would claim idle with counters that
-// balance globally, and the cluster could release a barrier around the
-// in-flight cascade. When the counters move during an idle observation
-// the snapshot is retried.
-func (t *TCP) quietSnapshot() (sent, applied int64, idle bool) {
+// quietSnapshot produces this process's report for the coordinator's
+// quiet protocol: the hosted node's ledger sums and whether the process
+// is locally idle. It is the in-process observation (DESIGN.md §4.14):
+// consumed; staged — the host drain, which flushes what the runtime
+// has staged, then every outbound stream drained and acknowledged;
+// departed; consumed again, retaken if that moved. Records that have
+// arrived but are not consumed yet keep the process busy.
+func (t *TCP) quietSnapshot() (departed, consumed int64, idle bool) {
+	c := t.clocks[t.self]
+	drain, _ := t.hostDrain.Load().(func() bool)
 	for {
-		s0, a0 := t.sentWire.Load(), t.appliedWire.Load()
-		idle = t.localIdle()
-		sent, applied = t.sentWire.Load(), t.appliedWire.Load()
-		if !idle || (sent == s0 && applied == a0) {
-			return
+		a0 := c.Consumed()
+		idle = drain == nil || drain()
+		for _, s := range t.senders {
+			idle = idle && (s == nil || s.idle())
+		}
+		departed, consumed = c.Departed(), c.Consumed()
+		if !idle || consumed == a0 {
+			return departed, consumed, idle && t.arrived.Load() == consumed
 		}
 	}
 }
 
 // Quiet implements fabric.Fabric. Local activity is checked first;
-// cluster-wide quiescence is then established through the coordinator
-// and cached until the local counters move again.
+// cluster-wide quiescence — every process idle and the ledger sums
+// balanced, twice running — is then established through the
+// coordinator and cached until the local ledger moves again.
 func (t *TCP) Quiet() bool {
 	if err := t.Err(); err != nil {
 		// The transport has failed: counters can never reconcile again
@@ -435,27 +405,28 @@ func (t *TCP) Quiet() bool {
 		// where the node runtime recovers it into a diagnosed exit.
 		panic(err)
 	}
-	sent, applied, idle := t.quietSnapshot()
+	departed, consumed, idle := t.quietSnapshot()
 	if !idle {
 		return false
 	}
 	if t.n == 1 {
-		return true
+		return departed == consumed
 	}
 	// n > 1 implies a coordinator: NewTCP rejects clusters without one.
 	t.quietMu.Lock()
 	defer t.quietMu.Unlock()
-	same := sent == t.quietSent && applied == t.quietApplied
+	same := departed == t.quietDeparted && consumed == t.quietConsumed
 	if t.quietCached && same {
 		return true
 	}
-	resp, err := t.exchange(&coordMsg{Op: "quiet", Sent: sent, Applied: applied, Idle: true})
+	resp, err := t.exchange(&coordMsg{Op: "quiet", Sent: departed, Applied: consumed, Idle: true})
 	if err != nil {
 		panic(err)
 	}
-	// Only cache if the counters did not move while we asked.
-	t.quietSent, t.quietApplied = sent, applied
-	t.quietCached = resp.Quiet && sent == t.sentWire.Load() && applied == t.appliedWire.Load()
+	// Only cache if the ledger did not move while we asked.
+	c := t.clocks[t.self]
+	t.quietDeparted, t.quietConsumed = departed, consumed
+	t.quietCached = resp.Quiet && departed == c.Departed() && consumed == c.Consumed()
 	if t.quietCached {
 		return true
 	}

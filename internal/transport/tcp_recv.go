@@ -132,20 +132,13 @@ func (t *TCP) serveConn(conn net.Conn) {
 }
 
 // deliver hands one validated data frame to the endpoint, charging
-// receive-side wire time. Counter order matters when the endpoint
-// demuxes it: the endpoint's in-flight count covers every sub-packet
-// before appliedWire counts the frame applied, so the coordinator's
-// sent/applied comparison can never balance while a sub-packet is still
-// pending, and each sub-packet's Done retires it from the endpoint only
-// (see Done). It reports false if the inboxes closed underneath it
+// receive-side wire time; its records are retired where the endpoint
+// retires them. It reports false if the inboxes closed underneath it
 // during shutdown: the frame is unacked, so a surviving peer would
 // retransmit — by protocol it is post-quiescence and carries nothing
 // the run still needs.
 func (t *TCP) deliver(f *frame, routed bool) bool {
 	t.clocks[t.self].AddWireRecv(t.params.WireNs(len(f.payload)))
-	scattered, ok := t.Deliver(fabric.Packet{From: f.from, To: t.self, Buf: f.payload, Msgs: f.msgs, Routed: routed})
-	if scattered {
-		t.appliedWire.Add(1)
-	}
-	return ok
+	t.arrived.Add(int64(fabric.Records(f.msgs)))
+	return t.Deliver(fabric.Packet{From: f.from, To: t.self, Buf: f.payload, Msgs: f.msgs, Routed: routed})
 }

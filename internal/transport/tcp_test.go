@@ -282,7 +282,8 @@ func newRecvOnlyTCP(t *testing.T, n, self int, gen uint32) *TCP {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := fabric.NewEndpoint(n, func(node int) bool { return node == self }, 1, recvQueueFrames)
+	clocks := newClocks(n)
+	ep, err := fabric.NewEndpoint(clocks, func(node int) bool { return node == self }, 1, recvQueueFrames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func newRecvOnlyTCP(t *testing.T, n, self int, gen uint32) *TCP {
 		Metrics:  fabric.NewMetrics(n),
 		Endpoint: ep,
 		params:   timemodel.Default(),
-		clocks:   newClocks(n),
+		clocks:   clocks,
 		n:        n,
 		self:     self,
 		gen:      gen,

@@ -54,11 +54,14 @@ race_and_guards() {
     'OneWGLaunchRunsOnCaller|ParkFromCallerWorker|KernelPanicReachesCaller|LaunchCoversGrid|ParkWakeStress|WaitManyWaiters|WaitAllocatesNothing|TimeoutFlushWakesNobody|ParkedDeviceThread|CloseStopsDeviceThreads|WaitUntilChain|UnrecoveredVerbPanic' \
     ./internal/simt ./internal/park ./internal/agg ./internal/core ./internal/models
   go test -race -run FineStepsSmoke ./internal/core
-  # Quiescence (DESIGN.md §4.8, §4.16): a quiet observation torn by an
-  # AM follow-up staged mid-read must not end a Step — the interleaving
+  # Quiescence (DESIGN.md §4.14, §4.16): a quiet observation torn by an
+  # AM follow-up staged mid-read, by a packet departing between the
+  # staged and departed reads, or by a pump holding one between the
+  # outbox and the fabric must not end a Step, and a frame the loopback
+  # decoder drops must still let the ledger balance — the interleavings
   # forced, then mer's AM-driven contig walk on every model, which found
-  # it under load (~17 s together on the 2-vCPU reference box).
-  go test -race -count=200 -run QuiesceWaitsOutCascade ./internal/core
+  # the first and the third under load.
+  go test -race -count=200 -run 'QuiesceWaitsOutCascade|QuiesceSeesPacket|QuiesceRetiresDroppedFrame' ./internal/core
   go test -race -count=15 -run MerPhase2AcrossModels ./internal/models
   go test -bench=. -benchtime=20ms -run=NONE ./internal/queue/ ./internal/wire/ ./internal/simt/ ./internal/fabric/ ./internal/core/ ./internal/pgas/
 }
