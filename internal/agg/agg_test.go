@@ -3,6 +3,7 @@ package agg
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"gravel/internal/fabric"
 	"gravel/internal/queue"
@@ -145,5 +146,43 @@ func TestRouteByDestination(t *testing.T) {
 	_, m1 := c1.wait()
 	if m0 != 7 || m1 != 9 {
 		t.Fatalf("routed %d/%d, want 7/9", m0, m1)
+	}
+}
+
+// TestDrainersKeepIssueOrder: the launch epilogue's Drain shares the
+// first aggregator thread's consumer. A slot it claims while that thread
+// is still staging an earlier one must not reach the builders first, or
+// one source's messages to one destination leave out of issue order.
+func TestDrainersKeepIssueOrder(t *testing.T) {
+	a, q, _ := setup(t, false, 0)
+	produce(q, 1, 8) // two slots: addresses 0-3, then 4-7
+	inside, resume := make(chan struct{}), make(chan struct{})
+	stage, first := a.consume[0], true
+	a.consume[0] = func(payload []uint64, rows, cols, count int) {
+		if first { // the aggregator thread, holding the first slot
+			first = false
+			close(inside)
+			<-resume
+		}
+		stage(payload, rows, cols, count)
+	}
+	thread, epilogue := make(chan struct{}), make(chan struct{})
+	go func() { defer close(thread); a.drainSome(0) }()
+	<-inside
+	go func() { defer close(epilogue); a.Drain() }()
+	// Unserialized, the epilogue claims the second slot at once.
+	for t0 := time.Now(); !q.Empty() && time.Since(t0) < 50*time.Millisecond; {
+		runtime.Gosched()
+	}
+	close(resume)
+	<-thread
+	<-epilogue
+	buf, _ := a.shards[0].builders[1].Take()
+	var got []uint64
+	wire.Decode(buf, func(_, addr, _ uint64) { got = append(got, addr) })
+	for i, addr := range got {
+		if addr != uint64(i) {
+			t.Fatalf("staged in order %v, want 0..7", got)
+		}
 	}
 }

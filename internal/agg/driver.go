@@ -54,6 +54,12 @@ type driver struct {
 	// constructor fills it in. Built once, so the hot TryConsume path
 	// passes a preallocated closure.
 	consume []consumer
+	// drains serializes the claim-and-stage of each consumer's slots:
+	// the launch epilogue's Drain shares consumer 0 with the first
+	// aggregator thread, and a slot claimed after another must not
+	// reach staging before it, or one source's messages to one
+	// destination leave out of issue order.
+	drains []sync.Mutex
 
 	// The outbox. A staging lock may be held while mu is taken, never
 	// the reverse, and mu is never held across Send.
@@ -87,6 +93,7 @@ func newDriver(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.F
 		fab:     fab,
 		clock:   clock,
 		consume: make([]consumer, max(1, params.AggregatorThreads)),
+		drains:  make([]sync.Mutex, max(1, params.AggregatorThreads)),
 		idle:    fab.Progress(),
 		done:    make(chan struct{}),
 	}
@@ -98,10 +105,10 @@ func newDriver(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.F
 func (d *driver) Start() {
 	var wg sync.WaitGroup
 	wg.Add(len(d.consume))
-	for _, consume := range d.consume {
+	for i := range d.consume {
 		go func() {
 			defer wg.Done()
-			d.run(consume)
+			d.run(i)
 		}()
 	}
 	go func() {
@@ -117,9 +124,9 @@ func (d *driver) Stop() {
 	<-d.done
 }
 
-func (d *driver) run(consume consumer) {
+func (d *driver) run(i int) {
 	for {
-		worked := d.drainSome(consume)
+		worked := d.drainSome(i)
 		if d.pump() {
 			worked = true
 		}
@@ -129,7 +136,7 @@ func (d *driver) run(consume consumer) {
 		if d.stopped.Load() {
 			// Final drain: the queue must already be quiescent when
 			// Stop is called, but be safe.
-			for d.drainSome(consume) {
+			for d.drainSome(i) {
 			}
 			d.pump()
 			return
@@ -157,15 +164,17 @@ func (d *driver) release() {
 // thread from pumping; it reports whether any were consumed. The hold
 // is taken before the first claim: a queue this thread's claim empties
 // is Busy from before Empty turns true until the slot is staged.
-func (d *driver) drainSome(consume consumer) bool {
+func (d *driver) drainSome(i int) bool {
 	if !d.q.Ready() {
 		return false
 	}
 	d.hold()
 	defer d.release()
+	d.drains[i].Lock()
+	defer d.drains[i].Unlock()
 	any := false
-	for i := 0; i < 64; i++ {
-		if !d.q.TryConsume(consume) {
+	for n := 0; n < 64; n++ {
+		if !d.q.TryConsume(d.consume[i]) {
 			break
 		}
 		any = true
@@ -180,7 +189,7 @@ func (d *driver) drainSome(consume consumer) bool {
 // aggregator thread has already claimed, not for a parked thread to be
 // scheduled.
 func (d *driver) Drain() {
-	for d.drainSome(d.consume[0]) {
+	for d.drainSome(0) {
 	}
 }
 

@@ -254,7 +254,7 @@ func (cfg Config) Validate() error {
 			return invalid("TransportOpts.Self", "hosted node %d out of range [0, %d)", self, cfg.Nodes)
 		}
 		if cfg.Nodes > 1 && cfg.TransportOpts.Coord == "" {
-			return invalid("TransportOpts.Coord", "%d nodes but no coordinator: cross-process quiescence requires one", cfg.Nodes)
+			return invalid("TransportOpts.Coord", "%d nodes but no coordinator: peer discovery requires one", cfg.Nodes)
 		}
 	}
 	return nil
@@ -379,12 +379,12 @@ func NewChecked(cfg Config) (*Cluster, error) {
 // drainHosted flushes every hosted node's staged messages toward the
 // wire and reports whether host-side work remains. A multi-process
 // fabric calls it (fabric.Distributed's hook) on every local-idleness
-// check: once this process has left Quiesce and is polling the quiet
-// protocol or the step barrier, an incoming active message's follow-up
-// (HostAM from a handler, staged via Agg.AppendDirect) would otherwise
-// sit in a partially-filled aggregator queue with nothing left to flush
-// it — the cluster's departed/consumed sums would balance and the step
-// barrier would release with the cascade cut off mid-chain.
+// check: once this process is locally idle and waiting on the step
+// vote, an incoming active message's follow-up (HostAM from a handler,
+// staged via Agg.AppendDirect) would otherwise sit in a
+// partially-filled aggregator queue with nothing left to flush it — the
+// cluster's departed/consumed sums would balance and the vote would
+// release with the cascade cut off mid-chain.
 func (cl *Cluster) drainHosted() bool {
 	idle := true
 	for _, n := range cl.nodes {
@@ -463,10 +463,11 @@ func (cl *Cluster) Step(name string, grid []int, scratchPerWG int, k rt.Kernel) 
 // StepBarrier aligns step boundaries across a multi-process fabric:
 // without it, a fast process could read results (or send the next
 // step's messages) before a skewed peer's current-step messages have
-// been applied. In-process fabrics need no alignment — the single Step
-// caller is the barrier — so this is a no-op for them. Baseline models
-// call it at the end of their own Steps, after Quiesce and before the
-// phase record.
+// been applied. After Quiesce it passes the vote Quiesce waited for;
+// the first launch's start barrier is a vote of its own. In-process
+// fabrics need no alignment — the single Step caller is the barrier —
+// so this is a no-op for them. Baseline models call it at the end of
+// their own Steps, after Quiesce and before the phase record.
 func (cl *Cluster) StepBarrier() {
 	if cl.dist != nil {
 		cl.dist.StepBarrier()
@@ -615,8 +616,9 @@ func (cl *Cluster) allBack() bool { return cl.running.Load() == 0 }
 // is read before departed because a packet stays staged until after it
 // is counted departed. What the launch epilogues left staged (AM
 // cascades, gateway relays) is flushed here. Across processes the
-// fabric's Quiet is the observation, with drainHosted as its staged
-// read.
+// fabric's Quiet is the step vote, whose ballots are that observation
+// with drainHosted as the staged read: Quiesce returns at the step's
+// barrier, and StepBarrier after it returns at once.
 func (cl *Cluster) Quiesce() {
 	progress := cl.fab.Progress()
 	if cl.dist != nil {

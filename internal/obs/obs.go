@@ -91,7 +91,9 @@ const (
 	KSignal
 	// KCollective is one host collective (tag = "allreduce:<op>",
 	// "broadcast" or "barrier"): A = team size (0 = world),
-	// B = contributed value.
+	// B = contributed value. A released TCP step vote is one too (tag
+	// "step-vote"): A = rounds taken, B = the node whose ballot came
+	// last.
 	KCollective
 	// KAggArchive is one archive-strategy segment sealed onto a
 	// destination's chain (the grape-style aggregator): A = segment

@@ -75,9 +75,10 @@ func (e *Event) Wakes() uint64 { return e.seq.Load() }
 // yielding the processor between polls, then parks until the next Wake
 // and starts over: a wake means the state is moving, so more changes
 // are likely within the budget. pred runs on the calling goroutine, any
-// number of times; it may block, but it must not call Wait on the same
-// Event. Wait allocates nothing, provided pred does not escape at the
-// call site.
+// number of times until it first reports true and never after, so a
+// predicate that acts (the TCP step vote casts ballots) answers once;
+// it may block, but it must not call Wait on the same Event. Wait
+// allocates nothing, provided pred does not escape at the call site.
 func (e *Event) Wait(pred func() bool) {
 	for !pred() {
 		for start := time.Now(); time.Since(start) < spinBudget; {
@@ -86,7 +87,9 @@ func (e *Event) Wait(pred func() bool) {
 				return
 			}
 		}
-		e.park(pred)
+		if e.park(pred) {
+			return
+		}
 	}
 }
 
@@ -96,18 +99,20 @@ func (e *Event) Wait(pred func() bool) {
 // queue non-empty never steals the work a Step is waiting for.
 func (e *Event) WaitParked(pred func() bool) {
 	for !pred() {
-		e.park(pred)
+		if e.park(pred) {
+			return
+		}
 	}
 }
 
 // park blocks until the next Wake, unless pred already holds once the
-// caller has announced itself.
-func (e *Event) park(pred func() bool) {
+// caller has announced itself, which it reports.
+func (e *Event) park(pred func() bool) (held bool) {
 	e.waiters.Add(1)
 	defer e.waiters.Add(-1)
 	seen := e.seq.Load()
 	if pred() {
-		return
+		return true
 	}
 	e.mu.Lock()
 	if e.cond.L == nil {
@@ -117,4 +122,5 @@ func (e *Event) park(pred func() bool) {
 		e.cond.Wait()
 	}
 	e.mu.Unlock()
+	return false
 }

@@ -181,3 +181,39 @@ func waitAllocatesNothing(t *testing.T, f form) {
 		}
 	})
 }
+
+// TestWaitStopsAtFirstTrue: once pred has said true it is not asked
+// again, whether it said so spinning, at the park's announced look, or
+// after a wake, so a predicate that acts answers once.
+func TestWaitStopsAtFirstTrue(t *testing.T) { eachForm(t, waitStopsAtFirstTrue) }
+
+func waitStopsAtFirstTrue(t *testing.T, f form) {
+	for _, after := range []int{1, 2, 3, 50} {
+		var e Event
+		var calls, late atomic.Int32
+		done := make(chan struct{})
+		go func() { // wakes whoever has parked until the wait is over
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				e.Wake()
+				runtime.Gosched()
+			}
+		}()
+		within(t, 10*time.Second, "wait", func() {
+			f.wait(&e, func() bool {
+				if calls.Load() >= int32(after) {
+					late.Add(1)
+				}
+				return calls.Add(1) >= int32(after)
+			})
+		})
+		close(done)
+		if n := late.Load(); n != 0 {
+			t.Fatalf("true after %d calls, then asked %d more times", after, n)
+		}
+	}
+}

@@ -49,7 +49,7 @@ func (c tcpCollectives) reduce(key string, team rt.Team, rop string, val uint64)
 	if !team.World() {
 		count = team.Size(c.t.n)
 	}
-	resp, err := c.t.poll(time.Millisecond, &coordMsg{Op: "reduce", Key: key, Val: val, ROp: rop, Count: count}, nil)
+	resp, err := c.t.poll(time.Millisecond, &coordMsg{Op: "reduce", Key: key, Val: val, ROp: rop, Count: count})
 	if err != nil {
 		return 0, err
 	}

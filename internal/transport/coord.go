@@ -11,22 +11,17 @@ import (
 
 // Coordinator is the rendezvous point of a multi-process cluster: it
 // assigns nothing and moves no data, but provides the collective
-// services sockets cannot: peer discovery (join), distributed
-// quiescence detection (the cross-process extension of fabric.Quiet),
-// terminal reductions (gathering per-node results such as table sums),
-// and cluster-wide failure detection (workers heartbeat; a worker
-// silent past the suspect timeout is reported Down to every poll).
+// services the peer streams do not: peer discovery (join), keyed
+// reductions (superstep collectives and terminal results such as table
+// sums), and cluster-wide failure detection (workers heartbeat; a
+// worker silent past the suspect timeout is reported Down to every
+// op). Quiet and the step barrier are not here: the workers vote on
+// their peer streams (vote.go).
 //
 // Every operation is a prompt request/response — workers poll instead
 // of blocking in the server — so every worker RPC can carry a deadline
 // and a vanished coordinator always surfaces as a typed CoordDownError
 // within that deadline, never as a hang.
-//
-// Quiescence uses the classic sum-matching argument over monotonic
-// counters: every worker reports its hosted node's ledger (records
-// departed, records consumed) and whether it is locally idle, and the
-// quiescence type below states the rule once, for the quiet op and for
-// every step barrier.
 //
 // Membership is epoch-based: the coordinator stamps every epoch with a
 // generation (starting at 1) and every worker RPC carries its
@@ -53,11 +48,8 @@ type Coordinator struct {
 	firstJoin time.Time
 	lastSeen  map[int]time.Time
 	left      map[int]bool
-	reports   map[int]quietReport
-	quiet     quiescence
 
 	reduces  map[string]*reduceState
-	barriers map[string]*barrierState
 	done     chan struct{}
 	doneOnce sync.Once // every epoch can end with everyone gone; done closes once
 
@@ -91,49 +83,6 @@ type RestorePoint struct {
 	Shards [][]byte
 }
 
-type barrierState struct {
-	arrived  map[int]bool
-	released bool
-	observed map[int]bool // nodes that have seen the release
-
-	// quiet counts observations from the last arrival on, so a release
-	// needs two matching candidates taken while everyone was waiting.
-	quiet quiescence
-}
-
-type quietReport struct {
-	sent, applied int64
-	idle          bool
-}
-
-// quiescence is the sum-matching detector. One observation of the
-// workers' latest reports is a candidate when every worker is idle and
-// Σdeparted == Σconsumed (reported as sent, applied). A single candidate
-// can be an artifact of reports taken at different instants while a
-// message is between a handler and the wire; but the counters only
-// grow, so two consecutive candidates with identical sums mean no
-// record was in flight between them. The struct is the previous
-// observation.
-type quiescence struct {
-	sent, applied int64
-	candidate     bool
-}
-
-// observe folds the reports into one observation and reports whether it
-// is the second of two consecutive matching candidates.
-func (q *quiescence) observe(reports map[int]quietReport) bool {
-	now := quiescence{candidate: true}
-	for _, r := range reports {
-		now.sent += r.sent
-		now.applied += r.applied
-		now.candidate = now.candidate && r.idle
-	}
-	now.candidate = now.candidate && now.sent == now.applied
-	quiet := now.candidate && now == *q
-	*q = now
-	return quiet
-}
-
 type reduceState struct {
 	vals      map[int]uint64
 	op        string // "" (sum), "min", or "max" — fixed by the first contributor
@@ -150,9 +99,6 @@ type coordMsg struct {
 	Node    int      `json:"node"`
 	Gen     uint32   `json:"gen,omitempty"` // request: sender's generation (0 only on a first join); join reply: the coordinator's
 	Addr    string   `json:"addr,omitempty"`
-	Sent    int64    `json:"sent,omitempty"`
-	Applied int64    `json:"applied,omitempty"`
-	Idle    bool     `json:"idle,omitempty"`
 	Key     string   `json:"key,omitempty"`
 	Val     uint64   `json:"val,omitempty"`
 	ROp     string   `json:"rop,omitempty"`     // reduction operator ("" = sum, "min", "max")
@@ -165,8 +111,7 @@ type coordMsg struct {
 	Stale   uint32   `json:"stale,omitempty"`   // rejection: coordinator's newer generation
 	Rescale int      `json:"rescale,omitempty"` // planned next-epoch node count
 	RGen    uint32   `json:"rgen,omitempty"`    // generation the rescaled epoch will get
-	Quiet   bool     `json:"quiet,omitempty"`
-	Ready   bool     `json:"ready,omitempty"` // polled op (join/reduce/barrier) completed; restore: a point exists
+	Ready   bool     `json:"ready,omitempty"`   // polled op (join/reduce) completed; restore: a point exists
 	Total   uint64   `json:"total,omitempty"`
 	Nodes   int      `json:"nodes,omitempty"`  // restore point's saving node count
 	Shards  [][]byte `json:"shards,omitempty"` // restore point's per-node payloads
@@ -175,21 +120,11 @@ type coordMsg struct {
 }
 
 // NewCoordinator creates a coordinator expecting the given worker
-// count.
+// count, at generation 1.
 func NewCoordinator(nodes int) *Coordinator {
-	return &Coordinator{
-		nodes:    nodes,
-		gen:      1,
-		peers:    make(map[int]string),
-		lastSeen: make(map[int]time.Time),
-		left:     make(map[int]bool),
-		reports:  make(map[int]quietReport),
-		reduces:  make(map[string]*reduceState),
-		barriers: make(map[string]*barrierState),
-		ckpts:    make(map[uint64]*ckptState),
-		done:     make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
-	}
+	c := &Coordinator{done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	c.BeginEpoch(nodes)
+	return c
 }
 
 // Done is closed the first time every worker of an epoch has said
@@ -203,19 +138,12 @@ func (c *Coordinator) Generation() uint32 {
 	return c.gen
 }
 
-// Nodes is the current epoch's expected worker count.
-func (c *Coordinator) Nodes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes
-}
-
 // BeginEpoch moves the cluster to a fresh epoch with the given worker
-// count: the generation bumps, membership / quiescence / barrier /
-// reduce state resets, any pending rescale signal clears, and the
-// restore point freezes at the newest complete checkpoint. Workers of
-// the dead epoch that are still talking get stale-generation
-// rejections from here on. Returns the new generation.
+// count: the generation bumps, membership and reduce state resets, any
+// pending rescale signal clears, and the restore point freezes at the
+// newest complete checkpoint. Workers of the dead epoch that are still
+// talking get stale-generation rejections from here on. Returns the new
+// generation.
 func (c *Coordinator) BeginEpoch(nodes int) uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -229,10 +157,7 @@ func (c *Coordinator) BeginEpoch(nodes int) uint32 {
 	c.firstJoin = time.Time{}
 	c.lastSeen = make(map[int]time.Time)
 	c.left = make(map[int]bool)
-	c.reports = make(map[int]quietReport)
-	c.quiet = quiescence{}
 	c.reduces = make(map[string]*reduceState)
-	c.barriers = make(map[string]*barrierState)
 	c.pendingRescale = 0
 	return c.gen
 }
@@ -325,9 +250,9 @@ func (c *Coordinator) dispatch(req *coordMsg) *coordMsg {
 	defer c.mu.Unlock()
 	// Generation gate: an op stamped with another epoch's generation is
 	// rejected before it can touch membership or collective state (a
-	// stale worker must not refresh a new-epoch node's liveness, arrive
-	// at its barriers, or pollute its reductions). Only a join may come
-	// unstamped: its reply tells the worker which generation it joined.
+	// stale worker must not refresh a new-epoch node's liveness or
+	// pollute its reductions). Only a join may come unstamped: its reply
+	// tells the worker which generation it joined.
 	if req.Gen != c.gen && !(req.Op == "join" && req.Gen == 0) {
 		return &coordMsg{Stale: c.gen}
 	}
@@ -345,15 +270,9 @@ func (c *Coordinator) dispatch(req *coordMsg) *coordMsg {
 			return &coordMsg{Err: err.Error()}
 		}
 		return &coordMsg{OK: true, Ready: ready, Peers: peers, Gen: c.gen}
-	case "quiet":
-		q := c.quietEvalLocked(req.Node, quietReport{sent: req.Sent, applied: req.Applied, idle: req.Idle})
-		return c.annotateLocked(&coordMsg{OK: true, Quiet: q, Down: c.downLocked()})
 	case "reduce":
 		total, ready := c.reduceLocked(req.Node, req.Key, req.Val, req.ROp, req.Count)
 		return c.annotateLocked(&coordMsg{OK: true, Ready: ready, Total: total, Down: c.downLocked()})
-	case "barrier":
-		rel := c.barrierLocked(req.Node, req.Key, quietReport{sent: req.Sent, applied: req.Applied, idle: req.Idle})
-		return c.annotateLocked(&coordMsg{OK: true, Ready: rel, Down: c.downLocked()})
 	case "ping":
 		return c.annotateLocked(&coordMsg{OK: true, Down: c.downLocked()})
 	case "ckpt":
@@ -469,43 +388,6 @@ func (c *Coordinator) downLocked() []int {
 		}
 	}
 	return down
-}
-
-// quietEvalLocked folds one worker's report into the global picture and
-// reports whether the cluster is provably quiescent.
-func (c *Coordinator) quietEvalLocked(node int, r quietReport) bool {
-	c.reports[node] = r
-	return len(c.reports) == c.nodes && c.quiet.observe(c.reports)
-}
-
-// barrierLocked registers node's arrival at the named step barrier and
-// reports whether it has released. Workers poll rather than block, and
-// every poll refreshes the node's quiescence report — this is what
-// keeps the counter picture current while a fast worker waits for a
-// skewed peer. Release requires everyone arrived AND a globally
-// quiescent instant (all idle, sent == applied), so nothing is on the
-// wire when a step boundary commits. Once every node has observed the
-// release the entry is deleted — barrier keys are per-step, so a
-// long-running cluster must not accrete one forever.
-func (c *Coordinator) barrierLocked(node int, key string, r quietReport) bool {
-	c.reports[node] = r
-	st := c.barriers[key]
-	if st == nil {
-		st = &barrierState{arrived: make(map[int]bool), observed: make(map[int]bool)}
-		c.barriers[key] = st
-	}
-	st.arrived[node] = true
-	if !st.released && len(st.arrived) == c.nodes {
-		st.released = st.quiet.observe(c.reports)
-	}
-	if !st.released {
-		return false
-	}
-	st.observed[node] = true
-	if len(st.observed) == c.nodes {
-		delete(c.barriers, key)
-	}
-	return true
 }
 
 // reduceLocked folds val into the named reduction; once enough workers

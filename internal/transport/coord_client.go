@@ -120,16 +120,12 @@ func (t *TCP) exchange(req *coordMsg) (*coordMsg, error) {
 	return nil, err
 }
 
-// poll is the one wait loop of the polled operations (join, reduce,
-// barrier): it repeats the exchange every interval until the reply is
-// Ready. Workers poll instead of blocking in the server so that every
-// exchange carries a deadline. refresh, when non-nil, updates req before
-// each send.
-func (t *TCP) poll(interval time.Duration, req *coordMsg, refresh func()) (*coordMsg, error) {
+// poll is the one wait loop of the polled operations (join, reduce):
+// it repeats the exchange every interval until the reply is Ready.
+// Workers poll instead of blocking in the server so that every exchange
+// carries a deadline.
+func (t *TCP) poll(interval time.Duration, req *coordMsg) (*coordMsg, error) {
 	for {
-		if refresh != nil {
-			refresh()
-		}
 		resp, err := t.exchange(req)
 		if err != nil || resp == nil || resp.Ready {
 			return resp, err
@@ -145,7 +141,7 @@ func (t *TCP) poll(interval time.Duration, req *coordMsg, refresh func()) (*coor
 // built without a generation joins unstamped and adopts the
 // coordinator's; every later exchange and every frame carries it.
 func (t *TCP) join() ([]string, error) {
-	resp, err := t.poll(5*time.Millisecond, &coordMsg{Op: "join", Addr: t.Addr(), Suspect: int64(t.suspect)}, nil)
+	resp, err := t.poll(5*time.Millisecond, &coordMsg{Op: "join", Addr: t.Addr(), Suspect: int64(t.suspect)})
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +157,9 @@ func (t *TCP) join() ([]string, error) {
 // heartbeatLoop pings the coordinator every heartbeat interval: the
 // ping keeps this worker's lastSeen fresh (so long compute phases are
 // not mistaken for death) and brings back the coordinator's view of
-// dead peers, failing the transport if any worker has gone silent.
+// dead peers, failing the transport if any worker has gone silent. It
+// is how a voter parked on its peers learns that the coordinator died
+// or that a rescale is planned.
 func (t *TCP) heartbeatLoop() {
 	defer close(t.hbDone)
 	tick := time.NewTicker(t.heartbeat)
@@ -179,25 +177,6 @@ func (t *TCP) heartbeatLoop() {
 		case <-t.killed:
 			return
 		}
-	}
-}
-
-// StepBarrier aligns step boundaries across the cluster (the runtime
-// calls it after every Step's quiescence, via interface assertion).
-// Each process polls the coordinator's epoch barrier, refreshing its
-// counter report on every poll; the coordinator releases the barrier
-// only when all processes have arrived at the same epoch at a globally
-// quiescent instant. Without this, a fast process could read results
-// or start the next step before a skewed peer's messages landed. A
-// failed transport panics its error, like Quiet.
-func (t *TCP) StepBarrier() {
-	if t.n == 1 {
-		return
-	}
-	req := &coordMsg{Op: "barrier", Key: fmt.Sprintf("step:%d", t.epoch.Add(1))}
-	_, err := t.poll(time.Millisecond, req, func() { req.Sent, req.Applied, req.Idle = t.quietSnapshot() })
-	if err != nil {
-		panic(err)
 	}
 }
 

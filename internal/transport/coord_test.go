@@ -5,39 +5,12 @@ import (
 )
 
 // TestCoordinatorReclaimsCollectiveState pins the coordinator's memory
-// bound: per-step barrier and reduce entries must be deleted once every
-// node has observed the release (or collected the total), so state does
-// not grow with step count on long-running clusters.
+// bound: per-step reduce entries must be deleted once every node has
+// collected the total, so state does not grow with step count on
+// long-running clusters. (The step vote's own bound is
+// TestTallyRetainsNoFinishedVote.)
 func TestCoordinatorReclaimsCollectiveState(t *testing.T) {
 	c := NewCoordinator(2)
-	idle := quietReport{idle: true}
-
-	barrier := func(node int, key string) bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.barrierLocked(node, key, idle)
-	}
-	if barrier(0, "step:1") {
-		t.Fatal("barrier released with one node absent")
-	}
-	// Release needs two consecutive quiescent evaluations with unchanged
-	// counters (one balanced observation can be a cross-report artifact),
-	// so the first all-arrived poll must not release yet.
-	if barrier(1, "step:1") {
-		t.Fatal("barrier released on a single quiescent observation")
-	}
-	if !barrier(1, "step:1") {
-		t.Fatal("barrier not released after two stable quiescent observations")
-	}
-	if !barrier(0, "step:1") {
-		t.Fatal("release not sticky for the remaining node")
-	}
-	c.mu.Lock()
-	nb := len(c.barriers)
-	c.mu.Unlock()
-	if nb != 0 {
-		t.Fatalf("%d barrier entries retained after every node observed the release", nb)
-	}
 
 	// Reduce is a polled collective: nodes contribute, then poll until
 	// everyone has; the entry is reclaimed once all have collected.

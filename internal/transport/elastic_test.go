@@ -165,9 +165,10 @@ func TestTCPCoordinatorKillTypedUnwind(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			fabs[i], errs[i] = NewTCP(timemodel.Default(), newClocks(2), fabric.Options{
-				Self:            i,
-				Coord:           ln.Addr().String(),
-				CoordRPCTimeout: time.Second,
+				Self:              i,
+				Coord:             ln.Addr().String(),
+				CoordRPCTimeout:   time.Second,
+				HeartbeatInterval: 50 * time.Millisecond, // how a parked voter learns of the death
 			})
 		}(i)
 	}

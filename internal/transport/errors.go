@@ -9,7 +9,7 @@ import (
 // this process's sender made no progress toward it (no acknowledgement,
 // no successful dial) for the suspect timeout while traffic was
 // pending, or the coordinator stopped hearing the peer's heartbeats.
-// It unwinds Step() — via the quiescence and step-barrier paths — so a
+// It unwinds Step() — through the step vote, which panics it — so a
 // vanished peer fails the run with a diagnosis instead of a deadlock.
 type PeerDownError struct {
 	// Node is the peer declared down.
@@ -27,9 +27,9 @@ func (e *PeerDownError) Error() string {
 }
 
 // CoordDownError reports that the rendezvous coordinator is
-// unreachable: a coordinator RPC failed or timed out. Every collective
-// (join, quiescence, step barrier, reduce) depends on the coordinator,
-// so the run cannot continue.
+// unreachable: a coordinator RPC (join, reduce, checkpoint, heartbeat)
+// failed or timed out. Reductions and failure detection depend on the
+// coordinator, so the run cannot continue.
 type CoordDownError struct {
 	// Addr is the coordinator address.
 	Addr string

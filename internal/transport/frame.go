@@ -34,9 +34,9 @@ var errCorruptPayload = errors.New("transport: frame CRC mismatch")
 //	32      4     CRC-32 (IEEE) of the payload
 //
 // Data and routed-data payloads are exactly the wire-package per-node
-// (or per-group) queue encodings; control frames carry no payload and
-// reuse the seq field (hello: stream resume point; ack: cumulative
-// acknowledged seq).
+// (or per-group) queue encodings, and a vote's is one ballot (vote.go);
+// the other control frames carry no payload and reuse the seq field
+// (hello: stream resume point; ack: cumulative acknowledged seq).
 const (
 	frameMagic      = 0x4C565247 // "GRVL"
 	frameVersion    = 1
@@ -73,9 +73,13 @@ const (
 	// generation) and drops the connection. The sender surfaces a typed
 	// *StaleGenerationError rather than retrying forever.
 	frameEvict
+	// frameVote carries one ballot of the step vote (vote.go). It is
+	// sequenced in the stream like a data frame, so it is replayed and
+	// deduplicated across reconnects, but it carries no records.
+	frameVote
 )
 
-func (t frameType) valid() bool { return t >= frameData && t <= frameEvict }
+func (t frameType) valid() bool { return t >= frameData && t <= frameVote }
 
 // frame is one transport protocol unit.
 type frame struct {
@@ -85,6 +89,11 @@ type frame struct {
 	seq      uint64
 	gen      uint16 // membership generation stamp
 	payload  []byte
+
+	// inline holds a vote's payload, so a warm ballot allocates nothing
+	// on either side; payload points into it (wire.PutBuf ignores a
+	// buffer that small).
+	inline [ballotBytes]byte
 
 	// sentAt is the flight recorder's timestamp of the frame's first
 	// transmission (0 when tracing was off); the cumulative ack that
@@ -183,8 +192,13 @@ func readFrameInto(r *bufio.Reader, f *frame) error {
 		seq:  binary.LittleEndian.Uint64(h[24:32]),
 		gen:  binary.LittleEndian.Uint16(h[6:8]),
 	}
-	if plen > 0 {
+	switch {
+	case typ == frameVote && plen == ballotBytes:
+		f.payload = f.inline[:]
+	case plen > 0:
 		f.payload = wire.GetBuf(int(plen))[:plen]
+	}
+	if plen > 0 {
 		if _, err := io.ReadFull(r, f.payload); err != nil {
 			wire.PutBuf(f.payload)
 			f.payload = nil

@@ -31,6 +31,7 @@ var frameCases = []*frame{
 	{typ: frameAck, from: 0, to: 1, seq: 12345},
 	{typ: frameFin, from: 3, to: 0},
 	{typ: frameFinAck, from: 0, to: 3},
+	{typ: frameVote, from: 1, to: 2, seq: 7, gen: 3, payload: ballot{vote: 4, round: 1, departed: 1 << 40, consumed: 1<<40 - 1}.appendTo(nil)},
 }
 
 func malformedFrames() map[string][]byte {

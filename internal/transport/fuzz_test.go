@@ -37,13 +37,13 @@ func FuzzReadFrame(f *testing.F) {
 // request stream (JSON values, as Coordinator.handle decodes them)
 // against a 2-node coordinator in its second epoch. Dispatch must never
 // panic; a stale generation is answered Stale and changes nothing;
-// an out-of-range node, a negative count and an unknown op are answered
-// Err.
+// an out-of-range node, a negative count and an unknown op — the step
+// vote's retired "quiet" and "barrier" included — are answered Err.
 func FuzzCoordDispatch(f *testing.F) {
 	for _, seed := range []string{
 		`{"op":"join","node":0,"addr":"a:1"}`,
-		`{"op":"join","node":1,"gen":2,"addr":"b:1","suspect":1000}{"op":"quiet","node":1,"gen":2,"idle":true}`,
-		`{"op":"barrier","node":0,"gen":2,"key":"step:1","idle":true}{"op":"barrier","node":1,"gen":2,"key":"step:1","idle":true}`,
+		`{"op":"join","node":1,"gen":2,"addr":"b:1","suspect":1000}{"op":"ping","node":1,"gen":2}`,
+		`{"op":"quiet","node":0,"gen":2,"idle":true}{"op":"barrier","node":1,"gen":2,"key":"step:1","idle":true}`,
 		`{"op":"reduce","node":0,"gen":2,"key":"k","val":3,"rop":"min","count":1}`,
 		`{"op":"reduce","node":1,"gen":2,"key":"k","count":-1}`,
 		`{"op":"ckpt","node":0,"gen":2,"step":4,"data":"AAEC"}{"op":"restore","node":0,"gen":2}`,
@@ -52,14 +52,14 @@ func FuzzCoordDispatch(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	known := map[string]bool{"join": true, "quiet": true, "reduce": true, "barrier": true, "ping": true, "ckpt": true, "restore": true, "bye": true}
+	known := map[string]bool{"join": true, "reduce": true, "ping": true, "ckpt": true, "restore": true, "bye": true}
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		c := NewCoordinator(2)
 		gen := c.BeginEpoch(2)
 		state := func() string {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			return fmt.Sprint(c.gen, c.nodes, c.peers, len(c.lastSeen), c.left, c.reports, len(c.reduces), len(c.barriers), len(c.ckpts))
+			return fmt.Sprint(c.gen, c.nodes, c.peers, len(c.lastSeen), c.left, len(c.reduces), len(c.ckpts))
 		}
 		dec := json.NewDecoder(bytes.NewReader(stream))
 		for {

@@ -87,9 +87,9 @@ func TestQuietWaiterWakesOnLastDone(t *testing.T) {
 				t.Fatalf("released with a packet still being applied (err %v)", err)
 			case <-time.After(20 * time.Millisecond):
 			}
-			// A TCP cluster is quiet only once every process reports, so
-			// there the sending side waits too (parked on the coordinator
-			// alone: locally it is idle already).
+			// A TCP cluster is quiet only once every process votes, so
+			// there the sending side waits too (parked on its peer's
+			// ballot alone: locally it is idle already).
 			var sender <-chan error
 			if from != to {
 				sender = parkOnQuiet(from)
@@ -183,7 +183,7 @@ func TestParkedQuietWaiterUnwindsOnFailure(t *testing.T) {
 		fabs, _, _ := failingPair(t)
 		defer fabs[1].Kill()
 		// A packet in node 0's inbox that nobody applies: not idle, so
-		// the waiter parks with no re-ask timer behind it.
+		// the waiter parks with nothing but the kill to wake it.
 		fabs[1].Send(1, 0, incBuf(1, 1), 1)
 		<-fabs[0].Inbox(0)
 		out := parkOnQuiet(fabs[0])
@@ -213,8 +213,9 @@ func TestParkedQuietWaiterUnwindsOnFailure(t *testing.T) {
 		fabs, coord, ln := failingPair(t)
 		defer fabs[0].Kill()
 		defer fabs[1].Kill()
-		// Node 1 never reports, so node 0 is locally idle in a cluster
-		// that is not quiet: parked between re-asks of the coordinator.
+		// Node 1 never votes, so node 0 is locally idle in a cluster
+		// that is not quiet: parked until a heartbeat finds the
+		// coordinator gone.
 		fabs[0].Send(0, 1, incBuf(1, 1), 1)
 		fabs[1].Done(<-fabs[1].Inbox(1))
 		out := parkOnQuiet(fabs[0])

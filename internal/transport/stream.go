@@ -13,8 +13,9 @@ import (
 // TCP sender and serveConn, or a test's scripted link) moves the frames
 // and tells the two halves below what arrived.
 //
-// The send half numbers data frames from 1 and keeps every transmitted
-// frame in a bounded window until a cumulative ack covers it. A new
+// The send half numbers data frames and ballots from 1 and keeps every
+// transmitted frame in a bounded window until a cumulative ack covers
+// it. A new
 // connection starts with the receiver's resume point, which trims the
 // window like any ack; what is left is replayed in order. The receive
 // half delivers a frame only if it is the next in sequence and arrived
@@ -43,12 +44,12 @@ func (s *sendStream) full() bool { return len(s.window) >= sendWindowFrames }
 // idle reports that every admitted frame has been acknowledged.
 func (s *sendStream) idle() bool { return s.unacked.Load() == 0 }
 
-// admit numbers a fresh data frame and appends it to the window. The
-// caller transmits it, and must not admit into a full window.
+// admit numbers a fresh frame and appends it to the window. The caller
+// transmits it, and must not admit into a full window.
 func (s *sendStream) admit(f *frame) {
 	s.nextSeq++
 	f.seq = s.nextSeq
-	if obs.Enabled() {
+	if f.typ != frameVote && obs.Enabled() {
 		f.sentAt = obs.Now()
 	}
 	s.window = append(s.window, f)
@@ -57,11 +58,15 @@ func (s *sendStream) admit(f *frame) {
 
 // ack trims every frame with seq ≤ acked out of the window and recycles
 // it. The cumulative ack is the proof no replay can need the frame
-// again, which makes this the one recycle point of the send side.
-func (s *sendStream) ack(acked uint64) {
+// again, which makes this the one recycle point of the send side. It
+// returns how many of the trimmed frames were data (not ballots).
+func (s *sendStream) ack(acked uint64) (data int) {
 	i := 0
 	for i < len(s.window) && s.window[i].seq <= acked {
 		f := s.window[i]
+		if f.typ != frameVote {
+			data++
+		}
 		if f.sentAt != 0 && obs.Enabled() {
 			rtt := obs.Now() - f.sentAt
 			obs.ObserveFlushRTT(rtt)
@@ -77,6 +82,7 @@ func (s *sendStream) ack(acked uint64) {
 		s.window = s.window[i:]
 	}
 	s.unacked.Add(int64(-i))
+	return data
 }
 
 // replay returns the frames to retransmit, in order, on a connection

@@ -45,14 +45,6 @@ const (
 	// declared down. Options.SuspectTimeout overrides; negative disables.
 	defaultSuspectTimeout = 30 * time.Second
 
-	// quietReaskInitial..Max is the delay before a waiter parked on
-	// "locally idle, cluster not yet quiet" asks the coordinator again.
-	// An ask is one loopback round trip (tens of microseconds) and a yes
-	// takes two consecutive matching reports, so the first re-ask comes
-	// quickly; the ceiling is the step barrier's own poll interval.
-	quietReaskInitial = 50 * time.Microsecond
-	quietReaskMax     = time.Millisecond
-
 	finAckMark = math.MaxUint64 // in-band marker on the ack channel
 )
 
@@ -68,8 +60,10 @@ const (
 // Connection lifecycle (tcp_sender.go, tcp_recv.go): sender.run and
 // serveConn are the only code that touches a peer net.Conn.
 // Membership (coord_client.go): every coordinator exchange — join,
-// quiescence, step barrier, reductions, checkpoints, heartbeats — goes
-// through TCP.exchange, which owns the failure rule.
+// reductions, checkpoints, heartbeats — goes through TCP.exchange,
+// which owns the failure rule. Cross-process quiet and the step barrier
+// need no coordinator: they are the step vote (vote.go), carried on the
+// peer streams.
 //
 // Timing: the virtual LogGP model is charged sender-side and
 // receiver-side as in the in-process fabrics.
@@ -116,10 +110,9 @@ type TCP struct {
 	hbStop chan struct{} // stops the coordinator heartbeat loop
 	hbDone chan struct{}
 
-	epoch atomic.Int64 // step barriers passed
 	// arrived counts the records the hosted node's endpoint took in:
-	// while it is ahead of consumed, a resolver still has work, and
-	// asking the coordinator would only cost a round trip.
+	// while it is ahead of consumed, a resolver still has work, and a
+	// ballot would only cost a round.
 	arrived atomic.Int64
 
 	recv []recvStream // per-peer receive half (dedup seq + live conn)
@@ -127,19 +120,14 @@ type TCP struct {
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{} // live inbound connections
 
-	// The last quiet exchange (under quietMu): the ledger sums it
-	// reported and whether the answer was yes, which stands until they
-	// move; and the timer that re-wakes a parked waiter, with its delay.
-	quietMu       sync.Mutex
-	quietCached   bool
-	quietDeparted int64
-	quietConsumed int64
-	reask         *time.Timer
-	reaskIn       time.Duration
+	// The step vote (vote.go); quietMu lets one voter at a time snapshot
+	// and step it.
+	quietMu sync.Mutex
+	tally   tally
 
 	// hostDrain holds the runtime's SetHostDrain hook (a func() bool),
-	// which quietSnapshot runs so a process polling the quiet protocol
-	// or the step barrier keeps AM cascades flowing.
+	// which quietSnapshot runs so a process waiting on the step vote
+	// keeps AM cascades flowing.
 	hostDrain atomic.Value
 
 	closed    atomic.Bool
@@ -151,8 +139,7 @@ type TCP struct {
 // "127.0.0.1:0"), discovers peers through the coordinator rendezvous
 // (blocking until the whole cluster has joined), and starts the
 // per-destination connection pools. Multi-node clusters require
-// opt.Coord: the Quiet() quiescence guarantee the runtime's Step
-// barrier relies on cannot be established between peers alone.
+// opt.Coord, where the peers find each other.
 func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Options) (*TCP, error) {
 	n := len(clocks)
 	if n == 0 {
@@ -162,7 +149,7 @@ func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Opt
 		return nil, fmt.Errorf("transport: self %d out of range [0,%d)", opt.Self, n)
 	}
 	if n > 1 && opt.Coord == "" {
-		return nil, fmt.Errorf("transport: %d nodes but no coordinator: cross-process quiescence requires Options.Coord", n)
+		return nil, fmt.Errorf("transport: %d nodes but no coordinator: peer discovery requires Options.Coord", n)
 	}
 	ep, err := fabric.NewEndpoint(clocks, func(node int) bool { return node == opt.Self }, opt.ResolverBanks, recvQueueFrames)
 	if err != nil {
@@ -209,6 +196,7 @@ func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Opt
 		heartbeat: heartbeat,
 		recv:      make([]recvStream, n),
 		conns:     make(map[net.Conn]struct{}),
+		tally:     tally{self: opt.Self, box: make([]ballots, n)},
 		failedCh:  make(chan struct{}),
 		killed:    make(chan struct{}),
 	}
@@ -260,7 +248,7 @@ func (t *TCP) fail(err error) {
 	t.failOnce.Do(func() {
 		t.failErr = err
 		close(t.failedCh)
-		t.Progress().Wake() // a parked Quiesce re-asks Quiet, which panics err
+		t.Progress().Wake() // a parked voter runs Quiet again, which panics err
 	})
 }
 
@@ -351,6 +339,7 @@ func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 	f.typ, f.from, f.to, f.msgs, f.payload = typ, from, to, msgs, buf
 	f.gen = t.wireGen()
 	t.clocks[from].AddWireSend(t.params.WireNs(len(buf)))
+	t.senders[to].owed.Add(1)
 	t.enqueue(to, f)
 }
 
@@ -370,13 +359,13 @@ func (t *TCP) enqueue(to int, f *frame) {
 // SetHostDrain implements fabric.Distributed.
 func (t *TCP) SetHostDrain(f func() bool) { t.hostDrain.Store(f) }
 
-// quietSnapshot produces this process's report for the coordinator's
-// quiet protocol: the hosted node's ledger sums and whether the process
-// is locally idle. It is the in-process observation (DESIGN.md §4.14):
-// consumed; staged — the host drain, which flushes what the runtime
-// has staged, then every outbound stream drained and acknowledged;
-// departed; consumed again, retaken if that moved. Records that have
-// arrived but are not consumed yet keep the process busy.
+// quietSnapshot is this process's ballot, taken while it is locally
+// idle: the hosted node's ledger sums and whether the process is idle.
+// It is the in-process observation (DESIGN.md §4.14): consumed; staged
+// — the host drain, which flushes what the runtime has staged, then
+// every outbound stream drained and acknowledged; departed; consumed
+// again, retaken if that moved. Records that have arrived but are not
+// consumed yet keep the process busy.
 func (t *TCP) quietSnapshot() (departed, consumed int64, idle bool) {
 	c := t.clocks[t.self]
 	drain, _ := t.hostDrain.Load().(func() bool)
@@ -393,58 +382,10 @@ func (t *TCP) quietSnapshot() (departed, consumed int64, idle bool) {
 	}
 }
 
-// Quiet implements fabric.Fabric. Local activity is checked first;
-// cluster-wide quiescence — every process idle and the ledger sums
-// balanced, twice running — is then established through the
-// coordinator and cached until the local ledger moves again.
-func (t *TCP) Quiet() bool {
-	if err := t.Err(); err != nil {
-		// The transport has failed: counters can never reconcile again
-		// (Send discards), so quiescence polling would spin forever.
-		// Panicking the typed error here unwinds the Step goroutine,
-		// where the node runtime recovers it into a diagnosed exit.
-		panic(err)
-	}
-	departed, consumed, idle := t.quietSnapshot()
-	if !idle {
-		return false
-	}
-	if t.n == 1 {
-		return departed == consumed
-	}
-	// n > 1 implies a coordinator: NewTCP rejects clusters without one.
-	t.quietMu.Lock()
-	defer t.quietMu.Unlock()
-	same := departed == t.quietDeparted && consumed == t.quietConsumed
-	if t.quietCached && same {
-		return true
-	}
-	resp, err := t.exchange(&coordMsg{Op: "quiet", Sent: departed, Applied: consumed, Idle: true})
-	if err != nil {
-		panic(err)
-	}
-	// Only cache if the ledger did not move while we asked.
-	c := t.clocks[t.self]
-	t.quietDeparted, t.quietConsumed = departed, consumed
-	t.quietCached = resp.Quiet && departed == c.Departed() && consumed == c.Consumed()
-	if t.quietCached {
-		return true
-	}
-	// Locally idle, cluster not yet quiet: what is missing is a peer's
-	// report, so no local change need ever wake a parked waiter. Wake
-	// it on a timer to ask again — sooner while this process's counters
-	// are still moving, backing off while they stand still.
-	if !same {
-		t.reaskIn = 0
-	}
-	t.reaskIn = min(max(2*t.reaskIn, quietReaskInitial), quietReaskMax)
-	if t.reask == nil {
-		t.reask = time.AfterFunc(t.reaskIn, t.Progress().Wake)
-	} else {
-		t.reask.Reset(t.reaskIn)
-	}
-	return false
-}
+// Quiet implements fabric.Fabric: whether the open step vote has
+// released (vote.go), casting this process's ballot when it is locally
+// idle. It never waits on a peer.
+func (t *TCP) Quiet() bool { return t.vote(false) }
 
 // Generation is the membership generation this transport stamps: the
 // one it was built with, or the coordinator's at the time it joined.

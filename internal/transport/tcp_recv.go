@@ -27,9 +27,10 @@ func (t *TCP) acceptLoop() {
 
 // serveConn is the connection lifecycle of one inbound stream: HELLO
 // and the generation gate, then frames — validated, ruled on by the
-// peer's recvStream, acknowledged — until FIN or error. Any malformed
-// frame poisons the connection; the peer reconnects and replays from
-// the last acknowledged frame.
+// peer's recvStream, delivered (data) or filed in the tally (ballots),
+// acknowledged — until FIN or error. Any malformed frame, and a ballot
+// the tally refuses, poisons the connection; the peer reconnects and
+// replays from the last acknowledged frame.
 func (t *TCP) serveConn(conn net.Conn) {
 	defer t.handlers.Done()
 	defer func() {
@@ -102,15 +103,24 @@ func (t *TCP) serveConn(conn net.Conn) {
 			if writeCtl(frameAck, rs.cumAck()) != nil {
 				return
 			}
-		case frameData, frameRouted:
-			routed := f.typ == frameRouted
+		case frameData, frameRouted, frameVote:
+			vote := f.typ == frameVote
 			if f.from != from || f.to != t.self ||
 				f.gen != hello.gen || // generation drift mid-stream: reject, not misdeliver
-				wire.CheckBuf(f.payload, routed, t.n) != nil {
+				vote && len(f.payload) != ballotBytes ||
+				!vote && wire.CheckBuf(f.payload, f.typ == frameRouted, t.n) != nil {
 				t.Malformed.Add(1)
 				return
 			}
-			switch rs.accept(conn, f.seq, func() bool { return t.deliver(&f, routed) }) {
+			refused := false
+			switch rs.accept(conn, f.seq, func() bool {
+				if vote { // a ballot no working peer sends is refused
+					refused = !t.tally.file(from, readBallot(f.payload))
+					t.Progress().Wake()
+					return !refused
+				}
+				return t.deliver(&f, f.typ == frameRouted)
+			}) {
 			case frameDuplicate:
 				// Nothing will ever apply this payload: recycle it.
 				wire.PutBuf(f.payload)
@@ -119,6 +129,9 @@ func (t *TCP) serveConn(conn net.Conn) {
 				t.Malformed.Add(1)
 				return
 			case frameRetired:
+				if refused {
+					t.Malformed.Add(1)
+				}
 				return
 			}
 			if writeCtl(frameAck, f.seq) != nil {

@@ -33,6 +33,11 @@ type sender struct {
 	enc []byte
 	bw  *bufio.Writer
 
+	// owed counts the data frames handed to this stream and not yet
+	// acknowledged, queued or in the window. Ballots are not owed: a
+	// voter must not wait on its own vote.
+	owed atomic.Int64
+
 	// lastAck is the unix-nano time of the last proof the peer is alive:
 	// construction, a completed handshake, or any received ack (data
 	// frames and heartbeat pings are both acknowledged). The suspect
@@ -63,14 +68,15 @@ func (s *sender) suspectCheck() bool {
 	return false
 }
 
-// idle reports whether nothing is staged or awaiting acknowledgment.
-func (s *sender) idle() bool { return len(s.queue) == 0 && s.str.idle() }
+// idle reports whether no data frame is staged or awaiting
+// acknowledgment.
+func (s *sender) idle() bool { return s.owed.Load() == 0 }
 
 // acked trims the window up to the peer's cumulative ack; the ack that
-// empties it may be what a Quiet waiter is waiting for.
+// settles the last data frame owed may be what a Quiet waiter is
+// waiting for.
 func (s *sender) acked(seq uint64) {
-	s.str.ack(seq)
-	if s.str.idle() {
+	if n := s.str.ack(seq); n > 0 && s.owed.Add(-int64(n)) == 0 {
 		s.t.Progress().Wake()
 	}
 }
@@ -79,7 +85,8 @@ func (s *sender) acked(seq uint64) {
 // connection's batching writer. Bytes are copied out of the frame, so
 // the window's ownership is unaffected. The caller is responsible for
 // flushing: data frames ride the 125µs flush deadline (mirroring the
-// aggregator's flush timeout), control frames flush immediately.
+// aggregator's flush timeout), ballots and control frames flush
+// immediately.
 func (s *sender) write(f *frame) error {
 	s.enc = appendFrame(s.enc[:0], f)
 	_, err := s.bw.Write(s.enc)
@@ -339,18 +346,24 @@ func (s *sender) run() {
 		case f := <-queue:
 			// Burst-drain: pull every frame already staged (up to the
 			// window limit) into one buffered write, then arm the flush
-			// deadline instead of paying a syscall per frame.
+			// deadline instead of paying a syscall per frame. A ballot
+			// is waited on by every peer, so it flushes at once.
 			s.str.admit(f)
 			err := s.write(f)
+			vote := f.typ == frameVote
 		burst:
 			for err == nil && !s.str.full() {
 				select {
 				case f = <-s.queue:
 					s.str.admit(f)
 					err = s.write(f)
+					vote = vote || f.typ == frameVote
 				default:
 					break burst
 				}
+			}
+			if err == nil && vote {
+				err = s.bw.Flush()
 			}
 			if err != nil {
 				disconnect()

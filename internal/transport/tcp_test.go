@@ -56,10 +56,10 @@ func newTCPClusterBanked(t *testing.T, n, banks int) []*TCP {
 }
 
 // allQuiet polls every fabric's Quiet — deliberately without
-// short-circuiting. Coordinator-based quiescence needs each process to
-// keep reporting its counters (in real deployments every process's own
-// Quiesce loop does this); a short-circuiting f0 && f1 would starve
-// f1's reports and deadlock the detection.
+// short-circuiting. The step vote needs each process to keep casting
+// its ballots (in real deployments every process's own Quiesce loop
+// does this); a short-circuiting f0 && f1 would starve f1's ballots and
+// deadlock the vote.
 func allQuiet(fabs []*TCP) bool {
 	quiet := true
 	for _, f := range fabs {
@@ -299,6 +299,7 @@ func newRecvOnlyTCP(t *testing.T, n, self int, gen uint32) *TCP {
 		recv:     make([]recvStream, n),
 		conns:    make(map[net.Conn]struct{}),
 		senders:  make([]*sender, n),
+		tally:    tally{self: self, box: make([]ballots, n)},
 	}
 	go tr.acceptLoop()
 	return tr

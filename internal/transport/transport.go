@@ -15,8 +15,9 @@
 //     sequence-numbered frames with cumulative acks and retransmit
 //     (exactly-once delivery across connection drops), bounded send and
 //     receive queues for backpressure, a FIN/FIN-ACK drain handshake on
-//     Close, and a rendezvous coordinator that extends the runtime's
-//     Quiet() quiescence barrier across processes.
+//     Close, a rendezvous coordinator for peer discovery, reductions and
+//     failure detection, and a step vote on the peer streams that
+//     extends the runtime's Quiet() and step barrier across processes.
 //
 // Time stays virtual on every transport: a frame charges the same
 // LogGP wire occupancy the in-process fabrics charge.
