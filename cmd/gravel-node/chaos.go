@@ -164,10 +164,14 @@ func landKill(rng *rand.Rand, attempt func(killAfter time.Duration) error) error
 // chaosKillWorker SIGKILLs one worker mid-run; every survivor must
 // exit nonzero with a typed diagnosis within the detection bound (or
 // finish first, agreeing on the reduced sum — agreement is enforced by
-// the launcher).
+// the launcher). A victim that finished before the kill tested nothing:
+// landKill retries it sooner.
 func chaosKillWorker(iterSeed uint64, rng *rand.Rand) error {
 	victim := rng.Intn(*nodes)
-	killAfter := 200*time.Millisecond + time.Duration(rng.Int63n(int64(700*time.Millisecond)))
+	return landKill(rng, func(killAfter time.Duration) error { return killWorker(victim, killAfter) })
+}
+
+func killWorker(victim int, killAfter time.Duration) error {
 	l := noderun.Launcher{Hooks: noderun.Hooks{
 		WorkerStarted: func(node int, kill func()) {
 			if node == victim {
@@ -192,10 +196,13 @@ func chaosKillWorker(iterSeed uint64, rng *rand.Rand) error {
 		return err
 	}
 	for _, w := range res.Workers {
-		if w.Node == victim || w.Err == "" {
+		if w.Node == victim {
+			if w.Err == "" {
+				return fmt.Errorf("worker %d finished before its kill at %v landed: %w", victim, killAfter, errRunTooShort)
+			}
 			continue
 		}
-		if !diagnosed(w.Stderr) {
+		if w.Err != "" && !diagnosed(w.Stderr) {
 			return fmt.Errorf("worker %d died undiagnosed after killing worker %d at %v:\n%s",
 				w.Node, victim, killAfter, w.Stderr)
 		}

@@ -158,9 +158,10 @@ type Cluster struct {
 	decodeErr atomic.Pointer[WireDecodeError]
 
 	// dist is fab's multi-process side, nil on an in-process fabric:
-	// the step barrier, the fatal error (Quiet panics it on the Step
-	// goroutine; a kernel blocked in WaitUntil has to be let go first),
-	// the host-drain hook and the fault injector's counters.
+	// the step barrier (Quiesce), the fatal error (the barrier panics it
+	// on the Step goroutine; a kernel blocked in WaitUntil has to be let
+	// go first), the staged read's hook and the fault injector's
+	// counters.
 	dist fabric.Distributed
 
 	// The phase record: prev is every node's ledger as the last phase
@@ -371,30 +372,32 @@ func NewChecked(cfg Config) (*Cluster, error) {
 		last = n
 	}
 	if cl.dist != nil {
-		cl.dist.SetHostDrain(cl.drainHosted)
+		cl.dist.SetStaged(cl.flushStaged)
 	}
 	return cl, nil
 }
 
-// drainHosted flushes every hosted node's staged messages toward the
-// wire and reports whether host-side work remains. A multi-process
-// fabric calls it (fabric.Distributed's hook) on every local-idleness
-// check: once this process is locally idle and waiting on the step
-// vote, an incoming active message's follow-up (HostAM from a handler,
-// staged via Agg.AppendDirect) would otherwise sit in a
-// partially-filled aggregator queue with nothing left to flush it — the
-// cluster's departed/consumed sums would balance and the vote would
-// release with the cascade cut off mid-chain.
-func (cl *Cluster) drainHosted() bool {
-	idle := true
+// flushStaged is the staged read of every quiet observation this
+// process takes (fabric.Observe): it reports whether any node holds
+// messages short of the fabric, and flushes a node that is sending once
+// it is no longer draining — under a slot an aggregator thread has
+// claimed, a flush would split a per-node queue in two. What it flushes
+// is what the launch epilogues left staged: an active message's
+// follow-up (HostAM from a handler, staged via Agg.AppendDirect) or a
+// gateway's relay, which would otherwise sit in a partially filled
+// queue with nothing left to flush it while the ledgers balance.
+func (cl *Cluster) flushStaged() bool {
+	staged := false
 	for _, n := range cl.nodes {
-		if !cl.fab.Hosts(n.ID) {
-			continue
+		switch {
+		case n.draining():
+			staged = true
+		case n.sending():
+			n.Agg.Flush()
+			staged = true
 		}
-		n.Agg.Flush()
-		idle = idle && !n.sending()
 	}
-	return idle
+	return staged
 }
 
 // draining reports whether the node holds messages that have not
@@ -411,12 +414,6 @@ func (n *Node) draining() bool { return !n.PCQ.Empty() || n.Agg.Busy() }
 // after Send: read in the direction messages move, one in transit is
 // never missed.
 func (n *Node) sending() bool { return n.draining() || n.Agg.Pending() || n.Agg.Busy() }
-
-// drained reports whether every node's messages have reached staging.
-func (cl *Cluster) drained() bool { return !slices.ContainsFunc(cl.nodes, (*Node).draining) }
-
-// sent reports whether every node's messages have reached the fabric.
-func (cl *Cluster) sent() bool { return !slices.ContainsFunc(cl.nodes, (*Node).sending) }
 
 // Name implements rt.System.
 func (cl *Cluster) Name() string { return cl.cfg.Name }
@@ -456,22 +453,7 @@ func (cl *Cluster) RegisterAM(h rt.AMHandler) uint8 {
 func (cl *Cluster) Step(name string, grid []int, scratchPerWG int, k rt.Kernel) {
 	cl.LaunchAll(grid, scratchPerWG, cl.off, k)
 	cl.Quiesce()
-	cl.StepBarrier()
 	cl.EndPhaseOverlapped(name)
-}
-
-// StepBarrier aligns step boundaries across a multi-process fabric:
-// without it, a fast process could read results (or send the next
-// step's messages) before a skewed peer's current-step messages have
-// been applied. After Quiesce it passes the vote Quiesce waited for;
-// the first launch's start barrier is a vote of its own. In-process
-// fabrics need no alignment — the single Step caller is the barrier —
-// so this is a no-op for them. Baseline models call it at the end of
-// their own Steps, after Quiesce and before the phase record.
-func (cl *Cluster) StepBarrier() {
-	if cl.dist != nil {
-		cl.dist.StepBarrier()
-	}
 }
 
 // startBarrier is a step barrier before the cluster's first launch and
@@ -482,7 +464,9 @@ func (cl *Cluster) StepBarrier() {
 func (cl *Cluster) startBarrier() {
 	if !cl.launched {
 		cl.launched = true
-		cl.StepBarrier()
+		if cl.dist != nil {
+			cl.dist.StepBarrier()
+		}
 	}
 }
 
@@ -607,40 +591,34 @@ func (cl *Cluster) allBack() bool { return cl.running.Load() == 0 }
 
 // Quiesce blocks until every initiated message has been applied: all
 // producer/consumer queues drained, all per-node queues flushed, and
-// every record the fabric took consumed. Where it has to wait it parks
-// on the fabric's Progress event (DESIGN.md §4.16).
+// every record the fabric took consumed. It is the step barrier on
+// every fabric. Where it has to wait it parks on the fabric's Progress
+// event (DESIGN.md §4.16).
 //
-// In-process it returns on one observation of the nodes' ledgers
-// (DESIGN.md §4.14): consumed, staged (any node sending), departed,
-// consumed; quiet is nothing staged and all three sums equal. Staged
-// is read before departed because a packet stays staged until after it
-// is counted departed. What the launch epilogues left staged (AM
-// cascades, gateway relays) is flushed here. Across processes the
-// fabric's Quiet is the step vote, whose ballots are that observation
-// with drainHosted as the staged read: Quiesce returns at the step's
-// barrier, and StepBarrier after it returns at once.
+// In-process it returns on one observation of the nodes' ledgers with
+// flushStaged as the staged read (fabric.Observe, DESIGN.md §4.14) that
+// finds nothing staged and the sums equal. Once an observation has
+// found nothing staged, the next waits for the ledger itself to balance
+// (the fabric's Quiet, cheap enough for every spin); while one finds
+// something staged, the next follows at once, so an AM cascade's reply
+// or a gateway's relay leaves as soon as it is seen. Across processes
+// it is the step vote, whose ballots are that observation over the
+// hosted node: it returns when the vote releases, passed, so a fast
+// process cannot read results or send the next step's messages before a
+// skewed peer's are applied.
 func (cl *Cluster) Quiesce() {
-	progress := cl.fab.Progress()
 	if cl.dist != nil {
-		progress.Wait(cl.fab.Quiet)
-	}
-	for cl.dist == nil {
-		cl.checkDecodeErr()
-		a0 := timemodel.Sum(cl.clocks, (*timemodel.Clocks).Consumed)
-		if !cl.sent() {
-			progress.Wait(cl.drained)
-			for _, n := range cl.nodes {
-				if n.sending() {
-					n.Agg.Flush()
-				}
+		cl.dist.StepBarrier()
+	} else {
+		staged := true
+		flush := func() bool { staged = cl.flushStaged(); return staged }
+		cl.fab.Progress().Wait(func() bool {
+			if !staged && !cl.fab.Quiet() {
+				return false
 			}
-			continue
-		}
-		d := timemodel.Sum(cl.clocks, (*timemodel.Clocks).Departed)
-		if d == a0 && timemodel.Sum(cl.clocks, (*timemodel.Clocks).Consumed) == a0 {
-			break
-		}
-		progress.Wait(cl.fab.Quiet)
+			departed, consumed, idle := fabric.Observe(cl.clocks, flush)
+			return idle && departed == consumed
+		})
 	}
 	cl.checkDecodeErr()
 }

@@ -155,14 +155,30 @@ func (e *Endpoint) Retire(node, records int) {
 	e.progress.Wake()
 }
 
+// Observe is the one quiet observation (DESIGN.md §4.14) over the
+// ledgers in clocks: it reads consumed, then staged, then departed, then
+// consumed again. staged reports whether anything is still short of the
+// fabric, and may flush it on the way; nil means nothing can be. Staged
+// is read before departed because a record stays staged until after it
+// is counted departed, and consumed is read on both sides because a
+// record consumed in between can stage a departure (an active message's
+// reply) the other reads missed. idle reports that nothing was staged
+// and nothing consumed during the observation; with departed equal to
+// consumed as well, nothing was in flight at the departed read.
+func Observe(clocks []*timemodel.Clocks, staged func() bool) (departed, consumed int64, idle bool) {
+	a0 := timemodel.Sum(clocks, (*timemodel.Clocks).Consumed)
+	idle = staged == nil || !staged()
+	departed = timemodel.Sum(clocks, (*timemodel.Clocks).Departed)
+	consumed = timemodel.Sum(clocks, (*timemodel.Clocks).Consumed)
+	return departed, consumed, idle && consumed == a0
+}
+
 // Quiet implements Fabric for a fabric whose ledgers are all in this
-// process: every record counted departed has been consumed. It reads
-// consumed, departed, consumed: equal consumed reads mean no record
-// was consumed whose departure the departed read could have missed.
+// process: one observation with nothing staged finds every record
+// counted departed consumed.
 func (e *Endpoint) Quiet() bool {
-	a0 := timemodel.Sum(e.clocks, (*timemodel.Clocks).Consumed)
-	return timemodel.Sum(e.clocks, (*timemodel.Clocks).Departed) == a0 &&
-		timemodel.Sum(e.clocks, (*timemodel.Clocks).Consumed) == a0
+	departed, consumed, idle := Observe(e.clocks, nil)
+	return idle && departed == consumed
 }
 
 // Progress implements Fabric. A fabric assembled without an endpoint

@@ -131,6 +131,40 @@ func TestDeliverRetiresEmptyPacket(t *testing.T) {
 	}
 }
 
+// TestObserveReadOrder: an observation whose staged read moves the
+// ledger reports no quiet. A record counted departed during the staged
+// read is missed by an observation that reads departed first; one
+// consumed during it, by one that reads consumed only after it. Only a
+// balanced ledger with nothing staged is quiet.
+func TestObserveReadOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		inFlight bool                           // one record departed, not consumed, before the observation
+		staged   func([]*timemodel.Clocks) bool // the staged read
+		quiet    bool
+	}{
+		{"departs mid-observation", false, func(c []*timemodel.Clocks) bool {
+			c[0].CountDeparted(1) // a pump hands its last record to the fabric
+			return false
+		}, false},
+		{"consumed mid-observation", true, func(c []*timemodel.Clocks) bool {
+			c[1].CountConsumed(1) // a handler whose reply the departed read may miss
+			return false
+		}, false},
+		{"staged", false, func([]*timemodel.Clocks) bool { return true }, false},
+		{"balanced and idle", false, func([]*timemodel.Clocks) bool { return false }, true},
+	} {
+		clocks := newLedgers(2)
+		if tc.inFlight {
+			clocks[0].CountDeparted(1)
+		}
+		departed, consumed, idle := Observe(clocks, func() bool { return tc.staged(clocks) })
+		if quiet := idle && departed == consumed; quiet != tc.quiet {
+			t.Errorf("%s: quiet = %v (departed %d, consumed %d, idle %v), want %v", tc.name, quiet, departed, consumed, idle, tc.quiet)
+		}
+	}
+}
+
 // TestDeliverZeroAllocs pins the demux of a full 64 kB packet into four
 // banks at zero heap allocations: the scratch table and both closures
 // stay on Deliver's stack and every buffer cycles through the wire pool.

@@ -52,11 +52,11 @@ type Packet struct {
 // in-flight queue credit, §6). Each hosted node runs one resolver per
 // bank, ranging over BankInbox and calling Done after fully applying a
 // packet; Quiet reports cluster-wide quiescence — no packets staged, in
-// flight, or being applied — which the runtime's Step barrier relies
-// on. Every fabric embeds one *Endpoint, which is its receive side
-// (Hosts, Banks, BankInbox, SetLocalApply, Done, Progress) and answers
-// Quiet from the nodes' ledgers, so a Fabric wrapping another by
-// embedding passes all of it through.
+// flight, or being applied — which the runtime's Quiesce relies on.
+// Every fabric embeds one *Endpoint, which is its receive side (Hosts,
+// Banks, BankInbox, SetLocalApply, Done, Progress) and answers Quiet
+// from the nodes' ledgers, so a Fabric wrapping another by embedding
+// passes all of it through.
 type Fabric interface {
 	// Nodes returns the cluster size.
 	Nodes() int
@@ -108,20 +108,20 @@ type Fabric interface {
 // Distributed is what only a fabric spanning OS processes has; the
 // runtime probes for it once, at construction.
 type Distributed interface {
-	// StepBarrier aligns step boundaries across the processes: it
+	// StepBarrier is the step's quiescence and barrier in one call: it
 	// returns once every process has arrived at a globally quiescent
 	// instant, and panics the fabric's fatal error like Quiet.
 	StepBarrier()
 	// Err returns the fabric's fatal error (a peer or the coordinator
 	// declared down), nil while healthy.
 	Err() error
-	// SetHostDrain registers the hook the fabric calls on every
-	// local-idleness check, from host threads only (it may transmit,
-	// which can block on backpressure): it flushes host-side staged
-	// messages, which the departed count cannot see yet, toward the
-	// wire and returns true when none remain (core.Cluster.drainHosted
-	// has the cascade this keeps alive).
-	SetHostDrain(func() bool)
+	// SetStaged registers the runtime's staged read, before the first
+	// StepBarrier: the fabric passes it to Observe on every ballot, from
+	// host threads only (it may flush, which can block on backpressure).
+	// It reports whether host-side messages the departed count cannot
+	// see yet remain, flushing them toward the wire
+	// (core.Cluster.flushStaged has the cascade this keeps alive).
+	SetStaged(func() bool)
 	// FaultInjector returns the fault injector, nil when fault
 	// injection is off.
 	FaultInjector() *fault.Injector

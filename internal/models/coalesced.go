@@ -58,7 +58,6 @@ func (co *Coalesced) Step(name string, grid []int, scratchPerWG int, k rt.Kernel
 		}
 	}
 	co.Quiesce()
-	co.StepBarrier()
 	co.EndPhaseOverlapped(name)
 }
 

@@ -100,7 +100,6 @@ func (cp *Coprocessor) Step(name string, grid []int, scratchPerWG int, k rt.Kern
 		}
 	})
 	cp.Quiesce()
-	cp.StepBarrier()
 	cp.EndPhaseSequential(name)
 }
 

@@ -111,6 +111,19 @@ type Runner interface {
 // non-nil whenever the cluster launched, even if workers failed — the
 // per-worker statuses carry the diagnosis; the returned error is then
 // the first *WorkerError.
+//
+// A cluster fabric runs as a sequence of membership epochs, each one
+// gang of generation-stamped workers (execEpoch or tcpEpoch); a
+// non-elastic run is its first epoch. Within an elastic epoch, workers
+// checkpoint their shards to the coordinator at step barriers. When an
+// epoch ends early — a worker died (the gang unwinds with typed
+// transport errors) or a planned rescale was requested — the launcher
+// begins a new epoch: the coordinator freezes the newest *complete*
+// checkpoint as the restore point, bumps the generation (so stragglers
+// of the dead epoch are rejected with typed StaleGenerationErrors
+// rather than polluting the new one), and a fresh gang restores and
+// continues. Determinism of the apps makes the healed run's reduced
+// checksum bit-identical to an undisturbed run's.
 func (l *Launcher) Run(ctx context.Context, spec Spec) (*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -119,173 +132,9 @@ func (l *Launcher) Run(ctx context.Context, spec Spec) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Elastic {
-		return l.runElastic(ctx, spec)
-	}
-	switch spec.Fabric {
-	case FabricLocal:
+	if spec.Fabric == FabricLocal {
 		return RunLocal(spec)
-	case FabricTCP:
-		return l.runGoroutines(ctx, spec)
-	default:
-		return l.runExec(ctx, spec)
 	}
-}
-
-// workerOutcome is the collection slot both fabrics fill per node.
-type workerOutcome struct {
-	res    WorkerResult
-	err    error
-	stderr string
-}
-
-// runExec forks one OS process per node, each re-execing the worker
-// binary with the spec in WorkerEnv, and harvests their JSON result
-// lines.
-func (l *Launcher) runExec(ctx context.Context, spec Spec) (*RunResult, error) {
-	exe, err := l.exe()
-	if err != nil {
-		return nil, err
-	}
-	coord, err := StartCoordinator(spec.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	defer coord.Stop()
-	if l.Hooks.CoordStarted != nil {
-		l.Hooks.CoordStarted(coord)
-	}
-	start := time.Now()
-	out, err := l.execEpoch(ctx, exe, spec, coord.Addr(), 0)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(spec, out, time.Since(start))
-}
-
-// execEpoch launches one gang of OS-process workers (one per
-// spec.Nodes, stamped with gen) and waits for all of them.
-func (l *Launcher) execEpoch(ctx context.Context, exe string, spec Spec, coordAddr string, gen uint32) ([]workerOutcome, error) {
-	out := make([]workerOutcome, spec.Nodes)
-	var wg sync.WaitGroup
-	for i := 0; i < spec.Nodes; i++ {
-		env, err := json.Marshal(workerEnvDoc{Node: i, Coord: coordAddr, Spec: spec, Gen: gen})
-		if err != nil {
-			return nil, err
-		}
-		cmd := exec.CommandContext(ctx, exe)
-		cmd.Env = append(os.Environ(), WorkerEnv+"="+string(env))
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		if err := cmd.Start(); err != nil {
-			return nil, fmt.Errorf("noderun: worker %d: %w", i, err)
-		}
-		if l.Hooks.WorkerStarted != nil {
-			proc := cmd.Process
-			l.Hooks.WorkerStarted(i, func() { proc.Kill() })
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			err := cmd.Wait()
-			out[i].stderr = tail(stderr.Bytes(), l.stderrCap())
-			if err != nil {
-				out[i].err = err
-				return
-			}
-			if jerr := json.Unmarshal(stdout.Bytes(), &out[i].res); jerr != nil {
-				out[i].err = fmt.Errorf("bad worker output %q: %w", stdout.String(), jerr)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// runGoroutines hosts every worker as a goroutine in this process,
-// joined over the real TCP transport.
-func (l *Launcher) runGoroutines(ctx context.Context, spec Spec) (*RunResult, error) {
-	coord, err := StartCoordinator(spec.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	defer coord.Stop()
-	if l.Hooks.CoordStarted != nil {
-		l.Hooks.CoordStarted(coord)
-	}
-	start := time.Now()
-	out := l.tcpEpoch(ctx, spec, coord.Addr(), 0)
-	return assemble(spec, out, time.Since(start))
-}
-
-// tcpEpoch launches one gang of worker goroutines (one per spec.Nodes,
-// stamped with gen) over the real TCP transport and waits for all of
-// them. A context cancellation kills every worker's transport,
-// unwinding their Step goroutines with typed errors within the
-// detector bound.
-func (l *Launcher) tcpEpoch(ctx context.Context, spec Spec, coordAddr string, gen uint32) []workerOutcome {
-	out := make([]workerOutcome, spec.Nodes)
-	killers := make([]*killer, spec.Nodes)
-	var wg sync.WaitGroup
-	for i := 0; i < spec.Nodes; i++ {
-		k := &killer{}
-		killers[i] = k
-		if l.Hooks.WorkerStarted != nil {
-			l.Hooks.WorkerStarted(i, k.kill)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var diag bytes.Buffer
-			res, err := RunWorker(WorkerConfig{
-				Node:  i,
-				Coord: coordAddr,
-				Spec:  spec,
-				Gen:   gen,
-				Diag:  &diag,
-				OnSystem: func(_ gravel.System, tcp *transport.TCP) {
-					k.bind(func() { tcp.Kill() })
-				},
-			})
-			out[i] = workerOutcome{res: res, err: err, stderr: tail(diag.Bytes(), l.stderrCap())}
-		}(i)
-	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			for _, k := range killers {
-				k.kill()
-			}
-		case <-stop:
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	return out
-}
-
-func (l *Launcher) exe() (string, error) {
-	if l.Exe != "" {
-		return l.Exe, nil
-	}
-	return os.Executable()
-}
-
-// runElastic executes an elastic run as a sequence of membership
-// epochs. Each epoch launches a full gang of generation-stamped
-// workers; within an epoch, workers checkpoint their shards to the
-// coordinator at step barriers. When an epoch ends early — a worker
-// died (the gang unwinds with typed transport errors) or a planned
-// rescale was requested — the launcher begins a new epoch: the
-// coordinator freezes the newest *complete* checkpoint as the restore
-// point, bumps the generation (so stragglers of the dead epoch are
-// rejected with typed StaleGenerationErrors rather than polluting the
-// new one), and a fresh gang restores and continues. Determinism of
-// the apps makes the healed run's reduced checksum bit-identical to an
-// undisturbed run's.
-func (l *Launcher) runElastic(ctx context.Context, spec Spec) (*RunResult, error) {
 	var exe string
 	if spec.Fabric == FabricExec {
 		var err error
@@ -322,7 +171,7 @@ func (l *Launcher) runElastic(ctx context.Context, spec Spec) (*RunResult, error
 		gen := coord.Generation()
 		espec := spec
 		espec.Nodes = nodes
-		if l.Hooks.EpochStarted != nil {
+		if spec.Elastic && l.Hooks.EpochStarted != nil {
 			l.Hooks.EpochStarted(gen, nodes, func(n int) {
 				if n > 0 {
 					wantNodes.Store(int64(n))
@@ -338,6 +187,9 @@ func (l *Launcher) runElastic(ctx context.Context, spec Spec) (*RunResult, error
 			}
 		} else {
 			out = l.tcpEpoch(ctx, espec, coord.Addr(), gen)
+		}
+		if !spec.Elastic {
+			return assemble(spec, out, time.Since(start))
 		}
 		stat := EpochStat{Gen: gen, Nodes: nodes, WallNs: time.Since(epochStart).Nanoseconds()}
 
@@ -404,6 +256,108 @@ func (l *Launcher) runElastic(ctx context.Context, spec Spec) (*RunResult, error
 			obs.Emit(obs.KEpoch, -1, int64(newGen), int64(nodes), "recover")
 		}
 	}
+}
+
+// workerOutcome is the collection slot both fabrics fill per node.
+type workerOutcome struct {
+	res    WorkerResult
+	err    error
+	stderr string
+}
+
+// execEpoch launches one gang of OS-process workers (one per
+// spec.Nodes, stamped with gen), each re-execing the worker binary with
+// the spec in WorkerEnv, and harvests their JSON result lines.
+func (l *Launcher) execEpoch(ctx context.Context, exe string, spec Spec, coordAddr string, gen uint32) ([]workerOutcome, error) {
+	out := make([]workerOutcome, spec.Nodes)
+	var wg sync.WaitGroup
+	for i := 0; i < spec.Nodes; i++ {
+		env, err := json.Marshal(workerEnvDoc{Node: i, Coord: coordAddr, Spec: spec, Gen: gen})
+		if err != nil {
+			return nil, err
+		}
+		cmd := exec.CommandContext(ctx, exe)
+		cmd.Env = append(os.Environ(), WorkerEnv+"="+string(env))
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			return nil, fmt.Errorf("noderun: worker %d: %w", i, err)
+		}
+		if l.Hooks.WorkerStarted != nil {
+			proc := cmd.Process
+			l.Hooks.WorkerStarted(i, func() { proc.Kill() })
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			err := cmd.Wait()
+			out[i].stderr = tail(stderr.Bytes(), l.stderrCap())
+			if err != nil {
+				out[i].err = err
+				return
+			}
+			if jerr := json.Unmarshal(stdout.Bytes(), &out[i].res); jerr != nil {
+				out[i].err = fmt.Errorf("bad worker output %q: %w", stdout.String(), jerr)
+			}
+		}(i)
+	}
+	wg.Wait()
+	return out, nil
+}
+
+// tcpEpoch launches one gang of worker goroutines (one per spec.Nodes,
+// stamped with gen) over the real TCP transport and waits for all of
+// them. A context cancellation kills every worker's transport,
+// unwinding their Step goroutines with typed errors within the
+// detector bound.
+func (l *Launcher) tcpEpoch(ctx context.Context, spec Spec, coordAddr string, gen uint32) []workerOutcome {
+	out := make([]workerOutcome, spec.Nodes)
+	killers := make([]*killer, spec.Nodes)
+	var wg sync.WaitGroup
+	for i := 0; i < spec.Nodes; i++ {
+		k := &killer{}
+		killers[i] = k
+		if l.Hooks.WorkerStarted != nil {
+			l.Hooks.WorkerStarted(i, k.kill)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var diag bytes.Buffer
+			res, err := RunWorker(WorkerConfig{
+				Node:  i,
+				Coord: coordAddr,
+				Spec:  spec,
+				Gen:   gen,
+				Diag:  &diag,
+				OnSystem: func(_ gravel.System, tcp *transport.TCP) {
+					k.bind(func() { tcp.Kill() })
+				},
+			})
+			out[i] = workerOutcome{res: res, err: err, stderr: tail(diag.Bytes(), l.stderrCap())}
+		}(i)
+	}
+	stop := make(chan struct{})
+	go func() {
+		select {
+		case <-ctx.Done():
+			for _, k := range killers {
+				k.kill()
+			}
+		case <-stop:
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	return out
+}
+
+func (l *Launcher) exe() (string, error) {
+	if l.Exe != "" {
+		return l.Exe, nil
+	}
+	return os.Executable()
 }
 
 // anyFailed reports whether any worker of an epoch failed.

@@ -125,10 +125,10 @@ type TCP struct {
 	quietMu sync.Mutex
 	tally   tally
 
-	// hostDrain holds the runtime's SetHostDrain hook (a func() bool),
-	// which quietSnapshot runs so a process waiting on the step vote
-	// keeps AM cascades flowing.
-	hostDrain atomic.Value
+	// staged is the runtime's staged read (SetStaged), which every
+	// ballot runs so a process waiting on the step vote keeps AM
+	// cascades flowing; nil when no runtime stages on this transport.
+	staged func() bool
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -248,7 +248,7 @@ func (t *TCP) fail(err error) {
 	t.failOnce.Do(func() {
 		t.failErr = err
 		close(t.failedCh)
-		t.Progress().Wake() // a parked voter runs Quiet again, which panics err
+		t.Progress().Wake() // a parked voter runs the vote again, which panics err
 	})
 }
 
@@ -356,30 +356,25 @@ func (t *TCP) enqueue(to int, f *frame) {
 	}
 }
 
-// SetHostDrain implements fabric.Distributed.
-func (t *TCP) SetHostDrain(f func() bool) { t.hostDrain.Store(f) }
+// SetStaged implements fabric.Distributed.
+func (t *TCP) SetStaged(staged func() bool) { t.staged = staged }
 
-// quietSnapshot is this process's ballot, taken while it is locally
-// idle: the hosted node's ledger sums and whether the process is idle.
-// It is the in-process observation (DESIGN.md §4.14): consumed; staged
-// — the host drain, which flushes what the runtime has staged, then
-// every outbound stream drained and acknowledged; departed; consumed
-// again, retaken if that moved. Records that have arrived but are not
-// consumed yet keep the process busy.
-func (t *TCP) quietSnapshot() (departed, consumed int64, idle bool) {
-	c := t.clocks[t.self]
-	drain, _ := t.hostDrain.Load().(func() bool)
-	for {
-		a0 := c.Consumed()
-		idle = drain == nil || drain()
-		for _, s := range t.senders {
-			idle = idle && (s == nil || s.idle())
-		}
-		departed, consumed = c.Departed(), c.Consumed()
-		if !idle || consumed == a0 {
-			return departed, consumed, idle && t.arrived.Load() == consumed
-		}
+// observe takes this process's ballot for the step vote: Observe over
+// the hosted node's ledger, whose staged read is the runtime's and then
+// every outbound stream drained and acknowledged. Records that have
+// arrived but are not consumed yet keep the process busy.
+func (t *TCP) observe() (departed, consumed int64, idle bool) {
+	departed, consumed, idle = fabric.Observe(t.clocks[t.self:t.self+1], t.unsent)
+	return departed, consumed, idle && t.arrived.Load() == consumed
+}
+
+// unsent is the ballot's staged read.
+func (t *TCP) unsent() bool {
+	staged := t.staged != nil && t.staged()
+	for _, s := range t.senders {
+		staged = staged || s != nil && !s.idle()
 	}
+	return staged
 }
 
 // Quiet implements fabric.Fabric: whether the open step vote has

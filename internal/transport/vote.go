@@ -17,8 +17,9 @@ import (
 // round r+1 ballot, the counters only grow, so none moved across it,
 // and a ledger balanced at one instant has nothing in flight. Every
 // process folds the same ballots, so all release in the same round.
-// Quiet answers for the open vote, StepBarrier passes it, and the next
-// Quiet opens the next one.
+// StepBarrier, a Step's whole Quiesce, runs the open vote to its
+// release and passes it; Quiet, for Fabric callers, answers for the
+// open vote, and a Quiet or StepBarrier after the pass opens the next.
 
 // ballotBytes is a vote frame's payload: vote, round, departed and
 // consumed, little-endian.
@@ -177,7 +178,7 @@ func (t *TCP) vote(barrier bool) bool {
 	}
 	t.quietMu.Lock()
 	defer t.quietMu.Unlock()
-	return t.tally.run(t.quietSnapshot, barrier, t.castBallot)
+	return t.tally.run(t.observe, barrier, t.castBallot)
 }
 
 // castBallot sends b to every peer: sequenced in the stream like data,
@@ -194,7 +195,8 @@ func (t *TCP) castBallot(b ballot) {
 }
 
 // StepBarrier implements fabric.Distributed: it parks until the open
-// vote releases and passes it, so the next Quiet opens a new one. After
-// a Quiesce that saw the release it returns at once; the first launch's
-// start barrier is a whole vote. A failed transport panics its error.
+// vote releases and passes it, so the next vote call opens a new one.
+// It is the whole of a Step's Quiesce, and of the first launch's start
+// barrier; after a Quiet that saw the release it returns at once. A
+// failed transport panics its error.
 func (t *TCP) StepBarrier() { t.Progress().Wait(func() bool { return t.vote(true) }) }

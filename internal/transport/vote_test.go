@@ -243,10 +243,11 @@ func TestVoteFrameRefusals(t *testing.T) {
 
 // stepLoop runs steps on every fabric of a TCP cluster the way
 // core.Cluster.Step does: a start barrier, then per step some sends to
-// random nodes, Quiesce (park until Quiet) and the step barrier, while
-// a consumer per fabric applies what arrives. It fails the test if the
-// steps do not finish within the deadline.
-func stepLoop(t *testing.T, fabs []*TCP, steps int, seed int64) {
+// random nodes and end — the step barrier alone, as core.Cluster.Quiesce
+// ends one, or a Fabric caller's shape — while a consumer per fabric
+// applies what arrives. It fails the test if the steps do not finish
+// within the deadline.
+func stepLoop(t *testing.T, fabs []*TCP, steps int, seed int64, end func(*TCP)) {
 	t.Helper()
 	var consumers sync.WaitGroup
 	for i, f := range fabs {
@@ -269,8 +270,7 @@ func stepLoop(t *testing.T, fabs []*TCP, steps int, seed int64) {
 				for k := rng.Intn(3); k > 0; k-- {
 					f.Send(i, rng.Intn(len(fabs)), incBuf(uint64(s), 1), 1)
 				}
-				f.Progress().Wait(f.Quiet)
-				f.StepBarrier()
+				end(f)
 			}
 			done <- struct{}{}
 		}()
@@ -296,28 +296,43 @@ func openVotes(fabs []*TCP) string {
 	return s
 }
 
-// TestStepVoteKeepsStepsAligned: every process votes once per step, so
-// none runs ahead into a vote its peers never open; and each released
-// vote leaves one trace event per process.
+// TestStepVoteKeepsStepsAligned: every process votes once per step,
+// whether the step ends in the barrier alone or in Quiet and then the
+// barrier, so none runs ahead into a vote its peers never open; and
+// each released vote leaves one trace event per process.
 func TestStepVoteKeepsStepsAligned(t *testing.T) {
+	shapes := []struct {
+		name string
+		end  func(*TCP)
+	}{
+		{"barrier", (*TCP).StepBarrier},
+		{"quiet+barrier", func(f *TCP) {
+			f.Progress().Wait(f.Quiet)
+			f.StepBarrier()
+		}},
+	}
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("nodes=%d", n), func(t *testing.T) {
-			const steps = 200
-			rec := obs.Start(obs.Options{})
-			defer obs.Stop()
-			stepLoop(t, newTCPCluster(t, n), steps, int64(n))
-			votes := 0
-			for _, e := range rec.Events() {
-				if e.Kind != obs.KCollective || e.Tag != "step-vote" {
-					continue
-				}
-				votes++
-				if e.A < 2 || e.B < 0 || e.B >= int64(n) {
-					t.Fatalf("step-vote event %+v: want A (rounds) >= 2 and B a node", e)
-				}
-			}
-			if want := n * (steps + 1); votes != want {
-				t.Fatalf("%d step-vote events, want %d (one per process per vote)", votes, want)
+			for _, shape := range shapes {
+				t.Run(shape.name, func(t *testing.T) {
+					const steps = 200
+					rec := obs.Start(obs.Options{})
+					defer obs.Stop()
+					stepLoop(t, newTCPCluster(t, n), steps, int64(n), shape.end)
+					votes := 0
+					for _, e := range rec.Events() {
+						if e.Kind != obs.KCollective || e.Tag != "step-vote" {
+							continue
+						}
+						votes++
+						if e.A < 2 || e.B < 0 || e.B >= int64(n) {
+							t.Fatalf("step-vote event %+v: want A (rounds) >= 2 and B a node", e)
+						}
+					}
+					if want := n * (steps + 1); votes != want {
+						t.Fatalf("%d step-vote events, want %d (one per process per vote)", votes, want)
+					}
+				})
 			}
 		})
 	}

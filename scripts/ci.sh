@@ -54,13 +54,15 @@ race_and_guards() {
     'OneWGLaunchRunsOnCaller|ParkFromCallerWorker|KernelPanicReachesCaller|LaunchCoversGrid|ParkWakeStress|WaitManyWaiters|WaitAllocatesNothing|TimeoutFlushWakesNobody|ParkedDeviceThread|CloseStopsDeviceThreads|WaitUntilChain|UnrecoveredVerbPanic' \
     ./internal/simt ./internal/park ./internal/agg ./internal/core ./internal/models
   go test -race -run FineStepsSmoke ./internal/core
-  # Quiescence (DESIGN.md §4.14, §4.16): a quiet observation torn by an
-  # AM follow-up staged mid-read, by a packet departing between the
-  # staged and departed reads, or by a pump holding one between the
-  # outbox and the fabric must not end a Step, and a frame the loopback
-  # decoder drops must still let the ledger balance — the interleavings
-  # forced, then mer's AM-driven contig walk on every model, which found
-  # the first and the third under load.
+  # Quiescence (DESIGN.md §4.14, §4.16): fabric.Observe's read order on
+  # a bare ledger; then a quiet observation torn by an AM follow-up
+  # staged mid-read, by a packet departing between the staged and
+  # departed reads, or by a pump holding one between the outbox and the
+  # fabric must not end a Step, and a frame the loopback decoder drops
+  # must still let the ledger balance — the interleavings forced, then
+  # mer's AM-driven contig walk on every model, which found the first
+  # and the third under load.
+  go test -race -count=200 -run 'ObserveReadOrder' ./internal/fabric
   go test -race -count=200 -run 'QuiesceWaitsOutCascade|QuiesceSeesPacket|QuiesceRetiresDroppedFrame' ./internal/core
   go test -race -count=15 -run MerPhase2AcrossModels ./internal/models
   # The TCP step vote (DESIGN.md §4.5): a cascade between rounds holds
