@@ -1,7 +1,7 @@
-// Package agg implements Gravel's aggregator (§3.4, §6): CPU threads
-// that drain the GPU's producer/consumer queue and repack messages into
-// per-node queues, which are handed to the NIC when full or at a flush
-// point.
+// Package agg implements Gravel's aggregator (§3.4, §6): one CPU
+// thread per node that drains the GPU's producer/consumer queue and
+// repacks messages into per-node queues, which are handed to the NIC
+// when full or at a flush point.
 //
 // The paper flushes on a 125 µs timeout as well; in this bulk-
 // synchronous reproduction the end-of-superstep flush subsumes the
@@ -21,12 +21,21 @@ import (
 	"gravel/internal/wire"
 )
 
-// shard is one drain thread's private staging: its own builder set
-// under its own mutex. With one aggregator thread (the paper's best
-// configuration, and the default) there is a single shard and behavior
-// is identical to a global lock; with more, threads repack without
-// contending on one mutex and packet streams merge in the outbox.
-type shard struct {
+// Aggregator is the paper's ticket strategy: the driver's thread
+// repacks drained queue slots into fixed-capacity per-node builders.
+type Aggregator struct {
+	*driver
+
+	// perMessage disables message combining: every message becomes its
+	// own wire packet (the message-per-lane baseline, §3.2).
+	perMessage bool
+
+	// groupSize > 1 enables two-level hierarchical aggregation (§10):
+	// messages to a node outside the sender's group travel in per-GROUP
+	// queues to a gateway member of the destination group, which
+	// re-aggregates them into per-node queues for its group.
+	groupSize int
+
 	mu       sync.Mutex      // guards builders, grouped and the signal marks
 	builders []*wire.Builder // per in-group destination (or all, when flat)
 	grouped  []*wire.Builder // per remote group, routed records
@@ -42,26 +51,6 @@ type shard struct {
 	sigGroups    []int
 	sigNodeMark  []bool
 	sigGroupMark []bool
-}
-
-// Aggregator is the paper's ticket strategy: the driver's threads
-// repack drained queue slots into fixed-capacity per-node builders.
-type Aggregator struct {
-	*driver
-
-	// perMessage disables message combining: every message becomes its
-	// own wire packet (the message-per-lane baseline, §3.2).
-	perMessage bool
-
-	// groupSize > 1 enables two-level hierarchical aggregation (§10):
-	// messages to a node outside the sender's group travel in per-GROUP
-	// queues to a gateway member of the destination group, which
-	// re-aggregates them into per-node queues for its group.
-	groupSize int
-
-	// shards holds one staging shard per drain thread. Host-context
-	// staging (AppendDirect, Flush's final drain) uses shard 0.
-	shards []*shard
 }
 
 // New creates an aggregator for the given node. With perMessage set,
@@ -87,26 +76,20 @@ func NewHierarchical(node int, params *timemodel.Params, q *queue.Gravel, fab fa
 	if perMessage {
 		capBytes = wire.MsgWireBytes
 	}
-	a.shards = make([]*shard, len(a.consume))
-	for i := range a.shards {
-		sh := &shard{builders: make([]*wire.Builder, n), sigNodeMark: make([]bool, n)}
-		for d := 0; d < n; d++ {
-			sh.builders[d] = wire.NewBuilder(d, capBytes)
-		}
-		if groupSize > 0 {
-			groups := (n + groupSize - 1) / groupSize
-			sh.grouped = make([]*wire.Builder, groups)
-			sh.sigGroupMark = make([]bool, groups)
-			for g := 0; g < groups; g++ {
-				gw := a.gatewayOf(g)
-				sh.grouped[g] = wire.NewRoutedBuilder(gw, capBytes)
-			}
-		}
-		a.consume[i] = func(payload []uint64, rows, cols, count int) {
-			a.repack(sh, payload, cols, count)
-		}
-		a.shards[i] = sh
+	a.builders = make([]*wire.Builder, n)
+	a.sigNodeMark = make([]bool, n)
+	for d := 0; d < n; d++ {
+		a.builders[d] = wire.NewBuilder(d, capBytes)
 	}
+	if groupSize > 0 {
+		groups := (n + groupSize - 1) / groupSize
+		a.grouped = make([]*wire.Builder, groups)
+		a.sigGroupMark = make([]bool, groups)
+		for g := 0; g < groups; g++ {
+			a.grouped[g] = wire.NewRoutedBuilder(a.gatewayOf(g), capBytes)
+		}
+	}
+	a.consume = a.repack
 	return a
 }
 
@@ -124,53 +107,53 @@ func (a *Aggregator) gatewayOf(g int) int {
 // GroupSize returns the hierarchical group size (0 = flat).
 func (a *Aggregator) GroupSize() int { return a.groupSize }
 
-// repack moves one slot's messages into sh's per-destination builders,
+// repack moves one slot's messages into the per-destination builders,
 // flushing any builder that fills (§3.4: per-node queues are sent as
 // soon as they become full).
-func (a *Aggregator) repack(sh *shard, payload []uint64, cols, count int) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+func (a *Aggregator) repack(payload []uint64, rows, cols, count int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	cmdRow, destRow, aRow, bRow := a.slotRows(payload, cols, count)
 	for m := 0; m < count; m++ {
-		a.appendLocked(sh, int(destRow[m]), cmdRow[m], aRow[m], bRow[m])
+		a.appendLocked(int(destRow[m]), cmdRow[m], aRow[m], bRow[m])
 	}
-	a.flushSignalsLocked(sh)
+	a.flushSignalsLocked()
 }
 
 // flushSignalsLocked sends every builder that took a PUT_SIGNAL during
-// the batch just staged; sh.mu must be held. See the shard fields for
+// the batch just staged; a.mu must be held. See the signal fields for
 // why signals flush at batch boundaries rather than per message or at
 // end of step.
-func (a *Aggregator) flushSignalsLocked(sh *shard) {
-	for _, g := range sh.sigGroups {
-		sh.sigGroupMark[g] = false
-		a.flushLocked(sh.grouped[g], false)
+func (a *Aggregator) flushSignalsLocked() {
+	for _, g := range a.sigGroups {
+		a.sigGroupMark[g] = false
+		a.flushLocked(a.grouped[g], false)
 	}
-	sh.sigGroups = sh.sigGroups[:0]
-	for _, d := range sh.sigNodes {
-		sh.sigNodeMark[d] = false
-		a.flushLocked(sh.builders[d], false)
+	a.sigGroups = a.sigGroups[:0]
+	for _, d := range a.sigNodes {
+		a.sigNodeMark[d] = false
+		a.flushLocked(a.builders[d], false)
 	}
-	sh.sigNodes = sh.sigNodes[:0]
+	a.sigNodes = a.sigNodes[:0]
 }
 
 // appendLocked stages one message toward dest, choosing a per-node or
-// per-group queue; sh.mu must be held.
-func (a *Aggregator) appendLocked(sh *shard, dest int, cmd, av, vv uint64) {
+// per-group queue; a.mu must be held.
+func (a *Aggregator) appendLocked(dest int, cmd, av, vv uint64) {
 	if a.groupSize > 0 && dest/a.groupSize != a.node/a.groupSize {
 		g := dest / a.groupSize
-		b := sh.grouped[g]
+		b := a.grouped[g]
 		if b.Full() {
 			a.flushLocked(b, false)
 		}
 		b.AppendRouted(cmd, av, vv, dest)
-		if wire.Op(cmd&0xff) == wire.OpPutSignal && !sh.sigGroupMark[g] {
-			sh.sigGroupMark[g] = true
-			sh.sigGroups = append(sh.sigGroups, g)
+		if wire.Op(cmd&0xff) == wire.OpPutSignal && !a.sigGroupMark[g] {
+			a.sigGroupMark[g] = true
+			a.sigGroups = append(a.sigGroups, g)
 		}
 		return
 	}
-	b := sh.builders[dest]
+	b := a.builders[dest]
 	if b.Full() {
 		a.flushLocked(b, false)
 	}
@@ -178,27 +161,26 @@ func (a *Aggregator) appendLocked(sh *shard, dest int, cmd, av, vv uint64) {
 	if a.perMessage {
 		// Message-per-lane: no combining; one packet per message.
 		a.flushLocked(b, false)
-	} else if wire.Op(cmd&0xff) == wire.OpPutSignal && !sh.sigNodeMark[dest] {
-		sh.sigNodeMark[dest] = true
-		sh.sigNodes = append(sh.sigNodes, dest)
+	} else if wire.Op(cmd&0xff) == wire.OpPutSignal && !a.sigNodeMark[dest] {
+		a.sigNodeMark[dest] = true
+		a.sigNodes = append(a.sigNodes, dest)
 	}
 }
 
 // AppendDirect stages one message from host context (an AM handler
 // issuing a follow-up message, or a gateway relaying a routed record),
 // charging chargeNs of CPU time to the given adder. It may flush a full
-// queue. Host-context staging always lands on shard 0.
+// queue.
 func (a *Aggregator) AppendDirect(dest int, cmd, av, vv uint64, chargeNs float64) {
-	sh := a.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.clock.AddAgg(chargeNs)
-	a.appendLocked(sh, dest, cmd, av, vv)
-	a.flushSignalsLocked(sh)
+	a.appendLocked(dest, cmd, av, vv)
+	a.flushSignalsLocked()
 }
 
 // flushLocked hands b's queue, per-node or per-group, to the outbox;
-// the mutex of the shard that owns b must be held.
+// a.mu must be held.
 func (a *Aggregator) flushLocked(b *wire.Builder, timeout bool) {
 	if !b.Empty() {
 		buf, msgs := b.Take()
@@ -207,7 +189,7 @@ func (a *Aggregator) flushLocked(b *wire.Builder, timeout bool) {
 }
 
 // Flush sends every non-empty per-node queue (end-of-superstep /
-// timeout flush). The caller must ensure no aggregator thread holds a
+// timeout flush). The caller must ensure the aggregator thread holds no
 // claimed slot (Busy), or the slot's messages miss the flush and split
 // their per-node queue in two; the queue's unclaimed slots Flush drains
 // itself. Flush must be called from a host thread (it transmits, which
@@ -215,30 +197,23 @@ func (a *Aggregator) flushLocked(b *wire.Builder, timeout bool) {
 // wakes no aggregator thread: the pump below sends what it staged.
 func (a *Aggregator) Flush() {
 	a.Drain()
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		for d := range sh.builders {
-			a.flushLocked(sh.builders[d], true)
-		}
-		for g := range sh.grouped {
-			a.flushLocked(sh.grouped[g], true)
-		}
-		sh.mu.Unlock()
+	a.mu.Lock()
+	for _, b := range a.builders {
+		a.flushLocked(b, true)
 	}
+	for _, b := range a.grouped {
+		a.flushLocked(b, true)
+	}
+	a.mu.Unlock()
 	a.pump()
 }
 
-// Pending reports whether any shard holds unflushed messages or the
+// Pending reports whether the builders hold unflushed messages or the
 // outbox unsent ones.
 func (a *Aggregator) Pending() bool {
 	staged := func(b *wire.Builder) bool { return !b.Empty() }
-	for _, sh := range a.shards {
-		sh.mu.Lock()
-		pending := slices.ContainsFunc(sh.builders, staged) || slices.ContainsFunc(sh.grouped, staged)
-		sh.mu.Unlock()
-		if pending {
-			return true
-		}
-	}
-	return a.unsent()
+	a.mu.Lock()
+	pending := slices.ContainsFunc(a.builders, staged) || slices.ContainsFunc(a.grouped, staged)
+	a.mu.Unlock()
+	return pending || a.unsent()
 }

@@ -150,15 +150,15 @@ func TestRouteByDestination(t *testing.T) {
 }
 
 // TestDrainersKeepIssueOrder: the launch epilogue's Drain shares the
-// first aggregator thread's consumer. A slot it claims while that thread
+// aggregator thread's consumer. A slot it claims while that thread
 // is still staging an earlier one must not reach the builders first, or
 // one source's messages to one destination leave out of issue order.
 func TestDrainersKeepIssueOrder(t *testing.T) {
 	a, q, _ := setup(t, false, 0)
 	produce(q, 1, 8) // two slots: addresses 0-3, then 4-7
 	inside, resume := make(chan struct{}), make(chan struct{})
-	stage, first := a.consume[0], true
-	a.consume[0] = func(payload []uint64, rows, cols, count int) {
+	stage, first := a.consume, true
+	a.consume = func(payload []uint64, rows, cols, count int) {
 		if first { // the aggregator thread, holding the first slot
 			first = false
 			close(inside)
@@ -167,7 +167,7 @@ func TestDrainersKeepIssueOrder(t *testing.T) {
 		stage(payload, rows, cols, count)
 	}
 	thread, epilogue := make(chan struct{}), make(chan struct{})
-	go func() { defer close(thread); a.drainSome(0) }()
+	go func() { defer close(thread); a.drainSome() }()
 	<-inside
 	go func() { defer close(epilogue); a.Drain() }()
 	// Unserialized, the epilogue claims the second slot at once.
@@ -177,7 +177,7 @@ func TestDrainersKeepIssueOrder(t *testing.T) {
 	close(resume)
 	<-thread
 	<-epilogue
-	buf, _ := a.shards[0].builders[1].Take()
+	buf, _ := a.builders[1].Take()
 	var got []uint64
 	wire.Decode(buf, func(_, addr, _ uint64) { got = append(got, addr) })
 	for i, addr := range got {

@@ -87,7 +87,7 @@ func TestAllocsPerRunRepackDrain(t *testing.T) {
 			s.Row(wire.RowB)[m] = 1
 		}
 		s.Commit()
-		for q.TryConsume(a.consume[0]) {
+		for q.TryConsume(a.consume) {
 		}
 		a.Flush()
 		drain()

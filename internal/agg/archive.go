@@ -11,7 +11,7 @@ import (
 )
 
 // Archive is the grape-style aggregation strategy (libgrape-lite's GPU
-// MessageManager, ROADMAP item 2): instead of drain threads repacking
+// MessageManager, ROADMAP item 2): instead of a drain thread repacking
 // producer/consumer queue slots into fixed-capacity builders, the
 // device appends directly into per-destination growable archives at
 // wavefront granularity (one leader reservation for the WF's active
@@ -85,9 +85,7 @@ func NewArchive(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.
 	for d := 0; d < n; d++ {
 		ar.dests[d] = &destArchive{dest: d, segCap: initCap}
 	}
-	for i := range ar.consume {
-		ar.consume[i] = ar.repack
-	}
+	ar.consume = ar.repack
 	return ar
 }
 

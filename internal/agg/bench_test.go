@@ -81,7 +81,7 @@ func BenchmarkRepackDrain(b *testing.B) {
 			s.Row(wire.RowB)[m] = 1
 		}
 		s.Commit()
-		for q.TryConsume(a.consume[0]) {
+		for q.TryConsume(a.consume) {
 		}
 		a.Flush()
 		drain()

@@ -30,14 +30,13 @@ func stepWithin(t *testing.T, d time.Duration, step func()) {
 	}
 }
 
-// awaitAllParked spins until every node's aggregator threads are
-// parked; it reports false if they are not within five seconds.
+// awaitAllParked spins until every node's aggregator thread is parked;
+// it reports false if they are not within five seconds.
 func awaitAllParked(cl *core.Cluster) bool {
 	for t0 := time.Now(); time.Since(t0) < 5*time.Second; runtime.Gosched() {
 		all := true
 		for i := 0; i < cl.Nodes(); i++ {
-			parked, threads := agg.ParkedThreads(cl.Node(i).Agg)
-			all = all && parked == threads
+			all = all && agg.Parked(cl.Node(i).Agg)
 		}
 		if all {
 			return true

@@ -25,17 +25,18 @@ type readyPkt struct {
 // callback).
 type consumer = func(payload []uint64, rows, cols, count int)
 
-// driver is the aggregator thread itself (§3.4), the part every
-// strategy shares: it drains the producer/consumer queue, hands each
-// drained slot to the strategy's staging, and transmits whatever the
-// staging has flushed into the outbox. A strategy embeds it and adds
-// only how messages are staged between those two ends. The paper's
-// thread polls on a core of its own; this one shares its processors
-// with the threads it serves, so with nothing to drain or transmit it
-// parks on work until a Commit or a stage wakes it — at once, without
-// park's spin: no Step waits for an idle aggregator (a launch's
-// epilogue drains the queue on its own thread), and a yielding spinner
-// keeps a processor from stealing the work a Step does wait for.
+// driver is the aggregator thread itself (§3.4; one per node, which
+// the paper found best on its 4-thread CPU), the part every strategy
+// shares: it drains the producer/consumer queue, hands each drained
+// slot to the strategy's staging, and transmits whatever the staging
+// has flushed into the outbox. A strategy embeds it and adds only how
+// messages are staged between those two ends. The paper's thread polls
+// on a core of its own; this one shares its processors with the
+// threads it serves, so with nothing to drain or transmit it parks on
+// work until a Commit or a stage wakes it — at once, without park's
+// spin: no Step waits for an idle aggregator (a launch's epilogue
+// drains the queue on its own thread), and a yielding spinner keeps a
+// processor from stealing the work a Step does wait for.
 //
 // Flush decisions happen under the strategy's staging locks, but
 // transmission — which can block on receiver backpressure — happens
@@ -48,18 +49,14 @@ type driver struct {
 	fab    fabric.Fabric
 	clock  *timemodel.Clocks
 
-	// consume holds one queue consumer per drain thread
-	// (params.AggregatorThreads, minimum one; the paper found one thread
-	// performs best on its 4-thread CPU). The embedding strategy's
-	// constructor fills it in. Built once, so the hot TryConsume path
-	// passes a preallocated closure.
-	consume []consumer
-	// drains serializes the claim-and-stage of each consumer's slots:
-	// the launch epilogue's Drain shares consumer 0 with the first
-	// aggregator thread, and a slot claimed after another must not
-	// reach staging before it, or one source's messages to one
-	// destination leave out of issue order.
-	drains []sync.Mutex
+	// consume stages one drained slot. The strategy's constructor sets it
+	// once, so the hot TryConsume path passes a preallocated closure.
+	consume consumer
+	// drains serializes the claim-and-stage of slots: the launch
+	// epilogue's Drain shares consume with the aggregator thread, and a
+	// slot claimed after another must not reach staging before it, or
+	// one source's messages to one destination leave out of issue order.
+	drains sync.Mutex
 
 	// The outbox. A staging lock may be held while mu is taken, never
 	// the reverse, and mu is never held across Send.
@@ -87,33 +84,23 @@ type driver struct {
 
 func newDriver(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.Fabric, clock *timemodel.Clocks) *driver {
 	d := &driver{
-		node:    node,
-		params:  params,
-		q:       q,
-		fab:     fab,
-		clock:   clock,
-		consume: make([]consumer, max(1, params.AggregatorThreads)),
-		drains:  make([]sync.Mutex, max(1, params.AggregatorThreads)),
-		idle:    fab.Progress(),
-		done:    make(chan struct{}),
+		node:   node,
+		params: params,
+		q:      q,
+		fab:    fab,
+		clock:  clock,
+		idle:   fab.Progress(),
+		done:   make(chan struct{}),
 	}
 	q.WakeOnCommit(&d.work)
 	return d
 }
 
-// Start launches the aggregator thread(s), one per consumer.
+// Start launches the aggregator thread.
 func (d *driver) Start() {
-	var wg sync.WaitGroup
-	wg.Add(len(d.consume))
-	for i := range d.consume {
-		go func() {
-			defer wg.Done()
-			d.run(i)
-		}()
-	}
 	go func() {
-		wg.Wait()
-		close(d.done)
+		defer close(d.done)
+		d.run()
 	}()
 }
 
@@ -124,9 +111,9 @@ func (d *driver) Stop() {
 	<-d.done
 }
 
-func (d *driver) run(i int) {
+func (d *driver) run() {
 	for {
-		worked := d.drainSome(i)
+		worked := d.drainSome()
 		if d.pump() {
 			worked = true
 		}
@@ -136,7 +123,7 @@ func (d *driver) run(i int) {
 		if d.stopped.Load() {
 			// Final drain: the queue must already be quiescent when
 			// Stop is called, but be safe.
-			for d.drainSome(i) {
+			for d.drainSome() {
 			}
 			d.pump()
 			return
@@ -164,17 +151,17 @@ func (d *driver) release() {
 // thread from pumping; it reports whether any were consumed. The hold
 // is taken before the first claim: a queue this thread's claim empties
 // is Busy from before Empty turns true until the slot is staged.
-func (d *driver) drainSome(i int) bool {
+func (d *driver) drainSome() bool {
 	if !d.q.Ready() {
 		return false
 	}
 	d.hold()
 	defer d.release()
-	d.drains[i].Lock()
-	defer d.drains[i].Unlock()
+	d.drains.Lock()
+	defer d.drains.Unlock()
 	any := false
 	for n := 0; n < 64; n++ {
-		if !d.q.TryConsume(d.consume[i]) {
+		if !d.q.TryConsume(d.consume) {
 			break
 		}
 		any = true
@@ -183,13 +170,13 @@ func (d *driver) drainSome(i int) bool {
 }
 
 // Drain empties the producer/consumer queue on the caller's thread the
-// way a drain thread does, under the hold; it is the head of every
-// strategy's Flush. A host thread about to wait for the queue to drain
+// way the aggregator thread does, under the hold; it is the head of
+// every strategy's Flush. A host thread about to wait for the queue to drain
 // (the launch epilogue) calls it first, so the wait is for a slot an
 // aggregator thread has already claimed, not for a parked thread to be
 // scheduled.
 func (d *driver) Drain() {
-	for d.drainSome(0) {
+	for d.drainSome() {
 	}
 }
 

@@ -1,9 +1,8 @@
 package agg
 
-// ParkedThreads reports how many of s's aggregator threads are parked
-// and how many it runs, for tests that stage work at the moment every
-// thread depends on being woken.
-func ParkedThreads(s Strategy) (parked, threads int) {
+// Parked reports whether s's aggregator thread is parked, for tests
+// that stage work at the moment the thread depends on being woken.
+func Parked(s Strategy) bool {
 	var d *driver
 	switch s := s.(type) {
 	case *Aggregator:
@@ -11,5 +10,5 @@ func ParkedThreads(s Strategy) (parked, threads int) {
 	case *Archive:
 		d = s.driver
 	}
-	return d.work.Parked(), len(d.consume)
+	return d.work.Parked() == 1
 }

@@ -17,24 +17,24 @@ package agg
 //
 // The contract every implementation must honor:
 //
-//   - Start/Stop bracket the background drain/pump goroutines; Stop may
+//   - Start/Stop bracket the background drain/pump goroutine; Stop may
 //     only be called once the producer/consumer queue is quiescent.
 //   - AppendDirect stages one message from host context (AM handler
 //     follow-ups, gateway relays) and must never transmit on the
 //     calling goroutine — network threads stage through it, and a
 //     blocking Send there can deadlock against receiver backpressure.
 //   - Drain stages the producer/consumer queue's slots on the calling
-//     host thread, as a drain thread would; Flush does the same, then
-//     forces every staged message toward the wire and transmits. Both
-//     must only be called from a host thread.
+//     host thread, as the aggregator thread would; Flush does the same,
+//     then forces every staged message toward the wire and transmits.
+//     Both must only be called from a host thread.
 //   - Signal liveness: a staged PUT_SIGNAL must reach the wire without
 //     waiting for the end-of-step flush (a remote waiter spins on it).
 //   - Busy reports an in-progress drain attempt and Pending any staged
 //     or unsent messages; quiescence detection needs both.
 type Strategy interface {
-	// Start launches the background drain/pump goroutines.
+	// Start launches the background drain/pump goroutine.
 	Start()
-	// Stop terminates them after a final drain; the queue must already
+	// Stop terminates it after a final drain; the queue must already
 	// be quiescent.
 	Stop()
 	// Drain stages what the producer/consumer queue holds, on the

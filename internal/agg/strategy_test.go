@@ -249,8 +249,8 @@ func TestStrategyConformance(t *testing.T) {
 		t.Run(row.name+"/Busy covers a claimed slot", func(t *testing.T) {
 			s, d, q, fab := setup()
 			claimed, release := make(chan struct{}), make(chan struct{})
-			stageSlot := d.consume[0]
-			d.consume[0] = func(payload []uint64, rows, cols, count int) {
+			stageSlot := d.consume
+			d.consume = func(payload []uint64, rows, cols, count int) {
 				close(claimed)
 				<-release
 				stageSlot(payload, rows, cols, count)

@@ -101,8 +101,8 @@ type Config struct {
 
 // Send-path aggregation strategy names (Config.AggStrategy).
 const (
-	// AggTicket is the paper's aggregator: drain threads repack queue
-	// slots into fixed-capacity per-destination builders.
+	// AggTicket is the paper's aggregator: each node's drain thread
+	// repacks queue slots into fixed-capacity per-destination builders.
 	AggTicket = "ticket"
 	// AggArchive is the grape-style rival: per-destination growable
 	// archives with WF-aggregated device appends and bulk handoff.
@@ -669,10 +669,9 @@ func (cl *Cluster) endPhase(name string, compose func(timemodel.Snapshot) float6
 	// §8.1: an aggregator core that is not repacking is polling, for as
 	// long as the phase lasts on the virtual clock — whatever the Go
 	// scheduler did with the thread that plays it.
-	cores := float64(max(1, cl.params.AggregatorThreads))
 	for i, n := range cl.nodes {
 		if cur := &cl.cur[i]; cl.fab.Hosts(i) {
-			idle := n.Clocks.AddAggIdle(max(0, cores*phase-(cur.Agg-cl.prev[i].Agg)))
+			idle := n.Clocks.AddAggIdle(max(0, phase-(cur.Agg-cl.prev[i].Agg)))
 			step.AggIdleNs += idle - cur.AggIdle
 			cur.AggIdle = idle
 		}
@@ -779,24 +778,17 @@ func (cl *Cluster) Stats() rt.Stats {
 		MsgsDrained:  cur.MsgsDrained,
 	}
 
-	threads := cl.params.AggregatorThreads
-	if threads < 1 {
-		threads = 1
-	}
 	st.Agg = rt.AggStats{
 		Strategy:       cl.nodes[0].Agg.Name(),
 		BusyNs:         cur.AggBusyNs,
 		IdleNs:         cur.AggIdleNs,
-		Threads:        threads,
 		FlushesFull:    full,
 		FlushesTimeout: timeout,
 	}
 	// Busy fraction of the aggregator cores over the run's virtual time
-	// (the paper's §8.1 metric: 65% of the core's time is polling),
-	// weighted by drain capacity: busy time accrues on every drain
-	// thread, so the denominator scales with nodes × threads.
+	// (the paper's §8.1 metric: 65% of the core's time is polling).
 	if cl.totalNs > 0 {
-		st.Agg.BusyFrac = cur.AggBusyNs / (cl.totalNs * float64(len(cl.nodes)) * float64(threads))
+		st.Agg.BusyFrac = cur.AggBusyNs / (cl.totalNs * float64(len(cl.nodes)))
 	}
 
 	st.Resolver = rt.ResolverStats{

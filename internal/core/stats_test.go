@@ -99,10 +99,10 @@ func testStatsStepDeltas(t *testing.T, shards int) {
 			sum.AggBusyNs, sum.AggIdleNs, st.Agg.BusyNs, st.Agg.IdleNs)
 	}
 	// Idle is what is left of the aggregator cores' phase time: busy and
-	// idle together are nodes x threads x the run's virtual time (to the
-	// clock's 1/16 ns tick per node and step), which is also what
-	// BusyFrac divides by.
-	if cores := st.VirtualNs * 4 * float64(st.Agg.Threads); math.Abs(st.Agg.BusyNs+st.Agg.IdleNs-cores) > 1 {
+	// idle together are nodes x the run's virtual time (to the clock's
+	// 1/16 ns tick per node and step), which is also what BusyFrac
+	// divides by.
+	if cores := st.VirtualNs * 4; math.Abs(st.Agg.BusyNs+st.Agg.IdleNs-cores) > 1 {
 		t.Errorf("agg busy %g + idle %g = %g, want the cores' phase time %g",
 			st.Agg.BusyNs, st.Agg.IdleNs, st.Agg.BusyNs+st.Agg.IdleNs, cores)
 	}
@@ -128,37 +128,32 @@ func testStatsStepDeltas(t *testing.T, shards int) {
 	}
 }
 
-// TestAggBusyFracCapacityWeighted is the regression test for the
-// multi-thread utilization bug: busy time accrues on every drain
-// thread, so with T aggregator threads the busy fraction must divide by
-// nodes x T, not nodes alone. Before the fix a 2-thread aggregator at
-// 100% utilization reported BusyFrac 2.0.
+// TestAggBusyFracCapacityWeighted: each node's one aggregator core is
+// the capacity BusyFrac divides by, so it is busy time over virtual
+// time x nodes, and busy and idle time split that capacity.
 func TestAggBusyFracCapacityWeighted(t *testing.T) {
-	p := timemodel.Default()
-	p.AggregatorThreads = 2
-	cl := New(Config{Nodes: 2, Params: p})
+	cl := New(Config{Nodes: 2, Params: timemodel.Default()})
 	defer cl.Close()
 
-	// Deterministic clock state: 2 x 1e6 ns of aggregator busy time on
-	// each node and nothing else, so the phase composes to 2e6+barrier ns
-	// and each node's two drain threads are about half busy.
+	// Deterministic clock state: 1e6 ns of aggregator busy time on each
+	// node and nothing else, so the phase composes to 1e6+barrier ns and
+	// each node's aggregator core is busy for all but the barrier.
 	const busy = 1e6
 	for _, n := range cl.nodes {
-		n.Clocks.AddAgg(busy * float64(p.AggregatorThreads))
+		n.Clocks.AddAgg(busy)
 	}
 	cl.EndPhaseOverlapped("synthetic")
 
 	st := cl.Stats()
-	if st.Agg.Threads != 2 {
-		t.Fatalf("Stats.Agg.Threads = %d, want 2", st.Agg.Threads)
+	if st.Agg.BusyNs != 2*busy {
+		t.Fatalf("Stats.Agg.BusyNs = %v, want %v", st.Agg.BusyNs, 2*busy)
 	}
-	want := st.Agg.BusyNs / (st.VirtualNs * 2 * 2)
+	want := st.Agg.BusyNs / (st.VirtualNs * 2)
 	if st.Agg.BusyFrac != want {
-		t.Errorf("BusyFrac = %v, want busy/(virtual*nodes*threads) = %v", st.Agg.BusyFrac, want)
+		t.Errorf("BusyFrac = %v, want busy/(virtual*nodes) = %v", st.Agg.BusyFrac, want)
 	}
-	// Busy and idle time split the drain threads' capacity, so their
-	// ratio is the busy fraction. The old formula divided by nodes only,
-	// reporting twice that here.
+	// Busy and idle time split the cores' capacity, so their ratio is
+	// the busy fraction.
 	if split := st.Agg.BusyNs / (st.Agg.BusyNs + st.Agg.IdleNs); math.Abs(st.Agg.BusyFrac-split) > 1e-6 {
 		t.Errorf("BusyFrac %v, but busy/(busy+idle) = %v: capacity weighting lost", st.Agg.BusyFrac, split)
 	}

@@ -1,7 +1,6 @@
 package models_test
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -21,31 +20,23 @@ func drainThreads() int {
 }
 
 // TestAggThreadsReportedAreStarted: Stats divides aggregator busy time
-// by Agg.Threads, so every strategy has to start exactly the thread
-// count it reports (the archive strategy used to start one regardless).
+// by one core per node, so every strategy has to start exactly one
+// aggregator thread per node.
 func TestAggThreadsReportedAreStarted(t *testing.T) {
 	const nodes = 3
 	for _, model := range []string{"gravel", "gravel-archive"} {
-		for _, threads := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/threads=%d", model, threads), func(t *testing.T) {
-				p := timemodel.Default()
-				p.AggregatorThreads = threads
-				base := drainThreads()
-				sys := models.NewSystem(model, core.Config{Nodes: nodes, Params: p})
-				defer sys.Close()
-				if got := sys.Stats().Agg.Threads; got != threads {
-					t.Fatalf("Stats.Agg.Threads = %d, want %d", got, threads)
+		t.Run(model+"/threads=1", func(t *testing.T) {
+			base := drainThreads()
+			sys := models.NewSystem(model, core.Config{Nodes: nodes, Params: timemodel.Default()})
+			defer sys.Close()
+			// A started goroutine shows its run frame only once it has
+			// been scheduled.
+			for t0 := time.Now(); drainThreads()-base != nodes; runtime.Gosched() {
+				if time.Since(t0) > 5*time.Second {
+					t.Fatalf("%d drain goroutines running, want one per node over %d nodes",
+						drainThreads()-base, nodes)
 				}
-				// A started goroutine shows its run frame only once it
-				// has been scheduled.
-				want := nodes * threads
-				for t0 := time.Now(); drainThreads()-base != want; runtime.Gosched() {
-					if time.Since(t0) > 5*time.Second {
-						t.Fatalf("%d drain goroutines running, Stats reports %d per node over %d nodes",
-							drainThreads()-base, threads, nodes)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -65,16 +65,11 @@ type AggStats struct {
 	// "archive" (grape-style per-destination growable archives).
 	Strategy string
 	// BusyNs and IdleNs split the aggregator cores' virtual time into
-	// useful work and polling (§8.1), summed across nodes and threads.
+	// useful work and polling (§8.1), summed across nodes.
 	BusyNs, IdleNs float64
-	// BusyFrac is the capacity-weighted busy fraction: busy time over
-	// the run's virtual time times the aggregate drain capacity
-	// (nodes × Threads). With one drain thread per node it reduces to
-	// the paper's §8.1 single-core metric.
+	// BusyFrac is the paper's §8.1 single-core metric: busy time over
+	// the run's virtual time times the nodes, one aggregator core each.
 	BusyFrac float64
-	// Threads is the number of drain threads (shards) per node the
-	// capacity weighting used.
-	Threads int
 	// FlushesFull counts per-node queues sent because they filled;
 	// FlushesTimeout counts flushes forced by the end-of-step timeout
 	// flush (§3.4: full queues go immediately, stragglers on timeout).

@@ -113,6 +113,7 @@ type Params struct {
 	BarrierNs float64
 
 	// --- Gravel configuration (Table 3 bottom row) ---
+	// Its one aggregator thread and 125 µs timeout are not knobs (agg).
 
 	// PerNodeQueueBytes is the capacity of one per-node (per-destination)
 	// aggregation queue.
@@ -120,12 +121,8 @@ type Params struct {
 	// QueuesPerDest is how many per-node queues are allocated per
 	// destination (over-allocation hides latency).
 	QueuesPerDest int
-	// FlushTimeout is the aggregation timeout in nanoseconds (125 µs).
-	FlushTimeoutNs int64
 	// PCQBytes is the producer/consumer queue capacity.
 	PCQBytes int
-	// AggregatorThreads is the number of aggregator CPU threads.
-	AggregatorThreads int
 }
 
 // Default returns parameters calibrated to the paper's Table 3 node
@@ -167,9 +164,7 @@ func Default() *Params {
 
 		PerNodeQueueBytes: 64 << 10,
 		QueuesPerDest:     3,
-		FlushTimeoutNs:    125_000,
 		PCQBytes:          1 << 20,
-		AggregatorThreads: 1,
 	}
 }
 

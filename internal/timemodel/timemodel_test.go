@@ -14,7 +14,7 @@ func TestDefaultsSane(t *testing.T) {
 	if p.BetaBytesPerNs != 7.0 {
 		t.Fatal("56 Gb/s is 7 bytes/ns")
 	}
-	if p.PerNodeQueueBytes != 64<<10 || p.FlushTimeoutNs != 125_000 {
+	if p.PerNodeQueueBytes != 64<<10 {
 		t.Fatal("Gravel configuration row wrong")
 	}
 }

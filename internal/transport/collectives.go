@@ -29,7 +29,7 @@ func (t *TCP) Collectives() rt.Collectives {
 // below, on the same coordinator entry as AllReduce(key, rt.WorldTeam,
 // rt.OpSum, val).
 func (t *TCP) Reduce(key string, val uint64) (uint64, error) {
-	return tcpCollectives{t: t}.reduce(key, rt.WorldTeam, "", val)
+	return tcpCollectives{t: t}.reduce(key, rt.WorldTeam, rt.OpSum, val)
 }
 
 func (c tcpCollectives) member(op, key string, team rt.Team) error {
@@ -44,7 +44,7 @@ func (c tcpCollectives) member(op, key string, team rt.Team) error {
 // until every required worker has (the contribution is idempotent). A
 // count of 0 means every node; teams carry their size so the
 // coordinator completes at team-size contributions.
-func (c tcpCollectives) reduce(key string, team rt.Team, rop string, val uint64) (uint64, error) {
+func (c tcpCollectives) reduce(key string, team rt.Team, rop rt.ReduceOp, val uint64) (uint64, error) {
 	count := 0
 	if !team.World() {
 		count = team.Size(c.t.n)
@@ -75,11 +75,7 @@ func (c tcpCollectives) AllReduce(key string, team rt.Team, op rt.ReduceOp, val 
 	if err := c.member("allreduce", key, team); err != nil {
 		return 0, err
 	}
-	rop := ""
-	if op != rt.OpSum {
-		rop = op.String()
-	}
-	total, err := c.reduce(key+team.Tag(), team, rop, val)
+	total, err := c.reduce(key+team.Tag(), team, op, val)
 	if err != nil {
 		return 0, err
 	}
@@ -101,7 +97,7 @@ func (c tcpCollectives) Broadcast(key string, team rt.Team, root int, val uint64
 	if c.t.self == root {
 		contrib = val
 	}
-	total, err := c.reduce(key+":bcast"+team.Tag(), team, "", contrib)
+	total, err := c.reduce(key+":bcast"+team.Tag(), team, rt.OpSum, contrib)
 	if err != nil {
 		return 0, err
 	}
@@ -115,7 +111,7 @@ func (c tcpCollectives) Barrier(key string, team rt.Team) error {
 	if err := c.member("barrier", key, team); err != nil {
 		return err
 	}
-	_, err := c.reduce("barrier:"+key+team.Tag(), team, "", 0)
+	_, err := c.reduce("barrier:"+key+team.Tag(), team, rt.OpSum, 0)
 	if err != nil {
 		return err
 	}

@@ -11,61 +11,85 @@ import (
 )
 
 // TestCoordinatorTypedReductions drives reduceLocked directly: min and
-// max folds, explicit contribution counts (teams), and legacy defaults
-// (rop "" = sum, count 0 = all nodes) must all complete and reclaim
-// their entries.
+// max folds, explicit contribution counts (teams), and defaults (sum,
+// count 0 = all nodes) must all complete and reclaim their entries; an
+// unknown operator, or one that differs from the key's first, is an
+// error that leaves the key's fold alone.
 func TestCoordinatorTypedReductions(t *testing.T) {
 	c := NewCoordinator(4)
-	reduce := func(node int, key string, val uint64, rop string, count int) (uint64, bool) {
+	reduceErr := func(node int, key string, val uint64, rop rt.ReduceOp, count int) (uint64, bool, error) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return c.reduceLocked(node, key, val, rop, count)
 	}
+	reduce := func(node int, key string, val uint64, rop rt.ReduceOp, count int) (uint64, bool) {
+		tot, ready, err := reduceErr(node, key, val, rop, count)
+		if err != nil {
+			t.Fatalf("reduce(%d, %q, %v): %v", node, key, rop, err)
+		}
+		return tot, ready
+	}
 
 	// Min over an explicit 2-contribution team: completes without the
 	// other two nodes ever showing up.
-	if _, ready := reduce(1, "m", 30, "min", 2); ready {
+	if _, ready := reduce(1, "m", 30, rt.OpMin, 2); ready {
 		t.Fatal("team reduce ready with one contribution")
 	}
-	if tot, ready := reduce(3, "m", 20, "min", 2); !ready || tot != 20 {
+	if tot, ready := reduce(3, "m", 20, rt.OpMin, 2); !ready || tot != 20 {
 		t.Fatalf("team min = %d ready=%v, want 20 true", tot, ready)
 	}
-	if tot, ready := reduce(1, "m", 30, "min", 2); !ready || tot != 20 {
+	if tot, ready := reduce(1, "m", 30, rt.OpMin, 2); !ready || tot != 20 {
 		t.Fatalf("poll after completion = %d ready=%v", tot, ready)
 	}
 
 	// Max over all nodes via the legacy default count.
 	vals := []uint64{5, 40, 12, 7}
 	for n := 0; n < 3; n++ {
-		if _, ready := reduce(n, "x", vals[n], "max", 0); ready {
+		if _, ready := reduce(n, "x", vals[n], rt.OpMax, 0); ready {
 			t.Fatalf("world max ready after %d contributions", n+1)
 		}
 	}
-	if tot, ready := reduce(3, "x", vals[3], "max", 0); !ready || tot != 40 {
+	if tot, ready := reduce(3, "x", vals[3], rt.OpMax, 0); !ready || tot != 40 {
 		t.Fatalf("world max = %d ready=%v, want 40 true", tot, ready)
 	}
 	for n := 0; n < 3; n++ {
-		if tot, ready := reduce(n, "x", vals[n], "max", 0); !ready || tot != 40 {
+		if tot, ready := reduce(n, "x", vals[n], rt.OpMax, 0); !ready || tot != 40 {
 			t.Fatalf("node %d collect = %d ready=%v", n, tot, ready)
 		}
 	}
 
 	// A count above the cluster size is clamped to the cluster (defensive
 	// against a bad client), and all entries are reclaimed.
-	if _, ready := reduce(0, "c", 1, "", 99); ready {
+	if _, ready := reduce(0, "c", 1, rt.OpSum, 99); ready {
 		t.Fatal("clamped count completed early")
 	}
 	for n := 1; n < 3; n++ {
-		reduce(n, "c", 1, "", 99)
+		reduce(n, "c", 1, rt.OpSum, 99)
 	}
-	if tot, ready := reduce(3, "c", 1, "", 99); !ready || tot != 4 {
+	if tot, ready := reduce(3, "c", 1, rt.OpSum, 99); !ready || tot != 4 {
 		t.Fatalf("clamped count: final contributor got %d ready=%v", tot, ready)
 	}
 	for n := 0; n < 3; n++ { // node 3 collected when it completed the fold
-		if tot, ready := reduce(n, "c", 1, "", 99); !ready || tot != 4 {
+		if tot, ready := reduce(n, "c", 1, rt.OpSum, 99); !ready || tot != 4 {
 			t.Fatalf("clamped count: node %d got %d ready=%v", n, tot, ready)
 		}
 	}
+	// An unknown operator is refused before it opens a key.
+	if _, _, err := reduceErr(0, "u", 1, rt.OpMax+1, 2); err == nil {
+		t.Fatal("unknown operator accepted")
+	}
+
+	// A second operator on a key is refused, and the key folds under
+	// its first contributor's operator once the rest arrive.
+	reduce(0, "mm", 9, rt.OpMin, 2)
+	if _, _, err := reduceErr(1, "mm", 4, rt.OpMax, 2); err == nil {
+		t.Fatal("max accepted on a min key")
+	}
+	if tot, ready := reduce(1, "mm", 4, rt.OpMin, 2); !ready || tot != 4 {
+		t.Fatalf("min after a refused max = %d ready=%v, want 4 true", tot, ready)
+	}
+	reduce(0, "mm", 9, rt.OpMin, 2)
+
 	c.mu.Lock()
 	nr := len(c.reduces)
 	c.mu.Unlock()

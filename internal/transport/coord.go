@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"gravel/internal/rt"
 )
 
 // Coordinator is the rendezvous point of a multi-process cluster: it
@@ -85,8 +87,8 @@ type RestorePoint struct {
 
 type reduceState struct {
 	vals      map[int]uint64
-	op        string // "" (sum), "min", or "max" — fixed by the first contributor
-	count     int    // contributions required (0 = every node)
+	op        rt.ReduceOp // fixed by the first contributor
+	count     int         // contributions required (0 = every node)
 	total     uint64
 	done      bool
 	collected map[int]bool // nodes that have received the total
@@ -95,28 +97,28 @@ type reduceState struct {
 // coordMsg is both request and response of the line-oriented JSON
 // protocol workers speak to the coordinator.
 type coordMsg struct {
-	Op      string   `json:"op,omitempty"`
-	Node    int      `json:"node"`
-	Gen     uint32   `json:"gen,omitempty"` // request: sender's generation (0 only on a first join); join reply: the coordinator's
-	Addr    string   `json:"addr,omitempty"`
-	Key     string   `json:"key,omitempty"`
-	Val     uint64   `json:"val,omitempty"`
-	ROp     string   `json:"rop,omitempty"`     // reduction operator ("" = sum, "min", "max")
-	Count   int      `json:"count,omitempty"`   // contributions required (0 = every node)
-	Step    uint64   `json:"step,omitempty"`    // checkpoint step ("ckpt"/"restore")
-	Data    []byte   `json:"data,omitempty"`    // checkpoint shard payload
-	Suspect int64    `json:"suspect,omitempty"` // joiner's suspect timeout, ns
-	OK      bool     `json:"ok"`
-	Err     string   `json:"err,omitempty"`
-	Stale   uint32   `json:"stale,omitempty"`   // rejection: coordinator's newer generation
-	Rescale int      `json:"rescale,omitempty"` // planned next-epoch node count
-	RGen    uint32   `json:"rgen,omitempty"`    // generation the rescaled epoch will get
-	Ready   bool     `json:"ready,omitempty"`   // polled op (join/reduce) completed; restore: a point exists
-	Total   uint64   `json:"total,omitempty"`
-	Nodes   int      `json:"nodes,omitempty"`  // restore point's saving node count
-	Shards  [][]byte `json:"shards,omitempty"` // restore point's per-node payloads
-	Peers   []string `json:"peers,omitempty"`
-	Down    []int    `json:"down,omitempty"` // workers silent past the suspect timeout
+	Op      string      `json:"op,omitempty"`
+	Node    int         `json:"node"`
+	Gen     uint32      `json:"gen,omitempty"` // request: sender's generation (0 only on a first join); join reply: the coordinator's
+	Addr    string      `json:"addr,omitempty"`
+	Key     string      `json:"key,omitempty"`
+	Val     uint64      `json:"val,omitempty"`
+	ROp     rt.ReduceOp `json:"rop,omitempty"`     // reduction operator (0 = sum)
+	Count   int         `json:"count,omitempty"`   // contributions required (0 = every node)
+	Step    uint64      `json:"step,omitempty"`    // checkpoint step ("ckpt"/"restore")
+	Data    []byte      `json:"data,omitempty"`    // checkpoint shard payload
+	Suspect int64       `json:"suspect,omitempty"` // joiner's suspect timeout, ns
+	OK      bool        `json:"ok"`
+	Err     string      `json:"err,omitempty"`
+	Stale   uint32      `json:"stale,omitempty"`   // rejection: coordinator's newer generation
+	Rescale int         `json:"rescale,omitempty"` // planned next-epoch node count
+	RGen    uint32      `json:"rgen,omitempty"`    // generation the rescaled epoch will get
+	Ready   bool        `json:"ready,omitempty"`   // polled op (join/reduce) completed; restore: a point exists
+	Total   uint64      `json:"total,omitempty"`
+	Nodes   int         `json:"nodes,omitempty"`  // restore point's saving node count
+	Shards  [][]byte    `json:"shards,omitempty"` // restore point's per-node payloads
+	Peers   []string    `json:"peers,omitempty"`
+	Down    []int       `json:"down,omitempty"` // workers silent past the suspect timeout
 }
 
 // NewCoordinator creates a coordinator expecting the given worker
@@ -271,7 +273,10 @@ func (c *Coordinator) dispatch(req *coordMsg) *coordMsg {
 		}
 		return &coordMsg{OK: true, Ready: ready, Peers: peers, Gen: c.gen}
 	case "reduce":
-		total, ready := c.reduceLocked(req.Node, req.Key, req.Val, req.ROp, req.Count)
+		total, ready, err := c.reduceLocked(req.Node, req.Key, req.Val, req.ROp, req.Count)
+		if err != nil {
+			return &coordMsg{Err: err.Error()}
+		}
 		return c.annotateLocked(&coordMsg{OK: true, Ready: ready, Total: total, Down: c.downLocked()})
 	case "ping":
 		return c.annotateLocked(&coordMsg{OK: true, Down: c.downLocked()})
@@ -395,14 +400,19 @@ func (c *Coordinator) downLocked() []int {
 // poll (their contribution is idempotent), so the handler never blocks.
 // Keys must be unique per collective (tag them with a step or phase
 // counter; team collectives additionally carry the team tag). The first
-// contributor fixes the key's operator ("" = sum, "min", "max") and
-// required contribution count (0 = every node of the epoch); the fold
-// happens once, at completion, so min/max need no streaming identity.
-// The entry is deleted once every contributor has collected the result,
-// so per-step collectives do not leak coordinator memory.
-func (c *Coordinator) reduceLocked(node int, key string, val uint64, rop string, count int) (uint64, bool) {
+// contributor fixes the key's operator and required contribution count
+// (0 = every node of the epoch); an unknown operator, or one that
+// differs from the key's, is an error. The fold happens once, at
+// completion. The entry is deleted once every contributor has collected
+// the result, so per-step collectives do not leak coordinator memory.
+func (c *Coordinator) reduceLocked(node int, key string, val uint64, rop rt.ReduceOp, count int) (uint64, bool, error) {
 	st := c.reduces[key]
-	if st == nil {
+	switch {
+	case rop > rt.OpMax:
+		return 0, false, fmt.Errorf("reduce %q: unknown operator %v", key, rop)
+	case st != nil && st.op != rop:
+		return 0, false, fmt.Errorf("reduce %q: operator %v, but the key's is %v", key, rop, st.op)
+	case st == nil:
 		if count <= 0 || count > c.nodes {
 			count = c.nodes
 		}
@@ -412,32 +422,22 @@ func (c *Coordinator) reduceLocked(node int, key string, val uint64, rop string,
 	if !st.done {
 		st.vals[node] = val
 		if len(st.vals) == st.count {
-			first := true
+			st.total = rop.Identity()
 			for _, v := range st.vals {
-				switch {
-				case first:
-					st.total = v
-					first = false
-				case st.op == "min" && v < st.total:
-					st.total = v
-				case st.op == "max" && v > st.total:
-					st.total = v
-				case st.op != "min" && st.op != "max":
-					st.total += v
-				}
+				st.total = rop.Combine(st.total, v)
 			}
 			st.vals = nil
 			st.done = true
 		}
 	}
 	if !st.done {
-		return 0, false
+		return 0, false, nil
 	}
 	st.collected[node] = true
 	if len(st.collected) == st.count {
 		delete(c.reduces, key)
 	}
-	return st.total, true
+	return st.total, true, nil
 }
 
 func (c *Coordinator) byeLocked(node int) {

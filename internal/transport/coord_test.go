@@ -2,6 +2,8 @@ package transport
 
 import (
 	"testing"
+
+	"gravel/internal/rt"
 )
 
 // TestCoordinatorReclaimsCollectiveState pins the coordinator's memory
@@ -17,7 +19,8 @@ func TestCoordinatorReclaimsCollectiveState(t *testing.T) {
 	reduce := func(node int, key string, val uint64) (uint64, bool) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return c.reduceLocked(node, key, val, "", 0)
+		tot, ready, _ := c.reduceLocked(node, key, val, rt.OpSum, 0)
+		return tot, ready
 	}
 	if _, ready := reduce(0, "sum:1", 1); ready {
 		t.Fatal("reduce ready with one node missing")

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"gravel/internal/rt"
 )
 
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder: it must
@@ -37,14 +39,16 @@ func FuzzReadFrame(f *testing.F) {
 // request stream (JSON values, as Coordinator.handle decodes them)
 // against a 2-node coordinator in its second epoch. Dispatch must never
 // panic; a stale generation is answered Stale and changes nothing;
-// an out-of-range node, a negative count and an unknown op — the step
-// vote's retired "quiet" and "barrier" included — are answered Err.
+// an out-of-range node, a negative count, an unknown op — the step
+// vote's retired "quiet" and "barrier" included — and an unknown
+// reduction operator are answered Err.
 func FuzzCoordDispatch(f *testing.F) {
 	for _, seed := range []string{
 		`{"op":"join","node":0,"addr":"a:1"}`,
 		`{"op":"join","node":1,"gen":2,"addr":"b:1","suspect":1000}{"op":"ping","node":1,"gen":2}`,
 		`{"op":"quiet","node":0,"gen":2,"idle":true}{"op":"barrier","node":1,"gen":2,"key":"step:1","idle":true}`,
-		`{"op":"reduce","node":0,"gen":2,"key":"k","val":3,"rop":"min","count":1}`,
+		`{"op":"reduce","node":0,"gen":2,"key":"k","val":3,"rop":1,"count":1}`,
+		`{"op":"reduce","node":0,"gen":2,"key":"k","val":3,"rop":1,"count":2}{"op":"reduce","node":1,"gen":2,"key":"k","rop":7}`,
 		`{"op":"reduce","node":1,"gen":2,"key":"k","count":-1}`,
 		`{"op":"ckpt","node":0,"gen":2,"step":4,"data":"AAEC"}{"op":"restore","node":0,"gen":2}`,
 		`{"op":"ping","node":7,"gen":2}{"op":"nope","node":0,"gen":2}`,
@@ -77,7 +81,8 @@ func FuzzCoordDispatch(f *testing.F) {
 				if after := state(); after != before {
 					t.Fatalf("stale request %+v changed the coordinator:\n%s\n%s", req, before, after)
 				}
-			case req.Node < 0 || req.Node >= 2, req.Count < 0, !known[req.Op]:
+			case req.Node < 0 || req.Node >= 2, req.Count < 0, !known[req.Op],
+				req.Op == "reduce" && req.ROp > rt.OpMax:
 				if resp.Err == "" || resp.OK {
 					t.Fatalf("bad request %+v answered %+v, want Err", req, resp)
 				}

@@ -102,9 +102,12 @@ hot_path_guards() {
 
 cluster_smokes() {
   step "bench and cluster smokes"
-  # Machine-readable results for diffing against the checked-in
-  # BENCH_PR3.json (reduced scale keeps CI fast).
+  # Machine-readable results, diffed against the checked-in
+  # BENCH_PR3.json (reduced scale keeps CI fast): the modeled GB/s and
+  # atomics/WI columns must match it exactly; host GB/s is only printed.
   go run ./cmd/gravel-bench -exp fig6 -scale 0.25 -json "$tmp/BENCH_PR3.json" && cat "$tmp/BENCH_PR3.json"
+  q='.experiments[] | select(.name == "fig6") | .rows[] | [.[0], .[1], .[3]]'
+  diff <(jq -c "$q" BENCH_PR3.json) <(jq -c "$q" "$tmp/BENCH_PR3.json")
   go run ./cmd/gravel-node -smoke
   # Distributed-baseline smoke: a rival model from the shared harness
   # registry as a real 3-node TCP cluster, under the race detector; the
