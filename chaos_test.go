@@ -130,7 +130,7 @@ func runFaultedCluster(t *testing.T, n int, faults *gravel.FaultConfig) []nodeRu
 			}
 			defer r.recoverErr()
 			r.local = gups.RunAt(r.sys, chaosInProcGUPS, rt.Where{Node: i}).Sum
-			r.total, r.err = r.tcp.Reduce("gups:sum", r.local)
+			r.total, r.err = r.tcp.Collectives().AllReduce("gups:sum", rt.WorldTeam, rt.OpSum, r.local)
 		}(i)
 	}
 	wg.Wait()

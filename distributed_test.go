@@ -143,7 +143,7 @@ func TestTCPClusterMatchesChan(t *testing.T) {
 					defer sys.Close()
 					locals[i] = gups.RunAt(sys, distGUPS, rt.Where{Node: i}).Sum
 					tcp := sys.(interface{ Fabric() core.Fabric }).Fabric().(*transport.TCP)
-					totals[i], errs[i] = tcp.Reduce("gups:sum", locals[i])
+					totals[i], errs[i] = tcp.Collectives().AllReduce("gups:sum", rt.WorldTeam, rt.OpSum, locals[i])
 				}(i)
 			}
 			wg.Wait()
@@ -215,7 +215,7 @@ func TestTCPClusterCoprocessorMatchesSingle(t *testing.T) {
 				return
 			}
 			locals[i] = shard.Check
-			totals[i], errs[i] = tcp.Reduce("gups:sum", shard.Check)
+			totals[i], errs[i] = tcp.Collectives().AllReduce("gups:sum", rt.WorldTeam, rt.OpSum, shard.Check)
 		}(i)
 	}
 	wg.Wait()
@@ -289,7 +289,7 @@ func TestTCPClusterArchiveMatchesSingle(t *testing.T) {
 						return
 					}
 					locals[i] = shard.Check
-					totals[i], errs[i] = tcp.Reduce("gups:sum", shard.Check)
+					totals[i], errs[i] = tcp.Collectives().AllReduce("gups:sum", rt.WorldTeam, rt.OpSum, shard.Check)
 				}(i)
 			}
 			wg.Wait()

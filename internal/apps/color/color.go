@@ -53,7 +53,7 @@ func Run(sys rt.System, cfg Config) Result {
 }
 
 // RunAt is the coloring: at says which node's shard this call launches.
-// The per-round "is everything colored?" decision reduces each shard's
+// The per-round "is everything colored?" decision sums each shard's
 // colored count through at.Coll so every process runs the same number
 // of rounds. A shard's Colored and ColorSum cover only its vertex range
 // and sum across shards to the whole run's values.

@@ -3,7 +3,7 @@
 // every node hashes its deterministic sample stream into a
 // block-partitioned bucket table with fine-grain remote increments.
 // Phase two summarizes the table two ways at once: on the device with
-// rt.DeviceColl (barrier, then sum/min/max all-reduces built from
+// rt.DeviceColl (barrier, then sum/min/max all-reductions built from
 // PutSignal/WaitUntil — no host round trip), and on the host with
 // rt.Collectives team reductions (the low and high halves of the
 // cluster each fold their bucket extremes over the coordinator).
@@ -147,7 +147,7 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 
 	// Phase 2: device collectives — one work-group per node. Each node
 	// folds its owned bucket range locally, then the team barrier and
-	// three all-reduces (sum of samples, min and max bucket count) run
+	// three all-reductions (sum of samples, min and max bucket count) run
 	// entirely on the fabric; every node stores the agreed results in
 	// its own symmetric result cells.
 	for i := range grid {

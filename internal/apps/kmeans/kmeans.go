@@ -82,7 +82,7 @@ func Run(sys rt.System, cfg Config) Result {
 // the whole run bit-for-bit in every process.
 //
 // With at.Ckpt set the shard saves the centroid vector after an
-// iteration's reduces (the accumulators are zero at that cut, and the
+// iteration's reductions (the accumulators are zero at that cut, and the
 // next iteration regenerates every increment from the centroids alone)
 // and resumes from a restore point. Every shard saves the same payload;
 // points are generated per (node, index), so a restore point is only
@@ -180,11 +180,11 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 		// of the replicas is the global accumulator; the reduced values —
 		// and therefore the centroids — are identical in every process.
 		//
-		// Snapshot and reset BEFORE contributing to the reduces: a peer
+		// Snapshot and reset BEFORE contributing to the reductions: a peer
 		// that collects the last reduction may launch the next iteration's
 		// kernel immediately, and its increments land on our replica the
-		// moment they arrive — a reset after the reduces would wipe them.
-		// Every peer is blocked in the reduces until this process has
+		// moment they arrive — a reset after the reductions would wipe them.
+		// Every peer is blocked in the reductions until this process has
 		// contributed, i.e. until after this reset.
 		sys.ChargeHost(5000)
 		cntSnap := make([]uint64, k)
@@ -239,7 +239,7 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 // EncodeShard builds a checkpoint payload: the iteration the run has
 // completed followed by the centroid vector. Every shard saves the
 // same payload (centroids are identical in every process after the
-// iteration's reduces), which doubles as a cross-shard consistency
+// iteration's reductions), which doubles as a cross-shard consistency
 // check at restore.
 func EncodeShard(cent []uint64, iter uint64) []byte {
 	p := ckpt.EncodeU64s([]uint64{iter, uint64(len(cent))}, len(cent))

@@ -183,8 +183,8 @@ type Options struct {
 	// Listen is the address to accept peer connections on; an explicit
 	// port 0 picks a free port, published through the coordinator.
 	Listen string
-	// Coord is the rendezvous coordinator address (join, reductions,
-	// checkpoints, failure detection). Peer addresses are exchanged at
+	// Coord is the rendezvous coordinator address (join, heartbeats,
+	// checkpoints, rescale). Peer addresses are exchanged at
 	// join; the TCP transport rejects multi-node clusters without it.
 	Coord string
 

@@ -345,7 +345,7 @@ func init() {
 
 	register(&App{
 		Name: "histogram",
-		Desc: "distributed histogram summarized by device collectives and host team all-reduces",
+		Desc: "distributed histogram summarized by device collectives and host team all-reductions",
 		Run: func(sys rt.System, at rt.Where, p Params) Result {
 			r := histogram.RunAt(sys, p.histogramConfig(sys.Nodes()), at)
 			return Result{

@@ -130,9 +130,9 @@ func RunWorker(cfg WorkerConfig) (res WorkerResult, err error) {
 	}
 
 	// The shard's superstep collectives (frontier emptiness, k-means
-	// accumulators, team reductions) ride the coordinator's keyed
-	// reduction through the transport's Collectives surface; an elastic
-	// run's checkpoints go to the coordinator's store the same way.
+	// accumulators, team reductions) ride the peer streams through the
+	// transport's Collectives surface; an elastic run's checkpoints go
+	// to the coordinator's store.
 	at := rt.Where{Node: cfg.Node, Coll: tcp.Collectives()}
 	resharded := false
 	if spec.Elastic && a.Elastic {
@@ -154,7 +154,7 @@ func RunWorker(cfg WorkerConfig) (res WorkerResult, err error) {
 		return res, shard.Err
 	}
 
-	total, err := tcp.Reduce(spec.App+":sum", shard.Check)
+	total, err := at.Coll.AllReduce(spec.App+":sum", rt.WorldTeam, rt.OpSum, shard.Check)
 	if err != nil {
 		return res, err
 	}

@@ -89,9 +89,8 @@ const (
 	// KSignal is a batch of PUT_SIGNAL resolutions: A = resolver bank
 	// (-1 on the bypass path), B = signals applied.
 	KSignal
-	// KCollective is one host collective (tag = "allreduce:<op>",
-	// "broadcast" or "barrier"): A = team size (0 = world),
-	// B = contributed value. A released TCP step vote is one too (tag
+	// KCollective is one host collective (tag = "allreduce:<op>"):
+	// A = team size (0 = world), B = the fold. A released TCP step vote is one too (tag
 	// "step-vote"): A = rounds taken, B = the node whose ballot came
 	// last.
 	KCollective

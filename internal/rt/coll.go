@@ -157,8 +157,8 @@ func (t Team) Tag() string {
 
 // CollectiveError reports a misused or unsupported collective.
 type CollectiveError struct {
-	// Op is the collective kind ("allreduce", "broadcast", "barrier",
-	// "team").
+	// Op is the collective kind ("allreduce", "team", or a device
+	// collective's).
 	Op string
 	// Key is the collective's key, when one was in play.
 	Key string
@@ -175,22 +175,17 @@ func (e *CollectiveError) Error() string {
 
 // Collectives is the host-side collective surface of a distributed
 // run. Implementations are node-bound: the value a process holds knows
-// which node it speaks for. Keys must be unique per collective and
-// issued in the same order by every member (tag them with a step or
-// phase counter — the deterministic app structure guarantees
-// agreement). In a single-process run there is nothing to coordinate
-// across, so a nil Collectives means "identity"; use the
-// AllReduce/Broadcast/Barrier package helpers, which encode that
+// which node it speaks for. Every member must issue a team's
+// collectives in the same order; the key (tag it with a step or phase
+// counter) and the operator are a checked label, and members that
+// disagree on it get a *CollectiveError. In a single-process run there
+// is nothing to coordinate across, so a nil Collectives means
+// "identity"; use the AllReduce package helper, which encodes that
 // convention.
 type Collectives interface {
 	// AllReduce folds every member's val under op and returns the
 	// result to all members.
 	AllReduce(key string, t Team, op ReduceOp, val uint64) (uint64, error)
-	// Broadcast returns root's val to every member; val is ignored on
-	// non-root callers. root is a node ID and must be a member.
-	Broadcast(key string, t Team, root int, val uint64) (uint64, error)
-	// Barrier returns once every member has entered it.
-	Barrier(key string, t Team) error
 }
 
 // AllReduce applies c.AllReduce, treating a nil Collectives as the
@@ -200,23 +195,6 @@ func AllReduce(c Collectives, key string, t Team, op ReduceOp, val uint64) (uint
 		return val, nil
 	}
 	return c.AllReduce(key, t, op, val)
-}
-
-// Broadcast applies c.Broadcast, treating a nil Collectives as the
-// single-process identity (the caller is the root).
-func Broadcast(c Collectives, key string, t Team, root int, val uint64) (uint64, error) {
-	if c == nil {
-		return val, nil
-	}
-	return c.Broadcast(key, t, root, val)
-}
-
-// Barrier applies c.Barrier; a nil Collectives is already alone.
-func Barrier(c Collectives, key string, t Team) error {
-	if c == nil {
-		return nil
-	}
-	return c.Barrier(key, t)
 }
 
 // SymmetryError reports symmetric-heap disagreement between the

@@ -2,121 +2,142 @@ package transport
 
 import (
 	"fmt"
-	"time"
+	"hash/fnv"
+	"sync"
 
 	"gravel/internal/obs"
 	"gravel/internal/rt"
 )
 
-// tcpCollectives adapts the coordinator's polled reduction protocol to
-// the rt.Collectives surface. Every collective is encoded as one
-// coordinator reduction whose key carries the team tag (empty for the
-// world team) and whose required contribution count is the team size,
-// so non-members neither block the collective nor are blocked by it.
-type tcpCollectives struct {
-	t *TCP
+// contribution is one member's part of one host collective, sent to
+// every other member of the team on the peer streams (DESIGN.md §4.5):
+// the team (FNV-64 of its tag), the team's collective count, the label
+// (FNV-64 of the key with the operator in the low byte) and the value.
+// Members issue a team's collectives in the same order, so a member's
+// n-th collective on a team is every member's n-th: the count is the
+// match, and the label is checked.
+type contribution struct{ team, n, label, val uint64 }
+
+func (c contribution) appendTo(p []byte) []byte { return appendWords(p, c.team, c.n, c.label, c.val) }
+
+func readContribution(p []byte) contribution {
+	return contribution{word(p, 0), word(p, 1), word(p, 2), word(p, 3)}
 }
+
+func (c contribution) op() rt.ReduceOp { return rt.ReduceOp(c.label & 0xff) }
+
+// openColl is one collective so far: the first contribution, whose
+// value is the fold of every value filed, the nodes that filed, and
+// whether a label differed from the first.
+type openColl struct {
+	contribution
+	from map[int]bool
+	bad  bool
+}
+
+// colls is one process's table of open collectives, keyed by team and
+// count, and its count of the collectives it opened on each team.
+type colls struct {
+	mu     sync.Mutex
+	open   map[[2]uint64]*openColl
+	issued map[uint64]uint64
+}
+
+// file records node's contribution. It refuses a second one from a
+// node, and one for a collective this process has finished or cannot
+// have reached: a peer is at most one collective ahead, since it needs
+// this process's contribution to finish the one before.
+func (cs *colls) file(node int, c contribution) bool {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.fileLocked(node, c)
+}
+
+func (cs *colls) fileLocked(node int, c contribution) bool {
+	o := cs.open[[2]uint64{c.team, c.n}]
+	switch {
+	case o == nil && c.n == cs.issued[c.team]:
+		cs.open[[2]uint64{c.team, c.n}] = &openColl{contribution: c, from: map[int]bool{node: true}}
+		return true
+	case o == nil || o.from[node]:
+		return false
+	}
+	o.from[node] = true
+	o.bad = o.bad || c.label != o.label
+	o.val = o.op().Combine(o.val, c.val)
+	return true
+}
+
+// take removes and returns the collective once size nodes have filed.
+func (cs *colls) take(c contribution, size int) (o *openColl) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if o = cs.open[[2]uint64{c.team, c.n}]; len(o.from) < size {
+		return nil
+	}
+	delete(cs.open, [2]uint64{c.team, c.n})
+	return o
+}
+
+func fnv64(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
+}
+
+type tcpCollectives struct{ t *TCP }
 
 // Collectives returns the transport's host-side collective surface,
-// bound to this process's node. Without a coordinator (a standalone
-// worker) the collectives degrade to the single-process identity.
-func (t *TCP) Collectives() rt.Collectives {
-	return tcpCollectives{t: t}
-}
+// bound to this process's node. On a single-node cluster (a standalone
+// worker) every collective is the identity: there is nobody to wait for.
+func (t *TCP) Collectives() rt.Collectives { return tcpCollectives{t} }
 
-// Reduce folds val into the named cluster-wide sum, blocking until
-// every node has contributed: the world-team sum of the collectives
-// below, on the same coordinator entry as AllReduce(key, rt.WorldTeam,
-// rt.OpSum, val).
-func (t *TCP) Reduce(key string, val uint64) (uint64, error) {
-	return tcpCollectives{t: t}.reduce(key, rt.WorldTeam, rt.OpSum, val)
-}
-
-func (c tcpCollectives) member(op, key string, team rt.Team) error {
-	if !team.Contains(c.t.self) {
-		return &rt.CollectiveError{Op: op, Key: key,
-			Detail: fmt.Sprintf("node %d is not a member of team %s", c.t.self, team.Tag())}
-	}
-	return nil
-}
-
-// reduce runs one coordinator reduction: contribute val, then poll
-// until every required worker has (the contribution is idempotent). A
-// count of 0 means every node; teams carry their size so the
-// coordinator completes at team-size contributions.
-func (c tcpCollectives) reduce(key string, team rt.Team, rop rt.ReduceOp, val uint64) (uint64, error) {
-	count := 0
-	if !team.World() {
-		count = team.Size(c.t.n)
-	}
-	resp, err := c.t.poll(time.Millisecond, &coordMsg{Op: "reduce", Key: key, Val: val, ROp: rop, Count: count})
-	if err != nil {
-		return 0, err
-	}
-	if resp == nil {
-		return val, nil // standalone worker: the single-process identity
-	}
-	return resp.Total, nil
-}
-
-func (c tcpCollectives) emit(tag string, team rt.Team, val uint64) {
-	if !obs.Enabled() {
-		return
-	}
-	size := 0 // 0 = world team
-	if !team.World() {
-		size = team.Size(c.t.n)
-	}
-	obs.Emit(obs.KCollective, c.t.self, int64(size), int64(val), tag)
-}
-
-// AllReduce implements rt.Collectives.
+// AllReduce implements rt.Collectives: it files this member's
+// contribution, sends it to every other member, and parks until theirs
+// are in or the transport fails, whose typed error (a dead peer or
+// coordinator, a rescale, a stale generation) it returns. Members that
+// disagree on the label all get a *rt.CollectiveError; a misuse only
+// this caller can see fails before anything is sent.
 func (c tcpCollectives) AllReduce(key string, team rt.Team, op rt.ReduceOp, val uint64) (uint64, error) {
-	if err := c.member("allreduce", key, team); err != nil {
-		return 0, err
+	t, members := c.t, team.Members(c.t.n)
+	fail := func(format string, a ...any) (uint64, error) {
+		return 0, &rt.CollectiveError{Op: "allreduce", Key: key, Detail: fmt.Sprintf(format, a...)}
 	}
-	total, err := c.reduce(key+team.Tag(), team, op, val)
-	if err != nil {
-		return 0, err
+	switch {
+	case op > rt.OpMax:
+		return fail("unknown operator %v", op)
+	case members[len(members)-1] >= t.n:
+		return fail("team %s names a node outside the %d-node cluster", team.Tag(), t.n)
+	case !team.Contains(t.self):
+		return fail("node %d is not a member of team %s", t.self, team.Tag())
 	}
-	c.emit("allreduce:"+op.String(), team, total)
-	return total, nil
+	mine := contribution{team: fnv64(team.Tag()), label: fnv64(key)&^0xff | uint64(op), val: val}
+	t.colls.mu.Lock()
+	mine.n = t.colls.issued[mine.team]
+	t.colls.fileLocked(t.self, mine)
+	t.colls.issued[mine.team]++
+	t.colls.mu.Unlock()
+	for _, m := range members {
+		if m != t.self {
+			t.sendInline(m, frameColl, mine.appendTo)
+		}
+	}
+	var o *openColl
+	var err error
+	t.Progress().Wait(func() bool {
+		if o = t.colls.take(mine, len(members)); o == nil {
+			err = t.Err()
+		}
+		return o != nil || err != nil
+	})
+	switch {
+	case err != nil:
+		return 0, err
+	case o.bad:
+		return fail("the team's members disagree on this collective's key or operator")
+	}
+	if obs.Enabled() { // team.Size(0) is 0 for the world team
+		obs.Emit(obs.KCollective, t.self, int64(team.Size(0)), int64(o.val), "allreduce:"+op.String())
+	}
+	return o.val, nil
 }
-
-// Broadcast implements rt.Collectives: root contributes its value and
-// everyone else the sum identity, so the team-wide sum is root's value.
-func (c tcpCollectives) Broadcast(key string, team rt.Team, root int, val uint64) (uint64, error) {
-	if err := c.member("broadcast", key, team); err != nil {
-		return 0, err
-	}
-	if !team.Contains(root) {
-		return 0, &rt.CollectiveError{Op: "broadcast", Key: key,
-			Detail: fmt.Sprintf("root %d is not a member of team %s", root, team.Tag())}
-	}
-	contrib := uint64(0)
-	if c.t.self == root {
-		contrib = val
-	}
-	total, err := c.reduce(key+":bcast"+team.Tag(), team, rt.OpSum, contrib)
-	if err != nil {
-		return 0, err
-	}
-	c.emit("broadcast", team, total)
-	return total, nil
-}
-
-// Barrier implements rt.Collectives: a sum of zeros under a
-// "barrier:"-prefixed key.
-func (c tcpCollectives) Barrier(key string, team rt.Team) error {
-	if err := c.member("barrier", key, team); err != nil {
-		return err
-	}
-	_, err := c.reduce("barrier:"+key+team.Tag(), team, rt.OpSum, 0)
-	if err != nil {
-		return err
-	}
-	c.emit("barrier", team, 0)
-	return nil
-}
-
-var _ rt.Collectives = tcpCollectives{}

@@ -7,30 +7,26 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"gravel/internal/rt"
 )
 
 // Coordinator is the rendezvous point of a multi-process cluster: it
-// assigns nothing and moves no data, but provides the collective
-// services the peer streams do not: peer discovery (join), keyed
-// reductions (superstep collectives and terminal results such as table
-// sums), and cluster-wide failure detection (workers heartbeat; a
-// worker silent past the suspect timeout is reported Down to every
-// op). Quiet and the step barrier are not here: the workers vote on
-// their peer streams (vote.go).
+// assigns nothing and moves no data, but keeps membership: peer
+// discovery (join), cluster-wide failure detection (workers heartbeat;
+// a worker silent past the suspect timeout is reported Down to every
+// op), checkpoints and rescale. Agreement is not here: the step vote
+// and host collectives ride the peer streams (vote.go, collectives.go).
 //
-// Every operation is a prompt request/response — workers poll instead
-// of blocking in the server — so every worker RPC can carry a deadline
-// and a vanished coordinator always surfaces as a typed CoordDownError
-// within that deadline, never as a hang.
+// Every operation is a prompt request/response — workers poll join
+// instead of blocking in the server — so every worker RPC can carry a
+// deadline and a vanished coordinator always surfaces as a typed
+// CoordDownError within that deadline, never as a hang.
 //
 // Membership is epoch-based: the coordinator stamps every epoch with a
 // generation (starting at 1) and every worker RPC carries its
 // generation; a join stamped 0 asks for the current one and is answered
 // with it. A worker from a dead epoch — one the launcher has moved
 // past with BeginEpoch — gets a typed stale-generation rejection
-// instead of silently polluting the new epoch's collectives. The
+// instead of silently polluting the new epoch's membership. The
 // coordinator also doubles as the cluster's checkpoint store: workers
 // save per-shard state at step barriers ("ckpt") and a relaunched
 // epoch fetches the latest complete restore point ("restore").
@@ -51,7 +47,6 @@ type Coordinator struct {
 	lastSeen  map[int]time.Time
 	left      map[int]bool
 
-	reduces  map[string]*reduceState
 	done     chan struct{}
 	doneOnce sync.Once // every epoch can end with everyone gone; done closes once
 
@@ -60,7 +55,7 @@ type Coordinator struct {
 	// checkpoint every current-epoch shard had saved). pendingRescale,
 	// when nonzero, is a planned membership change: op responses carry
 	// it so every worker unwinds with a typed RescaleError at its next
-	// collective.
+	// heartbeat or checkpoint.
 	ckpts          map[uint64]*ckptState
 	restore        *RestorePoint
 	pendingRescale int
@@ -85,40 +80,26 @@ type RestorePoint struct {
 	Shards [][]byte
 }
 
-type reduceState struct {
-	vals      map[int]uint64
-	op        rt.ReduceOp // fixed by the first contributor
-	count     int         // contributions required (0 = every node)
-	total     uint64
-	done      bool
-	collected map[int]bool // nodes that have received the total
-}
-
 // coordMsg is both request and response of the line-oriented JSON
 // protocol workers speak to the coordinator.
 type coordMsg struct {
-	Op      string      `json:"op,omitempty"`
-	Node    int         `json:"node"`
-	Gen     uint32      `json:"gen,omitempty"` // request: sender's generation (0 only on a first join); join reply: the coordinator's
-	Addr    string      `json:"addr,omitempty"`
-	Key     string      `json:"key,omitempty"`
-	Val     uint64      `json:"val,omitempty"`
-	ROp     rt.ReduceOp `json:"rop,omitempty"`     // reduction operator (0 = sum)
-	Count   int         `json:"count,omitempty"`   // contributions required (0 = every node)
-	Step    uint64      `json:"step,omitempty"`    // checkpoint step ("ckpt"/"restore")
-	Data    []byte      `json:"data,omitempty"`    // checkpoint shard payload
-	Suspect int64       `json:"suspect,omitempty"` // joiner's suspect timeout, ns
-	OK      bool        `json:"ok"`
-	Err     string      `json:"err,omitempty"`
-	Stale   uint32      `json:"stale,omitempty"`   // rejection: coordinator's newer generation
-	Rescale int         `json:"rescale,omitempty"` // planned next-epoch node count
-	RGen    uint32      `json:"rgen,omitempty"`    // generation the rescaled epoch will get
-	Ready   bool        `json:"ready,omitempty"`   // polled op (join/reduce) completed; restore: a point exists
-	Total   uint64      `json:"total,omitempty"`
-	Nodes   int         `json:"nodes,omitempty"`  // restore point's saving node count
-	Shards  [][]byte    `json:"shards,omitempty"` // restore point's per-node payloads
-	Peers   []string    `json:"peers,omitempty"`
-	Down    []int       `json:"down,omitempty"` // workers silent past the suspect timeout
+	Op      string   `json:"op,omitempty"`
+	Node    int      `json:"node"`
+	Gen     uint32   `json:"gen,omitempty"` // request: sender's generation (0 only on a first join); join reply: the coordinator's
+	Addr    string   `json:"addr,omitempty"`
+	Step    uint64   `json:"step,omitempty"`    // checkpoint step ("ckpt"/"restore")
+	Data    []byte   `json:"data,omitempty"`    // checkpoint shard payload
+	Suspect int64    `json:"suspect,omitempty"` // joiner's suspect timeout, ns
+	OK      bool     `json:"ok"`
+	Err     string   `json:"err,omitempty"`
+	Stale   uint32   `json:"stale,omitempty"`   // rejection: coordinator's newer generation
+	Rescale int      `json:"rescale,omitempty"` // planned next-epoch node count
+	RGen    uint32   `json:"rgen,omitempty"`    // generation the rescaled epoch will get
+	Ready   bool     `json:"ready,omitempty"`   // join: the cluster assembled; restore: a point exists
+	Nodes   int      `json:"nodes,omitempty"`   // restore point's saving node count
+	Shards  [][]byte `json:"shards,omitempty"`  // restore point's per-node payloads
+	Peers   []string `json:"peers,omitempty"`
+	Down    []int    `json:"down,omitempty"` // workers silent past the suspect timeout
 }
 
 // NewCoordinator creates a coordinator expecting the given worker
@@ -141,11 +122,10 @@ func (c *Coordinator) Generation() uint32 {
 }
 
 // BeginEpoch moves the cluster to a fresh epoch with the given worker
-// count: the generation bumps, membership and reduce state resets, any
-// pending rescale signal clears, and the restore point freezes at the
-// newest complete checkpoint. Workers of the dead epoch that are still
-// talking get stale-generation rejections from here on. Returns the new
-// generation.
+// count: the generation bumps, membership resets, any pending rescale
+// signal clears, and the restore point freezes at the newest complete
+// checkpoint. Workers of the dead epoch that are still talking get
+// stale-generation rejections from here on. Returns the new generation.
 func (c *Coordinator) BeginEpoch(nodes int) uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -159,16 +139,15 @@ func (c *Coordinator) BeginEpoch(nodes int) uint32 {
 	c.firstJoin = time.Time{}
 	c.lastSeen = make(map[int]time.Time)
 	c.left = make(map[int]bool)
-	c.reduces = make(map[string]*reduceState)
 	c.pendingRescale = 0
 	return c.gen
 }
 
 // Rescale schedules a planned membership change to the given node
-// count: every worker's next collective RPC carries the signal and
-// unwinds with a typed RescaleError, after which the launcher calls
-// BeginEpoch(nodes) and relaunches from the restore point. Returns the
-// generation the rescaled epoch will be given.
+// count: every worker's next heartbeat or checkpoint reply carries the
+// signal and unwinds it with a typed RescaleError, after which the
+// launcher calls BeginEpoch(nodes) and relaunches from the restore
+// point. Returns the generation the rescaled epoch will be given.
 func (c *Coordinator) Rescale(nodes int) uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -251,18 +230,15 @@ func (c *Coordinator) dispatch(req *coordMsg) *coordMsg {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Generation gate: an op stamped with another epoch's generation is
-	// rejected before it can touch membership or collective state (a
+	// rejected before it can touch membership or checkpoint state (a
 	// stale worker must not refresh a new-epoch node's liveness or
-	// pollute its reductions). Only a join may come unstamped: its reply
+	// pollute its checkpoints). Only a join may come unstamped: its reply
 	// tells the worker which generation it joined.
 	if req.Gen != c.gen && !(req.Op == "join" && req.Gen == 0) {
 		return &coordMsg{Stale: c.gen}
 	}
 	if req.Node < 0 || req.Node >= c.nodes {
 		return &coordMsg{Err: fmt.Sprintf("node %d out of range [0,%d)", req.Node, c.nodes)}
-	}
-	if req.Count < 0 {
-		return &coordMsg{Err: fmt.Sprintf("negative contribution count %d", req.Count)}
 	}
 	c.lastSeen[req.Node] = time.Now()
 	switch req.Op {
@@ -272,12 +248,6 @@ func (c *Coordinator) dispatch(req *coordMsg) *coordMsg {
 			return &coordMsg{Err: err.Error()}
 		}
 		return &coordMsg{OK: true, Ready: ready, Peers: peers, Gen: c.gen}
-	case "reduce":
-		total, ready, err := c.reduceLocked(req.Node, req.Key, req.Val, req.ROp, req.Count)
-		if err != nil {
-			return &coordMsg{Err: err.Error()}
-		}
-		return c.annotateLocked(&coordMsg{OK: true, Ready: ready, Total: total, Down: c.downLocked()})
 	case "ping":
 		return c.annotateLocked(&coordMsg{OK: true, Down: c.downLocked()})
 	case "ckpt":
@@ -298,7 +268,7 @@ func (c *Coordinator) dispatch(req *coordMsg) *coordMsg {
 
 // annotateLocked stamps a pending planned rescale onto an op response,
 // so every worker learns about the membership change at its next
-// collective and unwinds cooperatively.
+// heartbeat or checkpoint and unwinds cooperatively.
 func (c *Coordinator) annotateLocked(resp *coordMsg) *coordMsg {
 	if c.pendingRescale != 0 {
 		resp.Rescale = c.pendingRescale
@@ -393,51 +363,6 @@ func (c *Coordinator) downLocked() []int {
 		}
 	}
 	return down
-}
-
-// reduceLocked folds val into the named reduction; once enough workers
-// have contributed it reports ready with the combined value. Workers
-// poll (their contribution is idempotent), so the handler never blocks.
-// Keys must be unique per collective (tag them with a step or phase
-// counter; team collectives additionally carry the team tag). The first
-// contributor fixes the key's operator and required contribution count
-// (0 = every node of the epoch); an unknown operator, or one that
-// differs from the key's, is an error. The fold happens once, at
-// completion. The entry is deleted once every contributor has collected
-// the result, so per-step collectives do not leak coordinator memory.
-func (c *Coordinator) reduceLocked(node int, key string, val uint64, rop rt.ReduceOp, count int) (uint64, bool, error) {
-	st := c.reduces[key]
-	switch {
-	case rop > rt.OpMax:
-		return 0, false, fmt.Errorf("reduce %q: unknown operator %v", key, rop)
-	case st != nil && st.op != rop:
-		return 0, false, fmt.Errorf("reduce %q: operator %v, but the key's is %v", key, rop, st.op)
-	case st == nil:
-		if count <= 0 || count > c.nodes {
-			count = c.nodes
-		}
-		st = &reduceState{vals: make(map[int]uint64), op: rop, count: count, collected: make(map[int]bool)}
-		c.reduces[key] = st
-	}
-	if !st.done {
-		st.vals[node] = val
-		if len(st.vals) == st.count {
-			st.total = rop.Identity()
-			for _, v := range st.vals {
-				st.total = rop.Combine(st.total, v)
-			}
-			st.vals = nil
-			st.done = true
-		}
-	}
-	if !st.done {
-		return 0, false, nil
-	}
-	st.collected[node] = true
-	if len(st.collected) == st.count {
-		delete(c.reduces, key)
-	}
-	return st.total, true, nil
 }
 
 func (c *Coordinator) byeLocked(node int) {

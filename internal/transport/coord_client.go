@@ -120,28 +120,19 @@ func (t *TCP) exchange(req *coordMsg) (*coordMsg, error) {
 	return nil, err
 }
 
-// poll is the one wait loop of the polled operations (join, reduce):
-// it repeats the exchange every interval until the reply is Ready.
-// Workers poll instead of blocking in the server so that every exchange
-// carries a deadline.
-func (t *TCP) poll(interval time.Duration, req *coordMsg) (*coordMsg, error) {
-	for {
-		resp, err := t.exchange(req)
-		if err != nil || resp == nil || resp.Ready {
-			return resp, err
-		}
-		time.Sleep(interval)
-	}
-}
-
 // join registers this worker's listen address and polls until the whole
-// cluster has assembled, returning the address table. Assembly can
-// legitimately take as long as the slowest worker's start, so only
-// coordinator failure — not elapsed time — aborts the wait. A transport
-// built without a generation joins unstamped and adopts the
+// cluster has assembled, returning the address table. It polls instead
+// of blocking in the server so that every exchange carries a deadline.
+// Assembly can legitimately take as long as the slowest worker's start,
+// so only coordinator failure — not elapsed time — aborts the wait. A
+// transport built without a generation joins unstamped and adopts the
 // coordinator's; every later exchange and every frame carries it.
 func (t *TCP) join() ([]string, error) {
-	resp, err := t.poll(5*time.Millisecond, &coordMsg{Op: "join", Addr: t.Addr(), Suspect: int64(t.suspect)})
+	req := &coordMsg{Op: "join", Addr: t.Addr(), Suspect: int64(t.suspect)}
+	resp, err := t.exchange(req)
+	for ; err == nil && !resp.Ready; resp, err = t.exchange(req) {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -158,8 +149,8 @@ func (t *TCP) join() ([]string, error) {
 // ping keeps this worker's lastSeen fresh (so long compute phases are
 // not mistaken for death) and brings back the coordinator's view of
 // dead peers, failing the transport if any worker has gone silent. It
-// is how a voter parked on its peers learns that the coordinator died
-// or that a rescale is planned.
+// is how a voter or a collective parked on its peers learns that the
+// coordinator died or that a rescale is planned.
 func (t *TCP) heartbeatLoop() {
 	defer close(t.hbDone)
 	tick := time.NewTicker(t.heartbeat)

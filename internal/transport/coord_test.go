@@ -1,42 +1,36 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 
 	"gravel/internal/rt"
 )
 
-// TestCoordinatorReclaimsCollectiveState pins the coordinator's memory
-// bound: per-step reduce entries must be deleted once every node has
-// collected the total, so state does not grow with step count on
-// long-running clusters. (The step vote's own bound is
+// TestCollectivesReclaimState pins the collectives' memory bound: a
+// finished collective leaves no entry in any process's table of open
+// collectives, so state does not grow with step count on long-running
+// clusters. (The step vote's own bound is
 // TestTallyRetainsNoFinishedVote.)
-func TestCoordinatorReclaimsCollectiveState(t *testing.T) {
-	c := NewCoordinator(2)
-
-	// Reduce is a polled collective: nodes contribute, then poll until
-	// everyone has; the entry is reclaimed once all have collected.
-	reduce := func(node int, key string, val uint64) (uint64, bool) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		tot, ready, _ := c.reduceLocked(node, key, val, rt.OpSum, 0)
-		return tot, ready
+func TestCollectivesReclaimState(t *testing.T) {
+	fabs := newTCPCluster(t, 3)
+	defer closeAll(fabs)
+	pair := rt.TeamOf(0, 2)
+	for i := 0; i < 20; i++ {
+		team, members := rt.WorldTeam, []int{0, 1, 2}
+		if i%2 == 1 {
+			team, members = pair, []int{0, 2}
+		}
+		collOK(t, fabs, members, func(c rt.Collectives, self int) (uint64, error) {
+			return c.AllReduce(fmt.Sprintf("r:%d", i), team, rt.OpSum, uint64(self))
+		})
 	}
-	if _, ready := reduce(0, "sum:1", 1); ready {
-		t.Fatal("reduce ready with one node missing")
-	}
-	tot1, ready := reduce(1, "sum:1", 2)
-	if !ready || tot1 != 3 {
-		t.Fatalf("reduce(1) = %d ready=%v, want 3 true", tot1, ready)
-	}
-	tot0, ready := reduce(0, "sum:1", 1) // node 0 polls again and collects
-	if !ready || tot0 != 3 {
-		t.Fatalf("reduce(0) poll = %d ready=%v, want 3 true", tot0, ready)
-	}
-	c.mu.Lock()
-	nr := len(c.reduces)
-	c.mu.Unlock()
-	if nr != 0 {
-		t.Fatalf("%d reduce entries retained after every node collected the total", nr)
+	for i, f := range fabs {
+		f.colls.mu.Lock()
+		open := len(f.colls.open)
+		f.colls.mu.Unlock()
+		if open != 0 {
+			t.Fatalf("process %d retains %d collectives after every member finished them", i, open)
+		}
 	}
 }

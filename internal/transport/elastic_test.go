@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gravel/internal/fabric"
+	"gravel/internal/rt"
 	"gravel/internal/timemodel"
 )
 
@@ -186,10 +187,10 @@ func TestTCPCoordinatorKillTypedUnwind(t *testing.T) {
 	c.Kill()
 	ln.Close()
 
-	_, err = fabs[0].Reduce("after-kill", 1)
+	_, err = fabs[0].Collectives().AllReduce("after-kill", rt.WorldTeam, rt.OpSum, 1)
 	var cde *CoordDownError
 	if !errors.As(err, &cde) {
-		t.Fatalf("Reduce error is %T (%v), want *CoordDownError", err, err)
+		t.Fatalf("AllReduce error is %T (%v), want *CoordDownError", err, err)
 	}
 
 	unwound := func() (err error) {

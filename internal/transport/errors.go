@@ -27,8 +27,8 @@ func (e *PeerDownError) Error() string {
 }
 
 // CoordDownError reports that the rendezvous coordinator is
-// unreachable: a coordinator RPC (join, reduce, checkpoint, heartbeat)
-// failed or timed out. Reductions and failure detection depend on the
+// unreachable: a coordinator RPC (join, checkpoint, heartbeat) failed
+// or timed out. Membership and failure detection depend on the
 // coordinator, so the run cannot continue.
 type CoordDownError struct {
 	// Addr is the coordinator address.
@@ -66,8 +66,8 @@ func (e *StaleGenerationError) Error() string {
 
 // RescaleError reports a planned membership change: the coordinator
 // signaled that the cluster is rescaling to a new node count, so the
-// current epoch must unwind at the next collective and relaunch from
-// checkpoint under the new generation. It is cooperative, not a
+// current epoch must unwind at its next heartbeat or checkpoint and
+// relaunch from checkpoint under the new generation. It is cooperative, not a
 // failure — the launcher's elastic loop treats it as a scheduled epoch
 // boundary and does not charge it against the recovery budget.
 type RescaleError struct {

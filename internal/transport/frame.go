@@ -34,8 +34,9 @@ var errCorruptPayload = errors.New("transport: frame CRC mismatch")
 //	32      4     CRC-32 (IEEE) of the payload
 //
 // Data and routed-data payloads are exactly the wire-package per-node
-// (or per-group) queue encodings, and a vote's is one ballot (vote.go);
-// the other control frames carry no payload and reuse the seq field
+// (or per-group) queue encodings, a vote's is one ballot (vote.go) and
+// a contribution's one contribution (collectives.go); the other control
+// frames carry no payload and reuse the seq field
 // (hello: stream resume point; ack: cumulative acknowledged seq).
 const (
 	frameMagic      = 0x4C565247 // "GRVL"
@@ -77,9 +78,16 @@ const (
 	// sequenced in the stream like a data frame, so it is replayed and
 	// deduplicated across reconnects, but it carries no records.
 	frameVote
+	// frameColl carries one member's contribution to a host collective
+	// (collectives.go), sequenced like a ballot and owed like data.
+	frameColl
 )
 
-func (t frameType) valid() bool { return t >= frameData && t <= frameVote }
+func (t frameType) valid() bool { return t >= frameData && t <= frameColl }
+
+// inline reports whether the frame type's payload is four words in
+// frame.inline (a ballot or a contribution) rather than records.
+func (t frameType) inline() bool { return t == frameVote || t == frameColl }
 
 // frame is one transport protocol unit.
 type frame struct {
@@ -90,9 +98,9 @@ type frame struct {
 	gen      uint16 // membership generation stamp
 	payload  []byte
 
-	// inline holds a vote's payload, so a warm ballot allocates nothing
-	// on either side; payload points into it (wire.PutBuf ignores a
-	// buffer that small).
+	// inline holds a vote's or a contribution's payload, so neither
+	// allocates on either side; payload points into it (wire.PutBuf
+	// ignores a buffer that small).
 	inline [ballotBytes]byte
 
 	// sentAt is the flight recorder's timestamp of the frame's first
@@ -193,7 +201,7 @@ func readFrameInto(r *bufio.Reader, f *frame) error {
 		gen:  binary.LittleEndian.Uint16(h[6:8]),
 	}
 	switch {
-	case typ == frameVote && plen == ballotBytes:
+	case typ.inline() && plen == ballotBytes:
 		f.payload = f.inline[:]
 	case plen > 0:
 		f.payload = wire.GetBuf(int(plen))[:plen]

@@ -32,6 +32,7 @@ var frameCases = []*frame{
 	{typ: frameFin, from: 3, to: 0},
 	{typ: frameFinAck, from: 0, to: 3},
 	{typ: frameVote, from: 1, to: 2, seq: 7, gen: 3, payload: ballot{vote: 4, round: 1, departed: 1 << 40, consumed: 1<<40 - 1}.appendTo(nil)},
+	{typ: frameColl, from: 2, to: 0, seq: 3, gen: 1, payload: contribution{team: 1 << 63, n: 5, label: 0xabcdef02, val: 1 << 50}.appendTo(nil)},
 }
 
 func malformedFrames() map[string][]byte {

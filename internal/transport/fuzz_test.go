@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
-
-	"gravel/internal/rt"
 )
 
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder: it must
@@ -39,31 +37,31 @@ func FuzzReadFrame(f *testing.F) {
 // request stream (JSON values, as Coordinator.handle decodes them)
 // against a 2-node coordinator in its second epoch. Dispatch must never
 // panic; a stale generation is answered Stale and changes nothing;
-// an out-of-range node, a negative count, an unknown op — the step
-// vote's retired "quiet" and "barrier" included — and an unknown
-// reduction operator are answered Err.
+// an out-of-range node and an unknown op — the step vote's retired
+// "quiet" and "barrier" and the collectives' retired "reduce" included
+// — are answered Err.
 func FuzzCoordDispatch(f *testing.F) {
 	for _, seed := range []string{
 		`{"op":"join","node":0,"addr":"a:1"}`,
 		`{"op":"join","node":1,"gen":2,"addr":"b:1","suspect":1000}{"op":"ping","node":1,"gen":2}`,
 		`{"op":"quiet","node":0,"gen":2,"idle":true}{"op":"barrier","node":1,"gen":2,"key":"step:1","idle":true}`,
-		`{"op":"reduce","node":0,"gen":2,"key":"k","val":3,"rop":1,"count":1}`,
-		`{"op":"reduce","node":0,"gen":2,"key":"k","val":3,"rop":1,"count":2}{"op":"reduce","node":1,"gen":2,"key":"k","rop":7}`,
-		`{"op":"reduce","node":1,"gen":2,"key":"k","count":-1}`,
+		`{"op":"reduce","node":0,"gen":2,"key":"k","val":3}`,
+		`{"op":"reduce","node":1,"gen":1,"key":"k","val":3}`,
 		`{"op":"ckpt","node":0,"gen":2,"step":4,"data":"AAEC"}{"op":"restore","node":0,"gen":2}`,
+		`{"op":"ckpt","node":1,"gen":2,"step":4,"data":"AAEC"}{"op":"ckpt","node":1,"gen":2,"step":4,"data":"AwQF"}`,
 		`{"op":"ping","node":7,"gen":2}{"op":"nope","node":0,"gen":2}`,
 		`{"op":"bye","node":0,"gen":1}{"op":"bye","node":0,"gen":2}{"op":"bye","node":1,"gen":2}`,
 	} {
 		f.Add([]byte(seed))
 	}
-	known := map[string]bool{"join": true, "reduce": true, "ping": true, "ckpt": true, "restore": true, "bye": true}
+	known := map[string]bool{"join": true, "ping": true, "ckpt": true, "restore": true, "bye": true}
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		c := NewCoordinator(2)
 		gen := c.BeginEpoch(2)
 		state := func() string {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			return fmt.Sprint(c.gen, c.nodes, c.peers, len(c.lastSeen), c.left, len(c.reduces), len(c.ckpts))
+			return fmt.Sprint(c.gen, c.nodes, c.peers, len(c.lastSeen), c.left, len(c.ckpts))
 		}
 		dec := json.NewDecoder(bytes.NewReader(stream))
 		for {
@@ -81,8 +79,7 @@ func FuzzCoordDispatch(f *testing.F) {
 				if after := state(); after != before {
 					t.Fatalf("stale request %+v changed the coordinator:\n%s\n%s", req, before, after)
 				}
-			case req.Node < 0 || req.Node >= 2, req.Count < 0, !known[req.Op],
-				req.Op == "reduce" && req.ROp > rt.OpMax:
+			case req.Node < 0 || req.Node >= 2, !known[req.Op]:
 				if resp.Err == "" || resp.OK {
 					t.Fatalf("bad request %+v answered %+v, want Err", req, resp)
 				}

@@ -13,17 +13,17 @@ import (
 // TCP sender and serveConn, or a test's scripted link) moves the frames
 // and tells the two halves below what arrived.
 //
-// The send half numbers data frames and ballots from 1 and keeps every
-// transmitted frame in a bounded window until a cumulative ack covers
-// it. A new
-// connection starts with the receiver's resume point, which trims the
-// window like any ack; what is left is replayed in order. The receive
-// half delivers a frame only if it is the next in sequence and arrived
-// on the live connection, so a replay after a lost ack is re-acked and
-// dropped, a gap (a frame lost mid-stream) poisons the connection into
-// exactly that reconnect, and a connection superseded by a reconnect
-// can no longer deliver what its reader still buffers. Together:
-// in-order, exactly-once delivery across any number of connections.
+// The send half numbers data frames, ballots and contributions from 1
+// and keeps every transmitted frame in a bounded window until a
+// cumulative ack covers it. A new connection starts with the
+// receiver's resume point, which trims the window like any ack; what
+// is left is replayed in order. The receive half delivers a frame
+// only if it is the next in sequence and arrived on the live
+// connection, so a replay after a lost ack is re-acked and dropped, a
+// gap (a frame lost mid-stream) poisons the connection into exactly
+// that reconnect, and a connection superseded by a reconnect can no
+// longer deliver what its reader still buffers. Together: in-order,
+// exactly-once delivery across any number of connections.
 
 // sendStream is the send half. One goroutine drives it; idle alone may
 // be called from any other.
@@ -49,7 +49,7 @@ func (s *sendStream) idle() bool { return s.unacked.Load() == 0 }
 func (s *sendStream) admit(f *frame) {
 	s.nextSeq++
 	f.seq = s.nextSeq
-	if f.typ != frameVote && obs.Enabled() {
+	if !f.typ.inline() && obs.Enabled() {
 		f.sentAt = obs.Now()
 	}
 	s.window = append(s.window, f)
@@ -59,7 +59,7 @@ func (s *sendStream) admit(f *frame) {
 // ack trims every frame with seq ≤ acked out of the window and recycles
 // it. The cumulative ack is the proof no replay can need the frame
 // again, which makes this the one recycle point of the send side. It
-// returns how many of the trimmed frames were data (not ballots).
+// returns how many of the trimmed frames were owed (not ballots).
 func (s *sendStream) ack(acked uint64) (data int) {
 	i := 0
 	for i < len(s.window) && s.window[i].seq <= acked {

@@ -60,10 +60,10 @@ const (
 // Connection lifecycle (tcp_sender.go, tcp_recv.go): sender.run and
 // serveConn are the only code that touches a peer net.Conn.
 // Membership (coord_client.go): every coordinator exchange — join,
-// reductions, checkpoints, heartbeats — goes through TCP.exchange,
-// which owns the failure rule. Cross-process quiet and the step barrier
-// need no coordinator: they are the step vote (vote.go), carried on the
-// peer streams.
+// checkpoints, heartbeats — goes through TCP.exchange, which owns the
+// failure rule. Cross-process agreement needs no coordinator: quiet and
+// the step barrier are the step vote (vote.go) and host collectives
+// are contributions (collectives.go), both carried on the peer streams.
 //
 // Timing: the virtual LogGP model is charged sender-side and
 // receiver-side as in the in-process fabrics.
@@ -94,7 +94,7 @@ type TCP struct {
 	// failedCh is closed by fail() on the first fatal transport error
 	// (peer or coordinator declared down). After that, Send discards so
 	// aggregator goroutines drain instead of blocking, and the
-	// collective entry points (Quiet, StepBarrier, Reduce) surface
+	// collective entry points (Quiet, StepBarrier, AllReduce) surface
 	// failErr — Quiet and StepBarrier by panicking it on the Step
 	// goroutine, which the node runtime recovers into a nonzero exit.
 	failOnce sync.Once
@@ -124,6 +124,8 @@ type TCP struct {
 	// and step it.
 	quietMu sync.Mutex
 	tally   tally
+
+	colls colls // the open host collectives (collectives.go)
 
 	// staged is the runtime's staged read (SetStaged), which every
 	// ballot runs so a process waiting on the step vote keeps AM
@@ -197,6 +199,7 @@ func NewTCP(params *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Opt
 		recv:      make([]recvStream, n),
 		conns:     make(map[net.Conn]struct{}),
 		tally:     tally{self: opt.Self, box: make([]ballots, n)},
+		colls:     colls{open: make(map[[2]uint64]*openColl), issued: make(map[uint64]uint64)},
 		failedCh:  make(chan struct{}),
 		killed:    make(chan struct{}),
 	}
@@ -339,16 +342,19 @@ func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 	f.typ, f.from, f.to, f.msgs, f.payload = typ, from, to, msgs, buf
 	f.gen = t.wireGen()
 	t.clocks[from].AddWireSend(t.params.WireNs(len(buf)))
-	t.senders[to].owed.Add(1)
 	t.enqueue(to, f)
 }
 
-// enqueue stages a frame for a destination, blocking on backpressure.
-// Once the transport has failed the frame is discarded instead: the
-// aggregation goroutines calling Send must drain and park so the Step
-// goroutine — not they — reports the typed error; delivery guarantees
-// are void on a failed transport anyway.
+// enqueue stages a frame for a destination, blocking on backpressure;
+// the frame is owed until acknowledged unless it is a ballot. Once the
+// transport has failed the frame is discarded instead: the aggregation
+// goroutines calling Send must drain and park so the Step goroutine —
+// not they — reports the typed error; delivery guarantees are void on
+// a failed transport anyway.
 func (t *TCP) enqueue(to int, f *frame) {
+	if f.typ != frameVote {
+		t.senders[to].owed.Add(1)
+	}
 	select {
 	case t.senders[to].queue <- f:
 	case <-t.failedCh:

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gravel/internal/fabric"
+	"gravel/internal/rt"
 	"gravel/internal/wire"
 )
 
@@ -27,10 +28,11 @@ func (t *TCP) acceptLoop() {
 
 // serveConn is the connection lifecycle of one inbound stream: HELLO
 // and the generation gate, then frames — validated, ruled on by the
-// peer's recvStream, delivered (data) or filed in the tally (ballots),
-// acknowledged — until FIN or error. Any malformed frame, and a ballot
-// the tally refuses, poisons the connection; the peer reconnects and
-// replays from the last acknowledged frame.
+// peer's recvStream, delivered (data) or filed in the tally (ballots)
+// or the open collectives (contributions), acknowledged — until FIN or
+// error. Any malformed frame, and a ballot or contribution that is
+// refused, poisons the connection; the peer reconnects and replays
+// from the last acknowledged frame.
 func (t *TCP) serveConn(conn net.Conn) {
 	defer t.handlers.Done()
 	defer func() {
@@ -103,23 +105,26 @@ func (t *TCP) serveConn(conn net.Conn) {
 			if writeCtl(frameAck, rs.cumAck()) != nil {
 				return
 			}
-		case frameData, frameRouted, frameVote:
-			vote := f.typ == frameVote
+		case frameData, frameRouted, frameVote, frameColl:
+			inline := f.typ.inline()
 			if f.from != from || f.to != t.self ||
 				f.gen != hello.gen || // generation drift mid-stream: reject, not misdeliver
-				vote && len(f.payload) != ballotBytes ||
-				!vote && wire.CheckBuf(f.payload, f.typ == frameRouted, t.n) != nil {
+				inline && len(f.payload) != ballotBytes ||
+				f.typ == frameColl && readContribution(f.payload).op() > rt.OpMax ||
+				!inline && wire.CheckBuf(f.payload, f.typ == frameRouted, t.n) != nil {
 				t.Malformed.Add(1)
 				return
 			}
 			refused := false
 			switch rs.accept(conn, f.seq, func() bool {
-				if vote { // a ballot no working peer sends is refused
-					refused = !t.tally.file(from, readBallot(f.payload))
-					t.Progress().Wake()
-					return !refused
+				if !inline {
+					return t.deliver(&f, f.typ == frameRouted)
 				}
-				return t.deliver(&f, f.typ == frameRouted)
+				// A ballot or contribution no working peer sends is refused.
+				refused = f.typ == frameVote && !t.tally.file(from, readBallot(f.payload)) ||
+					f.typ == frameColl && !t.colls.file(from, readContribution(f.payload))
+				t.Progress().Wake()
+				return !refused
 			}) {
 			case frameDuplicate:
 				// Nothing will ever apply this payload: recycle it.

@@ -33,9 +33,9 @@ type sender struct {
 	enc []byte
 	bw  *bufio.Writer
 
-	// owed counts the data frames handed to this stream and not yet
-	// acknowledged, queued or in the window. Ballots are not owed: a
-	// voter must not wait on its own vote.
+	// owed counts the data frames and contributions handed to this
+	// stream and not yet acknowledged, queued or in the window. Ballots
+	// are not owed: a voter must not wait on its own vote.
 	owed atomic.Int64
 
 	// lastAck is the unix-nano time of the last proof the peer is alive:
@@ -68,13 +68,13 @@ func (s *sender) suspectCheck() bool {
 	return false
 }
 
-// idle reports whether no data frame is staged or awaiting
+// idle reports whether no owed frame is staged or awaiting
 // acknowledgment.
 func (s *sender) idle() bool { return s.owed.Load() == 0 }
 
 // acked trims the window up to the peer's cumulative ack; the ack that
-// settles the last data frame owed may be what a Quiet waiter is
-// waiting for.
+// settles the last frame owed may be what a Quiet waiter is waiting
+// for.
 func (s *sender) acked(seq uint64) {
 	if n := s.str.ack(seq); n > 0 && s.owed.Add(-int64(n)) == 0 {
 		s.t.Progress().Wake()
@@ -85,8 +85,8 @@ func (s *sender) acked(seq uint64) {
 // connection's batching writer. Bytes are copied out of the frame, so
 // the window's ownership is unaffected. The caller is responsible for
 // flushing: data frames ride the 125µs flush deadline (mirroring the
-// aggregator's flush timeout), ballots and control frames flush
-// immediately.
+// aggregator's flush timeout), ballots, contributions and control
+// frames flush immediately.
 func (s *sender) write(f *frame) error {
 	s.enc = appendFrame(s.enc[:0], f)
 	_, err := s.bw.Write(s.enc)
@@ -347,22 +347,23 @@ func (s *sender) run() {
 			// Burst-drain: pull every frame already staged (up to the
 			// window limit) into one buffered write, then arm the flush
 			// deadline instead of paying a syscall per frame. A ballot
-			// is waited on by every peer, so it flushes at once.
+			// or a contribution is waited on by a peer, so it flushes
+			// at once.
 			s.str.admit(f)
 			err := s.write(f)
-			vote := f.typ == frameVote
+			urgent := f.typ.inline()
 		burst:
 			for err == nil && !s.str.full() {
 				select {
 				case f = <-s.queue:
 					s.str.admit(f)
 					err = s.write(f)
-					vote = vote || f.typ == frameVote
+					urgent = urgent || f.typ.inline()
 				default:
 					break burst
 				}
 			}
-			if err == nil && vote {
+			if err == nil && urgent {
 				err = s.bw.Flush()
 			}
 			if err != nil {

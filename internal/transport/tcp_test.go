@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gravel/internal/fabric"
+	"gravel/internal/rt"
 	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
@@ -132,7 +133,7 @@ func TestTCPReduceSumsAcrossFabrics(t *testing.T) {
 		wg.Add(1)
 		go func(i int, f *TCP) {
 			defer wg.Done()
-			totals[i], _ = f.Reduce("sum", uint64(10*(i+1)))
+			totals[i], _ = f.Collectives().AllReduce("sum", rt.WorldTeam, rt.OpSum, uint64(10*(i+1)))
 		}(i, f)
 	}
 	wg.Wait()

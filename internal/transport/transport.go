@@ -15,9 +15,10 @@
 //     sequence-numbered frames with cumulative acks and retransmit
 //     (exactly-once delivery across connection drops), bounded send and
 //     receive queues for backpressure, a FIN/FIN-ACK drain handshake on
-//     Close, a rendezvous coordinator for peer discovery, reductions and
-//     failure detection, and a step vote on the peer streams that
-//     extends the runtime's Quiet() and step barrier across processes.
+//     Close, a rendezvous coordinator for peer discovery, checkpoints
+//     and failure detection, and, on the peer streams, a step vote that
+//     extends the runtime's Quiet() and step barrier across processes
+//     and the host collectives.
 //
 // Time stays virtual on every transport: a frame charges the same
 // LogGP wire occupancy the in-process fabrics charge.

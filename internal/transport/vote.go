@@ -21,8 +21,8 @@ import (
 // release and passes it; Quiet, for Fabric callers, answers for the
 // open vote, and a Quiet or StepBarrier after the pass opens the next.
 
-// ballotBytes is a vote frame's payload: vote, round, departed and
-// consumed, little-endian.
+// ballotBytes is a vote frame's payload, vote, round, departed and
+// consumed, and a contribution's: four little-endian words.
 const ballotBytes = 32
 
 // ballot is one process's vote for one round.
@@ -31,16 +31,22 @@ type ballot struct {
 	departed, consumed int64
 }
 
-func (b ballot) appendTo(p []byte) []byte {
-	for _, x := range [4]uint64{b.vote, b.round, uint64(b.departed), uint64(b.consumed)} {
+// appendWords and word are the codec of the four-word payloads.
+func appendWords(p []byte, w ...uint64) []byte {
+	for _, x := range w {
 		p = binary.LittleEndian.AppendUint64(p, x)
 	}
 	return p
 }
 
+func word(p []byte, i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
+
+func (b ballot) appendTo(p []byte) []byte {
+	return appendWords(p, b.vote, b.round, uint64(b.departed), uint64(b.consumed))
+}
+
 func readBallot(p []byte) ballot {
-	u := func(i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
-	return ballot{u(0), u(1), int64(u(2)), int64(u(3))}
+	return ballot{word(p, 0), word(p, 1), int64(word(p, 2)), int64(word(p, 3))}
 }
 
 // ballots is one peer's ballots in arrival order: the open round's and
@@ -186,12 +192,20 @@ func (t *TCP) vote(barrier bool) bool {
 func (t *TCP) castBallot(b ballot) {
 	for _, s := range t.senders {
 		if s != nil {
-			f := getFrame()
-			f.typ, f.from, f.to, f.gen = frameVote, t.self, s.dest, t.wireGen()
-			f.payload = b.appendTo(f.inline[:0])
-			t.enqueue(s.dest, f)
+			t.sendInline(s.dest, frameVote, b.appendTo)
 		}
 	}
+}
+
+// sendInline stages a ballot or a contribution for to, encoded into
+// frame.inline. A contribution is owed like data, so Close's drain
+// cannot FIN a stream whose peer may still need its replay; a ballot
+// is not: a voter must not wait on its own vote.
+func (t *TCP) sendInline(to int, typ frameType, appendTo func([]byte) []byte) {
+	f := getFrame()
+	f.typ, f.from, f.to, f.gen = typ, t.self, to, t.wireGen()
+	f.payload = appendTo(f.inline[:0])
+	t.enqueue(to, f)
 }
 
 // StepBarrier implements fabric.Distributed: it parks until the open

@@ -16,7 +16,7 @@ import (
 // TestDeviceCollectives drives rt.DeviceColl through the public system:
 // one work-group per node runs a barrier, the three all-reduce ops and
 // a broadcast back to back — five rounds, so the parity double-buffer
-// is reused — and a disjoint sub-team reduces concurrently with the
+// is reused — and a disjoint sub-team folds concurrently with the
 // world rounds on its own symmetric state.
 func TestDeviceCollectives(t *testing.T) {
 	sys := gravel.New(gravel.Config{Nodes: 4})
@@ -209,7 +209,7 @@ func TestTCPClusterPGASAppsMatchSingle(t *testing.T) {
 							return
 						}
 						locals[i] = shard.Check
-						totals[i], errs[i] = tcp.Reduce(name+":check", shard.Check)
+						totals[i], errs[i] = tcp.Collectives().AllReduce(name+":check", rt.WorldTeam, rt.OpSum, shard.Check)
 					}(i)
 				}
 				wg.Wait()

@@ -20,7 +20,7 @@ func TestNoHostSidePolling(t *testing.T) {
 	guarded := []string{"internal/core", "internal/agg", "internal/fabric", "internal/transport", "internal/park"}
 	allowed := map[string]string{
 		"internal/park/park.go:Wait":                   "the wait primitive's bounded spin",
-		"internal/transport/coord_client.go:poll":      "the coordinator poll (join, reduce)",
+		"internal/transport/coord_client.go:join":      "the coordinator poll (join)",
 		"internal/transport/coord_client.go:dialCoord": "redial back-off before the coordinator listens",
 		"internal/transport/fault/fault.go:Write":      "the fault injector's injected delays and stalls",
 	}

@@ -65,11 +65,13 @@ race_and_guards() {
   go test -race -count=200 -run 'ObserveReadOrder' ./internal/fabric
   go test -race -count=200 -run 'QuiesceWaitsOutCascade|QuiesceSeesPacket|QuiesceRetiresDroppedFrame' ./internal/core
   go test -race -count=15 -run MerPhase2AcrossModels ./internal/models
-  # The TCP step vote (DESIGN.md §4.5): a cascade between rounds holds
-  # it, a next ballot taken before the round's last one is caught, no
-  # finished vote is retained, refused ballots poison the connection,
-  # and 200 steps on 2 and 4 processes stay aligned, twenty tries each.
-  go test -race -count=20 -run 'Vote|Tally' ./internal/transport
+  # The TCP step vote and host collectives (DESIGN.md §4.5): a cascade
+  # between rounds holds the vote, a next ballot taken before the
+  # round's last one is caught, no finished vote or collective is
+  # retained, refused ballots poison the connection, 200 steps on 2 and
+  # 4 processes stay aligned, and every misused collective returns a
+  # typed error on every member that called, twenty tries each.
+  go test -race -count=20 -run 'Vote|Tally|Collective' ./internal/transport
   go test -bench=. -benchtime=20ms -run=NONE ./internal/queue/ ./internal/wire/ ./internal/simt/ ./internal/fabric/ ./internal/core/ ./internal/pgas/
 }
 
