@@ -7,7 +7,6 @@ import (
 
 	"gravel/internal/apps/gups"
 	"gravel/internal/core"
-	"gravel/internal/models"
 	"gravel/internal/simt"
 )
 
@@ -188,23 +187,6 @@ func TestTable2Counts(t *testing.T) {
 	}
 	if !(cop > coal && coal > g) {
 		t.Errorf("LoC ordering: coprocessor=%v coalesced=%v gravel=%v, want cop > coal > gravel", cop, coal, g)
-	}
-}
-
-// TestWorkloadsRunEverywhere is a broad integration sweep: every
-// workload must complete on a 2-node cluster of every model.
-func TestWorkloadsRunEverywhere(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is slow")
-	}
-	for _, wl := range Workloads(0.05) {
-		for _, m := range append(models.Names(), "cpu-only") {
-			sys := models.New(m, 2, nil)
-			if ns := wl.Run(sys); ns <= 0 {
-				t.Errorf("%s on %s: no virtual time", wl.Name, m)
-			}
-			sys.Close()
-		}
 	}
 }
 

@@ -239,14 +239,17 @@ func init() {
 		// derives from global vertex IDs, so a checkpoint saved by N
 		// workers restores under any node count.
 		Reshardable: true,
+		VerifyTotal: func(total uint64, p Params, _ int) error {
+			return matches("pagerank", total, refSum(pagerank.Reference(randomInput(p), p.itersOr(3))))
+		},
 	})
 
-	registerGraphApp("pagerank-1", "PR-1", "push-style PageRank, hugebubbles stand-in (Table 4)", BubblesInput, runGraphPagerank)
-	registerGraphApp("pagerank-2", "PR-2", "push-style PageRank, cage15 stand-in (Table 4)", CageInput, runGraphPagerank)
-	registerGraphApp("sssp-1", "SSSP-1", "level-synchronous Bellman-Ford, hugebubbles stand-in (Table 4)", BubblesInput, runSSSP)
-	registerGraphApp("sssp-2", "SSSP-2", "level-synchronous Bellman-Ford, cage15 stand-in (Table 4)", CageInput, runSSSP)
-	registerGraphApp("color-1", "color-1", "Jones-Plassmann coloring, hugebubbles stand-in (Table 4)", BubblesInput, runColor)
-	registerGraphApp("color-2", "color-2", "Jones-Plassmann coloring, cage15 stand-in (Table 4)", CageInput, runColor)
+	registerGraphApp("pagerank-1", "PR-1", "push-style PageRank, hugebubbles stand-in (Table 4)", BubblesInput, runGraphPagerank, rankRef)
+	registerGraphApp("pagerank-2", "PR-2", "push-style PageRank, cage15 stand-in (Table 4)", CageInput, runGraphPagerank, rankRef)
+	registerGraphApp("sssp-1", "SSSP-1", "level-synchronous Bellman-Ford, hugebubbles stand-in (Table 4)", BubblesInput, runSSSP, distRef)
+	registerGraphApp("sssp-2", "SSSP-2", "level-synchronous Bellman-Ford, cage15 stand-in (Table 4)", CageInput, runSSSP, distRef)
+	registerGraphApp("color-1", "color-1", "Jones-Plassmann coloring, hugebubbles stand-in (Table 4)", BubblesInput, runColor, nil)
+	registerGraphApp("color-2", "color-2", "Jones-Plassmann coloring, cage15 stand-in (Table 4)", CageInput, runColor, nil)
 
 	register(&App{
 		Name:  "kmeans",
@@ -268,6 +271,9 @@ func init() {
 			return res
 		},
 		Elastic: true,
+		VerifyTotal: func(total uint64, p Params, nodes int) error {
+			return matches("kmeans", total, centroidCheck(kmeans.Reference(p.kmeansConfig(nodes), nodes)))
+		},
 	})
 
 	register(&App{
@@ -314,6 +320,9 @@ func init() {
 				res.Err = fmt.Errorf("mer-full: inserted %d != expected %d", r1.Inserted, r1.Expected)
 			}
 			return res
+		},
+		VerifyTotal: func(total uint64, p Params, nodes int) error {
+			return matches("mer-full", total, mer2Check(mer.ReferencePhase2(p.merConfig(nodes, true), nodes)))
 		},
 	})
 
@@ -367,17 +376,44 @@ func init() {
 }
 
 // registerGraphApp registers one of the six Table 4 graph workloads: a
-// graph kind's entry point over a cached input.
+// graph kind's entry point over a cached input, and the sequential
+// reference its Check sums to (nil: coloring, whose ColorSum has none).
 func registerGraphApp(name, bench, desc string, input func(scale float64) *graph.Graph,
-	run func(sys rt.System, g *graph.Graph, at rt.Where, p Params) Result) {
-	register(&App{
+	run func(sys rt.System, g *graph.Graph, at rt.Where, p Params) Result,
+	ref func(g *graph.Graph, p Params) []uint64) {
+	a := &App{
 		Name:  name,
 		Desc:  desc,
 		Bench: bench,
 		Run: func(sys rt.System, at rt.Where, p Params) Result {
 			return run(sys, input(p.scale()), at, p)
 		},
-	})
+	}
+	if ref != nil {
+		a.VerifyTotal = func(total uint64, p Params, _ int) error {
+			return matches(name, total, refSum(ref(input(p.scale()), p)))
+		}
+	}
+	register(a)
+}
+
+// matches is a VerifyTotal's verdict on a reduced total.
+func matches(app string, total, want uint64) error {
+	if total != want {
+		return fmt.Errorf("%s: reduced check %d != sequential reference %d", app, total, want)
+	}
+	return nil
+}
+
+// refSum adds up a sequential reference vector: PageRank's ranks, or
+// the distances of the vertices SSSP reached (no rank comes near Inf).
+func refSum(v []uint64) (sum uint64) {
+	for _, x := range v {
+		if x != sssp.Inf {
+			sum += x
+		}
+	}
+	return sum
 }
 
 func runPagerank(sys rt.System, g *graph.Graph, at rt.Where, iters int) Result {
@@ -393,6 +429,10 @@ func runPagerank(sys rt.System, g *graph.Graph, at rt.Where, iters int) Result {
 func runGraphPagerank(sys rt.System, g *graph.Graph, at rt.Where, p Params) Result {
 	return runPagerank(sys, g, at, p.itersOr(10))
 }
+
+func rankRef(g *graph.Graph, p Params) []uint64 { return pagerank.Reference(g, p.itersOr(10)) }
+
+func distRef(g *graph.Graph, _ Params) []uint64 { return sssp.Reference(g, 0) }
 
 func runSSSP(sys rt.System, g *graph.Graph, at rt.Where, _ Params) Result {
 	r := sssp.RunAt(sys, sssp.Config{G: g, Source: 0}, at)

@@ -82,7 +82,7 @@ type Result struct {
 	// Check is the run's functional checksum. It is additive across
 	// shards: the per-process Check values of a distributed run sum to
 	// the single-process run's Check, which is how gravel-node's smoke
-	// mode and the distributed tests verify bit-identical execution.
+	// mode and the invariant table verify bit-identical execution.
 	Check uint64
 	// Err reports a failed self-verification (e.g. an invalid coloring
 	// or a GUPS sum that does not match the update count; the run's
@@ -116,9 +116,9 @@ type App struct {
 	// work derives from global IDs, not per-node counts). Required for
 	// live rescaling; same-count recovery only needs Elastic.
 	Reshardable bool
-	// VerifyTotal, when non-nil, checks a distributed run's reduced
-	// Check total without needing a reference run (nil: callers
-	// compare against an in-process reference instead).
+	// VerifyTotal, when non-nil, checks a run's reduced Check total
+	// against the app's sequential oracle, with no reference run (nil:
+	// callers compare against an in-process reference instead).
 	VerifyTotal func(total uint64, p Params, nodes int) error
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gravel/internal/fabric"
+	"gravel/internal/pgas"
 	"gravel/internal/rt"
 	"gravel/internal/timemodel"
 )
@@ -56,6 +57,33 @@ func TestCollectiveTypedFailures(t *testing.T) {
 	})
 	if got[0] != 3 || got[1] != 3 {
 		t.Fatalf("sum after the failures = %v, want 3 on both", got)
+	}
+}
+
+// TestVerifySymmetricRejectsPermutedOrder: on a real 2-node cluster,
+// node 1 allocating two arrays in the swapped order is a
+// *rt.SymmetryError on both members, within the deadline; matching
+// orders on the same cluster afterwards verify.
+func TestVerifySymmetricRejectsPermutedOrder(t *testing.T) {
+	fabs := newTCPCluster(t, 2)
+	defer closeAll(fabs)
+	for _, swap := range []bool{true, false} {
+		_, errs := collAll(t, fabs, []int{0, 1}, func(c rt.Collectives, self int) (uint64, error) {
+			sp, sizes := pgas.NewSpace(2), []int{8, 16}
+			if swap && self == 1 {
+				sizes[0], sizes[1] = sizes[1], sizes[0]
+			}
+			for _, n := range sizes {
+				sp.SymAlloc(n)
+			}
+			return 0, rt.VerifySymmetric(c, sp, fmt.Sprint("swap=", swap))
+		})
+		for node, err := range errs {
+			var se *rt.SymmetryError
+			if swap && !(errors.As(err, &se) && se.Min != se.Max) || !swap && err != nil {
+				t.Errorf("swapped order %v: node %d got %v", swap, node, err)
+			}
+		}
 	}
 }
 

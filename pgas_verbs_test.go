@@ -2,15 +2,10 @@ package gravel_test
 
 import (
 	"fmt"
-	"net"
-	"sync"
 	"testing"
 
 	"gravel"
-	"gravel/internal/core"
-	"gravel/internal/harness"
 	"gravel/internal/rt"
-	"gravel/internal/transport"
 )
 
 // TestDeviceCollectives drives rt.DeviceColl through the public system:
@@ -148,87 +143,6 @@ func TestDeviceCollRecDoubleMatchesLinear(t *testing.T) {
 	for _, me := range []int{0, 1, 2} {
 		if got := out.Load(out.SymIndex(me, 0)); got != 6 {
 			t.Fatalf("fallback sum on node %d = %d, want 6", me, got)
-		}
-	}
-}
-
-// TestTCPClusterPGASAppsMatchSingle is the acceptance pin for the two
-// PGAS-verb apps: a real multi-process-style TCP cluster — one
-// gravel.New per node, joined through a coordinator, host collectives
-// over tcp.Collectives() — must reproduce the single-process checksum
-// bit for bit, with the serial network thread and with four resolver
-// banks per node.
-func TestTCPClusterPGASAppsMatchSingle(t *testing.T) {
-	const n = 4
-	p := harness.Params{Scale: 0.02}
-
-	for _, name := range []string{"bfs-dir", "histogram"} {
-		a := harness.MustApp(name)
-		ref := gravel.New(gravel.Config{Nodes: n})
-		want := a.Run(ref, rt.Whole(), p)
-		ref.Close()
-		if want.Err != nil {
-			t.Fatalf("%s: single-process run failed: %v", name, want.Err)
-		}
-		if want.Check == 0 {
-			t.Fatalf("%s: single-process check is zero", name)
-		}
-
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				coord := transport.NewCoordinator(n)
-				go coord.Serve(ln)
-				defer ln.Close()
-
-				locals := make([]uint64, n)
-				totals := make([]uint64, n)
-				errs := make([]error, n)
-				var wg sync.WaitGroup
-				for i := 0; i < n; i++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						sys := gravel.New(gravel.Config{
-							Nodes:          n,
-							Transport:      "tcp",
-							ResolverShards: shards,
-							TransportOpts: gravel.TransportOptions{
-								Self:  i,
-								Coord: ln.Addr().String(),
-							},
-						})
-						defer sys.Close()
-						tcp := sys.(interface{ Fabric() core.Fabric }).Fabric().(*transport.TCP)
-						shard := a.Run(sys, rt.Where{Node: i, Coll: tcp.Collectives()}, p)
-						if shard.Err != nil {
-							errs[i] = shard.Err
-							return
-						}
-						locals[i] = shard.Check
-						totals[i], errs[i] = tcp.Collectives().AllReduce(name+":check", rt.WorldTeam, rt.OpSum, shard.Check)
-					}(i)
-				}
-				wg.Wait()
-
-				var sum uint64
-				for i := 0; i < n; i++ {
-					if errs[i] != nil {
-						t.Fatalf("node %d: %v", i, errs[i])
-					}
-					if totals[i] != totals[0] {
-						t.Fatalf("nodes disagree on the reduced check: %d vs %d", totals[i], totals[0])
-					}
-					sum += locals[i]
-				}
-				if sum != want.Check || totals[0] != want.Check {
-					t.Fatalf("%s TCP cluster check = %d (reduced %d), single-process = %d",
-						name, sum, totals[0], want.Check)
-				}
-			})
 		}
 	}
 }

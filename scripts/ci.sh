@@ -2,7 +2,8 @@
 # Everything CI runs, runnable by hand:
 #
 #   scripts/ci.sh quick   vet, build, short tests, the benchmark module
-#   scripts/ci.sh full    what .github/workflows/ci.yml runs, in order
+#   scripts/ci.sh full    what .github/workflows/ci.yml runs, in order:
+#                         the full test suite, then race, fuzz and smokes
 #
 # Every file a step writes (binaries, traces, BENCH json) goes to a temp
 # directory that is removed on exit, along with any server left running.
@@ -212,13 +213,16 @@ service_smoke() {
 }
 
 full() {
-  step "vet, staticcheck, build, short tests"
+  step "vet, staticcheck, build, tests"
   go vet ./...
   # The workflow installs staticcheck; a box without it (no network)
   # skips the one step that needs it.
   if command -v staticcheck >/dev/null; then staticcheck ./...; else echo "staticcheck not installed: skipped"; fi
   go build ./...
-  go test -short ./...
+  # The whole suite, without -short: the chaos tests, the aggregator
+  # wake test and the bench shape sweeps run nowhere else. quick and the
+  # race step keep -short.
+  go test ./...
   race_and_guards
   fuzz_smokes
   benchmark_module
