@@ -114,9 +114,7 @@ func (a *Aggregator) repack(payload []uint64, rows, cols, count int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cmdRow, destRow, aRow, bRow := a.slotRows(payload, cols, count)
-	for m := 0; m < count; m++ {
-		a.appendLocked(int(destRow[m]), cmdRow[m], aRow[m], bRow[m])
-	}
+	a.appendLocked(cmdRow[:count], destRow, aRow, bRow)
 	a.flushSignalsLocked()
 }
 
@@ -137,33 +135,40 @@ func (a *Aggregator) flushSignalsLocked() {
 	a.sigNodes = a.sigNodes[:0]
 }
 
-// appendLocked stages one message toward dest, choosing a per-node or
-// per-group queue; a.mu must be held.
-func (a *Aggregator) appendLocked(dest int, cmd, av, vv uint64) {
-	if a.groupSize > 0 && dest/a.groupSize != a.node/a.groupSize {
-		g := dest / a.groupSize
-		b := a.grouped[g]
+// appendLocked stages message m, (cmd[m], av[m], vv[m]) toward node
+// dest[m], for every m < len(cmd), into its per-node queue or its
+// group's; a.mu must be held. It is the repack loop: on the flat,
+// combining path a record costs no call but a full queue's flush.
+func (a *Aggregator) appendLocked(cmd, dest, av, vv []uint64) {
+	dest, av, vv = dest[:len(cmd)], av[:len(cmd)], vv[:len(cmd)]
+	for m, c := range cmd {
+		d := int(dest[m])
+		sig := wire.Op(c&0xff) == wire.OpPutSignal
+		if a.groupSize > 0 && d/a.groupSize != a.node/a.groupSize {
+			g := d / a.groupSize
+			b := a.grouped[g]
+			if b.Full() {
+				a.flushLocked(b, false)
+			}
+			b.AppendRouted(c, av[m], vv[m], d)
+			if sig && !a.sigGroupMark[g] {
+				a.sigGroupMark[g] = true
+				a.sigGroups = append(a.sigGroups, g)
+			}
+			continue
+		}
+		b := a.builders[d]
 		if b.Full() {
 			a.flushLocked(b, false)
 		}
-		b.AppendRouted(cmd, av, vv, dest)
-		if wire.Op(cmd&0xff) == wire.OpPutSignal && !a.sigGroupMark[g] {
-			a.sigGroupMark[g] = true
-			a.sigGroups = append(a.sigGroups, g)
+		b.Append(c, av[m], vv[m])
+		if a.perMessage {
+			// Message-per-lane: no combining; one packet per message.
+			a.flushLocked(b, false)
+		} else if sig && !a.sigNodeMark[d] {
+			a.sigNodeMark[d] = true
+			a.sigNodes = append(a.sigNodes, d)
 		}
-		return
-	}
-	b := a.builders[dest]
-	if b.Full() {
-		a.flushLocked(b, false)
-	}
-	b.Append(cmd, av, vv)
-	if a.perMessage {
-		// Message-per-lane: no combining; one packet per message.
-		a.flushLocked(b, false)
-	} else if wire.Op(cmd&0xff) == wire.OpPutSignal && !a.sigNodeMark[dest] {
-		a.sigNodeMark[dest] = true
-		a.sigNodes = append(a.sigNodes, dest)
 	}
 }
 
@@ -175,7 +180,7 @@ func (a *Aggregator) AppendDirect(dest int, cmd, av, vv uint64, chargeNs float64
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.clock.AddAgg(chargeNs)
-	a.appendLocked(dest, cmd, av, vv)
+	a.appendLocked([]uint64{cmd}, []uint64{uint64(dest)}, []uint64{av}, []uint64{vv})
 	a.flushSignalsLocked()
 }
 

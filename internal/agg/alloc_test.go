@@ -59,7 +59,18 @@ func TestAllocsPerRunFlushRoundTrip(t *testing.T) {
 // recycled.
 func TestAllocsPerRunRepackDrain(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	op, _ := repackRoundTrip()
+	if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+		t.Fatalf("repack/drain round trip allocated %.2f times per op, want 0", allocs)
+	}
+}
 
+// repackRoundTrip returns one op of the ticket strategy's queue-drain
+// path — one full 256-message work-group slot reserved, committed,
+// drained and repacked into the per-node builders; Flush, which sends
+// the part-filled builder (a slot does not fill a 64 kB queue); Done,
+// which recycles its buffer — and the op's message count.
+func repackRoundTrip() (op func(), msgs int) {
 	p := timemodel.Default()
 	clocks := []*timemodel.Clocks{{}, {}}
 	fab := fabric.New(p, clocks)
@@ -68,17 +79,7 @@ func TestAllocsPerRunRepackDrain(t *testing.T) {
 	a := New(0, p, q, fab, clocks[0], false)
 
 	cmd := wire.PackCmd(wire.OpInc, 0, 1)
-	drain := func() {
-		for {
-			select {
-			case pkt := <-fab.Inbox(1):
-				fab.Done(pkt)
-			default:
-				return
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	return func() {
 		s := q.Reserve(cols)
 		for m := 0; m < cols; m++ {
 			s.Row(wire.RowCmd)[m] = cmd
@@ -90,11 +91,15 @@ func TestAllocsPerRunRepackDrain(t *testing.T) {
 		for q.TryConsume(a.consume) {
 		}
 		a.Flush()
-		drain()
-	})
-	if allocs != 0 {
-		t.Fatalf("repack/drain round trip allocated %.2f times per op, want 0", allocs)
-	}
+		for {
+			select {
+			case pkt := <-fab.Inbox(1):
+				fab.Done(pkt)
+			default:
+				return
+			}
+		}
+	}, cols
 }
 
 // poolDrops reports whether sync.Pool discards what is Put into it, as

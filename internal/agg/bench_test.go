@@ -48,44 +48,17 @@ func BenchmarkFlushRoundTrip(b *testing.B) {
 }
 
 // BenchmarkRepackDrain measures the aggregator's queue-drain path: one
-// op reserves, commits, and drains one full WG slot (256 messages) into
-// per-node builders, flushing and recycling whatever fills.
+// op reserves, commits and drains one full WG slot (256 messages) into
+// the per-node builders, then flushes, applies and recycles the
+// part-filled builder (repackRoundTrip).
 func BenchmarkRepackDrain(b *testing.B) {
-	p := timemodel.Default()
-	clocks := []*timemodel.Clocks{{}, {}}
-	fab := fabric.New(p, clocks)
-	const cols = 256
-	q := queue.NewGravel(64, wire.SlotRows, cols)
-	a := New(0, p, q, fab, clocks[0], false)
-
-	cmd := wire.PackCmd(wire.OpInc, 0, 1)
-	drain := func() {
-		for {
-			select {
-			case pkt := <-fab.Inbox(1):
-				fab.Done(pkt)
-			default:
-				return
-			}
-		}
-	}
-	b.SetBytes(int64(cols * wire.MsgWireBytes))
+	op, msgs := repackRoundTrip()
+	b.SetBytes(int64(msgs * wire.MsgWireBytes))
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := q.Reserve(cols)
-		for m := 0; m < cols; m++ {
-			s.Row(wire.RowCmd)[m] = cmd
-			s.Row(wire.RowDest)[m] = 1
-			s.Row(wire.RowA)[m] = uint64(m)
-			s.Row(wire.RowB)[m] = 1
-		}
-		s.Commit()
-		for q.TryConsume(a.consume) {
-		}
-		a.Flush()
-		drain()
+	for b.Loop() {
+		op()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*msgs), "ns/msg")
 }
 
 // BenchmarkArchiveRoundTrip measures the archive strategy's hot path:

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"gravel/internal/agg"
 	"gravel/internal/obs"
 	"gravel/internal/pgas"
@@ -131,15 +133,6 @@ func (c *ctx) laneMask(verb string, active []bool) []bool {
 	return active
 }
 
-// owners resolves each active lane's destination as arr[idx[l]]'s owner.
-func (c *ctx) owners(arr *pgas.Array, idx []uint64, active []bool) {
-	for l, on := range active {
-		if on {
-			c.dests[l] = arr.Owner(idx[l])
-		}
-	}
-}
-
 // send counts the active lanes by locality and hands them to the
 // offloader; their destinations are already in c.dests.
 func (c *ctx) send(cmd uint64, cmds, a, v []uint64, active []bool) {
@@ -158,26 +151,33 @@ func (c *ctx) send(cmd uint64, cmds, a, v []uint64, active []bool) {
 		Active: active, N: n, Lanes: c.lanes[:size], Mask: c.mask[:size]})
 }
 
-// direct executes the local lanes' accesses on the device itself —
-// op(l), under one instr-instruction vector operation that computes
-// the owner and either accesses memory or marks the lane for offload —
-// and sends only the remote lanes. It returns the local lane count.
-func (c *ctx) direct(instr int, op func(l int), cmd uint64, a, v []uint64, active []bool) (local int) {
+// direct executes the local lanes' op (OpInc: atomic add, OpPut:
+// atomic store of v[l] to arr[a[l]]) on the device itself, through the
+// node's window of arr, under one instr-instruction vector operation
+// that computes the owner and either accesses memory or marks the lane
+// for offload, and sends only the remote lanes. It returns the local
+// lane count.
+func (c *ctx) direct(instr int, op wire.Op, arr *pgas.Array, a, v []uint64, active []bool) (local int) {
 	remote := c.remote[:c.g.Size]
+	cells, lo := arr.LocalWindow(c.n.ID)
 	anyRemote := false
 	for l, on := range active {
 		remote[l] = on && c.dests[l] != c.n.ID
-		anyRemote = anyRemote || remote[l]
-	}
-	c.g.VectorMasked(instr, active, func(l int) {
-		if !remote[l] {
-			op(l)
-			local++
+		if !on || remote[l] {
+			anyRemote = anyRemote || remote[l]
+			continue
 		}
-	})
+		local++
+		if op == wire.OpInc {
+			atomic.AddUint64(&cells[a[l]-lo], v[l])
+		} else {
+			atomic.StoreUint64(&cells[a[l]-lo], v[l])
+		}
+	}
+	c.g.ChargeMasked(instr, active)
 	c.n.Clocks.CountOps(local, 0)
 	if anyRemote {
-		c.send(cmd, nil, a, v, remote)
+		c.send(wire.PackCmd(op, 0, arr.ID()), nil, a, v, remote)
 	}
 	return local
 }
@@ -188,24 +188,22 @@ func (c *ctx) direct(instr int, op func(l int), cmd uint64, a, v []uint64, activ
 // as concurrent GPU read-modify-writes (the design the paper rejected).
 func (c *ctx) Inc(arr *pgas.Array, idx, delta []uint64, active []bool) {
 	active = c.laneMask("Inc", active)
-	c.owners(arr, idx, active)
-	cmd := wire.PackCmd(wire.OpInc, 0, arr.ID())
+	arr.Owners(c.dests, idx, active)
 	if !c.n.cl.cfg.LocalAtomicsDirect {
-		c.send(cmd, nil, idx, delta, active)
+		c.send(wire.PackCmd(wire.OpInc, 0, arr.ID()), nil, idx, delta, active)
 		return
 	}
 	// Each local RMW is a contended global atomic, serialized at the
 	// memory system.
-	c.g.ChargeAtomics(c.direct(1, func(l int) { arr.Add(idx[l], delta[l]) }, cmd, idx, delta, active))
+	c.g.ChargeAtomics(c.direct(1, wire.OpInc, arr, idx, delta, active))
 }
 
 // Put implements rt.Ctx: local PUTs execute directly as GPU stores;
 // remote PUTs are offloaded (§7.1).
 func (c *ctx) Put(arr *pgas.Array, idx, val []uint64, active []bool) {
 	active = c.laneMask("Put", active)
-	c.owners(arr, idx, active)
-	cmd := wire.PackCmd(wire.OpPut, 0, arr.ID())
-	c.direct(2, func(l int) { arr.Store(idx[l], val[l]) }, cmd, idx, val, active)
+	arr.Owners(c.dests, idx, active)
+	c.direct(2, wire.OpPut, arr, idx, val, active)
 }
 
 // AM implements rt.Ctx: active messages are atomics and always travel
@@ -308,7 +306,7 @@ type pcqWriter struct{ n *Node }
 
 // Offload implements Offloader.
 func (w pcqWriter) Offload(g *simt.Group, b Batch) {
-	offs, count := g.PrefixSumMask(b.Active)
+	_, count := g.PrefixSumMask(b.Active)
 	if count == 0 {
 		return
 	}
@@ -316,17 +314,17 @@ func (w pcqWriter) Offload(g *simt.Group, b Batch) {
 	// WGSize messages.
 	g.ChargeAtomics(queue.ProducerAtomicsPerReserve)
 	s := w.n.PCQ.Reserve(count)
-	rowCmd := s.Row(wire.RowCmd)
-	rowDest := s.Row(wire.RowDest)
-	rowA := s.Row(wire.RowA)
-	rowB := s.Row(wire.RowB)
-	g.VectorMasked(wire.SlotRows, b.Active, func(l int) {
-		m := offs[l]
-		rowCmd[m] = b.CmdAt(l)
-		rowDest[m] = uint64(b.Dests[l])
-		rowA[m] = b.A[l]
-		rowB[m] = b.V[l]
-	})
+	rowCmd, rowDest, rowA, rowB := s.Row(wire.RowCmd), s.Row(wire.RowDest), s.Row(wire.RowA), s.Row(wire.RowB)
+	// One vectorized payload write: lane l's row offset is its
+	// prefix-sum value, m.
+	g.ChargeMasked(wire.SlotRows, b.Active)
+	m := 0
+	for l, on := range b.Active {
+		if on {
+			rowCmd[m], rowDest[m], rowA[m], rowB[m] = b.CmdAt(l), uint64(b.Dests[l]), b.A[l], b.V[l]
+			m++
+		}
+	}
 	s.Commit()
 	g.ChargeMessages(count)
 }

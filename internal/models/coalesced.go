@@ -77,7 +77,7 @@ type coalSender struct {
 
 // Offload implements core.Offloader.
 func (o *coalSender) Offload(g *simt.Group, b core.Batch) {
-	g.VectorMasked(1, b.Active, func(int) {}) // each lane computes its destination
+	g.ChargeMasked(1, b.Active) // each lane computes its destination
 	if b.N == 0 {
 		return
 	}

@@ -110,7 +110,7 @@ type copQueues struct{ *sendBuffers }
 
 // Offload implements core.Offloader.
 func (q copQueues) Offload(g *simt.Group, b core.Batch) {
-	g.VectorMasked(1, b.Active, func(int) {}) // each lane computes its queue
+	g.ChargeMasked(1, b.Active) // each lane computes its queue
 	if b.N == 0 {
 		return
 	}
@@ -119,7 +119,7 @@ func (q copQueues) Offload(g *simt.Group, b core.Batch) {
 	byDest(&b, len(q.b), func(d int, lanes []int, mask []bool) {
 		g.PrefixSumMask(mask) // WG-level reserve for this queue
 		g.ChargeAtomics(1)
-		g.VectorMasked(wire.SlotRows, mask, func(int) {})
+		g.ChargeMasked(wire.SlotRows, mask)
 		g.ChargeMemDivergence(len(lanes)) // different queue per destination
 		g.ChargeMessages(len(lanes))
 		q.appendList(d, lanes, &b)

@@ -11,6 +11,7 @@ package pgas
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -113,6 +114,10 @@ type Array struct {
 	sym    bool  // allocated by SymAlloc: every node owns exactly part cells
 	bounds []int // nil for block partition; else len nodes+1, ascending
 	local  [][]uint64
+	// recip is ceil(2^64/part), and recipLen the length, where that
+	// reciprocal is exact (setReciprocal); recipLen is 0 elsewhere, so
+	// idx < recipLen both range-checks idx and selects the multiply.
+	recip, recipLen uint64
 }
 
 // Alloc creates a distributed array of n elements, zero-initialized.
@@ -176,6 +181,7 @@ func (s *Space) allocLocked(n, part int, sym bool) *Array {
 		sym:   sym,
 		local: make([][]uint64, s.nodes),
 	}
+	a.setReciprocal()
 	for node := 0; node < s.nodes; node++ {
 		lo := node * part
 		hi := lo + part
@@ -304,8 +310,33 @@ func (a *Array) SymIndex(node int, off int) uint64 {
 	return uint64(node*a.part + off)
 }
 
+// setReciprocal gives a block partition its reciprocal. The high word
+// of idx*ceil(2^64/part) is idx/part for every idx < 2^32 and
+// part <= 2^32 (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+// Computation", 2019), so an array of at most 2^32 cells finds owners
+// with a multiply, not a division. Longer arrays, and part 1 (whose
+// reciprocal, 2^64, does not fit), divide.
+func (a *Array) setReciprocal() {
+	if uint64(a.len) <= 1<<32 && a.part > 1 {
+		a.recip, a.recipLen = math.MaxUint64/uint64(a.part)+1, uint64(a.len)
+	}
+}
+
 // Owner returns the node owning global index idx.
 func (a *Array) Owner(idx uint64) int {
+	if idx < a.recipLen {
+		hi, _ := bits.Mul64(idx, a.recip)
+		return int(hi)
+	}
+	return a.owner(idx)
+}
+
+// owner is Owner without the reciprocal: the range check, the division
+// and AllocRanges' binary search. It is kept out of line so that Owner
+// stays within the inliner's budget.
+//
+//go:noinline
+func (a *Array) owner(idx uint64) int {
 	i := int(idx)
 	if i < 0 || i >= a.len {
 		panic(&RangeError{Array: a.id, Index: idx, Len: a.len})
@@ -324,6 +355,18 @@ func (a *Array) Owner(idx uint64) int {
 		}
 	}
 	return lo
+}
+
+// Owners sets dests[l] to the owner of idx[l] for every lane l with
+// active[l]: the verb front-end's destination lookup, one call per
+// work-group. The first active lane out of range panics *RangeError
+// before any later lane is looked up.
+func (a *Array) Owners(dests []int, idx []uint64, active []bool) {
+	for l, on := range active {
+		if on {
+			dests[l] = a.Owner(idx[l])
+		}
+	}
 }
 
 // LocalRange returns the [lo,hi) global index range owned by node.

@@ -1,6 +1,9 @@
 package pgas
 
 import (
+	"errors"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -169,4 +172,116 @@ func TestOwnerOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	a.Owner(4)
+}
+
+// blockArray is a block-partitioned array of n cells over nodes with no
+// backing storage: shapes too large to allocate, for the owner lookup.
+func blockArray(n, nodes int) *Array {
+	a := &Array{id: 9, len: n, part: (n + nodes - 1) / nodes}
+	a.setReciprocal()
+	return a
+}
+
+// TestOwnersExact: the batched lookup and Owner both equal idx/part at
+// every block boundary ±1, on the reciprocal path and on the division
+// fallback, and an out-of-range lane raises the same *RangeError from
+// both, before Owners writes any later lane.
+func TestOwnersExact(t *testing.T) {
+	s := NewSpace(7)
+	arrays := []*Array{
+		s.Alloc(3),   // n < nodes: part 1, divides
+		s.Alloc(100), // n not a multiple of nodes
+		s.Alloc(1<<20 + 3),
+		s.SymAlloc(5),
+		blockArray(1<<32, 3), // the longest the reciprocal serves
+		blockArray(1<<32, 1), // part 2^32
+		blockArray(1<<32+1, 3),
+		blockArray(1<<34+5, 7),
+	}
+	for _, a := range arrays {
+		if want := a.len <= 1<<32 && a.part > 1; (a.recip != 0) != want {
+			t.Fatalf("len %d part %d: reciprocal %d, want one: %v", a.len, a.part, a.recip, want)
+		}
+		var idx []uint64
+		for b := 0; b <= 7; b++ {
+			for i := b*a.part - 1; i <= b*a.part+1; i++ {
+				if i >= 0 && i < a.len {
+					idx = append(idx, uint64(i))
+				}
+			}
+		}
+		dests, on := make([]int, len(idx)), make([]bool, len(idx))
+		for l := range on {
+			on[l] = true
+		}
+		a.Owners(dests, idx, on)
+		for l, i := range idx {
+			want := int(i) / a.part
+			if got := a.Owner(i); got != want || dests[l] != want {
+				t.Errorf("len %d part %d idx %d: Owner %d, Owners %d, want %d", a.len, a.part, i, got, dests[l], want)
+			}
+		}
+		for _, bad := range []uint64{uint64(a.len), uint64(a.len) + 1, math.MaxUint64} {
+			want := RangeError{Array: a.id, Index: bad, Len: a.len}
+			if got := rangeErrorOf(func() { a.Owner(bad) }); got != want {
+				t.Errorf("Owner(%d) panicked %+v, want %+v", bad, got, want)
+			}
+			dests := []int{-1, -1, -1}
+			if got := rangeErrorOf(func() { a.Owners(dests, []uint64{0, bad, 0}, []bool{true, true, true}) }); got != want {
+				t.Errorf("Owners with lane %d panicked %+v, want %+v", bad, got, want)
+			}
+			if dests[0] != 0 || dests[2] != -1 {
+				t.Errorf("Owners with a bad lane 1 wrote dests %v, want [0 -1 -1]", dests)
+			}
+			a.Owners(dests, []uint64{bad}, []bool{false}) // inactive lanes are not looked up
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 100000; k++ {
+		n := 1 + rng.Int63n(1<<32)
+		a := blockArray(int(n), 2+rng.Intn(1000))
+		if i := uint64(rng.Int63n(n)); a.Owner(i) != int(i)/a.part {
+			t.Fatalf("len %d part %d: Owner(%d) = %d, want %d", a.len, a.part, i, a.Owner(i), int(i)/a.part)
+		}
+	}
+}
+
+// rangeErrorOf runs f and returns the *RangeError it panics with.
+func rangeErrorOf(f func()) (e RangeError) {
+	defer func() {
+		var re *RangeError
+		if err, _ := recover().(error); errors.As(err, &re) {
+			e = *re
+		}
+	}()
+	f()
+	return e
+}
+
+// BenchmarkOwners: the verb front-end's destination lookup for one
+// 256-lane work-group, on a block partition (the reciprocal) and on an
+// AllocRanges array (the binary search).
+func BenchmarkOwners(b *testing.B) {
+	const lanes = 256
+	s := NewSpace(4)
+	arrays := []struct {
+		name string
+		a    *Array
+	}{
+		{"block", s.Alloc(1 << 20)},
+		{"ranges", s.AllocRanges([]int{0, 1 << 18, 1 << 19, 3 << 18, 1 << 20})},
+	}
+	for _, c := range arrays {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			idx, dests, on := make([]uint64, lanes), make([]int, lanes), make([]bool, lanes)
+			for l := range idx {
+				idx[l], on[l] = uint64(rng.Intn(c.a.Len())), true
+			}
+			for b.Loop() {
+				c.a.Owners(dests, idx, on)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/lane")
+		})
+	}
 }

@@ -1,6 +1,9 @@
 package simt
 
-import "runtime"
+import (
+	"runtime"
+	"slices"
+)
 
 // Group is one work-group executing a kernel. All lane-level state lives
 // in slices indexed by lane ID; lanes advance in lockstep through the
@@ -146,16 +149,20 @@ func (g *Group) VectorN(n int, f func(lane int)) {
 // full SIMT width (inactive lanes occupy execution slots — branch
 // divergence, §2.2). n is the instruction count of the body.
 func (g *Group) VectorMasked(n int, active []bool, f func(lane int)) {
-	g.chargeVector(int64(n))
-	partial := false
-	for l := 0; l < g.Size; l++ {
-		if active[l] {
+	g.ChargeMasked(n, active)
+	for l, on := range active[:g.Size] {
+		if on {
 			f(l)
-		} else {
-			partial = true
 		}
 	}
-	if partial {
+}
+
+// ChargeMasked charges what VectorMasked(n, active, f) charges, without
+// running a body: the runtime's own per-lane loops (the send paths) run
+// as plain loops and charge through it.
+func (g *Group) ChargeMasked(n int, active []bool) {
+	g.chargeVector(int64(n))
+	if slices.Contains(active[:g.Size], false) {
 		g.divergedOps += int64(g.WFs())
 	}
 }

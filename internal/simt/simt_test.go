@@ -308,6 +308,46 @@ func TestVectorMaskedDivergenceCounting(t *testing.T) {
 	if got := d.Counters.DivergedOps.Load(); got != 4 { // 4 WFs, partial op only
 		t.Fatalf("DivergedOps = %d, want 4", got)
 	}
+
+	// VectorMasked and the body-less ChargeMasked each charge n
+	// instructions on every WF and one divergence event per WF exactly
+	// when the mask is partial, on a WG whose last WF is short.
+	const size, n = 100, 4
+	if size%d.Arch.WFWidth == 0 {
+		t.Fatalf("WFWidth %d divides the test's WG size", d.Arch.WFWidth)
+	}
+	masks := []struct {
+		name    string
+		on      func(l int) bool
+		partial bool
+	}{
+		{"full", func(int) bool { return true }, false},
+		{"partial", func(l int) bool { return l%3 != 0 }, true},
+		{"last-off", func(l int) bool { return l != size-1 }, true},
+		{"inactive", func(int) bool { return false }, true},
+	}
+	for _, m := range masks {
+		active := make([]bool, size)
+		for l := range active {
+			active[l] = m.on(l)
+		}
+		vm, cm := newGroup(d, size), newGroup(d, size)
+		vm.reset(0, 0, size)
+		cm.reset(0, 0, size)
+		vm.VectorMasked(n, active, func(int) {})
+		cm.ChargeMasked(n, active)
+		wfs := int64(vm.WFs())
+		want := wfCharges{cycles: n * wfs * d.Arch.CyclesVectorIssue, vecOps: n * wfs}
+		if m.partial {
+			want.divergedOps = wfs
+		}
+		if got := chargesOf(vm); got != want {
+			t.Errorf("%s: VectorMasked charged %+v, want %+v", m.name, got, want)
+		}
+		if got := chargesOf(cm); got != want {
+			t.Errorf("%s: ChargeMasked charged %+v, want %+v", m.name, got, want)
+		}
+	}
 }
 
 func TestCPUArchSingleLane(t *testing.T) {
