@@ -255,6 +255,27 @@ func (r *nodeRun) chaosRun() {
 	r.err = fmt.Errorf("no transport failure surfaced before the run completed")
 }
 
+// chaosKillAt is where the kill tests land their kill: once a node has
+// sent this many records, an eighth of chaosKillGUPS's updates, its run
+// is under way with most of its steps still ahead.
+var chaosKillAt = int64(chaosKillGUPS.UpdatesPerNode / 8)
+
+// awaitProgress returns once node's ledger has sent records records,
+// and fails the test if the run ends first: a kill landing on a
+// finished run tests nothing.
+func awaitProgress(t *testing.T, runs []nodeRun, node int, records int64, runDone <-chan struct{}) {
+	t.Helper()
+	ledger := runs[node].sys.(interface{ Node(int) *core.Node }).Node(node).Clocks
+	for ledger.Departed() < records {
+		select {
+		case <-runDone:
+			t.Fatalf("the run ended before node %d sent %d records (it sent %d): the kill cannot land mid-run",
+				node, records, ledger.Departed())
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 // waitGoroutines polls until the goroutine count returns near base,
 // dumping all stacks if it never does — the no-leak check for the
 // failure paths.
@@ -319,11 +340,13 @@ func TestChaosWorkerKillSurfacesPeerDown(t *testing.T) {
 			t.Fatalf("node %d failed to start: %v", i, runs[i].startErr)
 		}
 	}
-	time.Sleep(300 * time.Millisecond) // let the cluster get into its run
+	runDone := make(chan struct{})
+	go func() { runWG.Wait(); close(runDone) }()
 	const victim = n - 1
+	awaitProgress(t, runs, victim, chaosKillAt, runDone)
 	killedAt := time.Now()
 	runs[victim].tcp.Kill()
-	runWG.Wait()
+	<-runDone
 	detection := time.Since(killedAt)
 
 	for i := range runs {
@@ -381,11 +404,13 @@ func TestChaosCoordinatorDeathMidBarrier(t *testing.T) {
 			t.Fatalf("node %d failed to start: %v", i, runs[i].startErr)
 		}
 	}
-	time.Sleep(300 * time.Millisecond) // land the kill mid-run, between barriers
+	runDone := make(chan struct{})
+	go func() { runWG.Wait(); close(runDone) }()
+	awaitProgress(t, runs, 0, chaosKillAt, runDone) // land the kill mid-run
 	killedAt := time.Now()
 	stop()       // no new coordinator connections
 	coord.Kill() // sever the established ones
-	runWG.Wait()
+	<-runDone
 	detection := time.Since(killedAt)
 
 	for i := range runs {

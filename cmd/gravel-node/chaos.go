@@ -130,11 +130,14 @@ func diagnosed(stderr string) bool {
 }
 
 // killSpec is chaosSpec tightened for fast failure detection and a run
-// long enough that a kill lands mid-flight.
+// long enough that a kill lands mid-flight. A worker learns that the
+// coordinator died only at its next heartbeat, so the heartbeat must be
+// short against the shortest run: the PGAS-verb apps run for about
+// 100 ms after joining.
 func killSpec() noderun.Spec {
 	s := chaosSpec()
 	s.Suspect = chaosSuspect
-	s.Heartbeat = 250 * time.Millisecond
+	s.Heartbeat = 25 * time.Millisecond
 	s.CoordTimeout = 5 * time.Second
 	s.CoordRPCTimeout = 2 * time.Second
 	s.Params.Steps = 400 // ~3 ms a step: long enough that the kill lands mid-run

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"gravel/internal/fabric"
 	"gravel/internal/timemodel"
@@ -55,7 +55,7 @@ var rigs = []struct {
 		return rig{at: func(int) endFabric { return l }, clock: func(n int) *timemodel.Clocks { return clocks[n] }, quiet: l.Quiet, misDropped: true}
 	}},
 	{"tcp", func(t *testing.T, banks int) rig {
-		fabs := newTCPClusterBanked(t, 2, banks)
+		fabs := newTCPClusterWith(t, 2, fabric.Options{ResolverBanks: banks})
 		t.Cleanup(func() { closeAll(fabs) })
 		return rig{at: func(n int) endFabric { return fabs[n] }, clock: func(n int) *timemodel.Clocks { return fabs[n].clocks[n] },
 			quiet: func() bool { return allQuiet(fabs) }, misFrom: 1,
@@ -270,11 +270,11 @@ func deliver(t *testing.T, rig rig, from, to int, buf []byte, msgs int, routed b
 }
 
 // recycles checks that every buffer a fabric draws from the wire pool
-// on the way to an inbox goes back to it: over many packets the sender
-// and the inboxes must keep seeing the same few backing arrays, far
-// fewer than one fresh one per packet. (With the collector off no
-// address is reused, so buffers that were not recycled are all
-// distinct.)
+// on the way to an inbox goes back to it: over many packets the runtime
+// must allocate far fewer fresh buffers of the packets' size class than
+// one per packet. Counting allocations, with the collector off so the
+// pool keeps what it is given, measures recycling whichever pooled
+// buffer each Get happens to return.
 func recycles(t *testing.T, rig rig, banks int) {
 	if poolDrops() {
 		t.Skip("sync.Pool drops a quarter of what is put under the race detector")
@@ -285,22 +285,36 @@ func recycles(t *testing.T, rig rig, banks int) {
 		b.Append(wire.PackCmd(wire.OpInc, 0, 0), a, 1)
 	}
 	tmpl, msgs := b.Take()
-	seen := map[*byte]bool{}
+	const class = 2 << 10 // the pool rounds 1.5 kB up to this size class
 	const rounds = 200
+	before := mallocs(class)
 	for i := 0; i < rounds; i++ {
 		own := append(wire.GetBuf(len(tmpl)), tmpl...)
-		seen[unsafe.SliceData(own)] = true
 		rig.at(0).Send(0, 1, own, msgs)
 		for bank := 0; bank < banks; bank++ {
-			p := <-rig.at(1).BankInbox(1, bank)
-			seen[unsafe.SliceData(p.Buf)] = true
-			rig.at(1).Done(p)
+			rig.at(1).Done(<-rig.at(1).BankInbox(1, bank))
+		}
+		// The packet's buffers are back once it is applied, Done and, on
+		// TCP, acknowledged, which quiet implies; how long the sender's
+		// window holds a frame before its ack is not what is measured.
+		waitQuiet(t, "fabric", rig.quiet)
+	}
+	if fresh := mallocs(class) - before; fresh > rounds/4 {
+		t.Errorf("%d packets allocated %d fresh %d-byte buffers: not recycled", rounds, fresh, class)
+	}
+}
+
+// mallocs returns how many objects of the size class of exactly size
+// bytes the runtime has allocated so far.
+func mallocs(size uint32) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for _, c := range ms.BySize {
+		if c.Size == size {
+			return c.Mallocs
 		}
 	}
-	waitQuiet(t, "fabric", rig.quiet)
-	if len(seen) > rounds/4 {
-		t.Errorf("%d packets used %d distinct buffers: not recycled", rounds, len(seen))
-	}
+	panic(fmt.Sprintf("no %d-byte size class", size))
 }
 
 // poolDrops reports whether sync.Pool is discarding puts at random, as

@@ -31,7 +31,7 @@ func waitQuiet(t *testing.T, name string, quiet func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s did not quiesce", name)
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 

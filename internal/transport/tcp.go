@@ -32,14 +32,6 @@ const (
 	// the window (sendStream.stalled).
 	rexmitInterval = 100 * time.Millisecond
 
-	// Write coalescing: the writer drains its staged-frame queue in
-	// bursts into one buffered writer and flushes either when the batch
-	// stops growing past the flush deadline or when the buffer fills.
-	// The deadline mirrors the aggregator's 125µs flush timeout (§6), so
-	// batching never adds more latency than aggregation already budgets.
-	coalesceFlushInterval = 125 * time.Microsecond
-	coalesceBufBytes      = 256 << 10
-
 	// defaultSuspectTimeout is how long a peer may be silent (no acks,
 	// no successful dials, no coordinator heartbeats) before it is
 	// declared down. Options.SuspectTimeout overrides; negative disables.
@@ -396,7 +388,7 @@ func (t *TCP) Generation() uint32 { return t.gen }
 // bits; the launcher's epoch counter never approaches that).
 func (t *TCP) wireGen() uint16 { return uint16(t.gen) }
 
-// Close runs the drain/close handshake: every sender flushes its queue
+// Close runs the drain/close handshake: every sender drains its queue
 // and window, FINs its stream, and awaits the FIN-ACK; inbound streams
 // are given time to FIN symmetrically; then all inboxes close so the
 // network threads exit, and the coordinator is told goodbye.

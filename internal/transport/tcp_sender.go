@@ -26,12 +26,10 @@ type sender struct {
 	stop  chan struct{}
 	done  chan struct{}
 
-	// Writer-goroutine-only state: the reliability half, the
-	// frame-encode scratch, and the writer that batches encoded frames
-	// into one socket write (reset onto each new connection).
+	// Writer-goroutine-only state: the reliability half and the
+	// frame-encode scratch.
 	str sendStream
 	enc []byte
-	bw  *bufio.Writer
 
 	// owed counts the data frames and contributions handed to this
 	// stream and not yet acknowledged, queued or in the window. Ballots
@@ -81,15 +79,15 @@ func (s *sender) acked(seq uint64) {
 	}
 }
 
-// write encodes f into the sender's scratch and appends it to the
-// connection's batching writer. Bytes are copied out of the frame, so
-// the window's ownership is unaffected. The caller is responsible for
-// flushing: data frames ride the 125µs flush deadline (mirroring the
-// aggregator's flush timeout), ballots, contributions and control
-// frames flush immediately.
-func (s *sender) write(f *frame) error {
+// write encodes f into the sender's scratch and writes it to conn in
+// one Write. The aggregator already batches records into whole
+// per-node queues (§3.4), so the writer adds no batching of its own,
+// and the fault injector decides per Write, so a Write must be one
+// whole frame. Bytes are copied out of the frame, so the window's
+// ownership is unaffected.
+func (s *sender) write(conn net.Conn, f *frame) error {
 	s.enc = appendFrame(s.enc[:0], f)
-	_, err := s.bw.Write(s.enc)
+	_, err := conn.Write(s.enc)
 	return err
 }
 
@@ -187,7 +185,7 @@ func (s *sender) connect(stop <-chan struct{}, abort <-chan time.Time, attempted
 // and starts the ack reader. It closes conn and returns nil on failure.
 func (s *sender) handshake(conn net.Conn) *link {
 	t := s.t
-	if err := writeFrame(conn, &frame{typ: frameHello, from: t.self, to: s.dest, gen: t.wireGen()}); err != nil {
+	if s.write(conn, &frame{typ: frameHello, from: t.self, to: s.dest, gen: t.wireGen()}) != nil {
 		conn.Close()
 		return nil
 	}
@@ -208,23 +206,15 @@ func (s *sender) handshake(conn net.Conn) *link {
 	}
 	conn.SetReadDeadline(time.Time{})
 	s.acked(ack.seq)
-	if s.bw == nil {
-		s.bw = bufio.NewWriterSize(conn, coalesceBufBytes)
-	} else {
-		s.bw.Reset(conn)
-	}
 	replay := s.str.replay()
 	if len(replay) > 0 && obs.Enabled() {
 		obs.Emit(obs.KRetransmit, t.self, int64(s.dest), int64(len(replay)), "")
 	}
 	for _, f := range replay {
-		if err = s.write(f); err != nil {
-			break
+		if s.write(conn, f) != nil {
+			conn.Close()
+			return nil
 		}
-	}
-	if err != nil || s.bw.Flush() != nil {
-		conn.Close()
-		return nil
 	}
 	l := &link{conn: conn, acks: make(chan uint64, sendWindowFrames), errs: make(chan error, 1)}
 	go func() {
@@ -298,15 +288,6 @@ func (s *sender) run() {
 	// Tail-loss watchdog: see sendStream.stalled.
 	rx := time.NewTicker(rexmitInterval)
 	defer rx.Stop()
-	// Flush deadline for coalesced writes: armed after staging data
-	// frames, it bounds how long encoded bytes may sit in s.bw. Created
-	// stopped; hand-built test senders that never connect never arm it.
-	flushTimer := time.NewTimer(coalesceFlushInterval)
-	if !flushTimer.Stop() {
-		<-flushTimer.C
-	}
-	defer flushTimer.Stop()
-	flushArmed := false
 	for {
 		if draining && s.idle() {
 			if l != nil {
@@ -344,37 +325,8 @@ func (s *sender) run() {
 		case <-l.errs:
 			disconnect()
 		case f := <-queue:
-			// Burst-drain: pull every frame already staged (up to the
-			// window limit) into one buffered write, then arm the flush
-			// deadline instead of paying a syscall per frame. A ballot
-			// or a contribution is waited on by a peer, so it flushes
-			// at once.
 			s.str.admit(f)
-			err := s.write(f)
-			urgent := f.typ.inline()
-		burst:
-			for err == nil && !s.str.full() {
-				select {
-				case f = <-s.queue:
-					s.str.admit(f)
-					err = s.write(f)
-					urgent = urgent || f.typ.inline()
-				default:
-					break burst
-				}
-			}
-			if err == nil && urgent {
-				err = s.bw.Flush()
-			}
-			if err != nil {
-				disconnect()
-			} else if s.bw.Buffered() > 0 && !flushArmed {
-				flushTimer.Reset(coalesceFlushInterval)
-				flushArmed = true
-			}
-		case <-flushTimer.C:
-			flushArmed = false
-			if s.bw.Flush() != nil {
+			if s.write(l.conn, f) != nil {
 				disconnect()
 			}
 		case <-heartbeat:
@@ -382,7 +334,7 @@ func (s *sender) run() {
 				return
 			}
 			ping := frame{typ: framePing, from: s.t.self, to: s.dest, gen: s.t.wireGen()}
-			if s.write(&ping) != nil || s.bw.Flush() != nil {
+			if s.write(l.conn, &ping) != nil {
 				disconnect()
 			}
 		case <-rx.C:
@@ -399,15 +351,10 @@ func (s *sender) run() {
 	}
 }
 
-// fin runs the close handshake on a drained stream. The window is
-// empty (every data frame acked, which implies flushed), so the
-// batching writer holds no bytes; flush anyway to make FIN ordering
-// independent of that invariant.
+// fin runs the close handshake on a drained stream: every data frame
+// is acked, so FIN is the last frame on the connection.
 func (s *sender) fin(l *link) {
-	if s.bw.Flush() != nil {
-		return
-	}
-	if err := writeFrame(l.conn, &frame{typ: frameFin, from: s.t.self, to: s.dest, gen: s.t.wireGen()}); err != nil {
+	if s.write(l.conn, &frame{typ: frameFin, from: s.t.self, to: s.dest, gen: s.t.wireGen()}) != nil {
 		return
 	}
 	timeout := time.After(finAckTimeout)

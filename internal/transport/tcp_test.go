@@ -10,20 +10,21 @@ import (
 	"gravel/internal/fabric"
 	"gravel/internal/rt"
 	"gravel/internal/timemodel"
+	"gravel/internal/transport/fault"
 	"gravel/internal/wire"
 )
 
 // newTCPCluster assembles n TCP fabrics (one per simulated process)
 // around an in-process coordinator. Joins block until the whole
 // cluster has assembled, so construction is concurrent.
-func newTCPCluster(t *testing.T, n int) []*TCP {
+func newTCPCluster(t testing.TB, n int) []*TCP {
 	t.Helper()
-	return newTCPClusterBanked(t, n, 1)
+	return newTCPClusterWith(t, n, fabric.Options{ResolverBanks: 1})
 }
 
-// newTCPClusterBanked is newTCPCluster with the given number of
-// resolver banks per node.
-func newTCPClusterBanked(t *testing.T, n, banks int) []*TCP {
+// newTCPClusterWith is newTCPCluster with every node built from opt
+// (Self and Coord filled in).
+func newTCPClusterWith(t testing.TB, n int, opt fabric.Options) []*TCP {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -40,11 +41,9 @@ func newTCPClusterBanked(t *testing.T, n, banks int) []*TCP {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fabs[i], errs[i] = NewTCP(timemodel.Default(), newClocks(n), fabric.Options{
-				Self:          i,
-				Coord:         ln.Addr().String(),
-				ResolverBanks: banks,
-			})
+			o := opt
+			o.Self, o.Coord = i, ln.Addr().String()
+			fabs[i], errs[i] = NewTCP(timemodel.Default(), newClocks(n), o)
 		}(i)
 	}
 	wg.Wait()
@@ -120,6 +119,33 @@ func TestTCPDeliversAndQuiesces(t *testing.T) {
 
 	if got := fabs[0].PerDest[1].Packets.Load(); got != 1 {
 		t.Fatalf("sender PerDest[1].Packets = %d, want 1", got)
+	}
+}
+
+// TestTCPWritesOneFramePerWrite holds the writer to the fault
+// injector's contract: every frame is one Write. An injector that
+// delays every frame by a nanosecond counts one decision per Write, so
+// each direction's count must be its stream's sequenced frames (data
+// and ballots) plus the HELLO that opened the connection.
+func TestTCPWritesOneFramePerWrite(t *testing.T) {
+	const packets = 32
+	fabs := newTCPClusterWith(t, 2, fabric.Options{ResolverBanks: 1, Faults: &fault.Config{Delay: 1, DelayMax: time.Nanosecond}})
+	for a := uint64(0); a < packets; a++ {
+		fabs[0].Send(0, 1, incBuf(a, 1), 1)
+	}
+	for i := 0; i < packets; i++ {
+		fabs[1].Done(<-fabs[1].Inbox(1))
+	}
+	waitQuiet(t, "tcp pair", func() bool { return allQuiet(fabs) })
+	// Every ballot of the released vote has arrived, so every frame
+	// before Close's FIN is written; the sequence counters are read once
+	// the writers have stopped.
+	writes := []int64{fabs[0].FaultInjector().Counters().Delay, fabs[1].FaultInjector().Counters().Delay}
+	closeAll(fabs)
+	for i, f := range fabs {
+		if frames := f.senders[1-i].str.nextSeq; writes[i] != int64(frames)+1 {
+			t.Errorf("node %d: %d Writes for HELLO and %d sequenced frames, want one each", i, writes[i], frames)
+		}
 	}
 }
 
@@ -387,5 +413,39 @@ func TestTCPSupersedesStaleInboundConn(t *testing.T) {
 	case p := <-tr.Inbox(1):
 		t.Fatalf("unexpected extra delivery %+v", p)
 	default:
+	}
+}
+
+// BenchmarkTCPStep times one StepBarrier of a 2-process TCP cluster:
+// an empty step, and a step in which node 0 sends node 1 one 1-record
+// packet that node 1 applies before voting.
+func BenchmarkTCPStep(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		records int
+	}{{"empty", 0}, {"one-record", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			fabs := newTCPCluster(b, 2)
+			defer closeAll(fabs)
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for node, f := range fabs {
+				wg.Add(1)
+				go func(node int, f *TCP) {
+					defer wg.Done()
+					for i := 0; i < b.N; i++ {
+						for r := 0; r < bc.records; r++ {
+							if node == 0 {
+								f.Send(0, 1, incBuf(uint64(i), 1), 1)
+							} else {
+								f.Done(<-f.Inbox(1))
+							}
+						}
+						f.StepBarrier()
+					}
+				}(node, f)
+			}
+			wg.Wait()
+		})
 	}
 }

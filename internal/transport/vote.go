@@ -188,7 +188,7 @@ func (t *TCP) vote(barrier bool) bool {
 }
 
 // castBallot sends b to every peer: sequenced in the stream like data,
-// flushed at once, counted by no ledger.
+// counted by no ledger.
 func (t *TCP) castBallot(b ballot) {
 	for _, s := range t.senders {
 		if s != nil {
