@@ -35,6 +35,7 @@ func startChaosCoord(t *testing.T, n int) (*transport.Coordinator, string, func(
 
 // nodeRun is one in-process TCP cluster member's lifecycle and outcome.
 type nodeRun struct {
+	model        string // "" is gravel
 	sys          gravel.System
 	tcp          *transport.TCP
 	local, total uint64
@@ -53,6 +54,7 @@ func (r *nodeRun) start(i, n int, coordAddr string, faults *gravel.FaultConfig, 
 	opts.Coord = coordAddr
 	opts.Faults = faults
 	r.sys = gravel.New(gravel.Config{
+		Model:         r.model,
 		Nodes:         n,
 		Transport:     "tcp",
 		TransportOpts: opts,

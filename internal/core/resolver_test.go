@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"gravel/internal/rt"
-	"gravel/internal/wire"
 )
 
 // runSharded runs a seeded scattered-increment workload on a fresh
@@ -210,45 +208,5 @@ func TestHostAMCascadeSharded(t *testing.T) {
 	st := cl.Stats()
 	if st.Resolver.AMs == 0 {
 		t.Fatal("no AMs resolved on resolver banks")
-	}
-}
-
-// TestWireDecodeErrorUnwindsQuiesce: a received packet whose payload
-// fails wire decode must not crash a resolver goroutine — it surfaces
-// as a typed *WireDecodeError panic out of Quiesce (like a transport
-// PeerDownError out of Step), carrying the failure's coordinates.
-func TestWireDecodeErrorUnwindsQuiesce(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cl := New(Config{Nodes: 2, ResolverShards: shards})
-		garbage := append(wire.GetBuf(32), "ragged-payload"...) // 14 B: not a record multiple
-		cl.fab.Send(0, 1, garbage, 1)
-
-		var err error
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("shards=%d: Quiesce did not panic on an undecodable payload", shards)
-				}
-				e, ok := r.(error)
-				if !ok {
-					t.Fatalf("shards=%d: Quiesce panicked with non-error %v", shards, r)
-				}
-				err = e
-			}()
-			cl.Quiesce()
-		}()
-
-		var wde *WireDecodeError
-		if !errors.As(err, &wde) {
-			t.Fatalf("shards=%d: Quiesce panic = %v (%T), want *WireDecodeError", shards, err, err)
-		}
-		if wde.Node != 1 || wde.From != 0 || wde.Bytes != 14 || wde.Routed {
-			t.Errorf("shards=%d: error coordinates wrong: %+v", shards, wde)
-		}
-		if errors.Unwrap(wde) == nil {
-			t.Errorf("shards=%d: WireDecodeError does not wrap the wire error", shards)
-		}
-		cl.Close()
 	}
 }

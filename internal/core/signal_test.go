@@ -203,103 +203,14 @@ func TestWaitUntilDeterministicTime(t *testing.T) {
 	}
 }
 
-// kernelPanic runs a single-work-item kernel and returns the value it
-// panicked with (nil if none); the recover happens inside the kernel so
-// the launch worker survives.
-func kernelPanic(cl *Cluster, body func(c rt.Ctx)) (r any) {
-	cl.Step("panic", []int{1, 0}, 0, func(c rt.Ctx) {
-		defer func() { r = recover() }()
-		body(c)
-	})
-	return r
-}
-
-// TestPutSignalCoOwnershipPanics: a signal cell owned by a different
-// node than its data cell is a protocol violation and must panic with
-// the typed *SignalError naming both cells.
-func TestPutSignalCoOwnershipPanics(t *testing.T) {
-	cl := New(Config{Nodes: 2, WGSize: 64})
-	defer cl.Close()
-	data := cl.Space().SymAlloc(4)
-	sig := cl.Space().SymAlloc(1)
-
-	r := kernelPanic(cl, func(c rt.Ctx) {
-		g := c.Group()
-		mask := make([]bool, g.Size)
-		idx := make([]uint64, g.Size)
-		val := make([]uint64, g.Size)
-		si := make([]uint64, g.Size)
-		mask[0] = true
-		idx[0] = data.SymIndex(1, 0) // data on node 1...
-		si[0] = sig.SymIndex(0, 0)   // ...signal on node 0
-		c.PutSignal(data, idx, val, sig, si, mask)
-	})
-	e, ok := r.(*SignalError)
-	if !ok {
-		t.Fatalf("panic = %v (%T), want *SignalError", r, r)
-	}
-	if e.Verb != "PutSignal" || e.DataOwner != 1 || e.SigOwner != 0 {
-		t.Fatalf("wrong error coordinates: %+v", e)
-	}
-}
-
-// TestWaitUntilRemoteCellPanics: waits must address local cells (that
-// is where signals are delivered); a remote cell is a *SignalError.
-func TestWaitUntilRemoteCellPanics(t *testing.T) {
-	cl := New(Config{Nodes: 2, WGSize: 64})
-	defer cl.Close()
-	sig := cl.Space().SymAlloc(1)
-
-	r := kernelPanic(cl, func(c rt.Ctx) { // runs on node 0
-		g := c.Group()
-		mask := make([]bool, g.Size)
-		si := make([]uint64, g.Size)
-		until := make([]uint64, g.Size)
-		mask[0] = true
-		si[0] = sig.SymIndex(1, 0) // node 1's cell
-		c.WaitUntil(sig, si, until, mask)
-	})
-	e, ok := r.(*SignalError)
-	if !ok {
-		t.Fatalf("panic = %v (%T), want *SignalError", r, r)
-	}
-	if e.Verb != "WaitUntil" || e.Node != 0 || e.SigOwner != 1 {
-		t.Fatalf("wrong error coordinates: %+v", e)
-	}
-}
-
-// TestSignalVerbMaskErrors: the new verbs share the runtime's one mask
-// convention — nil means all lanes, anything else must be WG-sized and
-// violations are a typed *MaskError naming the verb.
+// TestSignalVerbMaskErrors: the signal verbs share the runtime's one
+// mask convention. A mask of the wrong length is a *MaskError naming
+// the verb (TestUnwindTable's MaskError rows); an all-false mask is
+// valid and a no-op.
 func TestSignalVerbMaskErrors(t *testing.T) {
 	cl := New(Config{Nodes: 2, WGSize: 64})
 	defer cl.Close()
-	data := cl.Space().SymAlloc(4)
 	sig := cl.Space().SymAlloc(1)
-
-	for _, tc := range []struct {
-		verb string
-		body func(c rt.Ctx, short []bool)
-	}{
-		{"PutSignal", func(c rt.Ctx, short []bool) {
-			n := c.Group().Size
-			c.PutSignal(data, make([]uint64, n), make([]uint64, n), sig, make([]uint64, n), short)
-		}},
-		{"WaitUntil", func(c rt.Ctx, short []bool) {
-			n := c.Group().Size
-			c.WaitUntil(sig, make([]uint64, n), make([]uint64, n), short)
-		}},
-	} {
-		r := kernelPanic(cl, func(c rt.Ctx) { tc.body(c, make([]bool, 3)) })
-		e, ok := r.(*MaskError)
-		if !ok {
-			t.Fatalf("%s: panic = %v (%T), want *MaskError", tc.verb, r, r)
-		}
-		// kernelPanic launches a single work-item, so the WG is 1 lane.
-		if e.Verb != tc.verb || e.Got != 3 || e.Want != 1 {
-			t.Fatalf("%s: wrong error coordinates: %+v", tc.verb, e)
-		}
-	}
 
 	// An all-false mask is valid and a no-op: WaitUntil returns without
 	// parking or charging a wait.

@@ -192,30 +192,27 @@ func (l *Launcher) Run(ctx context.Context, spec Spec) (*RunResult, error) {
 			return assemble(spec, out, time.Since(start))
 		}
 		stat := EpochStat{Gen: gen, Nodes: nodes, WallNs: time.Since(epochStart).Nanoseconds()}
+		// finish assembles this epoch's outcomes and stamps the run's
+		// history on the result.
+		finish := func(epochs, recoveries int, log []EpochStat) (*RunResult, error) {
+			res, err := assemble(espec, out, time.Since(start))
+			if res != nil {
+				res.Spec, res.Epochs, res.Recovered, res.EpochLog = spec, epochs, recoveries, log
+			}
+			return res, err
+		}
 
 		if !anyFailed(out) {
 			stat.Outcome = "completed"
 			epochLog = append(epochLog, stat)
-			res, err := assemble(espec, out, time.Since(start))
-			if res != nil {
-				res.Spec = spec
-				res.Epochs = len(epochLog)
-				res.Recovered = recovered
-				res.EpochLog = epochLog
-			}
+			res, err := finish(len(epochLog), recovered, epochLog)
 			if err == nil && recovered > 0 && obs.Enabled() {
 				obs.Emit(obs.KRecover, -1, int64(gen), int64(len(epochLog)), "")
 			}
 			return res, err
 		}
 		if ctx.Err() != nil {
-			res, _ := assemble(espec, out, time.Since(start))
-			if res != nil {
-				res.Spec = spec
-				res.Epochs = len(epochLog) + 1
-				res.Recovered = recovered
-				res.EpochLog = epochLog
-			}
+			res, _ := finish(len(epochLog)+1, recovered, epochLog)
 			return res, ctx.Err()
 		}
 
@@ -237,13 +234,7 @@ func (l *Launcher) Run(ctx context.Context, spec Spec) (*RunResult, error) {
 		// checkpoint unless the recovery budget is spent.
 		recovered++
 		if recovered > maxRec {
-			res, aerr := assemble(espec, out, time.Since(start))
-			if res != nil {
-				res.Spec = spec
-				res.Epochs = len(epochLog) + 1
-				res.Recovered = recovered - 1
-				res.EpochLog = append(epochLog, stat)
-			}
+			res, aerr := finish(len(epochLog)+1, recovered-1, append(epochLog, stat))
 			if aerr == nil {
 				aerr = fmt.Errorf("noderun: elastic run failed after %d recoveries", recovered-1)
 			}

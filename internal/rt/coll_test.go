@@ -62,21 +62,6 @@ func TestTeamSemantics(t *testing.T) {
 	if tm.Rank(1) != 0 || tm.Rank(4) != 2 || tm.Rank(0) != -1 {
 		t.Fatalf("ranks: %d %d %d", tm.Rank(1), tm.Rank(4), tm.Rank(0))
 	}
-
-	for name, f := range map[string]func(){
-		"empty":     func() { rt.TeamOf() },
-		"duplicate": func() { rt.TeamOf(1, 1) },
-		"negative":  func() { rt.TeamOf(-1) },
-	} {
-		func() {
-			defer func() {
-				if _, ok := recover().(*rt.CollectiveError); !ok {
-					t.Errorf("TeamOf %s did not panic with *CollectiveError", name)
-				}
-			}()
-			f()
-		}()
-	}
 }
 
 // TestNilCollectivesIdentity: the package helper treats a nil

@@ -13,53 +13,6 @@ import (
 	"gravel/internal/timemodel"
 )
 
-// TestCollectiveTypedFailures drives the peer path's misuse rows on a
-// real 2-node cluster: every member that called gets a
-// *rt.CollectiveError within the deadline, never a hang, and a correct
-// collective on the same cluster afterwards still folds.
-func TestCollectiveTypedFailures(t *testing.T) {
-	fabs := newTCPCluster(t, 2)
-	defer closeAll(fabs)
-	for _, tc := range []struct {
-		name    string
-		callers []int
-		call    func(c rt.Collectives, self int) (uint64, error)
-	}{
-		{"unknown operator", []int{0}, func(c rt.Collectives, self int) (uint64, error) {
-			return c.AllReduce("u", rt.WorldTeam, rt.OpMax+1, 1)
-		}},
-		{"mismatched operator", []int{0, 1}, func(c rt.Collectives, self int) (uint64, error) {
-			return c.AllReduce("mo", rt.WorldTeam, rt.OpMin+rt.ReduceOp(self), 1)
-		}},
-		{"mismatched key", []int{0, 1}, func(c rt.Collectives, self int) (uint64, error) {
-			return c.AllReduce(fmt.Sprint("mk", self), rt.WorldTeam, rt.OpSum, 1)
-		}},
-		{"non-member", []int{1}, func(c rt.Collectives, self int) (uint64, error) {
-			return c.AllReduce("nm", rt.TeamOf(0), rt.OpSum, 1)
-		}},
-		{"team outside the cluster", []int{0}, func(c rt.Collectives, self int) (uint64, error) {
-			return c.AllReduce("far", rt.TeamOf(0, 2), rt.OpSum, 1)
-		}},
-	} {
-		_, errs := collAll(t, fabs, tc.callers, tc.call)
-		for i, err := range errs {
-			var ce *rt.CollectiveError
-			if !errors.As(err, &ce) {
-				t.Errorf("%s: node %d got %v, want *rt.CollectiveError", tc.name, tc.callers[i], err)
-			}
-		}
-	}
-	if v, err := fabs[0].Collectives().AllReduce("one", rt.TeamOf(0), rt.OpSum, 5); v != 5 || err != nil {
-		t.Fatalf("team of one = %d, %v, want 5", v, err)
-	}
-	got := collOK(t, fabs, []int{0, 1}, func(c rt.Collectives, self int) (uint64, error) {
-		return c.AllReduce("after", rt.WorldTeam, rt.OpSum, uint64(self+1))
-	})
-	if got[0] != 3 || got[1] != 3 {
-		t.Fatalf("sum after the failures = %v, want 3 on both", got)
-	}
-}
-
 // TestVerifySymmetricRejectsPermutedOrder: on a real 2-node cluster,
 // node 1 allocating two arrays in the swapped order is a
 // *rt.SymmetryError on both members, within the deadline; matching

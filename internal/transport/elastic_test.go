@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"gravel/internal/fabric"
-	"gravel/internal/rt"
 	"gravel/internal/timemodel"
 )
 
@@ -142,74 +140,5 @@ func TestCoordinatorRejectsStaleGeneration(t *testing.T) {
 	}
 	if se.Have != 1 || se.Want != 2 || se.Source != "coordinator" {
 		t.Fatalf("typed error = %+v, want Have=1 Want=2 Source=coordinator", se)
-	}
-}
-
-// TestTCPCoordinatorKillTypedUnwind kills the coordinator under an
-// assembled cluster and requires the workers to unwind with the typed
-// *CoordDownError — Reduce by returning it, Quiet by panicking it on
-// the Step goroutine — rather than hanging in a collective that can
-// never complete.
-func TestTCPCoordinatorKillTypedUnwind(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCoordinator(2)
-	go c.Serve(ln)
-
-	fabs := make([]*TCP, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fabs[i], errs[i] = NewTCP(timemodel.Default(), newClocks(2), fabric.Options{
-				Self:              i,
-				Coord:             ln.Addr().String(),
-				CoordRPCTimeout:   time.Second,
-				HeartbeatInterval: 50 * time.Millisecond, // how a parked voter learns of the death
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("fabric %d: %v", i, err)
-		}
-	}
-	defer func() {
-		fabs[0].Kill()
-		fabs[1].Kill()
-	}()
-
-	c.Kill()
-	ln.Close()
-
-	_, err = fabs[0].Collectives().AllReduce("after-kill", rt.WorldTeam, rt.OpSum, 1)
-	var cde *CoordDownError
-	if !errors.As(err, &cde) {
-		t.Fatalf("AllReduce error is %T (%v), want *CoordDownError", err, err)
-	}
-
-	unwound := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				var ok bool
-				if err, ok = r.(error); !ok {
-					t.Fatalf("Quiet panicked a non-error %v", r)
-				}
-			}
-		}()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			fabs[1].Quiet()
-			time.Sleep(time.Millisecond)
-		}
-		return nil
-	}()
-	if !errors.As(unwound, &cde) {
-		t.Fatalf("Quiet unwound with %T (%v), want *CoordDownError", unwound, unwound)
 	}
 }

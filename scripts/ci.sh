@@ -70,10 +70,13 @@ race_and_guards() {
   # between rounds holds the vote, a next ballot taken before the
   # round's last one is caught, no finished vote or collective is
   # retained, refused ballots poison the connection, 200 steps on 2 and
-  # 4 processes stay aligned, every misused collective returns a typed
-  # error on every member that called, and the writer puts each frame in
-  # one Write (the fault injector's unit), twenty tries each.
+  # 4 processes stay aligned, and the writer puts each frame in one
+  # Write (the fault injector's unit), twenty tries each.
   go test -race -count=20 -run 'Vote|Tally|Collective|OneFramePerWrite' ./internal/transport
+  # The unwind contract (DESIGN.md §4.6): every run-time error type ×
+  # model × raise site × fabric comes back typed to the caller, five
+  # tries under the race detector.
+  go test -race -count=5 -run UnwindTable .
   go test -bench=. -benchtime=20ms -run=NONE ./internal/queue/ ./internal/wire/ ./internal/simt/ ./internal/fabric/ ./internal/core/ ./internal/pgas/ ./internal/transport/
 }
 
