@@ -151,11 +151,12 @@ type Cluster struct {
 
 	// Receive-side resolution (resolver.go): shards is the per-node
 	// resolver bank count; bankMu serializes applies per (node, bank);
-	// decodeErr holds the first wire decode failure for Quiesce to
-	// surface.
-	shards    int
-	bankMu    [][]sync.Mutex
-	decodeErr atomic.Pointer[WireDecodeError]
+	// recvFailure holds the first failure to apply a packet (a
+	// *WireDecodeError, or what an AM handler panicked), sticky, for
+	// Quiesce to raise.
+	shards      int
+	bankMu      [][]sync.Mutex
+	recvFailure atomic.Pointer[any]
 
 	// dist is fab's multi-process side, nil on an in-process fabric:
 	// the step barrier (Quiesce), the fatal error (the barrier panics it
@@ -166,12 +167,14 @@ type Cluster struct {
 
 	// The phase record: prev is every node's ledger as the last phase
 	// boundary left it, the one reading both a phase's time and its
-	// StepStats are the change since; cur is the boundary being taken.
-	// steps holds one rt.StepStats per recorded phase, stepStart the wall
-	// clock of the last RunNodes.
+	// StepStats are the change since; cur is the boundary being taken,
+	// and bankDiff holds one node's per-bank change. steps holds one
+	// rt.StepStats per recorded phase, stepStart the wall clock of the
+	// last RunNodes.
 	phases    []timemodel.PhaseRecord
 	nodeNs    []float64 // the unused rest of the slab endPhase cuts NodeNs from
 	prev, cur []timemodel.Snapshot
+	bankDiff  []float64
 	totalNs   float64
 	steps     []rt.StepStats
 	stepStart time.Time
@@ -351,6 +354,7 @@ func NewChecked(cfg Config) (*Cluster, error) {
 
 	cl.prev = make([]timemodel.Snapshot, cfg.Nodes)
 	cl.cur = make([]timemodel.Snapshot, cfg.Nodes)
+	cl.bankDiff = make([]float64, 0, shards)
 	// Resolvers (and the local bypass registration) come up before the
 	// aggregators so the bypass hook happens-before the first Send.
 	cl.startResolvers()
@@ -620,7 +624,7 @@ func (cl *Cluster) Quiesce() {
 			return idle && departed == consumed
 		})
 	}
-	cl.checkDecodeErr()
+	cl.checkRecvFailure()
 }
 
 // nodeNsSlab is how many phases' NodeNs endPhase allocates at a time.
@@ -655,8 +659,8 @@ func (cl *Cluster) endPhase(name string, compose func(timemodel.Snapshot) float6
 	step := rt.StepStats{Index: len(cl.steps), Name: name}
 	m := 0.0
 	for i, n := range cl.nodes {
-		cl.cur[i] = n.Clocks.Snapshot()
-		d := cl.cur[i].Sub(cl.prev[i])
+		n.Clocks.Read(&cl.cur[i])
+		d := cl.cur[i].SubInto(cl.prev[i], cl.bankDiff)
 		nodeNs[i] = compose(d)
 		m = max(m, nodeNs[i])
 		count(&step, d)
@@ -696,7 +700,12 @@ func (cl *Cluster) endPhase(name string, compose func(timemodel.Snapshot) float6
 // enabling request/reply protocols. The message is staged into the
 // node's aggregator and is applied before the enclosing Step returns
 // (the quiescence protocol iterates until no messages remain anywhere).
+// A from or dest outside the cluster panics a *DestError; from inside a
+// handler, Quiesce raises it on the Step goroutine.
 func (cl *Cluster) HostAM(from int, h uint8, dest int, a, b uint64) {
+	if nodes := len(cl.nodes); uint(from) >= uint(nodes) || uint(dest) >= uint(nodes) {
+		panic(&DestError{Verb: "HostAM", Node: from, Dest: dest, Nodes: nodes})
+	}
 	n := cl.nodes[from]
 	// Charge the initiation to the bank that will resolve the message —
 	// always bank 0 for AMs (fabric.BankOfRecord) — so banked NetBound

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -49,10 +50,11 @@ func TestFineStepsSmoke(t *testing.T) {
 	}
 }
 
-// TestWarmStepAllocs pins a warm Step's fixed cost in objects: the
-// kernel adapter, launch state and completion state are reused and the
-// phase record's NodeNs comes off a slab, which leaves the amortised
-// growth of the phase and step histories.
+// TestWarmStepAllocs pins a warm Step's fixed cost in objects, at one
+// resolver shard and at several: the kernel adapter, launch state and
+// completion state are reused, the phase record's NodeNs comes off a
+// slab and the ledger readings reuse their per-bank slices, which
+// leaves the amortised growth of the phase and step histories.
 func TestWarmStepAllocs(t *testing.T) {
 	var pool sync.Pool
 	for i := 0; i < 64; i++ {
@@ -61,14 +63,18 @@ func TestWarmStepAllocs(t *testing.T) {
 		}
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the ctx pool
-	cl := New(Config{Nodes: 2})
-	defer cl.Close()
-	_, step := fineStep(cl)
-	for i := 0; i < 10; i++ {
-		step()
-	}
-	if n := testing.AllocsPerRun(500, step); n > 2 {
-		t.Errorf("a warm 2-node, one-WG Step allocates %.2f objects, want at most 2", n)
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cl := New(Config{Nodes: 2, ResolverShards: shards})
+			defer cl.Close()
+			_, step := fineStep(cl)
+			for i := 0; i < 10; i++ {
+				step()
+			}
+			if n := testing.AllocsPerRun(500, step); n > 2 {
+				t.Errorf("a warm 2-node, one-WG Step allocates %.2f objects, want at most 2", n)
+			}
+		})
 	}
 }
 

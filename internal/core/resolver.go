@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"gravel/internal/fabric"
@@ -49,12 +50,12 @@ func (e *WireDecodeError) Error() string {
 
 func (e *WireDecodeError) Unwrap() error { return e.Err }
 
-// checkDecodeErr panics with the recorded receive failure, if any, from
-// inside Quiesce: on the goroutine that called Step, where noderun's
-// typed-error recovery can see it.
-func (cl *Cluster) checkDecodeErr() {
-	if e := cl.decodeErr.Load(); e != nil {
-		panic(e)
+// checkRecvFailure panics with the recorded receive failure, if any,
+// from inside Quiesce: on the goroutine that called Step, where
+// noderun's typed-error recovery can see it.
+func (cl *Cluster) checkRecvFailure() {
+	if r := cl.recvFailure.Load(); r != nil {
+		panic(*r)
 	}
 }
 
@@ -81,40 +82,47 @@ func (cl *Cluster) startResolvers() {
 func (cl *Cluster) resolve(n *Node, bank int, inbox <-chan fabric.Packet) {
 	defer cl.netWG.Done()
 	for pkt := range inbox {
-		ap := applier{cl: cl, node: n.ID}
-		relayed := 0
-		if pkt.Routed {
-			// Gateway role (§10): routed queues arrive whole on bank 0, so
-			// relays leave in arrival order. Records for this node apply
-			// under their own bank's lock; the rest are re-aggregated for
-			// the group's members, no lock held (AppendDirect may block).
-			if err := wire.DecodeRouted(pkt.Buf, func(cmd, a, v uint64, dest int) {
-				if dest != n.ID {
-					relayed++
-					n.Agg.AppendDirect(dest, cmd, a, v, cl.params.AggPerMsgNs)
-				} else if ap.err == nil {
-					ap.record(cmd, a, v)
-				}
-			}); err != nil {
-				ap.err = err
-			}
-		} else {
-			ap.walk(pkt.Buf, bank, bank+1)
-		}
+		cl.resolvePacket(n, bank, pkt)
 		// A failed packet is still retired, so Quiesce completes and
-		// surfaces it. A good one is all this bank's work, whichever
-		// locks a routed packet's local records took.
-		if !ap.failed(pkt) {
-			n.Clocks.AddNetBank(bank, cl.netCharge(pkt.Msgs, len(pkt.Buf), ap.ams, ap.sigs))
-			n.Clocks.CountResolved(bank, pkt.Msgs-relayed, ap.ams, ap.sigs)
-			if obs.Enabled() {
-				obs.Emit(obs.KResolve, n.ID, int64(bank), int64(pkt.Msgs), "")
-				if ap.sigs > 0 {
-					obs.Emit(obs.KSignal, n.ID, int64(bank), int64(ap.sigs), "")
-				}
+		// surfaces it.
+		cl.fab.Done(pkt)
+	}
+}
+
+// resolvePacket applies one packet of bank's inbox.
+func (cl *Cluster) resolvePacket(n *Node, bank int, pkt fabric.Packet) {
+	ap := applier{cl: cl, node: n.ID}
+	defer ap.contain()
+	relayed := 0
+	if pkt.Routed {
+		// Gateway role (§10): routed queues arrive whole on bank 0, so
+		// relays leave in arrival order. Records for this node apply
+		// under their own bank's lock; the rest are re-aggregated for
+		// the group's members, no lock held (AppendDirect may block).
+		if err := wire.DecodeRouted(pkt.Buf, func(cmd, a, v uint64, dest int) {
+			if dest != n.ID {
+				relayed++
+				n.Agg.AppendDirect(dest, cmd, a, v, cl.params.AggPerMsgNs)
+			} else if ap.err == nil {
+				ap.record(cmd, a, v)
+			}
+		}); err != nil {
+			ap.err = err
+		}
+	} else {
+		ap.walk(pkt.Buf, bank, bank+1)
+	}
+	// A good packet is all this bank's work, whichever locks a routed
+	// packet's local records took.
+	if !ap.failed(pkt) {
+		n.Clocks.AddNetBank(bank, cl.netCharge(pkt.Msgs, len(pkt.Buf), ap.ams, ap.sigs))
+		n.Clocks.CountResolved(bank, pkt.Msgs-relayed, ap.ams, ap.sigs)
+		if obs.Enabled() {
+			obs.Emit(obs.KResolve, n.ID, int64(bank), int64(pkt.Msgs), "")
+			if ap.sigs > 0 {
+				obs.Emit(obs.KSignal, n.ID, int64(bank), int64(ap.sigs), "")
 			}
 		}
-		cl.fab.Done(pkt)
 	}
 }
 
@@ -127,6 +135,7 @@ func (cl *Cluster) resolve(n *Node, bank int, inbox <-chan fabric.Packet) {
 func (cl *Cluster) applyLocal(pkt fabric.Packet) {
 	n := cl.nodes[pkt.To]
 	ap := applier{cl: cl, node: n.ID}
+	defer ap.contain()
 	ap.walk(pkt.Buf, 0, cl.shards)
 	if ap.failed(pkt) {
 		return
@@ -174,8 +183,9 @@ type applier struct {
 	lo    uint64       // ... and the global index of local[0]
 	sig   *uint64      // non-nil: PUT_SIGNAL, incremented after the store
 
-	err       error // first failure; nothing is applied after it
-	ams, sigs int   // the packet's AMs and signals, and its work per bank:
+	err       error       // first failure; nothing is applied after it
+	held      *sync.Mutex // the bank mutex a pass runs under, for contain
+	ams, sigs int         // the packet's AMs and signals, and its work per bank:
 	bank      [fabric.MaxResolverBanks]tally
 }
 
@@ -195,20 +205,40 @@ func (ap *applier) walk(buf []byte, b0, b1 int) {
 		if met>>b&1 != 0 {
 			mu := &ap.cl.bankMu[ap.node][b]
 			mu.Lock()
+			ap.held = mu
 			met = ap.pass(buf, b, mask)
+			ap.held = nil
 			mu.Unlock()
 		}
 	}
 }
 
 // failed reports whether applying pkt failed, recording the cluster's first
-// failure (later ones are almost certainly the same) for checkDecodeErr.
+// failure (later ones are almost certainly the same) for checkRecvFailure.
 func (ap *applier) failed(pkt fabric.Packet) bool {
 	if ap.err != nil {
-		ap.cl.decodeErr.CompareAndSwap(nil, &WireDecodeError{Node: ap.node, From: pkt.From, Routed: pkt.Routed, Bytes: len(pkt.Buf), Err: ap.err})
+		ap.cl.fail(&WireDecodeError{Node: ap.node, From: pkt.From, Routed: pkt.Routed, Bytes: len(pkt.Buf), Err: ap.err})
 	}
 	return ap.err != nil
 }
+
+// contain is deferred once per packet. An AM handler is the
+// application's code on a resolver goroutine (or an aggregator's, through
+// the bypass): if it panics — HostAM's *DestError, say — the bank mutex
+// it ran under is released, the rest of the packet is dropped uncharged,
+// and the panic becomes the cluster's first receive failure, which
+// Quiesce raises on the Step goroutine, instead of killing the process.
+func (ap *applier) contain() {
+	if r := recover(); r != nil {
+		if ap.held != nil {
+			ap.held.Unlock()
+		}
+		ap.cl.fail(r)
+	}
+}
+
+// fail records r as the receive side's failure unless one came first.
+func (cl *Cluster) fail(r any) { cl.recvFailure.CompareAndSwap(nil, &r) }
 
 // record applies one record as a run of one under its bank's mutex: the
 // gateway's routed decode hands records over one at a time.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"gravel/internal/rt"
@@ -208,5 +209,44 @@ func TestHostAMCascadeSharded(t *testing.T) {
 	st := cl.Stats()
 	if st.Resolver.AMs == 0 {
 		t.Fatal("no AMs resolved on resolver banks")
+	}
+}
+
+// TestAMHandlerPanicIsStickyFailure: an AM handler that panics — here
+// HostAM refusing a bad from or dest — fails its Step with the panic on
+// the Step goroutine, whether it ran on a resolver bank or on the
+// bypass, at one shard and at four. The failure is sticky, and the
+// handler's bank mutex is free again.
+func TestAMHandlerPanicIsStickyFailure(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, to := range []int{0, 1} { // the bypass, a resolver bank
+			for _, bad := range [][2]int{{-1, 2}, {0, 4}} { // HostAM's from, dest
+				t.Run(fmt.Sprintf("shards=%d/to=%d/from=%d/dest=%d", shards, to, bad[0], bad[1]), func(t *testing.T) {
+					cl := New(Config{Nodes: 4, ResolverShards: shards})
+					defer cl.Close()
+					h := cl.RegisterAM(func(int, uint64, uint64) { cl.HostAM(bad[0], 0, bad[1], 0, 0) })
+					step := func(grid []int) (r any) {
+						defer func() { r = recover() }()
+						cl.Step("am", grid, 0, func(c rt.Ctx) { c.AM(h, []int{to}, []uint64{0}, []uint64{0}, nil) })
+						return nil
+					}
+					r := step([]int{1, 0, 0, 0})
+					if e, ok := r.(*DestError); !ok || e.Verb != "HostAM" || e.Node != bad[0] || e.Dest != bad[1] || e.Nodes != 4 {
+						t.Fatalf("the step ended with %v (%T), want HostAM's *DestError", r, r)
+					}
+					if again := step(make([]int, 4)); again != r {
+						t.Errorf("the next step ended with %v, want the same failure again", again)
+					}
+					for node, banks := range cl.bankMu {
+						for b := range banks {
+							if !banks[b].TryLock() {
+								t.Fatalf("node %d bank %d mutex still held after the handler's panic", node, b)
+							}
+							banks[b].Unlock()
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -46,18 +46,23 @@ func (e *SignalError) Error() string {
 }
 
 // DestError reports an active message addressed to a node outside
-// [0, Nodes). The verb front-end raises it on the kernel's goroutine
-// before anything is enqueued; downstream it would index past a
-// per-destination table on an aggregator goroutine.
+// [0, Nodes), or sent by HostAM from one. The verb front-end and HostAM
+// raise it before anything is enqueued; downstream it would index past
+// a per-destination table on an aggregator goroutine.
 type DestError struct {
-	// Verb is the rt.Ctx verb that received the destination.
+	// Verb is the rt.Ctx verb that received the destination, or HostAM
+	// (whose from may be the bad node).
 	Verb string
-	// Node is the node executing the verb; Lane the offending lane.
+	// Node is the node executing the verb (HostAM's from); Lane the
+	// offending lane.
 	Node, Lane int
 	// Dest is the destination named; Nodes the cluster size.
 	Dest, Nodes int
 }
 
 func (e *DestError) Error() string {
+	if e.Verb == "HostAM" {
+		return fmt.Sprintf("core: HostAM from node %d to node %d of a %d-node cluster", e.Node, e.Dest, e.Nodes)
+	}
 	return fmt.Sprintf("core: %s on node %d: lane %d addresses node %d of a %d-node cluster", e.Verb, e.Node, e.Lane, e.Dest, e.Nodes)
 }

@@ -205,7 +205,16 @@ type Snapshot struct {
 // Snapshot returns the current ledger. It is only exact when the node
 // is quiescent.
 func (c *Clocks) Snapshot() Snapshot {
-	s := Snapshot{
+	var s Snapshot
+	c.Read(&s)
+	return s
+}
+
+// Read is Snapshot into s, reusing the array of s.NetBanks: a reader
+// that keeps one Snapshot per node reads the ledger without allocating.
+func (c *Clocks) Read(s *Snapshot) {
+	banks := s.NetBanks[:0]
+	*s = Snapshot{
 		GPU:            fromTicks(c.gpu.Load()),
 		Agg:            fromTicks(c.agg.Load()),
 		AggIdle:        fromTicks(c.aggIdle.Load()),
@@ -226,7 +235,7 @@ func (c *Clocks) Snapshot() Snapshot {
 		Bypass:         c.bypass.load(),
 	}
 	if len(c.banks) > 1 {
-		s.NetBanks = make([]float64, len(c.banks))
+		s.NetBanks = append(banks, make([]float64, len(c.banks))...)
 	}
 	for i := range c.banks {
 		b := &c.banks[i]
@@ -240,20 +249,21 @@ func (c *Clocks) Snapshot() Snapshot {
 		}
 	}
 	s.NetMsgs = s.Resolved.Msgs + s.Bypass.Msgs
-	return s
 }
 
 // Sub returns s - prev, field by field. NetBanks subtracts
 // element-wise (prev may be shorter, e.g. the zero Snapshot before the
 // first phase).
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
+func (s Snapshot) Sub(prev Snapshot) Snapshot { return s.SubInto(prev, nil) }
+
+// SubInto is Sub with the NetBanks difference written into the array
+// of banks (grown if short): a caller that keeps the scratch subtracts
+// without allocating.
+func (s Snapshot) SubInto(prev Snapshot, banks []float64) Snapshot {
 	if s.NetBanks != nil {
-		banks := make([]float64, len(s.NetBanks))
-		for i, v := range s.NetBanks {
-			if i < len(prev.NetBanks) {
-				v -= prev.NetBanks[i]
-			}
-			banks[i] = v
+		banks = append(banks[:0], s.NetBanks...)
+		for i := range min(len(banks), len(prev.NetBanks)) {
+			banks[i] -= prev.NetBanks[i]
 		}
 		s.NetBanks = banks
 	}

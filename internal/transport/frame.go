@@ -169,13 +169,17 @@ func putFrame(f *frame) {
 }
 
 // readFrameInto reads and validates one frame from a stream into f,
-// drawing the payload buffer from the wire packet pool (delivery hands
-// it to the inbox packet, whose Done recycles it). Malformed input
-// returns an error and poisons the stream (the caller must drop the
-// connection); it never panics. On error f holds no pooled buffer.
+// decoding the header in place in r's buffer and drawing the payload
+// buffer from the wire packet pool (delivery hands it to the inbox
+// packet, whose Done recycles it). Malformed input returns an error and
+// poisons the stream (the caller must drop the connection); it never
+// panics. On error f holds no pooled buffer.
 func readFrameInto(r *bufio.Reader, f *frame) error {
-	var h [headerBytes]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
+	h, err := r.Peek(headerBytes)
+	if err != nil {
+		if err == io.EOF && len(h) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return err
 	}
 	if m := binary.LittleEndian.Uint32(h[0:4]); m != frameMagic {
@@ -200,6 +204,8 @@ func readFrameInto(r *bufio.Reader, f *frame) error {
 		seq:  binary.LittleEndian.Uint64(h[24:32]),
 		gen:  binary.LittleEndian.Uint16(h[6:8]),
 	}
+	crc := binary.LittleEndian.Uint32(h[32:36]) // h is r's buffer: the payload read overwrites it
+	r.Discard(headerBytes)
 	switch {
 	case typ.inline() && plen == ballotBytes:
 		f.payload = f.inline[:]
@@ -213,20 +219,10 @@ func readFrameInto(r *bufio.Reader, f *frame) error {
 			return err
 		}
 	}
-	if got, want := crc32.ChecksumIEEE(f.payload), binary.LittleEndian.Uint32(h[32:36]); got != want {
+	if got := crc32.ChecksumIEEE(f.payload); got != crc {
 		wire.PutBuf(f.payload)
 		f.payload = nil
-		return fmt.Errorf("%w (got %#x want %#x)", errCorruptPayload, got, want)
+		return fmt.Errorf("%w (got %#x want %#x)", errCorruptPayload, got, crc)
 	}
 	return nil
-}
-
-// readFrame is readFrameInto with a freshly allocated frame, for call
-// sites (handshakes, tests) that keep the frame around.
-func readFrame(r *bufio.Reader) (*frame, error) {
-	f := new(frame)
-	if err := readFrameInto(r, f); err != nil {
-		return nil, err
-	}
-	return f, nil
 }

@@ -3,8 +3,12 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"testing"
+
+	"gravel/internal/wire"
 )
 
 // parseFrame decodes a frame from a complete in-memory buffer,
@@ -17,6 +21,15 @@ func parseFrame(b []byte) (*frame, error) {
 	}
 	if br.Buffered() > 0 {
 		return nil, fmt.Errorf("transport: %d trailing bytes after frame", br.Buffered())
+	}
+	return f, nil
+}
+
+// readFrame is readFrameInto with a freshly allocated frame.
+func readFrame(r *bufio.Reader) (*frame, error) {
+	f := new(frame)
+	if err := readFrameInto(r, f); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -72,6 +85,47 @@ func TestFrameRoundTrip(t *testing.T) {
 		// The whole-buffer path must agree with the stream path.
 		if _, err := parseFrame(buf.Bytes()); err != nil {
 			t.Fatalf("parseFrame(%d): %v", want.typ, err)
+		}
+	}
+}
+
+// TestReadFrameZeroAllocs: the reader takes the header in place from
+// its bufio.Reader, so reading a warm data frame (its pooled payload
+// recycled as Done would), a ballot or an ack allocates nothing.
+func TestReadFrameZeroAllocs(t *testing.T) {
+	data := &frame{typ: frameData, from: 0, to: 1, msgs: 64, seq: 9, payload: make([]byte, 64*wire.MsgWireBytes)}
+	for _, want := range []*frame{data, frameCases[6], frameCases[3]} {
+		raw := appendFrame(nil, want)
+		var (
+			rd bytes.Reader
+			br = bufio.NewReaderSize(&rd, 64<<10)
+			f  frame
+		)
+		read := func() {
+			rd.Reset(raw)
+			br.Reset(&rd)
+			if err := readFrameInto(br, &f); err != nil || f.seq != want.seq {
+				t.Fatalf("reading frame type %d: seq %d, %v", want.typ, f.seq, err)
+			}
+			if !f.typ.inline() {
+				wire.PutBuf(f.payload)
+			}
+		}
+		read()
+		if n := testing.AllocsPerRun(200, read); n != 0 {
+			t.Errorf("reading a warm frame of type %d allocates %.2f objects, want 0", want.typ, n)
+		}
+	}
+}
+
+// TestReadFramePartialHeader: a stream that ends between frames is
+// io.EOF, one that ends inside a header io.ErrUnexpectedEOF.
+func TestReadFramePartialHeader(t *testing.T) {
+	raw := appendFrame(nil, frameCases[3])
+	for n, want := range map[int]error{0: io.EOF, 1: io.ErrUnexpectedEOF, headerBytes - 1: io.ErrUnexpectedEOF} {
+		var f frame
+		if err := readFrameInto(bufio.NewReader(bytes.NewReader(raw[:n])), &f); !errors.Is(err, want) {
+			t.Errorf("a stream of %d header bytes: %v, want %v", n, err, want)
 		}
 	}
 }

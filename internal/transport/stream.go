@@ -73,14 +73,12 @@ func (s *sendStream) ack(acked uint64) (data int) {
 			obs.Emit(obs.KAck, f.from, int64(f.seq), rtt, "")
 		}
 		putFrame(f)
-		s.window[i] = nil
 		i++
 	}
-	if i == len(s.window) {
-		s.window = s.window[:0]
-	} else {
-		s.window = s.window[i:]
-	}
+	// The survivors move to the front: admit never regrows the window.
+	n := copy(s.window, s.window[i:])
+	clear(s.window[n:])
+	s.window = s.window[:n]
 	s.unacked.Add(int64(-i))
 	return data
 }

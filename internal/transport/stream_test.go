@@ -298,3 +298,27 @@ func TestStreamExactlyOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestSendWindowZeroAllocs: an ack that leaves survivors moves them to
+// the front of the window, so a steady admit/ack cycle never regrows
+// it.
+func TestSendWindowZeroAllocs(t *testing.T) {
+	var s sendStream
+	cycle := func() {
+		for range 2 {
+			f := getFrame()
+			f.typ = frameData
+			s.admit(f)
+		}
+		s.ack(s.nextSeq - 1) // one frame stays in flight
+	}
+	for range 10 {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(500, cycle); n != 0 {
+		t.Errorf("a steady admit/ack cycle allocates %.2f objects, want 0", n)
+	}
+	if len(s.window) != 1 || s.window[0].seq != s.nextSeq {
+		t.Errorf("window %d frames after the cycles, want the last one only", len(s.window))
+	}
+}

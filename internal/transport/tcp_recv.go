@@ -44,8 +44,8 @@ func (t *TCP) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	hello, err := readFrame(br)
-	if err != nil || hello.typ != frameHello || hello.to != t.self ||
+	var hello frame
+	if err := readFrameInto(br, &hello); err != nil || hello.typ != frameHello || hello.to != t.self ||
 		hello.from < 0 || hello.from >= t.n || hello.from == t.self {
 		t.Malformed.Add(1)
 		return

@@ -191,7 +191,8 @@ func (s *sender) handshake(conn net.Conn) *link {
 	}
 	br := bufio.NewReaderSize(conn, 16<<10)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	ack, err := readFrame(br)
+	var ack frame
+	err := readFrameInto(br, &ack)
 	if err == nil && ack.typ == frameEvict {
 		// The receiver is on another membership generation: this process
 		// was evicted. Fail the whole transport with the typed error —

@@ -416,16 +416,16 @@ func TestTCPSupersedesStaleInboundConn(t *testing.T) {
 	}
 }
 
-// BenchmarkTCPStep times one StepBarrier of a 2-process TCP cluster:
-// an empty step, and a step in which node 0 sends node 1 one 1-record
-// packet that node 1 applies before voting.
+// BenchmarkTCPStep times one StepBarrier of a TCP cluster: an empty
+// step of 2 and of 4 processes, and a 2-process step in which node 0
+// sends node 1 one 1-record packet that node 1 applies before voting.
 func BenchmarkTCPStep(b *testing.B) {
 	for _, bc := range []struct {
-		name    string
-		records int
-	}{{"empty", 0}, {"one-record", 1}} {
+		name           string
+		nodes, records int
+	}{{"empty-2", 2, 0}, {"empty-4", 4, 0}, {"one-record", 2, 1}} {
 		b.Run(bc.name, func(b *testing.B) {
-			fabs := newTCPCluster(b, 2)
+			fabs := newTCPCluster(b, bc.nodes)
 			defer closeAll(fabs)
 			var wg sync.WaitGroup
 			b.ResetTimer()

@@ -187,8 +187,12 @@ func DecodeRouted(buf []byte, fn func(cmd, a, v uint64, dest int)) error {
 // an untrusted byte stream without applying it: the length must be a
 // whole number of records, every op must be known, and routed
 // destinations must name a node in [0, nodes). Transports call this
-// before handing a payload to the network thread, whose decode path
-// treats violations as programming errors.
+// before handing a payload to the network thread, so a frame that fails
+// it is counted as malformed and dropped with its connection, never
+// delivered, and a gateway never re-aggregates a record for a node that
+// does not exist. What it cannot see (an unallocated array, an
+// unregistered AM handler, a cell the receiving node does not own) the
+// resolver fails as a typed core.WireDecodeError.
 func CheckBuf(buf []byte, routed bool, nodes int) error {
 	rec := MsgWireBytes
 	if routed {

@@ -101,10 +101,14 @@ fuzz_smokes() {
 hot_path_guards() {
   # The pooled packet lifecycle must stay allocation-free, and the Fig6
   # queue benchmark must keep running end to end (one iteration;
-  # throughput is tracked out of band).
+  # throughput is tracked out of band). A TCP frame read, the send
+  # window's admit/ack cycle and a warm Step at 1, 2 and 4 resolver
+  # shards allocate nothing (a Step: nothing but its history's growth).
   step "hot-path guards"
   go test -bench=Fig6 -benchtime=1x -run=NONE .
   go test -bench='FlushRoundTrip|RepackDrain|ArchiveRoundTrip' -benchmem -benchtime=100x -run=NONE ./internal/agg/
+  go test -count=1 -run='^(TestReadFrameZeroAllocs|TestSendWindowZeroAllocs)$' ./internal/transport/
+  go test -count=1 -run='^TestWarmStepAllocs$' ./internal/core/
 }
 
 cluster_smokes() {

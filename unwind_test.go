@@ -75,9 +75,10 @@ type hostCall func(c rt.Collectives, sp *pgas.Space, self int) error
 type unwindRow struct {
 	want
 	// kernel raises from work-group 1 of the bad node (sites device and
-	// step, chan), host from a host call (site host, chan). A sticky
-	// failure outlives its call, so the next step must report it again;
-	// after any other the cluster must run a good step exactly.
+	// step, chan), host from a host call (site host, chan). A sticky row's
+	// host call fails the receive side, which outlives the call, so the
+	// next step must report it again; after any other failure the
+	// cluster must run a good step exactly.
 	kernel func(c rt.Ctx, e *unwindEnv, idx, one []uint64, dst []int)
 	host   func(e *unwindEnv)
 	sticky bool
@@ -150,10 +151,17 @@ func unwindRows() []*unwindRow {
 			}
 		}},
 		{want: is(func(err *core.DestError, e *unwindEnv) bool {
-			return err.Verb == "AM" && err.Node == e.bad && err.Dest == badDest(e) && err.Nodes == unwindNodes
-		}), kernel: func(c rt.Ctx, e *unwindEnv, idx, one []uint64, dst []int) {
+			verb := map[bool]string{true: "HostAM", false: "AM"}[e.site == "host"]
+			return err.Verb == verb && err.Node == e.bad && err.Dest == badDest(e) && err.Nodes == unwindNodes
+		}), sticky: true, kernel: func(c rt.Ctx, e *unwindEnv, idx, one []uint64, dst []int) {
 			dst[len(dst)-1] = badDest(e)
 			c.AM(e.h, dst, idx, one, nil)
+		}, host: func(e *unwindEnv) {
+			// A request to the bad node whose handler, on a resolver
+			// goroutine, replies to a node that does not exist.
+			reply := e.sys.RegisterAM(func(node int, _, _ uint64) { e.sys.HostAM(node, e.h, badDest(e), 0, 0) })
+			e.sys.HostAM(peer(e), reply, e.bad, 0, 0)
+			e.sys.Step("after-bad-reply", make([]int, unwindNodes), 0, func(rt.Ctx) {})
 		}},
 		{want: is(func(err *pgas.RangeError, e *unwindEnv) bool {
 			return err.Array == e.tab.ID() && err.Index == uint64(e.tab.Len()) && err.Len == e.tab.Len()
@@ -391,7 +399,7 @@ func (c unwindCell) runInProcess(t *testing.T, e *unwindEnv) {
 		raise = func() { c.row.host(e) }
 	}
 	c.check(t, e, "the raising call", unwound(t, "the raising call", raise))
-	if c.row.sticky {
+	if c.row.sticky && c.site == "host" {
 		next := func() { sys.Step("next", make([]int, unwindNodes), 0, func(rt.Ctx) {}) }
 		c.check(t, e, "the next step", unwound(t, "the next step", next))
 		return
