@@ -99,7 +99,7 @@ func main() {
 	fmt.Printf("  remote accesses: %.1f%%   avg wire packet: %.0f B   agg busy: %.0f%%\n",
 		100*st.Queue.RemoteFrac(), st.Transport.AvgPacketBytes, 100*st.Agg.BusyFrac)
 	if *phases {
-		harness.PhaseReport(os.Stdout, sys)
+		harness.PhaseReport(os.Stdout, st.Phases)
 	}
 	if common.JSONPath != "" {
 		rep := appReport{

@@ -68,13 +68,15 @@ type AMHandler = rt.AMHandler
 
 // Stats is the versioned statistics snapshot (System.Stats): cumulative
 // totals organized by subsystem (Queue, Agg, Transport, Faults) plus
-// per-step deltas. StatsVersion identifies the schema.
+// the last steps' deltas and per-name step sums. StatsVersion
+// identifies the schema.
 type Stats = rt.Stats
 
 // StatsVersion is the schema version carried in Stats.Version.
 const StatsVersion = rt.StatsVersion
 
-// Per-subsystem sections of Stats, and the per-step delta record.
+// Per-subsystem sections of Stats, the per-step delta record and the
+// per-name step sums.
 type (
 	QueueStats     = rt.QueueStats
 	AggStats       = rt.AggStats
@@ -83,6 +85,7 @@ type (
 	TransportStats = rt.TransportStats
 	FaultStats     = rt.FaultStats
 	StepStats      = rt.StepStats
+	PhaseStats     = rt.PhaseStats
 )
 
 // Array is a symmetric distributed array in the global address space.

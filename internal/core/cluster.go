@@ -168,15 +168,15 @@ type Cluster struct {
 	// The phase record: prev is every node's ledger as the last phase
 	// boundary left it, the one reading both a phase's time and its
 	// StepStats are the change since; cur is the boundary being taken,
-	// and bankDiff holds one node's per-bank change. steps holds one
-	// rt.StepStats per recorded phase, stepStart the wall clock of the
-	// last RunNodes.
-	phases    []timemodel.PhaseRecord
-	nodeNs    []float64 // the unused rest of the slab endPhase cuts NodeNs from
+	// and bankDiff holds one node's per-bank change. The step ledger:
+	// steps rings the last stepWindow steps, earlier sums those evicted,
+	// byName sums by name. stepStart is the last RunNodes' wall clock.
 	prev, cur []timemodel.Snapshot
 	bankDiff  []float64
 	totalNs   float64
 	steps     []rt.StepStats
+	earlier   rt.StepStats
+	byName    []rt.PhaseStats
 	stepStart time.Time
 
 	// The per-node fan-out (RunNodes): what the device threads run and
@@ -559,7 +559,7 @@ func (cl *Cluster) RunNodes(grid []int, run func(n *Node, grid int)) {
 	cl.startBarrier()
 	cl.stepStart = time.Now()
 	if obs.Enabled() {
-		obs.Emit(obs.KStepBegin, -1, int64(len(cl.steps)), 0, "")
+		obs.Emit(obs.KStepBegin, -1, int64(cl.stepCount()), 0, "")
 	}
 	last := -1
 	for i, g := range grid {
@@ -627,8 +627,11 @@ func (cl *Cluster) Quiesce() {
 	cl.checkRecvFailure()
 }
 
-// nodeNsSlab is how many phases' NodeNs endPhase allocates at a time.
-const nodeNsSlab = 64
+// stepWindow is how many recent steps' records the step ledger keeps.
+const stepWindow = 1024
+
+// stepCount is how many steps the cluster has recorded.
+func (cl *Cluster) stepCount() int { return cl.earlier.Index + len(cl.steps) }
 
 // EndPhaseOverlapped snapshots per-node clocks since the previous phase
 // and records a phase whose per-node time is the busiest-resource bound.
@@ -649,26 +652,18 @@ func (cl *Cluster) EndPhaseSequential(name string) {
 // idle time, which completes the reading, records the step's counts as
 // the change in the ledgers, and closes the flight recorder's step span.
 func (cl *Cluster) endPhase(name string, compose func(timemodel.Snapshot) float64) {
-	// The phase record keeps nodeNs, so it is cut from a slab: one
-	// allocation per nodeNsSlab phases.
-	if len(cl.nodeNs) < cl.cfg.Nodes {
-		cl.nodeNs = make([]float64, nodeNsSlab*cl.cfg.Nodes)
-	}
-	nodeNs := cl.nodeNs[:cl.cfg.Nodes:cl.cfg.Nodes]
-	cl.nodeNs = cl.nodeNs[cl.cfg.Nodes:]
-	step := rt.StepStats{Index: len(cl.steps), Name: name}
+	step := rt.StepStats{Index: cl.stepCount(), Name: name}
 	m := 0.0
 	for i, n := range cl.nodes {
 		n.Clocks.Read(&cl.cur[i])
 		d := cl.cur[i].SubInto(cl.prev[i], cl.bankDiff)
-		nodeNs[i] = compose(d)
-		m = max(m, nodeNs[i])
+		m = max(m, compose(d))
 		count(&step, d)
 	}
 	phase := m + cl.params.BarrierNs
-	cl.phases = append(cl.phases, timemodel.PhaseRecord{Name: name, NodeNs: nodeNs, PhaseNs: phase})
 	cl.totalNs += phase
 	step.VirtualNs = phase
+	cl.addPhase(name, phase)
 
 	// §8.1: an aggregator core that is not repacking is polling, for as
 	// long as the phase lasts on the virtual clock — whatever the Go
@@ -688,7 +683,16 @@ func (cl *Cluster) endPhase(name string, compose func(timemodel.Snapshot) float6
 		cl.stepStart = time.Time{}
 	}
 	step.WallNs = wall
-	cl.steps = append(cl.steps, step)
+	if n := len(cl.steps); n == stepWindow {
+		old := &cl.steps[step.Index%stepWindow]
+		fold(&cl.earlier, old)
+		*old = step
+	} else {
+		if n == cap(cl.steps) { // grow by half, up to the window exactly
+			cl.steps = append(make([]rt.StepStats, 0, min(n+n/2+16, stepWindow)), cl.steps...)
+		}
+		cl.steps = append(cl.steps, step)
+	}
 	if obs.Enabled() {
 		obs.Emit(obs.KStepEnd, -1, wall, int64(phase), name)
 		obs.ObserveStepWall(wall)
@@ -730,8 +734,33 @@ func (cl *Cluster) ChargeHost(ns float64) {
 // VirtualTimeNs implements rt.System.
 func (cl *Cluster) VirtualTimeNs() float64 { return cl.totalNs }
 
-// Phases implements rt.System.
-func (cl *Cluster) Phases() []timemodel.PhaseRecord { return cl.phases }
+// addPhase adds a step of ns to the sums of the steps called name,
+// adding their row the first time the name is seen.
+func (cl *Cluster) addPhase(name string, ns float64) {
+	i := slices.IndexFunc(cl.byName, func(p rt.PhaseStats) bool { return p.Name == name })
+	if i < 0 {
+		i, cl.byName = len(cl.byName), append(cl.byName, rt.PhaseStats{Name: name})
+	}
+	p := &cl.byName[i]
+	p.Steps, p.VirtualNs, p.MaxNs = p.Steps+1, p.VirtualNs+ns, max(p.MaxNs, ns)
+}
+
+// fold adds step s, evicted from the ring, into t, the sum of the
+// steps before the ring, and counts it in t.Index.
+func fold(t, s *rt.StepStats) {
+	t.Index++
+	t.VirtualNs += s.VirtualNs
+	t.WallNs += s.WallNs
+	t.LocalOps, t.RemoteOps = t.LocalOps+s.LocalOps, t.RemoteOps+s.RemoteOps
+	t.SlotsDrained, t.MsgsDrained = t.SlotsDrained+s.SlotsDrained, t.MsgsDrained+s.MsgsDrained
+	t.WirePackets, t.WireBytes = t.WirePackets+s.WirePackets, t.WireBytes+s.WireBytes
+	t.SelfPackets += s.SelfPackets
+	t.AggBusyNs, t.AggIdleNs = t.AggBusyNs+s.AggBusyNs, t.AggIdleNs+s.AggIdleNs
+	t.ResolvedPackets, t.ResolvedMsgs = t.ResolvedPackets+s.ResolvedPackets, t.ResolvedMsgs+s.ResolvedMsgs
+	t.ResolvedAMs += s.ResolvedAMs
+	t.BypassPackets, t.BypassMsgs = t.BypassPackets+s.BypassPackets, t.BypassMsgs+s.BypassMsgs
+	t.Signals, t.Waits = t.Signals+s.Signals, t.Waits+s.Waits
+}
 
 // count adds a ledger reading, or the change between two, to t's
 // counters.
@@ -757,8 +786,8 @@ func count(t *rt.StepStats, s timemodel.Snapshot) {
 // Stats implements rt.System: the versioned snapshot every section of
 // the runtime reports through. Its counts are the sum of the nodes'
 // live ledgers, the same readings the per-step records are the changes
-// in, so the steps sum to them; only the transport's own events and
-// the fault injector's come from elsewhere.
+// in, so Earlier and the steps sum to them; only the transport's own
+// events and the fault injector's come from elsewhere.
 func (cl *Cluster) Stats() rt.Stats {
 	st := rt.Stats{
 		Version:   rt.StatsVersion,
@@ -839,7 +868,10 @@ func (cl *Cluster) Stats() rt.Stats {
 		}
 	}
 
-	st.Steps = append([]rt.StepStats(nil), cl.steps...)
+	oldest := cl.stepCount() % max(len(cl.steps), 1) // the next step's slot
+	st.Steps = slices.Concat(cl.steps[oldest:], cl.steps[:oldest])
+	st.Earlier = cl.earlier
+	st.Phases = append([]rt.PhaseStats(nil), cl.byName...)
 	return st
 }
 

@@ -35,7 +35,7 @@ func TestZeroGridStep(t *testing.T) {
 	if ran {
 		t.Fatal("kernel ran with empty grid")
 	}
-	if len(cl.Phases()) != 1 {
+	if len(cl.Stats().Steps) != 1 {
 		t.Fatal("empty step should still record a phase")
 	}
 }
@@ -241,12 +241,13 @@ func TestPhasesAndVirtualTimeMonotone(t *testing.T) {
 		}
 		last = v
 	}
-	if len(cl.Phases()) != 3 {
-		t.Fatalf("phases = %d", len(cl.Phases()))
+	steps := cl.Stats().Steps
+	if len(steps) != 3 {
+		t.Fatalf("steps = %d", len(steps))
 	}
-	for _, ph := range cl.Phases() {
-		if ph.PhaseNs <= 0 || len(ph.NodeNs) != 2 {
-			t.Fatalf("bad phase record %+v", ph)
+	for _, sp := range steps {
+		if sp.VirtualNs <= 0 {
+			t.Fatalf("bad step record %+v", sp)
 		}
 	}
 }

@@ -46,7 +46,7 @@ func TestQuiesceFlushesEachQueueOnce(t *testing.T) {
 		if after-before != 1 {
 			t.Fatalf("rep %d: %d timeout flushes, want 1 (a per-node queue was split)", rep, after-before)
 		}
-		ns := cl.Phases()[rep].PhaseNs
+		ns := cl.Stats().Steps[rep].VirtualNs
 		if rep == 0 {
 			wantNs = ns
 		} else if ns != wantNs {

@@ -94,7 +94,7 @@ func TestSmokeIncPutAM(t *testing.T) {
 	if ns.Queue.LocalOps+ns.Queue.RemoteOps == 0 || ns.Transport.WirePackets == 0 {
 		t.Fatalf("stats not accumulated: %+v", ns)
 	}
-	if len(cl.Phases()) != 3 {
-		t.Fatalf("phases = %d, want 3", len(cl.Phases()))
+	if n := len(cl.Stats().Steps); n != 3 {
+		t.Fatalf("steps = %d, want 3", n)
 	}
 }

@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"reflect"
+	"strings"
 	"testing"
 
 	"gravel/internal/obs"
@@ -125,6 +130,133 @@ func testStatsStepDeltas(t *testing.T, shards int) {
 	if st.Queue.RemoteOps == 0 || st.Transport.WirePackets == 0 {
 		t.Errorf("workload produced no traffic (remote=%d packets=%d); test is vacuous",
 			st.Queue.RemoteOps, st.Transport.WirePackets)
+	}
+}
+
+// TestStepLedgerBounded: past its window the step ledger keeps the last
+// stepWindow records in a ring that never grows past the window, folds
+// the steps it evicts into Earlier so every cumulative total still adds
+// up, and keeps one per-name row that counts every step.
+func TestStepLedgerBounded(t *testing.T) {
+	const steps, earlier = 3*stepWindow + 7, 2*stepWindow + 7
+	cl := New(Config{Nodes: 2})
+	defer cl.Close()
+	_, step := fineStep(cl)
+	for s := 0; s < steps; s++ {
+		step()
+	}
+	st := cl.Stats()
+	if len(st.Steps) != stepWindow || st.Steps[0].Index != earlier || st.Earlier.Index != earlier {
+		t.Fatalf("%d step records from step %d, %d folded into Earlier; want %d from step %d, %d folded",
+			len(st.Steps), st.Steps[0].Index, st.Earlier.Index, stepWindow, earlier, earlier)
+	}
+	for i, sp := range st.Steps {
+		if sp.Index != earlier+i {
+			t.Fatalf("Steps[%d] is step %d, want %d", i, sp.Index, earlier+i)
+		}
+	}
+	if c := cap(cl.steps); c != stepWindow {
+		t.Errorf("the ring's capacity is %d, want %d", c, stepWindow)
+	}
+
+	// Earlier starts the sum, Index included; every int64 and float64
+	// field of the steps adds in, the way TestStatsConservation sums.
+	sum := st.Earlier
+	acc := reflect.ValueOf(&sum).Elem()
+	for _, sp := range st.Steps {
+		v := reflect.ValueOf(sp)
+		for i := 0; i < v.NumField(); i++ {
+			switch f := acc.Field(i); f.Kind() {
+			case reflect.Int64:
+				f.SetInt(f.Int() + v.Field(i).Int())
+			case reflect.Float64:
+				f.SetFloat(f.Float() + v.Field(i).Float())
+			}
+		}
+	}
+	sum.WallNs = 0 // a clock reading, not a count
+	want := rt.StepStats{
+		Index:     earlier,
+		VirtualNs: st.VirtualNs,
+		LocalOps:  st.Queue.LocalOps, RemoteOps: st.Queue.RemoteOps,
+		SlotsDrained: st.Queue.SlotsDrained, MsgsDrained: st.Queue.MsgsDrained,
+		WirePackets: st.Transport.WirePackets, WireBytes: st.Transport.WireBytes,
+		SelfPackets: st.Transport.SelfPackets,
+		AggBusyNs:   st.Agg.BusyNs, AggIdleNs: st.Agg.IdleNs,
+		ResolvedPackets: st.Resolver.Packets, ResolvedMsgs: st.Resolver.Msgs, ResolvedAMs: st.Resolver.AMs,
+		BypassPackets: st.Resolver.BypassPackets, BypassMsgs: st.Resolver.BypassMsgs,
+		Signals: st.PGAS.Signals, Waits: st.PGAS.Waits,
+	}
+	if sum != want {
+		t.Errorf("Earlier and the steps sum to\n%+v\ncumulative\n%+v", sum, want)
+	}
+	if want.RemoteOps == 0 || want.WirePackets == 0 || st.Earlier.RemoteOps == 0 {
+		t.Errorf("the steps left a count unmoved (test is vacuous): %+v", want)
+	}
+	// fineStep moves no signal, wait or AM, so fold is also checked on
+	// its own: a step with every count 1 folds into an empty sum as
+	// itself, counted once.
+	var ones, folded rt.StepStats
+	for v, i := reflect.ValueOf(&ones).Elem(), 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(1)
+		case reflect.Float64:
+			f.SetFloat(1)
+		}
+	}
+	fold(&folded, &ones)
+	if ones.Index = 1; folded != ones {
+		t.Errorf("fold of a step of ones gave %+v", folded)
+	}
+
+	if len(st.Phases) != 1 {
+		t.Fatalf("per-name rows %+v, want one", st.Phases)
+	}
+	if p := st.Phases[0]; p.Name != "fine" || p.Steps != steps || p.VirtualNs != cl.VirtualTimeNs() || p.MaxNs <= 0 {
+		t.Errorf("per-name row %+v, want %d steps summing to %g ns", p, steps, cl.VirtualTimeNs())
+	}
+}
+
+// TestStepNumbersPastWindow: the step-begin event and the
+// gravel_steps_total counter number steps over the run, not within the
+// step ledger's window.
+func TestStepNumbersPastWindow(t *testing.T) {
+	const before = stepWindow + 5
+	cl := New(Config{Nodes: 2})
+	defer cl.Close()
+	_, step := fineStep(cl)
+	for s := 0; s < before; s++ {
+		step()
+	}
+	rec := obs.Start(obs.Options{RingCap: 1024})
+	defer obs.Stop()
+	step()
+	obs.Stop()
+	var begins []int64
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KStepBegin {
+			begins = append(begins, ev.A)
+		}
+	}
+	if len(begins) != 1 || begins[0] != before {
+		t.Errorf("step-begin events numbered %v, want [%d]", begins, before)
+	}
+
+	st := cl.Stats()
+	srv, err := obs.NewServer("127.0.0.1:0", nil, func() *rt.Stats { return &st })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("\ngravel_steps_total %d\n", before+1); !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
 	}
 }
 

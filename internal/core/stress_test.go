@@ -78,8 +78,8 @@ func TestManySmallSteps(t *testing.T) {
 	if got := arr.Sum(); got != 200*128 {
 		t.Fatalf("sum = %d, want %d", got, 200*128)
 	}
-	if len(cl.Phases()) != 200 {
-		t.Fatalf("phases = %d", len(cl.Phases()))
+	if n := len(cl.Stats().Steps); n != 200 {
+		t.Fatalf("steps = %d", n)
 	}
 }
 

@@ -7,34 +7,13 @@ import (
 	"gravel/internal/rt"
 )
 
-// PhaseReport renders a system's superstep timeline, merging
-// consecutive phases with the same name into (count, total, avg, max)
-// rows. It is the -phases output of gravel-apps and gravel-node.
-func PhaseReport(w io.Writer, sys rt.System) {
-	type agg struct {
-		count   int
-		totalNs float64
-		maxNs   float64
-	}
-	order := []string{}
-	byName := map[string]*agg{}
-	for _, ph := range sys.Phases() {
-		a, ok := byName[ph.Name]
-		if !ok {
-			a = &agg{}
-			byName[ph.Name] = a
-			order = append(order, ph.Name)
-		}
-		a.count++
-		a.totalNs += ph.PhaseNs
-		if ph.PhaseNs > a.maxNs {
-			a.maxNs = ph.PhaseNs
-		}
-	}
+// PhaseReport renders a run's superstep timeline from its per-name
+// step sums (Stats.Phases): one (count, total, avg, max) row per step
+// name, in first-seen order. It is the -phases output of gravel-apps.
+func PhaseReport(w io.Writer, phases []rt.PhaseStats) {
 	fmt.Fprintf(w, "  %-14s %8s %12s %12s %12s\n", "phase", "count", "total ms", "avg us", "max us")
-	for _, name := range order {
-		a := byName[name]
+	for _, p := range phases {
 		fmt.Fprintf(w, "  %-14s %8d %12.3f %12.1f %12.1f\n",
-			name, a.count, a.totalNs/1e6, a.totalNs/float64(a.count)/1e3, a.maxNs/1e3)
+			p.Name, p.Steps, p.VirtualNs/1e6, p.VirtualNs/float64(p.Steps)/1e3, p.MaxNs/1e3)
 	}
 }

@@ -179,7 +179,7 @@ func writeStatsMetrics(b *strings.Builder, st *rt.Stats) {
 		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	g("gravel_virtual_time_ns", "Total virtual time across steps (ns).", st.VirtualNs)
-	c("gravel_steps_total", "Recorded kernel steps.", int64(len(st.Steps)))
+	c("gravel_steps_total", "Recorded kernel steps.", int64(st.Earlier.Index+len(st.Steps)))
 	c("gravel_queue_local_ops_total", "Fine-grain accesses to local memory.", st.Queue.LocalOps)
 	c("gravel_queue_remote_ops_total", "Fine-grain accesses offloaded to the queue.", st.Queue.RemoteOps)
 	c("gravel_queue_slots_drained_total", "Queue slots drained by the aggregator.", st.Queue.SlotsDrained)

@@ -14,7 +14,6 @@ import (
 	"gravel/internal/ckpt"
 	"gravel/internal/pgas"
 	"gravel/internal/simt"
-	"gravel/internal/timemodel"
 )
 
 // AMHandler is an active-message handler executed by the destination
@@ -150,10 +149,8 @@ type System interface {
 
 	// VirtualTimeNs returns total virtual time elapsed across all steps.
 	VirtualTimeNs() float64
-	// Phases returns the per-step time breakdown.
-	Phases() []timemodel.PhaseRecord
 	// Stats returns the versioned statistics snapshot: cumulative
-	// totals by subsystem plus per-step deltas.
+	// totals by subsystem, the last steps' deltas and per-name sums.
 	Stats() Stats
 
 	// Close releases background goroutines. The system is unusable

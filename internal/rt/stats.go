@@ -3,18 +3,17 @@ package rt
 // StatsVersion is the version of the Stats snapshot schema. Consumers
 // that persist or diff snapshots should check it; it bumps when a
 // field changes meaning, never for additions.
-const StatsVersion = 1
+const StatsVersion = 2
 
 // Stats is a versioned snapshot of a system's communication behaviour,
 // organized by subsystem: the producer/consumer queue, the aggregator,
 // the transport, and the fault injector.
 //
-// Cumulative totals and the per-step deltas in Steps are drawn from
-// the same counters at the same phase boundaries, so summing any
-// StepStats field over Steps reproduces the corresponding cumulative
-// total for runs whose traffic happens inside steps (all of them:
-// every message is initiated by a kernel or an AM handler running
-// within a Step).
+// Cumulative totals and the per-step deltas are drawn from the same
+// counters at the same phase boundaries, so a StepStats field of
+// Earlier plus its sum over Steps is the cumulative total for runs
+// whose traffic happens inside steps (all of them: every message is
+// initiated by a kernel or an AM handler running within a Step).
 type Stats struct {
 	// Version is StatsVersion at snapshot time.
 	Version int
@@ -32,9 +31,19 @@ type Stats struct {
 	Faults    FaultStats
 	PGAS      PGASStats
 
-	// Steps holds one delta record per recorded phase (kernel step),
-	// in launch order.
-	Steps []StepStats
+	// Steps holds the last steps' delta records (a fixed window), in
+	// launch order; Earlier sums every step before them, Index their
+	// count. Phases sums all steps by name, in first-seen order.
+	Steps   []StepStats
+	Earlier StepStats
+	Phases  []PhaseStats
+}
+
+// PhaseStats sums the steps recorded under one name.
+type PhaseStats struct {
+	Name             string
+	Steps            int
+	VirtualNs, MaxNs float64 // their total and the longest one's
 }
 
 // QueueStats describes the fine-grain access stream entering the

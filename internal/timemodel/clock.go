@@ -326,20 +326,3 @@ func (s Snapshot) Overlapped() float64 {
 func (s Snapshot) Sequential() float64 {
 	return s.GPU + s.Agg + s.NetBound() + s.WireSend + s.WireRecv + s.Host
 }
-
-// PhaseRecord describes one superstep of a run: the per-node phase times
-// and the cluster-level phase time (max over nodes plus barrier cost).
-type PhaseRecord struct {
-	Name    string
-	NodeNs  []float64
-	PhaseNs float64
-}
-
-// Total sums phase times.
-func Total(phases []PhaseRecord) float64 {
-	var t float64
-	for _, p := range phases {
-		t += p.PhaseNs
-	}
-	return t
-}

@@ -139,13 +139,6 @@ func TestClocksConcurrent(t *testing.T) {
 	}
 }
 
-func TestPhaseTotal(t *testing.T) {
-	phases := []PhaseRecord{{PhaseNs: 5}, {PhaseNs: 7}}
-	if Total(phases) != 12 {
-		t.Fatal("Total wrong")
-	}
-}
-
 func TestEnergyModel(t *testing.T) {
 	s := Snapshot{GPU: 1e9, Agg: 0.35e9, AggIdle: 0.65e9, Net: 1e9, WireSend: 0.1e9, WireRecv: 0.1e9}
 	cpu := EnergyJ(s, false)

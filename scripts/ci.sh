@@ -103,12 +103,13 @@ hot_path_guards() {
   # queue benchmark must keep running end to end (one iteration;
   # throughput is tracked out of band). A TCP frame read, the send
   # window's admit/ack cycle and a warm Step at 1, 2 and 4 resolver
-  # shards allocate nothing (a Step: nothing but its history's growth).
+  # shards allocate nothing, and the step ledger stays within its
+  # window however many steps run.
   step "hot-path guards"
   go test -bench=Fig6 -benchtime=1x -run=NONE .
   go test -bench='FlushRoundTrip|RepackDrain|ArchiveRoundTrip' -benchmem -benchtime=100x -run=NONE ./internal/agg/
   go test -count=1 -run='^(TestReadFrameZeroAllocs|TestSendWindowZeroAllocs)$' ./internal/transport/
-  go test -count=1 -run='^TestWarmStepAllocs$' ./internal/core/
+  go test -count=1 -run='^(TestWarmStepAllocs|TestStepLedgerBounded|TestStepNumbersPastWindow)$' ./internal/core/
 }
 
 cluster_smokes() {
@@ -120,6 +121,8 @@ cluster_smokes() {
   q='.experiments[] | select(.name == "fig6") | .rows[] | [.[0], .[1], .[3]]'
   diff <(jq -c "$q" BENCH_PR3.json) <(jq -c "$q" "$tmp/BENCH_PR3.json")
   go run ./cmd/gravel-node -smoke
+  # -phases renders the per-name step sums: one gups row, one step.
+  go run ./cmd/gravel-apps -app gups -nodes 2 -scale 0.05 -phases | grep -E '^  gups +1 +[0-9.]+ +[0-9.]+ +[0-9.]+$'
   # Distributed-baseline smoke: a rival model from the shared harness
   # registry as a real 3-node TCP cluster, under the race detector; the
   # reduced checksum must match the single-process run bit-for-bit.
