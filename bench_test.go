@@ -105,14 +105,6 @@ func BenchmarkSec82DivergedOps(b *testing.B) {
 	}
 }
 
-// BenchmarkHierScaling runs the §10 projection (flat vs hierarchical
-// aggregation on 8-128 nodes).
-func BenchmarkHierScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Hier(0.05, nil)
-	}
-}
-
 // BenchmarkAblations runs the design-choice ablations (offload
 // granularity, local-atomic routing, slot padding).
 func BenchmarkAblations(b *testing.B) {

@@ -46,7 +46,6 @@ func main() {
 	nodes := flag.Int("nodes", 8, "cluster size")
 	scale := flag.Float64("scale", 1.0, "input scale factor")
 	phases := flag.Bool("phases", false, "print the per-superstep virtual-time breakdown")
-	group := flag.Int("groupsize", 0, "two-level hierarchical aggregation group size (gravel model only)")
 	list := flag.Bool("list", false, "list registered apps, models and transports, then exit")
 	version := flag.Bool("version", false, "print the build-info string and exit")
 	var common cliflags.Common
@@ -78,7 +77,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	sys, err := gravel.NewChecked(gravel.Config{Model: *model, Nodes: *nodes, GroupSize: *group, ResolverShards: common.ResolverShards})
+	sys, err := gravel.NewChecked(gravel.Config{Model: *model, Nodes: *nodes, ResolverShards: common.ResolverShards})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gravel-apps:", err)
 		os.Exit(2)

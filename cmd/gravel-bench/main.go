@@ -5,10 +5,8 @@
 //	gravel-bench -exp=fig12 [-scale=1.0]
 //	gravel-bench -exp=all [-json=results.json] [-cpuprofile=cpu.pprof]
 //
-// Experiments: table2, table5, fig6, fig8, fig12, fig13, fig14, fig15,
-// sec82, hier, ablations, resolver, pgas, aggstrategy, all. An unknown
-// -exp name fails with the list of valid names, mirroring the app
-// registry's unknown-app error.
+// -help lists the experiments. An unknown -exp name fails with the list
+// of valid names, mirroring the app registry's unknown-app error.
 //
 // With -json, every experiment's table is also written to the given
 // path as machine-readable JSON, with per-experiment wall time and
@@ -22,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -75,16 +74,48 @@ func headline(t *bench.Table) (metric string, value float64) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table2, table5, fig6, fig8, fig12, fig13, fig14, fig15, sec82, hier, ablations, resolver, pgas, aggstrategy, all)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = default reduced inputs)")
 	format := flag.String("format", "table", "output format: table or csv")
 	version := flag.Bool("version", false, "print the build-info string and exit")
 	var common cliflags.Common
 	common.RegisterDefault(true)
+
+	// exps is the experiment registry, in presentation order, and the
+	// one place the names are written: the -exp help text lists them,
+	// and the flag is validated against them before anything runs, so a
+	// typo fails loudly instead of silently printing nothing.
+	exps := []struct {
+		name string
+		f    func() *bench.Table
+	}{
+		{"fig6", func() *bench.Table { return bench.Fig6() }},
+		{"fig8", func() *bench.Table { return bench.Fig8() }},
+		{"table2", func() *bench.Table { return bench.Table2() }},
+		{"table5", func() *bench.Table { return bench.Table5(*scale, nil) }},
+		{"fig12", func() *bench.Table { return bench.Fig12(*scale, nil) }},
+		{"fig13", func() *bench.Table { return bench.Fig13(*scale, nil) }},
+		{"fig14", func() *bench.Table { return bench.Fig14(*scale, nil) }},
+		{"fig15", func() *bench.Table { return bench.Fig15(*scale, nil) }},
+		{"sec82", func() *bench.Table { return bench.Sec82(*scale, nil) }},
+		{"ablations", func() *bench.Table { return bench.Ablations(*scale, nil) }},
+		{"resolver", func() *bench.Table { return bench.Resolver(*scale, nil, common.ResolverShards) }},
+		{"pgas", func() *bench.Table { return bench.PGAS(*scale, nil) }},
+		{"aggstrategy", func() *bench.Table { return bench.AggStrategy(*scale, nil) }},
+	}
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.name
+	}
+	known := strings.Join(append(names, "all"), ", ")
+	exp := flag.String("exp", "all", "experiment to run ("+known+")")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.Full("gravel-bench"))
 		return
+	}
+	if !slices.Contains(names, *exp) && *exp != "all" {
+		fmt.Fprintf(os.Stderr, "gravel-bench: unknown experiment %q (have %s)\n", *exp, known)
+		os.Exit(1)
 	}
 	jsonPath := &common.JSONPath
 
@@ -99,42 +130,6 @@ func main() {
 		GoVersion:     runtime.Version(),
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		Scale:         *scale,
-	}
-
-	// exps is the experiment registry, in presentation order. The -exp
-	// flag is validated against it before anything runs, so a typo fails
-	// loudly with the list of valid names instead of silently printing
-	// nothing.
-	exps := []struct {
-		name string
-		f    func() *bench.Table
-	}{
-		{"fig6", func() *bench.Table { return bench.Fig6() }},
-		{"fig8", func() *bench.Table { return bench.Fig8() }},
-		{"table2", func() *bench.Table { return bench.Table2() }},
-		{"table5", func() *bench.Table { return bench.Table5(*scale, nil) }},
-		{"fig12", func() *bench.Table { return bench.Fig12(*scale, nil) }},
-		{"fig13", func() *bench.Table { return bench.Fig13(*scale, nil) }},
-		{"fig14", func() *bench.Table { return bench.Fig14(*scale, nil) }},
-		{"fig15", func() *bench.Table { return bench.Fig15(*scale, nil) }},
-		{"sec82", func() *bench.Table { return bench.Sec82(*scale, nil) }},
-		{"hier", func() *bench.Table { return bench.Hier(*scale, nil) }},
-		{"ablations", func() *bench.Table { return bench.Ablations(*scale, nil) }},
-		{"resolver", func() *bench.Table { return bench.Resolver(*scale, nil, common.ResolverShards) }},
-		{"pgas", func() *bench.Table { return bench.PGAS(*scale, nil) }},
-		{"aggstrategy", func() *bench.Table { return bench.AggStrategy(*scale, nil) }},
-	}
-	if *exp != "all" {
-		known := false
-		names := make([]string, len(exps))
-		for i, e := range exps {
-			names[i] = e.name
-			known = known || e.name == *exp
-		}
-		if !known {
-			fmt.Fprintf(os.Stderr, "gravel-bench: unknown experiment %q (have %s, all)\n", *exp, strings.Join(names, ", "))
-			os.Exit(1)
-		}
 	}
 
 	run := func(name string, f func() *bench.Table) {

@@ -25,26 +25,22 @@ func TestConfigValidate(t *testing.T) {
 		field string // "" means valid
 	}{
 		{"ok-minimal", gravel.Config{Nodes: 1}, ""},
-		{"ok-full", gravel.Config{Nodes: 8, WGSize: 256, GroupSize: 4, Transport: "loopback"}, ""},
+		{"ok-full", gravel.Config{Nodes: 8, WGSize: 256, Transport: "loopback"}, ""},
 		{"zero-nodes", gravel.Config{}, "Nodes"},
 		{"negative-nodes", gravel.Config{Nodes: -3}, "Nodes"},
 		{"wgsize-not-multiple", gravel.Config{Nodes: 2, WGSize: 100}, "WGSize"},
 		{"wgsize-negative", gravel.Config{Nodes: 2, WGSize: -64}, "WGSize"},
-		{"groupsize-negative", gravel.Config{Nodes: 2, GroupSize: -1}, "GroupSize"},
 		{"unknown-transport", gravel.Config{Nodes: 2, Transport: "rdma"}, "Transport"},
 		{"chan-alias-ok", gravel.Config{Nodes: 2, Transport: "chan"}, ""},
 		{"resolver-shards-ok", gravel.Config{Nodes: 2, ResolverShards: 4}, ""},
 		{"resolver-shards-not-pow2", gravel.Config{Nodes: 2, ResolverShards: 3}, "ResolverShards"},
 		{"resolver-shards-too-many", gravel.Config{Nodes: 2, ResolverShards: 128}, "ResolverShards"},
 		{"resolver-shards-negative", gravel.Config{Nodes: 2, ResolverShards: -2}, "ResolverShards"},
-		{"groupsize-rival-model", gravel.Config{Nodes: 4, Model: gravel.ModelCoalesced, GroupSize: 2}, "GroupSize"},
-		{"groupsize-archive", gravel.Config{Nodes: 4, Model: gravel.ModelGravelArchive, GroupSize: 2}, "GroupSize"},
 		{"unknown-model", gravel.Config{Nodes: 2, Model: "warp-drive"}, "Model"},
 		{"tcp-no-coordinator", gravel.Config{Nodes: 2, Transport: "tcp"}, "TransportOpts.Coord"},
 		{"tcp-self-out-of-range", gravel.Config{Nodes: 1, Transport: "tcp", TransportOpts: gravel.TransportOptions{Self: 1}}, "TransportOpts.Self"},
 		{"tcp-single-node-ok", gravel.Config{Nodes: 1, Transport: "tcp"}, ""},
 		// What the public Config cannot express, on the struct it maps onto.
-		{"archive-hierarchical", core.Config{Nodes: 4, AggStrategy: core.AggArchive, GroupSize: 2}, "GroupSize"},
 		{"archive-per-message", core.Config{Nodes: 2, AggStrategy: core.AggArchive, AggMode: core.AggPerMessage}, "AggMode"},
 		{"unknown-strategy", core.Config{Nodes: 2, AggStrategy: "heap"}, "AggStrategy"},
 	}

@@ -136,9 +136,6 @@ type Config struct {
 	WGSize int
 	// DivMode selects diverged WG-level operation behaviour.
 	DivMode DivergenceMode
-	// GroupSize > 1 enables two-level hierarchical aggregation over
-	// groups of this many nodes (the paper's §10 scaling proposal).
-	GroupSize int
 	// ResolverShards splits each node's receive-side resolution into
 	// this many concurrent per-bank resolvers, keyed by destination
 	// address (same word → same bank, so per-word ordering survives).
@@ -185,7 +182,6 @@ func (cfg Config) cluster() core.Config {
 		Params:         cfg.Params,
 		WGSize:         cfg.WGSize,
 		DivMode:        cfg.DivMode,
-		GroupSize:      cfg.GroupSize,
 		ResolverShards: cfg.ResolverShards,
 		Transport:      cfg.Transport,
 		TransportOpts:  cfg.TransportOpts,

@@ -30,15 +30,8 @@ type Aggregator struct {
 	// own wire packet (the message-per-lane baseline, §3.2).
 	perMessage bool
 
-	// groupSize > 1 enables two-level hierarchical aggregation (§10):
-	// messages to a node outside the sender's group travel in per-GROUP
-	// queues to a gateway member of the destination group, which
-	// re-aggregates them into per-node queues for its group.
-	groupSize int
-
-	mu       sync.Mutex      // guards builders, grouped and the signal marks
-	builders []*wire.Builder // per in-group destination (or all, when flat)
-	grouped  []*wire.Builder // per remote group, routed records
+	mu       sync.Mutex      // guards builders and the signal marks
+	builders []*wire.Builder // per destination node
 
 	// Destinations that took a PUT_SIGNAL during the batch being
 	// repacked. Signals must not sit in a part-filled builder until the
@@ -47,30 +40,18 @@ type Aggregator struct {
 	// per signal either: flushing once at the end of the drained batch
 	// preserves liveness and lets a batch's worth of signalled puts to
 	// one destination share a packet.
-	sigNodes     []int
-	sigGroups    []int
-	sigNodeMark  []bool
-	sigGroupMark []bool
+	sigNodes    []int
+	sigNodeMark []bool
 }
 
 // New creates an aggregator for the given node. With perMessage set,
 // combining is disabled and every message becomes its own packet (the
 // message-per-lane baseline).
 func New(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.Fabric, clock *timemodel.Clocks, perMessage bool) *Aggregator {
-	return NewHierarchical(node, params, q, fab, clock, perMessage, 0)
-}
-
-// NewHierarchical is New with two-level aggregation over groups of
-// groupSize nodes (§10); groupSize <= 1 means flat.
-func NewHierarchical(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.Fabric, clock *timemodel.Clocks, perMessage bool, groupSize int) *Aggregator {
 	n := fab.Nodes()
-	if groupSize <= 1 || groupSize >= n {
-		groupSize = 0
-	}
 	a := &Aggregator{
 		driver:     newDriver(node, params, q, fab, clock),
 		perMessage: perMessage,
-		groupSize:  groupSize,
 	}
 	capBytes := params.PerNodeQueueBytes
 	if perMessage {
@@ -81,31 +62,9 @@ func NewHierarchical(node int, params *timemodel.Params, q *queue.Gravel, fab fa
 	for d := 0; d < n; d++ {
 		a.builders[d] = wire.NewBuilder(d, capBytes)
 	}
-	if groupSize > 0 {
-		groups := (n + groupSize - 1) / groupSize
-		a.grouped = make([]*wire.Builder, groups)
-		a.sigGroupMark = make([]bool, groups)
-		for g := 0; g < groups; g++ {
-			a.grouped[g] = wire.NewRoutedBuilder(a.gatewayOf(g), capBytes)
-		}
-	}
 	a.consume = a.repack
 	return a
 }
-
-// gatewayOf picks this node's gateway member within remote group g,
-// spreading gateway load across the group's members.
-func (a *Aggregator) gatewayOf(g int) int {
-	n := a.fab.Nodes()
-	gw := g*a.groupSize + a.node%a.groupSize
-	if gw >= n {
-		gw = g * a.groupSize
-	}
-	return gw
-}
-
-// GroupSize returns the hierarchical group size (0 = flat).
-func (a *Aggregator) GroupSize() int { return a.groupSize }
 
 // repack moves one slot's messages into the per-destination builders,
 // flushing any builder that fills (§3.4: per-node queues are sent as
@@ -123,11 +82,6 @@ func (a *Aggregator) repack(payload []uint64, rows, cols, count int) {
 // why signals flush at batch boundaries rather than per message or at
 // end of step.
 func (a *Aggregator) flushSignalsLocked() {
-	for _, g := range a.sigGroups {
-		a.sigGroupMark[g] = false
-		a.flushLocked(a.grouped[g], false)
-	}
-	a.sigGroups = a.sigGroups[:0]
 	for _, d := range a.sigNodes {
 		a.sigNodeMark[d] = false
 		a.flushLocked(a.builders[d], false)
@@ -136,27 +90,13 @@ func (a *Aggregator) flushSignalsLocked() {
 }
 
 // appendLocked stages message m, (cmd[m], av[m], vv[m]) toward node
-// dest[m], for every m < len(cmd), into its per-node queue or its
-// group's; a.mu must be held. It is the repack loop: on the flat,
-// combining path a record costs no call but a full queue's flush.
+// dest[m], for every m < len(cmd), into its per-node queue; a.mu must
+// be held. It is the repack loop: on the combining path a record costs
+// no call but a full queue's flush.
 func (a *Aggregator) appendLocked(cmd, dest, av, vv []uint64) {
 	dest, av, vv = dest[:len(cmd)], av[:len(cmd)], vv[:len(cmd)]
 	for m, c := range cmd {
 		d := int(dest[m])
-		sig := wire.Op(c&0xff) == wire.OpPutSignal
-		if a.groupSize > 0 && d/a.groupSize != a.node/a.groupSize {
-			g := d / a.groupSize
-			b := a.grouped[g]
-			if b.Full() {
-				a.flushLocked(b, false)
-			}
-			b.AppendRouted(c, av[m], vv[m], d)
-			if sig && !a.sigGroupMark[g] {
-				a.sigGroupMark[g] = true
-				a.sigGroups = append(a.sigGroups, g)
-			}
-			continue
-		}
 		b := a.builders[d]
 		if b.Full() {
 			a.flushLocked(b, false)
@@ -165,7 +105,7 @@ func (a *Aggregator) appendLocked(cmd, dest, av, vv []uint64) {
 		if a.perMessage {
 			// Message-per-lane: no combining; one packet per message.
 			a.flushLocked(b, false)
-		} else if sig && !a.sigNodeMark[d] {
+		} else if wire.Op(c&0xff) == wire.OpPutSignal && !a.sigNodeMark[d] {
 			a.sigNodeMark[d] = true
 			a.sigNodes = append(a.sigNodes, d)
 		}
@@ -173,9 +113,8 @@ func (a *Aggregator) appendLocked(cmd, dest, av, vv []uint64) {
 }
 
 // AppendDirect stages one message from host context (an AM handler
-// issuing a follow-up message, or a gateway relaying a routed record),
-// charging chargeNs of CPU time to the given adder. It may flush a full
-// queue.
+// issuing a follow-up message), charging chargeNs of CPU time to the
+// given adder. It may flush a full queue.
 func (a *Aggregator) AppendDirect(dest int, cmd, av, vv uint64, chargeNs float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -184,12 +123,11 @@ func (a *Aggregator) AppendDirect(dest int, cmd, av, vv uint64, chargeNs float64
 	a.flushSignalsLocked()
 }
 
-// flushLocked hands b's queue, per-node or per-group, to the outbox;
-// a.mu must be held.
+// flushLocked hands b's queue to the outbox; a.mu must be held.
 func (a *Aggregator) flushLocked(b *wire.Builder, timeout bool) {
 	if !b.Empty() {
 		buf, msgs := b.Take()
-		a.stage(b.Dest(), buf, msgs, b.Routed(), timeout)
+		a.stage(b.Dest(), buf, msgs, timeout)
 	}
 }
 
@@ -206,9 +144,6 @@ func (a *Aggregator) Flush() {
 	for _, b := range a.builders {
 		a.flushLocked(b, true)
 	}
-	for _, b := range a.grouped {
-		a.flushLocked(b, true)
-	}
 	a.mu.Unlock()
 	a.pump()
 }
@@ -216,9 +151,8 @@ func (a *Aggregator) Flush() {
 // Pending reports whether the builders hold unflushed messages or the
 // outbox unsent ones.
 func (a *Aggregator) Pending() bool {
-	staged := func(b *wire.Builder) bool { return !b.Empty() }
 	a.mu.Lock()
-	pending := slices.ContainsFunc(a.builders, staged) || slices.ContainsFunc(a.grouped, staged)
+	pending := slices.ContainsFunc(a.builders, func(b *wire.Builder) bool { return !b.Empty() })
 	a.mu.Unlock()
 	return pending || a.unsent()
 }

@@ -149,6 +149,27 @@ func TestRouteByDestination(t *testing.T) {
 	}
 }
 
+// TestAppendDirect: host-context messages stage into the right queues.
+func TestAppendDirect(t *testing.T) {
+	p := timemodel.Default()
+	clocks := []*timemodel.Clocks{{}, {}, {}, {}}
+	fab := fabric.New(p, clocks)
+	a := New(0, p, queue.NewGravel(64, wire.SlotRows, 4), fab, clocks[0], false)
+	c2 := collect(fab, 2)
+	for i := 0; i < 5; i++ {
+		a.AppendDirect(2, wire.PackCmd(wire.OpAM, 1, 0), uint64(i), 9, 10)
+	}
+	if !a.Pending() {
+		t.Fatal("AppendDirect left nothing pending")
+	}
+	a.Flush()
+	fab.Close()
+	pkts, msgs := c2.wait()
+	if pkts != 1 || msgs != 5 {
+		t.Fatalf("%d pkts / %d msgs, want 1/5", pkts, msgs)
+	}
+}
+
 // TestDrainersKeepIssueOrder: the launch epilogue's Drain shares the
 // aggregator thread's consumer. A slot it claims while that thread
 // is still staging an earlier one must not reach the builders first, or

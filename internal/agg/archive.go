@@ -211,10 +211,10 @@ func (ar *Archive) stageLocked(da *destArchive, timeout bool) {
 			merged = append(merged, s.buf...)
 			wire.PutBuf(s.buf)
 		}
-		ar.stage(da.dest, merged, da.msgs, false, timeout)
+		ar.stage(da.dest, merged, da.msgs, timeout)
 	} else {
 		for _, s := range da.sealed {
-			ar.stage(da.dest, s.buf, s.msgs, false, timeout)
+			ar.stage(da.dest, s.buf, s.msgs, timeout)
 		}
 	}
 	da.sealed = da.sealed[:0]

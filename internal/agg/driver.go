@@ -15,10 +15,9 @@ import (
 // readyPkt is a flushed queue waiting in the outbox to be put on the
 // wire.
 type readyPkt struct {
-	dest   int
-	buf    []byte
-	msgs   int
-	routed bool
+	dest int
+	buf  []byte
+	msgs int
 }
 
 // consumer stages one drained queue slot (queue.Gravel.TryConsume's
@@ -195,7 +194,7 @@ func (d *driver) slotRows(payload []uint64, cols, count int) (cmd, dest, a, b []
 // thread. timeout is true only from a strategy's Flush, which pumps the
 // outbox itself before it returns, so only the other stagers wake an
 // aggregator thread to do it.
-func (d *driver) stage(dest int, buf []byte, msgs int, routed, timeout bool) {
+func (d *driver) stage(dest int, buf []byte, msgs int, timeout bool) {
 	d.clock.AddAgg(d.params.AggPerFlushNs)
 	d.clock.CountFlush(timeout)
 	if obs.Enabled() {
@@ -206,7 +205,7 @@ func (d *driver) stage(dest int, buf []byte, msgs int, routed, timeout bool) {
 		obs.Emit(k, d.node, int64(len(buf)), int64(msgs), "")
 	}
 	d.mu.Lock()
-	d.ready = append(d.ready, readyPkt{dest: dest, buf: buf, msgs: msgs, routed: routed})
+	d.ready = append(d.ready, readyPkt{dest: dest, buf: buf, msgs: msgs})
 	d.mu.Unlock()
 	if !timeout {
 		d.work.Wake()
@@ -236,11 +235,7 @@ func (d *driver) pump() bool {
 		d.mu.Unlock()
 		for i := range batch {
 			pkt := &batch[i]
-			if pkt.routed {
-				d.fab.SendRouted(d.node, pkt.dest, pkt.buf, pkt.msgs)
-			} else {
-				d.fab.Send(d.node, pkt.dest, pkt.buf, pkt.msgs)
-			}
+			d.fab.Send(d.node, pkt.dest, pkt.buf, pkt.msgs)
 			batch[i] = readyPkt{} // the fabric owns the buffer now
 		}
 		d.mu.Lock()

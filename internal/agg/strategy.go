@@ -20,9 +20,9 @@ package agg
 //   - Start/Stop bracket the background drain/pump goroutine; Stop may
 //     only be called once the producer/consumer queue is quiescent.
 //   - AppendDirect stages one message from host context (AM handler
-//     follow-ups, gateway relays) and must never transmit on the
-//     calling goroutine — network threads stage through it, and a
-//     blocking Send there can deadlock against receiver backpressure.
+//     follow-ups) and must never transmit on the calling goroutine —
+//     network threads stage through it, and a blocking Send there can
+//     deadlock against receiver backpressure.
 //   - Drain stages the producer/consumer queue's slots on the calling
 //     host thread, as the aggregator thread would; Flush does the same,
 //     then forces every staged message toward the wire and transmits.

@@ -16,8 +16,8 @@ import (
 )
 
 // recFabric records every packet a strategy hands to the wire. The
-// strategies reach only Nodes, Progress, Send and SendRouted; anything
-// else hits the nil embedded interface and panics.
+// strategies reach only Nodes, Progress and Send; anything else hits
+// the nil embedded interface and panics.
 type recFabric struct {
 	fabric.Fabric
 	nodes int
@@ -48,10 +48,6 @@ func (f *recFabric) Send(from, to int, buf []byte, msgs int) {
 	f.mu.Lock()
 	f.pkts = append(f.pkts, p)
 	f.mu.Unlock()
-}
-
-func (f *recFabric) SendRouted(from, gateway int, buf []byte, msgs int) {
-	panic("flat strategies must not send routed packets")
 }
 
 func (f *recFabric) sent() []recPkt {

@@ -208,44 +208,3 @@ func TestDivergenceModesPreserveResults(t *testing.T) {
 		t.Errorf("modes disagree: %v", sums)
 	}
 }
-
-// TestHierShape pins the §10 projection: hierarchy roughly ties flat on
-// small clusters and wins once per-destination traffic gets thin.
-func TestHierShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hier sweep is slow")
-	}
-	tb := Hier(0.1, nil)
-	// rows: 8, 16, 32, 64, 128 nodes; last column is hier/flat.
-	col := len(tb.Header) - 1
-	at8 := cell(tb, 0, col)
-	at64 := cell(tb, 3, col)
-	at128 := cell(tb, 4, col)
-	if at8 < 0.6 || at8 > 1.4 {
-		t.Errorf("hier/flat at 8 nodes = %.2f, want rough parity", at8)
-	}
-	if at64 < 1.1 && at128 < 1.1 {
-		t.Errorf("hierarchy never wins at scale: 64 nodes %.2f, 128 nodes %.2f", at64, at128)
-	}
-	// Hierarchical packets must be consistently larger at 128 nodes.
-	fPkt := cell(tb, 4, 2)
-	hPkt := cell(tb, 4, 4)
-	if hPkt <= fPkt {
-		t.Errorf("hier pkt %.0f not larger than flat %.0f at 128 nodes", hPkt, fPkt)
-	}
-}
-
-// TestWorkloadsUnderHierarchy: every workload runs correctly on a
-// hierarchical cluster (gateway relays in every message path).
-func TestWorkloadsUnderHierarchy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is slow")
-	}
-	for _, wl := range Workloads(0.05) {
-		cl := core.New(core.Config{Nodes: 6, GroupSize: 3})
-		if ns := wl.Run(cl); ns <= 0 {
-			t.Errorf("%s under hierarchy: no virtual time", wl.Name)
-		}
-		cl.Close()
-	}
-}

@@ -44,12 +44,11 @@ func mixedRecords(sp *pgas.Space, h uint8) (arrays []*pgas.Array, recs [][3]uint
 	return []*pgas.Array{blk, sym, rng, sig}, recs
 }
 
-// receiveRoutes are the three ways a record reaches node 1's memory.
+// receiveRoutes are the two ways a record reaches node 1's memory.
 var receiveRoutes = []struct {
-	name   string
-	from   int
-	routed bool
-}{{"resolver", 0, false}, {"bypass", 1, false}, {"gateway", 0, true}}
+	name string
+	from int
+}{{"resolver", 0}, {"bypass", 1}}
 
 // TestApplierMatchesReference pushes the mixed packet through every
 // receive path and checks it against checkAgainstReference's reference.
@@ -57,7 +56,7 @@ func TestApplierMatchesReference(t *testing.T) {
 	for _, route := range receiveRoutes {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", route.name, shards), func(t *testing.T) {
-				checkAgainstReference(t, shards, route.from, route.routed, func(sp *pgas.Space, h uint8) ([]*pgas.Array, [][3]uint64, int) {
+				checkAgainstReference(t, shards, route.from, func(sp *pgas.Space, h uint8) ([]*pgas.Array, [][3]uint64, int) {
 					arrays, recs := mixedRecords(sp, h)
 					return arrays, recs, -1
 				})
@@ -132,7 +131,7 @@ func TestApplierRunsMatchReference(t *testing.T) {
 		for _, shards := range []int{1, 2, 4} {
 			for seed := uint64(1); seed <= 6; seed++ {
 				t.Run(fmt.Sprintf("%s/shards=%d/seed=%d", route.name, shards, seed), func(t *testing.T) {
-					checkAgainstReference(t, shards, route.from, route.routed, func(sp *pgas.Space, h uint8) ([]*pgas.Array, [][3]uint64, int) {
+					checkAgainstReference(t, shards, route.from, func(sp *pgas.Space, h uint8) ([]*pgas.Array, [][3]uint64, int) {
 						return runRecords(sp, h, seed, int(seed%3))
 					})
 				})
@@ -150,7 +149,7 @@ func TestApplierRunsMatchReference(t *testing.T) {
 // route does: a (sub-)packet's records before its bad one, in the order
 // the route visits them, and no charge or count for that (sub-)packet;
 // Quiesce must panic a *WireDecodeError.
-func checkAgainstReference(t *testing.T, shards, from int, routed bool, gen func(*pgas.Space, uint8) ([]*pgas.Array, [][3]uint64, int)) {
+func checkAgainstReference(t *testing.T, shards, from int, gen func(*pgas.Space, uint8) ([]*pgas.Array, [][3]uint64, int)) {
 	const nodes, target = 4, 1
 	amOf := func(a, v uint64) uint64 { return a*31 + v }
 	cl := New(Config{Nodes: nodes, ResolverShards: shards})
@@ -162,8 +161,7 @@ func checkAgainstReference(t *testing.T, shards, from int, routed bool, gen func
 	refArrays, _, _ := gen(refSp, h)
 
 	// What fails together: the resolver's per-bank sub-packets each on
-	// their own; the bypass's bank-major passes and the gateway's
-	// packet-order decode as one.
+	// their own; the bypass's bank-major passes as one.
 	units := make([][]int, shards)
 	for i, r := range recs {
 		b := fabric.BankOfRecord(r[0], r[1], shards)
@@ -171,11 +169,6 @@ func checkAgainstReference(t *testing.T, shards, from int, routed bool, gen func
 	}
 	if from == target {
 		units = [][]int{slices.Concat(units...)}
-	} else if routed {
-		units = [][]int{nil}
-		for i := range recs {
-			units[0] = append(units[0], i)
-		}
 	}
 	var amWant [nodes]uint64
 	var want [fabric.MaxResolverBanks]tally
@@ -214,37 +207,17 @@ func checkAgainstReference(t *testing.T, shards, from int, routed bool, gen func
 	}
 	refClock := &timemodel.Clocks{}
 	refClock.ConfigureNetBanks(shards)
-
-	if routed {
-		// One extra record is relayed to node 2: it must reach node 2's
-		// memory but count as none of node 1's applied work. (Not beside a
-		// bad record: Quiesce may unwind before the relay is flushed.)
-		relay := [3]uint64{wire.PackCmd(wire.OpInc, 0, arrays[0].ID()), 33, 4}
-		b := wire.NewRoutedBuilder(target, (len(recs)+1)*wire.RoutedMsgBytes)
-		for i, r := range recs {
-			if i == 3 && badAt < 0 {
-				refArrays[0].Add(relay[1], relay[2])
-				b.AppendRouted(relay[0], relay[1], relay[2], 2)
-			}
-			b.AppendRouted(r[0], r[1], r[2], target)
+	for b, w := range want[:shards] {
+		if w.msgs > 0 {
+			refClock.AddNetBank(b, cl.netCharge(w.msgs, w.msgs*wire.MsgWireBytes, w.ams, w.sigs))
 		}
-		buf, msgs := b.Take()
-		if badAt < 0 {
-			refClock.AddNetBank(0, cl.netCharge(msgs, len(buf), all.ams, all.sigs))
-		}
-		cl.fab.SendRouted(from, target, buf, msgs)
-	} else {
-		for b, w := range want[:shards] {
-			if w.msgs > 0 {
-				refClock.AddNetBank(b, cl.netCharge(w.msgs, w.msgs*wire.MsgWireBytes, w.ams, w.sigs))
-			}
-		}
-		direct := wire.GetBuf(len(recs) * wire.MsgWireBytes)
-		for _, r := range recs {
-			direct = wire.AppendRecord(direct, r[0], r[1], r[2])
-		}
-		cl.fab.Send(from, target, direct, len(recs))
 	}
+	buf := wire.GetBuf(len(recs) * wire.MsgWireBytes)
+	for _, r := range recs {
+		buf = wire.AppendRecord(buf, r[0], r[1], r[2])
+	}
+	cl.fab.Send(from, target, buf, len(recs))
+
 	func() {
 		defer func() {
 			err, _ := recover().(error)
@@ -278,14 +251,11 @@ func checkAgainstReference(t *testing.T, shards, from int, routed bool, gen func
 		return timemodel.Resolved{Pkts: 1, Msgs: int64(w.msgs), AMs: int64(w.ams), Sigs: int64(w.sigs)}
 	}
 	clk := cl.nodes[target].Clocks
-	switch {
-	case from == target: // bypass: one packet, nothing on the banks
+	if from == target { // bypass: one packet, nothing on the banks
 		if got := clk.Snapshot().Bypass; got != wantCtr(all) {
 			t.Errorf("bypass counters = %v, want %v", got, wantCtr(all))
 		}
 		want = [fabric.MaxResolverBanks]tally{}
-	case routed: // the whole packet is bank 0's
-		want = [fabric.MaxResolverBanks]tally{0: all}
 	}
 	for b := 0; b < shards; b++ {
 		if got := clk.Bank(b); got != wantCtr(want[b]) {
@@ -381,7 +351,7 @@ func TestBadRecordUnwindsStep(t *testing.T) {
 				if !errors.As(err, &wde) {
 					t.Fatalf("%s shards=%d from=%d: Step panic = %v (%T), want *WireDecodeError", tc.name, shards, from, r, r)
 				}
-				if wde.Node != 1 || wde.From != from || wde.Bytes != 2*wire.MsgWireBytes || wde.Routed {
+				if wde.Node != 1 || wde.From != from || wde.Bytes != 2*wire.MsgWireBytes {
 					t.Errorf("%s shards=%d from=%d: error coordinates wrong: %+v", tc.name, shards, from, wde)
 				}
 				if wde.Err == nil || !strings.Contains(wde.Err.Error(), tc.detail) {

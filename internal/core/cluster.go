@@ -66,8 +66,7 @@ type Config struct {
 	// packet per destination at flush time — see agg.Archive). The
 	// strategy also decides the kernels' send path: the producer/consumer
 	// queue for ticket, direct archive appends for archive. The archive
-	// strategy is flat and always combines, so it rejects GroupSize > 1
-	// and AggPerMessage.
+	// strategy always combines, so it rejects AggPerMessage.
 	AggStrategy string
 	// Arch overrides the device architecture (nil = the paper's GPU);
 	// used by the Figure 13 CPU-only baseline.
@@ -78,11 +77,6 @@ type Config struct {
 	// read-modify-writes. The paper found its approach faster; the
 	// ablation in internal/bench reproduces that comparison.
 	LocalAtomicsDirect bool
-	// GroupSize > 1 enables the paper's §10 projection: two-level
-	// hierarchical aggregation over groups of this many nodes. Messages
-	// leaving the sender's group travel in per-group queues to a gateway
-	// member of the destination group, which re-aggregates them.
-	GroupSize int
 	// ResolverShards splits each node's receive-side resolution into
 	// this many concurrent per-bank resolvers (see resolver.go). 0 or 1
 	// is the paper's serial network thread, bit-identical to the
@@ -228,14 +222,6 @@ func (cfg Config) Validate() error {
 	if cfg.WGSize < 0 || cfg.WGSize%wf != 0 {
 		return invalid("WGSize", "work-group size %d must be a positive multiple of the wavefront width %d", cfg.WGSize, wf)
 	}
-	switch {
-	case cfg.GroupSize < 0:
-		return invalid("GroupSize", "negative group size %d", cfg.GroupSize)
-	case cfg.GroupSize > 1 && cfg.Name != "" && cfg.Name != "gravel":
-		return invalid("GroupSize", "hierarchical aggregation requires the gravel model, not %q", cfg.Name)
-	case cfg.GroupSize > 1 && cfg.AggStrategy == AggArchive:
-		return invalid("GroupSize", "the archive aggregation strategy is flat (hierarchical aggregation requires the ticket strategy)")
-	}
 	switch cfg.AggStrategy {
 	case "", AggTicket:
 	case AggArchive:
@@ -346,7 +332,7 @@ func NewChecked(cfg Config) (*Cluster, error) {
 			n.Agg = ar
 			cl.off = append(cl.off, archAppender{ar})
 		} else {
-			n.Agg = agg.NewHierarchical(i, p, n.PCQ, cl.fab, n.Clocks, cfg.AggMode == AggPerMessage, cfg.GroupSize)
+			n.Agg = agg.New(i, p, n.PCQ, cl.fab, n.Clocks, cfg.AggMode == AggPerMessage)
 			cl.off = append(cl.off, pcqWriter{n})
 		}
 		cl.nodes[i] = n
@@ -387,9 +373,9 @@ func NewChecked(cfg Config) (*Cluster, error) {
 // it is no longer draining — under a slot an aggregator thread has
 // claimed, a flush would split a per-node queue in two. What it flushes
 // is what the launch epilogues left staged: an active message's
-// follow-up (HostAM from a handler, staged via Agg.AppendDirect) or a
-// gateway's relay, which would otherwise sit in a partially filled
-// queue with nothing left to flush it while the ledgers balance.
+// follow-up (HostAM from a handler, staged via Agg.AppendDirect), which
+// would otherwise sit in a partially filled queue with nothing left to
+// flush it while the ledgers balance.
 func (cl *Cluster) flushStaged() bool {
 	staged := false
 	for _, n := range cl.nodes {
@@ -605,7 +591,7 @@ func (cl *Cluster) allBack() bool { return cl.running.Load() == 0 }
 // found nothing staged, the next waits for the ledger itself to balance
 // (the fabric's Quiet, cheap enough for every spin); while one finds
 // something staged, the next follows at once, so an AM cascade's reply
-// or a gateway's relay leaves as soon as it is seen. Across processes
+// leaves as soon as it is seen. Across processes
 // it is the step vote, whose ballots are that observation over the
 // hosted node: it returns when the vote releases, passed, so a fast
 // process cannot read results or send the next step's messages before a

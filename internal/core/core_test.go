@@ -85,60 +85,6 @@ func TestHostAMCascade(t *testing.T) {
 	}
 }
 
-// TestHierarchicalDelivery: with GroupSize set, cross-group messages
-// relay through gateways but must deliver identically.
-func TestHierarchicalDelivery(t *testing.T) {
-	for _, group := range []int{0, 2, 3} {
-		cl := New(Config{Nodes: 6, GroupSize: group})
-		arr := cl.Space().Alloc(1 << 12)
-		cl.Step("inc", fullGrid(6, 2048), 0, func(c rt.Ctx) {
-			g := c.Group()
-			idx := make([]uint64, g.Size)
-			one := make([]uint64, g.Size)
-			node := uint64(c.Node())
-			g.Vector(func(l int) {
-				idx[l] = (node*2048 + uint64(g.GlobalID(l))*797) % (1 << 12)
-				one[l] = 1
-			})
-			c.Inc(arr, idx, one, nil)
-		})
-		sum := arr.Sum()
-		cl.Close()
-		if sum != 6*2048 {
-			t.Fatalf("group=%d: sum=%d want %d", group, sum, 6*2048)
-		}
-	}
-}
-
-// TestHierarchicalPacketsAreBigger: grouped queues must produce larger
-// wire packets than flat per-destination queues under thin traffic.
-func TestHierarchicalPacketsAreBigger(t *testing.T) {
-	run := func(group int) float64 {
-		cl := New(Config{Nodes: 16, GroupSize: group})
-		defer cl.Close()
-		arr := cl.Space().Alloc(1 << 14)
-		for step := 0; step < 4; step++ {
-			cl.Step("inc", fullGrid(16, 512), 0, func(c rt.Ctx) {
-				g := c.Group()
-				idx := make([]uint64, g.Size)
-				one := make([]uint64, g.Size)
-				node := uint64(c.Node())
-				g.Vector(func(l int) {
-					idx[l] = (node<<9 ^ uint64(g.GlobalID(l))*2654435761) % (1 << 14)
-					one[l] = 1
-				})
-				c.Inc(arr, idx, one, nil)
-			})
-		}
-		return cl.Stats().Transport.AvgPacketBytes
-	}
-	flat := run(0)
-	hier := run(4)
-	if hier <= flat {
-		t.Fatalf("hierarchical avg packet (%.0f B) not larger than flat (%.0f B)", hier, flat)
-	}
-}
-
 func TestLocalAtomicsDirect(t *testing.T) {
 	for _, direct := range []bool{false, true} {
 		cl := New(Config{Nodes: 2, LocalAtomicsDirect: direct})
@@ -327,8 +273,7 @@ func TestBadWirePacketPanics(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	for _, bad := range []Config{
 		{Nodes: 0},
-		{Nodes: 2, WGSize: 100}, // not a WF multiple
-		{Nodes: 2, GroupSize: -1},
+		{Nodes: 2, WGSize: 100},         // not a WF multiple
 		{Nodes: 2, ResolverShards: 3},   // not a power of two
 		{Nodes: 2, ResolverShards: 128}, // above MaxResolverBanks
 	} {

@@ -31,8 +31,6 @@ type WireDecodeError struct {
 	Node int
 	// From is the sending node.
 	From int
-	// Routed reports whether the packet was a routed (§10 gateway) queue.
-	Routed bool
 	// Bytes is the rejected payload's length.
 	Bytes int
 	// Err is the wire framing error, or names the bad record.
@@ -40,12 +38,8 @@ type WireDecodeError struct {
 }
 
 func (e *WireDecodeError) Error() string {
-	kind := "packet"
-	if e.Routed {
-		kind = "routed packet"
-	}
-	return fmt.Sprintf("core: node %d received undecodable %d-byte %s from node %d: %v",
-		e.Node, e.Bytes, kind, e.From, e.Err)
+	return fmt.Sprintf("core: node %d received undecodable %d-byte packet from node %d: %v",
+		e.Node, e.Bytes, e.From, e.Err)
 }
 
 func (e *WireDecodeError) Unwrap() error { return e.Err }
@@ -93,30 +87,10 @@ func (cl *Cluster) resolve(n *Node, bank int, inbox <-chan fabric.Packet) {
 func (cl *Cluster) resolvePacket(n *Node, bank int, pkt fabric.Packet) {
 	ap := applier{cl: cl, node: n.ID}
 	defer ap.contain()
-	relayed := 0
-	if pkt.Routed {
-		// Gateway role (§10): routed queues arrive whole on bank 0, so
-		// relays leave in arrival order. Records for this node apply
-		// under their own bank's lock; the rest are re-aggregated for
-		// the group's members, no lock held (AppendDirect may block).
-		if err := wire.DecodeRouted(pkt.Buf, func(cmd, a, v uint64, dest int) {
-			if dest != n.ID {
-				relayed++
-				n.Agg.AppendDirect(dest, cmd, a, v, cl.params.AggPerMsgNs)
-			} else if ap.err == nil {
-				ap.record(cmd, a, v)
-			}
-		}); err != nil {
-			ap.err = err
-		}
-	} else {
-		ap.walk(pkt.Buf, bank, bank+1)
-	}
-	// A good packet is all this bank's work, whichever locks a routed
-	// packet's local records took.
+	ap.walk(pkt.Buf, bank, bank+1)
 	if !ap.failed(pkt) {
 		n.Clocks.AddNetBank(bank, cl.netCharge(pkt.Msgs, len(pkt.Buf), ap.ams, ap.sigs))
-		n.Clocks.CountResolved(bank, pkt.Msgs-relayed, ap.ams, ap.sigs)
+		n.Clocks.CountResolved(bank, pkt.Msgs, ap.ams, ap.sigs)
 		if obs.Enabled() {
 			obs.Emit(obs.KResolve, n.ID, int64(bank), int64(pkt.Msgs), "")
 			if ap.sigs > 0 {
@@ -191,10 +165,9 @@ type applier struct {
 
 type tally struct{ msgs, ams, sigs int }
 
-// walk applies the records of a direct per-node queue buffer that banks
+// walk applies the records of a per-node queue buffer that banks
 // [b0, b1) own — one bank, which then owns the whole buffer (a demuxed
-// sub-packet, any packet at one shard, the gateway's run of one), or all
-// of them: one pass per bank that has any, under that bank's mutex,
+// sub-packet, or any packet at one shard), or all of them: one pass per bank that has any, under that bank's mutex,
 // stopping at the first failure.
 func (ap *applier) walk(buf []byte, b0, b1 int) {
 	if _, ap.err = wire.RecordCount(buf); ap.err != nil {
@@ -217,7 +190,7 @@ func (ap *applier) walk(buf []byte, b0, b1 int) {
 // failure (later ones are almost certainly the same) for checkRecvFailure.
 func (ap *applier) failed(pkt fabric.Packet) bool {
 	if ap.err != nil {
-		ap.cl.fail(&WireDecodeError{Node: ap.node, From: pkt.From, Routed: pkt.Routed, Bytes: len(pkt.Buf), Err: ap.err})
+		ap.cl.fail(&WireDecodeError{Node: ap.node, From: pkt.From, Bytes: len(pkt.Buf), Err: ap.err})
 	}
 	return ap.err != nil
 }
@@ -239,15 +212,6 @@ func (ap *applier) contain() {
 
 // fail records r as the receive side's failure unless one came first.
 func (cl *Cluster) fail(r any) { cl.recvFailure.CompareAndSwap(nil, &r) }
-
-// record applies one record as a run of one under its bank's mutex: the
-// gateway's routed decode hands records over one at a time.
-func (ap *applier) record(cmd, a, v uint64) {
-	var rec [wire.MsgWireBytes]byte
-	wire.PutRecord(rec[:], cmd, a, v)
-	b := fabric.BankOfRecord(cmd, a, ap.cl.shards)
-	ap.walk(rec[:], b, b+1)
-}
 
 // passChunk is how many records pass lists at a time.
 const passChunk = 256

@@ -39,12 +39,12 @@ func BankOfRecord(cmd, a uint64, banks int) int {
 	return BankOf(a, banks)
 }
 
-// ScatterBanks splits a direct per-node queue buffer into per-bank
-// buffers by record address and calls emit for each non-empty bank in
-// ascending order, with the bank's record count. Buffers handed to
-// emit are drawn from the wire packet pool (ownership transfers to the
-// callee); the input buffer is left untouched for the caller to
-// recycle. banks must be in (1, MaxResolverBanks].
+// ScatterBanks splits a per-node queue buffer into per-bank buffers by
+// record address and calls emit for each non-empty bank in ascending
+// order, with the bank's record count. Buffers handed to emit are drawn
+// from the wire packet pool (ownership transfers to the callee); the
+// input buffer is left untouched for the caller to recycle. banks must
+// be in (1, MaxResolverBanks].
 func ScatterBanks(buf []byte, banks int, emit func(bank int, buf []byte, msgs int)) {
 	var out [MaxResolverBanks][]byte
 	var msgs [MaxResolverBanks]int

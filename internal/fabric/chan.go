@@ -17,11 +17,11 @@ import (
 // Network threads must never send while processing (true for all
 // workloads here), so this cannot deadlock.
 //
-// With more than one resolver bank the fabric scatters each direct
-// packet's records into per-bank sub-packets at the send boundary
-// (same address -> same bank, so per-word ordering survives); routed
-// packets always land whole on bank 0. One bank is the paper's serial
-// network thread, delivered through the identical single-channel path.
+// With more than one resolver bank the fabric scatters each packet's
+// records into per-bank sub-packets at the send boundary (same address
+// -> same bank, so per-word ordering survives). One bank is the paper's
+// serial network thread, delivered through the identical single-channel
+// path.
 type Chan struct {
 	*Metrics
 	*Endpoint
@@ -56,16 +56,7 @@ func NewBanked(params *timemodel.Params, clocks []*timemodel.Clocks, banks int) 
 // charging wire time to both endpoints. It blocks if the receiver's
 // inbox is full (finite in-flight queue credit, §6).
 func (f *Chan) Send(from, to int, buf []byte, msgs int) {
-	f.send(Packet{From: from, To: to, Buf: buf, Msgs: msgs})
-}
-
-// SendRouted transmits a per-group queue (records carry their final
-// destinations) to a group gateway for re-aggregation (§10).
-func (f *Chan) SendRouted(from, gateway int, buf []byte, msgs int) {
-	f.send(Packet{From: from, To: gateway, Buf: buf, Msgs: msgs, Routed: true})
-}
-
-func (f *Chan) send(p Packet) {
+	p := Packet{From: from, To: to, Buf: buf, Msgs: msgs}
 	if f.Depart(p) {
 		return
 	}

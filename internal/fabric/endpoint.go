@@ -83,13 +83,12 @@ func (e *Endpoint) Inbox(node int) <-chan Packet { return e.inbox[node][0] }
 // Send.
 func (e *Endpoint) SetLocalApply(fn func(Packet)) { e.localApply = fn }
 
-// Bypass resolves a node-local direct packet through the SetLocalApply
-// hook on the calling goroutine, recycles its buffer and retires it,
-// reporting whether it did. No inbox hop: the packet is fully applied
-// when Bypass returns. Routed packets are never bypassed (the gateway
-// relays them from bank 0, in order).
+// Bypass resolves a node-local packet through the SetLocalApply hook on
+// the calling goroutine, recycles its buffer and retires it, reporting
+// whether it did. No inbox hop: the packet is fully applied when Bypass
+// returns.
 func (e *Endpoint) Bypass(p Packet) bool {
-	if p.From != p.To || p.Routed || e.localApply == nil {
+	if p.From != p.To || e.localApply == nil {
 		return false
 	}
 	e.localApply(p)
@@ -99,13 +98,13 @@ func (e *Endpoint) Bypass(p Packet) bool {
 }
 
 // Deliver hands p to its node's inboxes, blocking when a bank falls
-// behind. With one bank, or for a routed packet, or for a buffer that
-// is not a whole number of records (bank 0's resolver reports that one
-// as a typed decode failure), p lands whole on bank 0. Otherwise its
-// records are scattered into per-bank sub-packets (Sub set, p's buffer
-// recycled) pushed in ascending bank order; the sub-packets carry p's
-// records between them, and whatever of p's ledger count they do not
-// (an empty packet's one) is retired here.
+// behind. With one bank, or for a buffer that is not a whole number of
+// records (bank 0's resolver reports that one as a typed decode
+// failure), p lands whole on bank 0. Otherwise its records are
+// scattered into per-bank sub-packets (Sub set, p's buffer recycled)
+// pushed in ascending bank order; the sub-packets carry p's records
+// between them, and whatever of p's ledger count they do not (an empty
+// packet's one) is retired here.
 //
 // ok is false if the inboxes were closed underneath the push; the
 // records that never reached an inbox are retired.
@@ -117,7 +116,7 @@ func (e *Endpoint) Deliver(p Packet) (ok bool) {
 			ok = false
 		}
 	}()
-	if e.banks == 1 || p.Routed || len(p.Buf)%wire.MsgWireBytes != 0 {
+	if e.banks == 1 || len(p.Buf)%wire.MsgWireBytes != 0 {
 		e.inbox[p.To][0] <- p
 		return true
 	}

@@ -26,7 +26,7 @@ func departed(clocks []*timemodel.Clocks, p Packet) Packet {
 	return p
 }
 
-// incPacket builds a direct packet for node 1 with one OpInc record per
+// incPacket builds a packet for node 1 with one OpInc record per
 // address.
 func incPacket(addrs ...uint64) Packet {
 	b := wire.NewBuilder(1, 1<<16)

@@ -23,10 +23,8 @@ import (
 	"gravel/internal/transport/fault"
 )
 
-// Packet is one per-node queue in flight. Routed packets hold
-// wire.RoutedMsgBytes records (final destination per message) bound for
-// a group gateway (§10 hierarchical aggregation); direct packets hold
-// wire.MsgWireBytes records for the receiving node itself.
+// Packet is one per-node queue in flight: wire.MsgWireBytes records
+// for the receiving node.
 //
 // Buffer ownership travels with the packet: Send transfers the buffer
 // to the fabric, the receiver borrows it between Inbox and Done, and
@@ -36,9 +34,8 @@ type Packet struct {
 	From, To int
 	Buf      []byte
 	Msgs     int
-	Routed   bool
 	// Bank is the resolver bank this packet resolves on (always 0 on an
-	// unbanked fabric; routed packets always resolve on bank 0).
+	// unbanked fabric).
 	Bank int
 	// Sub marks a demuxed sub-packet: one of several carved out of a
 	// single packet by a banked endpoint, each carrying its own share
@@ -47,16 +44,16 @@ type Packet struct {
 }
 
 // Fabric is the interconnect interface the runtime depends on. A fabric
-// connects n nodes; Send/SendRouted transmit one per-node (or
-// per-group) queue, blocking when the receiver falls behind (finite
-// in-flight queue credit, §6). Each hosted node runs one resolver per
-// bank, ranging over BankInbox and calling Done after fully applying a
-// packet; Quiet reports cluster-wide quiescence — no packets staged, in
-// flight, or being applied — which the runtime's Quiesce relies on.
-// Every fabric embeds one *Endpoint, which is its receive side (Hosts,
-// Banks, BankInbox, SetLocalApply, Done, Progress) and answers Quiet
-// from the nodes' ledgers, so a Fabric wrapping another by embedding
-// passes all of it through.
+// connects n nodes; Send transmits one per-node queue, blocking when
+// the receiver falls behind (finite in-flight queue credit, §6). Each
+// hosted node runs one resolver per bank, ranging over BankInbox and
+// calling Done after fully applying a packet; Quiet reports
+// cluster-wide quiescence — no packets staged, in flight, or being
+// applied — which the runtime's Quiesce relies on. Every fabric embeds
+// one *Endpoint, which is its receive side (Hosts, Banks, BankInbox,
+// SetLocalApply, Done, Progress) and answers Quiet from the nodes'
+// ledgers, so a Fabric wrapping another by embedding passes all of it
+// through.
 type Fabric interface {
 	// Nodes returns the cluster size.
 	Nodes() int
@@ -67,15 +64,10 @@ type Fabric interface {
 	// charging wire time to the sender. It blocks on backpressure.
 	// Ownership of buf transfers to the fabric (see Packet).
 	Send(from, to int, buf []byte, msgs int)
-	// SendRouted transmits a per-group queue (records carry their final
-	// destinations) to a group gateway for re-aggregation (§10).
-	SendRouted(from, gateway int, buf []byte, msgs int)
 	// Banks returns the per-node resolver bank count (>= 1).
 	Banks() int
 	// BankInbox returns the receive channel of one bank of a node (nil
-	// for a node another process hosts). Routed packets, whose records
-	// carry mixed final destinations, always arrive whole on bank 0,
-	// preserving the §10 gateway's relay order.
+	// for a node another process hosts).
 	BankInbox(node, bank int) <-chan Packet
 	// SetLocalApply registers the node-local bypass, before the first
 	// Send: a from == to packet is handed straight back to the runtime

@@ -96,8 +96,7 @@ type ResolverStats struct {
 	Shards int
 	// Packets and Msgs count packets (sub-packets, when sharded) and
 	// messages applied by resolver banks; AMs the active messages among
-	// them. Relayed gateway records count at the gateway they are
-	// re-aggregated on, not here.
+	// them.
 	Packets, Msgs, AMs int64
 	// BypassPackets and BypassMsgs count node-local packets resolved
 	// synchronously on the sending goroutine (the from == to fast

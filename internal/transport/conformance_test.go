@@ -63,7 +63,7 @@ var rigs = []struct {
 	}},
 }
 
-// mixedBuf is a direct per-node queue whose records touch banks 1, 3, 0
+// mixedBuf is a per-node queue whose records touch banks 1, 3, 0
 // (an active message), 1 and 0 of four, in that order.
 func mixedBuf() ([]byte, int) {
 	b := wire.NewBuilder(1, 1<<12)
@@ -76,20 +76,11 @@ func mixedBuf() ([]byte, int) {
 	return b.Take()
 }
 
-func routedBuf() ([]byte, int) {
-	b := wire.NewRoutedBuilder(1, 1<<12)
-	inc := wire.PackCmd(wire.OpInc, 0, 0)
-	b.AppendRouted(inc, 1, 1, 0)
-	b.AppendRouted(inc, 2, 1, 1)
-	b.AppendRouted(inc, 3, 1, 0)
-	return b.Take()
-}
-
 // wantPackets is the contract: a whole packet on bank 0, or exactly
 // ScatterBanks' partition as Sub packets in its (ascending) bank order.
-func wantPackets(from, to int, buf []byte, msgs, banks int, routed bool) []fabric.Packet {
-	if banks == 1 || routed || len(buf)%wire.MsgWireBytes != 0 {
-		return []fabric.Packet{{From: from, To: to, Buf: buf, Msgs: msgs, Routed: routed}}
+func wantPackets(from, to int, buf []byte, msgs, banks int) []fabric.Packet {
+	if banks == 1 || len(buf)%wire.MsgWireBytes != 0 {
+		return []fabric.Packet{{From: from, To: to, Buf: buf, Msgs: msgs}}
 	}
 	var want []fabric.Packet
 	fabric.ScatterBanks(buf, banks, func(bank int, sub []byte, m int) {
@@ -100,7 +91,7 @@ func wantPackets(from, to int, buf []byte, msgs, banks int, routed bool) []fabri
 }
 
 func samePacket(got, want fabric.Packet) bool {
-	return got.From == want.From && got.To == want.To && got.Msgs == want.Msgs && got.Routed == want.Routed &&
+	return got.From == want.From && got.To == want.To && got.Msgs == want.Msgs &&
 		got.Bank == want.Bank && got.Sub == want.Sub && bytes.Equal(got.Buf, want.Buf)
 }
 
@@ -108,21 +99,18 @@ func samePacket(got, want fabric.Packet) bool {
 // fabric that embeds it.
 func TestFabricConformance(t *testing.T) {
 	mixed, mixedMsgs := mixedBuf()
-	routedPayload, routedMsgs := routedBuf()
 	misaligned := append(bytes.Clone(mixed), 0xff)
 	type row struct {
 		name     string
 		from, to int
 		buf      []byte
 		msgs     int
-		routed   bool
 		hook     bool
 	}
 	for _, rg := range rigs {
 		for _, banks := range []int{1, 4} {
 			rows := []row{
 				{name: "direct", from: 0, to: 1, buf: mixed, msgs: mixedMsgs},
-				{name: "routed", from: 0, to: 1, buf: routedPayload, msgs: routedMsgs, routed: true},
 				{name: "self-hook", from: 1, to: 1, buf: mixed, msgs: mixedMsgs, hook: true},
 				{name: "self-no-hook", from: 1, to: 1, buf: mixed, msgs: mixedMsgs},
 				{name: "zero-records", from: 0, to: 1},
@@ -130,7 +118,7 @@ func TestFabricConformance(t *testing.T) {
 			for _, r := range rows {
 				t.Run(fmt.Sprintf("%s/banks=%d/%s", rg.name, banks, r.name), func(t *testing.T) {
 					rig := rg.build(t, banks)
-					want := wantPackets(r.from, r.to, r.buf, r.msgs, banks, r.routed)
+					want := wantPackets(r.from, r.to, r.buf, r.msgs, banks)
 					var bypassed []fabric.Packet
 					if r.hook {
 						rig.at(r.to).SetLocalApply(func(p fabric.Packet) {
@@ -139,7 +127,7 @@ func TestFabricConformance(t *testing.T) {
 						})
 						want = nil
 					}
-					deliver(t, rig, r.from, r.to, r.buf, r.msgs, r.routed, want)
+					deliver(t, rig, r.from, r.to, r.buf, r.msgs, want)
 					s := rig.clock(r.from).Snapshot()
 					if r.from == r.to {
 						if s.SelfPkts != 1 {
@@ -165,9 +153,9 @@ func TestFabricConformance(t *testing.T) {
 				rig := rg.build(t, banks)
 				var want []fabric.Packet
 				if !rig.misDropped {
-					want = wantPackets(rig.misFrom, 1, misaligned, mixedMsgs, banks, false)
+					want = wantPackets(rig.misFrom, 1, misaligned, mixedMsgs, banks)
 				}
-				deliver(t, rig, rig.misFrom, 1, misaligned, mixedMsgs, false, want)
+				deliver(t, rig, rig.misFrom, 1, misaligned, mixedMsgs, want)
 				if got := rig.at(1).NetMetrics().Malformed.Load(); (got == 1) != rig.misDropped {
 					t.Errorf("Malformed = %d, dropped = %v", got, rig.misDropped)
 				}
@@ -182,8 +170,8 @@ func TestFabricConformance(t *testing.T) {
 				}
 				// Streams up both ways, so node 0 holds a connection its
 				// peer, which is not closing, will not FIN.
-				deliver(t, rig, 0, 1, mixed, mixedMsgs, false, wantPackets(0, 1, mixed, mixedMsgs, banks, false))
-				deliver(t, rig, 1, 0, mixed, mixedMsgs, false, wantPackets(1, 0, mixed, mixedMsgs, banks, false))
+				deliver(t, rig, 0, 1, mixed, mixedMsgs, wantPackets(0, 1, mixed, mixedMsgs, banks))
+				deliver(t, rig, 1, 0, mixed, mixedMsgs, wantPackets(1, 0, mixed, mixedMsgs, banks))
 				rig.fail(0)
 				start := time.Now()
 				rig.at(0).Close()
@@ -200,14 +188,10 @@ func TestFabricConformance(t *testing.T) {
 // that the cluster is never quiet between Send returning and the last
 // Done — sampled from a second goroutine while the last bank holds its
 // share — and that it quiesces afterwards.
-func deliver(t *testing.T, rig rig, from, to int, buf []byte, msgs int, routed bool, want []fabric.Packet) {
+func deliver(t *testing.T, rig rig, from, to int, buf []byte, msgs int, want []fabric.Packet) {
 	t.Helper()
 	own := append(wire.GetBuf(len(buf)), buf...) // Send takes ownership
-	if routed {
-		rig.at(from).SendRouted(from, to, own, msgs)
-	} else {
-		rig.at(from).Send(from, to, own, msgs)
-	}
+	rig.at(from).Send(from, to, own, msgs)
 	recv := rig.at(to)
 	if len(want) > 0 {
 		var samples, quiet atomic.Int64

@@ -23,7 +23,7 @@ var errCorruptPayload = errors.New("transport: frame CRC mismatch")
 //
 //	offset  size  field
 //	0       4     magic "GRVL"
-//	4       1     version (1)
+//	4       1     version (2)
 //	5       1     type
 //	6       2     membership generation (low 16 bits)
 //	8       4     from node
@@ -33,14 +33,14 @@ var errCorruptPayload = errors.New("transport: frame CRC mismatch")
 //	24      8     sequence number
 //	32      4     CRC-32 (IEEE) of the payload
 //
-// Data and routed-data payloads are exactly the wire-package per-node
-// (or per-group) queue encodings, a vote's is one ballot (vote.go) and
-// a contribution's one contribution (collectives.go); the other control
-// frames carry no payload and reuse the seq field
-// (hello: stream resume point; ack: cumulative acknowledged seq).
+// A data payload is exactly the wire-package per-node queue encoding, a
+// vote's is one ballot (vote.go) and a contribution's one contribution
+// (collectives.go); the other control frames carry no payload and reuse
+// the seq field (hello: stream resume point; ack: cumulative
+// acknowledged seq).
 const (
 	frameMagic      = 0x4C565247 // "GRVL"
-	frameVersion    = 1
+	frameVersion    = 2
 	headerBytes     = 36
 	maxFramePayload = 1 << 24
 )
@@ -50,9 +50,6 @@ type frameType uint8
 const (
 	// frameData carries one per-node queue (wire.MsgWireBytes records).
 	frameData frameType = iota + 1
-	// frameRouted carries one per-group queue (wire.RoutedMsgBytes
-	// records bound for a gateway, §10).
-	frameRouted
 	// frameHello opens a sender→receiver stream; seq echoes the highest
 	// sequence number the sender believes was delivered, and the
 	// receiver's helloAck reply carries its own cumulative count so the

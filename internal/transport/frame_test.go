@@ -39,7 +39,7 @@ func readFrame(r *bufio.Reader) (*frame, error) {
 // FuzzReadFrame's seed corpus both draw on them.
 var frameCases = []*frame{
 	{typ: frameData, from: 0, to: 3, msgs: 7, seq: 1, payload: []byte("hello wire")},
-	{typ: frameRouted, from: 2, to: 1, msgs: 1, seq: 1 << 40, payload: bytes.Repeat([]byte{0xAB}, 4096)},
+	{typ: frameData, from: 2, to: 1, msgs: 1, seq: 1 << 40, payload: bytes.Repeat([]byte{0xAB}, 4096)},
 	{typ: frameHello, from: 1, to: 0, seq: 99},
 	{typ: frameAck, from: 0, to: 1, seq: 12345},
 	{typ: frameFin, from: 3, to: 0},

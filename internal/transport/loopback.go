@@ -60,31 +60,19 @@ func NewLoopbackBanked(params *timemodel.Params, clocks []*timemodel.Clocks, ban
 
 // Send implements fabric.Fabric.
 func (l *Loopback) Send(from, to int, buf []byte, msgs int) {
-	l.send(fabric.Packet{From: from, To: to, Buf: buf, Msgs: msgs})
-}
-
-// SendRouted implements fabric.Fabric.
-func (l *Loopback) SendRouted(from, gateway int, buf []byte, msgs int) {
-	l.send(fabric.Packet{From: from, To: gateway, Buf: buf, Msgs: msgs, Routed: true})
-}
-
-func (l *Loopback) send(p fabric.Packet) {
 	// A bypassed node-local packet skips the framing round trip
 	// entirely. The loopback codec is faithful (encode/decode
 	// round-trips bit-exactly), so skipping it for self traffic cannot
 	// change results — only wall time.
-	if l.Depart(p) {
+	if l.Depart(fabric.Packet{From: from, To: to, Buf: buf, Msgs: msgs}) {
 		return
 	}
-	f := frame{typ: frameData, from: p.From, to: p.To, msgs: p.Msgs, payload: p.Buf}
-	if p.Routed {
-		f.typ = frameRouted
-	}
+	f := frame{typ: frameData, from: from, to: to, msgs: msgs, payload: buf}
 	// Encode into a pooled wire buffer; the encode copies the payload,
 	// so the caller's buffer recycles immediately (Send owns it).
-	raw := appendFrame(wire.GetBuf(headerBytes+len(p.Buf)), &f)
-	wire.PutBuf(p.Buf)
-	l.wires[p.To] <- onWire{raw, fabric.Records(p.Msgs)}
+	raw := appendFrame(wire.GetBuf(headerBytes+len(buf)), &f)
+	wire.PutBuf(buf)
+	l.wires[to] <- onWire{raw, fabric.Records(msgs)}
 }
 
 // decode is node's wire-side decoder: it turns validated frames into
@@ -108,16 +96,15 @@ func (l *Loopback) decode(node int) {
 			err = fmt.Errorf("transport: %d trailing bytes after frame", br.Buffered())
 		}
 		wire.PutBuf(w.raw)
-		routed := f.typ == frameRouted
 		switch {
 		case errors.Is(err, errCorruptPayload):
 			l.CorruptFrames.Add(1)
-		case err != nil, wire.CheckBuf(f.payload, routed, l.Nodes()) != nil:
+		case err != nil, wire.CheckBuf(f.payload) != nil:
 			l.Malformed.Add(1)
 		default:
 			// Inboxes close only after every decoder has exited, so the
 			// push cannot fail.
-			l.Deliver(fabric.Packet{From: f.from, To: node, Buf: f.payload, Msgs: f.msgs, Routed: routed})
+			l.Deliver(fabric.Packet{From: f.from, To: node, Buf: f.payload, Msgs: f.msgs})
 			continue
 		}
 		l.Retire(node, w.records)

@@ -43,7 +43,7 @@ func TestLoopbackDeliversThroughFraming(t *testing.T) {
 	buf := incBuf(7, 1)
 	l.Send(0, 1, buf, 1)
 	p := <-l.Inbox(1)
-	if p.From != 0 || p.To != 1 || p.Msgs != 1 || p.Routed {
+	if p.From != 0 || p.To != 1 || p.Msgs != 1 {
 		t.Fatalf("bad packet %+v", p)
 	}
 	if string(p.Buf) != string(buf) {

@@ -292,15 +292,6 @@ func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
 // Send implements fabric.Fabric.
 func (t *TCP) Send(from, to int, buf []byte, msgs int) {
-	t.send(from, to, buf, msgs, false)
-}
-
-// SendRouted implements fabric.Fabric.
-func (t *TCP) SendRouted(from, gateway int, buf []byte, msgs int) {
-	t.send(from, gateway, buf, msgs, true)
-}
-
-func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 	if from != t.self {
 		panic(fmt.Sprintf("transport: node %d sending from the process hosting %d", from, t.self))
 	}
@@ -313,7 +304,7 @@ func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 		// or the endpoint takes it straight to an inbox.
 		t.clocks[from].CountSelfPacket()
 		t.arrived.Add(int64(fabric.Records(msgs)))
-		p := fabric.Packet{From: from, To: to, Buf: buf, Msgs: msgs, Routed: routed}
+		p := fabric.Packet{From: from, To: to, Buf: buf, Msgs: msgs}
 		if !t.Bypass(p) {
 			t.Deliver(p)
 		}
@@ -326,12 +317,8 @@ func (t *TCP) send(from, to int, buf []byte, msgs int, routed bool) {
 		panic(fmt.Sprintf("transport: %d-byte payload exceeds the %d-byte frame limit", len(buf), maxFramePayload))
 	}
 	t.ObserveWire(t.clocks[from], from, to, len(buf))
-	typ := frameData
-	if routed {
-		typ = frameRouted
-	}
 	f := getFrame()
-	f.typ, f.from, f.to, f.msgs, f.payload = typ, from, to, msgs, buf
+	f.typ, f.from, f.to, f.msgs, f.payload = frameData, from, to, msgs, buf
 	f.gen = t.wireGen()
 	t.clocks[from].AddWireSend(t.params.WireNs(len(buf)))
 	t.enqueue(to, f)

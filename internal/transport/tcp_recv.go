@@ -105,20 +105,20 @@ func (t *TCP) serveConn(conn net.Conn) {
 			if writeCtl(frameAck, rs.cumAck()) != nil {
 				return
 			}
-		case frameData, frameRouted, frameVote, frameColl:
+		case frameData, frameVote, frameColl:
 			inline := f.typ.inline()
 			if f.from != from || f.to != t.self ||
 				f.gen != hello.gen || // generation drift mid-stream: reject, not misdeliver
 				inline && len(f.payload) != ballotBytes ||
 				f.typ == frameColl && readContribution(f.payload).op() > rt.OpMax ||
-				!inline && wire.CheckBuf(f.payload, f.typ == frameRouted, t.n) != nil {
+				!inline && wire.CheckBuf(f.payload) != nil {
 				t.Malformed.Add(1)
 				return
 			}
 			refused := false
 			switch rs.accept(conn, f.seq, func() bool {
 				if !inline {
-					return t.deliver(&f, f.typ == frameRouted)
+					return t.deliver(&f)
 				}
 				// A ballot or contribution no working peer sends is refused.
 				refused = f.typ == frameVote && !t.tally.file(from, readBallot(f.payload)) ||
@@ -155,8 +155,8 @@ func (t *TCP) serveConn(conn net.Conn) {
 // during shutdown: the frame is unacked, so a surviving peer would
 // retransmit — by protocol it is post-quiescence and carries nothing
 // the run still needs.
-func (t *TCP) deliver(f *frame, routed bool) bool {
+func (t *TCP) deliver(f *frame) bool {
 	t.clocks[t.self].AddWireRecv(t.params.WireNs(len(f.payload)))
 	t.arrived.Add(int64(fabric.Records(f.msgs)))
-	return t.Deliver(fabric.Packet{From: f.from, To: t.self, Buf: f.payload, Msgs: f.msgs, Routed: routed})
+	return t.Deliver(fabric.Packet{From: f.from, To: t.self, Buf: f.payload, Msgs: f.msgs})
 }

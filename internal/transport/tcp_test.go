@@ -107,7 +107,7 @@ func TestTCPDeliversAndQuiesces(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("packet never delivered")
 	}
-	if p.From != 0 || p.To != 1 || p.Msgs != 1 || p.Routed || string(p.Buf) != string(buf) {
+	if p.From != 0 || p.To != 1 || p.Msgs != 1 || string(p.Buf) != string(buf) {
 		t.Fatalf("bad packet %+v", p)
 	}
 	// Not applied yet: the cluster must not report quiet.

@@ -31,19 +31,3 @@ func BenchmarkDecode(b *testing.B) {
 	_ = sink
 	_ = msgs
 }
-
-// BenchmarkDecodeRouted measures the hierarchical record format.
-func BenchmarkDecodeRouted(b *testing.B) {
-	bl := NewRoutedBuilder(1, 64<<10)
-	cmd := PackCmd(OpInc, 0, 3)
-	for !bl.Full() {
-		bl.AppendRouted(cmd, 7, 1, 5)
-	}
-	buf, _ := bl.Take()
-	b.SetBytes(int64(len(buf)))
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		DecodeRouted(buf, func(c, a, v uint64, d int) { sink += a + uint64(d) })
-	}
-	_ = sink
-}

@@ -1,11 +1,8 @@
 package wire
 
-import (
-	"encoding/binary"
-	"testing"
-)
+import "testing"
 
-// FuzzDecode feeds arbitrary byte strings to the direct-queue decoder:
+// FuzzDecode feeds arbitrary byte strings to the per-node queue decoder:
 // frames arriving from the network must never panic it, whatever their
 // contents.
 func FuzzDecode(f *testing.F) {
@@ -55,54 +52,24 @@ func FuzzRecordWalk(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRouted does the same for routed (per-group) buffers, whose
-// records carry final destinations that must be bounds-checked before
-// they reach the gateway's re-aggregation path.
-func FuzzDecodeRouted(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(make([]byte, RoutedMsgBytes))
-	f.Add(make([]byte, RoutedMsgBytes+1))
-	huge := make([]byte, RoutedMsgBytes)
-	binary.LittleEndian.PutUint64(huge[24:32], 1<<40) // destination overflows int32
-	f.Add(huge)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		err := DecodeRouted(data, func(cmd, a, v uint64, dest int) {
-			if dest < 0 {
-				t.Fatalf("DecodeRouted surfaced negative destination %d", dest)
-			}
-		})
-		_ = err
-	})
-}
-
 // FuzzCheckBuf: the transport-boundary validator must never panic and
-// must accept exactly what Decode/DecodeRouted accept structurally.
+// must accept only what Decode accepts structurally.
 func FuzzCheckBuf(f *testing.F) {
-	f.Add([]byte{}, false)
-	f.Add(wireBuf(OpPut, 1, 2, 0), false)
-	f.Add(make([]byte, RoutedMsgBytes), true)
-	f.Fuzz(func(t *testing.T, data []byte, routed bool) {
-		if err := CheckBuf(data, routed, 8); err != nil {
+	f.Add([]byte{})
+	f.Add(wireBuf(OpPut, 1, 2, 0))
+	f.Add(make([]byte, MsgWireBytes)) // op 0: unknown
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := CheckBuf(data); err != nil {
 			return
 		}
 		// A buffer CheckBuf accepts must decode cleanly.
-		var derr error
-		if routed {
-			derr = DecodeRouted(data, func(_, _, _ uint64, dest int) {
-				if dest < 0 || dest >= 8 {
-					t.Fatalf("checked routed buffer yielded dest %d", dest)
-				}
-			})
-		} else {
-			derr = Decode(data, func(_, _, _ uint64) {})
-		}
-		if derr != nil {
-			t.Fatalf("CheckBuf accepted a buffer Decode rejects: %v", derr)
+		if err := Decode(data, func(_, _, _ uint64) {}); err != nil {
+			t.Fatalf("CheckBuf accepted a buffer Decode rejects: %v", err)
 		}
 	})
 }
 
-// wireBuf builds a one-message direct buffer.
+// wireBuf builds a one-message buffer.
 func wireBuf(op Op, handler uint8, a, v uint64) []byte {
 	b := NewBuilder(0, MsgWireBytes)
 	b.Append(PackCmd(op, handler, 0), a, v)

@@ -74,9 +74,9 @@ func (l *freeList) keep(b []byte) (kept bool) {
 const minPooledBytes = 1 << 10
 
 // poolRound rounds a capacity request up to a power of two so buffers
-// from builders, routed builders, and transport receive paths — whose
-// exact record-aligned capacities differ by a few bytes — land in one
-// size class and recycle into each other.
+// from builders and transport receive paths — whose exact
+// record-aligned capacities differ by a few bytes — land in one size
+// class and recycle into each other.
 func poolRound(n int) int {
 	p := minPooledBytes
 	for p < n {

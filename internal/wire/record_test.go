@@ -7,9 +7,8 @@ import (
 	"testing"
 )
 
-// refRecord and refRouted are the encoders every writer used before
-// PutRecord: stage the record in a stack array, then append it. They
-// define the bytes.
+// refRecord is the encoder every writer used before PutRecord: stage
+// the record in a stack array, then append it. It defines the bytes.
 func refRecord(buf []byte, cmd, a, v uint64) []byte {
 	var rec [MsgWireBytes]byte
 	binary.LittleEndian.PutUint64(rec[0:8], cmd)
@@ -18,25 +17,15 @@ func refRecord(buf []byte, cmd, a, v uint64) []byte {
 	return append(buf, rec[0:len(rec)]...)
 }
 
-func refRouted(buf []byte, cmd, a, v uint64, dest int) []byte {
-	var rec [RoutedMsgBytes]byte
-	binary.LittleEndian.PutUint64(rec[0:8], cmd)
-	binary.LittleEndian.PutUint64(rec[8:16], a)
-	binary.LittleEndian.PutUint64(rec[16:24], v)
-	binary.LittleEndian.PutUint64(rec[24:32], uint64(dest))
-	return append(buf, rec[0:len(rec)]...)
-}
-
-// TestRecordWritersByteExact: Builder.Append, Builder.AppendRouted and
-// AppendRecord produce the reference encoders' bytes, and a builder's
+// TestRecordWritersByteExact: Builder.Append and AppendRecord produce the reference encoders' bytes, and a builder's
 // buffer never outgrows what GetBuf handed it — so a Taken buffer goes
 // back into the pool class it came from.
 func TestRecordWritersByteExact(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, capBytes := range []int{1, MsgWireBytes, 100, 1 << 10, 5000, 64 << 10} {
-		direct, routed := NewBuilder(1, capBytes), NewRoutedBuilder(2, capBytes)
-		directCap, routedCap := cap(direct.buf), cap(routed.buf)
-		var wantDirect, wantRouted, grown []byte
+		direct := NewBuilder(1, capBytes)
+		directCap := cap(direct.buf)
+		var wantDirect, grown []byte
 		roomy := make([]byte, 0, capBytes+MsgWireBytes)
 		roomyAt := &roomy[:1][0]
 		for !direct.Full() {
@@ -49,17 +38,11 @@ func TestRecordWritersByteExact(t *testing.T) {
 				t.Fatalf("cap %d: AppendRecord moved a buffer that had room", capBytes)
 			}
 		}
-		for !routed.Full() {
-			cmd, a, v, d := r.Uint64(), r.Uint64(), r.Uint64(), r.Intn(1<<20)
-			routed.AppendRouted(cmd, a, v, d)
-			wantRouted = refRouted(wantRouted, cmd, a, v, d)
+		if cap(direct.buf) != directCap {
+			t.Fatalf("cap %d: builder buffer regrew: %d -> %d", capBytes, directCap, cap(direct.buf))
 		}
-		if cap(direct.buf) != directCap || cap(routed.buf) != routedCap {
-			t.Fatalf("cap %d: builder buffers regrew: %d -> %d, %d -> %d", capBytes,
-				directCap, cap(direct.buf), routedCap, cap(routed.buf))
-		}
-		if direct.Msgs()*MsgWireBytes != len(wantDirect) || routed.Msgs()*RoutedMsgBytes != len(wantRouted) {
-			t.Fatalf("cap %d: message counts %d / %d", capBytes, direct.Msgs(), routed.Msgs())
+		if direct.Msgs()*MsgWireBytes != len(wantDirect) {
+			t.Fatalf("cap %d: message count %d", capBytes, direct.Msgs())
 		}
 		got, _ := direct.Take()
 		if !bytes.Equal(got, wantDirect) {
@@ -70,9 +53,6 @@ func TestRecordWritersByteExact(t *testing.T) {
 		}
 		if !bytes.Equal(grown, wantDirect) || !bytes.Equal(roomy, wantDirect) {
 			t.Fatalf("cap %d: AppendRecord bytes differ from the reference", capBytes)
-		}
-		if got, _ := routed.Take(); !bytes.Equal(got, wantRouted) {
-			t.Fatalf("cap %d: Builder.AppendRouted bytes differ from the reference", capBytes)
 		}
 	}
 }

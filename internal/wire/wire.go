@@ -7,7 +7,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -103,22 +102,18 @@ func UnpackSigCmd(w uint64) (dataArr, sigArr uint16, sigIdx uint32) {
 // node), so only the command word and two arguments travel.
 const MsgWireBytes = 24
 
-// RoutedMsgBytes is the encoded size of one message inside a per-GROUP
-// queue (§10 hierarchical aggregation): the final destination travels
-// with the message so the receiving group's gateway can re-aggregate.
-const RoutedMsgBytes = 32
-
 // Builder accumulates messages bound for a single destination into a
-// per-node queue buffer of fixed capacity (§6: 64 kB by default). A
-// routed builder targets a *gateway* and each record carries its final
-// destination (hierarchical aggregation, §10).
+// per-node queue buffer of fixed capacity (§6: 64 kB by default).
 type Builder struct {
-	dest   int
-	cap    int
-	rec    int // bytes per record
-	routed bool
-	buf    []byte
-	msgs   int
+	dest int
+	cap  int
+	buf  []byte
+	msgs int
+	// Padded to one 64-byte cache line: each node's aggregator thread
+	// writes its own builders, and builders of different nodes are
+	// allocated side by side, so a shorter struct makes two threads
+	// write one line.
+	_ [16]byte
 }
 
 // NewBuilder creates a builder for the given destination with the given
@@ -129,90 +124,27 @@ func NewBuilder(dest, capBytes int) *Builder {
 	if n < 1 {
 		n = 1
 	}
-	return &Builder{dest: dest, cap: n * MsgWireBytes, rec: MsgWireBytes, buf: GetBuf(n * MsgWireBytes)}
+	return &Builder{dest: dest, cap: n * MsgWireBytes, buf: GetBuf(n * MsgWireBytes)}
 }
 
-// NewRoutedBuilder creates a builder whose records carry final
-// destinations (sent to a group gateway for re-aggregation).
-func NewRoutedBuilder(gateway, capBytes int) *Builder {
-	n := capBytes / RoutedMsgBytes
-	if n < 1 {
-		n = 1
+// CheckBuf validates a per-node queue buffer received from an untrusted
+// byte stream without applying it: the length must be a whole number of
+// records and every op must be known. Transports call this before
+// handing a payload to the network thread, so a frame that fails it is
+// counted as malformed and dropped with its connection, never
+// delivered. What it cannot see (an unallocated array, an unregistered
+// AM handler, a cell the receiving node does not own) the resolver
+// fails as a typed core.WireDecodeError.
+func CheckBuf(buf []byte) error {
+	if len(buf)%MsgWireBytes != 0 {
+		return fmt.Errorf("wire: buffer length %d not a multiple of %d", len(buf), MsgWireBytes)
 	}
-	return &Builder{dest: gateway, cap: n * RoutedMsgBytes, rec: RoutedMsgBytes, routed: true, buf: GetBuf(n * RoutedMsgBytes)}
-}
-
-// Routed reports whether records carry final destinations.
-func (b *Builder) Routed() bool { return b.routed }
-
-// AppendRouted adds one message with an explicit final destination; the
-// builder must be routed.
-func (b *Builder) AppendRouted(cmd, a, v uint64, finalDest int) {
-	if !b.routed {
-		panic("wire: AppendRouted on direct builder")
-	}
-	if b.Full() {
-		panic("wire: Append on full builder")
-	}
-	n := len(b.buf)
-	b.buf = b.buf[:n+RoutedMsgBytes]
-	PutRecord(b.buf[n:], cmd, a, v)
-	binary.LittleEndian.PutUint64(b.buf[n+MsgWireBytes:], uint64(finalDest))
-	b.msgs++
-}
-
-// DecodeRouted iterates over a routed buffer's (cmd, a, v, dest)
-// records. A destination that cannot be a node index (it overflows
-// int32) is rejected before the callback runs, so a malformed network
-// frame cannot smuggle a negative or absurd destination into the
-// gateway's re-aggregation path.
-func DecodeRouted(buf []byte, fn func(cmd, a, v uint64, dest int)) error {
-	if len(buf)%RoutedMsgBytes != 0 {
-		return fmt.Errorf("wire: routed buffer length %d not a multiple of %d", len(buf), RoutedMsgBytes)
-	}
-	for off := 0; off < len(buf); off += RoutedMsgBytes {
-		cmd := binary.LittleEndian.Uint64(buf[off : off+8])
-		a := binary.LittleEndian.Uint64(buf[off+8 : off+16])
-		v := binary.LittleEndian.Uint64(buf[off+16 : off+24])
-		d := binary.LittleEndian.Uint64(buf[off+24 : off+32])
-		if d > math.MaxInt32 {
-			return fmt.Errorf("wire: routed record at offset %d has invalid destination %d", off, d)
-		}
-		fn(cmd, a, v, int(d))
-	}
-	return nil
-}
-
-// CheckBuf validates a per-node (or routed) queue buffer received from
-// an untrusted byte stream without applying it: the length must be a
-// whole number of records, every op must be known, and routed
-// destinations must name a node in [0, nodes). Transports call this
-// before handing a payload to the network thread, so a frame that fails
-// it is counted as malformed and dropped with its connection, never
-// delivered, and a gateway never re-aggregates a record for a node that
-// does not exist. What it cannot see (an unallocated array, an
-// unregistered AM handler, a cell the receiving node does not own) the
-// resolver fails as a typed core.WireDecodeError.
-func CheckBuf(buf []byte, routed bool, nodes int) error {
-	rec := MsgWireBytes
-	if routed {
-		rec = RoutedMsgBytes
-	}
-	if len(buf)%rec != 0 {
-		return fmt.Errorf("wire: buffer length %d not a multiple of %d", len(buf), rec)
-	}
-	for off := 0; off < len(buf); off += rec {
+	for off := 0; off < len(buf); off += MsgWireBytes {
 		op, _, _ := UnpackCmd(binary.LittleEndian.Uint64(buf[off : off+8]))
 		switch op {
 		case OpPut, OpInc, OpAM, OpPutSignal:
 		default:
 			return fmt.Errorf("wire: record at offset %d has unknown op %d", off, uint8(op))
-		}
-		if routed {
-			d := binary.LittleEndian.Uint64(buf[off+24 : off+32])
-			if d >= uint64(nodes) {
-				return fmt.Errorf("wire: record at offset %d targets node %d of %d", off, d, nodes)
-			}
 		}
 	}
 	return nil
@@ -231,14 +163,10 @@ func (b *Builder) Bytes() int { return len(b.buf) }
 func (b *Builder) Empty() bool { return b.msgs == 0 }
 
 // Full reports whether the next Append would overflow.
-func (b *Builder) Full() bool { return len(b.buf)+b.rec > b.cap }
+func (b *Builder) Full() bool { return len(b.buf)+MsgWireBytes > b.cap }
 
-// Append adds one message. The caller must flush when Full; the builder
-// must be direct (see AppendRouted for routed builders).
+// Append adds one message. The caller must flush when Full.
 func (b *Builder) Append(cmd, a, v uint64) {
-	if b.routed {
-		panic("wire: Append on routed builder")
-	}
 	if b.Full() {
 		panic("wire: Append on full builder")
 	}
@@ -248,7 +176,7 @@ func (b *Builder) Append(cmd, a, v uint64) {
 	b.msgs++
 }
 
-// PutRecord encodes one direct-queue message record into dst[:MsgWireBytes].
+// PutRecord encodes one per-node queue message record into dst[:MsgWireBytes].
 // It is the tree's only record encoder: every writer (the builders,
 // AppendRecord, the archive's span writes, the receive-side bank
 // scatter) first extends its own buffer inside its capacity — once per
@@ -262,7 +190,7 @@ func PutRecord(dst []byte, cmd, a, v uint64) {
 	binary.LittleEndian.PutUint64(dst[16:24], v)
 }
 
-// AppendRecord appends one encoded direct-queue message record to buf
+// AppendRecord appends one encoded per-node queue message record to buf
 // and returns the extended slice, for callers that manage their own
 // buffers. A buffer with room is extended in place; one without (nil
 // included) grows like append.

@@ -1,10 +1,9 @@
 package wire
 
 import (
-	"encoding/binary"
-	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPackUnpackCmd(t *testing.T) {
@@ -116,68 +115,23 @@ func TestQuickBuilderDecode(t *testing.T) {
 	}
 }
 
-// TestQuickDecodeRejectsRagged: Decode and DecodeRouted must reject any
-// buffer that is not a whole number of records — and DecodeRouted any
-// destination that overflows int32 — and never panic.
+// TestQuickDecodeRejectsRagged: Decode must reject any buffer that is
+// not a whole number of records, and never panic.
 func TestQuickDecodeRejectsRagged(t *testing.T) {
 	f := func(raw []byte) bool {
-		errPlain := Decode(raw, func(_, _, _ uint64) {})
-		errRouted := DecodeRouted(raw, func(_, _, _ uint64, _ int) {})
-		okPlain := (len(raw)%MsgWireBytes == 0) == (errPlain == nil)
-		wantRoutedOK := len(raw)%RoutedMsgBytes == 0
-		for off := 0; wantRoutedOK && off < len(raw); off += RoutedMsgBytes {
-			if binary.LittleEndian.Uint64(raw[off+24:off+32]) > math.MaxInt32 {
-				wantRoutedOK = false
-			}
-		}
-		okRouted := wantRoutedOK == (errRouted == nil)
-		return okPlain && okRouted
+		err := Decode(raw, func(_, _, _ uint64) {})
+		return (len(raw)%MsgWireBytes == 0) == (err == nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRoutedBuilderMisuse: the direct/routed APIs must not cross.
-func TestRoutedBuilderMisuse(t *testing.T) {
-	direct := NewBuilder(0, 1024)
-	routed := NewRoutedBuilder(0, 1024)
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("AppendRouted on direct", func() { direct.AppendRouted(1, 2, 3, 4) })
-	mustPanic("Append on routed", func() { routed.Append(1, 2, 3) })
-}
-
-// TestRoutedRoundTrip covers the hierarchical record format end to end.
-func TestRoutedRoundTrip(t *testing.T) {
-	b := NewRoutedBuilder(9, 10*RoutedMsgBytes)
-	if b.Dest() != 9 || !b.Routed() {
-		t.Fatal("routed builder state wrong")
-	}
-	for i := 0; i < 10; i++ {
-		b.AppendRouted(PackCmd(OpAM, 3, 0), uint64(i), uint64(i*i), i%5)
-	}
-	if !b.Full() {
-		t.Fatal("should be full")
-	}
-	buf, n := b.Take()
-	if n != 10 {
-		t.Fatalf("Take msgs = %d", n)
-	}
-	i := 0
-	if err := DecodeRouted(buf, func(cmd, a, v uint64, dest int) {
-		op, h, _ := UnpackCmd(cmd)
-		if op != OpAM || h != 3 || a != uint64(i) || v != uint64(i*i) || dest != i%5 {
-			t.Fatalf("record %d mismatch", i)
-		}
-		i++
-	}); err != nil {
-		t.Fatal(err)
+// TestBuilderFillsCacheLine: builders of different nodes' aggregators
+// sit side by side in one size class, so a Builder that is not exactly
+// one cache line puts two threads' writes on one line.
+func TestBuilderFillsCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Builder{}); got != 64 {
+		t.Fatalf("Builder is %d bytes, want 64", got)
 	}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Everything CI runs, runnable by hand:
 #
-#   scripts/ci.sh quick   vet, build, short tests, the benchmark module
+#   scripts/ci.sh quick   gofmt, vet, build, short tests, the benchmark module
 #   scripts/ci.sh full    what .github/workflows/ci.yml runs, in order:
 #                         the full test suite, then race, fuzz and smokes
 #
@@ -29,7 +29,8 @@ benchmark_module() {
 }
 
 quick() {
-  step "vet, build, short tests"
+  step "gofmt, vet, build, short tests"
+  test -z "$(gofmt -l .)"
   go vet ./...
   go build ./...
   go test -short ./...
@@ -92,7 +93,7 @@ fuzz_smokes() {
   for t in \
     FuzzReadFrame:transport FuzzCoordDispatch:transport \
     FuzzWFAggregate:simt FuzzApplierWalk:core \
-    FuzzDecode:wire FuzzRecordWalk:wire FuzzDecodeRouted:wire FuzzCheckBuf:wire \
+    FuzzDecode:wire FuzzRecordWalk:wire FuzzCheckBuf:wire \
     FuzzDecodeU64s:ckpt FuzzFaultParse:transport/fault; do
     go test -run=NONE -fuzz="^${t%%:*}\$" -fuzztime=5s "./internal/${t#*:}/"
   done
@@ -224,7 +225,8 @@ service_smoke() {
 }
 
 full() {
-  step "vet, staticcheck, build, tests"
+  step "gofmt, vet, staticcheck, build, tests"
+  test -z "$(gofmt -l .)"
   go vet ./...
   # The workflow installs staticcheck; a box without it (no network)
   # skips the one step that needs it.

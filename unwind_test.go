@@ -175,7 +175,7 @@ func unwindRows() []*unwindRow {
 			e.tab.SymIndex(c.Node(), 0) // tab is not symmetric
 		}, host: func(e *unwindEnv) { e.sys.Space().Alloc(0) }},
 		{want: is(func(err *core.WireDecodeError, e *unwindEnv) bool {
-			return err.Node == 1 && err.From == 0 && !err.Routed && err.Bytes == len(garbage(e)) && errors.Unwrap(err) != nil
+			return err.Node == 1 && err.From == 0 && err.Bytes == len(garbage(e)) && errors.Unwrap(err) != nil
 		}), sticky: true, host: func(e *unwindEnv) {
 			e.sys.(interface{ Fabric() core.Fabric }).Fabric().Send(0, 1, garbage(e), 1)
 			e.sys.Step("after-bad-packet", make([]int, unwindNodes), 0, func(rt.Ctx) {})
