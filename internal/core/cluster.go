@@ -116,8 +116,7 @@ type Node struct {
 	Agg    agg.Strategy
 	Clocks *timemodel.Clocks // the ledger: virtual time and every count Stats reports
 
-	cl   *Cluster
-	ctxs sync.Pool // idle *ctx, reused across work-groups and steps
+	cl *Cluster
 
 	// kern adapts a LaunchAll's kernel to this node's device, kernRun
 	// being its bound run method: one of each per node, not per launch.
@@ -319,7 +318,6 @@ func NewChecked(cfg Config) (*Cluster, error) {
 	cl.nodes = make([]*Node, cfg.Nodes)
 	for i := range cl.nodes {
 		n := &Node{ID: i, Clocks: clocks[i], cl: cl}
-		n.ctxs.New = func() any { return newCtx(n) }
 		n.kern.n, n.kernRun = n, n.kern.run
 		n.drained = func() bool { return !n.draining() }
 		n.GPU = simt.NewDevice(arch)

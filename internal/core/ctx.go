@@ -74,25 +74,25 @@ type ctx struct {
 	g   *simt.Group
 	off Offloader
 
-	// WG-sized scratch. A ctx serves one work-group at a time and is
-	// recycled through Node.ctxs, so none of it is allocated per WG.
+	// WG-sized scratch, made once per simt.Group, not per WG.
 	allOn, remote, mask []bool
 	dests, lanes        []int
 	cmds                []uint64
 }
 
-func newCtx(n *Node) *ctx {
+func newCtx(n *Node, g *simt.Group) *ctx {
 	wg := n.cl.cfg.WGSize
-	c := &ctx{n: n, allOn: make([]bool, wg), remote: make([]bool, wg), mask: make([]bool, wg),
+	c := &ctx{n: n, g: g, allOn: make([]bool, wg), remote: make([]bool, wg), mask: make([]bool, wg),
 		dests: make([]int, wg), lanes: make([]int, wg), cmds: make([]uint64, wg)}
 	for i := range c.allOn {
 		c.allOn[i] = true
 	}
+	g.Host = c
 	return c
 }
 
 // kernelAdapter runs k as node n's device kernel — the one place
-// contexts are made: each work-group runs k sending through off.
+// contexts are made, one per simt.Group: each WG runs k through off.
 type kernelAdapter struct {
 	n   *Node
 	off Offloader
@@ -100,10 +100,12 @@ type kernelAdapter struct {
 }
 
 func (ka *kernelAdapter) run(g *simt.Group) {
-	c := ka.n.ctxs.Get().(*ctx)
-	c.g, c.off = g, ka.off
+	c, _ := g.Host.(*ctx)
+	if c == nil {
+		c = newCtx(ka.n, g)
+	}
+	c.off = ka.off
 	ka.k(c)
-	ka.n.ctxs.Put(c)
 }
 
 // Kernel adapts k to a device kernel for n.GPU.Launch/LaunchAt, for a

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,9 +13,10 @@ import (
 	"gravel/internal/rt"
 )
 
-// fineStep returns a one-WG-per-node step over a fresh table: every
-// lane of every node adds 1 to a cell spread over the cluster.
-func fineStep(cl *Cluster) (tab *pgas.Array, step func()) {
+// gridStep returns a step of wgs work-groups per node over a fresh
+// table: every lane of every WG of every node adds 1 to a cell spread
+// over the cluster.
+func gridStep(cl *Cluster, wgs int) (tab *pgas.Array, step func()) {
 	nodes, wg := cl.Nodes(), cl.WGSize()
 	tab = cl.Space().Alloc(1 << 10)
 	grid := make([]int, nodes)
@@ -24,7 +26,7 @@ func fineStep(cl *Cluster) (tab *pgas.Array, step func()) {
 		one[l] = 1
 	}
 	for n := range grid {
-		grid[n] = wg
+		grid[n] = wgs * wg
 		idx[n] = make([]uint64, wg)
 		for l := range idx[n] {
 			idx[n][l] = uint64((n*wg+l)*7) % uint64(tab.Len())
@@ -33,6 +35,9 @@ func fineStep(cl *Cluster) (tab *pgas.Array, step func()) {
 	kernel := func(c rt.Ctx) { c.Inc(tab, idx[c.Node()], one, nil) }
 	return tab, func() { cl.Step("fine", grid, 0, kernel) }
 }
+
+// fineStep is the one-WG-per-node gridStep.
+func fineStep(cl *Cluster) (tab *pgas.Array, step func()) { return gridStep(cl, 1) }
 
 // TestFineStepsSmoke is the fine-steps shape end to end: 2000 one-WG
 // steps on two nodes, launched on the Step goroutine and one device
@@ -52,20 +57,29 @@ func TestFineStepsSmoke(t *testing.T) {
 
 // TestWarmStepAllocs pins a warm Step at zero objects, at one resolver
 // shard and at several: the kernel adapter, launch state and completion
-// state are reused, the ledger readings reuse their per-bank slices,
-// and once the step ledger's ring is full a step overwrites the oldest
-// record in place. AllocsPerRun rounds an average under one object a
-// step down to 0: that absorbs a rare runtime allocation (a sudog for a
-// contended lock), but also amortised growth, so the ring's bound is
-// TestStepLedgerBounded's to check.
+// state are reused, each group keeps its ctx, the ledger readings reuse
+// their per-bank slices, and once the step ledger's ring is full a step
+// overwrites the oldest record in place. AllocsPerRun rounds an average
+// under one object a step down to 0: that absorbs a rare runtime
+// allocation (a sudog for a contended lock), but also amortised growth,
+// so the ring's bound is TestStepLedgerBounded's to check.
+//
+// wgs=64 steps 64 WGs per node, whose launches spawn workers, and
+// counts every object of 500 warm steps, at one P as AllocsPerRun runs.
+// It warms up at every P first: their interleavings reach the in-flight
+// high-water of packet buffers and outbox sooner (warmed at one P only,
+// a rare schedule passed it in about 1 run in 100, and the new buffers
+// counted). Then, at one P, it holds every worker's group at once
+// (holdWorkers) and fills the P's sudog cache (primeSudogs), so that
+// neither depends on the schedule.
 func TestWarmStepAllocs(t *testing.T) {
 	var pool sync.Pool
 	for i := 0; i < 64; i++ {
 		if pool.Put(new(int)); pool.Get() == nil {
-			t.Skip("sync.Pool drops puts at random under the race detector, and a dropped ctx is made again")
+			t.Skip("sync.Pool drops puts at random under the race detector, and wire.GetBuf refills from one")
 		}
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the ctx pool
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the sync.Pool behind wire.GetBuf
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cl := New(Config{Nodes: 2, ResolverShards: shards})
@@ -79,6 +93,68 @@ func TestWarmStepAllocs(t *testing.T) {
 			}
 		})
 	}
+	t.Run("wgs=64", func(t *testing.T) {
+		const wgs, steps = 64, 500
+		cl := New(Config{Nodes: 2})
+		defer cl.Close()
+		_, step := gridStep(cl, wgs)
+		for i := 0; i < 2*stepWindow; i++ {
+			step()
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		holdWorkers(cl, wgs)
+		primeSudogs(64)
+		for i := 0; i < stepWindow; i++ {
+			step()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < steps; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%d warm 2-node Steps of %d WGs per node allocate %d objects, want 0", steps, wgs, n)
+		}
+	})
+}
+
+// primeSudogs blocks n goroutines at once and lets them go, so that
+// the one P's cache holds n of the runtime sudogs a blocked goroutine
+// takes. Otherwise a measured step that blocks more goroutines at once
+// than any before (the device thread parking in its sync.Cond while
+// the aggregator threads sit in theirs) allocates one.
+func primeSudogs(n int) {
+	release := make(chan struct{})
+	var blocked sync.WaitGroup
+	blocked.Add(n)
+	for range n {
+		go func() { blocked.Done(); <-release }()
+	}
+	blocked.Wait()
+	close(release)
+}
+
+// holdWorkers runs a step of wgs WGs per node in which each node's
+// first workers WGs wait for one another, so that every worker of a
+// launch holds a group (and the group its ctx) at the same time. At one
+// P a launch's workers mostly run one after another, so without this
+// the groups a device has made depend on the schedule, and a group
+// first made in a measured step would count.
+func holdWorkers(cl *Cluster, wgs int) {
+	workers := min(cl.nodes[0].GPU.Parallelism, wgs)
+	grid := make([]int, cl.Nodes())
+	for n := range grid {
+		grid[n] = wgs * cl.WGSize()
+	}
+	arrived := make([]atomic.Int32, cl.Nodes())
+	cl.Step("hold", grid, 0, func(c rt.Ctx) {
+		if a := &arrived[c.Node()]; c.Group().ID < workers {
+			for a.Add(1); int(a.Load()) < workers; {
+				runtime.Gosched()
+			}
+		}
+	})
 }
 
 // TestParkedDeviceThreadTakesLaunch: a device thread left idle for

@@ -251,6 +251,7 @@ type launchState struct {
 	wgSize     int
 	numWGs     int
 	kernel     func(g *Group)
+	worker     func() // runWorker, bound once: go on a method value allocates a closure
 	next       atomic.Int64
 	wg         sync.WaitGroup // the spawned workers; the caller, the first worker, is not counted
 	cycles     atomic.Int64
@@ -325,13 +326,14 @@ func (d *Device) LaunchAt(grid, base, wgSize, scratchPerWG int, kernel func(g *G
 	ls := d.launch.Swap(nil)
 	if ls == nil {
 		ls = &launchState{d: d}
+		ls.worker = ls.runWorker
 	}
 	ls.grid, ls.base, ls.wgSize, ls.numWGs, ls.kernel = grid, base, wgSize, numWGs, kernel
 	ls.next.Store(0)
 	ls.cycles.Store(0)
 	ls.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		go ls.runWorker()
+		go ls.worker()
 	}
 	ls.run()
 	ls.wg.Wait()

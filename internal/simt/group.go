@@ -35,6 +35,10 @@ type Group struct {
 	wfDests []int     // WFAggregate's per-lane destinations
 	wf      wfScratch // WFAggregate's per-wavefront grouping
 
+	// Host is the host runtime's state for this group, kept with it
+	// across launches; simt never reads it.
+	Host any
+
 	// ls is the launch this group is running under (nil for groups
 	// constructed outside a launch, e.g. in tests); see Park.
 	ls *launchState
@@ -185,7 +189,7 @@ func (g *Group) Park(cond func() bool, progress func()) {
 	}
 	if ls := g.ls; ls != nil && int(ls.next.Load()) < ls.numWGs {
 		ls.wg.Add(1)
-		go ls.runWorker()
+		go ls.worker()
 	}
 	for !cond() {
 		if progress != nil {

@@ -406,6 +406,35 @@ func TestOneWGLaunchRunsOnCaller(t *testing.T) {
 	}
 }
 
+// TestWarmLaunchAllocs: the workers a launch spawns, and the
+// replacement a parked WG spawns, cost no object once the device is
+// warm: a go statement on a method value would heap-allocate a closure
+// per spawn.
+func TestWarmLaunchAllocs(t *testing.T) {
+	t.Run("64-WG", func(t *testing.T) {
+		d := testDevice()
+		launch := func() { d.Launch(64*256, 256, 0, func(*Group) {}) }
+		if n := testing.AllocsPerRun(100, launch); n != 0 {
+			t.Errorf("a warm 64-WG launch on %d workers allocates %v objects", d.Parallelism, n)
+		}
+	})
+	t.Run("park", func(t *testing.T) {
+		d := testDevice()
+		d.Parallelism = 1
+		var done atomic.Bool
+		kernel := func(g *Group) { // WG 0 parks on WG 1, unscheduled
+			if g.ID == 0 {
+				g.Park(done.Load, nil)
+			}
+			done.Store(true)
+		}
+		launch := func() { done.Store(false); d.Launch(2*64, 64, 0, kernel) }
+		if n := testing.AllocsPerRun(100, launch); n != 0 {
+			t.Errorf("a warm launch whose WG parks allocates %v objects", n)
+		}
+	})
+}
+
 // TestParkFromCallerWorker: with one worker — the caller — a WG that
 // parks on a later WG still gets a replacement worker, and so does a
 // later WG parked on a later one still, whichever worker runs it. The

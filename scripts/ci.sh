@@ -103,13 +103,15 @@ hot_path_guards() {
   # The pooled packet lifecycle must stay allocation-free, and the Fig6
   # queue benchmark must keep running end to end (one iteration;
   # throughput is tracked out of band). A TCP frame read, the send
-  # window's admit/ack cycle and a warm Step at 1, 2 and 4 resolver
-  # shards allocate nothing, and the step ledger stays within its
+  # window's admit/ack cycle, a warm 64-WG launch (and one whose WG
+  # parks) and a warm Step at 1, 2 and 4 resolver shards and at 64 WGs
+  # per node allocate nothing, and the step ledger stays within its
   # window however many steps run.
   step "hot-path guards"
   go test -bench=Fig6 -benchtime=1x -run=NONE .
   go test -bench='FlushRoundTrip|RepackDrain|ArchiveRoundTrip' -benchmem -benchtime=100x -run=NONE ./internal/agg/
   go test -count=1 -run='^(TestReadFrameZeroAllocs|TestSendWindowZeroAllocs)$' ./internal/transport/
+  go test -count=1 -run='^(TestOneWGLaunchRunsOnCaller|TestWarmLaunchAllocs)$' ./internal/simt/
   go test -count=1 -run='^(TestWarmStepAllocs|TestStepLedgerBounded|TestStepNumbersPastWindow)$' ./internal/core/
 }
 
