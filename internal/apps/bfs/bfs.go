@@ -113,7 +113,9 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 		panic(err)
 	}
 	level.Fill(Inf)
-	level.Store(uint64(src), 0)
+	if sys.Space().Hosts(level.Owner(uint64(src))) { // the source's owner alone holds its cell
+		level.Store(uint64(src), 0)
+	}
 
 	st := &state{
 		next:    make([][]uint32, nodes),

@@ -175,10 +175,11 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 		})
 
 		// Host: recompute centroids from the accumulators and reset them.
-		// In a distributed run each process's replica holds only its owned
-		// clusters' accumulators (the rest are zero), so the collective sum
-		// of the replicas is the global accumulator; the reduced values —
-		// and therefore the centroids — are identical in every process.
+		// In a distributed run each process holds only its owned clusters'
+		// accumulators (it reads the rest as zero), so the collective sum
+		// of the processes' readings is the global accumulator; the reduced
+		// values — and therefore the centroids — are identical in every
+		// process.
 		//
 		// Snapshot and reset BEFORE contributing to the reductions: a peer
 		// that collects the last reduction may launch the next iteration's
@@ -190,6 +191,9 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 		cntSnap := make([]uint64, k)
 		sumSnap := make([]uint64, k*dims)
 		for c := 0; c < k; c++ {
+			if !sys.Space().Hosts(cnt.Owner(uint64(c))) {
+				continue // another process's cluster (sum co-locates with cnt)
+			}
 			cntSnap[c] = cnt.Load(uint64(c))
 			for d := 0; d < dims; d++ {
 				sumSnap[c*dims+d] = sum.Load(uint64(c*dims + d))

@@ -80,7 +80,9 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 	src := EffectiveSource(g, cfg.Source)
 	dist := sys.Space().Alloc(g.N)
 	dist.Fill(Inf)
-	dist.Store(uint64(src), 0)
+	if sys.Space().Hosts(dist.Owner(uint64(src))) { // the source's owner alone holds its cell
+		dist.Store(uint64(src), 0)
+	}
 
 	st := &state{
 		next:    make([][]uint32, nodes),

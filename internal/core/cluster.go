@@ -109,6 +109,8 @@ const (
 type Fabric = fabric.Fabric
 
 // Node is one simulated machine: an APU (GPU + CPU threads) plus a NIC.
+// A node another process hosts is its ID and its ledger only: its GPU,
+// PCQ and Agg are nil.
 type Node struct {
 	ID     int
 	GPU    *simt.Device
@@ -138,7 +140,7 @@ type Cluster struct {
 	fab    fabric.Fabric
 	nodes  []*Node
 	clocks []*timemodel.Clocks // the nodes' ledgers, in node order
-	off    []Offloader         // per node: the aggregation strategy's send path
+	off    []Offloader         // per node: the aggregation strategy's send path, nil where not hosted
 
 	handlers []rt.AMHandler
 
@@ -279,7 +281,7 @@ func NewChecked(cfg Config) (*Cluster, error) {
 	shards := max(1, cfg.ResolverShards)
 	p := cfg.Params
 
-	cl := &Cluster{cfg: cfg, params: p, space: pgas.NewSpace(cfg.Nodes), shards: shards}
+	cl := &Cluster{cfg: cfg, params: p, shards: shards}
 
 	clocks := make([]*timemodel.Clocks, cfg.Nodes)
 	for i := range clocks {
@@ -298,9 +300,12 @@ func NewChecked(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	cl.dist, _ = cl.fab.(fabric.Distributed)
+	cl.space = pgas.NewHostedSpace(cfg.Nodes, cl.fab.Hosts)
 	cl.bankMu = make([][]sync.Mutex, cfg.Nodes)
 	for i := range cl.bankMu {
-		cl.bankMu[i] = make([]sync.Mutex, shards)
+		if cl.fab.Hosts(i) {
+			cl.bankMu[i] = make([]sync.Mutex, shards)
+		}
 	}
 
 	arch := simt.GPUArch(p)
@@ -316,8 +321,15 @@ func NewChecked(cfg Config) (*Cluster, error) {
 
 	cl.launchOn = cl.launchNode
 	cl.nodes = make([]*Node, cfg.Nodes)
+	cl.off = make([]Offloader, cfg.Nodes)
 	for i := range cl.nodes {
 		n := &Node{ID: i, Clocks: clocks[i], cl: cl}
+		cl.nodes[i] = n
+		// A multi-process transport hosts one node per process; the
+		// others keep only their ledgers, which every Stats sums.
+		if !cl.fab.Hosts(i) {
+			continue
+		}
 		n.kern.n, n.kernRun = n, n.kern.run
 		n.drained = func() bool { return !n.draining() }
 		n.GPU = simt.NewDevice(arch)
@@ -327,13 +339,11 @@ func NewChecked(cfg Config) (*Cluster, error) {
 		n.PCQ.Owner = i
 		if cfg.AggStrategy == AggArchive {
 			ar := agg.NewArchive(i, p, n.PCQ, cl.fab, n.Clocks, true)
-			n.Agg = ar
-			cl.off = append(cl.off, archAppender{ar})
+			n.Agg, cl.off[i] = ar, archAppender{ar}
 		} else {
 			n.Agg = agg.New(i, p, n.PCQ, cl.fab, n.Clocks, cfg.AggMode == AggPerMessage)
-			cl.off = append(cl.off, pcqWriter{n})
+			cl.off[i] = pcqWriter{n}
 		}
-		cl.nodes[i] = n
 	}
 
 	cl.prev = make([]timemodel.Snapshot, cfg.Nodes)
@@ -344,9 +354,7 @@ func NewChecked(cfg Config) (*Cluster, error) {
 	cl.startResolvers()
 	var last *Node
 	for _, n := range cl.nodes {
-		// A multi-process transport hosts one node per process; the
-		// others exist only for address-space symmetry and stay idle.
-		if !cl.fab.Hosts(n.ID) {
+		if n.Agg == nil {
 			continue
 		}
 		n.Agg.Start()
@@ -378,6 +386,7 @@ func (cl *Cluster) flushStaged() bool {
 	staged := false
 	for _, n := range cl.nodes {
 		switch {
+		case n.Agg == nil: // another process's node holds nothing here
 		case n.draining():
 			staged = true
 		case n.sending():
@@ -540,20 +549,20 @@ func (cl *Cluster) runNode(n *Node, grid int, run func(n *Node, grid int)) {
 // (start barrier, wall clock, step-begin event) lives here: a Step calls
 // RunNodes exactly once.
 func (cl *Cluster) RunNodes(grid []int, run func(n *Node, grid int)) {
-	cl.startBarrier()
-	cl.stepStart = time.Now()
-	if obs.Enabled() {
-		obs.Emit(obs.KStepBegin, -1, int64(cl.stepCount()), 0, "")
-	}
 	last := -1
 	for i, g := range grid {
 		if g <= 0 {
 			continue
 		}
-		if !cl.fab.Hosts(i) {
-			panic(fmt.Sprintf("core: launch on node %d, which this process does not host", i))
+		if cl.nodes[i].GPU == nil {
+			panic(&DestError{Verb: "Launch", Node: i, Dest: i, Nodes: cl.cfg.Nodes})
 		}
 		last = i
+	}
+	cl.startBarrier()
+	cl.stepStart = time.Now()
+	if obs.Enabled() {
+		obs.Emit(obs.KStepBegin, -1, int64(cl.stepCount()), 0, "")
 	}
 	if last < 0 {
 		return
@@ -688,10 +697,11 @@ func (cl *Cluster) endPhase(name string, compose func(timemodel.Snapshot) float6
 // enabling request/reply protocols. The message is staged into the
 // node's aggregator and is applied before the enclosing Step returns
 // (the quiescence protocol iterates until no messages remain anywhere).
-// A from or dest outside the cluster panics a *DestError; from inside a
-// handler, Quiesce raises it on the Step goroutine.
+// A from or dest outside the cluster, or a from this process does not
+// host, panics a *DestError; from inside a handler, Quiesce raises it on
+// the Step goroutine.
 func (cl *Cluster) HostAM(from int, h uint8, dest int, a, b uint64) {
-	if nodes := len(cl.nodes); uint(from) >= uint(nodes) || uint(dest) >= uint(nodes) {
+	if nodes := len(cl.nodes); uint(from) >= uint(nodes) || uint(dest) >= uint(nodes) || cl.nodes[from].Agg == nil {
 		panic(&DestError{Verb: "HostAM", Node: from, Dest: dest, Nodes: nodes})
 	}
 	n := cl.nodes[from]
@@ -781,8 +791,12 @@ func (cl *Cluster) Stats() rt.Stats {
 	}
 	var cur rt.StepStats
 	var full, timeout int64
+	var strategy string
 	perBank := make([]rt.BankCount, cl.shards)
 	for _, n := range cl.nodes {
+		if n.Agg != nil {
+			strategy = n.Agg.Name()
+		}
 		s := n.Clocks.Snapshot()
 		count(&cur, s)
 		full, timeout = full+s.FlushesFull, timeout+s.FlushesTimeout
@@ -801,7 +815,7 @@ func (cl *Cluster) Stats() rt.Stats {
 	}
 
 	st.Agg = rt.AggStats{
-		Strategy:       cl.nodes[0].Agg.Name(),
+		Strategy:       strategy,
 		BusyNs:         cur.AggBusyNs,
 		IdleNs:         cur.AggIdleNs,
 		FlushesFull:    full,
@@ -871,7 +885,7 @@ func (cl *Cluster) Close() {
 	}
 	cl.devWG.Wait()
 	for _, n := range cl.nodes {
-		if cl.fab.Hosts(n.ID) {
+		if n.Agg != nil {
 			n.Agg.Stop()
 		}
 	}

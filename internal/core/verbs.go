@@ -46,22 +46,28 @@ func (e *SignalError) Error() string {
 }
 
 // DestError reports an active message addressed to a node outside
-// [0, Nodes), or sent by HostAM from one. The verb front-end and HostAM
-// raise it before anything is enqueued; downstream it would index past
-// a per-destination table on an aggregator goroutine.
+// [0, Nodes), or sent by HostAM from one; or HostAM from, or a Launch
+// on, a node this process does not host (Node and Dest both in range).
+// The verb front-end, HostAM and RunNodes raise it before anything is
+// enqueued or launched; downstream it would index past a per-destination
+// table on an aggregator goroutine, or reach a node that has no device.
 type DestError struct {
-	// Verb is the rt.Ctx verb that received the destination, or HostAM
-	// (whose from may be the bad node).
+	// Verb is the rt.Ctx verb that received the destination, HostAM
+	// (whose from may be the bad node), or Launch.
 	Verb string
-	// Node is the node executing the verb (HostAM's from); Lane the
-	// offending lane.
+	// Node is the node executing the verb (HostAM's from, the node
+	// launched on); Lane the offending lane.
 	Node, Lane int
-	// Dest is the destination named; Nodes the cluster size.
+	// Dest is the destination named (a Launch's node); Nodes the cluster
+	// size.
 	Dest, Nodes int
 }
 
 func (e *DestError) Error() string {
-	if e.Verb == "HostAM" {
+	switch {
+	case uint(e.Node) < uint(e.Nodes) && uint(e.Dest) < uint(e.Nodes):
+		return fmt.Sprintf("core: %s on node %d, which this process does not host", e.Verb, e.Node)
+	case e.Verb == "HostAM":
 		return fmt.Sprintf("core: HostAM from node %d to node %d of a %d-node cluster", e.Node, e.Dest, e.Nodes)
 	}
 	return fmt.Sprintf("core: %s on node %d: lane %d addresses node %d of a %d-node cluster", e.Verb, e.Node, e.Lane, e.Dest, e.Nodes)

@@ -28,8 +28,8 @@ type Coprocessor struct {
 // gives them 1 MB). The per-node queues are filled by the GPU and
 // exchanged through the cluster's fabric, so the model runs over
 // in-process channels or real sockets alike; on a multi-process fabric
-// only the hosted node gets queues — the other nodes exist for
-// address-space symmetry and stay idle.
+// only the hosted node gets queues, as the hosted node alone has a
+// device.
 func coprocessor(queueBytes int) func(*core.Cluster) rt.System {
 	return func(cl *core.Cluster) rt.System {
 		qb := queueBytes

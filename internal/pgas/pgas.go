@@ -48,9 +48,28 @@ func (e *RangeError) Error() string {
 	return fmt.Sprintf("pgas: array %d: index %d out of range [0,%d)", e.Array, e.Index, e.Len)
 }
 
-// Space is one cluster-wide address space.
+// NotHostedError reports a host-side access to a cell whose owner this
+// process does not host: the process holds no window for that node, so
+// there is no copy to read or write. The atomic cell accessors panic
+// with it.
+type NotHostedError struct {
+	// Array is the array's ID and Index the cell's global index.
+	Array uint16
+	Index uint64
+	// Owner is the node that owns the cell.
+	Owner int
+}
+
+func (e *NotHostedError) Error() string {
+	return fmt.Sprintf("pgas: array %d: cell %d lives on node %d, which this process does not host", e.Array, e.Index, e.Owner)
+}
+
+// Space is one cluster-wide address space. A process allocates only
+// the windows of the nodes it hosts (hosted), as each PE of a symmetric
+// heap allocates only its own slice.
 type Space struct {
-	nodes int
+	nodes  int
+	hosted []bool
 	// mu serializes the allocators and guards sig. Lookups never take
 	// it: they read the table the last allocator published.
 	mu sync.Mutex
@@ -91,21 +110,41 @@ func (s *Space) mixSig(vs ...uint64) {
 	s.sig = h
 }
 
-// NewSpace creates an address space spanning the given number of nodes.
+// NewSpace creates an address space spanning the given number of nodes,
+// every one of them hosted by this process.
 func NewSpace(nodes int) *Space {
+	return NewHostedSpace(nodes, func(int) bool { return true })
+}
+
+// NewHostedSpace creates an address space spanning the given number of
+// nodes, of which this process hosts those hosts reports: its arrays
+// hold windows for those nodes only.
+func NewHostedSpace(nodes int, hosts func(node int) bool) *Space {
 	if nodes <= 0 {
 		panic("pgas: non-positive node count")
 	}
-	return &Space{nodes: nodes}
+	s := &Space{nodes: nodes, hosted: make([]bool, nodes)}
+	for i := range s.hosted {
+		s.hosted[i] = hosts(i)
+	}
+	return s
 }
 
 // Nodes returns the number of nodes in the space.
 func (s *Space) Nodes() int { return s.nodes }
 
+// Hosts reports whether this process hosts node, and so holds its
+// window of every array.
+func (s *Space) Hosts(node int) bool { return s.hosted[node] }
+
 // Array is a symmetric distributed array of 64-bit words. By default it
 // is block-partitioned (element i lives on node i/part); AllocRanges
 // creates arrays with explicit per-node ranges instead (used to
-// co-locate per-edge slots with the owning vertex).
+// co-locate per-edge slots with the owning vertex). The shape — length,
+// partition, owner map — is the whole cluster's; the cells are only the
+// windows of the nodes this process hosts. A node another process hosts
+// has an empty window, and a host-side access to one of its cells panics
+// *NotHostedError.
 type Array struct {
 	id     uint16
 	space  *Space
@@ -182,16 +221,11 @@ func (s *Space) allocLocked(n, part int, sym bool) *Array {
 		local: make([][]uint64, s.nodes),
 	}
 	a.setReciprocal()
-	for node := 0; node < s.nodes; node++ {
-		lo := node * part
-		hi := lo + part
-		if hi > n {
-			hi = n
+	for node := range a.local {
+		if s.hosted[node] {
+			lo, hi := a.LocalRange(node)
+			a.local[node] = make([]uint64, hi-lo)
 		}
-		if lo > n {
-			lo = n
-		}
-		a.local[node] = make([]uint64, hi-lo)
 	}
 	s.publishLocked(a)
 	return a
@@ -244,8 +278,10 @@ func (s *Space) AllocRanges(bounds []int) *Array {
 		bounds: append([]int(nil), bounds...),
 		local:  make([][]uint64, s.nodes),
 	}
-	for node := 0; node < s.nodes; node++ {
-		a.local[node] = make([]uint64, bounds[node+1]-bounds[node])
+	for node := range a.local {
+		if s.hosted[node] {
+			a.local[node] = make([]uint64, bounds[node+1]-bounds[node])
+		}
 	}
 	s.publishLocked(a)
 	s.mixSig(2, uint64(len(bounds)))
@@ -369,18 +405,19 @@ func (a *Array) Owners(dests []int, idx []uint64, active []bool) {
 	}
 }
 
-// LocalRange returns the [lo,hi) global index range owned by node.
+// LocalRange returns the [lo,hi) global index range owned by node,
+// whether or not this process hosts it.
 func (a *Array) LocalRange(node int) (lo, hi int) {
 	if a.bounds != nil {
 		return a.bounds[node], a.bounds[node+1]
 	}
 	lo = node * a.part
-	hi = lo + len(a.local[node])
-	return lo, hi
+	return lo, max(lo, min(lo+a.part, a.len))
 }
 
-// Local returns node's local slice. Elements must be accessed with the
-// atomic helpers below when the cluster is running.
+// Local returns node's local slice, empty for a node this process does
+// not host. Elements must be accessed with the atomic helpers below when
+// the cluster is running.
 func (a *Array) Local(node int) []uint64 { return a.local[node] }
 
 // LocalWindow returns node's local slice together with the global index
@@ -393,10 +430,15 @@ func (a *Array) LocalWindow(node int) (local []uint64, lo uint64) {
 	return a.local[node], uint64(l)
 }
 
+// cell returns idx's cell. Owner has range-checked idx, so an offset
+// past the owner's window means the window is not held here.
 func (a *Array) cell(idx uint64) *uint64 {
 	node := a.Owner(idx)
 	lo, _ := a.LocalRange(node)
-	return &a.local[node][int(idx)-lo]
+	if l, i := a.local[node], int(idx)-lo; i < len(l) {
+		return &l[i]
+	}
+	panic(&NotHostedError{Array: a.id, Index: idx, Owner: node})
 }
 
 // Load atomically reads element idx.
@@ -413,8 +455,9 @@ func (a *Array) CompareAndSwap(idx, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(a.cell(idx), old, new)
 }
 
-// Sum returns the sum of all elements (not atomic with respect to
-// concurrent writers; call at quiescence).
+// Sum returns the sum of the elements this process hosts: every element
+// in-process, one node's shard across processes (not atomic with respect
+// to concurrent writers; call at quiescence).
 func (a *Array) Sum() uint64 {
 	var s uint64
 	for _, l := range a.local {
@@ -425,7 +468,7 @@ func (a *Array) Sum() uint64 {
 	return s
 }
 
-// Fill sets every element to v (call at quiescence).
+// Fill sets every element this process hosts to v (call at quiescence).
 func (a *Array) Fill(v uint64) {
 	for _, l := range a.local {
 		for i := range l {

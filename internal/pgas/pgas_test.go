@@ -30,6 +30,64 @@ func TestBlockPartition(t *testing.T) {
 	}
 }
 
+// TestHostedSpaceHoldsOnlyHostedWindows: a space that hosts some nodes
+// has the whole cluster's shapes but cells only in the hosted windows.
+func TestHostedSpaceHoldsOnlyHostedWindows(t *testing.T) {
+	hosts := func(n int) bool { return n == 1 || n == 3 }
+	full, part := NewSpace(4), NewHostedSpace(4, hosts)
+	alloc := func(s *Space) []*Array {
+		// Alloc(5): part 2, node 3's range starts past the end.
+		return []*Array{s.Alloc(10), s.Alloc(5), s.AllocRanges([]int{0, 4, 4, 9, 12}), s.SymAlloc(3)}
+	}
+	fulls, parts := alloc(full), alloc(part)
+	if full.AllocSig() != part.AllocSig() {
+		t.Errorf("hosting changed the allocation signature")
+	}
+	for k, a := range parts {
+		var want uint64
+		for n := 0; n < 4; n++ {
+			if part.Hosts(n) != hosts(n) {
+				t.Errorf("Hosts(%d) = %v", n, part.Hosts(n))
+			}
+			lo, hi := a.LocalRange(n)
+			if flo, fhi := fulls[k].LocalRange(n); lo != flo || hi != fhi {
+				t.Errorf("array %d: LocalRange(%d) = [%d,%d), the full space's [%d,%d)", k, n, lo, hi, flo, fhi)
+			}
+			if got, wantLen := len(a.Local(n)), map[bool]int{true: hi - lo}[hosts(n)]; got != wantLen {
+				t.Errorf("array %d: node %d's window holds %d cells, want %d", k, n, got, wantLen)
+			}
+			if hosts(n) {
+				want += uint64(hi - lo)
+			}
+		}
+		a.Fill(1)
+		if got := a.Sum(); got != want {
+			t.Errorf("array %d: Sum after Fill(1) = %d, want the %d hosted cells", k, got, want)
+		}
+		for i := 0; i < a.Len(); i++ {
+			idx, owner := uint64(i), a.Owner(uint64(i))
+			for name, op := range map[string]func(){
+				"Load":           func() { a.Load(idx) },
+				"Store":          func() { a.Store(idx, 7) },
+				"Add":            func() { a.Add(idx, 1) },
+				"CompareAndSwap": func() { a.CompareAndSwap(idx, 1, 1) },
+			} {
+				err := func() (err error) {
+					defer func() { err, _ = recover().(error) }()
+					op()
+					return nil
+				}()
+				var nh *NotHostedError
+				if hosts(owner) && err != nil {
+					t.Errorf("array %d: %s(%d) on hosted node %d: %v", k, name, i, owner, err)
+				} else if !hosts(owner) && (!errors.As(err, &nh) || *nh != (NotHostedError{a.ID(), idx, owner})) {
+					t.Errorf("array %d: %s(%d) on node %d: %v, want a *NotHostedError naming it", k, name, i, owner, err)
+				}
+			}
+		}
+	}
+}
+
 func TestRangePartition(t *testing.T) {
 	s := NewSpace(3)
 	a := s.AllocRanges([]int{0, 5, 5, 12})

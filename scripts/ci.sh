@@ -152,6 +152,12 @@ cluster_smokes() {
   go run -race ./cmd/gravel-node -smoke -nodes 3 -model=gravel-archive -app=gups -resolver-shards=4
   go run ./cmd/gravel-node -chaos -seed 4 -duration 5s -nodes 3 -model=gravel-archive
   go run ./cmd/gravel-bench -exp aggstrategy -scale 0.25
+  # Hosted-only smoke: a process holds no device, queue, aggregator or
+  # array window for another process's node, and a host call on one
+  # panics a typed error. bfs-dir as a real 4-node TCP cluster on the
+  # gravel model stores its source's level only in the owner's process.
+  go test -count=1 -run 'TestProcessHoldsOnlyHostedNodes|TestUnhostedNodeCallsPanicDestError' .
+  go run ./cmd/gravel-node -smoke -nodes 4 -model=gravel -app=bfs-dir
   # Trace smoke: the flight recorder must produce a schema-valid,
   # monotonic JSONL trace from a real distributed run.
   go run ./cmd/gravel-node -smoke -trace "$tmp/trace.jsonl"

@@ -169,6 +169,23 @@ func unwindRows() []*unwindRow {
 			idx[0] = uint64(e.tab.Len())
 			c.Inc(e.tab, idx, one, nil)
 		}, host: func(e *unwindEnv) { e.tab.Load(uint64(e.tab.Len())) }},
+		{want: is(func(err *pgas.NotHostedError, _ *unwindEnv) bool {
+			return err.Array == 0 && (err.Owner == 0 || err.Owner == 1) && err.Index == uint64(8*err.Owner+3)
+		}), call: func(variant int) ([]int, hostCall) {
+			// Each node touches a cell of the other's window, which its
+			// process does not hold; the variant picks the accessor.
+			return []int{0, 1}, func(_ rt.Collectives, sp *pgas.Space, self int) (err error) {
+				a, idx := sp.Alloc(16), uint64(8*(1-self)+3)
+				defer func() { err, _ = recover().(error) }()
+				[]func(){
+					func() { a.Load(idx) },
+					func() { a.Store(idx, 1) },
+					func() { a.Add(idx, 1) },
+					func() { a.CompareAndSwap(idx, 0, 1) },
+				}[variant%4]()
+				return nil
+			}
+		}},
 		{want: is(func(err *pgas.AllocError, e *unwindEnv) bool {
 			return err.Kind == map[bool]string{true: "Alloc", false: "SymIndex"}[e.site == "host"]
 		}), kernel: func(c rt.Ctx, e *unwindEnv, _, _ []uint64, _ []int) {
