@@ -171,7 +171,8 @@ func Transports() []string { return fabric.Names() }
 // ConfigError reports an invalid Config (or NewModel argument): which
 // field is wrong and why. It is the error type behind Validate,
 // NewChecked, and NewModelChecked, and the panic value of New/NewModel
-// on bad input.
+// on bad input, of Step on a grid that is not one entry per node, and
+// of the 257th RegisterAM.
 type ConfigError = core.ConfigError
 
 // cluster is cfg as the runtime's one description of a cluster.

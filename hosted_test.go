@@ -9,6 +9,7 @@ import (
 
 	"gravel"
 	"gravel/internal/core"
+	"gravel/internal/models"
 	"gravel/internal/pgas"
 	"gravel/internal/rt"
 )
@@ -79,9 +80,10 @@ func panicked(f func()) (err error) {
 
 // TestProcessHoldsOnlyHostedNodes: a process of a multi-process cluster
 // builds device-side parts, and holds array cells, for its own node
-// only. Another process's node is its ledger alone; its windows are
-// empty, a host access to one of its cells panics *pgas.NotHostedError,
-// and Sum covers exactly the hosted shard.
+// only, and a queue only on the queue path. Another process's node is
+// its ledger alone; its windows are empty, a host access to one of its
+// cells panics *pgas.NotHostedError, and Sum covers exactly the hosted
+// shard.
 func TestProcessHoldsOnlyHostedNodes(t *testing.T) {
 	const cells = 256
 	for _, procs := range []int{2, 4} {
@@ -119,8 +121,9 @@ func TestProcessHoldsOnlyHostedNodes(t *testing.T) {
 							t.Errorf("process %d: node %d lost its ID or ledger", self, n)
 						}
 						hosted := n == self
-						if has := [3]bool{node.GPU != nil, node.PCQ != nil, node.Agg != nil}; has != [3]bool{hosted, hosted, hosted} {
-							t.Errorf("process %d: node %d has GPU, PCQ, Agg %v; want each %v", self, n, has, hosted)
+						queued := hosted && model == "gravel" // the archive row's kernels write no queue
+						if has := [3]bool{node.GPU != nil, node.PCQ != nil, node.Agg != nil}; has != [3]bool{hosted, queued, hosted} {
+							t.Errorf("process %d: node %d has GPU, PCQ, Agg %v; want %v", self, n, has, [3]bool{hosted, queued, hosted})
 						}
 						if sp.Hosts(n) != hosted {
 							t.Errorf("process %d: Space.Hosts(%d) = %v, want %v", self, n, sp.Hosts(n), hosted)
@@ -190,5 +193,96 @@ func TestUnhostedNodeCallsPanicDestError(t *testing.T) {
 	stepAll(t, runs, 0, func(int) rt.Kernel { return func(rt.Ctx) {} })
 	if a, b := got[0].Load(), got[1].Load(); a != 11 || b != 10 {
 		t.Errorf("AM sums after the good step = %d, %d; want 11, 10", a, b)
+	}
+}
+
+// TestNodeBuildsOnlyItsSendPath: a node builds the producer/consumer
+// queue only where its model sends through it (gravel, msg-per-lane,
+// cpu-only). The archive row appends past it and the four rival rows
+// own their buffering, so they have none; their aggregators still
+// stage, flush and pump HostAM follow-ups. One GUPS step whose every
+// work-group sends a request, each answered by a HostAM from its
+// handler, lands every update and every reply on every row.
+func TestNodeBuildsOnlyItsSendPath(t *testing.T) {
+	const nodes, perNode = 4, 512
+	queued := map[string]bool{"gravel": true, "msg-per-lane": true, "cpu-only": true}
+	for _, m := range models.Table {
+		t.Run(m.Name, func(t *testing.T) {
+			sys := gravel.New(gravel.Config{Model: m.Name, Nodes: nodes})
+			defer sys.Close()
+			cl := sys.(interface{ Node(int) *core.Node })
+			for n := range nodes {
+				if node := cl.Node(n); (node.PCQ != nil) != queued[m.Name] || node.Agg == nil {
+					t.Errorf("node %d has PCQ %v, Agg %v; want a PCQ %v and an Agg", n, node.PCQ != nil, node.Agg != nil, queued[m.Name])
+				}
+			}
+			sp := sys.Space()
+			tab, replies := sp.Alloc(nodes*perNode), sp.Alloc(nodes)
+			reply := sys.RegisterAM(func(node int, _, _ uint64) { replies.Add(uint64(node), 1) })
+			req := sys.RegisterAM(func(node int, from, _ uint64) { sys.HostAM(node, reply, int(from), 0, 0) })
+			grid := make([]int, nodes)
+			for i := range grid {
+				grid[i] = perNode
+			}
+			var wgs atomic.Int64
+			sys.Step("gups+reply", grid, 0, func(c rt.Ctx) {
+				g := c.Group()
+				idx, one, dst := make([]uint64, g.Size), make([]uint64, g.Size), make([]int, g.Size)
+				for l := range idx {
+					idx[l], one[l] = uint64(g.GlobalID(l)*7919+c.Node()*perNode)%uint64(tab.Len()), 1
+					dst[l] = (c.Node() + 1) % nodes
+				}
+				c.Inc(tab, idx, one, nil)
+				lead, from := make([]bool, g.Size), make([]uint64, g.Size)
+				lead[0], from[0] = true, uint64(c.Node())
+				c.AM(req, dst, from, from, lead)
+				wgs.Add(1)
+			})
+			if got, want := tab.Sum(), uint64(nodes*perNode); got != want {
+				t.Errorf("table sums to %d, want %d", got, want)
+			}
+			if got, want := replies.Sum(), uint64(wgs.Load()); got != want || want == 0 {
+				t.Errorf("%d HostAM replies landed, want one per work-group (%d)", got, want)
+			}
+		})
+	}
+}
+
+// TestMisusePanicsConfigError: a Step on a grid that is not one entry
+// per node, on every model, and the 257th RegisterAM panic a
+// *ConfigError naming the call, at the call; the system runs on.
+func TestMisusePanicsConfigError(t *testing.T) {
+	const nodes = 2
+	for _, m := range models.Table {
+		t.Run(m.Name, func(t *testing.T) {
+			sys := gravel.New(gravel.Config{Model: m.Name, Nodes: nodes})
+			defer sys.Close()
+			var ce *gravel.ConfigError
+			for _, n := range []int{nodes - 1, nodes + 1} {
+				err := panicked(func() { sys.Step("bad-grid", make([]int, n), 0, func(rt.Ctx) {}) })
+				if !errors.As(err, &ce) || ce.Field != "grid" {
+					t.Errorf("Step on a %d-entry grid: %v, want a *ConfigError for grid", n, err)
+				}
+			}
+			for range 256 {
+				sys.RegisterAM(func(int, uint64, uint64) {})
+			}
+			err := panicked(func() { sys.RegisterAM(func(int, uint64, uint64) {}) })
+			if !errors.As(err, &ce) || ce.Field != "RegisterAM" {
+				t.Errorf("257th RegisterAM: %v, want a *ConfigError for RegisterAM", err)
+			}
+			arr := sys.Space().Alloc(nodes)
+			sys.Step("good", []int{64, 64}, 0, func(c rt.Ctx) {
+				g := c.Group()
+				idx, one := make([]uint64, g.Size), make([]uint64, g.Size)
+				for l := range idx {
+					idx[l], one[l] = uint64(g.GlobalID(l)%nodes), 1
+				}
+				c.Inc(arr, idx, one, nil)
+			})
+			if got := arr.Sum(); got != 2*64 {
+				t.Errorf("after the misuses a step summed %d, want %d", got, 2*64)
+			}
+		})
 	}
 }

@@ -44,8 +44,10 @@ type Aggregator struct {
 	sigNodeMark []bool
 }
 
-// New creates an aggregator for the given node. With perMessage set,
-// combining is disabled and every message becomes its own packet (the
+// New creates an aggregator for the given node, draining q; a nil q
+// leaves it only AppendDirect to stage (a node whose model sends
+// through buffers of its own). With perMessage set, combining is
+// disabled and every message becomes its own packet (the
 // message-per-lane baseline).
 func New(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.Fabric, clock *timemodel.Clocks, perMessage bool) *Aggregator {
 	n := fab.Nodes()

@@ -63,7 +63,8 @@ type destArchive struct {
 // NewArchive builds the archive strategy for one node. Initial
 // per-destination segment capacity is scaled by cluster size (an even
 // split of the per-node queue budget, floor 1 kB), so small clusters
-// open big segments and large ones start small and grow on demand.
+// open big segments and large ones start small and grow on demand. q
+// may be nil: the archive model's device appends directly (AppendWF).
 func NewArchive(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.Fabric, clock *timemodel.Clocks, fuse bool) *Archive {
 	n := fab.Nodes()
 	initCap := params.PerNodeQueueBytes / n
@@ -92,10 +93,9 @@ func NewArchive(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.
 // Name implements Strategy.
 func (ar *Archive) Name() string { return "archive" }
 
-// repack moves one queue slot's messages into the archives. The
-// archive model's device path appends directly (AppendWF); this serves
-// whatever else writes the producer/consumer queue, at the same charge
-// as under the ticket strategy.
+// repack moves one queue slot's messages into the archives, at the
+// same charge as under the ticket strategy, for an archive built over a
+// queue; the archive model builds none.
 func (ar *Archive) repack(payload []uint64, rows, cols, count int) {
 	cmdRow, destRow, aRow, bRow := ar.slotRows(payload, cols, count)
 	for m := 0; m < count; m++ {

@@ -45,7 +45,9 @@ func awaitAllParked(cl *core.Cluster) bool {
 	return false
 }
 
-var strategies = []string{core.AggTicket, core.AggArchive}
+// strategies are the send paths whose kernels stage through an
+// aggregation strategy: the queue (ticket) and the archive.
+var strategies = []core.SendPath{core.SendQueue, core.SendArchive}
 
 // TestHostAMChainWhileAggregatorsParked: every hop of a request/reply
 // chain is staged from a resolver thread (HostAM) while all aggregator
@@ -54,7 +56,7 @@ var strategies = []string{core.AggTicket, core.AggArchive}
 func TestHostAMChainWhileAggregatorsParked(t *testing.T) {
 	const hops = 24
 	for _, strategy := range strategies {
-		cl := core.New(core.Config{Nodes: 4, AggStrategy: strategy})
+		cl := core.New(core.Config{Nodes: 4, Send: strategy})
 		arr := cl.Space().Alloc(4)
 		var unparked atomic.Int64
 		var hop uint8
@@ -75,10 +77,10 @@ func TestHostAMChainWhileAggregatorsParked(t *testing.T) {
 			})
 		})
 		if got := arr.Sum(); got != hops {
-			t.Errorf("%s: %d hops resolved, want %d (quiescence returned early?)", strategy, got, hops)
+			t.Errorf("send path %d: %d hops resolved, want %d (quiescence returned early?)", strategy, got, hops)
 		}
 		if n := unparked.Load(); n != 0 {
-			t.Errorf("%s: the aggregators were not all parked at %d of %d hops", strategy, n, hops-1)
+			t.Errorf("send path %d: the aggregators were not all parked at %d of %d hops", strategy, n, hops-1)
 		}
 		cl.Close()
 	}
@@ -91,7 +93,7 @@ func TestHostAMChainWhileAggregatorsParked(t *testing.T) {
 // aggregator — nothing flushes during a launch.
 func TestPutSignalWhileAggregatorsParked(t *testing.T) {
 	for _, strategy := range strategies {
-		cl := core.New(core.Config{Nodes: 2, WGSize: 64, AggStrategy: strategy})
+		cl := core.New(core.Config{Nodes: 2, WGSize: 64, Send: strategy})
 		data := cl.Space().SymAlloc(1)
 		sig := cl.Space().SymAlloc(1)
 		var unparked atomic.Bool
@@ -115,10 +117,10 @@ func TestPutSignalWhileAggregatorsParked(t *testing.T) {
 			})
 		})
 		if got := sig.Load(sig.SymIndex(1, 0)); got != 1 {
-			t.Errorf("%s: signal cell = %d, want 1", strategy, got)
+			t.Errorf("send path %d: signal cell = %d, want 1", strategy, got)
 		}
 		if unparked.Load() {
-			t.Errorf("%s: the aggregators were not all parked when the put was issued", strategy)
+			t.Errorf("send path %d: the aggregators were not all parked when the put was issued", strategy)
 		}
 		cl.Close()
 	}

@@ -26,16 +26,17 @@ type consumer = func(payload []uint64, rows, cols, count int)
 
 // driver is the aggregator thread itself (§3.4; one per node, which
 // the paper found best on its 4-thread CPU), the part every strategy
-// shares: it drains the producer/consumer queue, hands each drained
-// slot to the strategy's staging, and transmits whatever the staging
-// has flushed into the outbox. A strategy embeds it and adds only how
-// messages are staged between those two ends. The paper's thread polls
-// on a core of its own; this one shares its processors with the
-// threads it serves, so with nothing to drain or transmit it parks on
-// work until a Commit or a stage wakes it — at once, without park's
-// spin: no Step waits for an idle aggregator (a launch's epilogue
-// drains the queue on its own thread), and a yielding spinner keeps a
-// processor from stealing the work a Step does wait for.
+// shares: it drains the producer/consumer queue, if the node has one,
+// hands each drained slot to the strategy's staging, and transmits
+// whatever the staging has flushed into the outbox. A strategy embeds
+// it and adds only how messages are staged between those two ends. The
+// paper's thread polls on a core of its own; this one shares its
+// processors with the threads it serves, so with nothing to drain or
+// transmit it parks on work until a Commit or a stage wakes it — at
+// once, without park's spin: no Step waits for an idle aggregator (a
+// launch's epilogue drains the queue on its own thread), and a yielding
+// spinner keeps a processor from stealing the work a Step does wait
+// for.
 //
 // Flush decisions happen under the strategy's staging locks, but
 // transmission — which can block on receiver backpressure — happens
@@ -44,7 +45,7 @@ type consumer = func(payload []uint64, rows, cols, count int)
 type driver struct {
 	node   int
 	params *timemodel.Params
-	q      *queue.Gravel
+	q      *queue.Gravel // nil: only AppendDirect and device appends stage
 	fab    fabric.Fabric
 	clock  *timemodel.Clocks
 
@@ -91,7 +92,9 @@ func newDriver(node int, params *timemodel.Params, q *queue.Gravel, fab fabric.F
 		idle:   fab.Progress(),
 		done:   make(chan struct{}),
 	}
-	q.WakeOnCommit(&d.work)
+	if q != nil {
+		q.WakeOnCommit(&d.work)
+	}
 	return d
 }
 
@@ -134,8 +137,11 @@ func (d *driver) run() {
 // hasWork is what an idle aggregator thread waits for: a committed
 // slot, a staged packet, or Stop.
 func (d *driver) hasWork() bool {
-	return d.q.Ready() || d.unsent() || d.stopped.Load()
+	return d.committed() || d.unsent() || d.stopped.Load()
 }
+
+// committed reports whether the node's queue holds a committed slot.
+func (d *driver) committed() bool { return d.q != nil && d.q.Ready() }
 
 // hold and release bracket a drain or a pump that has messages in hand.
 func (d *driver) hold() { d.inFlight.Add(1) }
@@ -151,7 +157,7 @@ func (d *driver) release() {
 // is taken before the first claim: a queue this thread's claim empties
 // is Busy from before Empty turns true until the slot is staged.
 func (d *driver) drainSome() bool {
-	if !d.q.Ready() {
+	if !d.committed() {
 		return false
 	}
 	d.hold()

@@ -37,8 +37,8 @@ type Strategy interface {
 	// Stop terminates it after a final drain; the queue must already
 	// be quiescent.
 	Stop()
-	// Drain stages what the producer/consumer queue holds, on the
-	// caller's thread. Host threads only.
+	// Drain stages what the producer/consumer queue holds, if the node
+	// has one, on the caller's thread. Host threads only.
 	Drain()
 	// Flush stages and transmits every buffered message (end-of-step /
 	// timeout flush). Host threads only.

@@ -59,15 +59,11 @@ type Config struct {
 	DivMode simt.DivergenceMode
 	// AggMode selects Gravel aggregation or per-message sends.
 	AggMode AggMode
-	// AggStrategy selects the send-path aggregation strategy: "" or
-	// AggTicket (the paper's sharded ticket-slot builders), or
-	// AggArchive (grape-style per-destination growable archives,
-	// appended by the device at WF granularity and fused into one
-	// packet per destination at flush time — see agg.Archive). The
-	// strategy also decides the kernels' send path: the producer/consumer
-	// queue for ticket, direct archive appends for archive. The archive
-	// strategy always combines, so it rejects AggPerMessage.
-	AggStrategy string
+	// Send is the nodes' send path, and with it what a node builds for
+	// it: the producer/consumer queue (SendQueue, the default), the
+	// archive strategy's per-destination archives (SendArchive), or
+	// neither (SendOwn). Only the queue path sends per message.
+	Send SendPath
 	// Arch overrides the device architecture (nil = the paper's GPU);
 	// used by the Figure 13 CPU-only baseline.
 	Arch *simt.Arch
@@ -93,14 +89,24 @@ type Config struct {
 	TransportOpts fabric.Options
 }
 
-// Send-path aggregation strategy names (Config.AggStrategy).
+// SendPath is how a node's kernels hand their messages to the CPU side
+// (Config.Send). A node builds what its path writes and nothing else.
+type SendPath int
+
 const (
-	// AggTicket is the paper's aggregator: each node's drain thread
-	// repacks queue slots into fixed-capacity per-destination builders.
-	AggTicket = "ticket"
-	// AggArchive is the grape-style rival: per-destination growable
-	// archives with WF-aggregated device appends and bulk handoff.
-	AggArchive = "archive"
+	// SendQueue is Gravel's (§4.1): pcqWriter fills a slot of the node's
+	// producer/consumer queue, whose ticket aggregator (agg.Aggregator)
+	// drains and repacks it into per-destination builders.
+	SendQueue SendPath = iota
+	// SendArchive is the grape-style rival: archAppender appends at
+	// wavefront granularity straight into the archive strategy's
+	// per-destination archives (agg.Archive). No queue.
+	SendArchive
+	// SendOwn is a rival model that brings its own Offloader to
+	// LaunchAll or Kernel and owns its buffering (§3). No queue, and
+	// Step has no send path: the node's ticket aggregator only stages
+	// HostAM follow-ups.
+	SendOwn
 )
 
 // Fabric is the interconnect interface the runtime depends on; concrete
@@ -109,8 +115,9 @@ const (
 type Fabric = fabric.Fabric
 
 // Node is one simulated machine: an APU (GPU + CPU threads) plus a NIC.
-// A node another process hosts is its ID and its ledger only: its GPU,
-// PCQ and Agg are nil.
+// PCQ is nil unless the node's send path is SendQueue. A node another
+// process hosts is its ID and its ledger only: its GPU, PCQ and Agg are
+// nil.
 type Node struct {
 	ID     int
 	GPU    *simt.Device
@@ -140,7 +147,7 @@ type Cluster struct {
 	fab    fabric.Fabric
 	nodes  []*Node
 	clocks []*timemodel.Clocks // the nodes' ledgers, in node order
-	off    []Offloader         // per node: the aggregation strategy's send path, nil where not hosted
+	off    []Offloader         // per node: the send path Step launches through, nil where not hosted or SendOwn
 
 	handlers []rt.AMHandler
 
@@ -192,11 +199,13 @@ type Cluster struct {
 	launched bool // the first launch has passed its start barrier
 }
 
-// ConfigError reports an invalid Config: which field is wrong and why.
-// It is the error Validate and NewChecked return and the value New
-// panics; the public gravel.ConfigError is this type.
+// ConfigError reports an invalid Config, or a call the cluster's shape
+// rules out: which field or call is wrong and why. It is the error
+// Validate and NewChecked return, and the value New, a Step on a grid
+// that is not one entry per node, and the 257th RegisterAM panic; the
+// public gravel.ConfigError is this type.
 type ConfigError struct {
-	Field  string // the offending Config field ("Nodes", "WGSize", ...)
+	Field  string // the offending Config field ("Nodes", "WGSize", ...), or "grid" or "RegisterAM"
 	Reason string
 }
 
@@ -223,14 +232,11 @@ func (cfg Config) Validate() error {
 	if cfg.WGSize < 0 || cfg.WGSize%wf != 0 {
 		return invalid("WGSize", "work-group size %d must be a positive multiple of the wavefront width %d", cfg.WGSize, wf)
 	}
-	switch cfg.AggStrategy {
-	case "", AggTicket:
-	case AggArchive:
-		if cfg.AggMode == AggPerMessage {
-			return invalid("AggMode", "the archive aggregation strategy always combines (AggPerMessage requires the ticket strategy)")
-		}
-	default:
-		return invalid("AggStrategy", "unknown strategy %q (have %q, %q)", cfg.AggStrategy, AggTicket, AggArchive)
+	if cfg.Send < SendQueue || cfg.Send > SendOwn {
+		return invalid("Send", "unknown send path %d (have SendQueue, SendArchive, SendOwn)", cfg.Send)
+	}
+	if cfg.AggMode == AggPerMessage && cfg.Send != SendQueue {
+		return invalid("AggMode", "per-message sends are the queue path's message-per-lane baseline (AggPerMessage requires SendQueue)")
 	}
 	if cfg.ResolverShards != 0 && !fabric.ValidBanks(cfg.ResolverShards) {
 		return invalid("ResolverShards", "resolver shard count %d must be a power of two in [1, %d]", cfg.ResolverShards, fabric.MaxResolverBanks)
@@ -335,14 +341,17 @@ func NewChecked(cfg Config) (*Cluster, error) {
 		n.GPU = simt.NewDevice(arch)
 		n.GPU.Mode = cfg.DivMode
 		n.GPU.Clock = n.Clocks
-		n.PCQ = queue.NewGravel(numSlots, wire.SlotRows, cfg.WGSize)
-		n.PCQ.Owner = i
-		if cfg.AggStrategy == AggArchive {
-			ar := agg.NewArchive(i, p, n.PCQ, cl.fab, n.Clocks, true)
-			n.Agg, cl.off[i] = ar, archAppender{ar}
-		} else {
+		switch cfg.Send {
+		case SendQueue:
+			n.PCQ = queue.NewGravel(numSlots, wire.SlotRows, cfg.WGSize)
+			n.PCQ.Owner = i
 			n.Agg = agg.New(i, p, n.PCQ, cl.fab, n.Clocks, cfg.AggMode == AggPerMessage)
 			cl.off[i] = pcqWriter{n}
+		case SendArchive:
+			ar := agg.NewArchive(i, p, nil, cl.fab, n.Clocks, true)
+			n.Agg, cl.off[i] = ar, archAppender{ar}
+		case SendOwn:
+			n.Agg = agg.New(i, p, nil, cl.fab, n.Clocks, false)
 		}
 	}
 
@@ -398,11 +407,11 @@ func (cl *Cluster) flushStaged() bool {
 }
 
 // draining reports whether the node holds messages that have not
-// reached staging: in the producer/consumer queue, or claimed by an
-// aggregator thread. Empty is already true while a thread holds a
-// claimed slot it has not repacked; Busy, read after Empty, covers
-// that claim.
-func (n *Node) draining() bool { return !n.PCQ.Empty() || n.Agg.Busy() }
+// reached staging: in the producer/consumer queue, if it has one, or
+// claimed by an aggregator thread. Empty is already true while a thread
+// holds a claimed slot it has not repacked; Busy, read after Empty,
+// covers that claim.
+func (n *Node) draining() bool { return n.PCQ != nil && !n.PCQ.Empty() || n.Agg.Busy() }
 
 // sending reports whether the node holds messages anywhere short of
 // the fabric: draining, staged, in the outbox, or taken out of it by a
@@ -435,10 +444,11 @@ func (cl *Cluster) Node(i int) *Node { return cl.nodes[i] }
 func (cl *Cluster) Fabric() Fabric { return cl.fab }
 
 // RegisterAM implements rt.System. Handlers must be registered before
-// the first Step.
+// the first Step. An AM names its handler in one byte: the 257th panics
+// a *ConfigError.
 func (cl *Cluster) RegisterAM(h rt.AMHandler) uint8 {
 	if len(cl.handlers) > 255 {
-		panic("core: too many AM handlers")
+		panic(invalid("RegisterAM", "an active message names its handler in one byte: 256 handlers at most"))
 	}
 	cl.handlers = append(cl.handlers, h)
 	return uint8(len(cl.handlers) - 1)
@@ -472,9 +482,6 @@ func (cl *Cluster) startBarrier() {
 // does not quiesce or record a phase). Baseline models build their
 // Steps from this.
 func (cl *Cluster) LaunchAll(grid []int, scratchPerWG int, off []Offloader, k rt.Kernel) {
-	if len(grid) != cl.cfg.Nodes {
-		panic(fmt.Sprintf("core: launch grid has %d entries for %d nodes", len(grid), cl.cfg.Nodes))
-	}
 	cl.launch = launchArgs{scratchPerWG, off, k}
 	cl.RunNodes(grid, cl.launchOn)
 }
@@ -542,13 +549,17 @@ func (cl *Cluster) runNode(n *Node, grid int, run func(n *Node, grid int)) {
 // RunNodes calls run(n, grid[n.ID]) for every node with a positive grid
 // entry, side by side: the last of them on the calling goroutine, each
 // of the others on its node's device thread, and returns when all have.
-// If any panicked (a verb's typed error in a kernel no one recovers),
-// it re-panics the first value here, on the goroutine that called Step,
-// after every node has returned. LaunchAll is built on it, as is a
+// A grid that is not one entry per node panics a *ConfigError before
+// anything runs. If any panicked (a verb's typed error in a kernel no
+// one recovers), it re-panics the first value here, on the goroutine
+// that called Step, after every node has returned. LaunchAll is built on it, as is a
 // baseline model whose Step launches on its own, so a step's prologue
 // (start barrier, wall clock, step-begin event) lives here: a Step calls
 // RunNodes exactly once.
 func (cl *Cluster) RunNodes(grid []int, run func(n *Node, grid int)) {
+	if len(grid) != cl.cfg.Nodes {
+		panic(invalid("grid", "a launch grid has %d entries for %d nodes", len(grid), cl.cfg.Nodes))
+	}
 	last := -1
 	for i, g := range grid {
 		if g <= 0 {

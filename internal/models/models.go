@@ -14,8 +14,8 @@
 //     destination. A variant adds Gravel-style GPU-wide aggregation of
 //     those lists ("coalesced APIs + Gravel aggregation").
 //   - gravel-archive: Gravel's runtime with the grape-style archive
-//     aggregation strategy (core.AggArchive) in place of the ticket
-//     aggregator; the aggstrategy experiment's subject.
+//     aggregation strategy (core.SendArchive) in place of the queue and
+//     the ticket aggregator; the aggstrategy experiment's subject.
 //   - CPU-only (Figure 13): the same applications executed by the host
 //     CPU's four threads with Grappa/UPC-style per-thread aggregation —
 //     no GPU involved.
@@ -25,6 +25,12 @@
 // is a core.Offloader (its send path and what that costs the
 // work-group) behind core's verb front-end, plus the Step that composes
 // its phase time.
+//
+// A row names its core.SendPath, and a node builds only what that path
+// writes. The paper's §4 producer/consumer queue is Gravel's own: only
+// gravel, msg-per-lane and cpu-only (core.SendQueue) have one. The
+// coprocessor and coalesced rows own their buffering (core.SendOwn);
+// gravel-archive appends straight into its archives (core.SendArchive).
 package models
 
 import (
@@ -38,12 +44,13 @@ import (
 
 // Model is one networking model: its name (gravel.Config.Model, the
 // binaries' -model), the one-line description -list prints, and what
-// makes it that model — how it sets up the cluster it runs on (nil: as
-// described) and the send path and Step it puts over that cluster (nil:
-// the cluster's own).
+// makes it that model — its send path, how it sets up the cluster it
+// runs on otherwise (nil: as described), and, with core.SendOwn, the
+// Offloaders and Step it puts over that cluster (nil: the cluster's own).
 type Model struct {
 	Name string
 	Desc string
+	send core.SendPath
 	tune func(*core.Config)
 	over func(*core.Cluster) rt.System
 }
@@ -52,7 +59,7 @@ type Model struct {
 // model's name. The error is a *core.ConfigError, or the transport's
 // own if the fabric cannot be brought up.
 func (m Model) New(cfg core.Config) (rt.System, error) {
-	cfg.Name = m.Name
+	cfg.Name, cfg.Send = m.Name, m.send
 	if m.tune != nil {
 		m.tune(&cfg)
 	}
@@ -72,21 +79,21 @@ func (m Model) New(cfg core.Config) (rt.System, error) {
 // registering a model is adding a row.
 var Table = []Model{
 	{"coprocessor", "§3.1 bulk-synchronous per-node queues exchanged between kernel chunks",
-		nil, coprocessor(0)},
+		core.SendOwn, nil, coprocessor(0)},
 	{"coprocessor+buf", "coprocessor with 1 MB per-node queues (Figure 15 second bar)",
-		nil, coprocessor(1 << 20)},
+		core.SendOwn, nil, coprocessor(1 << 20)},
 	{"msg-per-lane", "§3.2 Gravel queue, no aggregation: one wire packet per message",
-		func(cfg *core.Config) { cfg.AggMode = core.AggPerMessage }, nil},
+		core.SendQueue, func(cfg *core.Config) { cfg.AggMode = core.AggPerMessage }, nil},
 	{"coalesced", "§3.3 per-WG counting sort + synchronous coalesced sends (GPUnet style)",
-		nil, coalesced(false)},
+		core.SendOwn, nil, coalesced(false)},
 	{"coalesced+agg", "coalesced APIs + Gravel-style GPU-wide aggregation",
-		nil, coalesced(true)},
+		core.SendOwn, nil, coalesced(true)},
 	{"gravel", "the paper's system: WG-granularity offload + CPU aggregation",
-		nil, nil},
+		core.SendQueue, nil, nil},
 	{"gravel-archive", "gravel with grape-style per-destination archive aggregation (WF appends, fused bulk handoff)",
-		func(cfg *core.Config) { cfg.AggStrategy = core.AggArchive }, nil},
+		core.SendArchive, nil, nil},
 	{"cpu-only", "Figure 13 CPU baseline: 4 host threads, Grappa/UPC-style aggregation",
-		func(cfg *core.Config) {
+		core.SendQueue, func(cfg *core.Config) {
 			p := cfg.Params
 			if p == nil {
 				p = timemodel.Default()

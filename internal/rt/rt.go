@@ -130,10 +130,11 @@ type System interface {
 	// Space returns the cluster's global address space.
 	Space() *pgas.Space
 	// RegisterAM registers an active-message handler, returning its ID.
+	// An ID is one byte: the 257th panics.
 	RegisterAM(h AMHandler) uint8
 
-	// Step launches kernel k with grid[i] work-items on node i and
-	// returns after cluster-wide quiescence (every initiated message
+	// Step launches kernel k with grid[i] work-items on node i, for
+	// every node (a grid of another length panics), and returns after cluster-wide quiescence (every initiated message
 	// applied). scratchPerWG is the kernel's scratchpad demand in bytes.
 	Step(name string, grid []int, scratchPerWG int, k Kernel)
 

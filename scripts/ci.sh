@@ -154,9 +154,11 @@ cluster_smokes() {
   go run ./cmd/gravel-bench -exp aggstrategy -scale 0.25
   # Hosted-only smoke: a process holds no device, queue, aggregator or
   # array window for another process's node, and a host call on one
-  # panics a typed error. bfs-dir as a real 4-node TCP cluster on the
-  # gravel model stores its source's level only in the owner's process.
-  go test -count=1 -run 'TestProcessHoldsOnlyHostedNodes|TestUnhostedNodeCallsPanicDestError' .
+  # panics a typed error; a hosted node has a queue only on the queue
+  # path (gravel, msg-per-lane, cpu-only). bfs-dir as a real 4-node TCP
+  # cluster on the gravel model stores its source's level only in the
+  # owner's process.
+  go test -count=1 -run 'TestProcessHoldsOnlyHostedNodes|TestUnhostedNodeCallsPanicDestError|TestNodeBuildsOnlyItsSendPath' .
   go run ./cmd/gravel-node -smoke -nodes 4 -model=gravel -app=bfs-dir
   # Trace smoke: the flight recorder must produce a schema-valid,
   # monotonic JSONL trace from a real distributed run.
