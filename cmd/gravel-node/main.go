@@ -19,7 +19,7 @@
 //	                                              under seeded fault schedules
 //	                                              plus worker/coordinator kills
 //	                                              and healed elastic kills
-//	gravel-node -scaleout -json BENCH_PR7.json    live 2->4 elastic scale-out
+//	gravel-node -scaleout -json scaleout.json     live 2->4 elastic scale-out
 //	                                              with per-epoch throughput
 //	gravel-node -list                             registered apps and models
 //
@@ -67,7 +67,7 @@ var (
 	serve    = flag.Bool("serve", false, "run the rendezvous coordinator")
 	smoke    = flag.Bool("smoke", false, "fork a full localhost cluster and verify it against the in-process fabric")
 	chaos    = flag.Bool("chaos", false, "run the chaos harness: repeated distributed runs under seeded fault schedules and process kills")
-	scaleout = flag.Bool("scaleout", false, "bench a live 2->4 elastic scale-out and write per-epoch throughput (-json, default BENCH_PR7.json)")
+	scaleout = flag.Bool("scaleout", false, "bench a live 2->4 elastic scale-out and write per-epoch throughput (also to -json, if given)")
 	list     = flag.Bool("list", false, "list registered apps, models and transports, then exit")
 	version  = flag.Bool("version", false, "print the build-info string and exit")
 

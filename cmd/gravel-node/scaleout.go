@@ -20,7 +20,7 @@ import (
 // checkpoint cadence: one cut per iteration) and verifies the scaled
 // run stays bit-identical to the undisturbed single-process reference.
 
-// ScaleOutBench is the BENCH_PR7.json document.
+// ScaleOutBench is the -scaleout -json document.
 type ScaleOutBench struct {
 	Bench        string          `json:"bench"`
 	App          string          `json:"app"`
@@ -73,11 +73,9 @@ func scaleOutSpec() noderun.Spec {
 	return s
 }
 
-// runScaleOut executes the 2 -> 4 sweep and writes the JSON report.
+// runScaleOut executes the 2 -> 4 sweep and writes the JSON report to
+// jsonPath, if one is named.
 func runScaleOut(jsonPath string) error {
-	if jsonPath == "" {
-		jsonPath = "BENCH_PR7.json"
-	}
 	s := scaleOutSpec()
 
 	// Undisturbed reference on the in-process fabric.
@@ -172,13 +170,18 @@ func runScaleOut(jsonPath string) error {
 	if !doc.BitIdentical {
 		return fmt.Errorf("scaled-out checksum %d diverged from reference %d", res.Check, ref.Check)
 	}
-	if err := cliflags.WriteJSON(jsonPath, doc); err != nil {
-		return err
+	if jsonPath != "" {
+		if err := cliflags.WriteJSON(jsonPath, doc); err != nil {
+			return err
+		}
 	}
 	for _, ep := range doc.Epochs {
 		fmt.Printf("scaleout: gen %d, %d nodes, %d iters in %.1fms (%.0f vertex-updates/s, %s)\n",
 			ep.Gen, ep.Nodes, ep.Iters, ep.WallMs, ep.VertexUpdatesPerSec, ep.Outcome)
 	}
-	fmt.Printf("scaleout: PASS bit-identical check %d across %d epochs -> %s\n", res.Check, len(doc.Epochs), jsonPath)
+	fmt.Printf("scaleout: PASS bit-identical check %d across %d epochs\n", res.Check, len(doc.Epochs))
+	if jsonPath != "" {
+		fmt.Printf("scaleout: wrote %s\n", jsonPath)
+	}
 	return nil
 }

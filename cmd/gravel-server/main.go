@@ -10,7 +10,7 @@
 // Usage:
 //
 //	gravel-server -listen 127.0.0.1:8484 -pool 4
-//	gravel-server -selfbench -json BENCH_PR6.json
+//	gravel-server -selfbench -json selfbench.json
 //
 // API sketch (see README "Service mode" for a walkthrough):
 //

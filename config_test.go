@@ -41,7 +41,6 @@ func TestConfigValidate(t *testing.T) {
 		{"tcp-self-out-of-range", gravel.Config{Nodes: 1, Transport: "tcp", TransportOpts: gravel.TransportOptions{Self: 1}}, "TransportOpts.Self"},
 		{"tcp-single-node-ok", gravel.Config{Nodes: 1, Transport: "tcp"}, ""},
 		// What the public Config cannot express, on the struct it maps onto.
-		{"archive-per-message", core.Config{Nodes: 2, Send: core.SendArchive, AggMode: core.AggPerMessage}, "AggMode"},
 		{"unknown-strategy", core.Config{Nodes: 2, Send: core.SendOwn + 1}, "Send"},
 	}
 	for _, tc := range cases {

@@ -198,14 +198,15 @@ func TestUnhostedNodeCallsPanicDestError(t *testing.T) {
 
 // TestNodeBuildsOnlyItsSendPath: a node builds the producer/consumer
 // queue only where its model sends through it (gravel, msg-per-lane,
-// cpu-only). The archive row appends past it and the four rival rows
-// own their buffering, so they have none; their aggregators still
-// stage, flush and pump HostAM follow-ups. One GUPS step whose every
+// cpu-only, and coalesced+agg, whose lists fill its slots). The archive
+// row appends past it and the three other rival rows own their
+// buffering, so they have none; their aggregators still stage, flush
+// and pump HostAM follow-ups. One GUPS step whose every
 // work-group sends a request, each answered by a HostAM from its
 // handler, lands every update and every reply on every row.
 func TestNodeBuildsOnlyItsSendPath(t *testing.T) {
 	const nodes, perNode = 4, 512
-	queued := map[string]bool{"gravel": true, "msg-per-lane": true, "cpu-only": true}
+	queued := map[string]bool{"gravel": true, "msg-per-lane": true, "cpu-only": true, "coalesced+agg": true}
 	for _, m := range models.Table {
 		t.Run(m.Name, func(t *testing.T) {
 			sys := gravel.New(gravel.Config{Model: m.Name, Nodes: nodes})

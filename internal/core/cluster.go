@@ -8,7 +8,7 @@
 //
 // Execution is functionally real — goroutines, atomics, actual message
 // buffers — while time is virtual (package timemodel). The same Cluster
-// also powers the message-per-lane baseline (AggPerMessage bypasses
+// also powers the message-per-lane baseline (SendPerMessage bypasses
 // message combining), and its exported internals are reused by the
 // coprocessor and coalesced-API baselines in package models.
 package core
@@ -33,18 +33,6 @@ import (
 	"gravel/internal/wire"
 )
 
-// AggMode selects how offloaded messages reach the wire.
-type AggMode int
-
-const (
-	// AggCombine is Gravel: the aggregator combines messages targeting
-	// the same destination into per-node queues.
-	AggCombine AggMode = iota
-	// AggPerMessage is the message-per-lane baseline (§3.2, §7.2): every
-	// message becomes its own wire packet.
-	AggPerMessage
-)
-
 // Config configures a cluster.
 type Config struct {
 	// Name labels the system (defaults to "gravel").
@@ -57,12 +45,10 @@ type Config struct {
 	WGSize int
 	// DivMode selects diverged WG-level operation behaviour (§5).
 	DivMode simt.DivergenceMode
-	// AggMode selects Gravel aggregation or per-message sends.
-	AggMode AggMode
 	// Send is the nodes' send path, and with it what a node builds for
-	// it: the producer/consumer queue (SendQueue, the default), the
-	// archive strategy's per-destination archives (SendArchive), or
-	// neither (SendOwn). Only the queue path sends per message.
+	// it: the producer/consumer queue (SendQueue, the default, or
+	// SendPerMessage without combining), the archive strategy's
+	// per-destination archives (SendArchive), or neither (SendOwn).
 	Send SendPath
 	// Arch overrides the device architecture (nil = the paper's GPU);
 	// used by the Figure 13 CPU-only baseline.
@@ -96,8 +82,13 @@ type SendPath int
 const (
 	// SendQueue is Gravel's (§4.1): pcqWriter fills a slot of the node's
 	// producer/consumer queue, whose ticket aggregator (agg.Aggregator)
-	// drains and repacks it into per-destination builders.
+	// drains and repacks it into per-destination builders. A model with
+	// its own Offloader may fill the slots itself (Node.Enqueue).
 	SendQueue SendPath = iota
+	// SendPerMessage is SendQueue without combining, the
+	// message-per-lane baseline (§3.2, §7.2): every message becomes its
+	// own wire packet.
+	SendPerMessage
 	// SendArchive is the grape-style rival: archAppender appends at
 	// wavefront granularity straight into the archive strategy's
 	// per-destination archives (agg.Archive). No queue.
@@ -115,9 +106,9 @@ const (
 type Fabric = fabric.Fabric
 
 // Node is one simulated machine: an APU (GPU + CPU threads) plus a NIC.
-// PCQ is nil unless the node's send path is SendQueue. A node another
-// process hosts is its ID and its ledger only: its GPU, PCQ and Agg are
-// nil.
+// PCQ is nil unless the node's send path is SendQueue or
+// SendPerMessage. A node another process hosts is its ID and its ledger
+// only: its GPU, PCQ and Agg are nil.
 type Node struct {
 	ID     int
 	GPU    *simt.Device
@@ -138,8 +129,8 @@ type Node struct {
 	drained func() bool
 }
 
-// Cluster implements rt.System for Gravel (and, with AggPerMessage, the
-// message-per-lane model).
+// Cluster implements rt.System for Gravel (and, with SendPerMessage,
+// the message-per-lane model).
 type Cluster struct {
 	cfg    Config
 	params *timemodel.Params
@@ -233,10 +224,7 @@ func (cfg Config) Validate() error {
 		return invalid("WGSize", "work-group size %d must be a positive multiple of the wavefront width %d", cfg.WGSize, wf)
 	}
 	if cfg.Send < SendQueue || cfg.Send > SendOwn {
-		return invalid("Send", "unknown send path %d (have SendQueue, SendArchive, SendOwn)", cfg.Send)
-	}
-	if cfg.AggMode == AggPerMessage && cfg.Send != SendQueue {
-		return invalid("AggMode", "per-message sends are the queue path's message-per-lane baseline (AggPerMessage requires SendQueue)")
+		return invalid("Send", "unknown send path %d (have SendQueue, SendPerMessage, SendArchive, SendOwn)", cfg.Send)
 	}
 	if cfg.ResolverShards != 0 && !fabric.ValidBanks(cfg.ResolverShards) {
 		return invalid("ResolverShards", "resolver shard count %d must be a power of two in [1, %d]", cfg.ResolverShards, fabric.MaxResolverBanks)
@@ -342,10 +330,10 @@ func NewChecked(cfg Config) (*Cluster, error) {
 		n.GPU.Mode = cfg.DivMode
 		n.GPU.Clock = n.Clocks
 		switch cfg.Send {
-		case SendQueue:
+		case SendQueue, SendPerMessage:
 			n.PCQ = queue.NewGravel(numSlots, wire.SlotRows, cfg.WGSize)
 			n.PCQ.Owner = i
-			n.Agg = agg.New(i, p, n.PCQ, cl.fab, n.Clocks, cfg.AggMode == AggPerMessage)
+			n.Agg = agg.New(i, p, n.PCQ, cl.fab, n.Clocks, cfg.Send == SendPerMessage)
 			cl.off[i] = pcqWriter{n}
 		case SendArchive:
 			ar := agg.NewArchive(i, p, nil, cl.fab, n.Clocks, true)

@@ -315,11 +315,21 @@ func (w pcqWriter) Offload(g *simt.Group, b Batch) {
 	// Leader reservation: the only global synchronization for up to
 	// WGSize messages.
 	g.ChargeAtomics(queue.ProducerAtomicsPerReserve)
-	s := w.n.PCQ.Reserve(count)
-	rowCmd, rowDest, rowA, rowB := s.Row(wire.RowCmd), s.Row(wire.RowDest), s.Row(wire.RowA), s.Row(wire.RowB)
 	// One vectorized payload write: lane l's row offset is its
-	// prefix-sum value, m.
+	// prefix-sum value.
 	g.ChargeMasked(wire.SlotRows, b.Active)
+	w.n.Enqueue(&b, count)
+	g.ChargeMessages(count)
+}
+
+// Enqueue writes the batch's count active lanes' messages into one
+// slot of the node's producer/consumer queue, in lane order, and
+// commits it; it charges nothing. It is pcqWriter's reserve, write and
+// commit, for a model whose own Offloader hands its lists to the
+// node's aggregator.
+func (n *Node) Enqueue(b *Batch, count int) {
+	s := n.PCQ.Reserve(count)
+	rowCmd, rowDest, rowA, rowB := s.Row(wire.RowCmd), s.Row(wire.RowDest), s.Row(wire.RowA), s.Row(wire.RowB)
 	m := 0
 	for l, on := range b.Active {
 		if on {
@@ -328,7 +338,6 @@ func (w pcqWriter) Offload(g *simt.Group, b Batch) {
 		}
 	}
 	s.Commit()
-	g.ChargeMessages(count)
 }
 
 // Progress implements Offloader: the aggregator drains the queue itself.

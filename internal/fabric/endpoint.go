@@ -101,7 +101,7 @@ func (e *Endpoint) Bypass(p Packet) bool {
 // behind. With one bank, or for a buffer that is not a whole number of
 // records (bank 0's resolver reports that one as a typed decode
 // failure), p lands whole on bank 0. Otherwise its records are
-// scattered into per-bank sub-packets (Sub set, p's buffer recycled)
+// scattered into per-bank sub-packets (p's buffer recycled)
 // pushed in ascending bank order; the sub-packets carry p's records
 // between them, and whatever of p's ledger count they do not (an empty
 // packet's one) is retired here.
@@ -123,7 +123,7 @@ func (e *Endpoint) Deliver(p Packet) (ok bool) {
 	var subs [MaxResolverBanks]Packet
 	n := 0
 	ScatterBanks(p.Buf, e.banks, func(bank int, buf []byte, msgs int) {
-		subs[n] = Packet{From: p.From, To: p.To, Buf: buf, Msgs: msgs, Bank: bank, Sub: true}
+		subs[n] = Packet{From: p.From, To: p.To, Buf: buf, Msgs: msgs, Bank: bank}
 		n++
 	})
 	wire.PutBuf(p.Buf)

@@ -72,7 +72,7 @@ func TestDeliverCountsThenPushesAscending(t *testing.T) {
 			t.Fatalf("bank %d: got %+v before its filler", b, p)
 		}
 		p := recvWithin(t, e.BankInbox(1, b))
-		if !p.Sub || p.Bank != b || p.Msgs != wantMsgs[b] {
+		if p.Bank != b || p.Msgs != wantMsgs[b] {
 			t.Fatalf("bank %d sub-packet wrong: %+v", b, p)
 		}
 		e.Done(p)

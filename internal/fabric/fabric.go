@@ -37,10 +37,6 @@ type Packet struct {
 	// Bank is the resolver bank this packet resolves on (always 0 on an
 	// unbanked fabric).
 	Bank int
-	// Sub marks a demuxed sub-packet: one of several carved out of a
-	// single packet by a banked endpoint, each carrying its own share
-	// of the records.
-	Sub bool
 }
 
 // Fabric is the interconnect interface the runtime depends on. A fabric

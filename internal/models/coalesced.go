@@ -13,37 +13,32 @@ const scratchPerLane = 16
 
 // Coalesced is the §3.3 model (GPUnet/GPUrdma style): work-groups
 // counting-sort their messages by destination in scratchpad, then invoke
-// one synchronous coalesced send per destination. Without GPU-wide
-// aggregation, each send becomes its own (small) wire packet; with it
-// (the "coalesced APIs + Gravel aggregation" bar of Figure 15), the
-// per-WG lists are repacked into 64 kB per-node queues by the CPU.
+// one synchronous coalesced send per destination. Over a core.SendOwn
+// cluster each send becomes its own (small) wire packet. Over a
+// core.SendQueue cluster (the "coalesced APIs + Gravel aggregation" bar
+// of Figure 15) each per-WG list fills one slot of the node's
+// producer/consumer queue instead, and Gravel's CPU aggregator repacks
+// it into 64 kB per-node queues.
 type Coalesced struct {
 	*core.Cluster
 	off []core.Offloader // per hosted node
 }
 
-// coalesced puts the model over a cluster; gpuWide enables GPU-wide
-// aggregation. Sends (per-WG packets, or repacked per-node queues with
-// gpuWide) travel through the cluster's fabric, so the model runs
-// in-process or multi-process alike; on a multi-process fabric only the
-// hosted node gets aggregation buffers.
-func coalesced(gpuWide bool) func(*core.Cluster) rt.System {
-	return func(cl *core.Cluster) rt.System {
-		p := cl.Params()
-		co := &Coalesced{Cluster: cl, off: make([]core.Offloader, cl.Nodes())}
-		for i := range co.off {
-			if !cl.Fabric().Hosts(i) {
-				continue
-			}
-			n := cl.Node(i)
-			o := &coalSender{n: n, fab: cl.Fabric(), sendCycles: n.GPU.NsToCycles(p.AlphaNs / 2)}
-			if gpuWide {
-				o.sb = newSendBuffers(cl, n, p.PerNodeQueueBytes, true)
-			}
-			co.off[i] = o
+// coalesced puts the model over a cluster. Sends (per-WG packets, or
+// repacked per-node queues) travel through the cluster's fabric, so the
+// model runs in-process or multi-process alike; on a multi-process
+// fabric only the hosted node gets a send path.
+func coalesced(cl *core.Cluster) rt.System {
+	p := cl.Params()
+	co := &Coalesced{Cluster: cl, off: make([]core.Offloader, cl.Nodes())}
+	for i := range co.off {
+		if !cl.Fabric().Hosts(i) {
+			continue
 		}
-		return co
+		n := cl.Node(i)
+		co.off[i] = &coalSender{n: n, fab: cl.Fabric(), sendCycles: n.GPU.NsToCycles(p.AlphaNs / 2)}
 	}
+	return co
 }
 
 // Step implements rt.System. Communication overlaps with computation
@@ -52,11 +47,6 @@ func coalesced(gpuWide bool) func(*core.Cluster) rt.System {
 func (co *Coalesced) Step(name string, grid []int, scratchPerWG int, k rt.Kernel) {
 	scratch := scratchPerWG + scratchPerLane*co.WGSize()
 	co.LaunchAll(grid, scratch, co.off, k)
-	for _, o := range co.off {
-		if o != nil {
-			o.Progress()
-		}
-	}
 	co.Quiesce()
 	co.EndPhaseOverlapped(name)
 }
@@ -70,9 +60,6 @@ type coalSender struct {
 	// sendCycles is what a work-group blocks for per synchronous send
 	// (the NIC round trip).
 	sendCycles int64
-	// sb is the node's staging queues with GPU-wide aggregation, nil
-	// without.
-	sb *sendBuffers
 }
 
 // Offload implements core.Offloader.
@@ -88,14 +75,16 @@ func (o *coalSender) Offload(g *simt.Group, b core.Batch) {
 
 	// One sync_inc_list per destination (Figure 4c lines 27-29): SIMT
 	// utilization degrades with the destination count.
-	byDest(&b, o.fab.Nodes(), func(d int, lanes []int, _ []bool) {
+	byDest(&b, o.fab.Nodes(), func(d int, lanes []int, mask []bool) {
 		g.ChargeAtomics(1)
 		g.ChargeInstr(2)
 		g.ChargeMessages(len(lanes))
-		if o.sb != nil {
-			// Lists are handed to the CPU aggregator for repacking into
-			// large per-node queues.
-			o.sb.appendList(d, lanes, &b)
+		if o.n.PCQ != nil {
+			// GPU-wide aggregation: lists are handed to the CPU
+			// aggregator for repacking into large per-node queues.
+			list := b
+			list.Active = mask
+			o.n.Enqueue(&list, len(lanes))
 			return
 		}
 		// Synchronous send of this WG's list as its own packet — eager,
@@ -110,11 +99,8 @@ func (o *coalSender) Offload(g *simt.Group, b core.Batch) {
 	})
 }
 
-// Progress implements core.Offloader: flush the staging queues, if any.
-func (o *coalSender) Progress() {
-	if o.sb != nil {
-		o.sb.flushAll()
-	}
-}
+// Progress implements core.Offloader: a list is sent, or the node's
+// aggregator drains it, without the work-group.
+func (*coalSender) Progress() {}
 
 var _ rt.System = (*Coalesced)(nil)

@@ -39,7 +39,7 @@ func coprocessor(queueBytes int) func(*core.Cluster) rt.System {
 		cp := &Coprocessor{Cluster: cl, queueBytes: qb, sb: make([]*sendBuffers, cl.Nodes())}
 		for i := range cp.sb {
 			if cl.Fabric().Hosts(i) {
-				cp.sb[i] = newSendBuffers(cl, cl.Node(i), qb, false)
+				cp.sb[i] = newSendBuffers(cl, cl.Node(i), qb)
 			}
 		}
 		return cp

@@ -11,8 +11,8 @@
 //     every message crosses the wire as its own packet.
 //   - coalesced APIs (§3.3): work-groups counting-sort their messages by
 //     destination in scratchpad and synchronously send one list per
-//     destination. A variant adds Gravel-style GPU-wide aggregation of
-//     those lists ("coalesced APIs + Gravel aggregation").
+//     destination. A variant hands those lists to Gravel's queue and CPU
+//     aggregator ("coalesced APIs + Gravel aggregation").
 //   - gravel-archive: Gravel's runtime with the grape-style archive
 //     aggregation strategy (core.SendArchive) in place of the queue and
 //     the ticket aggregator; the aggstrategy experiment's subject.
@@ -26,11 +26,13 @@
 // work-group) behind core's verb front-end, plus the Step that composes
 // its phase time.
 //
-// A row names its core.SendPath, and a node builds only what that path
-// writes. The paper's §4 producer/consumer queue is Gravel's own: only
-// gravel, msg-per-lane and cpu-only (core.SendQueue) have one. The
-// coprocessor and coalesced rows own their buffering (core.SendOwn);
-// gravel-archive appends straight into its archives (core.SendArchive).
+// A row names its core.SendPath, the only send-side switch, and a node
+// builds only what that path writes. The paper's §4 producer/consumer
+// queue is Gravel's own: gravel, cpu-only and coalesced+agg
+// (core.SendQueue) and msg-per-lane (core.SendPerMessage) have one, and
+// the ticket aggregator is the one CPU repack. The coprocessor and
+// coalesced rows own their buffering (core.SendOwn); gravel-archive
+// appends straight into its archives (core.SendArchive).
 package models
 
 import (
@@ -45,8 +47,8 @@ import (
 // Model is one networking model: its name (gravel.Config.Model, the
 // binaries' -model), the one-line description -list prints, and what
 // makes it that model — its send path, how it sets up the cluster it
-// runs on otherwise (nil: as described), and, with core.SendOwn, the
-// Offloaders and Step it puts over that cluster (nil: the cluster's own).
+// runs on otherwise (nil: as described), and the Offloaders and Step it
+// puts over that cluster (nil: the cluster's own).
 type Model struct {
 	Name string
 	Desc string
@@ -83,11 +85,11 @@ var Table = []Model{
 	{"coprocessor+buf", "coprocessor with 1 MB per-node queues (Figure 15 second bar)",
 		core.SendOwn, nil, coprocessor(1 << 20)},
 	{"msg-per-lane", "§3.2 Gravel queue, no aggregation: one wire packet per message",
-		core.SendQueue, func(cfg *core.Config) { cfg.AggMode = core.AggPerMessage }, nil},
+		core.SendPerMessage, nil, nil},
 	{"coalesced", "§3.3 per-WG counting sort + synchronous coalesced sends (GPUnet style)",
-		core.SendOwn, nil, coalesced(false)},
+		core.SendOwn, nil, coalesced},
 	{"coalesced+agg", "coalesced APIs + Gravel-style GPU-wide aggregation",
-		core.SendOwn, nil, coalesced(true)},
+		core.SendQueue, nil, coalesced},
 	{"gravel", "the paper's system: WG-granularity offload + CPU aggregation",
 		core.SendQueue, nil, nil},
 	{"gravel-archive", "gravel with grape-style per-destination archive aggregation (WF appends, fused bulk handoff)",

@@ -109,10 +109,13 @@ func ledgerMix(sys rt.System, steps int) {
 // over the channel fabric and the framed loopback, reports counts that
 // add up — the per-step records to the cumulative totals, field by
 // field; the per-destination wire split to the wire totals; the
-// per-bank and bypass messages to what the nodes' ledgers applied; and
-// the flush counts to the flight recorder's flush events.
+// per-bank and bypass messages to what the nodes' ledgers applied; the
+// flush counts to the flight recorder's flush events; and, on every row
+// whose packets all leave through the node's aggregator, the flushes to
+// the packets.
 func TestStatsConservation(t *testing.T) {
 	const nodes = 4
+	viaAgg := map[string]bool{"gravel": true, "msg-per-lane": true, "cpu-only": true, "gravel-archive": true, "coalesced+agg": true}
 	for _, m := range models.Table {
 		for _, shards := range []int{1, 4} {
 			for _, fab := range []string{"chan", "loopback"} {
@@ -189,6 +192,12 @@ func TestStatsConservation(t *testing.T) {
 
 					if full, timeout := rec.Count(obs.KAggFlushFull), rec.Count(obs.KAggFlushTimeout); full != st.Agg.FlushesFull || timeout != st.Agg.FlushesTimeout {
 						t.Errorf("flushes counted %d full, %d timeout; recorder saw %d, %d", st.Agg.FlushesFull, st.Agg.FlushesTimeout, full, timeout)
+					}
+					// Where every packet leaves through the node's aggregator,
+					// each is one flush.
+					if viaAgg[m.Name] && st.Agg.FlushesFull+st.Agg.FlushesTimeout != want.WirePackets+want.SelfPackets {
+						t.Errorf("%d full + %d timeout flushes for %d wire + %d self packets",
+							st.Agg.FlushesFull, st.Agg.FlushesTimeout, want.WirePackets, want.SelfPackets)
 					}
 				})
 			}

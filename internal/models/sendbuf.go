@@ -4,29 +4,23 @@ import (
 	"sync"
 
 	"gravel/internal/core"
-	"gravel/internal/timemodel"
 	"gravel/internal/wire"
 )
 
 // sendBuffers is a node's set of GPU-side per-destination queues, shared
-// by all of the node's work-groups. The coprocessor model fills them
-// from the GPU and exchanges them at chunk boundaries; the
-// coalesced+aggregation model fills them from repacked per-WG lists.
+// by all of the node's work-groups: the coprocessor model fills them
+// from the GPU and exchanges them at chunk boundaries.
 type sendBuffers struct {
 	node *core.Node
 	cl   *core.Cluster
-	p    *timemodel.Params
-
-	// chargeAgg adds CPU aggregator cost per message (coalesced+agg).
-	chargeAgg bool
 
 	mu        sync.Mutex
 	b         []*wire.Builder
 	overflows int // mid-chunk full-queue flushes since the last take
 }
 
-func newSendBuffers(cl *core.Cluster, node *core.Node, capBytes int, chargeAgg bool) *sendBuffers {
-	nb := &sendBuffers{node: node, cl: cl, p: cl.Params(), chargeAgg: chargeAgg}
+func newSendBuffers(cl *core.Cluster, node *core.Node, capBytes int) *sendBuffers {
+	nb := &sendBuffers{node: node, cl: cl}
 	nb.b = make([]*wire.Builder, cl.Nodes())
 	for d := range nb.b {
 		nb.b[d] = wire.NewBuilder(d, capBytes)
@@ -75,10 +69,6 @@ func (s *sendBuffers) appendList(dest int, lanes []int, b *core.Batch) {
 			s.flushLocked(dest)
 		}
 	}
-	if s.chargeAgg {
-		s.node.Clocks.AddAgg(s.p.AggPerSlotNs + float64(len(lanes))*s.p.AggPerMsgNs)
-		s.node.Clocks.CountAggSlot(len(lanes))
-	}
 }
 
 func (s *sendBuffers) flushLocked(dest int) {
@@ -87,9 +77,6 @@ func (s *sendBuffers) flushLocked(dest int) {
 		return
 	}
 	buf, msgs := b.Take()
-	if s.chargeAgg {
-		s.node.Clocks.AddAgg(s.p.AggPerFlushNs)
-	}
 	s.cl.Fabric().Send(s.node.ID, dest, buf, msgs)
 }
 

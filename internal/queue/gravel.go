@@ -74,7 +74,6 @@ type Gravel struct {
 	_         pad64
 	committed atomic.Uint64 // slots committed; bounds consumer claims
 	_         pad64
-	closed    atomic.Bool
 
 	// consumer, when set, is woken by every Commit (WakeOnCommit).
 	consumer *park.Event
@@ -107,19 +106,6 @@ func (q *Gravel) WakeOnCommit(e *park.Event) { q.consumer = e }
 
 // NumSlots returns the slot count.
 func (q *Gravel) NumSlots() int { return len(q.headers) }
-
-// BytesPerMessage returns the wire size of one message.
-func (q *Gravel) BytesPerMessage() int { return q.Rows * 8 }
-
-// Close marks the queue closed. Producers must have finished; consumers
-// observe Closed once the queue is drained.
-func (q *Gravel) Close() { q.closed.Store(true) }
-
-// Closed reports whether Close was called and all reserved slots were
-// consumed.
-func (q *Gravel) Closed() bool {
-	return q.closed.Load() && q.readIdx.Load() >= q.reserved.Load()
-}
 
 // Slot is a reserved queue slot being filled by a producer.
 type Slot struct {

@@ -261,18 +261,3 @@ func TestPaddedMPMCStride(t *testing.T) {
 		t.Fatalf("round trip = %d", got)
 	}
 }
-
-func TestCloseSemantics(t *testing.T) {
-	q := NewGravel(4, 1, 2)
-	s := q.Reserve(1)
-	s.Row(0)[0] = 7
-	s.Commit()
-	q.Close()
-	if q.Closed() {
-		t.Fatal("Closed() true with unconsumed slot")
-	}
-	q.TryConsume(func([]uint64, int, int, int) {})
-	if !q.Closed() {
-		t.Fatal("Closed() false after drain")
-	}
-}

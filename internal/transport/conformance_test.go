@@ -77,14 +77,14 @@ func mixedBuf() ([]byte, int) {
 }
 
 // wantPackets is the contract: a whole packet on bank 0, or exactly
-// ScatterBanks' partition as Sub packets in its (ascending) bank order.
+// ScatterBanks' partition as sub-packets in its (ascending) bank order.
 func wantPackets(from, to int, buf []byte, msgs, banks int) []fabric.Packet {
 	if banks == 1 || len(buf)%wire.MsgWireBytes != 0 {
 		return []fabric.Packet{{From: from, To: to, Buf: buf, Msgs: msgs}}
 	}
 	var want []fabric.Packet
 	fabric.ScatterBanks(buf, banks, func(bank int, sub []byte, m int) {
-		want = append(want, fabric.Packet{From: from, To: to, Buf: bytes.Clone(sub), Msgs: m, Bank: bank, Sub: true})
+		want = append(want, fabric.Packet{From: from, To: to, Buf: bytes.Clone(sub), Msgs: m, Bank: bank})
 		wire.PutBuf(sub)
 	})
 	return want
@@ -92,7 +92,7 @@ func wantPackets(from, to int, buf []byte, msgs, banks int) []fabric.Packet {
 
 func samePacket(got, want fabric.Packet) bool {
 	return got.From == want.From && got.To == want.To && got.Msgs == want.Msgs &&
-		got.Bank == want.Bank && got.Sub == want.Sub && bytes.Equal(got.Buf, want.Buf)
+		got.Bank == want.Bank && bytes.Equal(got.Buf, want.Buf)
 }
 
 // TestFabricConformance drives the one receive endpoint through every

@@ -155,11 +155,14 @@ cluster_smokes() {
   # Hosted-only smoke: a process holds no device, queue, aggregator or
   # array window for another process's node, and a host call on one
   # panics a typed error; a hosted node has a queue only on the queue
-  # path (gravel, msg-per-lane, cpu-only). bfs-dir as a real 4-node TCP
-  # cluster on the gravel model stores its source's level only in the
-  # owner's process.
+  # path (gravel, msg-per-lane, cpu-only, coalesced+agg). bfs-dir as a
+  # real 4-node TCP cluster on the gravel model stores its source's level
+  # only in the owner's process. coalesced+agg hands its per-WG lists to
+  # that queue and the ticket aggregator: bfs-dir's signals over real TCP
+  # at 4 resolver banks, under the race detector.
   go test -count=1 -run 'TestProcessHoldsOnlyHostedNodes|TestUnhostedNodeCallsPanicDestError|TestNodeBuildsOnlyItsSendPath' .
   go run ./cmd/gravel-node -smoke -nodes 4 -model=gravel -app=bfs-dir
+  go run -race ./cmd/gravel-node -smoke -nodes 3 -model=coalesced+agg -app=bfs-dir -resolver-shards=4
   # Trace smoke: the flight recorder must produce a schema-valid,
   # monotonic JSONL trace from a real distributed run.
   go run ./cmd/gravel-node -smoke -trace "$tmp/trace.jsonl"
@@ -185,7 +188,7 @@ chaos_smokes() {
   # (the heal-worker chaos iteration enforces both). Then the live 2->4
   # scale-out sweep, which also pins bit-identity.
   go run ./cmd/gravel-node -chaos -seed 3 -duration 1s -nodes 3
-  go run ./cmd/gravel-node -scaleout -json "$tmp/BENCH_PR7.json" && cat "$tmp/BENCH_PR7.json"
+  go run ./cmd/gravel-node -scaleout -json "$tmp/scaleout.json" && cat "$tmp/scaleout.json"
   # Chaos under the PGAS-verb apps: signalled puts and in-kernel waits
   # must ride out recoverable faults bit-exactly and fail fast on kills,
   # like every other app. histogram runs at 8x scale so its short run is
