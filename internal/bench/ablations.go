@@ -31,7 +31,8 @@ import (
 func Ablations(scale float64, params *timemodel.Params) *Table {
 	t := &Table{
 		Title:  "Ablations: Gravel design choices",
-		Header: []string{"ablation", "setting", "result"},
+		Header: []string{"ablation", "setting", "result", "GB/s (measured, host)"},
+		Clocks: []Clock{Label, Label, Modeled, Host},
 	}
 	s := func(base int) int {
 		v := int(float64(base) * scale)
@@ -106,8 +107,8 @@ func Ablations(scale float64, params *timemodel.Params) *Table {
 	// 4. Padding (false sharing) on the CPU MPMC protocol, 8 B messages.
 	padded := runMPMC(1<<18, 8)
 	unpadded := runUnpaddedMPMC(1 << 18)
-	t.AddRow("MPMC slot padding", "padded (paper layout)", fmt.Sprintf("%s GB/s measured", F(padded)))
-	t.AddRow("MPMC slot padding", "unpadded (false sharing)", fmt.Sprintf("%s GB/s measured", F(unpadded)))
+	t.AddRow("MPMC slot padding", "padded (paper layout)", "", F(padded))
+	t.AddRow("MPMC slot padding", "unpadded (false sharing)", "", F(unpadded))
 	t.Note("the network thread keeps GUPS end-to-end time net-bound, so offload granularity shows up in GPU time, not total time")
 	t.Note("padding comparison is host-measured; on a single-core host the false-sharing penalty largely disappears")
 	return t

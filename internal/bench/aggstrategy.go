@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"strconv"
+
 	"gravel/internal/core"
 	"gravel/internal/models"
 	"gravel/internal/rt"
@@ -74,6 +76,7 @@ func AggStrategy(scale float64, params *timemodel.Params) *Table {
 		Title: "Aggregation strategies: ticket-slot builders vs per-destination archives",
 		Header: []string{"dest dist", "strategy", "virtual ns/msg", "GPU offload ms",
 			"dev atomics/msg", "agg busy ms", "wire pkts", "avg pkt B", "flushes full/timeout"},
+		Clocks: []Clock{Label, Label, Modeled, Modeled, Count, Modeled, Count, Count, Count},
 	}
 
 	for _, dist := range dists {
@@ -149,9 +152,9 @@ func AggStrategy(scale float64, params *timemodel.Params) *Table {
 				F(gpuNs/1e6),
 				F(float64(atomics)/msgs),
 				F(st.Agg.BusyNs/1e6),
-				itoa(int(st.Transport.WirePackets)),
+				strconv.Itoa(int(st.Transport.WirePackets)),
 				F(st.Transport.AvgPacketBytes),
-				itoa(int(st.Agg.FlushesFull))+"/"+itoa(int(st.Agg.FlushesTimeout)))
+				strconv.Itoa(int(st.Agg.FlushesFull))+"/"+strconv.Itoa(int(st.Agg.FlushesTimeout)))
 		}
 		if dist.name == "zipfian" {
 			t.Note("zipfian stream sends %.0f%% of messages to node 0 (uniform share: %.0f%%)",

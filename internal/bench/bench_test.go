@@ -3,16 +3,47 @@ package bench
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gravel/internal/apps/gups"
 	"gravel/internal/core"
 	"gravel/internal/simt"
 )
 
-// scale for regression tests: small enough to be fast, large enough for
-// the shapes to be stable.
-const testScale = 0.2
+// built holds each experiment's table at GoldenScale, run at most once
+// per test binary: TestModeledGolden and the shape tests read the same
+// tables, and a test that needs none of an experiment never runs it.
+var built = func() map[string]*builtTable {
+	m := make(map[string]*builtTable, len(Experiments))
+	for _, e := range Experiments {
+		m[e.Name] = &builtTable{exp: e}
+	}
+	return m
+}()
+
+type builtTable struct {
+	exp   Experiment
+	once  sync.Once
+	table *Table
+}
+
+// table returns experiment name's table at GoldenScale, building it on
+// first use.
+func table(t *testing.T, name string) *Table {
+	t.Helper()
+	b := built[name]
+	if b == nil {
+		t.Fatalf("no experiment %q", name)
+	}
+	b.once.Do(func() {
+		start := time.Now()
+		b.table = b.exp.Run(GoldenScale, 0)
+		t.Logf("built %s at scale %g in %v", name, GoldenScale, time.Since(start).Round(time.Millisecond))
+	})
+	return b.table
+}
 
 func cell(t *Table, row, col int) float64 {
 	v, err := strconv.ParseFloat(t.Rows[row][col], 64)
@@ -36,7 +67,7 @@ func rowByName(t *Table, name string) []string {
 // geo-mean (the paper reports 5.3x at full scale; the reduced inputs
 // land somewhat lower).
 func TestFig12Shape(t *testing.T) {
-	tb := Fig12(testScale, nil)
+	tb := table(t, "fig12")
 	col8 := len(tb.Header) - 1
 	get := func(name string) float64 {
 		r := rowByName(tb, name)
@@ -64,7 +95,7 @@ func TestFig12Shape(t *testing.T) {
 
 // TestTable5Shape pins the remote-access frequencies against the paper.
 func TestTable5Shape(t *testing.T) {
-	tb := Table5(testScale, nil)
+	tb := table(t, "table5")
 	want := map[string][2]float64{ // [lo, hi] percent
 		"GUPS":    {86, 89},
 		"kmeans":  {86, 89},
@@ -95,7 +126,7 @@ func TestFig15Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig15 sweep is slow")
 	}
-	tb := Fig15(testScale, nil)
+	tb := table(t, "fig15")
 	idx := map[string]int{}
 	for i, h := range tb.Header {
 		idx[h] = i
@@ -125,7 +156,7 @@ func TestFig15Shape(t *testing.T) {
 // TestSec82Shape pins the diverged-operation speedups near the paper's
 // 1.28x (WG control flow) and 1.06x (software fbar).
 func TestSec82Shape(t *testing.T) {
-	tb := Sec82(testScale, nil)
+	tb := table(t, "sec82")
 	wgcf := cell(tb, 1, 2)
 	fbar := cell(tb, 2, 2)
 	if wgcf < 1.1 || wgcf > 1.5 {
@@ -142,7 +173,7 @@ func TestSec82Shape(t *testing.T) {
 // TestFig14Shape: multi-node GUPS improves with queue size and
 // plateaus; tiny queues are far below the plateau.
 func TestFig14Shape(t *testing.T) {
-	tb := Fig14(testScale, nil)
+	tb := table(t, "fig14")
 	col8 := len(tb.Header) - 1
 	tiny := cell(tb, 0, col8)
 	mid := cell(tb, 2, col8)  // 4 kB
@@ -161,7 +192,7 @@ func TestFig14Shape(t *testing.T) {
 
 // TestFig13Shape: the GPU system beats the CPU system at both scales.
 func TestFig13Shape(t *testing.T) {
-	tb := Fig13(testScale, nil)
+	tb := table(t, "fig13")
 	for _, row := range tb.Rows {
 		cpu8, _ := strconv.ParseFloat(row[2], 64)
 		g1, _ := strconv.ParseFloat(row[3], 64)
@@ -178,7 +209,7 @@ func TestFig13Shape(t *testing.T) {
 // TestTable2Counts: the measured line counts must reproduce the paper's
 // ordering (coprocessor > coalesced > gravel path).
 func TestTable2Counts(t *testing.T) {
-	tb := Table2()
+	tb := table(t, "table2")
 	g := cell(tb, 0, 1)
 	cop := cell(tb, 1, 1)
 	coal := cell(tb, 2, 1)

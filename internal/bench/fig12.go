@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"slices"
+	"strconv"
+
 	"gravel/internal/models"
 	"gravel/internal/timemodel"
 )
@@ -20,6 +23,7 @@ func Fig12(scale float64, params *timemodel.Params) *Table {
 	t := &Table{
 		Title:  "Figure 12: Gravel's scalability (speedup vs 1 node)",
 		Header: append([]string{"workload", "strategy"}, nodeHeaders()...),
+		Clocks: append([]Clock{Label, Label}, slices.Repeat([]Clock{Modeled}, len(Fig12NodeCounts))...),
 	}
 	wls := Workloads(scale)
 	for _, model := range Fig12Models {
@@ -53,7 +57,7 @@ func Fig12(scale float64, params *timemodel.Params) *Table {
 func nodeHeaders() []string {
 	h := make([]string, len(Fig12NodeCounts))
 	for i, n := range Fig12NodeCounts {
-		h[i] = itoa(n) + " node"
+		h[i] = strconv.Itoa(n) + " node"
 		if n > 1 {
 			h[i] += "s"
 		}

@@ -22,6 +22,7 @@ func Fig13(scale float64, params *timemodel.Params) *Table {
 		Title: "Figure 13: Gravel vs CPU-based distributed systems (speedup vs 1 CPU node)",
 		Header: []string{"workload", "1 CPU node", "8 CPU nodes", "1 Gravel node", "8 Gravel nodes",
 			"1 archive node", "8 archive nodes"},
+		Clocks: []Clock{Label, Modeled, Modeled, Modeled, Modeled, Modeled, Modeled},
 	}
 	for _, wl := range Fig13Workloads(scale) {
 		times := make([]float64, len(configs))

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"gravel/internal/apps/gups"
 	"gravel/internal/models"
 	"gravel/internal/timemodel"
@@ -17,6 +19,7 @@ func Fig14(scale float64, params *timemodel.Params) *Table {
 	t := &Table{
 		Title:  "Figure 14: GUPS vs per-node queue size (giga-updates/s of virtual time)",
 		Header: append([]string{"queue size"}, nodeHeaders()...),
+		Clocks: append([]Clock{Label}, slices.Repeat([]Clock{Modeled}, len(Fig12NodeCounts))...),
 	}
 	s := func(base int) int {
 		v := int(float64(base) * scale)

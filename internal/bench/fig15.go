@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"gravel/internal/models"
 	"gravel/internal/timemodel"
 )
@@ -13,6 +15,7 @@ func Fig15(scale float64, params *timemodel.Params) *Table {
 	t := &Table{
 		Title:  "Figure 15: style comparison at eight nodes (speedup vs coprocessor)",
 		Header: append([]string{"workload"}, names...),
+		Clocks: append([]Clock{Label}, slices.Repeat([]Clock{Modeled}, len(names))...),
 	}
 	per := make(map[string][]float64)
 	for _, wl := range Workloads(scale) {

@@ -113,6 +113,7 @@ func Fig6() *Table {
 	t := &Table{
 		Title:  "Figure 6: queue throughput vs work-group size (32 B messages)",
 		Header: []string{"WG size", "GB/s (modeled, Table 3 GPU)", "GB/s (measured, host)", "atomics/WI"},
+		Clocks: []Clock{Label, Modeled, Host, Count},
 	}
 	p := timemodel.Default()
 	const rows = 4 // 32-byte messages

@@ -103,11 +103,12 @@ var Fig8Sizes = []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 1638
 // Fig8 reproduces Figure 8: producer/consumer queue bandwidth versus
 // message size for Gravel's queue, the CPU-only SPSC ring and the
 // CPU-only padded MPMC queue, against the 7 GB/s network-bandwidth
-// reference line.
-func Fig8() *Table {
+// reference line. scale sizes the measured columns' byte volume.
+func Fig8(scale float64) *Table {
 	t := &Table{
 		Title:  "Figure 8: queue bandwidth vs message size (GB/s)",
 		Header: []string{"msg size", "Gravel (model)", "SPSC (model)", "MPMC (model)", "Gravel (meas)", "SPSC (meas)", "MPMC (meas)", "network bw"},
+		Clocks: []Clock{Label, Modeled, Modeled, Modeled, Host, Host, Host, Modeled},
 	}
 	p := timemodel.Default()
 	for _, size := range Fig8Sizes {
@@ -117,8 +118,7 @@ func Fig8() *Table {
 		}
 		// Bound each data point's byte volume so large sizes stay fast
 		// (and the whole sweep finishes quickly even on small hosts).
-		budgetBytes := 32 << 20
-		msgs := budgetBytes / size
+		msgs := int(32<<20*scale) / size
 		cols := 256
 		slots := 64
 		if rows*cols*8 > 4<<20 {
@@ -135,10 +135,7 @@ func Fig8() *Table {
 		}
 		prods, cons := benchWorkers()
 		gravel := runGravelQueue(msgs, rows, cols, prods, cons, slots)
-		spscMsgs := msgs
-		if spscMsgs > 1<<19 {
-			spscMsgs = 1 << 19
-		}
+		spscMsgs := min(msgs, int(1<<19*scale))
 		spsc := runSPSC(spscMsgs, size)
 		mpmc := runMPMC(spscMsgs, size)
 		mcols := 256

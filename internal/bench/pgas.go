@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"strconv"
+
 	"gravel/internal/core"
 	"gravel/internal/rt"
 	"gravel/internal/timemodel"
@@ -17,6 +19,7 @@ func PGAS(scale float64, params *timemodel.Params) *Table {
 	t := &Table{
 		Title:  "PGAS verbs: signalled put vs put+flag, device all-reduce latency",
 		Header: []string{"config", "model ms", "wire pkts", "wire KB", "ns/elem"},
+		Clocks: []Clock{Label, Modeled, Count, Count, Modeled},
 	}
 
 	bulk := int(16384 * scale)
@@ -93,7 +96,7 @@ func PGAS(scale float64, params *timemodel.Params) *Table {
 		st := sys.Stats().Transport
 		t.AddRow(label,
 			F(ns/1e6),
-			itoa(int(st.WirePackets)),
+			strconv.Itoa(int(st.WirePackets)),
 			F(float64(st.WireBytes)/1024),
 			F(ns/float64(steps*elems)))
 	}
@@ -136,9 +139,9 @@ func PGAS(scale float64, params *timemodel.Params) *Table {
 				panic("bench: device all-reduce folded wrong")
 			}
 			sys.Close()
-			t.AddRow("allreduce "+sched.String()+" nodes="+itoa(nodes),
+			t.AddRow("allreduce "+sched.String()+" nodes="+strconv.Itoa(nodes),
 				F(ns/1e6),
-				itoa(int(st.WirePackets)),
+				strconv.Itoa(int(st.WirePackets)),
 				F(float64(st.WireBytes)/1024),
 				F(ns/rounds))
 		}

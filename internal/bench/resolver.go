@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"time"
 
 	"gravel/internal/core"
@@ -41,6 +42,7 @@ func Resolver(scale float64, params *timemodel.Params, extraShards int) *Table {
 	t := &Table{
 		Title:  "Resolver sweep: sharded receive-side resolution (GUPS, 4 nodes)",
 		Header: []string{"config", "model ms", "model Mmsg/s", "wall ms", "wall Mmsg/s", "model speedup"},
+		Clocks: []Clock{Label, Modeled, Modeled, Host, Host, Modeled},
 	}
 	gups, err := harness.LookupApp("gups")
 	if err != nil {
@@ -72,14 +74,14 @@ func Resolver(scale float64, params *timemodel.Params, extraShards int) *Table {
 	}
 	base := 0.0
 	for _, s := range shardCounts {
-		ns := run("shards="+itoa(s), s, scale, base)
+		ns := run("shards="+strconv.Itoa(s), s, scale, base)
 		if s == 1 {
 			base = ns
 		}
 	}
 	satBase := run("10x shards=1", 1, scale*10, 0)
 	widest := shardCounts[len(shardCounts)-1]
-	run("10x shards="+itoa(widest), widest, scale*10, satBase)
+	run("10x shards="+strconv.Itoa(widest), widest, scale*10, satBase)
 	t.Note("1 shard = the paper's serial network thread (bit-identical); NetBound is the busiest bank when sharded")
 	t.Note("model Mmsg/s counts resolver-applied messages (bypassed node-local messages included) over virtual time")
 	return t

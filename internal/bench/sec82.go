@@ -16,6 +16,7 @@ func Sec82(scale float64, params *timemodel.Params) *Table {
 	t := &Table{
 		Title:  "§8.2: diverged WG-level operations on GUPS-mod (speedup vs software predication)",
 		Header: []string{"mechanism", "virtual ms", "speedup"},
+		Clocks: []Clock{Label, Modeled, Modeled},
 	}
 	s := func(base int) int {
 		v := int(float64(base) * scale)

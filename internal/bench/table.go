@@ -1,8 +1,8 @@
 // Package bench is the experiment harness: one driver per table and
 // figure of the paper's evaluation (§4.3, §7, §8), each regenerating the
 // same rows or series the paper reports, plus ablations of Gravel's own
-// design choices. cmd/gravel-bench is the CLI front end; the root
-// bench_test.go exposes each driver as a testing.B benchmark.
+// design choices. Experiments lists them; cmd/gravel-bench runs it, the
+// root bench_test.go times it, and testdata/modeled.json is its output.
 package bench
 
 import (
@@ -12,10 +12,22 @@ import (
 	"strings"
 )
 
+// Clock says what a column's cells are, and so whether a rerun must
+// reproduce them: every clock but Host is a function of the inputs.
+type Clock string
+
+const (
+	Label   Clock = "label"   // a row's name
+	Modeled Clock = "modeled" // virtual time under the Table 3 cost model
+	Count   Clock = "count"   // events, bytes or lines counted
+	Host    Clock = "host"    // wall clock of the machine running it
+)
+
 // Table is a formatted experiment result.
 type Table struct {
 	Title  string
 	Header []string
+	Clocks []Clock // one per Header column
 	Rows   [][]string
 	Notes  []string
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 )
 
@@ -12,11 +13,14 @@ import (
 // here applications are written once against rt.System and the verbs
 // once in core's front-end, so the burden a model imposes shows up as
 // the size of its offloader on top of that shared path. Both our
-// measured counts and the paper's are printed.
+// measured counts and the paper's are printed. The counts are in the
+// golden (testdata/modeled.json): a change to a counted file
+// regenerates it.
 func Table2() *Table {
 	t := &Table{
 		Title:  "Table 2: GUPS code size per model (lines)",
 		Header: []string{"model", "this repo (front-end+offloader)", "paper (host+GPU app code)"},
+		Clocks: []Clock{Label, Count, Count},
 	}
 	rows := []struct {
 		model string
@@ -33,7 +37,7 @@ func Table2() *Table {
 		for _, f := range r.files {
 			total += countLines(filepath.Join(root, f))
 		}
-		t.AddRow(r.model, itoa(total), r.paper)
+		t.AddRow(r.model, strconv.Itoa(total), r.paper)
 	}
 	t.Note("paper's counts are GUPS application code; ours are the verb front-end with the queue offloader (core/ctx.go, shared), the model's own offloader, and the (shared) GUPS app — the ordering (coprocessor > coalesced > gravel) is the comparable signal")
 	return t

@@ -14,6 +14,7 @@ func Table5(scale float64, params *timemodel.Params) *Table {
 	t := &Table{
 		Title:  "Table 5: network statistics for Gravel at eight nodes",
 		Header: []string{"workload", "remote freq", "avg msg size (B)", "agg busy"},
+		Clocks: []Clock{Label, Count, Count, Modeled},
 	}
 	for _, wl := range Workloads(scale) {
 		sys := models.Gravel(8, cloneParams(params))

@@ -30,20 +30,6 @@ func Workloads(scale float64) []Workload {
 	return out
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
 // Fig13Workloads returns the Figure 13 subset (GUPS, PR-1, PR-2, mer).
 func Fig13Workloads(scale float64) []Workload {
 	want := map[string]bool{"GUPS": true, "PR-1": true, "PR-2": true, "mer": true}

@@ -160,15 +160,6 @@ func LookupApp(name string) (*App, error) {
 	return nil, fmt.Errorf("unknown app %q (have %s)", name, strings.Join(AppNames(), ", "))
 }
 
-// MustApp is LookupApp for registered-by-construction names.
-func MustApp(name string) *App {
-	a, err := LookupApp(name)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // BenchApps returns the nine Table 4 workloads in the paper's order.
 func BenchApps() []*App {
 	var out []*App

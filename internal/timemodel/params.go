@@ -172,24 +172,3 @@ func Default() *Params {
 func (p *Params) WireNs(bytes int) float64 {
 	return p.AlphaNs + float64(bytes)/p.BetaBytesPerNs
 }
-
-// Occupancy returns the number of work-groups resident per CU given the
-// per-WG scratchpad demand, and the resulting GPU slowdown factor
-// (>= 1) from reduced latency hiding.
-func (p *Params) Occupancy(scratchPerWG int) (wgsPerCU int, slowdown float64) {
-	wgsPerCU = p.MaxWGsPerCU
-	if scratchPerWG > 0 {
-		byScratch := p.ScratchpadPerCU / scratchPerWG
-		if byScratch < 1 {
-			byScratch = 1
-		}
-		if byScratch < wgsPerCU {
-			wgsPerCU = byScratch
-		}
-	}
-	slowdown = 1
-	if wgsPerCU < p.OccupancyForFullThroughput {
-		slowdown = float64(p.OccupancyForFullThroughput) / float64(wgsPerCU)
-	}
-	return wgsPerCU, slowdown
-}

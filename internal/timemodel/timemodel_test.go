@@ -33,16 +33,6 @@ func TestWireNs(t *testing.T) {
 	}
 }
 
-func TestOccupancy(t *testing.T) {
-	p := Default()
-	if wgs, slow := p.Occupancy(0); wgs != p.MaxWGsPerCU || slow != 1 {
-		t.Fatal("zero-scratch occupancy")
-	}
-	if wgs, slow := p.Occupancy(p.ScratchpadPerCU); wgs != 1 || slow != float64(p.OccupancyForFullThroughput) {
-		t.Fatal("full-scratch occupancy")
-	}
-}
-
 func TestClocksAccumulateAndSnapshot(t *testing.T) {
 	var c Clocks
 	c.AddGPU(10)

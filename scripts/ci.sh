@@ -5,7 +5,7 @@
 #   scripts/ci.sh full    what .github/workflows/ci.yml runs, in order:
 #                         the full test suite, then race, fuzz and smokes
 #
-# Every file a step writes (binaries, traces, BENCH json) goes to a temp
+# Every file a step writes (binaries, traces, JSON results) goes to a temp
 # directory that is removed on exit, along with any server left running.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -34,12 +34,18 @@ quick() {
   go vet ./...
   go build ./...
   go test -short ./...
+  # gravel-bench rejects a -format it does not know, as it does an -exp.
+  if go run ./cmd/gravel-bench -exp table2 -format=yaml; then
+    echo "gravel-bench accepted -format=yaml" >&2
+    exit 1
+  fi
   benchmark_module
 }
 
 race_and_guards() {
-  # The whole tree under the race detector (2m36s on the 2-vCPU
-  # reference box, 114 s of it internal/bench).
+  # The whole tree under the race detector (2m32s on the 2-vCPU
+  # reference box, 124 s of it internal/bench's shape tests at scale
+  # 0.25; -short skips TestFig15Shape and the golden).
   step "race: whole tree"
   go test -race -short ./...
   # The ownership rule (DESIGN.md §4.12): the resolver adds to an Alloc
@@ -100,15 +106,15 @@ fuzz_smokes() {
 }
 
 hot_path_guards() {
-  # The pooled packet lifecycle must stay allocation-free, and the Fig6
-  # queue benchmark must keep running end to end (one iteration;
+  # The pooled packet lifecycle must stay allocation-free, and the fig6
+  # experiment benchmark must keep running end to end (one iteration;
   # throughput is tracked out of band). A TCP frame read, the send
   # window's admit/ack cycle, a warm 64-WG launch (and one whose WG
   # parks) and a warm Step at 1, 2 and 4 resolver shards and at 64 WGs
   # per node allocate nothing, and the step ledger stays within its
   # window however many steps run.
   step "hot-path guards"
-  go test -bench=Fig6 -benchtime=1x -run=NONE .
+  go test -bench='Experiments/fig6' -benchtime=1x -run=NONE .
   go test -bench='FlushRoundTrip|RepackDrain|ArchiveRoundTrip' -benchmem -benchtime=100x -run=NONE ./internal/agg/
   go test -count=1 -run='^(TestReadFrameZeroAllocs|TestSendWindowZeroAllocs)$' ./internal/transport/
   go test -count=1 -run='^(TestOneWGLaunchRunsOnCaller|TestWarmLaunchAllocs)$' ./internal/simt/
@@ -116,13 +122,7 @@ hot_path_guards() {
 }
 
 cluster_smokes() {
-  step "bench and cluster smokes"
-  # Machine-readable results, diffed against the checked-in
-  # BENCH_PR3.json (reduced scale keeps CI fast): the modeled GB/s and
-  # atomics/WI columns must match it exactly; host GB/s is only printed.
-  go run ./cmd/gravel-bench -exp fig6 -scale 0.25 -json "$tmp/BENCH_PR3.json" && cat "$tmp/BENCH_PR3.json"
-  q='.experiments[] | select(.name == "fig6") | .rows[] | [.[0], .[1], .[3]]'
-  diff <(jq -c "$q" BENCH_PR3.json) <(jq -c "$q" "$tmp/BENCH_PR3.json")
+  step "cluster smokes"
   go run ./cmd/gravel-node -smoke
   # -phases renders the per-name step sums: one gups row, one step.
   go run ./cmd/gravel-apps -app gups -nodes 2 -scale 0.05 -phases | grep -E '^  gups +1 +[0-9.]+ +[0-9.]+ +[0-9.]+$'
@@ -134,24 +134,20 @@ cluster_smokes() {
   # node. The smoke mode checks the distributed checksum against the
   # in-process fabric at the same shard count, and the runs above pin
   # the serial (shards=1) value — so a sharded divergence fails one of
-  # the two. The resolver sweep then runs at reduced scale as a smoke.
+  # the two.
   go run -race ./cmd/gravel-node -smoke -nodes 3 -model=coprocessor -app=gups -resolver-shards=4
-  go run ./cmd/gravel-bench -exp resolver -scale 0.25
   # PGAS-verb smoke: the two signal-verb apps as real 3-node TCP
   # clusters under the race detector, at 4 resolver banks — the
   # configuration where signal ordering and the bank-0 AM serialization
-  # actually fan out. The pgas sweep then runs at reduced scale.
+  # actually fan out.
   go run -race ./cmd/gravel-node -smoke -nodes 3 -model=coprocessor -app=bfs-dir -resolver-shards=4
   go run -race ./cmd/gravel-node -smoke -nodes 3 -model=coprocessor -app=histogram -resolver-shards=4
-  go run ./cmd/gravel-bench -exp pgas -scale 0.25
   # Archive-aggregation smoke: the gravel-archive model (DESIGN.md
   # §4.14) as a real 3-node TCP cluster at 4 resolver banks under the
   # race detector, plus a chaos-matrix pass under the same model (gups
-  # is elastic, so the heal-worker iteration runs too). The aggstrategy
-  # shootout then runs at reduced scale.
+  # is elastic, so the heal-worker iteration runs too).
   go run -race ./cmd/gravel-node -smoke -nodes 3 -model=gravel-archive -app=gups -resolver-shards=4
   go run ./cmd/gravel-node -chaos -seed 4 -duration 5s -nodes 3 -model=gravel-archive
-  go run ./cmd/gravel-bench -exp aggstrategy -scale 0.25
   # Hosted-only smoke: a process holds no device, queue, aggregator or
   # array window for another process's node, and a host call on one
   # panics a typed error; a hosted node has a queue only on the queue
@@ -246,8 +242,10 @@ full() {
   if command -v staticcheck >/dev/null; then staticcheck ./...; else echo "staticcheck not installed: skipped"; fi
   go build ./...
   # The whole suite, without -short: the chaos tests, the aggregator
-  # wake test and the bench shape sweeps run nowhere else. quick and the
-  # race step keep -short.
+  # wake test, TestFig15Shape and TestModeledGolden (every experiment at
+  # scale 0.25 against internal/bench/testdata/modeled.json, the gate on
+  # every modeled and count cell) run nowhere else. quick and the race
+  # step keep -short.
   go test ./...
   race_and_guards
   fuzz_smokes
