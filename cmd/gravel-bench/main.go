@@ -11,7 +11,7 @@
 //
 // With -json, every experiment's table is also written to the given
 // path as machine-readable JSON: its header with each column's clock,
-// its rows, and its wall time and allocation totals (MemStats deltas).
+// its rows and its notes.
 // The checked-in golden of every modeled and count cell is this output:
 //
 //	go run ./cmd/gravel-bench -exp all -scale 0.25 -json internal/bench/testdata/modeled.json
@@ -34,15 +34,12 @@ import (
 
 // expResult is one experiment's machine-readable record.
 type expResult struct {
-	Name        string        `json:"name"`
-	Title       string        `json:"title"`
-	NsPerOp     int64         `json:"ns_per_op"`
-	BytesPerOp  uint64        `json:"bytes_per_op"`
-	AllocsPerOp uint64        `json:"allocs_per_op"`
-	Header      []string      `json:"header"`
-	Clocks      []bench.Clock `json:"clocks"`
-	Rows        [][]string    `json:"rows"`
-	Notes       []string      `json:"notes,omitempty"`
+	Name   string        `json:"name"`
+	Title  string        `json:"title"`
+	Header []string      `json:"header"`
+	Clocks []bench.Clock `json:"clocks"`
+	Rows   [][]string    `json:"rows"`
+	Notes  []string      `json:"notes,omitempty"`
 }
 
 // report is the top-level -json document.
@@ -100,23 +97,17 @@ func main() {
 		if *exp != "all" && *exp != e.Name {
 			continue
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
 		start := time.Now()
 		t := e.Run(*scale, common.ResolverShards)
 		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
 		if *jsonPath != "" {
 			rep.Experiments = append(rep.Experiments, expResult{
-				Name:        e.Name,
-				Title:       t.Title,
-				NsPerOp:     elapsed.Nanoseconds(),
-				BytesPerOp:  after.TotalAlloc - before.TotalAlloc,
-				AllocsPerOp: after.Mallocs - before.Mallocs,
-				Header:      t.Header,
-				Clocks:      t.Clocks,
-				Rows:        t.Rows,
-				Notes:       t.Notes,
+				Name:   e.Name,
+				Title:  t.Title,
+				Header: t.Header,
+				Clocks: t.Clocks,
+				Rows:   t.Rows,
+				Notes:  t.Notes,
 			})
 		}
 		if *format == "csv" {

@@ -48,6 +48,7 @@ import (
 	"gravel/internal/rt"
 	"gravel/internal/simt"
 	"gravel/internal/timemodel"
+	"gravel/internal/transport"
 	"gravel/internal/transport/fault"
 )
 
@@ -142,7 +143,7 @@ type Config struct {
 	// 0 or 1 is the paper's serial network thread, bit-identical to
 	// the unsharded runtime; more must be a power of two, at most 64.
 	ResolverShards int
-	// Transport selects the fabric implementation by registered name:
+	// Transport selects the fabric implementation by name:
 	// "" or "chan" (in-process channels, the default), "loopback"
 	// (in-process with real wire framing), or "tcp" (real sockets; one
 	// process per node — see cmd/gravel-node). Listed by Transports.
@@ -165,8 +166,9 @@ type TransportOptions = fabric.Options
 // cmd/gravel-node's -faults flag and GRAVEL_FAULTS.
 type FaultConfig = fault.Config
 
-// Transports lists the registered fabric transport names.
-func Transports() []string { return fabric.Names() }
+// Transports lists the transport names Config.Transport accepts,
+// sorted.
+func Transports() []string { return transport.Names() }
 
 // ConfigError reports an invalid Config (or NewModel argument): which
 // field is wrong and why. It is the error type behind Validate,

@@ -17,6 +17,7 @@
 package bfs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -238,7 +239,7 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 			reached++
 			sum += d
 		}
-		putU64(buf[:], d)
+		binary.LittleEndian.PutUint64(buf[:], d)
 		h.Write(buf[:])
 	}
 	return Result{
@@ -501,10 +502,4 @@ func ReferenceSum(g *graph.Graph, source int) uint64 {
 		}
 	}
 	return sum
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"gravel/internal/ckpt"
 	"gravel/internal/graph"
-	"gravel/internal/pgas"
 	"gravel/internal/rt"
 )
 
@@ -76,9 +75,9 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 	}
 	start := 0
 	if len(ck.Resume) > 0 {
-		step, err := restoreTable(A, at.Node, ck.Resume)
+		step, err := ckpt.RestoreRange(A, at.Node, ck.Resume)
 		if err != nil {
-			return Result{Err: err}
+			return Result{Err: fmt.Errorf("gups: %w", err)}
 		}
 		start = int(step)
 	}
@@ -110,7 +109,7 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 			c.Inc(A, idx, one, nil)
 		})
 		if ck.Due(s+1) && s+1 < cfg.Steps {
-			if err := ck.Save(uint64(s+1), EncodeShard(A, at.Node, uint64(s+1))); err != nil {
+			if err := ck.Save(uint64(s+1), ckpt.EncodeRange(A, at.Node, uint64(s+1))); err != nil {
 				return Result{Err: err}
 			}
 			// Quiet save window: no worker may start step s+1 (whose
@@ -133,45 +132,6 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 		GUPS:    float64(updates) / ns,
 		Sum:     A.Sum(),
 	}
-}
-
-// EncodeShard builds node's checkpoint payload: the step the shard has
-// completed, the global range it owns, and the owned table values.
-func EncodeShard(A *pgas.Array, node int, step uint64) []byte {
-	lo, hi := A.LocalRange(node)
-	p := ckpt.EncodeU64s([]uint64{step, uint64(lo), uint64(hi - lo)}, hi-lo)
-	for _, v := range A.Local(node) {
-		p = ckpt.AppendU64(p, v)
-	}
-	return p
-}
-
-// restoreTable replays the node's own saved values into A and returns
-// the step the checkpoint was taken at. Only the owned range is
-// restored: in a distributed run each process's replica holds exactly
-// the updates that landed on elements it owns (remote increments route
-// to the owner), and the per-shard Sum checksums must keep adding up
-// to the cluster total after a restore. Same node count only — shard
-// `node` of the checkpoint must cover exactly this node's range.
-func restoreTable(A *pgas.Array, node int, shards [][]byte) (uint64, error) {
-	if node >= len(shards) {
-		return 0, fmt.Errorf("gups: restore has %d shards, node %d needs its own", len(shards), node)
-	}
-	w, err := ckpt.DecodeShard(shards[node], 3, 1)
-	if err != nil {
-		return 0, fmt.Errorf("gups: shard %d: %w", node, err)
-	}
-	lo, hi := A.LocalRange(node)
-	if int(w[1]) != lo || int(w[2]) != hi-lo {
-		return 0, fmt.Errorf("gups: shard %d saved range [%d,+%d), own range is [%d,+%d) — node count changed?",
-			node, w[1], w[2], lo, hi-lo)
-	}
-	for j, v := range w[3:] {
-		if v != 0 {
-			A.Store(uint64(lo+j), v)
-		}
-	}
-	return w[0], nil
 }
 
 // ModConfig parameterizes GUPS-mod (§8.2).

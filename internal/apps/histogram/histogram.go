@@ -16,7 +16,6 @@ import (
 
 	"gravel/internal/ckpt"
 	"gravel/internal/graph"
-	"gravel/internal/pgas"
 	"gravel/internal/rt"
 )
 
@@ -103,8 +102,8 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 
 	restored := len(ck.Resume) > 0
 	if restored {
-		if err := restoreCounts(counts, only, ck.Resume); err != nil {
-			return Result{Err: err}
+		if _, err := ckpt.RestoreRange(counts, only, ck.Resume); err != nil {
+			return Result{Err: fmt.Errorf("histogram: %w", err)}
 		}
 	}
 	if ck.Active() {
@@ -136,7 +135,7 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 			c.Inc(counts, idx, one, nil)
 		})
 		if ck.Save != nil {
-			if err := ck.Save(1, encodeCounts(counts, only)); err != nil {
+			if err := ck.Save(1, ckpt.EncodeRange(counts, only, 1)); err != nil {
 				return Result{Err: err}
 			}
 			// Quiet save window: no worker may enter the summary phase
@@ -265,41 +264,6 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 		res.Err = fmt.Errorf("histogram: device min %d > max %d", res.MinBucket, res.MaxBucket)
 	}
 	return res
-}
-
-// encodeCounts builds node's checkpoint payload: the cut step, the
-// owned bucket range, and its counts.
-func encodeCounts(counts *pgas.Array, node int) []byte {
-	lo, hi := counts.LocalRange(node)
-	p := ckpt.EncodeU64s([]uint64{1, uint64(lo), uint64(hi - lo)}, hi-lo)
-	for _, v := range counts.Local(node) {
-		p = ckpt.AppendU64(p, v)
-	}
-	return p
-}
-
-// restoreCounts replays the node's own saved bucket range. Remote
-// increments route to the bucket owner, so each shard's replica holds
-// exactly its owned range's counts. Same node count only.
-func restoreCounts(counts *pgas.Array, node int, shards [][]byte) error {
-	if node >= len(shards) {
-		return fmt.Errorf("histogram: restore has %d shards, node %d needs its own", len(shards), node)
-	}
-	w, err := ckpt.DecodeShard(shards[node], 3, 1)
-	if err != nil {
-		return fmt.Errorf("histogram: shard %d: %w", node, err)
-	}
-	lo, hi := counts.LocalRange(node)
-	if int(w[1]) != lo || int(w[2]) != hi-lo {
-		return fmt.Errorf("histogram: shard %d saved range [%d,+%d), own range is [%d,+%d) — node count changed?",
-			node, w[1], w[2], lo, hi-lo)
-	}
-	for j, v := range w[3:] {
-		if v != 0 {
-			counts.Store(uint64(lo+j), v)
-		}
-	}
-	return nil
 }
 
 // mix decorrelates checksum contributions (splitmix-style finalizer).

@@ -10,6 +10,7 @@
 package pagerank
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -203,7 +204,7 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 	for v := uint64(vlo); v < uint64(vhi); v++ {
 		r := rank.Load(v)
 		sum += r
-		putU64(buf[:], r)
+		binary.LittleEndian.PutUint64(buf[:], r)
 		h.Write(buf[:])
 	}
 	return Result{
@@ -301,10 +302,4 @@ func mulScale(a, b uint64) uint64 {
 	hiA, loA := a>>32, a&0xffffffff
 	hiB, loB := b>>32, b&0xffffffff
 	return hiA*hiB<<32 + hiA*loB + loA*hiB + loA*loB>>32
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }

@@ -8,6 +8,7 @@
 package sssp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -190,7 +191,7 @@ func RunAt(sys rt.System, cfg Config, at rt.Where) Result {
 			reached++
 			sum += d
 		}
-		putU64(buf[:], d)
+		binary.LittleEndian.PutUint64(buf[:], d)
 		h.Write(buf[:])
 	}
 	return Result{
@@ -236,19 +237,13 @@ func Reference(g *graph.Graph, source int) []uint64 {
 	return dist
 }
 
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
 // ChecksumDists hashes a distance vector the same way Run does, so
 // Reference output can be compared to Result.Checksum.
 func ChecksumDists(dist []uint64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, d := range dist {
-		putU64(buf[:], d)
+		binary.LittleEndian.PutUint64(buf[:], d)
 		h.Write(buf[:])
 	}
 	return h.Sum64()

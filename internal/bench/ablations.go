@@ -28,7 +28,7 @@ import (
 //  4. slot padding — measured throughput of the padded CPU MPMC vs the
 //     same protocol without padding, isolating the false-sharing cost
 //     §4.3 attributes to CPU queue layouts.
-func Ablations(scale float64, params *timemodel.Params) *Table {
+func Ablations(scale float64) *Table {
 	t := &Table{
 		Title:  "Ablations: Gravel design choices",
 		Header: []string{"ablation", "setting", "result", "GB/s (measured, host)"},
@@ -45,8 +45,7 @@ func Ablations(scale float64, params *timemodel.Params) *Table {
 
 	// 1. Offload granularity: GPU-side offload cost per WG width.
 	for _, wfs := range []int{1, 2, 4} {
-		p := cloneParams(params)
-		cl := core.New(core.Config{Nodes: 8, Params: p, WGSize: 64 * wfs})
+		cl := core.New(core.Config{Nodes: 8, WGSize: 64 * wfs})
 		gups.Run(cl, cfg)
 		var gpuNs float64
 		var atomics, msgs int64
@@ -67,8 +66,7 @@ func Ablations(scale float64, params *timemodel.Params) *Table {
 		c2 := cfg
 		c2.UpdatesPerNode = s(1_440_000) / nodes
 		for _, direct := range []bool{false, true} {
-			p := cloneParams(params)
-			cl := core.New(core.Config{Nodes: nodes, Params: p, LocalAtomicsDirect: direct})
+			cl := core.New(core.Config{Nodes: nodes, LocalAtomicsDirect: direct})
 			res := gups.Run(cl, c2)
 			cl.Close()
 			mode := "via network thread (paper)"
@@ -84,7 +82,7 @@ func Ablations(scale float64, params *timemodel.Params) *Table {
 	// a fraction of the CPU cost and frees the CPU core that otherwise
 	// spends ~65% of its time polling.
 	for _, hw := range []bool{false, true} {
-		p := cloneParams(params)
+		p := timemodel.Default()
 		label := "CPU thread (paper prototype)"
 		if hw {
 			label = "dedicated hardware (§8.1 proposal)"

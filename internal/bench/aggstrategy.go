@@ -6,7 +6,6 @@ import (
 	"gravel/internal/core"
 	"gravel/internal/models"
 	"gravel/internal/rt"
-	"gravel/internal/timemodel"
 )
 
 // mix64 is a seeded splitmix64 step: cheap, deterministic, and the same
@@ -28,7 +27,7 @@ func mix64(x *uint64) uint64 {
 // the traffic. Both strategies see bit-identical message streams; the
 // table reports where the time goes — device-side append cost, CPU
 // repack work, and the wire packets each strategy produced.
-func AggStrategy(scale float64, params *timemodel.Params) *Table {
+func AggStrategy(scale float64) *Table {
 	const (
 		nodes      = 8
 		wgSize     = 256
@@ -114,7 +113,7 @@ func AggStrategy(scale float64, params *timemodel.Params) *Table {
 		zeroA := make([]uint64, wgSize) // AM "a" argument; unused by the handler
 
 		for _, model := range []string{"gravel", "gravel-archive"} {
-			sys := models.NewSystem(model, core.Config{Nodes: nodes, WGSize: wgSize, Params: cloneParams(params)})
+			sys := models.NewSystem(model, core.Config{Nodes: nodes, WGSize: wgSize})
 			sums := make([]uint64, nodes)
 			h := sys.RegisterAM(func(node int, a, b uint64) {
 				sums[node] += b // handlers are serialized per node

@@ -16,14 +16,14 @@ var Experiments = []Experiment{
 	{"fig6", func(float64, int) *Table { return Fig6() }},
 	{"fig8", func(s float64, _ int) *Table { return Fig8(s) }},
 	{"table2", func(float64, int) *Table { return Table2() }},
-	{"table5", func(s float64, _ int) *Table { return Table5(s, nil) }},
-	{"fig12", func(s float64, _ int) *Table { return Fig12(s, nil) }},
-	{"fig13", func(s float64, _ int) *Table { return Fig13(s, nil) }},
-	{"fig14", func(s float64, _ int) *Table { return Fig14(s, nil) }},
-	{"fig15", func(s float64, _ int) *Table { return Fig15(s, nil) }},
-	{"sec82", func(s float64, _ int) *Table { return Sec82(s, nil) }},
-	{"ablations", func(s float64, _ int) *Table { return Ablations(s, nil) }},
-	{"resolver", func(s float64, shards int) *Table { return Resolver(s, nil, shards) }},
-	{"pgas", func(s float64, _ int) *Table { return PGAS(s, nil) }},
-	{"aggstrategy", func(s float64, _ int) *Table { return AggStrategy(s, nil) }},
+	{"table5", func(s float64, _ int) *Table { return Table5(s) }},
+	{"fig12", func(s float64, _ int) *Table { return Fig12(s) }},
+	{"fig13", func(s float64, _ int) *Table { return Fig13(s) }},
+	{"fig14", func(s float64, _ int) *Table { return Fig14(s) }},
+	{"fig15", func(s float64, _ int) *Table { return Fig15(s) }},
+	{"sec82", func(s float64, _ int) *Table { return Sec82(s) }},
+	{"ablations", func(s float64, _ int) *Table { return Ablations(s) }},
+	{"resolver", func(s float64, shards int) *Table { return Resolver(s, shards) }},
+	{"pgas", func(s float64, _ int) *Table { return PGAS(s) }},
+	{"aggstrategy", func(s float64, _ int) *Table { return AggStrategy(s) }},
 }

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"gravel/internal/models"
-	"gravel/internal/timemodel"
 )
 
 // Fig12NodeCounts are the cluster sizes of Figure 12.
@@ -19,7 +18,7 @@ var Fig12Models = []string{"gravel", "gravel-archive"}
 // workload at 1/2/4/8 nodes relative to one node, plus the geometric
 // mean, for both aggregation strategies. The paper reports a 5.3x
 // average speedup at eight nodes.
-func Fig12(scale float64, params *timemodel.Params) *Table {
+func Fig12(scale float64) *Table {
 	t := &Table{
 		Title:  "Figure 12: Gravel's scalability (speedup vs 1 node)",
 		Header: append([]string{"workload", "strategy"}, nodeHeaders()...),
@@ -32,7 +31,7 @@ func Fig12(scale float64, params *timemodel.Params) *Table {
 			base := 0.0
 			row := []string{wl.Name, model}
 			for _, n := range Fig12NodeCounts {
-				sys := models.New(model, n, cloneParams(params))
+				sys := models.New(model, n, nil)
 				ns := wl.Run(sys)
 				sys.Close()
 				if n == 1 {
@@ -63,14 +62,4 @@ func nodeHeaders() []string {
 		}
 	}
 	return h
-}
-
-// cloneParams copies params so per-run mutation (queue sweeps) cannot
-// leak; nil yields defaults.
-func cloneParams(p *timemodel.Params) *timemodel.Params {
-	if p == nil {
-		return timemodel.Default()
-	}
-	c := *p
-	return &c
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"gravel/internal/models"
-	"gravel/internal/timemodel"
 )
 
 // Fig13 reproduces Figure 13 (Gravel vs CPU-based distributed systems):
@@ -10,7 +9,7 @@ import (
 // and on 1 and 8 Gravel nodes, normalized to one CPU node. The archive
 // aggregation strategy rides along as two extra columns, so the
 // CPU-baseline comparison covers both send paths.
-func Fig13(scale float64, params *timemodel.Params) *Table {
+func Fig13(scale float64) *Table {
 	configs := []struct {
 		name  string
 		nodes int
@@ -27,7 +26,7 @@ func Fig13(scale float64, params *timemodel.Params) *Table {
 	for _, wl := range Fig13Workloads(scale) {
 		times := make([]float64, len(configs))
 		for i, cfg := range configs {
-			sys := models.New(cfg.name, cfg.nodes, cloneParams(params))
+			sys := models.New(cfg.name, cfg.nodes, nil)
 			times[i] = wl.Run(sys)
 			sys.Close()
 		}

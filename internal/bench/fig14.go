@@ -15,7 +15,7 @@ var Fig14QueueSizes = []int{64, 512, 4096, 32768, 262144}
 // versus per-node queue size at 1/2/4/8 nodes. Larger queues amortize
 // per-message wire overhead until ~32-64 kB, after which returns
 // diminish.
-func Fig14(scale float64, params *timemodel.Params) *Table {
+func Fig14(scale float64) *Table {
 	t := &Table{
 		Title:  "Figure 14: GUPS vs per-node queue size (giga-updates/s of virtual time)",
 		Header: append([]string{"queue size"}, nodeHeaders()...),
@@ -32,7 +32,7 @@ func Fig14(scale float64, params *timemodel.Params) *Table {
 	for _, qb := range Fig14QueueSizes {
 		row := []string{HumanBytes(int64(qb))}
 		for _, n := range Fig12NodeCounts {
-			p := cloneParams(params)
+			p := timemodel.Default()
 			p.PerNodeQueueBytes = qb
 			sys := models.Gravel(n, p)
 			res := gups.Run(sys, cfg)

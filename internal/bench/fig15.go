@@ -4,13 +4,12 @@ import (
 	"slices"
 
 	"gravel/internal/models"
-	"gravel/internal/timemodel"
 )
 
 // Fig15 reproduces Figure 15 (style comparison at eight nodes): every
 // workload under every GPU networking model, reported as speedup over
 // the plain coprocessor model, plus the geometric mean.
-func Fig15(scale float64, params *timemodel.Params) *Table {
+func Fig15(scale float64) *Table {
 	names := models.Names()
 	t := &Table{
 		Title:  "Figure 15: style comparison at eight nodes (speedup vs coprocessor)",
@@ -21,7 +20,7 @@ func Fig15(scale float64, params *timemodel.Params) *Table {
 	for _, wl := range Workloads(scale) {
 		times := make(map[string]float64, len(names))
 		for _, name := range names {
-			sys := models.New(name, 8, cloneParams(params))
+			sys := models.New(name, 8, nil)
 			times[name] = wl.Run(sys)
 			sys.Close()
 		}

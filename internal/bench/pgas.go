@@ -5,7 +5,6 @@ import (
 
 	"gravel/internal/core"
 	"gravel/internal/rt"
-	"gravel/internal/timemodel"
 )
 
 // PGAS sweeps the symmetric-heap verbs. The first half compares the
@@ -15,7 +14,7 @@ import (
 // separate flag increment (two records per element). The second half
 // measures the in-kernel all-reduce built from those verbs
 // (rt.DeviceColl) as the team grows.
-func PGAS(scale float64, params *timemodel.Params) *Table {
+func PGAS(scale float64) *Table {
 	t := &Table{
 		Title:  "PGAS verbs: signalled put vs put+flag, device all-reduce latency",
 		Header: []string{"config", "model ms", "wire pkts", "wire KB", "ns/elem"},
@@ -40,7 +39,7 @@ func PGAS(scale float64, params *timemodel.Params) *Table {
 	// (quiescence + relaunch) before the consumer may proceed, which is
 	// exactly the host round trip the verb pair removes.
 	transfer := func(label string, signalled bool, elems, steps int) {
-		sys := core.New(core.Config{Nodes: 2, Params: cloneParams(params)})
+		sys := core.New(core.Config{Nodes: 2})
 		defer sys.Close()
 		sp := sys.Space()
 		data := sp.SymAlloc(elems)
@@ -117,7 +116,7 @@ func PGAS(scale float64, params *timemodel.Params) *Table {
 	const rounds = 8
 	for _, sched := range []rt.DCSchedule{rt.DCLinear, rt.DCRecDouble} {
 		for _, nodes := range []int{2, 4, 8} {
-			sys := core.New(core.Config{Nodes: nodes, Params: cloneParams(params)})
+			sys := core.New(core.Config{Nodes: nodes})
 			dc := rt.NewDeviceCollSched(sys.Space(), nodes, rt.WorldTeam, sched)
 			out := sys.Space().SymAlloc(1)
 			grid := make([]int, nodes)

@@ -8,7 +8,6 @@ import (
 	"gravel/internal/fabric"
 	"gravel/internal/harness"
 	"gravel/internal/rt"
-	"gravel/internal/timemodel"
 )
 
 // ResolverShardCounts is the resolver-sweep bank axis.
@@ -25,7 +24,7 @@ var ResolverShardCounts = []int{1, 2, 4, 8}
 // extraShards, when a valid bank count not already on the axis, adds
 // one more sweep point (the -resolver-shards flag value), so an
 // operator can probe their own configuration.
-func Resolver(scale float64, params *timemodel.Params, extraShards int) *Table {
+func Resolver(scale float64, extraShards int) *Table {
 	shardCounts := ResolverShardCounts
 	if fabric.ValidBanks(extraShards) && extraShards > 1 {
 		dup := false
@@ -49,11 +48,7 @@ func Resolver(scale float64, params *timemodel.Params, extraShards int) *Table {
 		panic(err)
 	}
 	run := func(label string, shards int, scale float64, base float64) float64 {
-		sys := core.New(core.Config{
-			Nodes:          4,
-			Params:         cloneParams(params),
-			ResolverShards: shards,
-		})
+		sys := core.New(core.Config{Nodes: 4, ResolverShards: shards})
 		start := time.Now()
 		res := gups.Run(sys, rt.Whole(), harness.Params{Scale: scale})
 		wallNs := float64(time.Since(start).Nanoseconds())

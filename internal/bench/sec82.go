@@ -4,7 +4,6 @@ import (
 	"gravel/internal/apps/gups"
 	"gravel/internal/core"
 	"gravel/internal/simt"
-	"gravel/internal/timemodel"
 )
 
 // Sec82 reproduces §8.2 (diverged WG-level operation analysis): GUPS-mod
@@ -12,7 +11,7 @@ import (
 // none — under software predication, WG-granularity control flow
 // (emulated in the paper with WF-sized WGs) and software fine-grain
 // barriers. Reported as speedup over software predication.
-func Sec82(scale float64, params *timemodel.Params) *Table {
+func Sec82(scale float64) *Table {
 	t := &Table{
 		Title:  "§8.2: diverged WG-level operations on GUPS-mod (speedup vs software predication)",
 		Header: []string{"mechanism", "virtual ms", "speedup"},
@@ -36,7 +35,7 @@ func Sec82(scale float64, params *timemodel.Params) *Table {
 	}
 	var base float64
 	for i, m := range modes {
-		sys := core.New(core.Config{Nodes: 8, Params: cloneParams(params), DivMode: m.mode})
+		sys := core.New(core.Config{Nodes: 8, DivMode: m.mode})
 		res := gups.RunMod(sys, cfg)
 		sys.Close()
 		if i == 0 {

@@ -4,20 +4,19 @@ import (
 	"fmt"
 
 	"gravel/internal/models"
-	"gravel/internal/timemodel"
 )
 
 // Table5 reproduces Table 5 (network statistics for Gravel at eight
 // nodes): remote-access frequency and average wire message size per
 // workload, plus the §8.1 aggregator-poll observation.
-func Table5(scale float64, params *timemodel.Params) *Table {
+func Table5(scale float64) *Table {
 	t := &Table{
 		Title:  "Table 5: network statistics for Gravel at eight nodes",
 		Header: []string{"workload", "remote freq", "avg msg size (B)", "agg busy"},
 		Clocks: []Clock{Label, Count, Count, Modeled},
 	}
 	for _, wl := range Workloads(scale) {
-		sys := models.Gravel(8, cloneParams(params))
+		sys := models.Gravel(8, nil)
 		wl.Run(sys)
 		st := sys.Stats()
 		sys.Close()

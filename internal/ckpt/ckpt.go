@@ -9,6 +9,8 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+
+	"gravel/internal/pgas"
 )
 
 // AppendU64 appends one word to a payload being built.
@@ -63,6 +65,46 @@ func DecodeShard(p []byte, hdr, counts int) ([]uint64, error) {
 		return nil, fmt.Errorf("ckpt: malformed payload: header counts %v, %d body words", w[hdr-counts:hdr], len(w)-hdr)
 	}
 	return w, nil
+}
+
+// EncodeRange builds node's payload for the range of a it owns: the
+// cut (the step the shard has completed), the range's start and
+// length, then the owned values.
+func EncodeRange(a *pgas.Array, node int, cut uint64) []byte {
+	lo, hi := a.LocalRange(node)
+	p := EncodeU64s([]uint64{cut, uint64(lo), uint64(hi - lo)}, hi-lo)
+	for _, v := range a.Local(node) {
+		p = AppendU64(p, v)
+	}
+	return p
+}
+
+// RestoreRange replays node's own saved range from shards into a and
+// returns the cut it was saved at. Only the owned range is restored:
+// remote updates route to the owner, so each shard holds exactly its
+// owned range's values, and the shards' checksums keep adding up to
+// the cluster's after a restore. Same node count only: shard node must
+// cover exactly node's range. Errors carry no package prefix; the app
+// adds its own.
+func RestoreRange(a *pgas.Array, node int, shards [][]byte) (uint64, error) {
+	if node >= len(shards) {
+		return 0, fmt.Errorf("restore has %d shards, node %d needs its own", len(shards), node)
+	}
+	w, err := DecodeShard(shards[node], 3, 1)
+	if err != nil {
+		return 0, fmt.Errorf("shard %d: %w", node, err)
+	}
+	lo, hi := a.LocalRange(node)
+	if int(w[1]) != lo || int(w[2]) != hi-lo {
+		return 0, fmt.Errorf("shard %d saved range [%d,+%d), own range is [%d,+%d) — node count changed?",
+			node, w[1], w[2], lo, hi-lo)
+	}
+	for j, v := range w[3:] {
+		if v != 0 {
+			a.Store(uint64(lo+j), v)
+		}
+	}
+	return w[0], nil
 }
 
 // Run is how one run meets the checkpoint store: what it resumes from

@@ -29,7 +29,7 @@ import (
 	"gravel/internal/rt"
 	"gravel/internal/simt"
 	"gravel/internal/timemodel"
-	_ "gravel/internal/transport" // registers the "loopback" and "tcp" transports
+	"gravel/internal/transport"
 	"gravel/internal/wire"
 )
 
@@ -65,10 +65,10 @@ type Config struct {
 	// pre-sharding runtime; more must be a power of two, at most
 	// fabric.MaxResolverBanks.
 	ResolverShards int
-	// Transport names a registered fabric transport: "" or "chan" (the
-	// default in-process channel fabric), "loopback" (in-process with
-	// real framing), or "tcp" (real sockets; the cluster spans OS
-	// processes, one hosted node per process).
+	// Transport is one of transport.Names(): "" or "chan" (the default
+	// in-process channel fabric), "loopback" (in-process with real
+	// framing), or "tcp" (real sockets; the cluster spans OS processes,
+	// one hosted node per process).
 	Transport string
 	// TransportOpts configures non-default transports (addresses,
 	// coordinator, failure detection, fault injection).
@@ -229,8 +229,8 @@ func (cfg Config) Validate() error {
 	if cfg.ResolverShards != 0 && !fabric.ValidBanks(cfg.ResolverShards) {
 		return invalid("ResolverShards", "resolver shard count %d must be a power of two in [1, %d]", cfg.ResolverShards, fabric.MaxResolverBanks)
 	}
-	if cfg.Transport != "" && !slices.Contains(fabric.Names(), cfg.Transport) {
-		return invalid("Transport", "unknown transport %q (have %v)", cfg.Transport, fabric.Names())
+	if cfg.Transport != "" && !slices.Contains(transport.Names(), cfg.Transport) {
+		return invalid("Transport", "unknown transport %q (have %v)", cfg.Transport, transport.Names())
 	}
 	if cfg.Transport == "tcp" {
 		// One process per node: which one this is, and where the others
@@ -283,14 +283,10 @@ func NewChecked(cfg Config) (*Cluster, error) {
 		clocks[i].ConfigureNetBanks(shards)
 	}
 	cl.clocks = clocks
-	transport := cfg.Transport
-	if transport == "" {
-		transport = "chan"
-	}
 	opts := cfg.TransportOpts
 	opts.ResolverBanks = shards
 	var err error
-	if cl.fab, err = fabric.NewByName(transport, p, clocks, opts); err != nil {
+	if cl.fab, err = transport.New(cfg.Transport, p, clocks, opts); err != nil {
 		return nil, err
 	}
 	cl.dist, _ = cl.fab.(fabric.Distributed)

@@ -1,7 +1,7 @@
 // Package fabric defines the cluster interconnect abstraction: the
 // Fabric interface every transport implements, the Packet unit of
-// delivery, shared wire Metrics, and a registry that maps transport
-// names ("chan", "loopback", "tcp") to factories.
+// delivery, shared wire Metrics, and the Options a transport is built
+// with (internal/transport.New builds one by name).
 //
 // The default "chan" transport (this package) simulates the paper's
 // interconnect (Table 3: 56 Gb/s InfiniBand, driven via MPI) with
@@ -11,9 +11,6 @@
 package fabric
 
 import (
-	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -157,7 +154,7 @@ func (m *Metrics) ObserveWire(c *timemodel.Clocks, from, to, bytes int) {
 	}
 }
 
-// Options configures a transport built through the registry. The
+// Options configures a transport built by transport.New. The
 // in-process transports ("chan", "loopback") ignore every field except
 // ResolverBanks.
 type Options struct {
@@ -205,52 +202,4 @@ type Options struct {
 	// StaleGenerationError instead of misdelivering it. Zero means the
 	// coordinator's generation at the time this process joins.
 	Generation uint32
-}
-
-// Factory builds a fabric over the given per-node clocks.
-type Factory func(p *timemodel.Params, clocks []*timemodel.Clocks, opt Options) (Fabric, error)
-
-var (
-	regMu    sync.Mutex
-	registry = map[string]Factory{}
-)
-
-// Register makes a transport available by name. It panics on duplicate
-// registration.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("fabric: duplicate transport %q", name))
-	}
-	registry[name] = f
-}
-
-// NewByName builds a registered transport.
-func NewByName(name string, p *timemodel.Params, clocks []*timemodel.Clocks, opt Options) (Fabric, error) {
-	regMu.Lock()
-	f, ok := registry[name]
-	regMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("fabric: unknown transport %q (have %v)", name, Names())
-	}
-	return f(p, clocks, opt)
-}
-
-// Names lists the registered transports in sorted order.
-func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register("chan", func(p *timemodel.Params, clocks []*timemodel.Clocks, opt Options) (Fabric, error) {
-		return NewBanked(p, clocks, opt.ResolverBanks), nil
-	})
 }

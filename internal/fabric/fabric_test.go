@@ -75,21 +75,6 @@ func TestSendInvalidDestPanics(t *testing.T) {
 	f.Send(0, 5, nil, 0)
 }
 
-func TestRegistryBuildsChan(t *testing.T) {
-	clocks := []*timemodel.Clocks{{}, {}}
-	f, err := NewByName("chan", timemodel.Default(), clocks, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Nodes() != 2 || !f.Hosts(1) {
-		t.Fatal("registry-built chan fabric wrong shape")
-	}
-	f.Close()
-	if _, err := NewByName("no-such-transport", timemodel.Default(), clocks, Options{}); err == nil {
-		t.Fatal("unknown transport did not error")
-	}
-}
-
 func TestCloseEndsInboxes(t *testing.T) {
 	f, _ := newTestFabric(2)
 	f.Close()

@@ -162,11 +162,13 @@ func shardTag(at rt.Where) string {
 	return "shard "
 }
 
-// Each row's Run is the app's one entry point. It reads at for two
-// things only: a whole run prints its own summary and verifies itself,
-// a shard prints the "shard …" form (its numbers are one node's).
-func init() {
-	register(&App{
+// registry is every App, in the order -list shows them (Table 4 order
+// for the bench subset). Each row's Run is the app's one entry point.
+// It reads at for two things only: a whole run prints its own summary
+// and verifies itself, a shard prints the "shard …" form (its numbers
+// are one node's).
+var registry = []*App{
+	{
 		Name:  "gups",
 		Desc:  "random atomic increments over a distributed table (§3)",
 		Bench: "GUPS",
@@ -192,9 +194,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	register(&App{
+	{
 		Name: "gups-mod",
 		Desc: "GUPS with 95% idle work-items: diverged WG offload (§8.2)",
 		Run: func(sys rt.System, at rt.Where, p Params) Result {
@@ -226,9 +228,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	register(&App{
+	{
 		Name: "pagerank",
 		Desc: "push-style PageRank over a uniform random graph (-verts/-iters)",
 		Run: func(sys rt.System, at rt.Where, p Params) Result {
@@ -242,16 +244,16 @@ func init() {
 		VerifyTotal: func(total uint64, p Params, _ int) error {
 			return matches("pagerank", total, refSum(pagerank.Reference(randomInput(p), p.itersOr(3))))
 		},
-	})
+	},
 
-	registerGraphApp("pagerank-1", "PR-1", "push-style PageRank, hugebubbles stand-in (Table 4)", BubblesInput, runGraphPagerank, rankRef)
-	registerGraphApp("pagerank-2", "PR-2", "push-style PageRank, cage15 stand-in (Table 4)", CageInput, runGraphPagerank, rankRef)
-	registerGraphApp("sssp-1", "SSSP-1", "level-synchronous Bellman-Ford, hugebubbles stand-in (Table 4)", BubblesInput, runSSSP, distRef)
-	registerGraphApp("sssp-2", "SSSP-2", "level-synchronous Bellman-Ford, cage15 stand-in (Table 4)", CageInput, runSSSP, distRef)
-	registerGraphApp("color-1", "color-1", "Jones-Plassmann coloring, hugebubbles stand-in (Table 4)", BubblesInput, runColor, nil)
-	registerGraphApp("color-2", "color-2", "Jones-Plassmann coloring, cage15 stand-in (Table 4)", CageInput, runColor, nil)
+	graphApp("pagerank-1", "PR-1", "push-style PageRank, hugebubbles stand-in (Table 4)", BubblesInput, runGraphPagerank, rankRef),
+	graphApp("pagerank-2", "PR-2", "push-style PageRank, cage15 stand-in (Table 4)", CageInput, runGraphPagerank, rankRef),
+	graphApp("sssp-1", "SSSP-1", "level-synchronous Bellman-Ford, hugebubbles stand-in (Table 4)", BubblesInput, runSSSP, distRef),
+	graphApp("sssp-2", "SSSP-2", "level-synchronous Bellman-Ford, cage15 stand-in (Table 4)", CageInput, runSSSP, distRef),
+	graphApp("color-1", "color-1", "Jones-Plassmann coloring, hugebubbles stand-in (Table 4)", BubblesInput, runColor, nil),
+	graphApp("color-2", "color-2", "Jones-Plassmann coloring, cage15 stand-in (Table 4)", CageInput, runColor, nil),
 
-	register(&App{
+	{
 		Name:  "kmeans",
 		Desc:  "fixed-point Lloyd iterations, atomic accumulators (§6)",
 		Bench: "kmeans",
@@ -274,9 +276,9 @@ func init() {
 		VerifyTotal: func(total uint64, p Params, nodes int) error {
 			return matches("kmeans", total, centroidCheck(kmeans.Reference(p.kmeansConfig(nodes), nodes)))
 		},
-	})
+	},
 
-	register(&App{
+	{
 		Name:  "mer",
 		Desc:  "Meraculous phase 1: distributed k-mer table build (§6)",
 		Bench: "mer",
@@ -301,9 +303,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	register(&App{
+	{
 		Name: "mer-full",
 		Desc: "Meraculous phases 1+2: table build then AM-driven contig walk",
 		Run: func(sys rt.System, at rt.Where, p Params) Result {
@@ -324,12 +326,12 @@ func init() {
 		VerifyTotal: func(total uint64, p Params, nodes int) error {
 			return matches("mer-full", total, mer2Check(mer.ReferencePhase2(p.merConfig(nodes, true), nodes)))
 		},
-	})
+	},
 
-	// The two PGAS-verb apps register after the pre-existing twelve so
-	// registration order — and with it every pinned registry listing and
-	// checksum — is unchanged for the old set.
-	register(&App{
+	// The two PGAS-verb apps follow the pre-existing twelve so the
+	// order — and with it every pinned listing and checksum — is
+	// unchanged for the old set.
+	{
 		Name: "bfs-dir",
 		Desc: "direction-optimizing BFS: dense rounds broadcast the frontier with put_signal, scanners wait_until",
 		Run: func(sys rt.System, at rt.Where, p Params) Result {
@@ -350,9 +352,9 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 
-	register(&App{
+	{
 		Name: "histogram",
 		Desc: "distributed histogram summarized by device collectives and host team all-reductions",
 		Run: func(sys rt.System, at rt.Where, p Params) Result {
@@ -372,15 +374,15 @@ func init() {
 			}
 			return nil
 		},
-	})
+	},
 }
 
-// registerGraphApp registers one of the six Table 4 graph workloads: a
-// graph kind's entry point over a cached input, and the sequential
-// reference its Check sums to (nil: coloring, whose ColorSum has none).
-func registerGraphApp(name, bench, desc string, input func(scale float64) *graph.Graph,
+// graphApp builds one of the six Table 4 graph workloads: a graph
+// kind's entry point over a cached input, and the sequential reference
+// its Check sums to (nil: coloring, whose ColorSum has none).
+func graphApp(name, bench, desc string, input func(scale float64) *graph.Graph,
 	run func(sys rt.System, g *graph.Graph, at rt.Where, p Params) Result,
-	ref func(g *graph.Graph, p Params) []uint64) {
+	ref func(g *graph.Graph, p Params) []uint64) *App {
 	a := &App{
 		Name:  name,
 		Desc:  desc,
@@ -394,7 +396,7 @@ func registerGraphApp(name, bench, desc string, input func(scale float64) *graph
 			return matches(name, total, refSum(ref(input(p.scale()), p)))
 		}
 	}
-	register(a)
+	return a
 }
 
 // matches is a VerifyTotal's verdict on a reduced total.

@@ -8,7 +8,7 @@
 // Table 4 identity), and all three binaries consume it.
 //
 // An App runs on any rt.System, anywhere an rt.Where names, and every
-// model builds over any registered fabric transport
+// model builds over any fabric transport
 // (gravel.Config.Model × Transport), so a run is an app row × a model
 // row × a fabric × a Where.
 package harness
@@ -20,9 +20,9 @@ import (
 	"os"
 	"strings"
 
-	"gravel/internal/fabric"
 	"gravel/internal/models"
 	"gravel/internal/rt"
+	"gravel/internal/transport"
 )
 
 // Params is the shared workload-parameter surface. The zero value of
@@ -122,25 +122,12 @@ type App struct {
 	VerifyTotal func(total uint64, p Params, nodes int) error
 }
 
-// registry holds the Apps in registration order (Table 4 order for the
-// bench subset).
-var registry []*App
-
-func register(a *App) {
-	for _, b := range registry {
-		if b.Name == a.Name {
-			panic("harness: duplicate app " + a.Name)
-		}
-	}
-	registry = append(registry, a)
-}
-
-// Apps returns every registered app in registration order.
+// Apps returns every app in registry order.
 func Apps() []*App {
 	return append([]*App(nil), registry...)
 }
 
-// AppNames returns the registered app names in registration order.
+// AppNames returns the app names in registry order.
 func AppNames() []string {
 	names := make([]string, len(registry))
 	for i, a := range registry {
@@ -202,10 +189,10 @@ type ListDoc struct {
 	Transports []string    `json:"transports"`
 }
 
-// List builds the registry listing. Transports reflect what is
-// registered in the running binary (fabric.Names sorts them).
+// List builds the -list document: the apps, the models and
+// transport.Names.
 func List() ListDoc {
-	doc := ListDoc{Models: Models(), Transports: fabric.Names()}
+	doc := ListDoc{Models: Models(), Transports: transport.Names()}
 	for _, a := range registry {
 		doc.Apps = append(doc.Apps, AppInfo{Name: a.Name, Desc: a.Desc, Bench: a.Bench})
 	}

@@ -3,6 +3,7 @@ package harness_test
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,17 +112,18 @@ func TestListJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Apps) != len(harness.AppNames()) || len(doc.Models) != len(gravel.Models()) {
-		t.Fatalf("list doc has %d apps, %d models", len(doc.Apps), len(doc.Models))
+	if len(doc.Models) != len(gravel.Models()) {
+		t.Fatalf("list doc has %d models, want %d", len(doc.Models), len(gravel.Models()))
 	}
-	found := false
-	for _, tr := range doc.Transports {
-		if tr == "tcp" {
-			found = true
-		}
+	if !slices.Equal(doc.Transports, gravel.Transports()) {
+		t.Fatalf("list doc transports %v, want %v", doc.Transports, gravel.Transports())
 	}
-	if !found {
-		t.Fatalf("transports %v missing tcp", doc.Transports)
+	var apps []string
+	for _, a := range doc.Apps {
+		apps = append(apps, a.Name)
+	}
+	if !slices.Equal(apps, harness.AppNames()) {
+		t.Fatalf("list doc apps %v, want %v", apps, harness.AppNames())
 	}
 }
 

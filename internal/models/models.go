@@ -148,7 +148,7 @@ func New(name string, nodes int, p *timemodel.Params) rt.System {
 }
 
 // NewSystem builds the model called name over cfg's fabric — every
-// model accepts every registered transport, so the Figure 15 sweep runs
+// model accepts every transport, so the Figure 15 sweep runs
 // in-process or as a real multi-process cluster. It panics the error
 // Lookup or Model.New returns.
 func NewSystem(name string, cfg core.Config) rt.System {

@@ -36,12 +36,6 @@ type onWire struct {
 	records int
 }
 
-// NewLoopback creates a loopback transport over the given clocks with
-// a single resolver bank.
-func NewLoopback(params *timemodel.Params, clocks []*timemodel.Clocks) *Loopback {
-	return NewLoopbackBanked(params, clocks, 1)
-}
-
 // NewLoopbackBanked creates a loopback transport whose decoders demux
 // each validated frame into per-bank sub-packets (0 means 1 bank; must
 // be a power of two, max fabric.MaxResolverBanks).

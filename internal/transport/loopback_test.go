@@ -37,7 +37,7 @@ func waitQuiet(t *testing.T, name string, quiet func() bool) {
 
 func TestLoopbackDeliversThroughFraming(t *testing.T) {
 	clocks := newClocks(3)
-	l := NewLoopback(timemodel.Default(), clocks)
+	l := NewLoopbackBanked(timemodel.Default(), clocks, 1)
 	defer l.Close()
 
 	buf := incBuf(7, 1)
@@ -64,7 +64,7 @@ func TestLoopbackDeliversThroughFraming(t *testing.T) {
 }
 
 func TestLoopbackDropsMalformedPayloads(t *testing.T) {
-	l := NewLoopback(timemodel.Default(), newClocks(2))
+	l := NewLoopbackBanked(timemodel.Default(), newClocks(2), 1)
 	defer l.Close()
 
 	// Not a whole number of wire records: the decoder must count it,

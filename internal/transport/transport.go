@@ -5,7 +5,8 @@
 // management, framing, reliability, and progress — below the aggregator
 // and above the OS.
 //
-// Two transports register themselves with the fabric registry:
+// New builds any of the three transports by name: the channel fabric
+// "chan" (package fabric) and this package's two:
 //
 //   - "loopback": in-process, every packet round-trips through the real
 //     frame codec into bounded per-destination queues. Deterministic,
@@ -25,15 +26,26 @@
 package transport
 
 import (
+	"fmt"
+
 	"gravel/internal/fabric"
 	"gravel/internal/timemodel"
 )
 
-func init() {
-	fabric.Register("loopback", func(p *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Options) (fabric.Fabric, error) {
+// Names lists the transports New builds, sorted.
+func Names() []string { return []string{"chan", "loopback", "tcp"} }
+
+// New builds the transport name ("" means "chan") over the given
+// per-node clocks. The in-process transports read only
+// opt.ResolverBanks.
+func New(name string, p *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Options) (fabric.Fabric, error) {
+	switch name {
+	case "", "chan":
+		return fabric.NewBanked(p, clocks, opt.ResolverBanks), nil
+	case "loopback":
 		return NewLoopbackBanked(p, clocks, opt.ResolverBanks), nil
-	})
-	fabric.Register("tcp", func(p *timemodel.Params, clocks []*timemodel.Clocks, opt fabric.Options) (fabric.Fabric, error) {
+	case "tcp":
 		return NewTCP(p, clocks, opt)
-	})
+	}
+	return nil, fmt.Errorf("transport: unknown transport %q (have %v)", name, Names())
 }

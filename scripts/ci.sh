@@ -39,6 +39,12 @@ quick() {
     echo "gravel-bench accepted -format=yaml" >&2
     exit 1
   fi
+  # Fixed sets (transports, apps, models) are literals where they are
+  # read, not filled at init: no non-test file under internal/ has one.
+  if grep -rl --include='*.go' --exclude='*_test.go' '^func init()' internal; then
+    echo "func init() declared in the internal/ files above" >&2
+    exit 1
+  fi
   benchmark_module
 }
 
